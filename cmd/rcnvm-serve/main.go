@@ -83,7 +83,6 @@ import (
 	"rcnvm/internal/server"
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
-	"rcnvm/internal/tier"
 )
 
 func main() {
@@ -116,8 +115,6 @@ func main() {
 		traceEvery   = flag.Int("trace-every", 0, "server-side sample every n-th statement for span tracing (0 = explicit trace requests only)")
 		traceNDJSON  = flag.String("trace-ndjson", "", "append sampled traces to this file as NDJSON Chrome trace events (\"-\" = stderr)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof and expvar on this address (\"\" disables)")
-		dramRows     = flag.Int("dram-rows", 0, "hybrid tier: DRAM cache capacity in 8KB device rows fronting timed queries' dual replays (0 = no tier)")
-		dramK        = flag.Int("dram-k", 0, "hybrid tier: row-buffer misses before a row promotes to DRAM (0 = default 2)")
 		faultRBER    = flag.Float64("fault-rber", 0, "transient raw bit error rate on stored data (0 = fault injection off)")
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (deterministic per seed)")
 		wearThresh   = flag.Int64("fault-wear-threshold", 0, "per-subarray writes before wear-out stuck-at cells appear (0 = no wear faults)")
@@ -224,7 +221,6 @@ func main() {
 		Durable:       store,
 		ReadOnly:      *replicaOf != "",
 		ExecDelay:     *execDelay,
-		Tier:          tier.Config{Rows: *dramRows, PromoteAfter: *dramK},
 	})
 
 	if *pprofAddr != "" {

@@ -44,8 +44,7 @@ const (
 // engine's methods do not acquire it themselves — callers lock at
 // *statement* granularity so that a multi-step operation (a WHERE scan
 // followed by a projection, say) sees one consistent snapshot. The
-// discipline, enforced by sql.ExecLocked / sql.ExecTraced and
-// internal/server:
+// discipline, enforced by sql.Execute (and through it internal/server):
 //
 //   - RLock for read-only work: Tuple, Field, Scan*, aggregates, Project,
 //     Join, Save, ExportCSV. Any number of readers may run in parallel —

@@ -48,26 +48,3 @@ func TestEventEngineZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state allocs per round = %g, want 0", allocs)
 	}
 }
-
-// BenchmarkEventEngineClosure is the same workload through the legacy
-// At(func()) form, for comparing the closure-based path's cost.
-func BenchmarkEventEngineClosure(b *testing.B) {
-	const chains, depth = 64, 16
-	e := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < chains; j++ {
-			var rearm func()
-			left := depth
-			rearm = func() {
-				if left > 0 {
-					left--
-					e.After(1, rearm)
-				}
-			}
-			e.At(e.Now()+int64(j), rearm)
-		}
-		e.Run()
-	}
-	b.ReportMetric(float64(chains*(depth+1)), "events/op")
-}

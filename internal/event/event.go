@@ -5,10 +5,11 @@
 //
 // The queue is the simulator's innermost loop, so it is built to stay off
 // the garbage collector's radar: items live inline in a reusable slice
-// (no container/heap `any` boxing), and the AtCall form lets components
-// schedule work with a static function plus a context pointer instead of
-// allocating a fresh closure per event. Once the queue slice has grown to
-// the workload's high-water mark, Run executes with zero allocations.
+// (no container/heap `any` boxing), and the one scheduling form, AtCall
+// (AfterCall is the same relative to now), takes a static function plus a
+// context pointer instead of a fresh closure per event. Once the queue
+// slice has grown to the workload's high-water mark, Run executes with
+// zero allocations.
 package event
 
 // Callback is the allocation-free event form: a static function invoked as
@@ -57,37 +58,11 @@ func (e *Engine) Reserve(n int) {
 	}
 }
 
-// callFunc0 adapts a plain func() to the Callback form. The func value is
-// carried in ctx; func values are pointer-shaped, so the conversion does
-// not allocate (the closure itself, if any, was allocated by the caller).
-func callFunc0(ctx any, _, _ int64) { ctx.(func())() }
-
-// callFunc1 adapts a func(now int64) completion callback: the firing time
-// is forwarded as the argument.
-func callFunc1(ctx any, _, now int64) { ctx.(func(int64))(now) }
-
-// At schedules fn to run at absolute time t. Scheduling in the past runs the
-// event at the current time (never rewinds the clock).
-func (e *Engine) At(t int64, fn func()) {
-	e.AtCall(t, callFunc0, fn, 0)
-}
-
-// After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d int64, fn func()) {
-	e.AtCall(e.now+d, callFunc0, fn, 0)
-}
-
-// AtFunc schedules fn(t) at absolute time t: the completion-callback shape
-// (memory responses, cache fills) without wrapping fn in a closure. fn
-// receives the firing time, which equals t unless t was clamped to now.
-func (e *Engine) AtFunc(t int64, fn func(int64)) {
-	e.AtCall(t, callFunc1, fn, 0)
-}
-
-// AtCall schedules fn(ctx, arg, firingTime) at absolute time t. This is the
-// allocation-free scheduling form: fn should be a static (package-level)
-// function and ctx a long-lived pointer, so no per-event closure exists.
-// Scheduling in the past clamps to the current time.
+// AtCall schedules fn(ctx, arg, firingTime) at absolute time t. fn should
+// be a static (package-level) function and ctx a long-lived pointer or a
+// func value the caller already holds, so no per-event closure exists.
+// Scheduling in the past runs the event at the current time (the clock
+// never rewinds), so firingTime equals t unless t was clamped to now.
 func (e *Engine) AtCall(t int64, fn Callback, ctx any, arg int64) {
 	if t < e.now {
 		t = e.now

@@ -7,12 +7,17 @@ import (
 	"testing/quick"
 )
 
+// at schedules a plain closure through AtCall: the func value rides in ctx.
+func at(e *Engine, t int64, fn func()) {
+	e.AtCall(t, func(ctx any, _, _ int64) { ctx.(func())() }, fn, 0)
+}
+
 func TestRunOrder(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	at(e, 30, func() { order = append(order, 3) })
+	at(e, 10, func() { order = append(order, 1) })
+	at(e, 20, func() { order = append(order, 2) })
 	end := e.Run()
 	if end != 30 {
 		t.Errorf("final time = %d, want 30", end)
@@ -27,7 +32,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		at(e, 5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -40,9 +45,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := New()
 	var hits []int64
-	e.At(10, func() {
+	at(e, 10, func() {
 		hits = append(hits, e.Now())
-		e.After(5, func() { hits = append(hits, e.Now()) })
+		at(e, e.Now()+5, func() { hits = append(hits, e.Now()) })
 	})
 	e.Run()
 	if len(hits) != 2 || hits[0] != 10 || hits[1] != 15 {
@@ -52,21 +57,21 @@ func TestNestedScheduling(t *testing.T) {
 
 func TestPastEventClamped(t *testing.T) {
 	e := New()
-	var at int64 = -1
-	e.At(100, func() {
-		e.At(50, func() { at = e.Now() }) // in the past
+	var ranAt int64 = -1
+	at(e, 100, func() {
+		at(e, 50, func() { ranAt = e.Now() }) // in the past
 	})
 	e.Run()
-	if at != 100 {
-		t.Errorf("past event ran at %d, want clamped to 100", at)
+	if ranAt != 100 {
+		t.Errorf("past event ran at %d, want clamped to 100", ranAt)
 	}
 }
 
 func TestStep(t *testing.T) {
 	e := New()
 	n := 0
-	e.At(1, func() { n++ })
-	e.At(2, func() { n++ })
+	at(e, 1, func() { n++ })
+	at(e, 2, func() { n++ })
 	if !e.Step() || n != 1 {
 		t.Fatal("first step failed")
 	}
@@ -88,11 +93,11 @@ func TestClockMonotonic(t *testing.T) {
 		e := New()
 		var seen []int64
 		for _, raw := range times {
-			at := raw % 1_000_000
-			if at < 0 {
-				at = -at
+			when := raw % 1_000_000
+			if when < 0 {
+				when = -when
 			}
-			e.At(at, func() { seen = append(seen, e.Now()) })
+			at(e, when, func() { seen = append(seen, e.Now()) })
 		}
 		e.Run()
 		for i := 1; i < len(seen); i++ {
@@ -137,22 +142,12 @@ func TestAtCall(t *testing.T) {
 func TestAtCallClampedPast(t *testing.T) {
 	e := New()
 	var c collector
-	e.At(100, func() {
+	at(e, 100, func() {
 		e.AtCall(50, collect, &c, 7) // in the past: clamps to 100
 	})
 	e.Run()
 	if len(c.order) != 2 || c.order[0] != 7 || c.order[1] != 100 {
 		t.Fatalf("order = %v, want [7 100]", c.order)
-	}
-}
-
-func TestAtFunc(t *testing.T) {
-	e := New()
-	var got int64 = -1
-	e.AtFunc(42, func(now int64) { got = now })
-	e.Run()
-	if got != 42 {
-		t.Errorf("AtFunc callback got %d, want 42", got)
 	}
 }
 
@@ -167,7 +162,7 @@ func TestHeapOrderRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		times[i] = rng.Int63n(977) // plenty of ties
 		i := i
-		e.At(times[i], func() { fired = append(fired, int64(i)) })
+		at(e, times[i], func() { fired = append(fired, int64(i)) })
 	}
 	e.Run()
 	if len(fired) != n {
@@ -202,11 +197,11 @@ func TestInterleavedPushPop(t *testing.T) {
 		count++
 		if count < 2000 {
 			// Fan out at varied offsets, including ties.
-			e.After(int64(count%5), chain)
+			at(e, e.Now()+int64(count%5), chain)
 		}
 	}
 	for i := 0; i < 8; i++ {
-		e.At(int64(i%3), chain)
+		at(e, int64(i%3), chain)
 	}
 	e.Run()
 	if count < 2000 {
@@ -217,7 +212,7 @@ func TestInterleavedPushPop(t *testing.T) {
 func TestReserve(t *testing.T) {
 	e := New()
 	e.Reserve(1024)
-	e.At(5, func() {})
+	at(e, 5, func() {})
 	if got := e.Pending(); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
@@ -230,7 +225,7 @@ func TestDeterminism(t *testing.T) {
 		var order []int
 		for i := 0; i < 100; i++ {
 			i := i
-			e.At(int64(i%7)*10, func() { order = append(order, i) })
+			at(e, int64(i%7)*10, func() { order = append(order, i) })
 		}
 		e.Run()
 		return order

@@ -225,6 +225,11 @@ func bankReady(ctx any, bank, _ int64) {
 	c.schedule()
 }
 
+// requestDone is the static completion event: ctx carries the request's
+// Done callback (a func value is pointer-shaped, so boxing it allocates
+// nothing) and the firing time is the transfer's finish time.
+func requestDone(ctx any, _, finish int64) { ctx.(func(int64))(finish) }
+
 // eccCheck runs the (72,64) SECDED decode over the 8 codewords of a line
 // just sensed from the cells for a demand read. Detected-uncorrectable
 // errors trigger up to fault.MaxReadRetries re-reads (a fresh activation:
@@ -307,7 +312,7 @@ func (c *Controller) issueTier(r *Request, now int64, bank int) bool {
 		c.st.Inc(stats.MemReads)
 	}
 	if r.Done != nil {
-		c.eng.AtFunc(finish, r.Done)
+		c.eng.AtCall(finish, requestDone, r.Done, 0)
 	}
 	if r.pooled && c.pool != nil {
 		c.pool.put(r)
@@ -400,7 +405,7 @@ func (c *Controller) issue(r *Request) {
 	c.eng.AtCall(res.ReadyAt, bankReady, c, int64(bank))
 	if r.Done != nil {
 		// finish >= now, so the callback fires with exactly finish.
-		c.eng.AtFunc(finish, r.Done)
+		c.eng.AtCall(finish, requestDone, r.Done, 0)
 	}
 	tierDrain := false
 	if c.tr != nil && !r.Gather {

@@ -20,6 +20,11 @@ func newSystem(t *testing.T, cfg device.Config) (*event.Engine, *device.Device, 
 	return eng, dev, NewRouter(eng, dev, st, 0), st
 }
 
+// at schedules a plain closure through AtCall: the func value rides in ctx.
+func at(e *event.Engine, t int64, fn func()) {
+	e.AtCall(t, func(ctx any, _, _ int64) { ctx.(func())() }, fn, 0)
+}
+
 func TestSingleRead(t *testing.T) {
 	eng, _, r, st := newSystem(t, device.RCNVMConfig())
 	var finished int64 = -1
@@ -74,7 +79,7 @@ func TestFRFCFSPromotesBufferHit(t *testing.T) {
 	r.Submit(&Request{Coord: addr.Coord{Row: 1}, Orient: addr.Row,
 		Done: func(int64) { order = append(order, "open") }})
 	// While bank 0 is busy, queue a conflict (row 2) then a hit (row 1).
-	eng.At(1, func() {
+	at(eng, 1, func() {
 		r.Submit(&Request{Coord: addr.Coord{Row: 2}, Orient: addr.Row,
 			Done: func(int64) { order = append(order, "conflict") }})
 		r.Submit(&Request{Coord: addr.Coord{Row: 1, Column: 64}, Orient: addr.Row,
@@ -96,7 +101,7 @@ func TestWritebackDeprioritized(t *testing.T) {
 	var order []string
 	r.Submit(&Request{Coord: addr.Coord{Row: 9}, Orient: addr.Row,
 		Done: func(int64) { order = append(order, "warm") }})
-	eng.At(1, func() {
+	at(eng, 1, func() {
 		r.Submit(&Request{Coord: addr.Coord{Row: 3}, Orient: addr.Row, Write: true, Writeback: true,
 			Done: func(int64) { order = append(order, "wb") }})
 		r.Submit(&Request{Coord: addr.Coord{Row: 4}, Orient: addr.Row,
@@ -225,7 +230,7 @@ func TestFCFSDoesNotPromoteHits(t *testing.T) {
 	var order []string
 	ctrl.Submit(&Request{Coord: addr.Coord{Row: 1}, Orient: addr.Row,
 		Done: func(int64) { order = append(order, "open") }})
-	eng.At(1, func() {
+	at(eng, 1, func() {
 		ctrl.Submit(&Request{Coord: addr.Coord{Row: 2}, Orient: addr.Row,
 			Done: func(int64) { order = append(order, "conflict") }})
 		ctrl.Submit(&Request{Coord: addr.Coord{Row: 1, Column: 64}, Orient: addr.Row,
@@ -255,14 +260,14 @@ func TestStarvationOverride(t *testing.T) {
 	// while a stream of row-1 hits keeps the bank hot.
 	ctrl.Submit(&Request{Coord: addr.Coord{Row: 1}, Orient: addr.Row,
 		Done: func(int64) { order = append(order, "open") }})
-	eng.At(1, func() {
+	at(eng, 1, func() {
 		ctrl.Submit(&Request{Coord: addr.Coord{Row: 2}, Orient: addr.Row,
 			Done: func(int64) { order = append(order, "starved") }})
 	})
 	// Feed hits every few ns for well past the starvation limit.
 	for i := int64(0); i < 300; i++ {
 		i := i
-		eng.At(2+i*10_000, func() {
+		at(eng, 2+i*10_000, func() {
 			ctrl.Submit(&Request{
 				Coord:  addr.Coord{Row: 1, Column: uint32(i*8) % 1024},
 				Orient: addr.Row,

@@ -36,18 +36,6 @@ const (
 	PlanCacheEvictions = "plancache.evictions"
 )
 
-// Hybrid DRAM-tier counter names, merged into /stats and /metrics from
-// every timed query's dual replay when Options.Tier is enabled (all zero
-// otherwise). Values must stay in sync with the simulator's stats.Tier*
-// names — TestTierCounterNamesMatchSimulator pins the correspondence.
-const (
-	TierDRAMHits   = "tier.dram_hits"
-	TierPromotions = "tier.promotions"
-	TierDemotions  = "tier.demotions"
-	TierWritebacks = "tier.writebacks"
-	TierColPatches = "tier.col_patches"
-)
-
 // Fault-layer counter names merged into /stats when injection is enabled.
 const (
 	FaultTransientBits = "fault.transient_bits"
@@ -126,10 +114,10 @@ type StatsSnapshot struct {
 	Replication *ReplicationStatus `json:"replication,omitempty"`
 }
 
-// snapshot assembles the /stats payload.
-func (m *Metrics) snapshot(p *Pool) StatsSnapshot {
+// snapshot assembles the /stats payload around the merged counter view.
+func (m *Metrics) snapshot(p *Pool, counters map[string]int64) StatsSnapshot {
 	return StatsSnapshot{
-		Counters: m.Set.Snapshot(),
+		Counters: counters,
 		Latency: LatencySummary{
 			Count:     m.Latency.Count(),
 			MeanNs:    m.Latency.Mean(),

@@ -32,13 +32,6 @@ var faultCounterNames = []string{
 	FaultUncorrectable, FaultMiscorrected, FaultWrites,
 }
 
-// tierCounterNames is every tier.* counter; /metrics renders them from
-// the first scrape (all zero when Options.Tier is disabled).
-var tierCounterNames = []string{
-	TierDRAMHits, TierPromotions, TierDemotions, TierWritebacks,
-	TierColPatches,
-}
-
 // promGauges marks the counter names that are levels, not monotonic
 // counts, so the exposition types them gauge without a _total suffix.
 var promGauges = map[string]bool{SessionsActive: true}
@@ -50,52 +43,16 @@ var promGauges = map[string]bool{SessionsActive: true}
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 
-	counters := s.met.Set.Snapshot()
-	for _, name := range serverCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
+	// Every family renders from the first scrape: a series /stats omits
+	// (counter not fired yet, fault injection off, volatile server, plan
+	// cache disabled) reads 0 here.
+	counters := s.counters()
+	for _, names := range [][]string{serverCounterNames, faultCounterNames, planCacheCounterNames, durable.CounterNames} {
+		for _, name := range names {
+			if _, ok := counters[name]; !ok {
+				counters[name] = 0
+			}
 		}
-	}
-	for _, name := range faultCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	for _, name := range planCacheCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	for _, name := range tierCounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	{
-		h, m, e := s.plans.Counters()
-		counters[PlanCacheHits] = h
-		counters[PlanCacheMisses] = m
-		counters[PlanCacheEvictions] = e
-	}
-	// wal.* series render from the first scrape like every other family
-	// (all zero on a volatile server).
-	for _, name := range durable.CounterNames {
-		if _, ok := counters[name]; !ok {
-			counters[name] = 0
-		}
-	}
-	if s.opts.Durable != nil {
-		for name, v := range s.opts.Durable.CounterSnapshot() {
-			counters[name] = v
-		}
-	}
-	if c, ok := s.faultCounts(); ok {
-		counters[FaultTransientBits] = c.TransientBits
-		counters[FaultStuckBits] = c.StuckBits
-		counters[FaultCorrected] = c.Corrected
-		counters[FaultUncorrectable] = c.Uncorrectable
-		counters[FaultMiscorrected] = c.Miscorrected
-		counters[FaultWrites] = c.Writes
 	}
 	obs.WriteCounters(w, "rcnvm", counters, promGauges)
 

@@ -23,7 +23,6 @@ import (
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
-	"rcnvm/internal/tier"
 	"rcnvm/internal/trace"
 )
 
@@ -74,13 +73,6 @@ type Options struct {
 	// serves the /wal/* log-shipping endpoints replicas stream from. Nil
 	// (the default) serves fully volatile, exactly as before.
 	Durable *durable.Store
-	// Tier, when enabled (Tier.Rows > 0), fronts every timed query's dual
-	// RC-NVM replay with a DRAM cache using row-buffer-locality-aware
-	// migration (internal/tier). The row-only comparison replay stays
-	// untiered, so Timing.Speedup then reports dual+DRAM over plain
-	// row-only NVM. The replays' tier.* counters merge into /stats and
-	// /metrics. The zero value leaves replays exactly as before.
-	Tier tier.Config
 	// ReadOnly marks a read replica: mutating statements (and batches
 	// containing one) are rejected with CodeReadOnly instead of executing.
 	// The replica's state advances only through shipped WAL records, never
@@ -115,8 +107,7 @@ type Server struct {
 	// partial state during WAL recovery, replica catch-up, or drain.
 	notReady atomic.Pointer[string]
 	// plans caches parsed statement templates by shape; nil when
-	// Options.PlanCacheSize is negative. Invalidation on DDL happens
-	// inside the sql layer (generation bump on successful CREATE TABLE).
+	// Options.PlanCacheSize is negative.
 	plans *sql.PlanCache
 
 	mu        sync.Mutex
@@ -439,30 +430,39 @@ func (s *Server) encodeError(session uint64, err error) {
 // endpoint). When the engine runs with fault injection, the injectors'
 // accounting — summed across shards — is merged in under the fault.* names.
 func (s *Server) Stats() StatsSnapshot {
-	snap := s.met.snapshot(s.pool)
-	if c, ok := s.faultCounts(); ok {
-		snap.Counters[FaultTransientBits] = c.TransientBits
-		snap.Counters[FaultStuckBits] = c.StuckBits
-		snap.Counters[FaultCorrected] = c.Corrected
-		snap.Counters[FaultUncorrectable] = c.Uncorrectable
-		snap.Counters[FaultMiscorrected] = c.Miscorrected
-		snap.Counters[FaultWrites] = c.Writes
-	}
-	if s.opts.Durable != nil {
-		for name, v := range s.opts.Durable.CounterSnapshot() {
-			snap.Counters[name] = v
-		}
-	}
-	if s.plans != nil {
-		h, m, e := s.plans.Counters()
-		snap.Counters[PlanCacheHits] = h
-		snap.Counters[PlanCacheMisses] = m
-		snap.Counters[PlanCacheEvictions] = e
-	}
+	snap := s.met.snapshot(s.pool, s.counters())
 	if st, ok := s.replicationStatus(); ok {
 		snap.Replication = &st
 	}
 	return snap
+}
+
+// counters is the one merged counter view behind /stats and /metrics: the
+// server's own stats.Set plus the families owned elsewhere — fault.* when
+// injection is on, wal.* on a durable server, plancache.* when the cache
+// is enabled.
+func (s *Server) counters() map[string]int64 {
+	counters := s.met.Set.Snapshot()
+	if c, ok := s.faultCounts(); ok {
+		counters[FaultTransientBits] = c.TransientBits
+		counters[FaultStuckBits] = c.StuckBits
+		counters[FaultCorrected] = c.Corrected
+		counters[FaultUncorrectable] = c.Uncorrectable
+		counters[FaultMiscorrected] = c.Miscorrected
+		counters[FaultWrites] = c.Writes
+	}
+	if s.opts.Durable != nil {
+		for name, v := range s.opts.Durable.CounterSnapshot() {
+			counters[name] = v
+		}
+	}
+	if s.plans != nil {
+		h, m, e := s.plans.Counters()
+		counters[PlanCacheHits] = h
+		counters[PlanCacheMisses] = m
+		counters[PlanCacheEvictions] = e
+	}
+	return counters
 }
 
 // PlanCache exposes the server's plan cache (nil when disabled); tests and
@@ -653,31 +653,20 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	if req.TraceID != 0 {
 		tid = req.TraceID
 	}
-	var (
-		res     *sql.Result
-		streams []trace.Stream
-		err     error
-	)
+	o := sql.ExecOptions{Rec: rec, TID: tid, Trace: req.Timing}
 	if req.Timing {
 		// Timing replays record full access traces and run under the
 		// exclusive lock; the plan cache is a hot-path optimization, so the
 		// traced path stays on the uncached parser by design.
 		s.met.Set.Inc(TimedQueries)
-		res, streams, err = sql.ExecShardedTracedObserved(s.Cluster(), req.Query, rec, tid)
 	} else {
-		res, err = sql.ExecShardedObservedCached(s.Cluster(), s.plans, req.Query, rec, tid)
+		o.Plans = s.plans
 	}
+	res, streams, err := sql.Execute(s.Cluster(), req.Query, o)
 	if err != nil {
 		return s.execError(req.ID, start, err)
 	}
-	resp = &Response{
-		ID:       req.ID,
-		Columns:  res.Columns,
-		Rows:     res.Rows,
-		Floats:   res.Floats,
-		Affected: res.Affected,
-		Message:  res.Message,
-	}
+	resp = resultResponse(req.ID, res)
 	if req.Timing {
 		// Replay outside any lock: the replay only reads the recorded
 		// streams, never the databases.
@@ -717,18 +706,24 @@ func (s *Server) executeBatch(req *Request, start time.Time) *Response {
 			out[i] = &Response{Error: s.wireError(errs[i])}
 			continue
 		}
-		r := results[i]
-		out[i] = &Response{
-			Columns:  r.Columns,
-			Rows:     r.Rows,
-			Floats:   r.Floats,
-			Affected: r.Affected,
-			Message:  r.Message,
-		}
-		rows += len(r.Rows)
+		out[i] = resultResponse(0, results[i])
+		rows += len(results[i].Rows)
 	}
 	s.met.observeBatch(time.Since(start), len(req.Batch), failed, rows)
 	return &Response{ID: req.ID, Results: out}
+}
+
+// resultResponse is the one sql.Result -> wire Response conversion (batch
+// slots carry no id of their own).
+func resultResponse(id uint64, res *sql.Result) *Response {
+	return &Response{
+		ID:       id,
+		Columns:  res.Columns,
+		Rows:     res.Rows,
+		Floats:   res.Floats,
+		Affected: res.Affected,
+		Message:  res.Message,
+	}
 }
 
 // shouldTrace decides whether one statement records spans: explicitly via
@@ -815,7 +810,6 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 			continue
 		}
 		cfg := config.RCNVM()
-		cfg.Tier = s.opts.Tier
 		run := obs.NewTelemetry(cfg.Device.Geom.TotalBanks(), obs.DefaultSampleIntervalPs)
 		cfg.Telemetry = run
 		dualSys, err := sim.New(cfg)
@@ -826,11 +820,6 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 		dual, err := dualSys.Run([]trace.Stream{stream})
 		if err != nil {
 			return nil, fmt.Errorf("server: trace replay: %w", err)
-		}
-		for _, name := range tierCounterNames {
-			if v := dual.Counters[name]; v != 0 {
-				s.met.Set.Add(name, v)
-			}
 		}
 		s.tel.Merge(run)
 		if s.shardTels != nil {

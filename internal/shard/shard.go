@@ -76,9 +76,9 @@ func Open(mode engine.Mode, n, workers int) (*Cluster, error) {
 }
 
 // Wrap presents an existing single database as a 1-shard cluster. The
-// executor short-circuits N==1 to the plain locked path, so a wrapped
-// database behaves exactly as it did unsharded (tables created directly
-// on db stay fully usable).
+// executor never consults the registry at N==1 (it runs the plain
+// single-database plan on shard 0), so a wrapped database behaves exactly
+// as it did unsharded (tables created directly on db stay fully usable).
 func Wrap(db *engine.DB) *Cluster {
 	return &Cluster{shards: []*engine.DB{db}, tables: make(map[string]*tableMap)}
 }

@@ -40,75 +40,9 @@ package sql
 import (
 	"context"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
 )
-
-// ExecBatchSharded executes stmts in order against the cluster with one
-// lock round, grouped shard fan-outs, and one group-commit wait for the
-// whole batch. results[i]/errs[i] mirror what ExecSharded(stmts[i]) would
-// have returned on a single session issuing the statements sequentially.
-func ExecBatchSharded(c *shard.Cluster, pc *PlanCache, stmts []string) (results []*Result, errs []error) {
-	if c.N() == 1 {
-		return execBatchSingle(c.Shard(0), pc, stmts)
-	}
-	return execBatchScatter(c, pc, stmts)
-}
-
-// execBatchSingle is the 1-shard fast path: one lock acquisition (read
-// mode iff every statement is read-only), all WAL appends before any
-// durability wait.
-func execBatchSingle(db *engine.DB, pc *PlanCache, stmts []string) ([]*Result, []error) {
-	n := len(stmts)
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	sts := make([]Statement, n)
-	readOnly := true
-	for i, src := range stmts {
-		st, err := pc.Parse(src)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		sts[i] = st
-		if !ReadOnly(st) {
-			readOnly = false
-		}
-	}
-	if readOnly {
-		db.RLock()
-		for i, st := range sts {
-			if st == nil {
-				continue
-			}
-			results[i], errs[i] = Run(db, st)
-		}
-		db.RUnlock()
-		return results, errs
-	}
-	waits := make([]func() error, n)
-	db.Lock()
-	for i, st := range sts {
-		if st == nil {
-			continue
-		}
-		results[i], errs[i] = Run(db, st)
-		waits[i] = logCommit(db, st, stmts[i], errs[i])
-	}
-	db.Unlock()
-	for i, w := range waits {
-		if werr := awaitDurable(w); werr != nil && errs[i] == nil {
-			results[i], errs[i] = nil, werr
-		}
-	}
-	for i, st := range sts {
-		if st != nil {
-			invalidateOnDDL(pc, st, errs[i])
-		}
-	}
-	return results, errs
-}
 
 // Batch group kinds: a statement joins a grouped fan-out only when it
 // broadcasts to every shard and its per-shard work is independent of the
@@ -124,7 +58,9 @@ const (
 )
 
 func classifyGroup(c *shard.Cluster, st Statement, targets []int) groupKind {
-	if len(targets) != c.N() {
+	if c.N() == 1 || len(targets) != c.N() {
+		// One shard has nothing to fan out (and dispatchSharded's 1-shard
+		// case, unlike the grouped runners, needs no registry).
 		return groupNone
 	}
 	switch s := st.(type) {
@@ -139,13 +75,17 @@ func classifyGroup(c *shard.Cluster, st Statement, targets []int) groupKind {
 	return groupNone
 }
 
-// execBatchScatter is the N>1 path: route every statement in order, lock
-// all shards once, execute in order with grouped fan-outs, unlock, then
-// run every durability wait.
-func execBatchScatter(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Result, []error) {
+// ExecBatchSharded executes stmts in order against the cluster: route
+// every statement in order, lock all shards once, execute in order with
+// grouped fan-outs, unlock, then run every durability wait — one lock
+// round and one group-commit wait for the whole batch. results[i]/errs[i]
+// mirror what ExecSharded(stmts[i]) would have returned on a single
+// session issuing the statements sequentially. On a 1-shard cluster every
+// statement dispatches on its own (nothing to fan out).
+func ExecBatchSharded(c *shard.Cluster, pc *PlanCache, stmts []string) (results []*Result, errs []error) {
 	n := len(stmts)
-	results := make([]*Result, n)
-	errs := make([]error, n)
+	results = make([]*Result, n)
+	errs = make([]error, n)
 	sts := make([]Statement, n)
 	targets := make([][]int, n)
 	kinds := make([]groupKind, n)
@@ -214,11 +154,6 @@ func execBatchScatter(c *shard.Cluster, pc *PlanCache, stmts []string) ([]*Resul
 	for i := range waits {
 		if werr := awaitAll(waits[i]); werr != nil && errs[i] == nil {
 			results[i], errs[i] = nil, werr
-		}
-	}
-	for i, st := range sts {
-		if st != nil {
-			invalidateOnDDL(pc, st, errs[i])
 		}
 	}
 	return results, errs

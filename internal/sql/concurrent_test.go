@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
 )
 
 // TestConcurrentDualVsRowOnly is the -race stress test for the concurrent
 // engine: N goroutines mix SELECT, INSERT, UPDATE and DELETE on one DB
-// through sql.ExecLocked, and the whole run executes once on a
+// through sql.ExecSharded, and the whole run executes once on a
 // DualAddress database and once on a RowOnly database. Every goroutine
 // works a disjoint id range of a shared table (plus reads of a shared
 // immutable table), so its observed results are deterministic despite the
@@ -27,12 +29,13 @@ func TestConcurrentDualVsRowOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := shard.Wrap(db)
 		for _, q := range []string{
 			"CREATE TABLE fixed (id, v) CAPACITY 64",
 			"INSERT INTO fixed VALUES (1,100),(2,200),(3,300)",
 			"CREATE TABLE mixed (id, grp, v) CAPACITY 4096",
 		} {
-			if _, err := sql.ExecLocked(db, q); err != nil {
+			if _, err := sql.ExecSharded(c, q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -45,7 +48,7 @@ func TestConcurrentDualVsRowOnly(t *testing.T) {
 				defer wg.Done()
 				lo := g * 1000
 				record := func(q string) {
-					res, err := sql.ExecLocked(db, q)
+					res, err := sql.ExecSharded(c, q)
 					if err != nil {
 						results[g] = append(results[g], "error: "+err.Error())
 						return
@@ -119,6 +122,19 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 		{"UPDATE t SET a = 2 WHERE b = 7", false},            // partition-column rewrite
 		{"DELETE FROM t WHERE a = 7", false},                 // point delete
 	}
+	// The classification is the lock mode Execute takes: with a reader
+	// already inside the database, read-only statements run alongside it
+	// and everything else waits for it to leave.
+	db, err := engine.Open(engine.DualAddress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := shard.Wrap(db)
+	for _, q := range []string{"CREATE TABLE t (a, b, k) CAPACITY 64", "CREATE TABLE u (k, b) CAPACITY 64"} {
+		if _, err := sql.ExecSharded(cl, q); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range cases {
 		st, err := sql.Parse(c.src)
 		if err != nil {
@@ -127,6 +143,28 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 		if got := sql.ReadOnly(st); got != c.ro {
 			t.Errorf("ReadOnly(%q) = %v, want %v", c.src, got, c.ro)
 		}
+		db.RLock()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			sql.Execute(cl, c.src, sql.ExecOptions{}) // statement errors are fine: the lock round is the subject
+		}()
+		wait := 10 * time.Second // a read-only statement must get through
+		if !c.ro {
+			wait = 20 * time.Millisecond // a writer must still be parked
+		}
+		select {
+		case <-done:
+			if !c.ro {
+				t.Errorf("%q ran beside a reader: it did not take the exclusive lock", c.src)
+			}
+		case <-time.After(wait):
+			if c.ro {
+				t.Fatalf("%q blocked behind a reader: it did not take the shared lock", c.src)
+			}
+		}
+		db.RUnlock()
+		<-done
 	}
 }
 
@@ -137,11 +175,12 @@ func TestExecTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := shard.Wrap(db)
 	for _, q := range []string{
 		"CREATE TABLE tr (id, v) CAPACITY 64",
 		"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
 	} {
-		if _, err := sql.ExecLocked(db, q); err != nil {
+		if _, err := sql.ExecSharded(c, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +197,7 @@ func TestExecTraced(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := sql.ExecLocked(db, "SELECT SUM(v) FROM tr"); err != nil {
+				if _, err := sql.ExecSharded(c, "SELECT SUM(v) FROM tr"); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,10 +206,11 @@ func TestExecTraced(t *testing.T) {
 	}
 
 	for i := 0; i < 20; i++ {
-		res, stream, err := sql.ExecTraced(db, "SELECT SUM(v) FROM tr")
+		res, streams, err := sql.Execute(c, "SELECT SUM(v) FROM tr", sql.ExecOptions{Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		stream := streams[0]
 		if res.Rows[0][0] != 100 {
 			t.Fatalf("sum = %d, want 100", res.Rows[0][0])
 		}

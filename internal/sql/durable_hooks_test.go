@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 )
 
 // TestLogCommitNilPathAllocatesNothing pins the volatile-server
@@ -23,7 +24,7 @@ func TestLogCommitNilPathAllocatesNothing(t *testing.T) {
 		if wait := logCommit(db, st, "UPDATE kv SET val = 1 WHERE k = 2", nil); wait != nil {
 			t.Fatal("nil commit log produced a wait func")
 		}
-		if err := awaitDurable(nil); err != nil {
+		if err := awaitAll(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -87,6 +88,75 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 		}
 		if StatementText(back) != got {
 			t.Fatalf("round trip of %q drifted to %q", got, StatementText(back))
+		}
+	}
+}
+
+// panicLog is a commit log that blows up on every append: the worst place
+// for a panic, under the exclusive statement lock with the mutation
+// already applied.
+type panicLog struct{}
+
+func (panicLog) LogStatement(string, bool, bool) (func() error, error) {
+	panic("injected LogStatement panic")
+}
+
+func (panicLog) LogInsert(string, [][]uint64, []int) (func() error, error) {
+	panic("injected LogInsert panic")
+}
+
+// TestPanicUnderStatementLockReleasesIt: a panic under the statement lock
+// (server.execute recovers it into internal_error) must leave every shard
+// unlocked and access recording off, on 1 shard exactly as on 4 — otherwise
+// one poisoned statement wedges every later one on that database.
+func TestPanicUnderStatementLockReleasesIt(t *testing.T) {
+	const (
+		update = "UPDATE kv SET val = 1 WHERE grp = 2"
+		insert = "INSERT INTO kv VALUES (100, 1, 2), (101, 2, 3), (102, 3, 4), (103, 0, 5)"
+	)
+	for _, shards := range []int{1, 4} {
+		c, err := shard.Open(engine.DualAddress, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"CREATE TABLE kv (k, grp, val) CAPACITY 1024", "INSERT INTO kv VALUES (1, 2, 3), (2, 2, 4)"} {
+			if _, err := ExecSharded(c, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < shards; i++ {
+			c.Shard(i).SetCommitLog(panicLog{})
+		}
+		runs := map[string]func(){
+			"batch": func() { ExecBatchSharded(c, nil, []string{"SELECT COUNT(*) FROM kv", update, insert}) },
+		}
+		for _, src := range []string{update, insert} {
+			runs[src] = func() { Execute(c, src, ExecOptions{}) }
+			runs["traced "+src] = func() { Execute(c, src, ExecOptions{Trace: true}) }
+		}
+		for name, run := range runs {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%d shards, %s: the commit log never panicked", shards, name)
+					}
+				}()
+				run()
+			}()
+			for i := 0; i < shards; i++ {
+				if !c.Shard(i).TryLock() {
+					t.Fatalf("%d shards, %s: shard %d is still locked after the panic", shards, name, i)
+				}
+				c.Shard(i).Unlock()
+			}
+			if _, err := ExecSharded(c, "SELECT SUM(val) FROM kv"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < shards; i++ {
+				if ops := c.Shard(i).StopTrace(); len(ops) != 0 {
+					t.Fatalf("%d shards, %s: shard %d kept recording after the panic (%d ops from a later SELECT)", shards, name, i, len(ops))
+				}
+			}
 		}
 	}
 }

@@ -16,12 +16,9 @@ package sql
 //     literals into the clone in grammar order, skipping Parse and all of
 //     its per-token work and allocations.
 //
-// Invalidation is generational: every successful DDL statement bumps a
-// global generation counter and entries stamped with an older generation
-// are treated as misses and replaced. (Today nothing a CREATE TABLE does
-// can invalidate a parse-level template — name resolution happens at
-// execution time — but the protocol is what later resolved-plan caching
-// relies on, and the tests pin it.)
+// Nothing invalidates an entry: a template is the parse of its source and
+// nothing else — name resolution happens at execution time — so no DDL can
+// make one stale. Entries leave only by LRU eviction.
 //
 // Only INSERT/SELECT/UPDATE/DELETE templates are cached. DDL and EXPLAIN
 // are rare, and CREATE TABLE is ambiguous under parameterization (WIDE 1
@@ -50,7 +47,6 @@ const DefaultPlanCacheSize = 4096
 // statement shape. The zero value is not usable; a nil *PlanCache is and
 // degrades every operation to the uncached path.
 type PlanCache struct {
-	gen       atomic.Uint64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -70,7 +66,6 @@ type planEntry struct {
 	key        string
 	tmpl       Statement
 	lits       []uint64 // the template's own literal vector, in grammar order
-	gen        uint64
 	prev, next *planEntry
 }
 
@@ -89,15 +84,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		pc.shards[i].entries = make(map[string]*planEntry)
 	}
 	return pc
-}
-
-// Invalidate bumps the DDL generation: every cached template becomes a
-// miss and is replaced on next use. Called after successful DDL.
-func (pc *PlanCache) Invalidate() {
-	if pc == nil {
-		return
-	}
-	pc.gen.Add(1)
 }
 
 // Counters returns the cumulative hit/miss/eviction counts.
@@ -135,11 +121,10 @@ func (pc *PlanCache) Parse(src string) (Statement, error) {
 		pc.misses.Add(1)
 		return Parse(src)
 	}
-	gen := pc.gen.Load()
 	sh := &pc.shards[shapeHash(sc.key)%planShardCount]
 
 	sh.mu.Lock()
-	if e, ok := sh.entries[string(sc.key)]; ok && e.gen == gen {
+	if e, ok := sh.entries[string(sc.key)]; ok {
 		sh.moveFront(e)
 		if literalsEqual(e.lits, sc.lits) {
 			sh.mu.Unlock()
@@ -165,15 +150,14 @@ func (pc *PlanCache) Parse(src string) (Statement, error) {
 			key:  string(sc.key),
 			tmpl: st,
 			lits: append([]uint64(nil), sc.lits...),
-			gen:  gen,
 		}
 		sh.insert(pc, e)
 	}
 	return st, nil
 }
 
-// insert stores e, replacing any same-key entry (e.g. one from an older
-// generation) and evicting the LRU tail past capacity.
+// insert stores e, replacing any same-key entry (a concurrent miss on the
+// same shape got there first) and evicting the LRU tail past capacity.
 func (sh *planShard) insert(pc *PlanCache, e *planEntry) {
 	sh.mu.Lock()
 	if old, ok := sh.entries[e.key]; ok {

@@ -1,9 +1,13 @@
 package sql
 
-// Scatter-gather execution over a shard.Cluster: one statement is split
-// into per-shard sub-plans, fanned out over the cluster's worker budget,
-// and the partial results merged back into a single Result that is
-// byte-identical to what the 1-shard baseline produces.
+// Scatter-gather execution over a shard.Cluster, the routing and dispatch
+// half of Execute (session.go): one statement is split into per-shard
+// sub-plans, fanned out over the cluster's worker budget, and the partial
+// results merged back into a single Result that is byte-identical to what
+// the 1-shard baseline produces. A 1-shard cluster is not a separate
+// pipeline, only two small cases at the bottom of this one: route returns
+// shard 0 without consulting the registry, and dispatchSharded runs the
+// plain single-database plan and logs the statement text.
 //
 // Routing: a statement whose WHERE pins the partitioning column with an
 // equality runs on exactly one shard (all matching rows live there);
@@ -28,200 +32,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"rcnvm/internal/engine"
-	"rcnvm/internal/obs"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
-	"rcnvm/internal/trace"
 )
-
-// ExecSharded parses and executes one statement across the cluster,
-// holding the per-shard statement locks the sub-plans require. A 1-shard
-// cluster takes exactly the ExecLocked path.
-func ExecSharded(c *shard.Cluster, src string) (*Result, error) {
-	return ExecShardedCached(c, nil, src)
-}
-
-// ExecShardedCached is ExecSharded with a plan cache consulted for the
-// parse (nil = plain Parse). Successful DDL bumps the cache generation so
-// templates cached before the schema change are re-parsed.
-func ExecShardedCached(c *shard.Cluster, pc *PlanCache, src string) (*Result, error) {
-	st, err := pc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	var res *Result
-	if c.N() == 1 {
-		res, err = runLocked(c.Shard(0), st, src)
-	} else {
-		res, _, err = runSharded(c, st, src, false, nil, 0)
-	}
-	invalidateOnDDL(pc, st, err)
-	return res, err
-}
-
-// ExecShardedObserved is ExecSharded with wall-clock phase spans (parse,
-// lock_wait, exec) recorded under obs.ProcQuery on lane tid.
-func ExecShardedObserved(c *shard.Cluster, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	return ExecShardedObservedCached(c, nil, src, rec, tid)
-}
-
-// ExecShardedObservedCached is ExecShardedObserved with a plan cache
-// consulted for the parse (nil = plain Parse).
-func ExecShardedObservedCached(c *shard.Cluster, pc *PlanCache, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	if rec == nil {
-		return ExecShardedCached(c, pc, src)
-	}
-	t0 := time.Now()
-	st, err := pc.Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, err
-	}
-	var res *Result
-	if c.N() == 1 {
-		res, err = runObserved(c.Shard(0), st, src, rec, tid)
-	} else {
-		res, _, err = runSharded(c, st, src, false, rec, tid)
-	}
-	invalidateOnDDL(pc, st, err)
-	return res, err
-}
-
-// invalidateOnDDL bumps the plan-cache generation after a successful
-// schema change (CREATE TABLE, bare or under EXPLAIN ANALYZE).
-func invalidateOnDDL(pc *PlanCache, st Statement, execErr error) {
-	if pc == nil || execErr != nil {
-		return
-	}
-	switch s := st.(type) {
-	case *CreateTable:
-		pc.Invalidate()
-	case *Explain:
-		if _, ok := s.Stmt.(*CreateTable); ok && s.Analyze {
-			pc.Invalidate()
-		}
-	}
-}
-
-// ExecShardedTraced executes one statement with per-shard memory-access
-// recording: streams[i] is shard i's recorded stream (nil for shards the
-// statement never locked). Tracing forces exclusive locks, as in
-// ExecTraced.
-func ExecShardedTraced(c *shard.Cluster, src string) (*Result, []trace.Stream, error) {
-	if c.N() == 1 {
-		res, stream, err := ExecTraced(c.Shard(0), src)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, []trace.Stream{stream}, nil
-	}
-	st, err := Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	return runSharded(c, st, src, true, nil, 0)
-}
-
-// ExecShardedTracedObserved is ExecShardedTraced with the ExecObserved
-// phase spans.
-func ExecShardedTracedObserved(c *shard.Cluster, src string, rec *obs.Recorder, tid int64) (*Result, []trace.Stream, error) {
-	if rec == nil {
-		return ExecShardedTraced(c, src)
-	}
-	if c.N() == 1 {
-		res, stream, err := ExecTracedObserved(c.Shard(0), src, rec, tid)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, []trace.Stream{stream}, nil
-	}
-	t0 := time.Now()
-	st, err := Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	return runSharded(c, st, src, true, rec, tid)
-}
-
-// runSharded is the N>1 core: route, lock, (trace,) execute, log, merge,
-// unlock, wait for durability.
-func runSharded(c *shard.Cluster, st Statement, src string, traced bool, rec *obs.Recorder, tid int64) (*Result, []trace.Stream, error) {
-	targets, exclusive := route(c, st, traced)
-	tLock := time.Now()
-	unlock := lockShards(c, targets, exclusive)
-	unlocked := false
-	defer func() {
-		// Panic-safe: the normal path unlocks by hand before the
-		// durability wait below.
-		if !unlocked {
-			unlock()
-		}
-	}()
-	if rec != nil {
-		rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-	}
-	var streams []trace.Stream
-	if traced {
-		streams = make([]trace.Stream, c.N())
-		for _, i := range targets {
-			c.Shard(i).StartTrace()
-		}
-	}
-	tExec := time.Now()
-	res, waits, err := dispatchSharded(c, st, src, targets)
-	if traced {
-		for _, i := range targets {
-			streams[i] = c.Shard(i).StopTrace()
-		}
-	}
-	if rec != nil {
-		rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-	}
-	// Release the statement locks before waiting for the WAL fsyncs:
-	// group commit batches concurrent statements' records behind shared
-	// fsyncs, which only helps if the lock is free while waiting.
-	unlocked = true
-	unlock()
-	if len(waits) > 0 {
-		tWal := time.Now()
-		werr := awaitAll(waits)
-		if rec != nil {
-			rec.WallSince(obs.ProcQuery, "wal_wait", obs.CatSQL, tid, tWal)
-		}
-		if werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, streams, nil
-}
-
-// awaitAll runs every per-shard durability wait (skipping nils) and
-// returns the first failure.
-func awaitAll(waits []func() error) error {
-	var err error
-	for _, w := range waits {
-		if w == nil {
-			continue
-		}
-		if e := w(); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
-}
 
 // updateUnstable reports whether an UPDATE rewrites its table's
 // partitioning column. Recorded in the WAL so recovery re-disables point
@@ -253,6 +68,11 @@ func allShards(c *shard.Cluster) []int {
 // buffer is exclusive DB state) escalates every target to the write lock.
 func route(c *shard.Cluster, st Statement, traced bool) (targets []int, exclusive bool) {
 	exclusive = traced || !ReadOnly(st)
+	if c.N() == 1 {
+		// The lone shard owns every row: nothing to route, and a
+		// shard.Wrap'd database has no registry to consult.
+		return allShards(c), exclusive
+	}
 	switch s := st.(type) {
 	case *Select:
 		if s.JoinTable != "" {
@@ -267,13 +87,9 @@ func route(c *shard.Cluster, st Statement, traced bool) (targets []int, exclusiv
 		// placement" for every row it touches: disable point routing for
 		// this table up front (permanently) and broadcast the update —
 		// broadcasts stay correct regardless of placement.
-		if col, _ := c.PartitionColumn(s.Table); col != "" {
-			for _, set := range s.Sets {
-				if strings.EqualFold(set.Column, col) {
-					c.MarkUnstable(s.Table)
-					return allShards(c), true
-				}
-			}
+		if updateUnstable(c, s) {
+			c.MarkUnstable(s.Table)
+			return allShards(c), true
 		}
 		if i, ok := pointShard(c, s.Table, s.Where); ok {
 			return []int{i}, true
@@ -337,6 +153,17 @@ func lockShards(c *shard.Cluster, targets []int, exclusive bool) (unlock func())
 // The returned waits are per-shard durability waits the caller must run
 // after releasing the locks (nil/empty when nothing was logged).
 func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) (*Result, []func() error, error) {
+	if c.N() == 1 {
+		// The lone shard runs the unmodified single-database plan (its row
+		// ids are the global ids) and logs the statement's text, so tables
+		// created directly on a shard.Wrap'd database stay fully usable.
+		db := c.Shard(0)
+		res, err := Run(db, st)
+		if w := logCommit(db, st, src, err); w != nil {
+			return res, []func() error{w}, err
+		}
+		return res, nil, err
+	}
 	switch s := st.(type) {
 	case *CreateTable:
 		return scatterCreate(c, s, src)

@@ -6,24 +6,25 @@ import (
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/obs"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/trace"
 )
 
 // This file is the concurrency boundary of the SQL layer: engine.DB
 // carries an RWMutex but its methods do not lock it themselves (see the
-// engine.DB doc comment), so statements that should execute atomically
-// against a shared database go through ExecLocked or ExecTraced, which
-// hold the lock for the whole statement. Plain Exec/Run stay unlocked for
-// single-threaded callers.
+// engine.DB doc comment), so every statement that should execute
+// atomically against a shared cluster goes through Execute, which holds
+// the statement locks of the shards it touches for the whole statement.
+// Plain Exec/Run stay unlocked for single-threaded callers.
 //
 // It is also the durability boundary: when a commit log is installed on
-// the database (engine.DB.SetCommitLog, done by internal/durable), every
+// the shards (engine.DB.SetCommitLog, done by internal/durable), every
 // mutating statement is appended to the WAL while the exclusive lock is
 // still held — so per-log record order equals commit order — and the
 // caller then waits for the fsync AFTER releasing the lock, so concurrent
 // statements batch their fsyncs behind the log's single flusher instead
 // of serializing on the disk. With no log installed (the default), the
-// paths below are unchanged: one nil check, no allocation.
+// path below is unchanged: one nil check, no allocation.
 
 // ReadOnly reports whether a statement only reads database state, and may
 // therefore run under the shared (read) lock concurrently with other
@@ -97,156 +98,118 @@ func logCommit(db *engine.DB, st Statement, src string, execErr error) func() er
 	return logShard(db, src, execErr != nil, false)
 }
 
-// awaitDurable runs a durability wait (nil = already durable). Call after
-// releasing the statement lock.
-func awaitDurable(wait func() error) error {
-	if wait == nil {
-		return nil
-	}
-	return wait()
+// ExecOptions selects what Execute does around the statement itself. The
+// zero value is a plain parse and an unobserved, untraced execution.
+type ExecOptions struct {
+	// Plans, when non-nil, is consulted for the parse instead of Parse.
+	Plans *PlanCache
+	// Rec, when non-nil, receives wall-clock phase spans (parse,
+	// lock_wait, exec, and wal_wait when something was logged) under
+	// obs.ProcQuery on lane TID.
+	Rec *obs.Recorder
+	TID int64
+	// Trace records each locked shard's memory accesses for the statement.
+	// The trace buffer is shared DB state, so tracing takes exclusive locks
+	// even for SELECTs, and EXPLAIN (which times itself) is rejected.
+	Trace bool
 }
 
-// ExecLocked parses and executes one statement while holding db's lock in
-// the mode the statement requires: the read lock for read-only statements
-// (concurrent SELECTs proceed in parallel), the write lock for everything
-// that mutates. Mutations are WAL-logged under the lock and waited for
-// durability after it.
-func ExecLocked(db *engine.DB, src string) (*Result, error) {
-	st, err := Parse(src)
+// Execute is the one statement pipeline: parse, route, lock the target
+// shards in the mode the statement requires (read locks for read-only
+// statements, so concurrent SELECTs proceed in parallel), run, append
+// mutations to the WAL under the lock, unlock, wait for durability. With
+// Trace set, streams[i] is shard i's recorded access stream (nil for
+// shards the statement never locked); otherwise streams is nil.
+func Execute(c *shard.Cluster, src string, o ExecOptions) (*Result, []trace.Stream, error) {
+	endParse := o.span("parse")
+	st, err := o.Plans.Parse(src)
+	endParse()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return runLocked(db, st, src)
-}
-
-// runLocked is ExecLocked past the parse: it executes an already-parsed
-// statement under the lock mode the statement requires. The statement may
-// be a shared plan-cache template; it is never mutated.
-func runLocked(db *engine.DB, st Statement, src string) (*Result, error) {
-	if ReadOnly(st) {
-		db.RLock()
-		defer db.RUnlock()
-		return Run(db, st)
+	if _, ok := st.(*Explain); ok && o.Trace {
+		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
 	}
-	db.Lock()
-	res, err := Run(db, st)
-	wait := logCommit(db, st, src, err)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		return nil, werr
-	}
-	return res, err
-}
-
-// ExecObserved is ExecLocked with wall-clock phase spans (parse,
-// lock_wait, exec, and wal_wait when a commit log is installed) recorded
-// under process obs.ProcQuery on lane tid. A nil recorder degrades to
-// plain ExecLocked.
-func ExecObserved(db *engine.DB, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	if rec == nil {
-		return ExecLocked(db, src)
-	}
-	t0 := time.Now()
-	st, err := Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, err
-	}
-	return runObserved(db, st, src, rec, tid)
-}
-
-// runObserved is ExecObserved past the parse (the caller has already
-// recorded its own parse span).
-func runObserved(db *engine.DB, st Statement, src string, rec *obs.Recorder, tid int64) (*Result, error) {
-	if rec == nil {
-		return runLocked(db, st, src)
-	}
-	tLock := time.Now()
-	if ReadOnly(st) {
-		db.RLock()
-		defer db.RUnlock()
-		rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-		tExec := time.Now()
-		res, err := Run(db, st)
-		rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-		return res, err
-	}
-	db.Lock()
-	rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-	tExec := time.Now()
-	res, err := Run(db, st)
-	wait := logCommit(db, st, src, err)
-	rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-	db.Unlock()
-	if wait != nil {
-		tWal := time.Now()
-		werr := wait()
-		rec.WallSince(obs.ProcQuery, "wal_wait", obs.CatSQL, tid, tWal)
+	res, streams, waits, err := runUnderLocks(c, st, src, o)
+	// The statement locks are released before waiting for the WAL fsyncs:
+	// group commit batches concurrent statements' records behind shared
+	// fsyncs, which only helps if the lock is free while waiting.
+	if len(waits) > 0 {
+		endWal := o.span("wal_wait")
+		werr := awaitAll(waits)
+		endWal()
 		if werr != nil && err == nil {
-			return nil, werr
+			err = werr
 		}
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, streams, nil
+}
+
+// runUnderLocks is Execute's locked section: route, lock, (start trace,)
+// execute and log, (stop trace,) unlock. The last two are deferred, so a
+// panic under the lock can neither wedge the shards for later statements
+// nor leave access recording on for later read-locked SELECTs to race on.
+func runUnderLocks(c *shard.Cluster, st Statement, src string, o ExecOptions) (res *Result, streams []trace.Stream, waits []func() error, err error) {
+	targets, exclusive := route(c, st, o.Trace)
+	endLockWait := o.span("lock_wait")
+	defer lockShards(c, targets, exclusive)()
+	endLockWait()
+	if o.Trace {
+		streams = make([]trace.Stream, c.N())
+		for _, i := range targets {
+			c.Shard(i).StartTrace()
+		}
+		defer func() {
+			for _, i := range targets {
+				streams[i] = c.Shard(i).StopTrace()
+			}
+		}()
+	}
+	endExec := o.span("exec")
+	res, waits, err = dispatchSharded(c, st, src, targets)
+	endExec()
+	return res, streams, waits, err
+}
+
+// span starts a wall-clock phase span on the recorder and returns the func
+// that ends it. Without a recorder it reads no clock and allocates nothing.
+func (o ExecOptions) span(name string) (end func()) {
+	if o.Rec == nil {
+		return func() {}
+	}
+	start := time.Now()
+	return func() { o.Rec.WallSince(obs.ProcQuery, name, obs.CatSQL, o.TID, start) }
+}
+
+// awaitAll runs every per-shard durability wait and returns the first
+// failure. Call after releasing the statement locks.
+func awaitAll(waits []func() error) error {
+	var err error
+	for _, w := range waits {
+		if e := w(); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// ExecSharded is Execute with no options: plain parse, no spans, no trace.
+func ExecSharded(c *shard.Cluster, src string) (*Result, error) {
+	res, _, err := Execute(c, src, ExecOptions{})
 	return res, err
 }
 
-// ExecTracedObserved is ExecTraced with the same wall-clock phase spans as
-// ExecObserved. A nil recorder degrades to plain ExecTraced.
-func ExecTracedObserved(db *engine.DB, src string, rec *obs.Recorder, tid int64) (*Result, trace.Stream, error) {
-	if rec == nil {
-		return ExecTraced(db, src)
-	}
-	t0 := time.Now()
-	st, err := Parse(src)
-	rec.WallSince(obs.ProcQuery, "parse", obs.CatSQL, tid, t0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	tLock := time.Now()
-	db.Lock()
-	rec.WallSince(obs.ProcQuery, "lock_wait", obs.CatSQL, tid, tLock)
-	tExec := time.Now()
-	db.StartTrace()
-	res, err := Run(db, st)
-	stream := db.StopTrace()
-	wait := logCommit(db, st, src, err)
-	rec.WallSince(obs.ProcQuery, "exec", obs.CatSQL, tid, tExec)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stream, nil
+// ExecShardedCached is ExecSharded with a plan cache consulted for the
+// parse (nil = plain Parse).
+func ExecShardedCached(c *shard.Cluster, pc *PlanCache, src string) (*Result, error) {
+	res, _, err := Execute(c, src, ExecOptions{Plans: pc})
+	return res, err
 }
 
-// ExecTraced parses and executes one statement under the exclusive lock
-// with access recording on, returning the recorded memory-access stream
-// alongside the result. The exclusive lock is required even for SELECTs:
-// the trace buffer is shared DB state, and a concurrent statement would
-// interleave its accesses into the recording.
-func ExecTraced(db *engine.DB, src string) (*Result, trace.Stream, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, ok := st.(*Explain); ok {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
-	}
-	db.Lock()
-	db.StartTrace()
-	res, err := Run(db, st)
-	stream := db.StopTrace()
-	wait := logCommit(db, st, src, err)
-	db.Unlock()
-	if werr := awaitDurable(wait); werr != nil && err == nil {
-		err = werr
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, stream, nil
+// ExecShardedTraced is Execute with per-shard memory-access recording.
+func ExecShardedTraced(c *shard.Cluster, src string) (*Result, []trace.Stream, error) {
+	return Execute(c, src, ExecOptions{Trace: true})
 }
