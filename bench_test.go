@@ -22,6 +22,7 @@ import (
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/memctrl"
 	"rcnvm/internal/server"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
 	"rcnvm/internal/workload"
 )
@@ -54,7 +55,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			srv := server.New(db, server.Options{Queue: 2 * sessions})
+			srv := server.NewCluster(shard.Wrap(db), server.Options{Queue: 2 * sessions})
 			addr, err := srv.ListenTCP("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -146,7 +147,7 @@ func BenchmarkServerBatch(b *testing.B) {
 			if _, err := sql.Exec(db, ins); err != nil {
 				b.Fatal(err)
 			}
-			srv := server.New(db, server.Options{})
+			srv := server.NewCluster(shard.Wrap(db), server.Options{})
 			addr, err := srv.ListenTCP("127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)

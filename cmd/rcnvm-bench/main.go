@@ -31,6 +31,7 @@ import (
 
 	"rcnvm/internal/benchjson"
 	"rcnvm/internal/experiments"
+	"rcnvm/internal/par"
 )
 
 // parseShardCounts parses the -shards flag ("1,2,4") into cluster sizes.
@@ -225,7 +226,7 @@ func main() {
 	}
 	if *timingFlag {
 		fmt.Fprintf(os.Stderr, "timing  total   %8.2fs (workers=%d)\n",
-			total.Seconds(), experiments.Workers(workers))
+			total.Seconds(), par.Workers(workers))
 	}
 	if *benchJSON != "" {
 		path, err := benchjson.Write(*benchJSON, &benchjson.Result{
@@ -233,7 +234,7 @@ func main() {
 			Config: map[string]any{
 				"scale":   *scaleFlag,
 				"run":     *runFlag,
-				"workers": experiments.Workers(workers),
+				"workers": par.Workers(workers),
 			},
 			Metrics: append(benchMetrics, benchjson.Metric{
 				Name: "total_seconds", Value: total.Seconds(), Unit: "s", Better: benchjson.Lower,

@@ -30,7 +30,7 @@ import (
 
 	"rcnvm/internal/addr"
 	"rcnvm/internal/config"
-	"rcnvm/internal/experiments"
+	"rcnvm/internal/par"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/trace"
 )
@@ -174,7 +174,7 @@ func main() {
 		res     sim.Result
 	}
 	cells := make([]cell, len(systems))
-	err = experiments.RunCells(context.Background(), *workersFlag, len(systems), func(i int) error {
+	err = par.RunCells(context.Background(), *workersFlag, len(systems), func(i int) error {
 		cells[i].streams = streamsFor(systems[i])
 		var err error
 		cells[i].res, err = sim.RunOn(systems[i], cells[i].streams)

@@ -262,5 +262,5 @@ func (r *Router) ClusterStats() ClusterStats {
 }
 
 func (r *Router) handleClusterStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.ClusterStats())
+	r.front.WriteJSON(w, http.StatusOK, r.ClusterStats())
 }

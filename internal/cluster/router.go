@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,16 +15,20 @@ import (
 	"rcnvm/internal/stats"
 )
 
-// Router counter names (the /stats payload of a routing front end).
-const (
-	RouteReads         = "route.reads"           // read-only requests forwarded
-	RouteWrites        = "route.writes"          // write-bearing requests forwarded to the primary
-	RouteReadFailovers = "route.read_failovers"  // reads resent to another backend after a failure
-	RouteEjections     = "route.ejections"       // replicas ejected from rotation
-	RouteReadmissions  = "route.readmissions"    // replicas re-admitted after recovery
-	RoutePrimaryDown   = "route.primary_down"    // writes failed fast: primary unreachable
-	RouteUnknownState  = "route.unknown_state"   // writes failed mid-exchange: state unknown
-	RouteBadRequests   = "route.bad_requests"    // undecodable protocol messages
+// Family declares the router's route.* series (the counters of its /stats
+// payload), zero-prefilled on /stats and /metrics so dashboards never see
+// series appear mid-run.
+var Family stats.Family
+
+var (
+	RouteReads         = Family.Counter("route.reads")          // read-only requests forwarded
+	RouteWrites        = Family.Counter("route.writes")         // write-bearing requests forwarded to the primary
+	RouteReadFailovers = Family.Counter("route.read_failovers") // reads resent to another backend after a failure
+	RouteEjections     = Family.Counter("route.ejections")      // replicas ejected from rotation
+	RouteReadmissions  = Family.Counter("route.readmissions")   // replicas re-admitted after recovery
+	RoutePrimaryDown   = Family.Counter("route.primary_down")   // writes failed fast: primary unreachable
+	RouteUnknownState  = Family.Counter("route.unknown_state")  // writes failed mid-exchange: state unknown
+	RouteBadRequests   = Family.Counter("route.bad_requests")   // undecodable protocol messages
 )
 
 // RouterOptions configures a routing front end.
@@ -56,8 +56,9 @@ type RouterOptions struct {
 	// cannot answer within it is reported down (cluster_node_up 0), never
 	// waited on.
 	ScrapeTimeout time.Duration
-	// Logger, when non-nil, receives health transitions and forward
-	// failures.
+	// Logger, when non-nil, receives health transitions, forward failures
+	// and the front end's session lines (closed, panicked, response
+	// undeliverable).
 	Logger *slog.Logger
 }
 
@@ -83,12 +84,12 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	return o
 }
 
-// Router is the replicated cluster's front door: it speaks the same
-// NDJSON TCP and HTTP /query protocols as a single server, classifies
-// every request read-only vs write-bearing, and forwards accordingly.
-// Clients (including RetryClient) need no changes — failure codes coming
-// back are the same typed, retryable-flagged wire errors a single server
-// produces.
+// Router is the replicated cluster's front door: it serves through the
+// same server.FrontEnd as a single server (NDJSON TCP and HTTP /query),
+// classifies every request read-only vs write-bearing, and forwards
+// accordingly. Clients (including RetryClient) need no changes — failure
+// codes coming back are the same typed, retryable-flagged wire errors a
+// single server produces.
 type Router struct {
 	opts     RouterOptions
 	primary  *node
@@ -103,12 +104,9 @@ type Router struct {
 	// /cluster/stats scrapes.
 	scrape *http.Client
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	https     []*http.Server
-	conns     map[net.Conn]struct{}
-	shutting  bool
-	accepting sync.WaitGroup
+	// front is the wire front end; each of its sessions is answered by a
+	// session.forward.
+	front *server.FrontEnd
 }
 
 // NewRouter creates a router. Replicas start healthy and eject on their
@@ -121,7 +119,33 @@ func NewRouter(opts RouterOptions) *Router {
 		primary: &node{be: opts.Primary, name: "primary", lat: stats.NewHistogram()},
 		met:     stats.NewSet(),
 		scrape:  &http.Client{Timeout: opts.ScrapeTimeout},
-		conns:   make(map[net.Conn]struct{}),
+	}
+	// The router is ready as soon as it serves: with every backend down it
+	// still answers every request with a typed retryable error, which is
+	// exactly the contract /readyz vouches for.
+	ready := func(w http.ResponseWriter, req *http.Request) { fmt.Fprintln(w, "ok") }
+	r.front = &server.FrontEnd{
+		Open: func() (server.Responder, func()) {
+			ss := r.newSession()
+			// Nothing to hold across delivery: the router has no drain.
+			respond := func(req *server.Request) (*server.Response, func()) { return ss.forward(req), nil }
+			return respond, ss.close
+		},
+		Routes: map[string]http.HandlerFunc{
+			"/stats":           r.handleStats,
+			"/metrics":         r.handleMetrics,
+			"/cluster/metrics": r.handleClusterMetrics,
+			"/cluster/stats":   r.handleClusterStats,
+			"/readyz":          ready,
+		},
+		// Of the protocol events the router publishes the bad requests;
+		// the rest reach the operator through Logger.
+		Count: func(name string, delta int64) {
+			if name == server.BadRequests {
+				r.met.Add(RouteBadRequests, delta)
+			}
+		},
+		Logger: opts.Logger,
 	}
 	r.primary.healthy.Store(true)
 	for i, be := range opts.Replicas {
@@ -161,7 +185,10 @@ func (r *Router) Healthy() int {
 
 // session is one router-side client session: its own set of backend
 // sessions, so per-session response ordering holds end to end and one
-// client's broken backend conn never poisons another's.
+// client's broken backend conn never poisons another's. A TCP client
+// keeps one for the connection's life; each HTTP request gets a throwaway
+// one, because a pooled backend conn shared across concurrent handlers
+// would interleave frames.
 type session struct {
 	r     *Router
 	conns map[string]*server.Client // by backend TCP address
@@ -386,152 +413,13 @@ func (ss *session) forwardWrite(req *server.Request, ft *fwdTrace) *server.Respo
 }
 
 // ListenTCP starts the router's NDJSON front end.
-func (r *Router) ListenTCP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
-		ln.Close()
-		return nil, server.ErrShuttingDown
-	}
-	r.listeners = append(r.listeners, ln)
-	r.mu.Unlock()
-	r.accepting.Add(1)
-	go r.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.accepting.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		if r.shutting {
-			r.mu.Unlock()
-			c.Close()
-			return
-		}
-		r.conns[c] = struct{}{}
-		r.mu.Unlock()
-		go r.serveConn(c)
-	}
-}
-
-func (r *Router) serveConn(c net.Conn) {
-	ss := r.newSession()
-	defer func() {
-		ss.close()
-		c.Close()
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-	}()
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	enc := json.NewEncoder(c)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req server.Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			r.met.Inc(RouteBadRequests)
-			if enc.Encode(&server.Response{Error: &server.WireError{
-				Code: server.CodeBadRequest, Message: err.Error(),
-			}}) != nil {
-				return
-			}
-			continue
-		}
-		if enc.Encode(ss.forward(&req)) != nil {
-			return
-		}
-	}
-}
+func (r *Router) ListenTCP(addr string) (net.Addr, error) { return r.front.ListenTCP(addr) }
 
 // ListenHTTP starts the router's HTTP front end: POST /query (forwarded
 // like the TCP protocol), GET /stats (router counters + per-replica
-// health), GET /healthz, GET /readyz.
-func (r *Router) ListenHTTP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", r.handleQuery)
-	mux.HandleFunc("/stats", r.handleStats)
-	mux.HandleFunc("/metrics", r.handleMetrics)
-	mux.HandleFunc("/cluster/metrics", r.handleClusterMetrics)
-	mux.HandleFunc("/cluster/stats", r.handleClusterStats)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	// The router is ready as soon as it serves: with every backend down
-	// it still answers every request with a typed retryable error, which
-	// is exactly the contract /readyz vouches for.
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	hs := &http.Server{Handler: mux}
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
-		ln.Close()
-		return nil, server.ErrShuttingDown
-	}
-	r.https = append(r.https, hs)
-	r.mu.Unlock()
-	r.accepting.Add(1)
-	go func() {
-		defer r.accepting.Done()
-		hs.Serve(ln)
-	}()
-	return ln.Addr(), nil
-}
-
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var q server.Request
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&q); err != nil {
-		r.met.Inc(RouteBadRequests)
-		writeJSON(w, http.StatusBadRequest, &server.Response{Error: &server.WireError{
-			Code: server.CodeBadRequest, Message: err.Error(),
-		}})
-		return
-	}
-	// Each HTTP request uses a throwaway session: HTTP has no session
-	// affinity to preserve, and a pooled backend conn shared across
-	// concurrent handlers would interleave frames.
-	ss := r.newSession()
-	defer ss.close()
-	resp := ss.forward(&q)
-	status := http.StatusOK
-	if resp.Error != nil {
-		switch resp.Error.Code {
-		case server.CodeOverloaded, server.CodeShutdown, server.CodeUnavailable, server.CodePrimaryDown:
-			status = http.StatusServiceUnavailable
-		case server.CodeTimeout:
-			status = http.StatusGatewayTimeout
-		case server.CodeMemory, server.CodeInternal, server.CodeUnknownState:
-			status = http.StatusInternalServerError
-		case server.CodeReadOnly:
-			status = http.StatusForbidden
-		default:
-			status = http.StatusBadRequest
-		}
-	}
-	writeJSON(w, status, resp)
-}
+// health), GET /metrics, GET /cluster/metrics and /cluster/stats (the
+// federated views), GET /healthz, GET /readyz.
+func (r *Router) ListenHTTP(addr string) (net.Addr, error) { return r.front.ListenHTTP(addr) }
 
 // RouterStats is the router's GET /stats payload.
 type RouterStats struct {
@@ -552,21 +440,10 @@ type ReplicaHealth struct {
 	Ejections   int64   `json:"ejections"`
 }
 
-// routeCounterNames is every route.* counter, zero-prefilled on /stats and
-// /metrics so dashboards never see series appear mid-run.
-var routeCounterNames = []string{
-	RouteReads, RouteWrites, RouteReadFailovers, RouteEjections,
-	RouteReadmissions, RoutePrimaryDown, RouteUnknownState, RouteBadRequests,
-}
-
 // Stats snapshots the router counters and per-replica health.
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{Counters: r.met.Snapshot()}
-	for _, name := range routeCounterNames {
-		if _, ok := st.Counters[name]; !ok {
-			st.Counters[name] = 0
-		}
-	}
+	stats.Prefill(st.Counters, &Family)
 	for _, n := range r.replicas {
 		st.Replicas = append(st.Replicas, ReplicaHealth{
 			Backend:     n.be.String(),
@@ -581,7 +458,7 @@ func (r *Router) Stats() RouterStats {
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	writeJSON(w, http.StatusOK, r.Stats())
+	r.front.WriteJSON(w, http.StatusOK, r.Stats())
 }
 
 // handleMetrics renders the router's own GET /metrics: every route.*
@@ -591,7 +468,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	st := r.Stats()
-	obs.WriteCounters(w, "rcnvm", st.Counters, nil)
+	obs.WriteCounters(w, "rcnvm", st.Counters, &Family)
 	obs.WriteGauge(w, "rcnvm_route_replicas", float64(len(r.replicas)))
 	obs.WriteGauge(w, "rcnvm_route_replicas_healthy", float64(r.Healthy()))
 	items := make([]obs.LabeledHistogram, 0, 1+len(r.replicas))
@@ -610,38 +487,11 @@ func (r *Router) allNodes() []*node {
 	return out
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// Shutdown stops the router: the health checker exits, listeners close,
+// Shutdown stops the router: listeners close, the health checker exits,
 // open client sessions (and their backend sessions) drop.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.shutting {
-		r.mu.Unlock()
+	if !r.front.Close(ctx, true, r.check.close) {
 		return nil
 	}
-	r.shutting = true
-	listeners := r.listeners
-	https := r.https
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-	r.check.close()
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	for _, hs := range https {
-		hs.Shutdown(ctx)
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	r.accepting.Wait()
 	return ctx.Err()
 }

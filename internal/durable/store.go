@@ -43,19 +43,22 @@ import (
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/shard"
+	"rcnvm/internal/stats"
 )
 
-// Counter names as merged into the server's /stats payload and /metrics
-// exposition (rcnvm_wal_appends_total and friends).
-const (
-	CtrWalAppends        = "wal.appends"
-	CtrWalFsyncs         = "wal.fsyncs"
-	CtrWalBytes          = "wal.bytes"
-	CtrCheckpoints       = "wal.checkpoints"
-	CtrCheckpointNanos   = "wal.checkpoint_ns"
-	CtrRecoveryReplayed  = "wal.recovery_replayed"
-	CtrRecoveryNanos     = "wal.recovery_ns"
-	CtrRecoveryTornBytes = "wal.recovery_torn_bytes"
+// Family declares the wal.* series, as merged into the server's /stats
+// payload and /metrics exposition (rcnvm_wal_appends_total and friends).
+var Family stats.Family
+
+var (
+	CtrWalAppends        = Family.Counter("wal.appends")
+	CtrWalFsyncs         = Family.Counter("wal.fsyncs")
+	CtrWalBytes          = Family.Counter("wal.bytes")
+	CtrCheckpoints       = Family.Counter("wal.checkpoints")
+	CtrCheckpointNanos   = Family.Counter("wal.checkpoint_ns")
+	CtrRecoveryReplayed  = Family.Counter("wal.recovery_replayed")
+	CtrRecoveryNanos     = Family.Counter("wal.recovery_ns")
+	CtrRecoveryTornBytes = Family.Counter("wal.recovery_torn_bytes")
 )
 
 // Counters is the subsystem's accounting, shared by every shard log.
@@ -82,14 +85,6 @@ func (c *Counters) Snapshot() map[string]int64 {
 		CtrRecoveryNanos:     c.RecoveryNanos.Load(),
 		CtrRecoveryTornBytes: c.RecoveryTornBytes.Load(),
 	}
-}
-
-// CounterNames lists every counter the subsystem publishes, for endpoints
-// that pre-fill series with zeros.
-var CounterNames = []string{
-	CtrWalAppends, CtrWalFsyncs, CtrWalBytes, CtrCheckpoints,
-	CtrCheckpointNanos, CtrRecoveryReplayed, CtrRecoveryNanos,
-	CtrRecoveryTornBytes,
 }
 
 // Options configures a Store. The zero value is usable: group-commit

@@ -10,25 +10,14 @@ import (
 // query) cell builds a fresh sim.System with its own event engine, caches
 // and stats, so cells share no mutable state. The runner lives in
 // internal/par (it is also the fan-out engine for the sharded SQL
-// executor); the wrappers below keep this package's historical API so
-// sweep call sites and external tooling stay unchanged.
+// executor).
 
-// Workers resolves a worker-count flag value: n <= 0 means one worker per
-// available CPU (runtime.GOMAXPROCS(0)).
-func Workers(n int) int { return par.Workers(n) }
-
-// RunCells executes cells 0..n-1, each exactly once, on up to workers
-// goroutines (workers <= 0 selects Workers(0); workers == 1 runs inline
-// with no goroutines). If cells fail, the error of the lowest-indexed
-// observed failure is returned and the remaining cells are cancelled.
-// Cancelling ctx stops the sweep between cells and returns ctx's error.
-func RunCells(ctx context.Context, workers, n int, run func(i int) error) error {
-	return par.RunCells(ctx, workers, n, run)
-}
-
-// Sweep runs fn over n independent cells with RunCells and returns the
-// results slotted by cell index, so callers assemble tables in a fixed
-// order regardless of which worker finished which cell first.
+// Sweep is par.Sweep under this package's name: fn runs over n independent
+// cells and the results come back slotted by cell index, so callers
+// assemble tables in a fixed order regardless of which worker finished
+// which cell first. It stays because the repo's benchmark (bench/sim.go)
+// calls experiments.Sweep; the experiments here use it too, everything
+// else calls internal/par directly.
 func Sweep[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return par.Sweep[T](ctx, workers, n, fn)
 }

@@ -40,18 +40,26 @@ func MetricName(prefix, name string) string {
 }
 
 // WriteCounters renders a counter snapshot as one family per counter,
-// sorted by name. Names in the gauges set are typed gauge (values that go
-// up and down, like sessions_active); everything else is a counter and
-// gets the conventional _total suffix.
-func WriteCounters(w io.Writer, prefix string, counters map[string]int64, gauges map[string]bool) error {
+// sorted by name. A name one of fams declares a gauge is typed gauge (a
+// value that goes up and down, like sessions_active); everything else is
+// a counter and gets the conventional _total suffix.
+func WriteCounters(w io.Writer, prefix string, counters map[string]int64, fams ...*stats.Family) error {
 	names := make([]string, 0, len(counters))
 	for k := range counters {
 		names = append(names, k)
 	}
 	sort.Strings(names)
+	isGauge := func(name string) bool {
+		for _, f := range fams {
+			if f.IsGauge(name) {
+				return true
+			}
+		}
+		return false
+	}
 	for _, k := range names {
 		m := MetricName(prefix, k)
-		if gauges[k] {
+		if isGauge(k) {
 			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", m, m, counters[k]); err != nil {
 				return err
 			}

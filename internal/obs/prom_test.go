@@ -79,7 +79,9 @@ func TestWriteCountersFormat(t *testing.T) {
 		"server.sessions_active": 3,
 		"fault.transient_bits":   0,
 	}
-	err := WriteCounters(&b, "rcnvm", counters, map[string]bool{"server.sessions_active": true})
+	var fam stats.Family
+	fam.Gauge("server.sessions_active")
+	err := WriteCounters(&b, "rcnvm", counters, &fam)
 	if err != nil {
 		t.Fatal(err)
 	}

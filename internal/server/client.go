@@ -261,7 +261,7 @@ func DialRetry(addr string, pol RetryPolicy) *RetryClient {
 
 // Query executes one statement with retries.
 func (r *RetryClient) Query(q string) (*Response, error) {
-	return r.do(Request{Query: q})
+	return r.do(Request{Query: q}, IsRetryable)
 }
 
 // Batch executes stmts as one batch request with retries. Retrying a
@@ -273,43 +273,17 @@ func (r *RetryClient) Query(q string) (*Response, error) {
 // Mutating batches with unknown state fail fast instead.
 func (r *RetryClient) Batch(stmts []string) ([]*Response, error) {
 	readOnly := allReadOnly(stmts)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	start := time.Now()
-	var lastErr error
-	attempt := 0
-	for ; r.budgetLeft(attempt, start); attempt++ {
-		if attempt > 0 {
-			time.Sleep(r.backoff(attempt))
-			r.retries.Add(1)
-		}
-		c, err := r.sessionLocked()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		resp, err := c.do(Request{Batch: stmts})
-		if err == nil {
-			return resp.Results, nil
-		}
-		lastErr = err
-		if c.Broken() {
-			c.Close()
-			r.c = nil
-		}
-		if !batchRetryable(err, readOnly) {
-			if !readOnly && !errors.Is(err, ErrShuttingDown) && IsRetryable(err) {
-				// The batch carries mutations and the exchange broke after
-				// the send: its state is unknown. Typed so callers can
-				// distinguish "reconcile before retrying" from a plain error.
-				return nil, fmt.Errorf("%w: %w", ErrUnknownState, err)
-			}
-			return nil, err
-		}
+	resp, err := r.do(Request{Batch: stmts}, func(err error) bool { return batchRetryable(err, readOnly) })
+	switch {
+	case err == nil:
+		return resp.Results, nil
+	case !errors.Is(err, ErrGaveUp) && !readOnly && !errors.Is(err, ErrShuttingDown) && IsRetryable(err):
+		// The batch carries mutations and the exchange broke after the
+		// send: its state is unknown. Typed so callers can distinguish
+		// "reconcile before retrying" from a plain error.
+		return nil, fmt.Errorf("%w: %w", ErrUnknownState, err)
 	}
-	r.gaveup.Add(1)
-	return nil, fmt.Errorf("%w: giving up after %d attempts in %v: %w",
-		ErrGaveUp, attempt, time.Since(start).Round(time.Millisecond), lastErr)
+	return nil, err
 }
 
 // batchRetryable decides whether a failed batch may be resent. Overload is
@@ -341,9 +315,6 @@ func allReadOnly(stmts []string) bool {
 	return true
 }
 
-// Attempts exposes how many tries do would make (tests).
-func (r *RetryClient) Attempts() int { return r.pol.MaxAttempts }
-
 // Retry counter names, in the same namespace style as the server's.
 const (
 	ClientRetries = "client.retries" // resends beyond each request's first attempt
@@ -372,7 +343,10 @@ func (r *RetryClient) budgetLeft(attempt int, start time.Time) bool {
 	return time.Since(start) < r.pol.MaxElapsed
 }
 
-func (r *RetryClient) do(req Request) (*Response, error) {
+// do is the one retry loop: req is resent, after a backoff and on a
+// redialed session if the old one broke, for as long as the budget lasts
+// and retryable says its last failure may be.
+func (r *RetryClient) do(req Request, retryable func(error) bool) (*Response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	start := time.Now()
@@ -397,7 +371,7 @@ func (r *RetryClient) do(req Request) (*Response, error) {
 			c.Close()
 			r.c = nil
 		}
-		if !IsRetryable(err) {
+		if !retryable(err) {
 			return resp, err
 		}
 	}

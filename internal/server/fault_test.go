@@ -9,6 +9,7 @@ import (
 	"rcnvm/internal/ecc"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/fault"
+	"rcnvm/internal/shard"
 )
 
 // newFaultyServer starts a TCP server whose engine carries a hard
@@ -19,7 +20,7 @@ func newFaultyServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, Options{})
+	s := NewCluster(shard.Wrap(db), Options{})
 	addr, err := s.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestMemoryErrorIsTypedThroughResponseErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, Options{})
+	s := NewCluster(shard.Wrap(db), Options{})
 	t.Cleanup(func() { s.Shutdown(testCtx(t)) })
 	if r := s.Do(&Request{Query: "CREATE TABLE kv (k, v) CAPACITY 64"}); r.Error != nil {
 		t.Fatal(r.Error)

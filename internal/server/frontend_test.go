@@ -1,0 +1,211 @@
+package server
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"net"
+	"net/http"
+	"strings"
+	"testing"
+	"time"
+
+	"rcnvm/internal/stats"
+)
+
+// TestFrontEndPanickingResponder drives the shared shell with a responder
+// that panics on one statement, so one test covers every owner (Server and
+// cluster.Router): over TCP the panic costs exactly that session, over
+// HTTP it comes back as a typed internal_error, and in both cases the
+// process and the sessions next to it live on.
+func TestFrontEndPanickingResponder(t *testing.T) {
+	set := stats.NewSet()
+	closed := make(chan struct{}, 8)
+	f := &FrontEnd{
+		Open: func() (Responder, func()) {
+			respond := func(req *Request) (*Response, func()) {
+				if req.Query == "boom" {
+					panic("responder blew up")
+				}
+				return &Response{ID: req.ID, Message: "ok"}, nil
+			}
+			return respond, func() { closed <- struct{}{} }
+		},
+		Count: set.Add,
+	}
+	tcp, err := f.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpAddr, err := f.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close(context.Background(), false, nil)
+
+	bystander, err := Dial(tcp.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+	if _, err := bystander.Query("fine"); err != nil {
+		t.Fatalf("bystander before the panic: %v", err)
+	}
+
+	victim, err := net.Dial("tcp", tcp.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	if _, err := victim.Write([]byte(`{"id":1,"query":"boom"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	victim.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if line, err := bufio.NewReader(victim).ReadString('\n'); err == nil {
+		t.Fatalf("panicked session answered %q, want the connection dropped", line)
+	}
+	select {
+	case <-closed: // the panicked session still ran its close hook
+	case <-time.After(5 * time.Second):
+		t.Fatal("panicked session never closed")
+	}
+
+	resp, err := http.Post("http://"+httpAddr.String()+"/query", "application/json",
+		strings.NewReader(`{"id":7,"query":"boom"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out Response
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("HTTP panic response is not a wire response: %v", err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || out.Error == nil ||
+		out.Error.Code != CodeInternal || out.ID != 7 {
+		t.Fatalf("HTTP panic: status %d, response %+v; want 500 internal_error id 7", resp.StatusCode, out)
+	}
+
+	if _, err := bystander.Query("still fine"); err != nil {
+		t.Fatalf("bystander after the panics: %v", err)
+	}
+	if got := set.Get(Panics); got != 2 {
+		t.Errorf("panics counted = %d, want 2 (one TCP, one HTTP)", got)
+	}
+}
+
+// TestOverCapHTTPBody: a POST /query body past maxLineBytes is refused as
+// bad_request by the MaxBytesReader, not truncated and mis-parsed.
+func TestOverCapHTTPBody(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	addr, err := s.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"query":"` + strings.Repeat("a", maxLineBytes) + `"}`
+	resp, err := http.Post("http://"+addr.String()+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out Response
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || out.Error == nil || out.Error.Code != CodeBadRequest ||
+		!strings.Contains(out.Error.Message, "request body too large") {
+		t.Fatalf("over-cap body: status %d, response %+v; want 400 bad_request \"request body too large\"",
+			resp.StatusCode, out)
+	}
+	if got := s.Metrics().Set.Get(BadRequests); got != 1 {
+		t.Errorf("%s = %d, want 1", BadRequests, got)
+	}
+}
+
+// TestHTTPStatusTable pins the one wire-code → HTTP-status mapping. Every
+// Code* constant protocol.go declares must have a row here, so a new code
+// forces a decision about its status.
+func TestHTTPStatusTable(t *testing.T) {
+	want := map[string]int{
+		CodeOverloaded:   http.StatusServiceUnavailable,
+		CodeShutdown:     http.StatusServiceUnavailable,
+		CodeUnavailable:  http.StatusServiceUnavailable,
+		CodePrimaryDown:  http.StatusServiceUnavailable,
+		CodeTimeout:      http.StatusGatewayTimeout,
+		CodeMemory:       http.StatusInternalServerError,
+		CodeInternal:     http.StatusInternalServerError,
+		CodeUnknownState: http.StatusInternalServerError,
+		CodeReadOnly:     http.StatusForbidden,
+		CodeBadRequest:   http.StatusBadRequest,
+		CodeSQL:          http.StatusBadRequest,
+	}
+	for code, status := range want {
+		if got := httpStatus(code); got != status {
+			t.Errorf("httpStatus(%q) = %d, want %d", code, got, status)
+		}
+	}
+	if got := httpStatus("a_code_nobody_declared"); got != http.StatusBadRequest {
+		t.Errorf("unlisted code maps to %d, want 400", got)
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "protocol.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if !strings.HasPrefix(name.Name, "Code") || i >= len(spec.Values) {
+				continue
+			}
+			lit, ok := spec.Values[i].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				continue
+			}
+			declared++
+			if _, ok := want[strings.Trim(lit.Value, `"`)]; !ok {
+				t.Errorf("%s = %s has no row in the status table test", name.Name, lit.Value)
+			}
+		}
+		return true
+	})
+	if declared != len(want) {
+		t.Errorf("protocol.go declares %d Code* constants, the table has %d rows", declared, len(want))
+	}
+}
+
+// TestFrontEndClosesOnce: the teardown all three callers share
+// (Server.Shutdown, Server.Abort, Router.Shutdown) runs exactly once, and
+// a closed front end refuses new listeners.
+func TestFrontEndClosesOnce(t *testing.T) {
+	f := &FrontEnd{
+		Open: func() (Responder, func()) {
+			return func(req *Request) (*Response, func()) { return &Response{ID: req.ID}, nil }, nil
+		},
+		Count: func(string, int64) {},
+	}
+	if _, err := f.ListenTCP("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	drains := 0
+	for i := 0; i < 2; i++ {
+		if did := f.Close(context.Background(), i == 0, func() { drains++ }); did != (i == 0) {
+			t.Fatalf("Close #%d reported %v", i+1, did)
+		}
+	}
+	if drains != 1 {
+		t.Fatalf("drain ran %d times, want 1", drains)
+	}
+	if _, err := f.ListenTCP("127.0.0.1:0"); err != ErrShuttingDown {
+		t.Fatalf("ListenTCP after Close: %v, want ErrShuttingDown", err)
+	}
+	if _, err := f.ListenHTTP("127.0.0.1:0"); err != ErrShuttingDown {
+		t.Fatalf("ListenHTTP after Close: %v, want ErrShuttingDown", err)
+	}
+}

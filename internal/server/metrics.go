@@ -6,44 +6,51 @@ import (
 	"rcnvm/internal/stats"
 )
 
-// Server counter names, kept in the same stats.Set namespace style as the
-// simulator counters so one snapshot renders uniformly.
-const (
-	Queries          = "server.queries"            // statements executed (ok or sql error)
-	QueryErrors      = "server.query_errors"       // statements that failed (parse/exec)
-	TimedQueries     = "server.timed_queries"      // statements with timing attribution
-	Rejected         = "server.rejected"           // admissions refused: pool queue full
-	RejectedDrain    = "server.rejected_drain"     // admissions refused: shutting down
-	RejectedNotReady = "server.rejected_not_ready" // admissions refused: recovery/catch-up/drain readiness gate
-	RowsReturned     = "server.rows_returned"      // result rows sent to clients
-	SessionsOpened   = "server.sessions_opened"    // TCP connections accepted
-	SessionsActive   = "server.sessions_active"    // TCP connections currently open
-	BadRequests      = "server.bad_requests"       // undecodable protocol messages
-	MemoryErrors     = "server.memory_errors"      // statements failed by uncorrectable memory errors
-	Panics           = "server.panics"             // executor panics recovered into internal_error
-	Timeouts         = "server.timeouts"           // statements past their deadline
-	TracedQueries    = "server.traced_queries"     // statements sampled for span tracing
-	EncodeErrors     = "server.encode_errors"      // responses computed but undeliverable (encode failed)
-	Batches          = "server.batches"            // batch requests executed
-	BatchStatements  = "server.batch_statements"   // statements carried inside batch requests
+// Family declares every series the server publishes itself: server.*,
+// plancache.* and fault.*, in the same stats.Set namespace style as the
+// simulator counters so one snapshot renders uniformly. The declaration is
+// the list — /metrics zero-prefills from it, so each series exists from
+// the first scrape (fault injection off, plan cache disabled and counters
+// that have not fired yet all read 0), and the documentation lint walks it.
+var Family stats.Family
+
+// Server counters.
+var (
+	Queries          = Family.Counter("server.queries")            // statements executed (ok or sql error)
+	QueryErrors      = Family.Counter("server.query_errors")       // statements that failed (parse/exec)
+	TimedQueries     = Family.Counter("server.timed_queries")      // statements with timing attribution
+	Rejected         = Family.Counter("server.rejected")           // admissions refused: pool queue full
+	RejectedDrain    = Family.Counter("server.rejected_drain")     // admissions refused: shutting down
+	RejectedNotReady = Family.Counter("server.rejected_not_ready") // admissions refused: recovery/catch-up/drain readiness gate
+	RowsReturned     = Family.Counter("server.rows_returned")      // result rows sent to clients
+	SessionsOpened   = Family.Counter("server.sessions_opened")    // TCP connections accepted
+	SessionsActive   = Family.Gauge("server.sessions_active")      // TCP connections currently open
+	BadRequests      = Family.Counter("server.bad_requests")       // undecodable protocol messages
+	MemoryErrors     = Family.Counter("server.memory_errors")      // statements failed by uncorrectable memory errors
+	Panics           = Family.Counter("server.panics")             // executor panics recovered into internal_error
+	Timeouts         = Family.Counter("server.timeouts")           // statements past their deadline
+	TracedQueries    = Family.Counter("server.traced_queries")     // statements sampled for span tracing
+	EncodeErrors     = Family.Counter("server.encode_errors")      // responses computed but undeliverable (encode failed)
+	Batches          = Family.Counter("server.batches")            // batch requests executed
+	BatchStatements  = Family.Counter("server.batch_statements")   // statements carried inside batch requests
 )
 
-// Plan-cache counter names, sourced from sql.PlanCache.Counters and merged
+// Plan-cache counters, sourced from sql.PlanCache.Counters and merged
 // into /stats and /metrics alongside the server counters.
-const (
-	PlanCacheHits      = "plancache.hits"
-	PlanCacheMisses    = "plancache.misses"
-	PlanCacheEvictions = "plancache.evictions"
+var (
+	PlanCacheHits      = Family.Counter("plancache.hits")
+	PlanCacheMisses    = Family.Counter("plancache.misses")
+	PlanCacheEvictions = Family.Counter("plancache.evictions")
 )
 
-// Fault-layer counter names merged into /stats when injection is enabled.
-const (
-	FaultTransientBits = "fault.transient_bits"
-	FaultStuckBits     = "fault.stuck_bits"
-	FaultCorrected     = "fault.ecc_corrected"
-	FaultUncorrectable = "fault.ecc_uncorrectable"
-	FaultMiscorrected  = "fault.ecc_miscorrected"
-	FaultWrites        = "fault.writes"
+// Fault-layer counters merged into /stats when injection is enabled.
+var (
+	FaultTransientBits = Family.Counter("fault.transient_bits")
+	FaultStuckBits     = Family.Counter("fault.stuck_bits")
+	FaultCorrected     = Family.Counter("fault.ecc_corrected")
+	FaultUncorrectable = Family.Counter("fault.ecc_uncorrectable")
+	FaultMiscorrected  = Family.Counter("fault.ecc_miscorrected")
+	FaultWrites        = Family.Counter("fault.writes")
 )
 
 // Metrics aggregates the service-level counters and the query-latency

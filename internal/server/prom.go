@@ -7,34 +7,8 @@ import (
 
 	"rcnvm/internal/durable"
 	"rcnvm/internal/obs"
+	"rcnvm/internal/stats"
 )
-
-// serverCounterNames is every server.* counter, so /metrics renders each
-// series from the first scrape (a counter that has not fired yet reads 0)
-// and dashboards never see series appear mid-run.
-var serverCounterNames = []string{
-	Queries, QueryErrors, TimedQueries, TracedQueries, Rejected,
-	RejectedDrain, RejectedNotReady, RowsReturned, SessionsOpened,
-	SessionsActive, BadRequests, MemoryErrors, Panics, Timeouts,
-	EncodeErrors, Batches, BatchStatements,
-}
-
-// planCacheCounterNames is every plancache.* counter; /metrics renders them
-// from the first scrape (all zero when the cache is disabled).
-var planCacheCounterNames = []string{
-	PlanCacheHits, PlanCacheMisses, PlanCacheEvictions,
-}
-
-// faultCounterNames is every fault.* counter; /metrics always renders them
-// (zero when fault injection is off) for the same reason.
-var faultCounterNames = []string{
-	FaultTransientBits, FaultStuckBits, FaultCorrected,
-	FaultUncorrectable, FaultMiscorrected, FaultWrites,
-}
-
-// promGauges marks the counter names that are levels, not monotonic
-// counts, so the exposition types them gauge without a _total suffix.
-var promGauges = map[string]bool{SessionsActive: true}
 
 // handleMetrics renders GET /metrics in the Prometheus text format:
 // every server and fault counter, the statement-latency histogram with
@@ -43,18 +17,12 @@ var promGauges = map[string]bool{SessionsActive: true}
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 
-	// Every family renders from the first scrape: a series /stats omits
-	// (counter not fired yet, fault injection off, volatile server, plan
-	// cache disabled) reads 0 here.
+	// Every declared series renders from the first scrape: one /stats
+	// omits (counter not fired yet, fault injection off, volatile server,
+	// plan cache disabled) reads 0 here.
 	counters := s.counters()
-	for _, names := range [][]string{serverCounterNames, faultCounterNames, planCacheCounterNames, durable.CounterNames} {
-		for _, name := range names {
-			if _, ok := counters[name]; !ok {
-				counters[name] = 0
-			}
-		}
-	}
-	obs.WriteCounters(w, "rcnvm", counters, promGauges)
+	stats.Prefill(counters, &Family, &durable.Family)
+	obs.WriteCounters(w, "rcnvm", counters, &Family, &durable.Family)
 
 	obs.WriteHistogram(w, "rcnvm_server_query_latency_seconds", s.met.Latency, 1e-9)
 
@@ -87,8 +55,8 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("shard must be in [0,%d)", s.Cluster().N()), http.StatusBadRequest)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, s.ShardTelemetry(i).Snapshot())
+		s.front.WriteJSON(w, http.StatusOK, s.ShardTelemetry(i).Snapshot())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.tel.Snapshot())
+	s.front.WriteJSON(w, http.StatusOK, s.tel.Snapshot())
 }

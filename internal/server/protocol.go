@@ -22,6 +22,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"net/http"
 )
 
 // Wire error codes carried in Response.Error.Code.
@@ -62,6 +63,26 @@ const (
 	// a resend after the primary recovers is safe.
 	CodePrimaryDown = "primary_unavailable"
 )
+
+// httpStatus is the one wire-code → HTTP-status mapping of POST /query, for
+// every owner of a FrontEnd: try-again-later conditions are 503, a missed
+// deadline 504, failures that are the service's own (or of unknown
+// outcome) 500, a write sent to a replica 403, and everything else —
+// bad_request, sql_error, any code not listed — is the request's fault.
+func httpStatus(code string) int {
+	switch code {
+	case CodeOverloaded, CodeShutdown, CodeUnavailable, CodePrimaryDown:
+		return http.StatusServiceUnavailable
+	case CodeTimeout:
+		return http.StatusGatewayTimeout
+	case CodeMemory, CodeInternal, CodeUnknownState:
+		return http.StatusInternalServerError
+	case CodeReadOnly:
+		return http.StatusForbidden
+	default:
+		return http.StatusBadRequest
+	}
+}
 
 // Typed sentinel errors for admission-control outcomes; both the pool and
 // the client surface these so callers can errors.Is on them.
@@ -184,8 +205,8 @@ func (r *Response) Err() error {
 
 func errResponse(id uint64, code, msg string) *Response {
 	return &Response{ID: id, Error: &WireError{
-		Code:      code,
-		Message:   msg,
+		Code:    code,
+		Message: msg,
 		Retryable: code == CodeOverloaded || code == CodeTimeout ||
 			code == CodeUnavailable || code == CodePrimaryDown,
 	}}

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 
@@ -54,14 +54,34 @@ func (s *Server) Ready() (bool, string) {
 	return true, ""
 }
 
-// handleReadyz serves GET /readyz: 200 "ok" when queries are safe here,
-// 503 with the reason during WAL recovery, replica catch-up, and drain.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.Ready(); !ok {
-		http.Error(w, "not ready: "+reason, http.StatusServiceUnavailable)
-		return
+// whenReady gates an endpoint on readiness: 503 with the reason during
+// WAL recovery, replica catch-up, and drain. GET /readyz is the bare gate
+// (200 "ok" when queries are safe here); the shipping and convergence
+// endpoints sit behind it because WAL recovery mutates shards and log
+// state without their serving locks (nothing else can touch them
+// pre-ready), so they must not read until the node is ready — 503 tells
+// followers and the chaos harness to come back, exactly like a query
+// would be told.
+func (s *Server) whenReady(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if ok, reason := s.Ready(); !ok {
+			http.Error(w, "not ready: "+reason, http.StatusServiceUnavailable)
+			return
+		}
+		h(w, r)
 	}
-	io.WriteString(w, "ok\n")
+}
+
+// walRoute is whenReady for a /wal/* endpoint, which also needs the
+// durable store: 404 when the server is volatile.
+func (s *Server) walRoute(h func(http.ResponseWriter, *http.Request, *durable.Store)) http.HandlerFunc {
+	return s.whenReady(func(w http.ResponseWriter, r *http.Request) {
+		if s.opts.Durable == nil {
+			http.Error(w, "server is volatile (no -data-dir): nothing to ship", http.StatusNotFound)
+			return
+		}
+		h(w, r, s.opts.Durable)
+	})
 }
 
 // ChecksumResponse is the GET /checksum payload: one SHA-256 per shard
@@ -97,23 +117,7 @@ func (s *Server) Checksums() ChecksumResponse {
 }
 
 func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	s.writeJSON(w, http.StatusOK, s.Checksums())
-}
-
-// readyOr503 gates the shipping/convergence endpoints on readiness.
-// During WAL recovery the replay mutates shards and log state without
-// their serving locks (nothing else can touch them pre-ready), so these
-// endpoints must not read until the node is ready; 503 tells followers
-// and the chaos harness to come back, exactly like a query would be told.
-func (s *Server) readyOr503(w http.ResponseWriter) bool {
-	if ok, reason := s.Ready(); !ok {
-		http.Error(w, "not ready: "+reason, http.StatusServiceUnavailable)
-		return false
-	}
-	return true
+	s.front.WriteJSON(w, http.StatusOK, s.Checksums())
 }
 
 // WALStateResponse is the GET /wal/state payload a follower polls: the
@@ -130,31 +134,14 @@ type WALStateResponse struct {
 	Totals []durable.ShardTotals   `json:"totals,omitempty"`
 }
 
-// walStore returns the durable store for a /wal/* request, writing the
-// 404 itself when the server is volatile or the store is not attached.
-func (s *Server) walStore(w http.ResponseWriter) *durable.Store {
-	if s.opts.Durable == nil {
-		http.Error(w, "server is volatile (no -data-dir): nothing to ship", http.StatusNotFound)
-		return nil
-	}
-	return s.opts.Durable
-}
-
 // handleWALState serves GET /wal/state.
-func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	epoch, mode, shards, pos, totals, err := st.StreamState()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, WALStateResponse{
+	s.front.WriteJSON(w, http.StatusOK, WALStateResponse{
 		Epoch: epoch, Mode: mode.String(), Shards: shards, Pos: pos, Totals: totals,
 	})
 }
@@ -164,14 +151,7 @@ func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request) {
 // means the segment is complete and fully served — advance to (n+1, 0).
 // 410 Gone means the epoch was checkpointed away: re-sync via
 // /wal/checkpoint + /wal/registry, then stream the new epoch.
-func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	q := r.URL.Query()
 	shardIdx, err1 := strconv.Atoi(q.Get("shard"))
 	epoch, err2 := strconv.ParseUint(q.Get("epoch"), 10, 64)
@@ -207,27 +187,27 @@ func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request) {
 // current-epoch snapshot stream (engine.Load format), with the epoch in
 // X-Wal-Epoch. 404 when no checkpoint exists yet (epoch 1) — the
 // follower starts from an empty cluster and streams the WAL instead.
-func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	shardIdx, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
 		http.Error(w, "shard query parameter required", http.StatusBadRequest)
 		return
 	}
 	rc, epoch, err := st.OpenCheckpoint(shardIdx)
+	serveSnapshot(w, rc, epoch, err, http.StatusBadRequest)
+}
+
+// serveSnapshot streams one current-epoch snapshot file with its epoch in
+// X-Wal-Epoch; no checkpoint yet is a 404 that still names the epoch, any
+// other open failure is failStatus.
+func serveSnapshot(w http.ResponseWriter, rc io.ReadCloser, epoch uint64, err error, failStatus int) {
 	if errors.Is(err, durable.ErrNoCheckpoint) {
 		w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), failStatus)
 		return
 	}
 	defer rc.Close()
@@ -238,28 +218,9 @@ func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 // handleWALRegistry serves GET /wal/registry: the current-epoch registry
 // snapshot (framed gob; durable.DecodeRegistrySnapshot decodes it).
-func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request) {
-	if !s.readyOr503(w) {
-		return
-	}
-	st := s.walStore(w)
-	if st == nil {
-		return
-	}
+func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request, st *durable.Store) {
 	rc, epoch, err := st.OpenRegistry()
-	if errors.Is(err, durable.ErrNoCheckpoint) {
-		w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Wal-Epoch", strconv.FormatUint(epoch, 10))
-	io.Copy(w, rc)
+	serveSnapshot(w, rc, epoch, err, http.StatusInternalServerError)
 }
 
 // Abort kills the server without a drain: listeners, HTTP servers, and
@@ -272,29 +233,7 @@ func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request) {
 // one to answer to.
 func (s *Server) Abort() {
 	s.SetNotReady("aborted")
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
-		return
-	}
-	s.shutting = true
-	listeners := s.listeners
-	https := s.https
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	for _, hs := range https {
-		hs.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.accepting.Wait()
+	s.front.Close(context.Background(), false, nil)
 }
 
 // ApplyWAL applies one shipped WAL record to shard i of the served

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
 )
 
@@ -20,7 +21,7 @@ func newHTTPTestServer(t *testing.T, opts Options) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, opts)
+	s := NewCluster(shard.Wrap(db), opts)
 	addr, err := s.ListenHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

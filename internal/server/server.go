@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,9 +23,6 @@ import (
 	"rcnvm/internal/sql"
 	"rcnvm/internal/trace"
 )
-
-// maxLineBytes bounds one TCP protocol line (and so one statement).
-const maxLineBytes = 1 << 20
 
 // MaxBatchStatements caps one batch request. A batch holds every shard's
 // statement lock for its whole run, so an unbounded batch would starve
@@ -110,15 +105,11 @@ type Server struct {
 	// Options.PlanCacheSize is negative.
 	plans *sql.PlanCache
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	https     []*http.Server
-	conns     map[net.Conn]struct{}
-	shutting  bool
+	// front is the wire front end (listeners, sessions, POST /query,
+	// teardown); the server is its responder, through doHeld.
+	front *FrontEnd
 
-	inflight  sync.WaitGroup // admitted, not-yet-answered queries
-	accepting sync.WaitGroup // accept loops
-	sessionID atomic.Uint64
+	inflight sync.WaitGroup // admitted, not-yet-answered queries
 
 	// tel aggregates per-bank telemetry across every timed query's RC-NVM
 	// replay; /metrics and /stats/banks render it. On a multi-shard server
@@ -135,11 +126,6 @@ type Server struct {
 	repl atomic.Pointer[func() ReplicationStatus]
 }
 
-// New creates a server over a single database (a 1-shard cluster).
-func New(db *engine.DB, opts Options) *Server {
-	return NewCluster(shard.Wrap(db), opts)
-}
-
 // NewCluster creates a server over a shard cluster: statements route and
 // fan out through the scatter-gather executor, and timing replays carry
 // per-shard attribution.
@@ -152,13 +138,32 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	}
 	banks := config.RCNVM().Device.Geom.TotalBanks()
 	s := &Server{
-		pool:  NewPool(opts.Workers, opts.Queue),
-		met:   NewMetrics(),
-		opts:  opts,
-		conns: make(map[net.Conn]struct{}),
-		tel:   obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs),
+		pool: NewPool(opts.Workers, opts.Queue),
+		met:  NewMetrics(),
+		opts: opts,
+		tel:  obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs),
 	}
 	s.cluster.Store(c)
+	// Every session is answered by the server itself, so there is nothing
+	// per-session to open or close.
+	respond := Responder(s.doHeld)
+	s.front = &FrontEnd{
+		Open: func() (Responder, func()) { return respond, nil },
+		Routes: map[string]http.HandlerFunc{
+			"/stats":          s.handleStats,
+			"/stats/banks":    s.handleBanks,
+			"/metrics":        s.handleMetrics,
+			"/checkpoint":     s.handleCheckpoint,
+			"/checksum":       s.whenReady(s.handleChecksum),
+			"/wal/state":      s.walRoute(s.handleWALState),
+			"/wal/read":       s.walRoute(s.handleWALRead),
+			"/wal/checkpoint": s.walRoute(s.handleWALCheckpoint),
+			"/wal/registry":   s.walRoute(s.handleWALRegistry),
+			"/readyz":         s.whenReady(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") }),
+		},
+		Count:  s.met.Set.Add,
+		Logger: opts.Logger,
+	}
 	if opts.PlanCacheSize >= 0 {
 		s.plans = sql.NewPlanCache(opts.PlanCacheSize)
 	}
@@ -189,199 +194,17 @@ func (s *Server) Metrics() *Metrics { return s.met }
 
 // ListenTCP starts the newline-delimited-JSON front end on addr
 // (e.g. "127.0.0.1:0") and returns the bound address.
-func (s *Server) ListenTCP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, ErrShuttingDown
-	}
-	s.listeners = append(s.listeners, ln)
-	s.mu.Unlock()
-	s.accepting.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.accepting.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.shutting {
-			s.mu.Unlock()
-			c.Close()
-			return
-		}
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(c)
-	}
-}
-
-// serveConn is one session: requests on a connection execute sequentially
-// and responses come back in order; concurrency comes from concurrent
-// sessions sharing the worker pool.
-func (s *Server) serveConn(c net.Conn) {
-	id := s.sessionID.Add(1)
-	opened := time.Now()
-	var statements, errCount int64
-	s.met.Set.Inc(SessionsOpened)
-	s.met.Set.Add(SessionsActive, 1)
-	defer func() {
-		// A panic anywhere in the session loop kills only this session,
-		// never the server.
-		if r := recover(); r != nil {
-			s.met.Set.Inc(Panics)
-		}
-		s.met.Set.Add(SessionsActive, -1)
-		c.Close()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		if s.opts.Logger != nil {
-			s.opts.Logger.Info("session closed",
-				"session", id,
-				"remote", c.RemoteAddr().String(),
-				"duration", time.Since(opened),
-				"statements", statements,
-				"errors", errCount)
-		}
-	}()
-
-	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
-	enc := json.NewEncoder(c)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.met.Set.Inc(BadRequests)
-			errCount++
-			if err := enc.Encode(errResponse(0, CodeBadRequest, err.Error())); err != nil {
-				s.encodeError(id, err)
-				return
-			}
-			continue
-		}
-		// Hold the in-flight count across the encode so Shutdown's
-		// drain covers response delivery, not just execution.
-		resp, release := s.doHeld(&req)
-		statements++
-		if resp.Error != nil {
-			errCount++
-		}
-		err := enc.Encode(resp)
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			// The response was computed but never delivered (client hung
-			// up, or the connection broke mid-write): account for it — a
-			// silent drop here is indistinguishable from a slow query to
-			// the operator.
-			s.encodeError(id, err)
-			return
-		}
-	}
-}
+func (s *Server) ListenTCP(addr string) (net.Addr, error) { return s.front.ListenTCP(addr) }
 
 // ListenHTTP starts the HTTP front end on addr and returns the bound
 // address. Routes: POST /query (Request JSON in, Response JSON out),
 // GET /stats (StatsSnapshot), GET /stats/banks (per-bank telemetry),
-// GET /metrics (Prometheus text format), GET /healthz.
-func (s *Server) ListenHTTP(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/stats/banks", s.handleBanks)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/checkpoint", s.handleCheckpoint)
-	mux.HandleFunc("/checksum", s.handleChecksum)
-	mux.HandleFunc("/wal/state", s.handleWALState)
-	mux.HandleFunc("/wal/read", s.handleWALRead)
-	mux.HandleFunc("/wal/checkpoint", s.handleWALCheckpoint)
-	mux.HandleFunc("/wal/registry", s.handleWALRegistry)
-	// /healthz is liveness only: the process is up and can answer HTTP.
-	// Readiness (safe to route queries here) is /readyz — a recovering or
-	// draining node is alive but not ready.
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	hs := &http.Server{Handler: mux}
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, ErrShuttingDown
-	}
-	s.https = append(s.https, hs)
-	s.mu.Unlock()
-	s.accepting.Add(1)
-	go func() {
-		defer s.accepting.Done()
-		hs.Serve(ln)
-	}()
-	return ln.Addr(), nil
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	defer func() {
-		// net/http would recover a handler panic itself, but by aborting
-		// the response; recover here instead so the client still gets a
-		// typed internal_error payload and the metric fires.
-		if rec := recover(); rec != nil {
-			s.met.Set.Inc(Panics)
-			s.writeJSON(w, http.StatusInternalServerError,
-				errResponse(req.ID, CodeInternal, fmt.Sprintf("internal error: %v", rec)))
-		}
-	}()
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLineBytes)).Decode(&req); err != nil {
-		s.met.Set.Inc(BadRequests)
-		s.writeJSON(w, http.StatusBadRequest, errResponse(0, CodeBadRequest, err.Error()))
-		return
-	}
-	resp := s.Do(&req)
-	status := http.StatusOK
-	if resp.Error != nil {
-		switch resp.Error.Code {
-		case CodeOverloaded, CodeShutdown, CodeUnavailable, CodePrimaryDown:
-			status = http.StatusServiceUnavailable
-		case CodeTimeout:
-			status = http.StatusGatewayTimeout
-		case CodeMemory, CodeInternal:
-			status = http.StatusInternalServerError
-		case CodeReadOnly:
-			status = http.StatusForbidden
-		default:
-			status = http.StatusBadRequest
-		}
-	}
-	s.writeJSON(w, status, resp)
-}
+// GET /metrics (Prometheus text format), GET /healthz, GET /readyz,
+// POST /checkpoint, GET /checksum and the /wal/* log-shipping endpoints.
+func (s *Server) ListenHTTP(addr string) (net.Addr, error) { return s.front.ListenHTTP(addr) }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.Stats())
+	s.front.WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleCheckpoint serves POST /checkpoint: snapshot every shard and
@@ -400,30 +223,10 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"epoch":  s.opts.Durable.Epoch(),
 	})
-}
-
-// writeJSON writes one JSON response body. Encode failures (the client
-// closed the connection mid-response, typically) are counted and logged —
-// nothing more can be sent to the peer at that point, but the drop must
-// not be silent.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.encodeError(0, err)
-	}
-}
-
-// encodeError records one undeliverable response.
-func (s *Server) encodeError(session uint64, err error) {
-	s.met.Set.Inc(EncodeErrors)
-	if s.opts.Logger != nil {
-		s.opts.Logger.Warn("response encode failed", "session", session, "error", err)
-	}
 }
 
 // Stats returns the current /stats payload (the in-process view of the
@@ -511,12 +314,12 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 		s.met.Set.Inc(BadRequests)
 		return errResponse(req.ID, CodeBadRequest, msg), nil
 	}
-	// Count the request as in-flight while holding s.mu so Shutdown
-	// either sees it (and drains it) or has already flipped shutting
-	// (and we reject).
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
+	// Count the request as in-flight while holding the front end's lock so
+	// Shutdown either sees it (and drains it) or has already flipped
+	// shutting (and we reject).
+	s.front.mu.Lock()
+	if s.front.shutting {
+		s.front.mu.Unlock()
 		s.met.Set.Inc(RejectedDrain)
 		return errResponse(req.ID, CodeShutdown, ErrShuttingDown.Error()), nil
 	}
@@ -526,12 +329,12 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	// retryable (the node becomes ready; a router picks another one),
 	// shutting_down is not.
 	if reason := s.notReady.Load(); reason != nil {
-		s.mu.Unlock()
+		s.front.mu.Unlock()
 		s.met.Set.Inc(RejectedNotReady)
 		return errResponse(req.ID, CodeUnavailable, "not ready: "+*reason), nil
 	}
 	s.inflight.Add(1)
-	s.mu.Unlock()
+	s.front.mu.Unlock()
 
 	timeout := s.opts.QueryTimeout
 	if req.TimeoutMs > 0 {
@@ -869,28 +672,20 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 // ctx.Err() if the context expires before the drain finishes.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.SetNotReady("draining") // /readyz flips 503 for the whole drain
-	s.mu.Lock()
-	if s.shutting {
-		s.mu.Unlock()
-		return nil
+	var err error
+	if s.front.Close(ctx, true, func() { err = s.drain(ctx) }) {
+		s.pool.Close()
 	}
-	s.shutting = true
-	listeners := s.listeners
-	https := s.https
-	s.mu.Unlock()
+	return err
+}
 
-	// Stop accepting new sessions.
-	for _, ln := range listeners {
-		ln.Close()
-	}
-
-	// Wait for in-flight queries (or give up at the deadline).
+// drain waits for the in-flight queries (or gives up at ctx's deadline).
+func (s *Server) drain(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
 		close(drained)
 	}()
-	var err error
 	select {
 	case <-drained:
 		// Checkpoint after a clean drain (no statements can be running):
@@ -902,25 +697,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				s.opts.Logger.Warn("shutdown checkpoint failed", "error", cerr)
 			}
 		}
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-
-	// Drain the HTTP servers (delivers the last responses), then drop
-	// raw TCP sessions.
-	for _, hs := range https {
-		hs.Shutdown(ctx)
-	}
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.accepting.Wait()
-	s.pool.Close()
-	return err
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 )
 
 // newTestServer starts a server with a TCP front end on a loopback port.
@@ -21,7 +22,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(db, opts)
+	s := NewCluster(shard.Wrap(db), opts)
 	addr, err := s.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
