@@ -21,7 +21,6 @@ import (
 	"os"
 	"strings"
 
-	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
@@ -218,12 +217,7 @@ meta:       .tables  .trace on|off  .counts  .save FILE
 
 // report replays the statement's access trace on the timing simulator.
 func report(stream trace.Stream) {
-	dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{stream})
-	if err != nil {
-		fmt.Println("trace replay failed:", err)
-		return
-	}
-	row, err := sim.RunOn(config.RCNVM(), []trace.Stream{engine.RowOnlyStream(stream)})
+	dual, row, err := sim.Replays.Pair(stream)
 	if err != nil {
 		fmt.Println("trace replay failed:", err)
 		return

@@ -11,11 +11,9 @@ import (
 	"log"
 	"math/rand"
 
-	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/sim"
-	"rcnvm/internal/trace"
 )
 
 func main() {
@@ -71,11 +69,7 @@ func main() {
 	// Replay the recorded plan on the timing simulator: once as recorded
 	// (cloads) and once downgraded to row-only accesses — the same cells,
 	// conventional addressing.
-	dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{stream})
-	if err != nil {
-		log.Fatal(err)
-	}
-	row, err := sim.RunOn(config.RCNVM(), []trace.Stream{engine.RowOnlyStream(stream)})
+	dual, row, err := sim.Replays.Pair(stream)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,8 @@
 package cache
 
 import (
+	"slices"
+
 	"rcnvm/internal/addr"
 )
 
@@ -24,16 +26,22 @@ import (
 // a synthetic pattern identity (the gathered data exists under no linear
 // address).
 type Key struct {
-	Line     addr.LineID
-	Gather   bool
-	GatherID uint32
+	Line   addr.LineID
+	Gather bool
+	// block is what every level hashes into a set index — the line's own
+	// address in units of lines, or the gather pattern id — computed once,
+	// by the constructor, so that no probe re-encodes an address.
+	block uint32
 }
 
-// RCKey returns the key for a normal (row- or column-oriented) line.
-func RCKey(l addr.LineID) Key { return Key{Line: l} }
+// RCKey returns the key for a normal (row- or column-oriented) line of a
+// device with geometry g.
+func RCKey(g addr.Geometry, l addr.LineID) Key {
+	return Key{Line: l, block: g.LineAddr(l) / addr.LineBytes}
+}
 
 // GatherKey returns the key for a GS-DRAM gathered pattern.
-func GatherKey(id uint32) Key { return Key{Gather: true, GatherID: id} }
+func GatherKey(id uint32) Key { return Key{Gather: true, block: id} }
 
 // Config sizes the hierarchy. Latencies are cumulative lookup latencies in
 // picoseconds (the time from the core issuing the access to data return
@@ -97,34 +105,39 @@ type line struct {
 	lru     uint64
 }
 
-// level is one set-associative cache array.
+// level is one set-associative cache array; set s is lines[s*ways:][:ways].
 type level struct {
-	sets    [][]line
+	lines   []line
 	ways    int
 	lruTick uint64
+	// touched lists the sets handed an install slot since the last reset
+	// (marked[s]: s is listed), so that reset, flush and UnpinAll cost what
+	// the run touched, not the array size.
+	touched []int32
+	marked  []bool
 }
 
 func newLevel(sets, ways int) *level {
-	l := &level{sets: make([][]line, sets), ways: ways}
-	for i := range l.sets {
-		l.sets[i] = make([]line, ways)
-	}
-	return l
+	return &level{lines: make([]line, sets*ways), ways: ways, marked: make([]bool, sets)}
 }
 
-func (l *level) setIndex(k Key, geom addr.Geometry) int {
-	var v uint32
-	if k.Gather {
-		v = k.GatherID
-	} else {
-		v = geom.LineAddr(k.Line) >> 6
+// reset returns the level to its just-built state.
+func (l *level) reset() {
+	for _, s := range l.touched {
+		clear(l.set(int(s)))
+		l.marked[s] = false
 	}
-	return int(v) % len(l.sets)
+	l.touched = l.touched[:0]
+	l.lruTick = 0
 }
+
+func (l *level) setIndex(k Key) int { return int(k.block % uint32(len(l.marked))) }
+
+func (l *level) set(s int) []line { return l.lines[s*l.ways : (s+1)*l.ways] }
 
 // probe returns the line holding k, or nil.
-func (l *level) probe(k Key, geom addr.Geometry) *line {
-	set := l.sets[l.setIndex(k, geom)]
+func (l *level) probe(k Key) *line {
+	set := l.set(l.setIndex(k))
 	for i := range set {
 		if set[i].valid && set[i].key == k {
 			return &set[i]
@@ -142,8 +155,13 @@ func (l *level) touch(ln *line) {
 // victim picks the replacement slot in k's set: an invalid way if any,
 // otherwise the least recently used unpinned way. It returns nil when every
 // way is valid and pinned (install must bypass).
-func (l *level) victim(k Key, geom addr.Geometry) *line {
-	set := l.sets[l.setIndex(k, geom)]
+func (l *level) victim(k Key) *line {
+	s := l.setIndex(k)
+	if !l.marked[s] {
+		l.marked[s] = true
+		l.touched = append(l.touched, int32(s))
+	}
+	set := l.set(s)
 	var best *line
 	for i := range set {
 		ln := &set[i]
@@ -160,20 +178,16 @@ func (l *level) victim(k Key, geom addr.Geometry) *line {
 	return best
 }
 
-// forEach calls fn for every valid line. Used by UnpinAll and tests.
+// forEach calls fn for every valid line, in ascending set order (the
+// end-of-run flush issues its write-backs in that order).
 func (l *level) forEach(fn func(*line)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].valid {
-				fn(&l.sets[s][w])
+	slices.Sort(l.touched)
+	for _, s := range l.touched {
+		set := l.set(int(s))
+		for w := range set {
+			if set[w].valid {
+				fn(&set[w])
 			}
 		}
 	}
-}
-
-// countValid returns the number of valid lines (test/diagnostic helper).
-func (l *level) countValid() int {
-	n := 0
-	l.forEach(func(*line) { n++ })
-	return n
 }

@@ -34,10 +34,17 @@ type Hierarchy struct {
 	mshr map[Key]*mshrEntry
 	mem  func(*MemRequest)
 	eng  *event.Engine
-	st   *stats.Set
+	st   *stats.Block
 
 	memReq  MemRequest    // scratch request reused across mem calls
 	streams []streamState // per-core stride-prefetcher training state
+
+	// l3Lines counts the valid L3 lines of each orientation: while the
+	// perpendicular count is zero, installL3's crossing lookups would all
+	// miss and are skipped. wrote is set by the first store since the last
+	// flush: until then no line is dirty and FlushDirty has nothing to walk.
+	l3Lines [2]int
+	wrote   bool
 }
 
 // streamState is the per-core training state of the stride prefetcher.
@@ -69,7 +76,7 @@ type mshrEntry struct {
 // invoked (synchronously, inside engine events) to start memory requests;
 // the *MemRequest it receives is scratch space valid only for the duration
 // of the call.
-func New(cfg Config, geom addr.Geometry, dual bool, eng *event.Engine, st *stats.Set, mem func(*MemRequest)) *Hierarchy {
+func New(cfg Config, geom addr.Geometry, dual bool, eng *event.Engine, st *stats.Block, mem func(*MemRequest)) *Hierarchy {
 	h := &Hierarchy{
 		cfg:  cfg,
 		geom: geom,
@@ -86,6 +93,19 @@ func New(cfg Config, geom addr.Geometry, dual bool, eng *event.Engine, st *stats
 	}
 	h.streams = make([]streamState, cfg.Cores)
 	return h
+}
+
+// Reset returns the hierarchy to its just-built state, at the cost of what
+// the run touched.
+func (h *Hierarchy) Reset() {
+	for c := range h.l1 {
+		h.l1[c].reset()
+		h.l2[c].reset()
+	}
+	h.l3.reset()
+	clear(h.mshr)
+	clear(h.streams)
+	h.l3Lines, h.wrote = [2]int{}, false
 }
 
 // Access is one core-issued cache access at 8-byte granularity.
@@ -119,32 +139,33 @@ func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) 
 		panic(fmt.Sprintf("cache: core %d out of range", a.Core))
 	}
 	now := h.eng.Now()
+	h.wrote = h.wrote || a.Write
 
 	// L1.
-	if ln := h.l1[a.Core].probe(a.Key, h.geom); ln != nil {
+	if ln := h.l1[a.Core].probe(a.Key); ln != nil {
 		h.l1[a.Core].touch(ln)
 		pen := h.onHit(a, ln)
-		h.st.Inc(stats.L1Hits)
+		h.st.Inc(stats.IdxL1Hits)
 		h.eng.AtCall(now+h.cfg.L1LatPs+pen, fn, ctx, arg)
 		return
 	}
 	// L2.
-	if ln := h.l2[a.Core].probe(a.Key, h.geom); ln != nil {
+	if ln := h.l2[a.Core].probe(a.Key); ln != nil {
 		h.l2[a.Core].touch(ln)
 		pen := h.onHit(a, ln)
 		h.fillPrivate(h.l1[a.Core], a, ln.crossMask, ln.dirty && a.Write)
-		h.st.Inc(stats.L2Hits)
+		h.st.Inc(stats.IdxL2Hits)
 		h.eng.AtCall(now+h.cfg.L2LatPs+pen, fn, ctx, arg)
 		return
 	}
 	// L3.
-	if ln := h.l3.probe(a.Key, h.geom); ln != nil {
+	if ln := h.l3.probe(a.Key); ln != nil {
 		h.l3.touch(ln)
 		ln.sharers |= 1 << uint(a.Core)
 		pen := h.onHit(a, ln)
 		h.fillPrivate(h.l2[a.Core], a, ln.crossMask, false)
 		h.fillPrivate(h.l1[a.Core], a, ln.crossMask, false)
-		h.st.Inc(stats.L3Hits)
+		h.st.Inc(stats.IdxL3Hits)
 		h.eng.AtCall(now+h.cfg.L3LatPs+pen, fn, ctx, arg)
 		h.trainPrefetcher(a)
 		return
@@ -157,24 +178,18 @@ func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) 
 	if e, ok := h.mshr[a.Key]; ok {
 		if e.cores == 0 {
 			// Demand access caught up with an in-flight prefetch.
-			h.st.Inc(stats.PrefetchHits)
+			h.st.Inc(stats.IdxPrefetchHits)
 		}
 		e.waiters = append(e.waiters, w)
 		e.cores |= 1 << uint(a.Core)
 		e.pin = e.pin || a.Pin
-		h.st.Inc(stats.MSHRMerges)
+		h.st.Inc(stats.IdxMSHRMerges)
 		return
 	}
-	h.st.Inc(stats.LLCMisses)
+	h.st.Inc(stats.IdxLLCMisses)
 	e := &mshrEntry{waiters: []waiter{w}, cores: 1 << uint(a.Core), pin: a.Pin}
 	h.mshr[a.Key] = e
-	key := a.Key
-	h.sendMem(MemRequest{
-		Coord:  a.MemCoord,
-		Orient: keyOrient(key),
-		Gather: key.Gather,
-		Done:   func(finish int64) { h.fill(key, finish) },
-	})
+	h.fetch(a.Key, a.MemCoord)
 	h.trainPrefetcher(a)
 }
 
@@ -183,6 +198,17 @@ func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) 
 func (h *Hierarchy) sendMem(r MemRequest) {
 	h.memReq = r
 	h.mem(&h.memReq)
+}
+
+// fetch asks memory for key's block, found at c; fill completes the miss.
+func (h *Hierarchy) fetch(key Key, c addr.Coord) {
+	h.sendMem(MemRequest{Coord: c, Orient: keyOrient(key), Gather: key.Gather,
+		Done: func(finish int64) { h.fill(key, finish) }})
+}
+
+// writeBack sends line l's dirty data to memory (fire and forget).
+func (h *Hierarchy) writeBack(l addr.LineID) {
+	h.sendMem(MemRequest{Coord: l.Base(), Orient: l.Orient, Write: true, Writeback: true})
 }
 
 // maxPrefetchStride bounds the strides the prefetcher follows (it gives up
@@ -201,7 +227,7 @@ func (h *Hierarchy) trainPrefetcher(a Access) {
 		return
 	}
 	o := a.Key.Line.Orient
-	cur := h.geom.LineAddr(a.Key.Line) + uint32(a.WordIdx*addr.WordBytes)
+	cur := a.Key.block*addr.LineBytes + uint32(a.WordIdx*addr.WordBytes)
 	st := &h.streams[a.Core]
 	stride := int64(cur) - int64(st.last)
 	trained := st.valid && st.orient == o && stride == st.stride &&
@@ -218,21 +244,16 @@ func (h *Hierarchy) trainPrefetcher(a Access) {
 		if pa < 0 || pa > int64(^uint32(0)) {
 			return
 		}
-		nk := RCKey(h.geom.LineOf(h.geom.Decode(uint32(pa), o), o))
+		nk := RCKey(h.geom, h.geom.LineOf(h.geom.Decode(uint32(pa), o), o))
 		if _, ok := h.mshr[nk]; ok {
 			continue
 		}
-		if h.l3.probe(nk, h.geom) != nil {
+		if h.l3.probe(nk) != nil {
 			continue
 		}
 		h.mshr[nk] = &mshrEntry{}
-		h.st.Inc(stats.Prefetches)
-		key := nk
-		h.sendMem(MemRequest{
-			Coord:  key.Line.Base(),
-			Orient: key.Line.Orient,
-			Done:   func(finish int64) { h.fill(key, finish) },
-		})
+		h.st.Inc(stats.IdxPrefetches)
+		h.fetch(nk, nk.Line.Base())
 	}
 }
 
@@ -249,7 +270,7 @@ func keyOrient(k Key) addr.Orientation {
 func (h *Hierarchy) onHit(a Access, ln *line) int64 {
 	if a.Pin {
 		ln.pinned = true
-		h.st.Inc(stats.PinnedLines)
+		h.st.Inc(stats.IdxPinnedLines)
 	}
 	if !a.Write {
 		return 0
@@ -259,7 +280,7 @@ func (h *Hierarchy) onHit(a Access, ln *line) int64 {
 	// Keep the L3 copy's dirty bit in sync (write-back hierarchy: the L3
 	// copy becomes stale but we only track metadata; mark it dirty so the
 	// eventual eviction writes back).
-	if l3 := h.l3.probe(a.Key, h.geom); l3 != nil {
+	if l3 := h.l3.probe(a.Key); l3 != nil {
 		l3.dirty = true
 		pen += h.invalidateOtherSharers(a.Core, l3)
 	}
@@ -280,22 +301,22 @@ func (h *Hierarchy) invalidateOtherSharers(core int, l3 *line) int64 {
 			continue
 		}
 		inval := false
-		if ln := h.l1[c].probe(l3.key, h.geom); ln != nil {
+		if ln := h.l1[c].probe(l3.key); ln != nil {
 			ln.valid = false
 			inval = true
 		}
-		if ln := h.l2[c].probe(l3.key, h.geom); ln != nil {
+		if ln := h.l2[c].probe(l3.key); ln != nil {
 			ln.valid = false
 			inval = true
 		}
 		if inval {
 			pen += h.cfg.InvalPs
-			h.st.Inc(stats.CoherenceInvals)
+			h.st.Inc(stats.IdxCoherenceInvals)
 		}
-		h.st.Inc(stats.CoherenceMsgs)
+		h.st.Inc(stats.IdxCoherenceMsgs)
 	}
 	l3.sharers = 1 << uint(core)
-	h.st.Add(stats.OverheadPs, pen)
+	h.st.Add(stats.IdxOverheadPs, pen)
 	return pen
 }
 
@@ -306,12 +327,12 @@ func (h *Hierarchy) crossedWrite(a Access, ln *line) int64 {
 		return 0
 	}
 	crossings := h.geom.Crossings(a.Key.Line)
-	ck := RCKey(crossings[a.WordIdx])
-	if cl := h.l3.probe(ck, h.geom); cl != nil {
+	ck := RCKey(h.geom, crossings[a.WordIdx])
+	if cl := h.l3.probe(ck); cl != nil {
 		cl.dirty = true
 	}
-	h.st.Inc(stats.CrossingUpdates)
-	h.st.Add(stats.OverheadPs, h.cfg.CrossUpdatePs)
+	h.st.Inc(stats.IdxCrossingUpdates)
+	h.st.Add(stats.IdxOverheadPs, h.cfg.CrossUpdatePs)
 	return h.cfg.CrossUpdatePs
 }
 
@@ -319,10 +340,10 @@ func (h *Hierarchy) crossedWrite(a Access, ln *line) int64 {
 // the victim: dirty L1 victims merge into L2, dirty L2 victims into L3, and
 // an L2 eviction back-invalidates the L1 copy (inclusive hierarchy).
 func (h *Hierarchy) fillPrivate(lv *level, a Access, crossMask uint8, dirty bool) {
-	v := lv.victim(a.Key, h.geom)
+	v := lv.victim(a.Key)
 	if v == nil {
 		// Every way pinned: serve without caching.
-		h.st.Inc(stats.PinBypasses)
+		h.st.Inc(stats.IdxPinBypasses)
 		return
 	}
 	if v.valid {
@@ -333,10 +354,10 @@ func (h *Hierarchy) fillPrivate(lv *level, a Access, crossMask uint8, dirty bool
 }
 
 func (h *Hierarchy) evictPrivate(core int, lv *level, v *line) {
-	h.st.Inc(stats.Evictions)
+	h.st.Inc(stats.IdxEvictions)
 	if lv == h.l2[core] {
 		// Inclusive: dropping an L2 block removes the L1 copy too.
-		if l1 := h.l1[core].probe(v.key, h.geom); l1 != nil {
+		if l1 := h.l1[core].probe(v.key); l1 != nil {
 			if l1.dirty {
 				v.dirty = true
 			}
@@ -346,10 +367,10 @@ func (h *Hierarchy) evictPrivate(core int, lv *level, v *line) {
 	if v.dirty {
 		// Merge dirtiness inward; the write-back to memory happens when
 		// the L3 copy is evicted.
-		if l3 := h.l3.probe(v.key, h.geom); l3 != nil {
+		if l3 := h.l3.probe(v.key); l3 != nil {
 			l3.dirty = true
 		}
-		h.st.Inc(stats.DirtyEvictions)
+		h.st.Inc(stats.IdxDirtyEvictions)
 	}
 	v.valid = false
 }
@@ -408,9 +429,9 @@ func (h *Hierarchy) fill(key Key, finish int64) {
 // line crossing the new block is looked up; intersections copy the shared
 // word and set crossing bits on both sides.
 func (h *Hierarchy) installL3(key Key, sharers uint32, dirty, pin bool) (*line, int64) {
-	v := h.l3.victim(key, h.geom)
+	v := h.l3.victim(key)
 	if v == nil {
-		h.st.Inc(stats.PinBypasses)
+		h.st.Inc(stats.IdxPinBypasses)
 		return nil, 0
 	}
 	if v.valid {
@@ -419,16 +440,16 @@ func (h *Hierarchy) installL3(key Key, sharers uint32, dirty, pin bool) (*line, 
 	*v = line{key: key, valid: true, dirty: dirty, pinned: pin, sharers: sharers}
 	h.l3.touch(v)
 	if pin {
-		h.st.Inc(stats.PinnedLines)
+		h.st.Inc(stats.IdxPinnedLines)
 	}
+	h.l3Lines[keyOrient(key)]++
 
 	var pen int64
-	if h.dual && !key.Gather {
+	if h.dual && !key.Gather && h.l3Lines[key.Line.Orient.Perp()] > 0 {
 		crossings := h.geom.Crossings(key.Line)
 		myIdx := key.Line.CrossWordIndex()
 		for i, cl := range crossings {
-			ck := RCKey(cl)
-			other := h.l3.probe(ck, h.geom)
+			other := h.l3.probe(RCKey(h.geom, cl))
 			if other == nil {
 				continue
 			}
@@ -438,11 +459,11 @@ func (h *Hierarchy) installL3(key Key, sharers uint32, dirty, pin bool) (*line, 
 			other.crossMask |= 1 << uint(myIdx)
 			h.propagateCrossMask(other)
 			pen += h.cfg.SynonymCopyPs
-			h.st.Inc(stats.CrossingDetected)
-			h.st.Inc(stats.CrossingCopies)
+			h.st.Inc(stats.IdxCrossingDetected)
+			h.st.Inc(stats.IdxCrossingCopies)
 		}
 		if pen > 0 {
-			h.st.Add(stats.OverheadPs, pen)
+			h.st.Add(stats.IdxOverheadPs, pen)
 		}
 	}
 	return v, pen
@@ -456,10 +477,10 @@ func (h *Hierarchy) propagateCrossMask(l3 *line) {
 		if l3.sharers&(1<<uint(c)) == 0 {
 			continue
 		}
-		if ln := h.l1[c].probe(l3.key, h.geom); ln != nil {
+		if ln := h.l1[c].probe(l3.key); ln != nil {
 			ln.crossMask = l3.crossMask
 		}
-		if ln := h.l2[c].probe(l3.key, h.geom); ln != nil {
+		if ln := h.l2[c].probe(l3.key); ln != nil {
 			ln.crossMask = l3.crossMask
 		}
 	}
@@ -469,19 +490,19 @@ func (h *Hierarchy) propagateCrossMask(l3 *line) {
 // private copies (inclusive), clears the crossing bits of crossed lines,
 // and writes dirty data back to memory.
 func (h *Hierarchy) evictL3(v *line) {
-	h.st.Inc(stats.Evictions)
+	h.st.Inc(stats.IdxEvictions)
 	dirty := v.dirty
 	for c := 0; c < h.cfg.Cores; c++ {
 		if v.sharers&(1<<uint(c)) == 0 {
 			continue
 		}
-		if ln := h.l1[c].probe(v.key, h.geom); ln != nil {
+		if ln := h.l1[c].probe(v.key); ln != nil {
 			if ln.dirty {
 				dirty = true
 			}
 			ln.valid = false
 		}
-		if ln := h.l2[c].probe(v.key, h.geom); ln != nil {
+		if ln := h.l2[c].probe(v.key); ln != nil {
 			if ln.dirty {
 				dirty = true
 			}
@@ -497,25 +518,21 @@ func (h *Hierarchy) evictL3(v *line) {
 			if v.crossMask&(1<<uint(i)) == 0 {
 				continue
 			}
-			if other := h.l3.probe(RCKey(cl), h.geom); other != nil {
+			if other := h.l3.probe(RCKey(h.geom, cl)); other != nil {
 				other.crossMask &^= 1 << uint(myIdx)
 				h.propagateCrossMask(other)
 			}
 			pen += h.cfg.CrossClearPs
-			h.st.Inc(stats.CrossingClears)
+			h.st.Inc(stats.IdxCrossingClears)
 		}
-		h.st.Add(stats.OverheadPs, pen)
+		h.st.Add(stats.IdxOverheadPs, pen)
 	}
 
+	h.l3Lines[keyOrient(v.key)]--
 	if dirty {
-		h.st.Inc(stats.DirtyEvictions)
+		h.st.Inc(stats.IdxDirtyEvictions)
 		if !v.key.Gather {
-			h.sendMem(MemRequest{
-				Coord:     v.key.Line.Base(),
-				Orient:    v.key.Line.Orient,
-				Write:     true,
-				Writeback: true,
-			})
+			h.writeBack(v.key.Line)
 		}
 	}
 	v.valid = false
@@ -539,12 +556,16 @@ func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
 // dirtiness is folded into L3 first, then each dirty L3 block issues a
 // write-back. Returns the number of write-backs issued.
 func (h *Hierarchy) FlushDirty() int {
+	if !h.wrote {
+		return 0
+	}
+	h.wrote = false
 	for c := 0; c < h.cfg.Cores; c++ {
 		fold := func(ln *line) {
 			if !ln.dirty {
 				return
 			}
-			if l3 := h.l3.probe(ln.key, h.geom); l3 != nil {
+			if l3 := h.l3.probe(ln.key); l3 != nil {
 				l3.dirty = true
 			}
 			ln.dirty = false
@@ -562,12 +583,7 @@ func (h *Hierarchy) FlushDirty() int {
 			return
 		}
 		n++
-		h.sendMem(MemRequest{
-			Coord:     ln.key.Line.Base(),
-			Orient:    ln.key.Line.Orient,
-			Write:     true,
-			Writeback: true,
-		})
+		h.writeBack(ln.key.Line)
 	})
 	return n
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"rcnvm/internal/addr"
@@ -45,17 +46,35 @@ func smallConfig() Config {
 	return cfg
 }
 
-func newTestHierarchy(t *testing.T, cfg Config, dual bool) (*Hierarchy, *fakeMem, *event.Engine, *stats.Set) {
+// testGeom is the geometry of every test hierarchy (a non-dual one differs
+// only in the DualAddress flag, which no address encoding reads).
+var testGeom = addr.Geometry{
+	ChannelBits: 1, RankBits: 2, BankBits: 3, SubarrayBits: 3,
+	RowBits: 10, ColumnBits: 10, DualAddress: true,
+}
+
+func rcKey(l addr.LineID) Key { return RCKey(testGeom, l) }
+
+func newTestHierarchy(t *testing.T, cfg Config, dual bool) (*Hierarchy, *fakeMem, *event.Engine, *stats.Block) {
 	t.Helper()
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	mem := &fakeMem{eng: eng}
-	geom := addr.Geometry{
-		ChannelBits: 1, RankBits: 2, BankBits: 3, SubarrayBits: 3,
-		RowBits: 10, ColumnBits: 10, DualAddress: dual,
-	}
+	geom := testGeom
+	geom.DualAddress = dual
 	h := New(cfg, geom, dual, eng, st, mem.submit)
 	return h, mem, eng, st
+}
+
+// countValid recounts a level's valid lines from the raw array.
+func (l *level) countValid() int {
+	n := 0
+	for i := range l.lines {
+		if l.lines[i].valid {
+			n++
+		}
+	}
+	return n
 }
 
 func rowLine(row, colBase uint32) addr.LineID {
@@ -83,7 +102,7 @@ func TestMissThenHits(t *testing.T) {
 	cfg := smallConfig()
 	h, mem, eng, st := newTestHierarchy(t, cfg, true)
 	ln := rowLine(5, 0)
-	a := Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()}
+	a := Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()}
 
 	t1 := access(t, h, eng, a)
 	if len(mem.requests) != 1 {
@@ -99,7 +118,7 @@ func TestMissThenHits(t *testing.T) {
 		t.Errorf("L1 hit latency = %d, want %d", t2-start, cfg.L1LatPs)
 	}
 	if st.Get(stats.L1Hits) != 1 || st.Get(stats.LLCMisses) != 1 {
-		t.Errorf("hit/miss counters wrong: %s", st)
+		t.Errorf("hit/miss counters wrong: %v", st.Snapshot())
 	}
 }
 
@@ -108,9 +127,9 @@ func TestL3HitPath(t *testing.T) {
 	h, _, eng, st := newTestHierarchy(t, cfg, true)
 	ln := rowLine(5, 0)
 	// Core 0 fetches; core 1 then finds it in shared L3.
-	access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	start := eng.Now()
-	t2 := access(t, h, eng, Access{Core: 1, Key: RCKey(ln), MemCoord: ln.Base()})
+	t2 := access(t, h, eng, Access{Core: 1, Key: rcKey(ln), MemCoord: ln.Base()})
 	if t2-start != cfg.L3LatPs {
 		t.Errorf("L3 hit latency = %d, want %d", t2-start, cfg.L3LatPs)
 	}
@@ -119,7 +138,7 @@ func TestL3HitPath(t *testing.T) {
 	}
 	// Core 1 now has private copies: next is an L1 hit.
 	start = eng.Now()
-	t3 := access(t, h, eng, Access{Core: 1, Key: RCKey(ln), MemCoord: ln.Base()})
+	t3 := access(t, h, eng, Access{Core: 1, Key: rcKey(ln), MemCoord: ln.Base()})
 	if t3-start != cfg.L1LatPs {
 		t.Errorf("post-L3 L1 hit latency = %d, want %d", t3-start, cfg.L1LatPs)
 	}
@@ -130,8 +149,8 @@ func TestMSHRMerge(t *testing.T) {
 	h, mem, eng, st := newTestHierarchy(t, cfg, true)
 	ln := rowLine(9, 8)
 	doneCount := 0
-	h.Access(Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()}, func(int64) { doneCount++ })
-	h.Access(Access{Core: 1, Key: RCKey(ln), MemCoord: ln.Base()}, func(int64) { doneCount++ })
+	h.Access(Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()}, func(int64) { doneCount++ })
+	h.Access(Access{Core: 1, Key: rcKey(ln), MemCoord: ln.Base()}, func(int64) { doneCount++ })
 	eng.Run()
 	if doneCount != 2 {
 		t.Fatalf("completions = %d, want 2", doneCount)
@@ -144,7 +163,7 @@ func TestMSHRMerge(t *testing.T) {
 	}
 	// Both cores got private copies.
 	start := eng.Now()
-	t2 := access(t, h, eng, Access{Core: 1, Key: RCKey(ln), MemCoord: ln.Base()})
+	t2 := access(t, h, eng, Access{Core: 1, Key: rcKey(ln), MemCoord: ln.Base()})
 	if t2-start != cfg.L1LatPs {
 		t.Errorf("core 1 should hit L1 after merged fill")
 	}
@@ -157,11 +176,11 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	h, mem, eng, st := newTestHierarchy(t, cfg, true)
 
 	dirty := rowLine(1, 0)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(dirty), MemCoord: dirty.Base(), Write: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(dirty), MemCoord: dirty.Base(), Write: true})
 	// Fill the (single) L3 set with two more lines: evicts the dirty one.
 	for i := uint32(2); i <= 3; i++ {
 		ln := rowLine(i, 0)
-		access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+		access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	}
 	if mem.writebacks() != 1 {
 		t.Fatalf("writebacks = %d, want 1", mem.writebacks())
@@ -177,15 +196,15 @@ func TestInclusiveBackInvalidation(t *testing.T) {
 	h, mem, eng, _ := newTestHierarchy(t, cfg, true)
 
 	first := rowLine(1, 0)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(first), MemCoord: first.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(first), MemCoord: first.Base()})
 	for i := uint32(2); i <= 3; i++ {
 		ln := rowLine(i, 0)
-		access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+		access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	}
 	// The first line was evicted from L3, so the L1 copy must be gone too:
 	// accessing it again goes to memory.
 	before := len(mem.requests)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(first), MemCoord: first.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(first), MemCoord: first.Base()})
 	if len(mem.requests) != before+1 {
 		t.Fatal("back-invalidation failed: stale private copy served the access")
 	}
@@ -202,11 +221,11 @@ func TestSynonymDetection(t *testing.T) {
 	// 432..439. They intersect at (437, 182).
 	rl := rowLine(437, 176)
 	cl := colLine(182, 432)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base()})
 	if st.Get(stats.CrossingDetected) != 0 {
 		t.Fatal("no crossing should exist yet")
 	}
-	access(t, h, eng, Access{Core: 0, Key: RCKey(cl), MemCoord: cl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(cl), MemCoord: cl.Base()})
 	if st.Get(stats.CrossingDetected) != 1 {
 		t.Fatalf("crossings detected = %d, want 1", st.Get(stats.CrossingDetected))
 	}
@@ -226,16 +245,16 @@ func TestCrossedWriteUpdatesDuplicate(t *testing.T) {
 
 	rl := rowLine(437, 176)
 	cl := colLine(182, 432)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base()})
-	access(t, h, eng, Access{Core: 0, Key: RCKey(cl), MemCoord: cl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(cl), MemCoord: cl.Base()})
 
 	// The intersection is word 6 of the row line (column 182 = 176+6).
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base(), WordIdx: 6, Write: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base(), WordIdx: 6, Write: true})
 	if st.Get(stats.CrossingUpdates) != 1 {
 		t.Fatalf("crossing updates = %d, want 1", st.Get(stats.CrossingUpdates))
 	}
 	// Writing a non-crossing word adds no update.
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base(), WordIdx: 0, Write: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base(), WordIdx: 0, Write: true})
 	if st.Get(stats.CrossingUpdates) != 1 {
 		t.Fatalf("non-crossed write must not count a crossing update")
 	}
@@ -252,8 +271,8 @@ func TestEvictionClearsCrossingBits(t *testing.T) {
 
 	rl := rowLine(437, 176)
 	cl := colLine(182, 432)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base()})
-	access(t, h, eng, Access{Core: 0, Key: RCKey(cl), MemCoord: cl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(cl), MemCoord: cl.Base()})
 	if st.Get(stats.CrossingDetected) != 1 {
 		t.Fatal("setup: crossing not detected")
 	}
@@ -262,7 +281,7 @@ func TestEvictionClearsCrossingBits(t *testing.T) {
 	// at least one clear.
 	for i := uint32(1); i <= 2; i++ {
 		ln := rowLine(i, 8)
-		access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+		access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	}
 	if st.Get(stats.CrossingClears) == 0 {
 		t.Error("eviction did not clear crossing bits")
@@ -275,7 +294,7 @@ func TestCoherenceInvalidation(t *testing.T) {
 	cfg := smallConfig()
 	h, mem, eng, st := newTestHierarchy(t, cfg, true)
 	ln := rowLine(7, 16)
-	k := RCKey(ln)
+	k := rcKey(ln)
 	access(t, h, eng, Access{Core: 0, Key: k, MemCoord: ln.Base()})
 	access(t, h, eng, Access{Core: 1, Key: k, MemCoord: ln.Base()})
 	if st.Get(stats.CoherenceInvals) != 0 {
@@ -308,21 +327,21 @@ func TestPinningPreventsEviction(t *testing.T) {
 	h, mem, eng, st := newTestHierarchy(t, cfg, true)
 
 	p1, p2 := rowLine(1, 0), rowLine(2, 0)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(p1), MemCoord: p1.Base(), Pin: true})
-	access(t, h, eng, Access{Core: 0, Key: RCKey(p2), MemCoord: p2.Base(), Pin: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(p1), MemCoord: p1.Base(), Pin: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(p2), MemCoord: p2.Base(), Pin: true})
 
 	// Thrash with other lines: all installs must bypass.
 	for i := uint32(10); i < 14; i++ {
 		ln := rowLine(i, 0)
-		access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+		access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	}
 	if st.Get(stats.PinBypasses) == 0 {
 		t.Fatal("fully pinned set should bypass installs")
 	}
 	// The pinned lines are still L1 hits.
 	before := len(mem.requests)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(p1), MemCoord: p1.Base()})
-	access(t, h, eng, Access{Core: 0, Key: RCKey(p2), MemCoord: p2.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(p1), MemCoord: p1.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(p2), MemCoord: p2.Base()})
 	if len(mem.requests) != before {
 		t.Fatal("pinned lines were evicted")
 	}
@@ -331,10 +350,10 @@ func TestPinningPreventsEviction(t *testing.T) {
 	h.UnpinAll()
 	for i := uint32(20); i < 24; i++ {
 		ln := rowLine(i, 0)
-		access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+		access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	}
 	before = len(mem.requests)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(p1), MemCoord: p1.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(p1), MemCoord: p1.Base()})
 	if len(mem.requests) != before+1 {
 		t.Fatal("unpinned line should have been evicted")
 	}
@@ -368,9 +387,9 @@ func TestNoSynonymLogicWhenNotDual(t *testing.T) {
 	cfg := smallConfig()
 	h, _, eng, st := newTestHierarchy(t, cfg, false)
 	rl := rowLine(437, 176)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(rl), MemCoord: rl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(rl), MemCoord: rl.Base()})
 	cl := colLine(182, 432)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(cl), MemCoord: cl.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(cl), MemCoord: cl.Base()})
 	if st.Get(stats.CrossingDetected) != 0 {
 		t.Fatal("synonym logic ran on a non-dual hierarchy")
 	}
@@ -380,13 +399,13 @@ func TestWriteAllocate(t *testing.T) {
 	cfg := smallConfig()
 	h, mem, eng, _ := newTestHierarchy(t, cfg, true)
 	ln := rowLine(3, 24)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base(), Write: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base(), Write: true})
 	if len(mem.requests) != 1 || mem.requests[0].Write {
 		t.Fatal("store miss should fetch the line with a read (write-allocate)")
 	}
 	// Subsequent load hits.
 	before := len(mem.requests)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()})
 	if len(mem.requests) != before {
 		t.Fatal("line not resident after write-allocate")
 	}
@@ -400,14 +419,14 @@ func TestAccessBadCorePanics(t *testing.T) {
 			t.Fatal("expected panic for out-of-range core")
 		}
 	}()
-	h.Access(Access{Core: 99, Key: RCKey(rowLine(0, 0))}, func(int64) {})
+	h.Access(Access{Core: 99, Key: rcKey(rowLine(0, 0))}, func(int64) {})
 }
 
 func TestOutstandingMisses(t *testing.T) {
 	cfg := smallConfig()
 	h, _, eng, _ := newTestHierarchy(t, cfg, true)
 	ln := rowLine(1, 0)
-	h.Access(Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base()}, func(int64) {})
+	h.Access(Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base()}, func(int64) {})
 	if h.OutstandingMisses() != 1 {
 		t.Fatalf("outstanding = %d, want 1", h.OutstandingMisses())
 	}
@@ -418,24 +437,30 @@ func TestOutstandingMisses(t *testing.T) {
 }
 
 // TestInvariantsUnderRandomTraffic: random mixed-orientation reads and
-// writes never violate inclusion or crossing symmetry.
+// writes never violate inclusion or crossing symmetry, and after every
+// single access the bookkeeping the fast paths trust (resident L3 lines per
+// orientation, touched sets, the store-seen flag) matches a recount. Resets
+// and flushes in mid-traffic are part of the traffic.
 func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	cfg := smallConfig()
 	h, _, eng, _ := newTestHierarchy(t, cfg, true)
 	seed := uint32(12345)
+	// The high half: an LCG's low bits cycle with a period as short as the
+	// modulus taken here, which would revisit the same few lines forever
+	// and never evict.
 	next := func(n uint32) uint32 {
 		seed = seed*1664525 + 1013904223
-		return seed % n
+		return seed >> 16 % n
 	}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 4000; i++ {
 		c := addr.Coord{Row: next(64), Column: next(64)}
 		var key Key
 		var word int
 		if next(2) == 0 {
-			key = RCKey(addr.LineID{Orient: addr.Row, Major: uint16(c.Row), Minor: uint16(c.Column &^ 7)})
+			key = rcKey(addr.LineID{Orient: addr.Row, Major: uint16(c.Row), Minor: uint16(c.Column &^ 7)})
 			word = int(c.Column % 8)
 		} else {
-			key = RCKey(addr.LineID{Orient: addr.Column, Major: uint16(c.Column), Minor: uint16(c.Row &^ 7)})
+			key = rcKey(addr.LineID{Orient: addr.Column, Major: uint16(c.Column), Minor: uint16(c.Row &^ 7)})
 			word = int(c.Row % 8)
 		}
 		h.Access(Access{
@@ -444,12 +469,26 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 			MemCoord: key.Line.Base(),
 			WordIdx:  word,
 			Write:    next(4) == 0,
+			Pin:      next(32) == 0,
 		}, func(int64) {})
-		if i%97 == 0 {
+		if i%3 == 0 {
 			eng.Run()
-			if err := h.CheckInvariants(); err != nil {
-				t.Fatalf("after %d accesses: %v", i, err)
+		}
+		switch i % 401 {
+		case 97:
+			eng.Run()
+			h.FlushDirty()
+		case 211:
+			h.UnpinAll()
+		case 400:
+			eng.Run()
+			h.Reset()
+			if n := h.l3.countValid() + h.PinnedCount() + h.OutstandingMisses(); n != 0 {
+				t.Fatalf("after %d accesses: Reset left %d lines, pins or misses behind", i, n)
 			}
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatalf("after %d accesses: %v", i, err)
 		}
 	}
 	eng.Run()
@@ -458,11 +497,80 @@ func TestInvariantsUnderRandomTraffic(t *testing.T) {
 	}
 }
 
+// crossingPair is the Figure 8 pair: row 437 columns 176..183 and column
+// 182 rows 432..439 intersect at (437, 182).
+var crossRow, crossCol = rowLine(437, 176), colLine(182, 432)
+
+// TestCrossingDetectedWithOnePerpendicularLine: the installL3 shortcut
+// skips the crossing lookups only while NO perpendicular line is resident;
+// with exactly one — the crossing one — a row install still detects it,
+// sets both masks and charges the copy.
+func TestCrossingDetectedWithOnePerpendicularLine(t *testing.T) {
+	cfg := smallConfig()
+	h, _, eng, st := newTestHierarchy(t, cfg, true)
+	access(t, h, eng, Access{Core: 0, Key: rcKey(crossCol), MemCoord: crossCol.Base()})
+	if h.l3Lines != [2]int{addr.Column: 1} {
+		t.Fatalf("l3Lines = %v after one column install", h.l3Lines)
+	}
+	start := eng.Now()
+	done := access(t, h, eng, Access{Core: 0, Key: rcKey(crossRow), MemCoord: crossRow.Base()})
+	if got := st.Get(stats.CrossingDetected); got != 1 {
+		t.Fatalf("crossings detected = %d, want 1", got)
+	}
+	rl, cl := h.l3.probe(rcKey(crossRow)), h.l3.probe(rcKey(crossCol))
+	if rl.crossMask != 1<<6 || cl.crossMask != 1<<5 {
+		t.Fatalf("cross masks row=%08b col=%08b, want bit 6 (column 182-176) and bit 5 (row 437-432)",
+			rl.crossMask, cl.crossMask)
+	}
+	if want := start + memLatPs + cfg.ResponseLatPs + cfg.SynonymCopyPs; done != want {
+		t.Fatalf("install completed at %d, want %d (SynonymCopyPs charged)", done, want)
+	}
+	if got := st.Get(stats.OverheadPs); got != cfg.SynonymCopyPs {
+		t.Fatalf("syn.overhead_ps = %d, want %d", got, cfg.SynonymCopyPs)
+	}
+}
+
+// TestNoCrossingWorkAfterPerpendicularEviction: once the only column line
+// has been evicted, row installs do no crossing work — and every counter
+// matches a hierarchy that never takes the shortcut (its l3Lines held
+// non-zero throughout) on the same sequence.
+func TestNoCrossingWorkAfterPerpendicularEviction(t *testing.T) {
+	cfg := smallConfig()
+	cfg.L3Sets, cfg.L3Ways = 1, 2
+	cfg.L1Sets, cfg.L2Sets = 1, 1
+	run := func(shortcut bool) (map[string]int64, *Hierarchy) {
+		h, _, eng, st := newTestHierarchy(t, cfg, true)
+		step := func(l addr.LineID) {
+			if !shortcut {
+				h.l3Lines = [2]int{1 << 20, 1 << 20}
+			}
+			access(t, h, eng, Access{Core: 0, Key: rcKey(l), MemCoord: l.Base()})
+		}
+		step(crossCol)
+		step(crossRow) // crossing detected
+		step(rowLine(1, 8))
+		step(rowLine(2, 8)) // the 2-way set has evicted both crossing lines
+		step(crossRow)      // no column line resident: nothing to detect
+		return st.Snapshot(), h
+	}
+	fast, h := run(true)
+	if h.l3Lines[addr.Column] != 0 {
+		t.Fatalf("l3Lines = %v, want no column line after the eviction", h.l3Lines)
+	}
+	if fast[stats.CrossingDetected] != 1 || fast[stats.CrossingClears] != 1 {
+		t.Fatalf("detected=%d clears=%d, want the one crossing detected once and cleared once",
+			fast[stats.CrossingDetected], fast[stats.CrossingClears])
+	}
+	if slow, _ := run(false); !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("counters differ from the hierarchy without the shortcut:\nwith:    %v\nwithout: %v", fast, slow)
+	}
+}
+
 func TestPinnedCount(t *testing.T) {
 	cfg := smallConfig()
 	h, _, eng, _ := newTestHierarchy(t, cfg, true)
 	ln := rowLine(3, 8)
-	access(t, h, eng, Access{Core: 0, Key: RCKey(ln), MemCoord: ln.Base(), Pin: true})
+	access(t, h, eng, Access{Core: 0, Key: rcKey(ln), MemCoord: ln.Base(), Pin: true})
 	if h.PinnedCount() == 0 {
 		t.Fatal("pin not counted")
 	}

@@ -4,7 +4,8 @@ import "fmt"
 
 // CheckInvariants validates the structural invariants of the hierarchy and
 // returns the first violation found (nil when consistent). It is meant for
-// tests and debugging, not the simulation fast path.
+// tests and debugging, not the simulation fast path, and recounts from the
+// raw line arrays — never through the bookkeeping it checks.
 //
 // Invariants:
 //  1. Inclusion: every valid line in a private L1/L2 is also valid in L3.
@@ -13,6 +14,14 @@ import "fmt"
 //     reciprocal bit.
 //  3. Crossing bits only appear on dual-address hierarchies and never on
 //     gathered lines.
+//  4. At every level each set holding a valid line is marked, and the
+//     marked sets are exactly the touched list, each once (reset, flush
+//     and UnpinAll walk only that list).
+//  5. l3Lines equals the valid L3 lines of each orientation, gathers
+//     counting as rows (installL3's crossing shortcut trusts a zero).
+//  6. No line is dirty unless a store was seen since the last flush
+//     (FlushDirty trusts the flag), and every normal line's key carries
+//     the block number of its own address.
 func (h *Hierarchy) CheckInvariants() error {
 	var err error
 	check := func(cond bool, format string, args ...any) {
@@ -20,17 +29,41 @@ func (h *Hierarchy) CheckInvariants() error {
 			err = fmt.Errorf(format, args...)
 		}
 	}
+	// walk visits every valid line of lv straight from the array, checking
+	// the level's touched-set bookkeeping on the way.
+	walk := func(name string, lv *level, fn func(*line)) {
+		listed := make(map[int32]int, len(lv.touched))
+		for _, s := range lv.touched {
+			listed[s]++
+		}
+		for s, m := range lv.marked {
+			check(listed[int32(s)] <= 1 && m == (listed[int32(s)] == 1),
+				"%s set %d: marked=%v but listed %d times", name, s, m, listed[int32(s)])
+			for i := range lv.set(s) {
+				ln := &lv.set(s)[i]
+				if !ln.valid {
+					continue
+				}
+				check(m, "%s set %d holds %v but is not marked touched", name, s, ln.key)
+				check(h.wrote || !ln.dirty, "%s holds dirty %v with no store seen", name, ln.key)
+				check(ln.key.Gather || ln.key == RCKey(h.geom, ln.key.Line), "%s: %v carries a foreign block number", name, ln.key)
+				fn(ln)
+			}
+		}
+	}
 
 	for c := 0; c < h.cfg.Cores; c++ {
-		for _, lv := range []*level{h.l1[c], h.l2[c]} {
-			lv.forEach(func(ln *line) {
-				check(h.l3.probe(ln.key, h.geom) != nil,
+		for i, lv := range []*level{h.l1[c], h.l2[c]} {
+			walk(fmt.Sprintf("core %d L%d", c, i+1), lv, func(ln *line) {
+				check(h.l3.probe(ln.key) != nil,
 					"inclusion violated: core %d holds %v absent from L3", c, ln.key)
 			})
 		}
 	}
 
-	h.l3.forEach(func(ln *line) {
+	var l3Lines [2]int
+	walk("L3", h.l3, func(ln *line) {
+		l3Lines[keyOrient(ln.key)]++
 		if ln.crossMask == 0 {
 			return
 		}
@@ -45,7 +78,7 @@ func (h *Hierarchy) CheckInvariants() error {
 			if ln.crossMask&(1<<uint(i)) == 0 {
 				continue
 			}
-			other := h.l3.probe(RCKey(cl), h.geom)
+			other := h.l3.probe(RCKey(h.geom, cl))
 			check(other != nil, "crossing bit %d of %v names an absent line", i, ln.key)
 			if other != nil {
 				check(other.crossMask&(1<<uint(myIdx)) != 0,
@@ -53,6 +86,7 @@ func (h *Hierarchy) CheckInvariants() error {
 			}
 		}
 	})
+	check(l3Lines == h.l3Lines, "L3 holds %v row/column lines, bookkeeping says %v", l3Lines, h.l3Lines)
 
 	return err
 }

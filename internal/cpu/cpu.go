@@ -41,7 +41,7 @@ type Runner struct {
 	eng  *event.Engine
 	hier *cache.Hierarchy
 	geom addr.Geometry
-	st   *stats.Set
+	st   *stats.Block
 
 	cores    []*coreState
 	running  int
@@ -65,12 +65,22 @@ type coreState struct {
 }
 
 // NewRunner builds a runner over the hierarchy.
-func NewRunner(cfg Config, eng *event.Engine, hier *cache.Hierarchy, geom addr.Geometry, st *stats.Set) *Runner {
-	r := &Runner{cfg: cfg, eng: eng, hier: hier, geom: geom, st: st, Latency: stats.NewHistogram()}
+func NewRunner(cfg Config, eng *event.Engine, hier *cache.Hierarchy, geom addr.Geometry, st *stats.Block) *Runner {
+	r := &Runner{cfg: cfg, eng: eng, hier: hier, geom: geom, st: st}
 	for i := 0; i < cfg.Cores; i++ {
-		r.cores = append(r.cores, &coreState{r: r, id: i})
+		r.cores = append(r.cores, new(coreState))
 	}
+	r.Reset()
 	return r
+}
+
+// Reset returns the runner to its just-built state, with a fresh latency
+// histogram (the previous one belongs to the Result that reported it).
+func (r *Runner) Reset() {
+	for i, c := range r.cores {
+		*c = coreState{r: r, id: i}
+	}
+	r.running, r.FinishAt, r.Latency = 0, 0, stats.NewHistogram()
 }
 
 // SetStream assigns the op stream of one core. Must be called before Start.
@@ -127,9 +137,9 @@ func (r *Runner) step(c *coreState) {
 		switch op.Kind {
 		case trace.Compute:
 			c.pc++
-			r.st.Inc(stats.OpsExecuted)
+			r.st.Inc(stats.IdxOpsExecuted)
 			d := op.Cycles * r.cfg.CyclePs
-			r.st.Add(stats.ComputePs, d)
+			r.st.Add(stats.IdxComputePs, d)
 			r.scheduleStep(c, r.eng.Now()+d)
 			return
 		case trace.Barrier:
@@ -138,11 +148,11 @@ func (r *Runner) step(c *coreState) {
 				return
 			}
 			c.pc++
-			r.st.Inc(stats.OpsExecuted)
+			r.st.Inc(stats.IdxOpsExecuted)
 			continue
 		case trace.UnpinAll:
 			c.pc++
-			r.st.Inc(stats.OpsExecuted)
+			r.st.Inc(stats.IdxOpsExecuted)
 			r.hier.UnpinAll()
 			continue
 		case trace.Load, trace.Store, trace.CLoad, trace.CStore, trace.Gather:
@@ -159,7 +169,7 @@ func (r *Runner) step(c *coreState) {
 			}
 			c.pc++
 			c.outstanding++
-			r.st.Inc(stats.OpsExecuted)
+			r.st.Inc(stats.IdxOpsExecuted)
 			r.issueMem(c, op)
 			// Issue bandwidth: one op per IssueDelay cycles.
 			r.scheduleStep(c, r.eng.Now()+r.cfg.IssueDelay*r.cfg.CyclePs)
@@ -180,7 +190,7 @@ func (r *Runner) block(c *coreState) {
 func (r *Runner) unblock(c *coreState) {
 	if c.blocked {
 		c.blocked = false
-		r.st.Add(stats.StallPs, r.eng.Now()-c.blockedSince)
+		r.st.Add(stats.IdxStallPs, r.eng.Now()-c.blockedSince)
 	}
 	r.scheduleStep(c, r.eng.Now())
 }
@@ -209,7 +219,7 @@ func (r *Runner) issueMem(c *coreState, op trace.Op) {
 	} else {
 		o := op.Kind.Orientation()
 		lineID := r.geom.LineOf(op.Coord, o)
-		a.Key = cache.RCKey(lineID)
+		a.Key = cache.RCKey(r.geom, lineID)
 		a.MemCoord = lineID.Base()
 		if o == addr.Row {
 			a.WordIdx = int(op.Coord.Column) % addr.LineWords

@@ -16,7 +16,7 @@ const memLatPs = 100_000
 // fake memory.
 type testRig struct {
 	eng    *event.Engine
-	st     *stats.Set
+	st     *stats.Block
 	hier   *cache.Hierarchy
 	runner *Runner
 	memReq int
@@ -24,7 +24,7 @@ type testRig struct {
 
 func newRig(t *testing.T, cfg Config) *testRig {
 	t.Helper()
-	rig := &testRig{eng: event.New(), st: stats.NewSet()}
+	rig := &testRig{eng: event.New(), st: new(stats.Block)}
 	geom := addr.Geometry{
 		ChannelBits: 1, RankBits: 2, BankBits: 3, SubarrayBits: 3,
 		RowBits: 10, ColumnBits: 10, DualAddress: true,

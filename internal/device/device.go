@@ -135,13 +135,13 @@ type bank struct {
 type Device struct {
 	cfg   Config
 	banks []bank
-	stats *stats.Set
+	stats *stats.Block
 	inj   *fault.Injector // nil = fault-free (the default)
 	tel   *obs.Telemetry  // nil = per-bank telemetry off (the default)
 }
 
 // New creates a device with all banks precharged.
-func New(cfg Config, st *stats.Set) (*Device, error) {
+func New(cfg Config, st *stats.Block) (*Device, error) {
 	if err := cfg.Geom.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func New(cfg Config, st *stats.Set) (*Device, error) {
 		return nil, fmt.Errorf("device: RC-NVM config %q must have a dual-address geometry", cfg.Name)
 	}
 	if st == nil {
-		st = stats.NewSet()
+		st = new(stats.Block)
 	}
 	return &Device{
 		cfg:   cfg,
@@ -158,11 +158,14 @@ func New(cfg Config, st *stats.Set) (*Device, error) {
 	}, nil
 }
 
+// Reset returns every bank to its just-built, precharged state.
+func (d *Device) Reset() { clear(d.banks) }
+
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
 // Stats returns the device's counter set.
-func (d *Device) Stats() *stats.Set { return d.stats }
+func (d *Device) Stats() *stats.Block { return d.stats }
 
 // SetFaults installs a fault injector: cell reads pick up its injected
 // raw bit errors (decoded by the memory controller's ECC path) and writes
@@ -250,7 +253,7 @@ func (d *Device) Access(now int64, c addr.Coord, o addr.Orientation, write bool)
 			boundary := epoch * t.RefreshIntervalPs
 			if b.readyAt > boundary {
 				start += t.RefreshPs
-				d.stats.Inc(stats.Refreshes)
+				d.stats.Inc(stats.IdxRefreshes)
 			}
 			for i := range b.buf {
 				b.buf[i].open = false
@@ -268,7 +271,7 @@ func (d *Device) Access(now int64, c addr.Coord, o addr.Orientation, write bool)
 		res.BufferHit = true
 		res.DataAt = start + t.CASPs()
 		res.ReadyAt = start + t.BurstPs()
-		d.stats.Inc(stats.BufferHits)
+		d.stats.Inc(stats.IdxBufferHits)
 	} else {
 		prechargeDone := start
 		if buf.open {
@@ -279,12 +282,12 @@ func (d *Device) Access(now int64, c addr.Coord, o addr.Orientation, write bool)
 			if buf.dirty {
 				flush = t.WritePulsePs
 				res.Flushed = true
-				d.stats.Inc(stats.BufferFlushes)
+				d.stats.Inc(stats.IdxBufferFlushes)
 			}
 			prechargeDone = pStart + t.RPPs() + flush
 			if buf.orient != o {
 				res.Switched = true
-				d.stats.Inc(stats.OrientSwitches)
+				d.stats.Inc(stats.IdxOrientSwitches)
 			}
 		}
 		actDone := prechargeDone + t.RCDPs()
@@ -297,11 +300,11 @@ func (d *Device) Access(now int64, c addr.Coord, o addr.Orientation, write bool)
 		buf.index = idx
 		buf.dirty = false
 		buf.activateAt = prechargeDone
-		d.stats.Inc(stats.BufferMisses)
+		d.stats.Inc(stats.IdxBufferMisses)
 		if o == addr.Row {
-			d.stats.Inc(stats.RowActivations)
+			d.stats.Inc(stats.IdxRowActivations)
 		} else {
-			d.stats.Inc(stats.ColActivations)
+			d.stats.Inc(stats.IdxColActivations)
 		}
 	}
 	if write {

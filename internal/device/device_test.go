@@ -9,7 +9,7 @@ import (
 
 func newRC(t *testing.T) *Device {
 	t.Helper()
-	d, err := New(RCNVMConfig(), stats.NewSet())
+	d, err := New(RCNVMConfig(), new(stats.Block))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func newRC(t *testing.T) *Device {
 
 func newDRAM(t *testing.T) *Device {
 	t.Helper()
-	d, err := New(DRAMConfig(), stats.NewSet())
+	d, err := New(DRAMConfig(), new(stats.Block))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSupportsFlags(t *testing.T) {
 func TestIdealDualBuffers(t *testing.T) {
 	cfg := RCNVMConfig()
 	cfg.IdealDualBuffers = true
-	d, err := New(cfg, stats.NewSet())
+	d, err := New(cfg, new(stats.Block))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestRestrictedSingleBuffer(t *testing.T) {
 func TestIdealDualBuffersCloseAllFlushes(t *testing.T) {
 	cfg := RCNVMConfig()
 	cfg.IdealDualBuffers = true
-	d, _ := New(cfg, stats.NewSet())
+	d, _ := New(cfg, new(stats.Block))
 	d.Access(0, addr.Coord{Row: 1}, addr.Row, true)
 	d.Access(0, addr.Coord{Column: 2}, addr.Column, true)
 	if got := d.CloseAll(); got != 2 {

@@ -200,22 +200,8 @@ func (db *DB) StopTrace() trace.Stream {
 	return s
 }
 
-// RowOnlyStream converts a recorded stream's column accesses to row
-// accesses at the same physical cells — "the same plan on a conventional
-// memory", for timing comparisons.
-func RowOnlyStream(s trace.Stream) trace.Stream {
-	out := make(trace.Stream, len(s))
-	for i, op := range s {
-		switch op.Kind {
-		case trace.CLoad:
-			op.Kind = trace.Load
-		case trace.CStore:
-			op.Kind = trace.Store
-		}
-		out[i] = op
-	}
-	return out
-}
+// RowOnlyStream is trace.RowOnly: the same plan on a conventional memory.
+func RowOnlyStream(s trace.Stream) trace.Stream { return trace.RowOnly(s) }
 
 // Table is one relation with materialized values. Deletion is by
 // tombstone: row ids stay stable, deleted rows vanish from scans and

@@ -43,6 +43,13 @@ func New() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to its just-built state — clock and sequence at
+// zero, no event queued — keeping the queue's capacity.
+func (e *Engine) Reset() {
+	clear(e.q)
+	*e = Engine{q: e.q[:0]}
+}
+
 // Now returns the current simulation time in picoseconds.
 func (e *Engine) Now() int64 { return e.now }
 

@@ -14,7 +14,7 @@ import (
 // router on the RC-NVM device, with the given observability attachments.
 func benchRouter(b *testing.B, attach func(*Router)) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(device.RCNVMConfig(), st)
 	if err != nil {
 		b.Fatal(err)
@@ -66,7 +66,7 @@ func BenchmarkMemctrlTelemetry(b *testing.B) {
 // disabled-path gate, independent of benchmark iteration counts.
 func TestMemctrlDisabledZeroAlloc(t *testing.T) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(device.RCNVMConfig(), st)
 	if err != nil {
 		t.Fatal(err)

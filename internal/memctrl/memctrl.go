@@ -34,6 +34,7 @@ type Request struct {
 	Done func(finish int64)
 
 	arrive int64
+	bank   int  // dense bank index of Coord, computed once at Submit
 	pooled bool // allocated via Router.Alloc; recycled after completion
 }
 
@@ -51,9 +52,13 @@ const (
 type Controller struct {
 	eng    *event.Engine
 	dev    *device.Device
-	st     *stats.Set
+	st     *stats.Block
 	window int
 	policy Policy
+	// geom and burstPs are read off the device once: dev.Config() copies
+	// the whole configuration, too much per queue entry.
+	geom    addr.Geometry
+	burstPs int64
 
 	queue     []*Request
 	busFreeAt int64
@@ -114,16 +119,19 @@ const DefaultWindow = 32
 const StarvationLimitPs = 2_000_000 // 2 us
 
 // NewController creates a controller for one channel of dev.
-func NewController(eng *event.Engine, dev *device.Device, st *stats.Set, window int) *Controller {
+func NewController(eng *event.Engine, dev *device.Device, st *stats.Block, window int) *Controller {
 	if window <= 0 {
 		window = DefaultWindow
 	}
+	cfg := dev.Config()
 	return &Controller{
 		eng:      eng,
 		dev:      dev,
 		st:       st,
 		window:   window,
-		bankBusy: make([]bool, dev.Config().Geom.TotalBanks()),
+		geom:     cfg.Geom,
+		burstPs:  cfg.Timing.BurstPs(),
+		bankBusy: make([]bool, cfg.Geom.TotalBanks()),
 	}
 }
 
@@ -136,11 +144,12 @@ func (c *Controller) Submit(r *Request) {
 		panic(fmt.Sprintf("memctrl: gather request on %s", c.dev.Config().Kind))
 	}
 	r.arrive = c.eng.Now()
+	r.bank = c.geom.BankID(r.Coord)
 	if c.tel != nil {
-		c.tel.Enqueue(c.dev.Config().Geom.BankID(r.Coord))
+		c.tel.Enqueue(r.bank)
 	}
 	c.queue = append(c.queue, r)
-	c.st.Max(stats.QueueMaxOccupancy, int64(len(c.queue)))
+	c.st.Max(stats.IdxQueueMaxOccupancy, int64(len(c.queue)))
 	c.schedule()
 }
 
@@ -176,18 +185,17 @@ func (c *Controller) pick() int {
 	now := c.eng.Now()
 	for i := 0; i < limit; i++ {
 		r := c.queue[i]
-		bank := c.dev.Config().Geom.BankID(r.Coord)
 		// A DRAM-tier-resident row never needs the NVM bank: it is
 		// issuable even while the bank is busy, and ranks as a buffer hit
 		// under FR-FCFS.
 		tierHit := c.tr != nil && c.tr.WouldServe(now, r.Coord, r.Orient)
-		if !tierHit && c.bankBusy[bank] {
+		if !tierHit && c.bankBusy[r.bank] {
 			continue
 		}
 		// Anti-starvation: a demand request that has waited past the limit
 		// is served first, oldest first.
 		if !r.Writeback && now-r.arrive > StarvationLimitPs {
-			c.st.Inc(stats.SchedStarved)
+			c.st.Inc(stats.IdxSchedStarved)
 			return i
 		}
 		hit := c.policy == FRFCFS && (tierHit || c.dev.WouldHit(r.Coord, r.Orient))
@@ -211,7 +219,7 @@ func (c *Controller) pick() int {
 	if best >= 0 && bestHit && (sawOlderMiss || best > 0) {
 		// The scheduler promoted a buffer hit over at least one older
 		// request: count the FR-FCFS reordering.
-		c.st.Inc(stats.SchedFRHits)
+		c.st.Inc(stats.IdxSchedFRHits)
 	}
 	return best
 }
@@ -238,7 +246,7 @@ func requestDone(ctx any, _, finish int64) { ctx.(func(int64))(finish) }
 // run's typed UncorrectableError unless the injector is configured to
 // keep going. Returns the added latency.
 func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
-	id := c.dev.Config().Geom.LineOf(r.Coord, r.Orient)
+	id := c.geom.LineOf(r.Coord, r.Orient)
 	t := c.dev.Config().Timing
 	retryPs := t.RPPs() + t.RCDPs() + t.CASPs()
 	now := uint64(c.eng.Now())
@@ -246,13 +254,13 @@ func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
 	for attempt := 0; ; attempt++ {
 		out := inj.CheckLine(id, now+uint64(attempt)*0x9e3779b9)
 		if out.Corrected > 0 {
-			c.st.Add(stats.ECCCorrected, int64(out.Corrected))
+			c.st.Add(stats.IdxECCCorrected, int64(out.Corrected))
 		}
 		if out.Uncorrectable == 0 {
 			return penalty
 		}
 		if attempt >= fault.MaxReadRetries {
-			c.st.Add(stats.ECCUncorrectable, int64(out.Uncorrectable))
+			c.st.Add(stats.IdxECCUncorrectable, int64(out.Uncorrectable))
 			if c.faultErr == nil && !inj.Config().ContinueOnUncorrectable {
 				c.faultErr = &fault.UncorrectableError{
 					Coord: r.Coord, Orient: r.Orient, TimePs: c.eng.Now(),
@@ -260,10 +268,10 @@ func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
 			}
 			return penalty
 		}
-		c.st.Inc(stats.ECCRetries)
+		c.st.Inc(stats.IdxECCRetries)
 		inj.RecordRetry()
 		if c.tel != nil {
-			c.tel.Retry(c.dev.Config().Geom.BankID(r.Coord))
+			c.tel.Retry(r.bank)
 		}
 		penalty += retryPs
 	}
@@ -285,7 +293,7 @@ func (c *Controller) issueTier(r *Request, now int64, bank int) bool {
 	if c.busFreeAt > transferStart {
 		transferStart = c.busFreeAt
 	}
-	finish := transferStart + c.dev.Config().Timing.BurstPs()
+	finish := transferStart + c.burstPs
 	c.busFreeAt = finish
 
 	if c.tel != nil {
@@ -305,11 +313,11 @@ func (c *Controller) issueTier(r *Request, now int64, bank int) bool {
 
 	switch {
 	case r.Writeback:
-		c.st.Inc(stats.MemWritebacks)
+		c.st.Inc(stats.IdxMemWritebacks)
 	case r.Write:
-		c.st.Inc(stats.MemWrites)
+		c.st.Inc(stats.IdxMemWrites)
 	default:
-		c.st.Inc(stats.MemReads)
+		c.st.Inc(stats.IdxMemReads)
 	}
 	if r.Done != nil {
 		c.eng.AtCall(finish, requestDone, r.Done, 0)
@@ -342,8 +350,7 @@ func (c *Controller) drainTier() {
 
 // issue runs one request through the device and the channel data bus.
 func (c *Controller) issue(r *Request) {
-	now := c.eng.Now()
-	bank := c.dev.Config().Geom.BankID(r.Coord)
+	now, bank := c.eng.Now(), r.bank
 	if c.tr != nil && !r.Gather && c.issueTier(r, now, bank) {
 		c.drainTier()
 		return
@@ -360,7 +367,7 @@ func (c *Controller) issue(r *Request) {
 	if c.busFreeAt > transferStart {
 		transferStart = c.busFreeAt
 	}
-	finish := transferStart + c.dev.Config().Timing.BurstPs()
+	finish := transferStart + c.burstPs
 	c.busFreeAt = finish
 
 	if c.tel != nil {
@@ -389,14 +396,14 @@ func (c *Controller) issue(r *Request) {
 
 	switch {
 	case r.Gather:
-		c.st.Inc(stats.MemGathers)
-		c.st.Inc(stats.MemReads)
+		c.st.Inc(stats.IdxMemGathers)
+		c.st.Inc(stats.IdxMemReads)
 	case r.Writeback:
-		c.st.Inc(stats.MemWritebacks)
+		c.st.Inc(stats.IdxMemWritebacks)
 	case r.Write:
-		c.st.Inc(stats.MemWrites)
+		c.st.Inc(stats.IdxMemWrites)
 	default:
-		c.st.Inc(stats.MemReads)
+		c.st.Inc(stats.IdxMemReads)
 	}
 
 	c.bankBusy[bank] = true
@@ -436,7 +443,7 @@ type Router struct {
 }
 
 // NewRouter builds one controller per channel of dev.
-func NewRouter(eng *event.Engine, dev *device.Device, st *stats.Set, window int) *Router {
+func NewRouter(eng *event.Engine, dev *device.Device, st *stats.Block, window int) *Router {
 	n := dev.Config().Geom.Channels()
 	r := &Router{dev: dev}
 	r.ctrls = make([]*Controller, n)
@@ -446,6 +453,18 @@ func NewRouter(eng *event.Engine, dev *device.Device, st *stats.Set, window int)
 		r.ctrls[i].rt = r
 	}
 	return r
+}
+
+// Reset returns every channel controller to its just-built state (empty
+// queue, idle bus and banks, no recorded fault). Policy, tier and observers
+// stay as set; the request free list stays filled.
+func (r *Router) Reset() {
+	for _, c := range r.ctrls {
+		clear(c.queue)
+		c.queue = c.queue[:0]
+		clear(c.bankBusy)
+		c.busFreeAt, c.faultErr = 0, nil
+	}
 }
 
 // SetTier installs a hybrid DRAM tier shared by every channel controller:

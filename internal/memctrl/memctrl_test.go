@@ -9,10 +9,10 @@ import (
 	"rcnvm/internal/stats"
 )
 
-func newSystem(t *testing.T, cfg device.Config) (*event.Engine, *device.Device, *Router, *stats.Set) {
+func newSystem(t *testing.T, cfg device.Config) (*event.Engine, *device.Device, *Router, *stats.Block) {
 	t.Helper()
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(cfg, st)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestThroughputBound(t *testing.T) {
 // until earlier ones leave the queue, but all eventually complete.
 func TestWindowLimit(t *testing.T) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(device.RCNVMConfig(), st)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestRouterPending(t *testing.T) {
 // conflicting request is served before a newer buffer hit.
 func TestFCFSDoesNotPromoteHits(t *testing.T) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(device.RCNVMConfig(), st)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestFCFSDoesNotPromoteHits(t *testing.T) {
 // served even when newer buffer hits keep arriving.
 func TestStarvationOverride(t *testing.T) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(device.RCNVMConfig(), st)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 
 	"rcnvm/internal/config"
 	"rcnvm/internal/durable"
-	"rcnvm/internal/engine"
 	"rcnvm/internal/fault"
 	"rcnvm/internal/obs"
 	"rcnvm/internal/shard"
@@ -118,8 +117,11 @@ type Server struct {
 	// aggregate IS the only shard).
 	tel       *obs.Telemetry
 	shardTels []*obs.Telemetry
-	traceSeq  atomic.Uint64 // statements considered for TraceEvery sampling
-	traceMu   sync.Mutex    // serializes TraceSink writes
+	// replays owns the simulated systems timed statements replay on, built
+	// by the first ones (never at start-up: most servers time nothing).
+	replays  *sim.Replayer
+	traceSeq atomic.Uint64 // statements considered for TraceEvery sampling
+	traceMu  sync.Mutex    // serializes TraceSink writes
 
 	// repl holds the replication-lag provider a Follower registers on a
 	// read replica (nil elsewhere); /stats and /metrics consult it.
@@ -138,10 +140,11 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	}
 	banks := config.RCNVM().Device.Geom.TotalBanks()
 	s := &Server{
-		pool: NewPool(opts.Workers, opts.Queue),
-		met:  NewMetrics(),
-		opts: opts,
-		tel:  obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs),
+		pool:    NewPool(opts.Workers, opts.Queue),
+		met:     NewMetrics(),
+		opts:    opts,
+		tel:     obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs),
+		replays: sim.NewReplayer(2 * opts.Workers),
 	}
 	s.cluster.Store(c)
 	// Every session is answered by the server itself, so there is nothing
@@ -265,6 +268,7 @@ func (s *Server) counters() map[string]int64 {
 		counters[PlanCacheMisses] = m
 		counters[PlanCacheEvictions] = e
 	}
+	counters[ReplaySimsBuilt] = s.replays.Built()
 	return counters
 }
 
@@ -601,26 +605,14 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 	}
 
 	dualStart := time.Now()
-	type shardRun struct {
-		shard  int
-		memOps int
-		dualPs int64
-		rowPs  int64
-	}
-	var runs []shardRun
 	for i, stream := range streams {
 		if stream.MemOps() == 0 {
 			continue
 		}
-		cfg := config.RCNVM()
-		run := obs.NewTelemetry(cfg.Device.Geom.TotalBanks(), obs.DefaultSampleIntervalPs)
-		cfg.Telemetry = run
-		dualSys, err := sim.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("server: trace replay: %w", err)
-		}
-		dualSys.Observe(rec, obs.ProcSimDual)
-		dual, err := dualSys.Run([]trace.Stream{stream})
+		// Sampling off: Merge folds the run's bank counters only, so an
+		// in-run ring would be garbage.
+		run := obs.NewTelemetry(s.tel.Banks(), 0)
+		dual, err := s.replays.Run(stream, run, rec, obs.ProcSimDual)
 		if err != nil {
 			return nil, fmt.Errorf("server: trace replay: %w", err)
 		}
@@ -628,37 +620,25 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 		if s.shardTels != nil {
 			s.shardTels[i].Merge(run)
 		}
-		runs = append(runs, shardRun{shard: i, memOps: stream.MemOps(), dualPs: dual.TimePs})
+		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: stream.MemOps(), DualPs: dual.TimePs})
+		t.DualPs = max(t.DualPs, dual.TimePs)
 	}
 	rec.WallSince(obs.ProcQuery, "replay_dual", obs.CatServer, tid, dualStart)
 
 	rowStart := time.Now()
-	for j := range runs {
-		rowSys, err := sim.New(config.RCNVM())
+	for j := range t.Shards {
+		sh := &t.Shards[j]
+		row, err := s.replays.Run(trace.RowOnly(streams[sh.Shard]), nil, rec, obs.ProcSimRow)
 		if err != nil {
 			return nil, fmt.Errorf("server: row-only replay: %w", err)
 		}
-		rowSys.Observe(rec, obs.ProcSimRow)
-		row, err := rowSys.Run([]trace.Stream{engine.RowOnlyStream(streams[runs[j].shard])})
-		if err != nil {
-			return nil, fmt.Errorf("server: row-only replay: %w", err)
-		}
-		runs[j].rowPs = row.TimePs
+		sh.RowPs = row.TimePs
+		t.RowPs = max(t.RowPs, row.TimePs)
 	}
 	rec.WallSince(obs.ProcQuery, "replay_row", obs.CatServer, tid, rowStart)
 
-	for _, r := range runs {
-		if r.dualPs > t.DualPs {
-			t.DualPs = r.dualPs
-		}
-		if r.rowPs > t.RowPs {
-			t.RowPs = r.rowPs
-		}
-		if s.Cluster().N() > 1 {
-			t.Shards = append(t.Shards, ShardTiming{
-				Shard: r.shard, MemOps: r.memOps, DualPs: r.dualPs, RowPs: r.rowPs,
-			})
-		}
+	if s.Cluster().N() == 1 {
+		t.Shards = nil // the breakdown would repeat the totals
 	}
 	if t.DualPs > 0 {
 		t.Speedup = float64(t.RowPs) / float64(t.DualPs)

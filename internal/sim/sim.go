@@ -1,12 +1,17 @@
 // Package sim assembles the full-system simulator: trace-driven cores, the
 // 3-level cache hierarchy with RC-NVM synonym handling, per-channel FR-FCFS
 // memory controllers, and the memory device. One System instance simulates
-// one workload run on one machine configuration; create a fresh System per
-// run so that cache and buffer state start cold.
+// one workload run on one machine configuration at a time; caches and
+// buffers start cold, so each further run needs a fresh System or a Reset,
+// which returns a used one to exactly its just-built state. A Replayer
+// keeps a few reset systems for callers that replay statement after
+// statement.
 package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 
 	"rcnvm/internal/cache"
 	"rcnvm/internal/config"
@@ -29,7 +34,7 @@ type System struct {
 	Router *memctrl.Router
 	Hier   *cache.Hierarchy
 	Runner *cpu.Runner
-	Stats  *stats.Set
+	Stats  *stats.Block
 	Faults *fault.Injector // nil unless Cfg.Fault is enabled
 	Tier   *tier.Cache     // nil unless Cfg.Tier is enabled
 
@@ -39,23 +44,13 @@ type System struct {
 // New builds a system from the configuration.
 func New(cfg config.System) (*System, error) {
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	dev, err := device.New(cfg.Device, st)
 	if err != nil {
 		return nil, err
 	}
-	inj := fault.New(cfg.Device.Geom, cfg.Fault)
-	dev.SetFaults(inj) // nil when disabled: the fault-free fast path
 	router := memctrl.NewRouter(eng, dev, st, cfg.MemWindow)
 	router.SetPolicy(cfg.MemPolicy)
-	if cfg.Telemetry != nil {
-		router.SetTelemetry(cfg.Telemetry)
-	}
-	var tr *tier.Cache
-	if cfg.Tier.Enabled() {
-		tr = tier.New(cfg.Tier, cfg.Device.Geom, eng, st)
-		router.SetTier(tr)
-	}
 	dual := cfg.Device.SupportsColumn()
 	hier := cache.New(cfg.Cache, cfg.Device.Geom, dual, eng, st, func(r *cache.MemRequest) {
 		// r is the hierarchy's scratch request; copy into a pooled
@@ -69,18 +64,46 @@ func New(cfg config.System) (*System, error) {
 		req.Done = r.Done
 		router.Submit(req)
 	})
-	runner := cpu.NewRunner(cfg.CPU, eng, hier, cfg.Device.Geom, st)
-	return &System{
+	s := &System{
 		Cfg:    cfg,
 		Eng:    eng,
 		Dev:    dev,
 		Router: router,
 		Hier:   hier,
-		Runner: runner,
+		Runner: cpu.NewRunner(cfg.CPU, eng, hier, cfg.Device.Geom, st),
 		Stats:  st,
-		Faults: inj,
-		Tier:   tr,
-	}, nil
+	}
+	s.attach()
+	return s, nil
+}
+
+// attach puts what hangs off the wired components in its starting state:
+// Cfg's telemetry, no span recorder, and a new fault injector and DRAM tier
+// (nil when disabled) — rebuilt, so no wear or residency carries over.
+func (s *System) attach() {
+	s.Router.SetTelemetry(s.Cfg.Telemetry)
+	s.Router.SetRecorder(nil, "")
+	s.Faults = fault.New(s.Cfg.Device.Geom, s.Cfg.Fault)
+	s.Dev.SetFaults(s.Faults)
+	s.Tier = tier.New(s.Cfg.Tier, s.Cfg.Device.Geom, s.Eng, s.Stats)
+	s.Router.SetTier(s.Tier)
+}
+
+// Reset returns the system to its just-built state, whatever happened to it
+// since (a completed run, one that failed part-way, observers attached): a
+// Run after Reset returns what the same Run on a New system returns —
+// time, counter names and values, latency buckets, telemetry. It costs
+// what the run touched, not the modelled cache sizes. Stuck cells added to
+// Faults by hand are gone with the old injector.
+func (s *System) Reset() {
+	s.Eng.Reset()
+	s.Stats.Reset()
+	s.Dev.Reset()
+	s.Router.Reset()
+	s.Hier.Reset()
+	s.Runner.Reset()
+	s.attach()
+	s.ran = false
 }
 
 // Result summarizes one run. It marshals to stable JSON (the /stats and
@@ -108,11 +131,11 @@ func (s *System) Observe(rec *obs.Recorder, proc string) {
 	s.Router.SetRecorder(rec, proc)
 }
 
-// Run executes the per-core streams to completion. A System can run only
-// once.
+// Run executes the per-core streams to completion. A System runs once per
+// Reset.
 func (s *System) Run(streams []trace.Stream) (Result, error) {
 	if s.ran {
-		return Result{}, fmt.Errorf("sim: system %q already ran; create a fresh one", s.Cfg.Name)
+		return Result{}, fmt.Errorf("sim: system %q already ran; Reset it or create a fresh one", s.Cfg.Name)
 	}
 	s.ran = true
 	if len(streams) > s.Cfg.CPU.Cores {
@@ -154,6 +177,65 @@ func RunOn(cfg config.System, streams []trace.Stream) (Result, error) {
 		return Result{}, err
 	}
 	return s.Run(streams)
+}
+
+// Replayer replays captured access streams on the RC-NVM system, the
+// timing side of a timed statement. It owns a bounded free list of systems:
+// a replay takes one (building it only when the list is empty), runs, and
+// puts it back reset unless the list is full, so steady timed traffic
+// constructs nothing. The list is a buffered channel, not a sync.Pool: a
+// Pool is emptied by every garbage collection, which under load brings the
+// constructor back every few statements. A system is held by one replay at
+// a time.
+type Replayer struct {
+	free  chan *System
+	built atomic.Int64
+}
+
+// NewReplayer returns a replayer that keeps at most max idle systems.
+func NewReplayer(max int) *Replayer { return &Replayer{free: make(chan *System, max)} }
+
+// Replays serves the callers that hold no replayer of their own (EXPLAIN
+// ANALYZE, the shells and examples).
+var Replays = NewReplayer(2 * runtime.GOMAXPROCS(0))
+
+// Built returns how many systems the replayer has constructed so far.
+func (r *Replayer) Built() int64 { return r.built.Load() }
+
+// Run replays one stream on a pooled system. tel, when non-nil, receives
+// the run's per-bank counters; rec, when non-nil, its memory-request spans
+// under process name proc.
+func (r *Replayer) Run(stream trace.Stream, tel *obs.Telemetry, rec *obs.Recorder, proc string) (Result, error) {
+	var s *System
+	select {
+	case s = <-r.free:
+	default:
+		var err error
+		if s, err = New(config.RCNVM()); err != nil {
+			return Result{}, err
+		}
+		r.built.Add(1)
+	}
+	defer func() {
+		s.Reset() // an idle system holds no reference to its last statement
+		select {
+		case r.free <- s:
+		default:
+		}
+	}()
+	s.Router.SetTelemetry(tel)
+	s.Observe(rec, proc)
+	return s.Run([]trace.Stream{stream})
+}
+
+// Pair replays stream twice: as issued (dual, with its column accesses) and
+// downgraded to row accesses at the same cells (row) — the per-statement
+// form of the paper's dual-vs-row comparison.
+func (r *Replayer) Pair(stream trace.Stream) (dual, row Result, err error) {
+	if dual, err = r.Run(stream, nil, nil, ""); err == nil {
+		row, err = r.Run(trace.RowOnly(stream), nil, nil, "")
+	}
+	return dual, row, err
 }
 
 // Cycles returns the execution time in CPU cycles.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/sim"
-	"rcnvm/internal/trace"
 )
 
 // Explain describes how a statement will touch memory: which steps run and
@@ -57,11 +55,7 @@ func runExplain(db *engine.DB, ex *Explain) (*Result, error) {
 	}
 	fmt.Fprintf(&b, "actual: %d memory ops", stream.MemOps())
 	if stream.MemOps() > 0 {
-		dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{stream})
-		if err != nil {
-			return nil, err
-		}
-		row, err := sim.RunOn(config.RCNVM(), []trace.Stream{engine.RowOnlyStream(stream)})
+		dual, row, err := sim.Replays.Pair(stream)
 		if err != nil {
 			return nil, err
 		}

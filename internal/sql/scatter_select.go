@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
@@ -553,20 +552,11 @@ func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, err
 			if st.MemOps() == 0 {
 				continue
 			}
-			dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{st})
+			dual, row, err := sim.Replays.Pair(st)
 			if err != nil {
 				return nil, waits, err
 			}
-			row, err := sim.RunOn(config.RCNVM(), []trace.Stream{engine.RowOnlyStream(st)})
-			if err != nil {
-				return nil, waits, err
-			}
-			if dual.TimePs > dualMax {
-				dualMax = dual.TimePs
-			}
-			if row.TimePs > rowMax {
-				rowMax = row.TimePs
-			}
+			dualMax, rowMax = max(dualMax, dual.TimePs), max(rowMax, row.TimePs)
 		}
 		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx), slowest shard",
 			float64(dualMax)/1e6, float64(rowMax)/1e6, float64(rowMax)/float64(dualMax))

@@ -139,7 +139,7 @@ type Cache struct {
 	cfg  Config
 	geom addr.Geometry
 	eng  *event.Engine
-	st   *stats.Set
+	st   *stats.Block
 
 	resident map[uint64]*entry
 	slots    []*entry // fixed DRAM capacity; nil = free
@@ -161,8 +161,12 @@ type Cache struct {
 
 // New builds a tier for a device with the given geometry. The Cache
 // shares the simulation's counter set and schedules promotion-completion
-// events on eng.
-func New(cfg Config, geom addr.Geometry, eng *event.Engine, st *stats.Set) *Cache {
+// events on eng. A disabled config yields nil, which is what the memory
+// controllers take for "no tier".
+func New(cfg Config, geom addr.Geometry, eng *event.Engine, st *stats.Block) *Cache {
+	if !cfg.Enabled() {
+		return nil
+	}
 	cfg = cfg.withDefaults()
 	return &Cache{
 		cfg:      cfg,
@@ -229,7 +233,7 @@ func (t *Cache) Serve(now int64, c addr.Coord, o addr.Orientation, write bool) b
 	if write {
 		e.dirty = true
 	}
-	t.st.Inc(stats.TierDRAMHits)
+	t.st.Inc(stats.IdxTierDRAMHits)
 	return true
 }
 
@@ -246,7 +250,7 @@ func (t *Cache) onColumnAccess(c addr.Coord, write bool) {
 		// intersecting DRAM copies. Both sides stay current; nothing is
 		// demoted. (A timing simulator carries no data, so the patch is
 		// the accounting of that dual update.)
-		t.st.Inc(stats.TierColPatches)
+		t.st.Inc(stats.IdxTierColPatches)
 		return
 	}
 	// Column read: NVM still holds every row's data; only rows dirty in
@@ -257,7 +261,7 @@ func (t *Cache) onColumnAccess(c addr.Coord, write bool) {
 		if e.dirty {
 			e.dirty = false
 			t.pending = append(t.pending, Writeback{Coord: e.base, Dirty: true})
-			t.st.Inc(stats.TierWritebacks)
+			t.st.Inc(stats.IdxTierWritebacks)
 		}
 	}
 }
@@ -350,7 +354,7 @@ func (t *Cache) promote(key uint64, c addr.Coord, readyAt int64) {
 		t.bySub[sk] = sub
 	}
 	sub[key] = e
-	t.st.Inc(stats.TierPromotions)
+	t.st.Inc(stats.IdxTierPromotions)
 	t.eng.AtCall(e.readyAt, promoteDone, t, int64(key))
 }
 
@@ -416,10 +420,10 @@ func (t *Cache) demote(e *entry) {
 			delete(t.bySub, sk)
 		}
 	}
-	t.st.Inc(stats.TierDemotions)
+	t.st.Inc(stats.IdxTierDemotions)
 	if e.dirty {
 		t.pending = append(t.pending, Writeback{Coord: e.base, Dirty: true})
-		t.st.Inc(stats.TierWritebacks)
+		t.st.Inc(stats.IdxTierWritebacks)
 	}
 }
 

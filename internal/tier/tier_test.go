@@ -18,10 +18,10 @@ func testGeom() addr.Geometry {
 	}
 }
 
-func newTest(t *testing.T, cfg Config) (*Cache, *event.Engine, *stats.Set) {
+func newTest(t *testing.T, cfg Config) (*Cache, *event.Engine, *stats.Block) {
 	t.Helper()
 	eng := event.New()
-	st := stats.NewSet()
+	st := new(stats.Block)
 	return New(cfg, testGeom(), eng, st), eng, st
 }
 

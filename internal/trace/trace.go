@@ -153,6 +153,23 @@ func (s Stream) ComputeTotal() int64 {
 	return n
 }
 
+// RowOnly returns a copy of s with its column accesses converted to row
+// accesses at the same physical cells — "the same plan on a conventional
+// memory", for timing comparisons.
+func RowOnly(s Stream) Stream {
+	out := make(Stream, len(s))
+	for i, op := range s {
+		switch op.Kind {
+		case CLoad:
+			op.Kind = Load
+		case CStore:
+			op.Kind = Store
+		}
+		out[i] = op
+	}
+	return out
+}
+
 // Split partitions items [0,n) into `parts` contiguous ranges as evenly as
 // possible, returning the [start,end) bounds. Workloads use it to
 // distribute tuples across cores.
