@@ -8,13 +8,11 @@ package rcnvm
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"rcnvm/internal/benchjson"
 	"rcnvm/internal/circuit"
 	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
@@ -30,8 +28,7 @@ import (
 // BenchmarkServerThroughput measures end-to-end queries/sec through the
 // query service — in-process server, real TCP loopback clients — at 1, 8
 // and 64 concurrent sessions. Each session alternates a point SELECT on
-// its own id with an aggregate scan, the served OLTP+OLAP mix. Baseline
-// numbers live in results/server_throughput.txt.
+// its own id with an aggregate scan, the served OLTP+OLAP mix.
 func BenchmarkServerThroughput(b *testing.B) {
 	for _, sessions := range []int{1, 8, 64} {
 		sessions := sessions
@@ -110,24 +107,18 @@ func BenchmarkServerThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkServerBatch is the committed benchmark behind the batching
-// acceptance bar: end-to-end statements/sec through one TCP session at
-// batch sizes 1, 8 and 32, on the point-statement OLTP hot path (point
-// SELECT alternating with point UPDATE). The table is kept small (32
-// rows) so per-statement engine time stays minor and the measurement
+// BenchmarkServerBatch measures end-to-end statements/sec through one TCP
+// session at batch sizes 1, 8 and 32, on the point-statement OLTP hot path
+// (point SELECT alternating with point UPDATE). The table is kept small
+// (32 rows) so per-statement engine time stays minor and the measurement
 // isolates what batching amortizes — the round trip, the pool admission
 // and the lock round per statement. A batch pays each of those once for
-// the whole group, so throughput must scale well past 2x by size 32;
-// results/baselines pins that ratio.
+// the whole group, so throughput scales well past 2x by size 32. bench/
+// measures the same path with a checked answer (server.batch16_us_per_stmt
+// against the single-statement rungs of a traced oltp_point run).
 func BenchmarkServerBatch(b *testing.B) {
 	const tableRows = 32
-	// stmtsPerSec collects each size's final throughput; with -benchtime
-	// iteration scaling a sub-benchmark runs more than once and the last
-	// (largest b.N) run wins. When BENCH_JSON_DIR is set the collected
-	// numbers are written as BENCH_server_batch.json for the perf gate.
-	stmtsPerSec := map[int]float64{}
-	sizes := []int{1, 8, 32}
-	for _, size := range sizes {
+	for _, size := range []int{1, 8, 32} {
 		size := size
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			db, err := engine.Open(engine.DualAddress)
@@ -197,53 +188,9 @@ func BenchmarkServerBatch(b *testing.B) {
 				issued += n
 			}
 			b.StopTimer()
-			qps := float64(b.N) / b.Elapsed().Seconds()
-			stmtsPerSec[size] = qps
-			b.ReportMetric(qps, "stmts/s")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "stmts/s")
 		})
 	}
-	if dir := os.Getenv("BENCH_JSON_DIR"); dir != "" {
-		writeServerBatchJSON(b, dir, sizes, stmtsPerSec)
-	}
-}
-
-// writeServerBatchJSON emits the batching benchmark's machine-readable
-// result. Raw stmts/s values travel along for context, but the committed
-// baseline pins only the speedup ratios — ratios hold across machines of
-// different absolute speed, which is what a committed perf gate needs.
-func writeServerBatchJSON(b *testing.B, dir string, sizes []int, stmtsPerSec map[int]float64) {
-	b.Helper()
-	var metrics []benchjson.Metric
-	for _, size := range sizes {
-		metrics = append(metrics, benchjson.Metric{
-			Name:   fmt.Sprintf("qps_batch%d", size),
-			Value:  stmtsPerSec[size],
-			Unit:   "stmts/s",
-			Better: benchjson.Higher,
-		})
-	}
-	if base := stmtsPerSec[1]; base > 0 {
-		for _, size := range sizes {
-			if size == 1 {
-				continue
-			}
-			metrics = append(metrics, benchjson.Metric{
-				Name:   fmt.Sprintf("speedup_batch%d", size),
-				Value:  stmtsPerSec[size] / base,
-				Unit:   "x",
-				Better: benchjson.Higher,
-			})
-		}
-	}
-	path, err := benchjson.Write(dir, &benchjson.Result{
-		Name:    "server_batch",
-		Config:  map[string]any{"table_rows": 32, "batch_sizes": sizes},
-		Metrics: metrics,
-	})
-	if err != nil {
-		b.Fatalf("BENCH_JSON_DIR: %v", err)
-	}
-	b.Logf("wrote %s", path)
 }
 
 // BenchmarkFig04AreaModel evaluates the Figure 4 area-overhead sweep.

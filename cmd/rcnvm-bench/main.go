@@ -13,7 +13,8 @@
 // injected raw bit error rates) and the hybrid-memory sweep (hybrid:
 // DRAM tier with row-buffer-locality-aware migration in front of RRAM
 // and RC-NVM on the sustained OLXP mix) are opt-in via -run, keeping the
-// default output identical to earlier builds.
+// default output identical to earlier builds. An id that names no
+// experiment is an error (exit 2, with the valid ids).
 //
 // Independent simulation cells of one experiment fan out over -workers
 // goroutines (default: one per CPU); results are identical to a
@@ -29,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"rcnvm/internal/benchjson"
 	"rcnvm/internal/experiments"
 	"rcnvm/internal/par"
 )
@@ -55,7 +55,6 @@ func main() {
 	shardsFlag := flag.String("shards", "1,2,4", "cluster sizes for the shard-scaling sweep (-run shard); first is the determinism baseline")
 	timingFlag := flag.Bool("timing", true, "print per-experiment wall-clock timing to stderr")
 	telemetryFlag := flag.Bool("telemetry", false, "append a per-bank telemetry report for the mixed workload on RC-NVM")
-	benchJSON := flag.String("bench-json", "", "write machine-readable per-experiment wall-clock results as BENCH_experiments.json to this directory (\"\" disables)")
 	flag.Parse()
 
 	scale, err := experiments.ParseScale(*scaleFlag)
@@ -75,147 +74,94 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// table adapts the common experiment shape: one sweep, one table.
+	table := func(fn func(experiments.Scale, int) (experiments.TableData, error)) func() error {
+		return func() error {
+			tab, err := fn(scale, workers)
+			if err != nil {
+				return err
+			}
+			render(tab)
+			return nil
+		}
+	}
+
+	// Every experiment, in output order; optIn ones are left out of "all".
+	exps := []struct {
+		id    string
+		optIn bool
+		run   func() error
+	}{
+		{"table1", false, func() error { fmt.Print(experiments.ConfigTable()); return nil }},
+		{"table2", false, func() error { fmt.Print(experiments.QueryTable()); return nil }},
+		{"fig4", false, func() error { render(experiments.AreaOverhead()); return nil }},
+		{"fig5", false, func() error { render(experiments.LatencyOverhead()); return nil }},
+		{"fig17", false, table(experiments.MicroBench)},
+		{"fig18", false, func() error {
+			res, err := experiments.QueryBench(scale, workers)
+			if err != nil {
+				return err
+			}
+			render(res.Exec)
+			render(res.Accesses)
+			render(res.BufMiss)
+			render(res.Coherence)
+			return nil
+		}},
+		{"fig22", false, table(experiments.LatencySensitivity)},
+		{"fig23", false, table(experiments.GroupCaching)},
+		{"tech", false, table(experiments.TechnologyComparison)},
+		{"energy", false, table(experiments.EnergyComparison)},
+		{"olxp", false, table(experiments.OLXPMix)},
+		{"rel", true, table(experiments.ReliabilitySweep)},
+		{"hybrid", true, table(experiments.HybridSweep)},
+		{"shard", true, table(func(_ experiments.Scale, workers int) (experiments.TableData, error) {
+			counts, err := parseShardCounts(*shardsFlag)
+			if err != nil {
+				return experiments.TableData{}, err
+			}
+			return experiments.ShardScaling(counts, workers)
+		})},
+	}
 
 	want := map[string]bool{}
-	if *runFlag == "all" {
-		for _, id := range []string{"table1", "table2", "fig4", "fig5", "fig17", "fig18", "fig22", "fig23", "tech", "energy", "olxp"} {
-			want[id] = true
-		}
-	} else {
+	var valid []string
+	for _, e := range exps {
+		want[e.id] = *runFlag == "all" && !e.optIn
+		valid = append(valid, e.id)
+	}
+	if *runFlag != "all" {
 		for _, id := range strings.Split(*runFlag, ",") {
-			want[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if id == "fig19" || id == "fig20" || id == "fig21" {
+				id = "fig18" // one sweep renders all four figures
+			}
+			if _, ok := want[id]; !ok {
+				fmt.Fprintf(os.Stderr, "rcnvm-bench: -run: unknown experiment %q (valid: %s, or all; fig19-fig21 run fig18)\n", id, strings.Join(valid, ", "))
+				os.Exit(2)
+			}
+			want[id] = true
 		}
 	}
 
 	total := time.Duration(0)
-	var benchMetrics []benchjson.Metric
-	// step runs one experiment if selected, timing it so sweep-level perf
-	// regressions are visible without polluting the stdout tables.
-	step := func(id string, fn func() error) {
-		if !want[id] {
-			return
+	for _, e := range exps {
+		if !want[e.id] {
+			continue
 		}
+		// Time each experiment so sweep-level perf regressions are visible
+		// without polluting the stdout tables.
 		start := time.Now()
-		if err := fn(); err != nil {
+		if err := e.run(); err != nil {
 			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
 			os.Exit(1)
 		}
 		d := time.Since(start)
 		total += d
 		if *timingFlag {
-			fmt.Fprintf(os.Stderr, "timing  %-7s %8.2fs\n", id, d.Seconds())
+			fmt.Fprintf(os.Stderr, "timing  %-7s %8.2fs\n", e.id, d.Seconds())
 		}
-		benchMetrics = append(benchMetrics, benchjson.Metric{
-			Name: id + "_seconds", Value: d.Seconds(), Unit: "s", Better: benchjson.Lower,
-		})
 	}
-
-	step("table1", func() error {
-		fmt.Print(experiments.ConfigTable())
-		return nil
-	})
-	step("table2", func() error {
-		fmt.Print(experiments.QueryTable())
-		return nil
-	})
-	step("fig4", func() error {
-		render(experiments.AreaOverhead())
-		return nil
-	})
-	step("fig5", func() error {
-		render(experiments.LatencyOverhead())
-		return nil
-	})
-	step("fig17", func() error {
-		tab, err := experiments.MicroBench(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	if want["fig19"] || want["fig20"] || want["fig21"] {
-		want["fig18"] = true
-	}
-	step("fig18", func() error {
-		res, err := experiments.QueryBench(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(res.Exec)
-		render(res.Accesses)
-		render(res.BufMiss)
-		render(res.Coherence)
-		return nil
-	})
-	step("fig22", func() error {
-		tab, err := experiments.LatencySensitivity(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("fig23", func() error {
-		tab, err := experiments.GroupCaching(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("tech", func() error {
-		tab, err := experiments.TechnologyComparison(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("energy", func() error {
-		tab, err := experiments.EnergyComparison(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("olxp", func() error {
-		tab, err := experiments.OLXPMix(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("rel", func() error {
-		tab, err := experiments.ReliabilitySweep(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("hybrid", func() error {
-		tab, err := experiments.HybridSweep(scale, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
-	step("shard", func() error {
-		counts, err := parseShardCounts(*shardsFlag)
-		if err != nil {
-			return err
-		}
-		tab, err := experiments.ShardScaling(counts, workers)
-		if err != nil {
-			return err
-		}
-		render(tab)
-		return nil
-	})
 	if *telemetryFlag {
 		rep, err := experiments.TelemetryReport(scale)
 		if err != nil {
@@ -227,23 +173,5 @@ func main() {
 	if *timingFlag {
 		fmt.Fprintf(os.Stderr, "timing  total   %8.2fs (workers=%d)\n",
 			total.Seconds(), par.Workers(workers))
-	}
-	if *benchJSON != "" {
-		path, err := benchjson.Write(*benchJSON, &benchjson.Result{
-			Name: "experiments",
-			Config: map[string]any{
-				"scale":   *scaleFlag,
-				"run":     *runFlag,
-				"workers": par.Workers(workers),
-			},
-			Metrics: append(benchMetrics, benchjson.Metric{
-				Name: "total_seconds", Value: total.Seconds(), Unit: "s", Better: benchjson.Lower,
-			}),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "rcnvm-bench: wrote %s\n", path)
 	}
 }

@@ -31,12 +31,6 @@
 //	$ rcnvm-serve -trace-every 100 -trace-ndjson traces.ndjson -pprof-addr localhost:6060
 //	$ curl localhost:7071/metrics
 //
-// Load-generator mode starts an in-process server and drives it with N
-// concurrent client sessions issuing a mixed OLTP+OLAP stream, then
-// prints the throughput report and the server's own /stats counters:
-//
-//	$ rcnvm-serve -loadgen 16 -duration 3s
-//
 // Cluster modes wire several rcnvm-serve processes into a replicated
 // serving set (see DESIGN.md, "Replication & failover"):
 //
@@ -59,7 +53,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -69,13 +62,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"rcnvm/internal/benchjson"
 	"rcnvm/internal/cluster"
 	"rcnvm/internal/durable"
 	"rcnvm/internal/engine"
@@ -93,13 +82,7 @@ func main() {
 		queue    = flag.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
 		rowOnly  = flag.Bool("rowonly", false, "serve a conventional row-only engine instead of RC-NVM")
 		shards   = flag.Int("shards", 1, "independent engine+memory channels; queries scatter-gather across them")
-		loadgen  = flag.Int("loadgen", 0, "run the load generator with N clients against an in-process server, then exit")
-		duration = flag.Duration("duration", 3*time.Second, "load-generator run length")
-		timedEv  = flag.Int("timing-every", 0, "load generator: request timing attribution every n-th query (0 = never)")
-		batchN   = flag.Int("batch", 0, "load generator: statements per batch request (0/1 = one statement per round trip)")
 		planSize = flag.Int("plan-cache", 0, "query-plan cache capacity in statement shapes (0 = default 4096, negative disables)")
-		sweep    = flag.String("batch-sweep", "", "run the load generator once per comma-separated batch size (e.g. \"1,8,32\"), emit BENCH_batch_sweep.json to -bench-out, then exit; uses -loadgen clients (default 8)")
-		benchOut = flag.String("bench-out", ".", "directory for machine-readable BENCH_*.json results")
 
 		dataDir  = flag.String("data-dir", "", "durability directory: per-shard write-ahead log + checkpoints; kill -9 loses nothing acknowledged (\"\" = volatile)")
 		fsyncPol = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always (group commit), interval, none")
@@ -123,6 +106,15 @@ func main() {
 	flag.Parse()
 
 	if *routeMode {
+		// A router owns no engine; an engine flag given here would be dropped
+		// and the operator left believing in a durable or sharded node.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "route", "primary", "replicas", "tcp", "http":
+			default:
+				fatal(fmt.Errorf("-route serves no engine: -%s has no effect on a router (set it on the primary or a replica)", f.Name))
+			}
+		})
 		runRouter(*primarySpec, *replicaSpecs, *tcpAddr, *httpAddr)
 		return
 	}
@@ -146,8 +138,6 @@ func main() {
 			fatal(fmt.Errorf("-replica is volatile: it replays the primary's WAL instead of logging its own (-data-dir belongs on the primary)"))
 		case faultsOn:
 			fatal(fmt.Errorf("-replica cannot inject faults: applied records would diverge from the primary"))
-		case *loadgen > 0 || *sweep != "":
-			fatal(fmt.Errorf("-replica rejects writes; the load generator needs a primary"))
 		}
 	}
 	cl, err := shard.Open(mode, *shards, 0)
@@ -166,20 +156,6 @@ func main() {
 		}); err != nil {
 			fatal(err)
 		}
-	}
-	// Recovery is deferred so serve mode can bring its listeners up first:
-	// /healthz answers (the process is alive) and /readyz honestly reports
-	// 503 "wal recovery" while the log replays.
-	recoverWAL := func() {
-		if store == nil {
-			return
-		}
-		rs, err := store.Recover(cl)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("rcnvm-serve: durable in %s (fsync=%s, epoch %d): checkpoint=%v, %d records replayed, %d torn bytes dropped in %v\n",
-			*dataDir, *fsyncPol, rs.Epoch, rs.Checkpoint, rs.Records, rs.TornBytes, rs.Elapsed.Round(time.Microsecond))
 	}
 	if faultsOn {
 		cl.EnableFaults(fault.Config{
@@ -227,28 +203,9 @@ func main() {
 		go servePprof(*pprofAddr)
 	}
 
-	if *sweep != "" {
-		clients := *loadgen
-		if clients <= 0 {
-			clients = 8
-		}
-		recoverWAL()
-		ensureLoadTable(cl)
-		runBatchSweep(srv, clients, *duration, *sweep, *benchOut, *shards, *fsyncPol, *dataDir != "")
-		closeStore(store)
-		return
-	}
-	if *loadgen > 0 {
-		recoverWAL()
-		ensureLoadTable(cl)
-		runLoadgen(srv, *loadgen, *duration, *timedEv, *batchN)
-		closeStore(store)
-		return
-	}
-
-	// Serve mode. Listeners come up not-ready when there is state to
-	// rebuild first, so routers and probes see an honest 503 instead of a
-	// connection refused or — worse — answers from half-replayed state.
+	// Listeners come up not-ready when there is state to rebuild first, so
+	// routers and probes see an honest 503 instead of a connection refused
+	// or — worse — answers from half-replayed state.
 	var fol *cluster.Follower
 	switch {
 	case *replicaOf != "":
@@ -280,7 +237,15 @@ func main() {
 		fol.Start()
 		fmt.Printf("rcnvm-serve: read replica of %s: catching up (/readyz stays 503 until caught up; writes get read_only_replica)\n", *replicaOf)
 	} else if store != nil {
-		recoverWAL()
+		// Recovery runs after the listeners are up: /healthz answers (the
+		// process is alive) and /readyz honestly reports 503 "wal recovery"
+		// while the log replays.
+		rs, err := store.Recover(cl)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("rcnvm-serve: durable in %s (fsync=%s, epoch %d): checkpoint=%v, %d records replayed, %d torn bytes dropped in %v\n",
+			*dataDir, *fsyncPol, rs.Epoch, rs.Checkpoint, rs.Records, rs.TornBytes, rs.Elapsed.Round(time.Microsecond))
 		ensureLoadTable(cl)
 		srv.SetReady()
 	}
@@ -379,128 +344,6 @@ func closeStore(store *durable.Store) {
 	}
 	if err := store.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "rcnvm-serve: wal close:", err)
-	}
-}
-
-func runLoadgen(srv *server.Server, clients int, duration time.Duration, timedEv, batch int) {
-	addr, err := srv.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	rep, err := server.RunLoad(server.LoadSpec{
-		Addr:        addr.String(),
-		Clients:     clients,
-		Duration:    duration,
-		TimingEvery: timedEv,
-		Batch:       batch,
-		Table:       "load",
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep)
-	snap := srv.Stats()
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("server stats:\n%s\n", out)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fatal(fmt.Errorf("shutdown: %w", err))
-	}
-}
-
-// runBatchSweep drives the in-process server once per batch size and emits
-// the machine-readable BENCH_batch_sweep.json consumed by
-// scripts/bench_compare.sh: per-size throughput, round-trip latency
-// quantiles and allocations per statement, plus the batchN-vs-batch1
-// speedup ratios (machine-portable, unlike raw qps — the committed
-// baseline keys its hard floor off those).
-func runBatchSweep(srv *server.Server, clients int, duration time.Duration, sweep, outDir string, shards int, fsyncPol string, durableOn bool) {
-	var sizes []int
-	for _, part := range strings.Split(sweep, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			fatal(fmt.Errorf("-batch-sweep: bad batch size %q", part))
-		}
-		sizes = append(sizes, n)
-	}
-	addr, err := srv.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		fatal(err)
-	}
-	res := &benchjson.Result{
-		Name: "batch_sweep",
-		Config: map[string]any{
-			"clients":     clients,
-			"duration":    duration.String(),
-			"shards":      shards,
-			"durable":     durableOn,
-			"fsync":       fsyncPol,
-			"batch_sizes": sizes,
-		},
-	}
-	qps := make(map[int]float64)
-	for _, n := range sizes {
-		// Level the playing field: each size starts from an empty table,
-		// otherwise the mix's aggregate scans get more expensive for every
-		// later size as the INSERTs accumulate.
-		if resp := srv.Do(&server.Request{Query: "DELETE FROM load"}); resp.Error != nil {
-			fatal(fmt.Errorf("-batch-sweep: reset table: %s", resp.Error.Message))
-		}
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		rep, err := server.RunLoad(server.LoadSpec{
-			Addr:     addr.String(),
-			Clients:  clients,
-			Duration: duration,
-			Batch:    n,
-			Table:    "load",
-		})
-		if err != nil {
-			fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-		fmt.Printf("batch=%-4d %s\n", n, rep)
-		if rep.Queries == 0 {
-			fatal(fmt.Errorf("-batch-sweep: batch=%d completed no statements", n))
-		}
-		// Client and server share the process in loadgen mode, so the
-		// Mallocs delta is the whole round trip's allocation cost.
-		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(rep.Queries)
-		qps[n] = rep.QPS
-		res.Metrics = append(res.Metrics,
-			benchjson.Metric{Name: fmt.Sprintf("qps_batch%d", n), Value: rep.QPS, Unit: "stmt/s", Better: benchjson.Higher},
-			benchjson.Metric{Name: fmt.Sprintf("p50_batch%d_us", n), Value: float64(rep.P50.Microseconds()), Unit: "us", Better: benchjson.Lower},
-			benchjson.Metric{Name: fmt.Sprintf("p99_batch%d_us", n), Value: float64(rep.P99.Microseconds()), Unit: "us", Better: benchjson.Lower},
-			benchjson.Metric{Name: fmt.Sprintf("allocs_per_stmt_batch%d", n), Value: allocs, Unit: "allocs", Better: benchjson.Lower},
-		)
-	}
-	if base, ok := qps[1]; ok && base > 0 {
-		for _, n := range sizes {
-			if n == 1 {
-				continue
-			}
-			res.Metrics = append(res.Metrics, benchjson.Metric{
-				Name:   fmt.Sprintf("speedup_batch%d", n),
-				Value:  qps[n] / base,
-				Unit:   "x",
-				Better: benchjson.Higher,
-			})
-		}
-	}
-	path, err := benchjson.Write(outDir, res)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("rcnvm-serve: wrote %s\n", path)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fatal(fmt.Errorf("shutdown: %w", err))
 	}
 }
 

@@ -55,7 +55,7 @@ func TestLatencySensitivityParallelDeterministic(t *testing.T) {
 }
 
 // BenchmarkSweepParallel measures the Figures 18-21 sweep wall-clock at 1
-// worker vs 4; the recorded baseline lives in results/sweep_parallel.txt.
+// worker vs 4 (bench/'s sim_sweep workload is the measured version).
 // On multi-core hosts the 4-worker sweep approaches a linear speedup
 // (cells are independent); on a single core it should only pay goroutine
 // overhead, not regress.

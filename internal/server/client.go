@@ -24,8 +24,8 @@ var ErrSessionBroken = errors.New("server: session broken, redial required")
 // Client speaks the TCP line protocol: one JSON request per line, one
 // JSON response per line, in order. A Client is one server session; it is
 // safe for concurrent use, but requests serialize on the session (open
-// several Clients for parallelism — that is what the load generator and
-// throughput benchmark do).
+// several Clients for parallelism — that is what the throughput
+// benchmarks do).
 type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn

@@ -55,8 +55,9 @@ func replayStatements(k int) []string {
 // TestTimedStatementsReuseSimulators: 64 timed statements from 4 concurrent
 // sessions, with garbage collections as part of the load (a server under
 // load collects constantly — the free list must survive that, which a
-// sync.Pool does not), build at most 2 systems per worker; every Timing is
-// what two fresh sim.RunOn calls give for the statement's captured stream;
+// sync.Pool does not), build at most 2 systems per worker and count one
+// timed_queries per timing:true request; every Timing is what two fresh
+// sim.RunOn calls give for the statement's captured stream;
 // and the per-bank telemetry equals both what those fresh runs fed a
 // sampling telemetry (the way every statement was replayed before reuse)
 // and what a server that never reuses a system reports.
@@ -146,9 +147,13 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 	}
 
 	reusing := serve(2*workers, true)
-	built := reusing.Stats().Counters[ReplaySimsBuilt]
+	counters := reusing.Stats().Counters
+	built := counters[ReplaySimsBuilt]
 	if built < 1 || built > 2*workers {
 		t.Fatalf("%s = %d after %d timed statements, want 1..%d", ReplaySimsBuilt, built, statements, 2*workers)
+	}
+	if n := counters[TimedQueries]; n != int64(statements) {
+		t.Fatalf("%s = %d, want one per timing:true request (%d); the seed statements were untimed", TimedQueries, n, statements)
 	}
 	got := reusing.Telemetry().Snapshot()
 	if w := wantTel.Snapshot(); got.Runs != int64(statements) || !reflect.DeepEqual(got, w) {

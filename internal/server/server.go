@@ -300,7 +300,7 @@ func (s *Server) faultCounts() (sum fault.Counts, ok bool) {
 
 // Do admits one request to the worker pool and waits for its response.
 // It is the transport-independent core: both front ends and in-process
-// callers (benchmarks, the load generator) go through it.
+// callers (benchmarks) go through it.
 func (s *Server) Do(req *Request) *Response {
 	resp, release := s.doHeld(req)
 	if release != nil {

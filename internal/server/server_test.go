@@ -384,38 +384,3 @@ func TestServerStress64(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// TestLoadGenerator runs a short in-process load-generation burst and
-// checks that more than one client was actually served concurrently, with
-// timing attribution sprinkled in — the measurable-throughput acceptance
-// path without a fixed-duration benchmark in the test suite.
-func TestLoadGenerator(t *testing.T) {
-	s, addr := newTestServer(t, Options{})
-	setup, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustQuery(t, setup, "CREATE TABLE load (id, grp, val) CAPACITY 65536")
-	setup.Close()
-
-	rep, err := RunLoad(LoadSpec{
-		Addr: addr, Clients: 4, Duration: 300 * time.Millisecond,
-		TimingEvery: 50, Table: "load",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries == 0 || rep.QPS <= 0 {
-		t.Fatalf("no load generated: %+v", rep)
-	}
-	if rep.Errors > 0 {
-		t.Fatalf("load run hit %d errors: %+v", rep.Errors, rep)
-	}
-	snap := s.Stats()
-	if snap.Counters[SessionsOpened] < 5 { // setup + 4 load clients
-		t.Fatalf("sessions_opened = %d, want >= 5", snap.Counters[SessionsOpened])
-	}
-	if rep.Timed > 0 && snap.Counters[TimedQueries] != rep.Timed {
-		t.Fatalf("timed_queries = %d, want %d", snap.Counters[TimedQueries], rep.Timed)
-	}
-}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Chaos smoke test for the replicated serving set, on real binaries:
 # 1 primary (durable) + 2 read replicas + 1 router as separate processes.
-# A replica is kill -9'd under client load — the router must mask it
+# First a router given an engine flag must refuse to start. Then
+# a replica is kill -9'd under client load — the router must mask it
 # (zero client-visible errors); the replica restarts, catches up, and all
 # three nodes must byte-converge on /checksum. Then the primary itself is
 # kill -9'd and recovered from its WAL, and the set must converge again.
@@ -104,6 +105,22 @@ start_replica() {
 
 echo "== building rcnvm-serve"
 go build -o "$DIR/rcnvm-serve" ./cmd/rcnvm-serve
+
+echo "== router mode must reject engine flags (exit 1, flag named)"
+for bad in "-data-dir $DATA" "-shards 4" "-replica 127.0.0.1:$P_HTTP" "-fault-rber 1e-4"; do
+    RC=0
+    # $bad is a flag and its value: split on purpose. timeout bounds the
+    # failure mode under test, a router that starts and serves.
+    # shellcheck disable=SC2086
+    timeout 5 "$DIR/rcnvm-serve" -route -primary "127.0.0.1:$P_TCP@127.0.0.1:$P_HTTP" \
+        -tcp ":$RT_TCP" -http "" $bad >"$DIR/reject.log" 2>&1 || RC=$?
+    [ "$RC" = 1 ] && grep -q -e "${bad%% *} has no effect on a router" "$DIR/reject.log" || {
+        echo "FAIL: -route $bad: exit $RC, want 1 and a message naming ${bad%% *}:" >&2
+        cat "$DIR/reject.log" >&2
+        exit 1
+    }
+done
+echo "   4 engine flags refused"
 
 echo "== starting 1 primary + 2 replicas + router"
 start_primary
