@@ -56,7 +56,7 @@ func main() {
 	fmt.Println("type .help for commands, .quit to exit")
 
 	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for {
 		fmt.Print("rcnvm-db> ")
 		if !sc.Scan() {

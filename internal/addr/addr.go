@@ -151,6 +151,17 @@ type Coord struct {
 	Byte     uint32 // byte within the 8-byte word
 }
 
+// Along returns c moved k words along orientation o: k columns further in
+// its row for Row, k rows further down its column for Column.
+func (c Coord) Along(o Orientation, k int) Coord {
+	if o == Row {
+		c.Column += uint32(k)
+	} else {
+		c.Row += uint32(k)
+	}
+	return c
+}
+
 // BankID returns a dense index of the bank across the whole memory,
 // suitable for array indexing: channel-major, then rank, then bank.
 func (g Geometry) BankID(c Coord) int {
@@ -302,15 +313,7 @@ func (id LineID) Base() Coord {
 
 // WordCoord returns the coordinate of the i-th word (0..7) covered by the
 // line.
-func (id LineID) WordCoord(i int) Coord {
-	c := id.Base()
-	if id.Orient == Row {
-		c.Column += uint32(i)
-	} else {
-		c.Row += uint32(i)
-	}
-	return c
-}
+func (id LineID) WordCoord(i int) Coord { return id.Base().Along(id.Orient, i) }
 
 // Addr returns the address of the first byte of the line in its own
 // orientation's encoding.

@@ -94,7 +94,7 @@ func relabelSample(line, nodeName string) string {
 func mergeExposition(fams map[string]*promFamily, order *[]string, body []byte, nodeName string) {
 	cur := ""
 	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" {

@@ -1,0 +1,101 @@
+package engine
+
+import (
+	"testing"
+
+	"rcnvm/internal/imdb"
+)
+
+// benchRows is the benchmark's olap_scan table: 16 384 rows of
+// (id, grp = id mod 8, val = 3·id).
+const benchRows = 16384
+
+func benchTable(b *testing.B, mode Mode) *Table {
+	b.Helper()
+	db, err := Open(mode)
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema := imdb.Schema{Name: "t", Fields: []imdb.Field{
+		{Name: "id", Words: 1}, {Name: "grp", Words: 1}, {Name: "val", Words: 1},
+	}}
+	t, err := db.CreateTable("t", schema, benchRows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for id := uint64(0); id < benchRows; id++ {
+		if _, err := t.Append(id, id%8, 3*id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return t
+}
+
+var benchScans = []struct {
+	name string
+	run  func(t *Table) error
+}{
+	{"where", func(t *Table) error {
+		_, err := t.ScanWhere("grp", func(v []uint64) bool { return v[0] == 5 })
+		return err
+	}},
+	{"sum", func(t *Table) error {
+		_, err := t.SumField("val", nil)
+		return err
+	}},
+	{"group", func(t *Table) error {
+		_, err := t.GroupSum("grp", "val", nil)
+		return err
+	}},
+}
+
+var benchModes = []struct {
+	name string
+	mode Mode
+}{{"dual", DualAddress}, {"rowonly", RowOnly}}
+
+// BenchmarkScan is the rung under olap_scan: one full-column operator over
+// the 16 384-row table, per mode. ns/row is the host cost of one tuple
+// (two cells for group). sum/dual is in CI's zero-alloc gate.
+func BenchmarkScan(b *testing.B) {
+	for _, sc := range benchScans {
+		for _, m := range benchModes {
+			b.Run(sc.name+"/"+m.name, func(b *testing.B) {
+				t := benchTable(b, m.mode)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := sc.run(t); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+			})
+		}
+	}
+}
+
+// BenchmarkScanParallel runs SumField from GOMAXPROCS readers under the
+// read lock: with -cpu 1,2 the ns/row of the second should be about half
+// the first's — readers share no written cache line but the per-scan
+// counter flush.
+func BenchmarkScanParallel(b *testing.B) {
+	for _, m := range benchModes {
+		b.Run("sum/"+m.name, func(b *testing.B) {
+			t := benchTable(b, m.mode)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					t.db.RLock()
+					_, err := t.SumField("val", nil)
+					t.db.RUnlock()
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+		})
+	}
+}

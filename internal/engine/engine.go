@@ -127,7 +127,6 @@ func Open(mode Mode) (*DB, error) {
 	} else {
 		db.linear = imdb.NewLinearAllocator(geom)
 	}
-	mem.SetObserver(db.observe)
 	return db, nil
 }
 
@@ -149,7 +148,13 @@ func (db *DB) Faults() *fault.Injector { return db.inj }
 // pipeline when injection is enabled. The returned word is the corrected
 // value; an uncorrectable error surfaces as *fault.UncorrectableError.
 func (db *DB) readCell(c addr.Coord, o addr.Orientation) (uint64, error) {
-	v := db.mem.ReadCoord(c, o)
+	return db.observed(c, o, db.mem.ReadCoord(c, o))
+}
+
+// observed is what every word read goes through, one at a time or in a
+// scan: its trace op when recording, then its fault check.
+func (db *DB) observed(c addr.Coord, o addr.Orientation, v uint64) (uint64, error) {
+	db.record(c, o, false)
 	if db.inj == nil {
 		return v, nil
 	}
@@ -159,6 +164,7 @@ func (db *DB) readCell(c addr.Coord, o addr.Orientation) (uint64, error) {
 // writeCell stores one word, feeding the wear model when injection is
 // enabled.
 func (db *DB) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
+	db.record(c, o, true)
 	db.mem.WriteCoord(c, o, v)
 	if db.inj != nil {
 		db.inj.RecordWrite(c)
@@ -168,7 +174,8 @@ func (db *DB) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
 // Mode returns the addressing mode.
 func (db *DB) Mode() Mode { return db.mode }
 
-func (db *DB) observe(c addr.Coord, o addr.Orientation, write bool) {
+// record appends one access to the trace being recorded, if any.
+func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
 	if !db.recording {
 		return
 	}
@@ -279,22 +286,6 @@ func (t *Table) Capacity() int { return t.capacity }
 // stored cells.
 func (t *Table) CellCoord(row, word int) addr.Coord { return t.place.Cell(row, word) }
 
-// scanOrient is the orientation for reading one field across tuples.
-func (t *Table) scanOrient(row int) addr.Orientation {
-	if t.db.mode == RowOnly {
-		return addr.Row
-	}
-	return t.place.ScanOrient(row)
-}
-
-// fetchOrient is the orientation for reading along one tuple.
-func (t *Table) fetchOrient(row int) addr.Orientation {
-	if t.db.mode == RowOnly {
-		return addr.Row
-	}
-	return t.place.FetchOrient(row)
-}
-
 func (t *Table) checkRow(row int) error {
 	if row < 0 || row >= t.rows {
 		return fmt.Errorf("engine: row %d out of range [0,%d)", row, t.rows)
@@ -342,7 +333,7 @@ func (t *Table) Append(vals ...uint64) (int, error) {
 	t.rows++
 	t.live++
 	t.deleted = append(t.deleted, false)
-	o := t.fetchOrient(row)
+	o := t.place.FetchOrient(row)
 	for w, v := range vals {
 		t.db.writeCell(t.place.Cell(row, w), o, v)
 	}
@@ -356,7 +347,7 @@ func (t *Table) Tuple(row int) ([]uint64, error) {
 	}
 	L := t.Schema().TupleWords()
 	out := make([]uint64, L)
-	o := t.fetchOrient(row)
+	o := t.place.FetchOrient(row)
 	for w := range out {
 		v, err := t.db.readCell(t.place.Cell(row, w), o)
 		if err != nil {
@@ -377,7 +368,7 @@ func (t *Table) Field(row int, field string) ([]uint64, error) {
 		return nil, err
 	}
 	out := make([]uint64, words)
-	o := t.fetchOrient(row)
+	o := t.place.FetchOrient(row)
 	for k := range out {
 		v, err := t.db.readCell(t.place.Cell(row, off+k), o)
 		if err != nil {
@@ -401,12 +392,98 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 	if len(vals) != words {
 		return fmt.Errorf("engine: field %s needs %d words, got %d", field, words, len(vals))
 	}
-	o := t.fetchOrient(row)
+	o := t.place.FetchOrient(row)
 	if words == 1 {
-		o = t.scanOrient(row)
+		o = t.place.ScanOrient(row)
 	}
 	for k, v := range vals {
 		t.db.writeCell(t.place.Cell(row, off+k), o, v)
+	}
+	return nil
+}
+
+// column reads one word of successive tuples — a field scan. It resolves
+// placement, page and orientation once per run of cells (imdb's ScanRun,
+// funcmem's Run) instead of once per cell. Every cell still appends its
+// trace op when recording, then draws its fault check when injection is
+// on, and is counted, the failing one included, in the order single-cell
+// readCell calls would; the count reaches the memory's counters at flush.
+type column struct {
+	t     *Table
+	off   int
+	run   funcmem.Run
+	first int // the tuple run.At(0) belongs to
+	c     addr.Coord
+	o     addr.Orientation
+	step  int
+	cells int // read since the last flush, all in orientation o
+}
+
+// at reads the word of tuple row, which must be in [0, t.rows). Rows may
+// come in any order; ascending ones share runs.
+func (r *column) at(row int) (uint64, error) {
+	i := row - r.first
+	if uint(i) >= uint(r.run.Len()) {
+		c, o, step, n := r.t.place.ScanRun(row, r.off)
+		if o != r.o {
+			r.flush()
+		}
+		r.run, r.first, r.c, r.o, r.step = r.t.db.mem.Run(c, o, step, n), row, c, o, step
+		i = 0
+	}
+	r.cells++
+	v := r.run.At(i)
+	db := r.t.db
+	if !db.recording && db.inj == nil {
+		return v, nil
+	}
+	return db.observed(r.c.Along(r.o, i*r.step), r.o, v)
+}
+
+// flush adds the cells read so far to the memory's access counters.
+func (r *column) flush() {
+	r.t.db.mem.CountReads(r.o, r.cells)
+	r.cells = 0
+}
+
+// scan is the loop under every scan operator. It visits the listed rows in
+// list order — a listed row out of range or deleted is an error — or, when
+// rows is nil, every live row ascending, tombstoned rows skipped unread.
+// For each row it reads tuple word offs[k] into vals[k], in the order
+// given and through one column reader each, then calls f.
+func (t *Table) scan(rows []int, vals []uint64, f func(row int), offs ...int) error {
+	var few [2]column // every aggregate's columns stay on the stack
+	cols := few[:0]
+	for _, off := range offs {
+		cols = append(cols, column{t: t, off: off})
+	}
+	defer func() {
+		for k := range cols {
+			cols[k].flush()
+		}
+	}()
+	n := len(rows)
+	if rows == nil {
+		n = t.rows
+	}
+	for i := 0; i < n; i++ {
+		row := i
+		if rows != nil {
+			row = rows[i]
+			if err := t.checkLive(row); err != nil {
+				return err
+			}
+		} else if t.deleted[row] {
+			continue
+		}
+		for k := range cols {
+			v, err := cols[k].at(row)
+			if err != nil {
+				return err
+			}
+			vals[k] = v
+		}
+		f(row)
 	}
 	return nil
 }
@@ -418,23 +495,20 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 	if err != nil {
 		return nil, err
 	}
+	var one [1]int // a single-word field's offset stays on the stack
+	offs := one[:0]
+	for k := 0; k < words; k++ {
+		offs = append(offs, off+k)
+	}
 	var out []int
 	buf := make([]uint64, words)
-	for row := 0; row < t.rows; row++ {
-		if t.deleted[row] {
-			continue
-		}
-		o := t.scanOrient(row)
-		for k := 0; k < words; k++ {
-			v, err := t.db.readCell(t.place.Cell(row, off+k), o)
-			if err != nil {
-				return nil, err
-			}
-			buf[k] = v
-		}
+	err = t.scan(nil, buf, func(row int) {
 		if pred(buf) {
 			out = append(out, row)
 		}
+	}, offs...)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -449,32 +523,9 @@ func (t *Table) SumField(field string, rows []int) (uint64, error) {
 		return 0, fmt.Errorf("engine: SUM over multi-word field %s", field)
 	}
 	var sum uint64
-	each := func(row int) error {
-		if err := t.checkLive(row); err != nil {
-			return err
-		}
-		v, err := t.db.readCell(t.place.Cell(row, off), t.scanOrient(row))
-		if err != nil {
-			return err
-		}
-		sum += v
-		return nil
-	}
-	if rows == nil {
-		for row := 0; row < t.rows; row++ {
-			if t.deleted[row] {
-				continue
-			}
-			if err := each(row); err != nil {
-				return 0, err
-			}
-		}
-		return sum, nil
-	}
-	for _, row := range rows {
-		if err := each(row); err != nil {
-			return 0, err
-		}
+	var v [1]uint64
+	if err := t.scan(rows, v[:], func(int) { sum += v[0] }, off); err != nil {
+		return 0, err
 	}
 	return sum, nil
 }
@@ -538,28 +589,19 @@ func Join(a *Table, aField string, b *Table, bField string) ([][2]int, error) {
 	}
 	// Build over a (column scan), probe with b.
 	build := make(map[uint64][]int)
-	for row := 0; row < a.rows; row++ {
-		if a.deleted[row] {
-			continue
-		}
-		k, err := a.db.readCell(a.place.Cell(row, offA), a.scanOrient(row))
-		if err != nil {
-			return nil, err
-		}
-		build[k] = append(build[k], row)
+	var k [1]uint64
+	err = a.scan(nil, k[:], func(row int) { build[k[0]] = append(build[k[0]], row) }, offA)
+	if err != nil {
+		return nil, err
 	}
 	var out [][2]int
-	for row := 0; row < b.rows; row++ {
-		if b.deleted[row] {
-			continue
-		}
-		k, err := b.db.readCell(b.place.Cell(row, offB), b.scanOrient(row))
-		if err != nil {
-			return nil, err
-		}
-		for _, ar := range build[k] {
+	err = b.scan(nil, k[:], func(row int) {
+		for _, ar := range build[k[0]] {
 			out = append(out, [2]int{ar, row})
 		}
+	}, offB)
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
@@ -581,38 +623,18 @@ func (t *Table) MinMaxField(field string, rows []int) (min, max uint64, err erro
 		return 0, 0, fmt.Errorf("engine: MIN/MAX over multi-word field %s", field)
 	}
 	first := true
-	each := func(row int) error {
-		if err := t.checkLive(row); err != nil {
-			return err
+	var v [1]uint64
+	err = t.scan(rows, v[:], func(int) {
+		if first || v[0] < min {
+			min = v[0]
 		}
-		v, err := t.db.readCell(t.place.Cell(row, off), t.scanOrient(row))
-		if err != nil {
-			return err
-		}
-		if first || v < min {
-			min = v
-		}
-		if first || v > max {
-			max = v
+		if first || v[0] > max {
+			max = v[0]
 		}
 		first = false
-		return nil
-	}
-	if rows == nil {
-		for row := 0; row < t.rows; row++ {
-			if t.deleted[row] {
-				continue
-			}
-			if err := each(row); err != nil {
-				return 0, 0, err
-			}
-		}
-	} else {
-		for _, row := range rows {
-			if err := each(row); err != nil {
-				return 0, 0, err
-			}
-		}
+	}, off)
+	if err != nil {
+		return 0, 0, err
 	}
 	if first {
 		return 0, 0, fmt.Errorf("engine: MIN/MAX over zero rows")
@@ -643,42 +665,20 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 		return nil, fmt.Errorf("engine: GROUP BY needs single-word fields")
 	}
 	acc := make(map[uint64]*GroupRow)
-	each := func(row int) error {
-		if err := t.checkLive(row); err != nil {
-			return err
-		}
-		k, err := t.db.readCell(t.place.Cell(row, offK), t.scanOrient(row))
-		if err != nil {
-			return err
-		}
-		v, err := t.db.readCell(t.place.Cell(row, offS), t.scanOrient(row))
-		if err != nil {
-			return err
-		}
-		g, ok := acc[k]
+	// Key then value of each row, so the recorded stream interleaves the
+	// two columns the way a tuple-at-a-time GROUP BY touches them.
+	var kv [2]uint64
+	err = t.scan(rows, kv[:], func(int) {
+		g, ok := acc[kv[0]]
 		if !ok {
-			g = &GroupRow{Key: k}
-			acc[k] = g
+			g = &GroupRow{Key: kv[0]}
+			acc[kv[0]] = g
 		}
-		g.Sum += v
+		g.Sum += kv[1]
 		g.Count++
-		return nil
-	}
-	if rows == nil {
-		for row := 0; row < t.rows; row++ {
-			if t.deleted[row] {
-				continue
-			}
-			if err := each(row); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, row := range rows {
-			if err := each(row); err != nil {
-				return nil, err
-			}
-		}
+	}, offK, offS)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]GroupRow, 0, len(acc))
 	for _, g := range acc {
@@ -704,8 +704,8 @@ func (t *Table) Vacuum() (int, error) {
 			continue
 		}
 		if next != row {
-			o := t.fetchOrient(row)
-			no := t.fetchOrient(next)
+			o := t.place.FetchOrient(row)
+			no := t.place.FetchOrient(next)
 			for w := 0; w < L; w++ {
 				v, err := t.db.readCell(t.place.Cell(row, w), o)
 				if err != nil {

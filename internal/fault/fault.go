@@ -182,9 +182,9 @@ func (in *Injector) AddStuck(c addr.Coord, bits int) {
 	in.stuck[in.wordKey(c)] = uint8(bits)
 }
 
-// wordKey is the canonical (row-oriented) word index of a coordinate —
-// the same identity funcmem stores under, so the timing and value paths
-// agree on which word a fault hits.
+// wordKey is the canonical (row-oriented) word index of a coordinate, the
+// identity both the timing and the value path draw under, so they agree
+// on which word a fault hits.
 func (in *Injector) wordKey(c addr.Coord) uint32 {
 	return in.geom.Encode(c, addr.Row) / addr.WordBytes
 }

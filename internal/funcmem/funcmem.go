@@ -5,10 +5,12 @@
 // contract of RC-NVM that the timing simulator (internal/device) does not
 // carry because it models time, not data.
 //
-// Storage is a sparse page map over the canonical (row-oriented) word
-// index, so a 4 GB address space costs memory only where data lives. An
-// optional observer receives every access; internal/engine uses it to
-// count orientation traffic and to record replayable traces.
+// Storage is a sparse map of 32 KB pages, so a 4 GB address space costs
+// memory only where data lives. A page is a strip of a subarray, 512 rows
+// by 8 columns, stored row after row: a row-oriented line is one host
+// cache line, a column-oriented line is eight adjacent ones, and a column
+// of a table chunk — what a field scan walks — lies in one or two pages
+// whatever the tuple width. Run gives scans a strided view of such a span.
 package funcmem
 
 import (
@@ -18,11 +20,15 @@ import (
 	"rcnvm/internal/addr"
 )
 
-// pageWords is the allocation granularity (32 KB pages).
-const pageWords = 1 << 12
-
-// Observer receives every word access.
-type Observer func(c addr.Coord, o addr.Orientation, write bool)
+const (
+	// stripBits: a strip is one row-oriented line (8 word columns) wide.
+	stripBits = 3
+	stripCols = 1 << stripBits
+	// pageWords is the allocation granularity (32 KB pages).
+	pageWords = 1 << 12
+	// pageRows is how many rows of a strip one page holds.
+	pageRows = pageWords / stripCols
+)
 
 // Memory is a functional dual-addressable word store.
 //
@@ -31,9 +37,8 @@ type Observer func(c addr.Coord, o addr.Orientation, write bool)
 // are atomic, so any number of concurrent readers may share the memory:
 // a read-only access mutates nothing except those counters.
 type Memory struct {
-	geom     addr.Geometry
-	pages    map[uint32][]uint64
-	observer Observer
+	geom  addr.Geometry
+	pages map[uint32][]uint64
 
 	reads, writes [2]atomic.Int64 // indexed by orientation
 }
@@ -43,18 +48,27 @@ func New(geom addr.Geometry) (*Memory, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}
+	if geom.ColumnBits < stripBits {
+		return nil, fmt.Errorf("funcmem: geometry has %d columns, fewer than one line", geom.Columns())
+	}
 	return &Memory{geom: geom, pages: make(map[uint32][]uint64)}, nil
 }
 
 // Geom returns the memory geometry.
 func (m *Memory) Geom() addr.Geometry { return m.geom }
 
-// SetObserver installs the access observer (nil to remove).
-func (m *Memory) SetObserver(obs Observer) { m.observer = obs }
-
-// word returns the canonical word index of a coordinate.
+// word returns the storage index of a coordinate: the subarray's fields,
+// then Column>>3 | Row | Column&7 — strip, row within it, word within the
+// row's line.
 func (m *Memory) word(c addr.Coord) uint32 {
-	return m.geom.Encode(c, addr.Row) / addr.WordBytes
+	g := &m.geom
+	a := c.Channel
+	a = a<<g.RankBits | c.Rank
+	a = a<<g.BankBits | c.Bank
+	a = a<<g.SubarrayBits | c.Subarray
+	a = a<<(g.ColumnBits-stripBits) | c.Column>>stripBits
+	a = a<<g.RowBits | c.Row
+	return a<<stripBits | c.Column&(stripCols-1)
 }
 
 func (m *Memory) slot(c addr.Coord, alloc bool) *uint64 {
@@ -75,9 +89,6 @@ func (m *Memory) slot(c addr.Coord, alloc bool) *uint64 {
 // orientation for accounting.
 func (m *Memory) ReadCoord(c addr.Coord, o addr.Orientation) uint64 {
 	m.reads[o].Add(1)
-	if m.observer != nil {
-		m.observer(c, o, false)
-	}
 	if s := m.slot(c, false); s != nil {
 		return *s
 	}
@@ -87,11 +98,53 @@ func (m *Memory) ReadCoord(c addr.Coord, o addr.Orientation) uint64 {
 // WriteCoord stores a word at a physical coordinate.
 func (m *Memory) WriteCoord(c addr.Coord, o addr.Orientation, v uint64) {
 	m.writes[o].Add(1)
-	if m.observer != nil {
-		m.observer(c, o, true)
-	}
 	*m.slot(c, true) = v
 }
+
+// Run is a read-only view of words spaced evenly along one orientation
+// inside one page. It stays valid until the memory is next written.
+type Run struct {
+	page      []uint64 // nil: the span was never written and reads zero
+	stride, n int
+}
+
+// Len is the number of words in the run.
+func (r Run) Len() int { return r.n }
+
+// At returns word i of the run, 0 <= i < Len().
+func (r Run) At(i int) uint64 {
+	if r.page == nil {
+		return 0
+	}
+	return r.page[i*r.stride]
+}
+
+// Run returns a view of the words at c.Along(o, k·step), k = 0, 1, …: at
+// most n of them (n >= 1, step >= 1), fewer when the span would leave c's
+// page — a row-oriented run ends with its 8-column line, a column-oriented
+// one at the next multiple of 512 rows. Reading through a Run is not
+// counted; the reader reports its cells to CountReads.
+func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
+	room, stride := stripCols-int(c.Column)%stripCols, step
+	if o == addr.Column {
+		room, stride = pageRows-int(c.Row)%pageRows, step*stripCols
+		if rows := m.geom.Rows() - int(c.Row); rows < room {
+			room = rows
+		}
+	}
+	if most := (room-1)/step + 1; n > most {
+		n = most
+	}
+	r := Run{stride: stride, n: n}
+	w := m.word(c)
+	if p, ok := m.pages[w/pageWords]; ok {
+		r.page = p[w%pageWords:]
+	}
+	return r
+}
+
+// CountReads accounts n word reads of orientation o made through a Run.
+func (m *Memory) CountReads(o addr.Orientation, n int) { m.reads[o].Add(int64(n)) }
 
 // ReadWord reads through an encoded address of the given orientation —
 // the software-visible load / cload.

@@ -1,6 +1,7 @@
 package funcmem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -71,22 +72,17 @@ func TestReadLineOrientations(t *testing.T) {
 	}
 }
 
-func TestCountsAndObserver(t *testing.T) {
+func TestCounts(t *testing.T) {
 	m := newMem(t)
-	var seen []addr.Orientation
-	m.SetObserver(func(c addr.Coord, o addr.Orientation, write bool) {
-		seen = append(seen, o)
-	})
 	c := addr.Coord{Row: 1, Column: 2}
 	m.WriteCoord(c, addr.Row, 42)
 	m.ReadCoord(c, addr.Column)
 	m.ReadCoord(c, addr.Row)
+	m.Run(c, addr.Row, 1, 4).At(0) // uncounted until its reader reports
+	m.CountReads(addr.Row, 4)
 	got := m.Counts()
-	if got.RowWrites != 1 || got.ColReads != 1 || got.RowReads != 1 || got.ColWrites != 0 {
+	if got.RowWrites != 1 || got.ColReads != 1 || got.RowReads != 5 || got.ColWrites != 0 {
 		t.Fatalf("counts = %+v", got)
-	}
-	if len(seen) != 3 || seen[0] != addr.Row || seen[1] != addr.Column {
-		t.Fatalf("observer saw %v", seen)
 	}
 	m.ResetCounts()
 	if m.Counts() != (Counts{}) {
@@ -94,6 +90,75 @@ func TestCountsAndObserver(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Fatal("empty string")
+	}
+}
+
+// TestRunAgreesWithReadCoord is the storage-shape property: words written
+// through either encoding around every page edge — rows 511/512, columns
+// 7/8, the subarray's last row and column — read back the same through
+// ReadCoord in both orientations and through Run along both, a Run stops
+// exactly at its page's edge, and never-written words read zero.
+func TestRunAgreesWithReadCoord(t *testing.T) {
+	m := newMem(t)
+	geom := m.Geom()
+	rng := rand.New(rand.NewSource(20))
+	near := func(edges ...int) []uint32 {
+		var out []uint32
+		for _, e := range edges {
+			for d := -3; d <= 3; d++ {
+				if v := e + d; v >= 0 && v < 1024 {
+					out = append(out, uint32(v))
+				}
+			}
+		}
+		return out
+	}
+	rows, cols := near(0, 512, 1023), near(0, 8, 16, 1023)
+	sub := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: 7}
+	model := make(map[addr.Coord]uint64)
+	for i := 0; i < 300; i++ {
+		c := sub
+		c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
+		o := addr.Orientation(rng.Intn(2))
+		v := rng.Uint64() | 1
+		m.WriteWord(geom.Encode(c, o), o, v)
+		model[c] = v
+	}
+	pages := m.FootprintBytes()
+	for _, empty := range []bool{false, true} {
+		for i := 0; i < 4000; i++ {
+			c := sub
+			c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
+			if empty {
+				c.Subarray = 2 // nothing was ever written here
+			}
+			for _, o := range []addr.Orientation{addr.Row, addr.Column} {
+				if got, want := m.ReadCoord(c, o), model[c]; got != want {
+					t.Fatalf("ReadCoord(%+v, %s) = %d, want %d", c, o, got, want)
+				}
+				step, n := 1+rng.Intn(5), 1+rng.Intn(24)
+				r := m.Run(c, o, step, n)
+				if r.Len() < 1 || r.Len() > n {
+					t.Fatalf("Run(%+v, %s, %d, %d).Len() = %d", c, o, step, n, r.Len())
+				}
+				for k := 0; k < r.Len(); k++ {
+					if got, want := r.At(k), model[c.Along(o, k*step)]; got != want {
+						t.Fatalf("Run(%+v, %s, %d, %d).At(%d) = %d, want %d", c, o, step, n, k, got, want)
+					}
+				}
+				if r.Len() < n {
+					// Cut short: the next word must be over a page edge.
+					last, next := c.Along(o, (r.Len()-1)*step), c.Along(o, r.Len()*step)
+					samePage := last.Column/8 == next.Column/8 && last.Row/512 == next.Row/512 && next.Row < 1024
+					if samePage {
+						t.Fatalf("Run(%+v, %s, %d, %d) stopped at %d inside its page", c, o, step, n, r.Len())
+					}
+				}
+			}
+		}
+	}
+	if m.FootprintBytes() != pages {
+		t.Fatal("reading allocated storage")
 	}
 }
 

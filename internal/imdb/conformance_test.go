@@ -18,6 +18,10 @@ import (
 //  5. ScanOrient adjacency (ColMajor chunked placements): consecutive
 //     tuples within one column group are adjacent along the scan
 //     orientation.
+//  6. ScanRun agrees with Cell and ScanOrient: for every (t, w) and every
+//     k < n (n >= 1), Cell(t+k, w) is the run's first cell moved k·step
+//     along the run's orientation, which is ScanOrient(t+k), and the run
+//     stays inside t's chunk.
 func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetchAdj bool) {
 	t.Helper()
 	tbl := p.Table()
@@ -35,6 +39,40 @@ func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetc
 	}
 	if prev != tbl.Tuples {
 		t.Fatalf("%s: chunks cover %d of %d", name, prev, tbl.Tuples)
+	}
+
+	// 6: scan runs, for every (t, w). A run is checked cell by cell where
+	// it starts; from inside it, ScanRun must describe its remainder.
+	type run struct {
+		c       addr.Coord
+		o       addr.Orientation
+		step, n int
+	}
+	moved := func(r run, k int) addr.Coord { return r.c.Along(r.o, k*r.step) }
+	for w := 0; w < L; w++ {
+		var cur run
+		start := 0
+		for tu := 0; tu < tbl.Tuples; tu++ {
+			var got run
+			got.c, got.o, got.step, got.n = p.ScanRun(tu, w)
+			if tu < start+cur.n {
+				if want := (run{moved(cur, tu-start), cur.o, cur.step, cur.n - (tu - start)}); got != want {
+					t.Fatalf("%s: ScanRun(%d,%d) = %+v inside the run %+v from %d", name, tu, w, got, cur, start)
+				}
+				continue
+			}
+			cur, start = got, tu
+			f, cn := p.ChunkRange(tu)
+			if cur.n < 1 || cur.step < 1 || tu+cur.n > f+cn {
+				t.Fatalf("%s: ScanRun(%d,%d) = %+v, chunk [%d,+%d)", name, tu, w, cur, f, cn)
+			}
+			for k := 0; k < cur.n; k++ {
+				if c := p.Cell(tu+k, w); c != moved(cur, k) || p.ScanOrient(tu+k) != cur.o {
+					t.Fatalf("%s: ScanRun(%d,%d) = %+v, but cell %d is %+v (%s)",
+						name, tu, w, cur, k, c, p.ScanOrient(tu+k))
+				}
+			}
+		}
 	}
 
 	// 1, 2, 4, 5 over a sampled tuple set (full scan for small tables).
@@ -85,6 +123,27 @@ func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetc
 			}
 		}
 	}
+}
+
+func mustPlace(t *testing.T, a *NVMAllocator, tuples int, layout Layout) *NVMPlacement {
+	t.Helper()
+	p, err := a.Place(NewTable(Uniform("t", 16), tuples), layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// mustRotated guards a case's construction: the packer did rotate a chunk.
+func mustRotated(t *testing.T, p *NVMPlacement) *NVMPlacement {
+	t.Helper()
+	for _, ck := range p.chunks {
+		if ck.rotated {
+			return p
+		}
+	}
+	t.Fatal("no chunk was rotated")
+	return nil
 }
 
 func TestPlacementConformance(t *testing.T) {
@@ -155,6 +214,26 @@ func TestPlacementConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			return p
+		}, false, true},
+		{"nvm-colmajor-rotated", func(t *testing.T) Placement {
+			// Two tables leave the bin a 1024-wide, 124-high remainder: a
+			// 3-group ColMajor chunk fits it only lying down.
+			a := NewNVMAllocator(nvmGeom)
+			mustPlace(t, a, 900, ColMajor)
+			mustPlace(t, a, 64*900, RowMajor)
+			return mustRotated(t, mustPlace(t, a, 3000, ColMajor))
+		}, true, false},
+		{"nvm-rowmajor-rotated", func(t *testing.T) Placement {
+			// One column group leaves a full-height remainder: the last,
+			// partial chunk of a row-major table fits it only standing up.
+			a := NewNVMAllocator(nvmGeom)
+			mustPlace(t, a, 1024, ColMajor)
+			return mustRotated(t, mustPlace(t, a, 70_000, RowMajor))
+		}, false, false},
+		{"nvm-pax-rotated", func(t *testing.T) Placement {
+			a := NewNVMAllocator(nvmGeom)
+			mustPlace(t, a, 1024, ColMajor)
+			return mustRotated(t, mustPlace(t, a, 70_000, PAX))
 		}, false, true},
 		{"grid-pax", func(t *testing.T) Placement {
 			p, err := NewGridAllocator(dramGeom).Place(NewTable(Uniform("t", 16), 60_000), PAX)

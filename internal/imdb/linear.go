@@ -28,7 +28,7 @@ func (a *LinearAllocator) Place(t *Table) (*LinearPlacement, error) {
 		return nil, fmt.Errorf("imdb: table %q (%d bytes) does not fit memory", t.Schema.Name, size)
 	}
 	a.next = base + uint32(size)
-	return &LinearPlacement{geom: a.geom, table: t, base: base}, nil
+	return &LinearPlacement{geom: a.geom, table: t, base: base, words: t.Schema.TupleWords()}, nil
 }
 
 // Used returns the bytes allocated so far.
@@ -40,6 +40,7 @@ type LinearPlacement struct {
 	geom  addr.Geometry
 	table *Table
 	base  uint32
+	words int // tuple width, fixed at Place time
 }
 
 var _ Placement = (*LinearPlacement)(nil)
@@ -55,7 +56,7 @@ func (p *LinearPlacement) Base() uint32 { return p.base }
 
 // Cell maps (tuple, word) to its physical coordinate.
 func (p *LinearPlacement) Cell(t, w int) addr.Coord {
-	L := p.table.Schema.TupleWords()
+	L := p.words
 	if t < 0 || t >= p.table.Tuples || w < 0 || w >= L {
 		panic(fmt.Sprintf("imdb: cell (%d,%d) out of table %q bounds", t, w, p.table.Schema.Name))
 	}
@@ -66,6 +67,14 @@ func (p *LinearPlacement) Cell(t, w int) addr.Coord {
 // ScanOrient is always Row: conventional memories have one orientation.
 func (p *LinearPlacement) ScanOrient(int) addr.Orientation { return addr.Row }
 
+// ScanRun: successive tuples are one tuple width apart along the memory
+// row that holds word w of t, up to that row's end.
+func (p *LinearPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	c := p.Cell(t, w)
+	n := (p.geom.Columns()-1-int(c.Column))/p.words + 1
+	return c, addr.Row, p.words, min(n, p.table.Tuples-t)
+}
+
 // FetchOrient is always Row.
 func (p *LinearPlacement) FetchOrient(int) addr.Orientation { return addr.Row }
 
@@ -75,9 +84,8 @@ func (p *LinearPlacement) ChunkRange(int) (int, int) { return 0, p.table.Tuples 
 // TuplesPerDeviceRow returns how many whole tuples one memory row holds
 // (GS-DRAM eligibility: the gather pattern must stay within an open row).
 func (p *LinearPlacement) TuplesPerDeviceRow() int {
-	L := p.table.Schema.TupleWords()
-	if L == 0 {
+	if p.words == 0 {
 		return 0
 	}
-	return p.geom.Columns() / L
+	return p.geom.Columns() / p.words
 }

@@ -61,6 +61,7 @@ type NVMPlacement struct {
 	layout   Layout
 	chunks   []placedChunk
 	perChunk int
+	words    int // tuple width, fixed at Place time
 }
 
 var _ Placement = (*NVMPlacement)(nil)
@@ -84,7 +85,7 @@ func (a *NVMAllocator) Place(t *Table, layout Layout) (*NVMPlacement, error) {
 		}
 	}
 
-	p := &NVMPlacement{geom: a.geom, table: t, layout: layout, perChunk: perChunk}
+	p := &NVMPlacement{geom: a.geom, table: t, layout: layout, perChunk: perChunk, words: L}
 	for first := 0; first < t.Tuples; first += perChunk {
 		n := t.Tuples - first
 		if n > perChunk {
@@ -182,7 +183,7 @@ func (p *NVMPlacement) ChunkRange(t int) (int, int) {
 
 // Cell maps (tuple, word) to its physical coordinate.
 func (p *NVMPlacement) Cell(t, w int) addr.Coord {
-	L := p.table.Schema.TupleWords()
+	L := p.words
 	if t < 0 || t >= p.table.Tuples || w < 0 || w >= L {
 		panic(fmt.Sprintf("imdb: cell (%d,%d) out of table %q bounds", t, w, p.table.Schema.Name))
 	}
@@ -231,6 +232,19 @@ func (p *NVMPlacement) ScanOrient(t int) addr.Orientation {
 		return addr.Column
 	}
 	return addr.Row
+}
+
+// ScanRun: word w of successive tuples stays on one line of the chunk's
+// region until its column group (ColMajor) or memory row (RowMajor, PAX)
+// ends; only RowMajor interleaves the other words of each tuple.
+func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	ck := p.chunkOf(t)
+	l := t - ck.first
+	step, n := 1, ck.h-l%ck.h
+	if p.layout == RowMajor {
+		step = p.words
+	}
+	return p.Cell(t, w), p.ScanOrient(t), step, min(n, ck.n-l)
 }
 
 // FetchOrient returns the orientation along which the words of tuple t are

@@ -50,7 +50,7 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 		return nil, err
 	}
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
+	sc.Buffer(nil, maxLineBytes)
 	return &Client{conn: conn, sc: sc, enc: json.NewEncoder(conn)}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -153,7 +154,7 @@ func (f *FrontEnd) serveConn(c net.Conn) {
 	var respond Responder
 	respond, closeSession = f.Open()
 	sc := bufio.NewScanner(c)
-	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
+	sc.Buffer(nil, maxLineBytes) // grown on demand: the cap up front zeroed 1 MB per session
 	enc := json.NewEncoder(c)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -186,6 +187,17 @@ func (f *FrontEnd) serveConn(c net.Conn) {
 			// the operator.
 			f.lost(EncodeErrors, "response encode failed", id, err)
 			return
+		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The scanner cannot find the next request inside an over-long
+		// line: refuse it, typed as POST /query refuses an over-cap body,
+		// and end the session.
+		f.Count(BadRequests, 1)
+		errCount++
+		msg := fmt.Sprintf("request line exceeds %d bytes", maxLineBytes)
+		if err := enc.Encode(errResponse(0, CodeBadRequest, msg)); err != nil {
+			f.lost(EncodeErrors, "response encode failed", id, err)
 		}
 	}
 }

@@ -124,6 +124,67 @@ func TestOverCapHTTPBody(t *testing.T) {
 	}
 }
 
+// TestOverCapTCPLine: the longest line the TCP front end can take is
+// answered; one byte more is refused the way POST /query refuses an
+// over-cap body — one typed bad_request naming the limit, counted — and
+// costs that session only.
+func TestOverCapTCPLine(t *testing.T) {
+	s, addr := newTestServer(t, Options{})
+	bystander, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+	mustQuery(t, bystander, "CREATE TABLE t (a) CAPACITY 8")
+
+	// request is a valid request line of exactly n bytes before its newline.
+	request := func(n int) []byte {
+		const head, tail = `{"id":3,"query":"SELECT COUNT(*) FROM t"`, "}\n"
+		return []byte(head + strings.Repeat(" ", n-len(head)-1) + tail)
+	}
+	exchange := func(line []byte) (*bufio.Reader, Response) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		r := bufio.NewReader(conn)
+		var out Response
+		reply, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%d-byte line: session ended with no reply: %v", len(line)-1, err)
+		}
+		if err := json.Unmarshal(reply, &out); err != nil {
+			t.Fatal(err)
+		}
+		return r, out
+	}
+
+	if _, out := exchange(request(maxLineBytes - 1)); out.Error != nil || out.ID != 3 || len(out.Rows) != 1 {
+		t.Fatalf("line of maxLineBytes-1: %+v, want the COUNT answered", out)
+	}
+	if got := s.Metrics().Set.Get(BadRequests); got != 0 {
+		t.Fatalf("%s = %d after an in-cap line", BadRequests, got)
+	}
+
+	r, out := exchange(request(maxLineBytes))
+	if out.Error == nil || out.Error.Code != CodeBadRequest || !strings.Contains(out.Error.Message, "1048576") {
+		t.Fatalf("line of maxLineBytes: %+v, want bad_request naming the 1048576-byte limit", out)
+	}
+	if extra, err := r.ReadBytes('\n'); err == nil {
+		t.Fatalf("session stayed open after the refusal and sent %q", extra)
+	}
+	if got := s.Metrics().Set.Get(BadRequests); got != 1 {
+		t.Errorf("%s = %d, want 1", BadRequests, got)
+	}
+	mustQuery(t, bystander, "SELECT COUNT(*) FROM t")
+}
+
 // TestHTTPStatusTable pins the one wire-code → HTTP-status mapping. Every
 // Code* constant protocol.go declares must have a row here, so a new code
 // forces a decision about its status.
