@@ -150,7 +150,7 @@ func main() {
 		streams := make([]trace.Stream, *coresFlag)
 		for i := 0; i < *nFlag; i++ {
 			core := i * *coresFlag / *nFlag
-			streams[core] = append(streams[core], buildOp(i))
+			streams[core].Append(buildOp(i))
 		}
 		return streams
 	}

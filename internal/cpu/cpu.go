@@ -1,10 +1,12 @@
 // Package cpu implements the trace-driven multicore front end of the
-// simulator. Each core executes its op stream in program order, issuing one
-// op per CPU cycle, with up to Window outstanding memory operations — a
-// simple model of the memory-level parallelism an out-of-order core
-// extracts. Compute ops advance the core's clock without occupying a miss
-// slot; barriers drain outstanding misses (used at dependent phase
-// boundaries such as scan -> fetch).
+// simulator. Each core executes its op stream in program order — a run
+// record access by access, each followed by its compute, exactly the
+// sequence trace.Stream.Expand lists — issuing one op per CPU cycle, with
+// up to Window outstanding memory operations — a simple model of the
+// memory-level parallelism an out-of-order core extracts. Compute ops
+// advance the core's clock without occupying a miss slot; barriers drain
+// outstanding misses (used at dependent phase boundaries such as scan ->
+// fetch).
 package cpu
 
 import (
@@ -53,10 +55,14 @@ type Runner struct {
 }
 
 type coreState struct {
-	r             *Runner // back-pointer, so static event callbacks need only the core
-	id            int
-	ops           trace.Stream
+	r   *Runner // back-pointer, so static event callbacks need only the core
+	id  int
+	ops trace.Stream
+	// The cursor: record pc, access elem within it, and whether that
+	// access has issued and its compute is what comes next.
 	pc            int
+	elem          uint32
+	computeDue    bool
 	outstanding   int
 	blocked       bool // waiting for a slot or a barrier
 	blockedSince  int64
@@ -133,14 +139,17 @@ func (r *Runner) step(c *coreState) {
 			}
 			return
 		}
-		op := c.ops[c.pc]
+		op := &c.ops[c.pc]
+		if c.computeDue {
+			c.computeDue = false
+			c.advance(op)
+			r.compute(c, op.Cycles)
+			return
+		}
 		switch op.Kind {
 		case trace.Compute:
 			c.pc++
-			r.st.Inc(stats.IdxOpsExecuted)
-			d := op.Cycles * r.cfg.CyclePs
-			r.st.Add(stats.IdxComputePs, d)
-			r.scheduleStep(c, r.eng.Now()+d)
+			r.compute(c, op.Cycles)
 			return
 		case trace.Barrier:
 			if c.outstanding > 0 {
@@ -167,10 +176,14 @@ func (r *Runner) step(c *coreState) {
 				r.block(c)
 				return
 			}
-			c.pc++
 			c.outstanding++
 			r.st.Inc(stats.IdxOpsExecuted)
 			r.issueMem(c, op)
+			if op.Cycles > 0 {
+				c.computeDue = true
+			} else {
+				c.advance(op)
+			}
 			// Issue bandwidth: one op per IssueDelay cycles.
 			r.scheduleStep(c, r.eng.Now()+r.cfg.IssueDelay*r.cfg.CyclePs)
 			return
@@ -178,6 +191,23 @@ func (r *Runner) step(c *coreState) {
 			panic(fmt.Sprintf("cpu: unknown op kind %v", op.Kind))
 		}
 	}
+}
+
+// advance moves the cursor past the access it is on.
+func (c *coreState) advance(op *trace.Op) {
+	c.elem++
+	if int(c.elem) >= op.Len() {
+		c.pc++
+		c.elem = 0
+	}
+}
+
+// compute executes cycles of CPU work and resumes the core after it.
+func (r *Runner) compute(c *coreState, cycles int64) {
+	r.st.Inc(stats.IdxOpsExecuted)
+	d := cycles * r.cfg.CyclePs
+	r.st.Add(stats.IdxComputePs, d)
+	r.scheduleStep(c, r.eng.Now()+d)
 }
 
 func (r *Runner) block(c *coreState) {
@@ -207,24 +237,25 @@ func memDone(ctx any, arg, finish int64) {
 	c.r.unblock(c)
 }
 
-// issueMem translates the op into a cache access.
-func (r *Runner) issueMem(c *coreState, op trace.Op) {
+// issueMem translates the access under the cursor into a cache access.
+func (r *Runner) issueMem(c *coreState, op *trace.Op) {
+	coord, gatherID := op.At(c.elem)
 	var a cache.Access
 	a.Core = c.id
 	a.Write = op.Kind.IsWrite()
 	a.Pin = op.Pin
 	if op.Kind == trace.Gather {
-		a.Key = cache.GatherKey(op.GatherID)
-		a.MemCoord = op.Coord
+		a.Key = cache.GatherKey(gatherID)
+		a.MemCoord = coord
 	} else {
 		o := op.Kind.Orientation()
-		lineID := r.geom.LineOf(op.Coord, o)
+		lineID := r.geom.LineOf(coord, o)
 		a.Key = cache.RCKey(r.geom, lineID)
 		a.MemCoord = lineID.Base()
 		if o == addr.Row {
-			a.WordIdx = int(op.Coord.Column) % addr.LineWords
+			a.WordIdx = int(coord.Column) % addr.LineWords
 		} else {
-			a.WordIdx = int(op.Coord.Row) % addr.LineWords
+			a.WordIdx = int(coord.Row) % addr.LineWords
 		}
 	}
 	start := r.eng.Now()

@@ -24,11 +24,15 @@ type testRig struct {
 
 func newRig(t *testing.T, cfg Config) *testRig {
 	t.Helper()
-	rig := &testRig{eng: event.New(), st: new(stats.Block)}
-	geom := addr.Geometry{
+	return newRigGeom(t, cfg, addr.Geometry{
 		ChannelBits: 1, RankBits: 2, BankBits: 3, SubarrayBits: 3,
 		RowBits: 10, ColumnBits: 10, DualAddress: true,
-	}
+	})
+}
+
+func newRigGeom(t *testing.T, cfg Config, geom addr.Geometry) *testRig {
+	t.Helper()
+	rig := &testRig{eng: event.New(), st: new(stats.Block)}
 	ccfg := cache.DefaultConfig()
 	ccfg.Cores = cfg.Cores
 	rig.hier = cache.New(ccfg, geom, true, rig.eng, rig.st, func(r *cache.MemRequest) {

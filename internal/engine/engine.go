@@ -174,7 +174,8 @@ func (db *DB) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
 // Mode returns the addressing mode.
 func (db *DB) Mode() Mode { return db.mode }
 
-// record appends one access to the trace being recorded, if any.
+// record appends one access to the trace being recorded, if any; the
+// stream folds it into the run it continues.
 func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
 	if !db.recording {
 		return
@@ -190,7 +191,7 @@ func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
 	default:
 		k = trace.Load
 	}
-	db.traceOps = append(db.traceOps, trace.Op{Kind: k, Coord: c})
+	db.traceOps.Append(trace.Op{Kind: k, Coord: c})
 }
 
 // StartTrace begins recording every memory access as trace ops.

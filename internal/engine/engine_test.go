@@ -287,11 +287,11 @@ func TestTraceReplay(t *testing.T) {
 		t.Fatalf("trace has %d mem ops, want 4096", stream.MemOps())
 	}
 	cloads := 0
-	for _, op := range stream {
+	stream.Expand(func(op trace.Op) {
 		if op.Kind == trace.CLoad {
 			cloads++
 		}
-	}
+	})
 	if cloads != 4096 {
 		t.Fatalf("cloads = %d, want all 4096", cloads)
 	}

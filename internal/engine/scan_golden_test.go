@@ -136,12 +136,14 @@ func shortDigest(v any) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))[:16]
 }
 
-// streamDigest is the op count and the SHA-256 over every field of every
-// recorded op.
+// streamDigest is the expanded op count and the SHA-256 over every field
+// of every op the recorded stream stands for.
 func streamDigest(s trace.Stream) string {
 	h := sha256.New()
+	n := 0
 	var buf [48]byte
-	for _, op := range s {
+	s.Expand(func(op trace.Op) {
+		n++
 		buf[0] = byte(op.Kind)
 		buf[1], buf[2] = 0, 0
 		if op.Pin {
@@ -156,8 +158,8 @@ func streamDigest(s trace.Stream) string {
 		}
 		binary.LittleEndian.PutUint64(buf[36:], uint64(op.Cycles))
 		h.Write(buf[:44])
-	}
-	return fmt.Sprintf("%d:%x", len(s), h.Sum(nil))
+	})
+	return fmt.Sprintf("%d:%x", n, h.Sum(nil))
 }
 
 func countsDelta(a, b funcmem.Counts) string {

@@ -99,10 +99,11 @@ func runShardCount(n, workers int) (shardRun, error) {
 		}
 		var worst int64
 		for _, st := range streams {
-			if st.MemOps() == 0 {
+			n := st.MemOps()
+			if n == 0 {
 				continue
 			}
-			r.memOps += st.MemOps()
+			r.memOps += n
 			out, err := sim.RunOn(config.RCNVM(), []trace.Stream{st})
 			if err != nil {
 				return r, fmt.Errorf("shard sweep: %s: replay: %w", q.ID, err)

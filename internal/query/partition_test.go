@@ -177,7 +177,7 @@ func TestSetPinningDisablesPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range e.Streams() {
-		for _, op := range s {
+		for _, op := range expanded(s) {
 			if op.Pin {
 				t.Fatal("pin emitted with pinning disabled")
 			}
@@ -201,7 +201,7 @@ func TestGroupReadOrderedFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range e.Streams() {
-			for _, op := range s {
+			for _, op := range expanded(s) {
 				if op.Kind.IsMemory() && !op.Ordered {
 					t.Fatalf("%v baseline group read emitted unordered op", arch)
 				}

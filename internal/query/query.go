@@ -124,7 +124,7 @@ func (e *Executor) BeginQuery(tables ...*imdb.Table) {
 // Barrier appends a full barrier to every core (dependent phase boundary).
 func (e *Executor) Barrier() {
 	for i := range e.streams {
-		e.streams[i] = append(e.streams[i], trace.BarrierOp())
+		e.streams[i].Append(trace.BarrierOp())
 	}
 }
 
@@ -176,7 +176,8 @@ func (e *Executor) accessKind(o addr.Orientation, write bool) trace.Kind {
 	return e.loadKind(o)
 }
 
-// emit appends an op to a core's stream.
+// emit appends an op to a core's stream, which folds an access that
+// continues the run before it.
 func (e *Executor) emit(core int, op trace.Op) {
 	if e.noPin {
 		op.Pin = false
@@ -184,21 +185,13 @@ func (e *Executor) emit(core int, op trace.Op) {
 	if e.orderedEmit && op.Kind.IsMemory() && !op.Pin {
 		op.Ordered = true
 	}
-	e.streams[core] = append(e.streams[core], op)
+	e.streams[core].Append(op)
 }
 
-// emitCompute appends compute work, merging with a trailing compute op to
-// keep streams compact.
+// emitCompute appends compute work; the stream merges it into the access
+// or the compute it follows.
 func (e *Executor) emitCompute(core int, cycles int64) {
-	if cycles <= 0 {
-		return
-	}
-	s := e.streams[core]
-	if n := len(s); n > 0 && s[n-1].Kind == trace.Compute {
-		s[n-1].Cycles += cycles
-		return
-	}
-	e.emit(core, trace.ComputeOp(cycles))
+	e.streams[core].Append(trace.ComputeOp(cycles))
 }
 
 // touchSpan emits the minimal loads/stores covering words [off, off+words)

@@ -32,10 +32,17 @@ func linPlace(t *testing.T, tbl *imdb.Table) *imdb.LinearPlacement {
 	return p
 }
 
+// expanded lists the ops a stream stands for, one per access and compute.
+func expanded(s trace.Stream) []trace.Op {
+	var ops []trace.Op
+	s.Expand(func(op trace.Op) { ops = append(ops, op) })
+	return ops
+}
+
 func countKind(streams []trace.Stream, k trace.Kind) int {
 	n := 0
 	for _, s := range streams {
-		for _, op := range s {
+		for _, op := range expanded(s) {
 			if op.Kind == k {
 				n++
 			}
@@ -47,7 +54,7 @@ func countKind(streams []trace.Stream, k trace.Kind) int {
 func totalOps(streams []trace.Stream) int {
 	n := 0
 	for _, s := range streams {
-		n += len(s)
+		n += len(expanded(s))
 	}
 	return n
 }
@@ -252,7 +259,7 @@ func TestGroupReadWithGroupCaching(t *testing.T) {
 	streams := e.Streams()
 	pinned := 0
 	for _, s := range streams {
-		for _, op := range s {
+		for _, op := range expanded(s) {
 			if op.Pin {
 				pinned++
 			}
@@ -270,7 +277,7 @@ func TestGroupReadWithGroupCaching(t *testing.T) {
 	// ordered.
 	consume := 0
 	for _, s := range streams {
-		for _, op := range s {
+		for _, op := range expanded(s) {
 			if op.Kind == trace.CLoad && !op.Pin {
 				consume++
 				if !op.Ordered {
@@ -295,7 +302,7 @@ func TestGroupReadPrefetchOrdering(t *testing.T) {
 	if err := e.GroupRead(p, []string{"f3", "f6"}, 16, TouchCycles); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Streams()[0]
+	s := expanded(e.Streams()[0])
 	var cols []uint32
 	for _, op := range s {
 		if op.Kind == trace.CLoad && !op.Pin {
@@ -330,7 +337,7 @@ func TestWordMajorReorderWideField(t *testing.T) {
 	if err := e.ScanField(p, "w", false, AggCycles); err != nil {
 		t.Fatal(err)
 	}
-	s := e.Streams()[0]
+	s := expanded(e.Streams()[0])
 	var first []uint32
 	for _, op := range s {
 		if op.Kind == trace.CLoad {

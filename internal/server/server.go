@@ -597,8 +597,10 @@ func (s *Server) wireError(err error) *WireError {
 // resulting Timing is identical to the unsharded server's.
 func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int64) (*Timing, error) {
 	t := &Timing{}
-	for _, stream := range streams {
-		t.MemOps += stream.MemOps()
+	memOps := make([]int, len(streams))
+	for i, stream := range streams {
+		memOps[i] = stream.MemOps()
+		t.MemOps += memOps[i]
 	}
 	if t.MemOps == 0 {
 		return t, nil
@@ -606,7 +608,7 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 
 	dualStart := time.Now()
 	for i, stream := range streams {
-		if stream.MemOps() == 0 {
+		if memOps[i] == 0 {
 			continue
 		}
 		// Sampling off: Merge folds the run's bank counters only, so an
@@ -620,7 +622,7 @@ func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int
 		if s.shardTels != nil {
 			s.shardTels[i].Merge(run)
 		}
-		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: stream.MemOps(), DualPs: dual.TimePs})
+		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: memOps[i], DualPs: dual.TimePs})
 		t.DualPs = max(t.DualPs, dual.TimePs)
 	}
 	rec.WallSince(obs.ProcQuery, "replay_dual", obs.CatServer, tid, dualStart)

@@ -5,9 +5,11 @@ import (
 
 	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
+	"rcnvm/internal/experiments"
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/trace"
+	"rcnvm/internal/workload"
 )
 
 // captureSum records the access stream of the timed_query aggregate,
@@ -72,4 +74,40 @@ func BenchmarkTimedReplay(b *testing.B) {
 			}
 		}
 	})
+}
+
+// buildQ3 lowers the heaviest cell of the Fig 18 sweep, Q3 (SELECT * with
+// most tuples matching) on RRAM at medium scale, to its per-core streams.
+func buildQ3(tb testing.TB) []trace.Stream {
+	tb.Helper()
+	env, err := workload.NewEnv(config.RRAM(), experiments.ParamsFor(experiments.ScaleMedium))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, _ := workload.QueryByID("Q3")
+	if err := q.Build(env); err != nil {
+		tb.Fatal(err)
+	}
+	return env.Exec.Streams()
+}
+
+// BenchmarkBuildCell is the planner's share of one sweep cell: placing the
+// tables and lowering the query, nothing simulated. B/op is the size of
+// the trace.
+func BenchmarkBuildCell(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buildQ3(b)
+	}
+}
+
+// BenchmarkSweepCell is one whole sweep cell as bench/'s sim_sweep runs
+// it: build, a fresh system, run.
+func BenchmarkSweepCell(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.RunOn(config.RRAM(), buildQ3(b)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

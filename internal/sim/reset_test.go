@@ -141,6 +141,18 @@ func pinnedRegion(geom addr.Geometry) trace.Stream {
 	return append(ops, linearScan(geom, 1024)...)
 }
 
+// folded is s in run form with c cycles of compute after every access, so
+// a core abandoned or reset part-way is inside a record, between an access
+// and its compute.
+func folded(s trace.Stream, c int64) trace.Stream {
+	var out trace.Stream
+	for _, op := range s {
+		out.Append(op)
+		out.Append(trace.ComputeOp(c))
+	}
+	return out
+}
+
 // avoidBank keeps a stream off one bank, so a dead-bank system runs it
 // clean.
 func avoidBank(s trace.Stream, bank uint32) trace.Stream {
@@ -174,6 +186,8 @@ func TestResetEqualsFresh(t *testing.T) {
 		{name: "four cores", streams: []trace.Stream{
 			mixedCells(rng, 1500), columnScan(geom, 800), mixedCells(rng, 1500), linearScan(geom, 800)}},
 		{name: "empty", spoil: midGather},
+		{name: "run form", streams: []trace.Stream{folded(columnScan(geom, 3000), 3), folded(stridedScan(geom, 700, 16), 0)},
+			spoil: []trace.Stream{folded(midGather[0], 2), folded(midGather[1], 2)}},
 	}
 
 	small := smallCacheRCNVM()

@@ -53,8 +53,9 @@ func runExplain(db *engine.DB, ex *Explain) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(&b, "actual: %d memory ops", stream.MemOps())
-	if stream.MemOps() > 0 {
+	memOps := stream.MemOps()
+	fmt.Fprintf(&b, "actual: %d memory ops", memOps)
+	if memOps > 0 {
 		dual, row, err := sim.Replays.Pair(stream)
 		if err != nil {
 			return nil, err

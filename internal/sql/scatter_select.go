@@ -542,14 +542,16 @@ func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, err
 		return nil, waits, runErr
 	}
 	total := 0
-	for _, st := range streams {
-		total += st.MemOps()
+	memOps := make([]int, len(streams))
+	for i, st := range streams {
+		memOps[i] = st.MemOps()
+		total += memOps[i]
 	}
 	fmt.Fprintf(&b, "actual: %d memory ops across %d shards", total, c.N())
 	if total > 0 {
 		var dualMax, rowMax int64
-		for _, st := range streams {
-			if st.MemOps() == 0 {
+		for i, st := range streams {
+			if memOps[i] == 0 {
 				continue
 			}
 			dual, row, err := sim.Replays.Pair(st)

@@ -76,9 +76,6 @@ func TestStreamAccounting(t *testing.T) {
 	if got := s.MemOps(); got != 3 {
 		t.Errorf("MemOps = %d, want 3", got)
 	}
-	if got := s.ComputeTotal(); got != 12 {
-		t.Errorf("ComputeTotal = %d, want 12", got)
-	}
 }
 
 func TestSplitExact(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/query"
 	"rcnvm/internal/sim"
+	"rcnvm/internal/trace"
 )
 
 // MicroSpec is one Figure 17 micro-benchmark: a full-table scan in one
@@ -53,11 +54,11 @@ func placeMicro(sys config.System, p Params, layout imdb.Layout) (imdb.Placement
 	}
 }
 
-// RunMicro executes one micro-benchmark on one system.
-func RunMicro(sys config.System, m MicroSpec, p Params) (sim.Result, error) {
+// MicroStreams lowers one micro-benchmark to its per-core streams.
+func MicroStreams(sys config.System, m MicroSpec, p Params) ([]trace.Stream, error) {
 	place, err := placeMicro(sys, p, m.Layout)
 	if err != nil {
-		return sim.Result{}, err
+		return nil, err
 	}
 	e := query.New(query.ArchOf(sys.Device.Kind), sys.CPU.Cores)
 	e.BeginQuery(place.Table())
@@ -67,9 +68,18 @@ func RunMicro(sys config.System, m MicroSpec, p Params) (sim.Result, error) {
 		err = e.ScanTuples(place, m.Write, int64(place.Table().Schema.TupleWords()))
 	}
 	if err != nil {
-		return sim.Result{}, fmt.Errorf("micro %s: %w", m.ID, err)
+		return nil, fmt.Errorf("micro %s: %w", m.ID, err)
 	}
-	res, err := sim.RunOn(sys, e.Streams())
+	return e.Streams(), nil
+}
+
+// RunMicro executes one micro-benchmark on one system.
+func RunMicro(sys config.System, m MicroSpec, p Params) (sim.Result, error) {
+	streams, err := MicroStreams(sys, m, p)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	res, err := sim.RunOn(sys, streams)
 	if err != nil {
 		return sim.Result{}, err
 	}
