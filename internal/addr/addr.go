@@ -87,11 +87,16 @@ type Geometry struct {
 	Interleaved bool
 }
 
+// AddrBits returns the width of an address in either encoding: addresses
+// run from 0 to 1<<AddrBits - 1, and Decode ignores any bit above that.
+func (g Geometry) AddrBits() uint {
+	return g.ChannelBits + g.RankBits + g.BankBits + g.SubarrayBits +
+		g.RowBits + g.ColumnBits + WordBits
+}
+
 // Validate checks that the geometry fits a 32-bit address.
 func (g Geometry) Validate() error {
-	total := g.ChannelBits + g.RankBits + g.BankBits + g.SubarrayBits +
-		g.RowBits + g.ColumnBits + WordBits
-	if total > 32 {
+	if total := g.AddrBits(); total > 32 {
 		return fmt.Errorf("addr: geometry needs %d bits, exceeds 32", total)
 	}
 	if g.RowBits == 0 || g.ColumnBits == 0 {

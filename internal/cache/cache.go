@@ -13,35 +13,71 @@
 // crossed lines. This package implements exactly that bookkeeping (values
 // are not simulated, only the state machine and its latency/stat costs),
 // plus the cache-pinning primitive used by group caching (§5).
+//
+// The miss path is the simulator's hot loop and is built to allocate
+// nothing and hash nothing: a block's Key is one word, in-flight misses
+// live in an open-addressed table (mshr.go) over recycled entries that keep
+// their waiter array and their completion func, and a fill wakes all its
+// waiters from one event. AccessCall is the one entry point.
 package cache
 
 import (
+	"fmt"
 	"slices"
 
 	"rcnvm/internal/addr"
 )
 
-// Key identifies one cacheable 64-byte block. Normal blocks are addressed
-// by an oriented line identity; GS-DRAM gathered patterns are cached under
-// a synthetic pattern identity (the gathered data exists under no linear
-// address).
-type Key struct {
-	Line   addr.LineID
-	Gather bool
-	// block is what every level hashes into a set index — the line's own
-	// address in units of lines, or the gather pattern id — computed once,
-	// by the constructor, so that no probe re-encodes an address.
-	block uint32
+// Key identifies one cacheable 64-byte block in one word. Normal blocks are
+// named by their address in their own orientation, in lines, plus the
+// orientation; GS-DRAM gathered patterns are cached under a synthetic
+// pattern identity (the gathered data exists under no linear address). The
+// low half is what every level hashes into a set index — no probe
+// re-encodes an address — and keyUsed is always set, so the zero Key names
+// no block (an empty MSHR slot).
+type Key uint64
+
+const (
+	keyColumn Key = 1 << (32 + iota) // the block is a column-oriented line
+	keyGather                        // the block is a gathered pattern
+	keyUsed
+)
+
+// AddrKey returns the key of the normal line holding address pa of
+// orientation o's encoding.
+func AddrKey(pa uint32, o addr.Orientation) Key {
+	return keyUsed | Key(o)*keyColumn | Key(pa/addr.LineBytes)
 }
 
 // RCKey returns the key for a normal (row- or column-oriented) line of a
 // device with geometry g.
-func RCKey(g addr.Geometry, l addr.LineID) Key {
-	return Key{Line: l, block: g.LineAddr(l) / addr.LineBytes}
-}
+func RCKey(g addr.Geometry, l addr.LineID) Key { return AddrKey(g.LineAddr(l), l.Orient) }
 
 // GatherKey returns the key for a GS-DRAM gathered pattern.
-func GatherKey(id uint32) Key { return Key{Gather: true, block: id} }
+func GatherKey(id uint32) Key { return keyUsed | keyGather | Key(id) }
+
+// Gather reports whether k names a gathered pattern.
+func (k Key) Gather() bool { return k&keyGather != 0 }
+
+// Orient returns the orientation k's block is fetched in (gathers are row
+// accesses).
+func (k Key) Orient() addr.Orientation { return addr.Orientation(k / keyColumn & 1) }
+
+// block is the line's own address in lines, or the gather pattern id.
+func (k Key) block() uint32 { return uint32(k) }
+
+// Base returns the coordinate of the first word of normal line k, and Line
+// its identity. Both decode an address: they are for the rare paths that
+// leave the hierarchy's namespace (memory requests, crossings), not probes.
+func (k Key) Base(g addr.Geometry) addr.Coord {
+	return g.Decode(k.block()*addr.LineBytes, k.Orient())
+}
+
+func (k Key) Line(g addr.Geometry) addr.LineID { return g.LineOf(k.Base(g), k.Orient()) }
+
+func (k Key) String() string {
+	return fmt.Sprintf("%v block %#x (gather: %v)", k.Orient(), k.block(), k.Gather())
+}
 
 // Config sizes the hierarchy. Latencies are cumulative lookup latencies in
 // picoseconds (the time from the core issuing the access to data return
@@ -131,7 +167,7 @@ func (l *level) reset() {
 	l.lruTick = 0
 }
 
-func (l *level) setIndex(k Key) int { return int(k.block % uint32(len(l.marked))) }
+func (l *level) setIndex(k Key) int { return int(k.block() % uint32(len(l.marked))) }
 
 func (l *level) set(s int) []line { return l.lines[s*l.ways : (s+1)*l.ways] }
 
@@ -139,7 +175,7 @@ func (l *level) set(s int) []line { return l.lines[s*l.ways : (s+1)*l.ways] }
 func (l *level) probe(k Key) *line {
 	set := l.set(l.setIndex(k))
 	for i := range set {
-		if set[i].valid && set[i].key == k {
+		if set[i].key == k && set[i].valid {
 			return &set[i]
 		}
 	}

@@ -31,7 +31,7 @@ type Hierarchy struct {
 	l1, l2 []*level
 	l3     *level
 
-	mshr map[Key]*mshrEntry
+	mshr mshrTable
 	mem  func(*MemRequest)
 	eng  *event.Engine
 	st   *stats.Block
@@ -55,23 +55,6 @@ type streamState struct {
 	stride int64
 }
 
-// waiter records one access blocked on an in-flight line. The completion
-// callback is the engine's (fn, ctx, arg) triple, so waking a waiter never
-// allocates; fn receives arg and the completion time.
-type waiter struct {
-	write   bool
-	wordIdx int
-	fn      event.Callback
-	ctx     any
-	arg     int64
-}
-
-type mshrEntry struct {
-	waiters []waiter
-	cores   uint32
-	pin     bool
-}
-
 // New builds a hierarchy for a device with the given geometry. mem is
 // invoked (synchronously, inside engine events) to start memory requests;
 // the *MemRequest it receives is scratch space valid only for the duration
@@ -82,11 +65,11 @@ func New(cfg Config, geom addr.Geometry, dual bool, eng *event.Engine, st *stats
 		geom: geom,
 		dual: dual,
 		l3:   newLevel(cfg.L3Sets, cfg.L3Ways),
-		mshr: make(map[Key]*mshrEntry),
 		mem:  mem,
 		eng:  eng,
 		st:   st,
 	}
+	h.mshr.init(mshrMinSlots, h.fill)
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1 = append(h.l1, newLevel(cfg.L1Sets, cfg.L1Ways))
 		h.l2 = append(h.l2, newLevel(cfg.L2Sets, cfg.L2Ways))
@@ -103,7 +86,7 @@ func (h *Hierarchy) Reset() {
 		h.l2[c].reset()
 	}
 	h.l3.reset()
-	clear(h.mshr)
+	h.mshr.reset()
 	clear(h.streams)
 	h.l3Lines, h.wrote = [2]int{}, false
 }
@@ -120,20 +103,10 @@ type Access struct {
 	Pin      bool // pin the line on install/touch (group caching)
 }
 
-// callDone adapts a plain func(finish int64) completion callback to the
-// engine's Callback form (func values box into `any` without allocating).
-func callDone(ctx any, _, finish int64) { ctx.(func(int64))(finish) }
-
-// Access performs the access, invoking done exactly once (via the engine)
-// with the completion time.
-func (h *Hierarchy) Access(a Access, done func(int64)) {
-	h.AccessCall(a, callDone, done, 0)
-}
-
-// AccessCall is the allocation-free form of Access: fn(ctx, arg, finish) is
-// invoked exactly once, via the engine, at the access's completion time.
-// fn should be a static function and ctx a long-lived pointer so that
-// issuing a cache access does not allocate a closure.
+// AccessCall performs the access: fn(ctx, arg, finish) is invoked exactly
+// once, via the engine, at the access's completion time. fn should be a
+// static function and ctx a long-lived pointer so that issuing a cache
+// access does not allocate a closure.
 func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) {
 	if a.Core < 0 || a.Core >= h.cfg.Cores {
 		panic(fmt.Sprintf("cache: core %d out of range", a.Core))
@@ -175,7 +148,7 @@ func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) 
 	// and are not separate memory accesses (Figure 19 counts memory
 	// accesses, i.e. primary misses).
 	w := waiter{write: a.Write, wordIdx: a.WordIdx, fn: fn, ctx: ctx, arg: arg}
-	if e, ok := h.mshr[a.Key]; ok {
+	if e := h.mshr.get(a.Key); e != nil {
 		if e.cores == 0 {
 			// Demand access caught up with an in-flight prefetch.
 			h.st.Inc(stats.IdxPrefetchHits)
@@ -187,9 +160,9 @@ func (h *Hierarchy) AccessCall(a Access, fn event.Callback, ctx any, arg int64) 
 		return
 	}
 	h.st.Inc(stats.IdxLLCMisses)
-	e := &mshrEntry{waiters: []waiter{w}, cores: 1 << uint(a.Core), pin: a.Pin}
-	h.mshr[a.Key] = e
-	h.fetch(a.Key, a.MemCoord)
+	e := h.mshr.add(a.Key)
+	e.waiters, e.cores, e.pin = append(e.waiters, w), 1<<uint(a.Core), a.Pin
+	h.fetch(e, a.MemCoord)
 	h.trainPrefetcher(a)
 }
 
@@ -200,15 +173,15 @@ func (h *Hierarchy) sendMem(r MemRequest) {
 	h.mem(&h.memReq)
 }
 
-// fetch asks memory for key's block, found at c; fill completes the miss.
-func (h *Hierarchy) fetch(key Key, c addr.Coord) {
-	h.sendMem(MemRequest{Coord: c, Orient: keyOrient(key), Gather: key.Gather,
-		Done: func(finish int64) { h.fill(key, finish) }})
+// fetch asks memory for e's block, found at c; e.done (fill) completes the
+// miss.
+func (h *Hierarchy) fetch(e *mshrEntry, c addr.Coord) {
+	h.sendMem(MemRequest{Coord: c, Orient: e.key.Orient(), Gather: e.key.Gather(), Done: e.done})
 }
 
-// writeBack sends line l's dirty data to memory (fire and forget).
-func (h *Hierarchy) writeBack(l addr.LineID) {
-	h.sendMem(MemRequest{Coord: l.Base(), Orient: l.Orient, Write: true, Writeback: true})
+// writeBack sends normal line k's dirty data to memory (fire and forget).
+func (h *Hierarchy) writeBack(k Key) {
+	h.sendMem(MemRequest{Coord: k.Base(h.geom), Orient: k.Orient(), Write: true, Writeback: true})
 }
 
 // maxPrefetchStride bounds the strides the prefetcher follows (it gives up
@@ -223,11 +196,11 @@ const maxPrefetchStride = 16384
 // fetched into L3 with no waiters. This covers both sequential streams
 // (stride = one line) and the strided field scans of row stores.
 func (h *Hierarchy) trainPrefetcher(a Access) {
-	if h.cfg.PrefetchDegree <= 0 || a.Key.Gather {
+	if h.cfg.PrefetchDegree <= 0 || a.Key.Gather() {
 		return
 	}
-	o := a.Key.Line.Orient
-	cur := a.Key.block*addr.LineBytes + uint32(a.WordIdx*addr.WordBytes)
+	o := a.Key.Orient()
+	cur := a.Key.block()*addr.LineBytes + uint32(a.WordIdx*addr.WordBytes)
 	st := &h.streams[a.Core]
 	stride := int64(cur) - int64(st.last)
 	trained := st.valid && st.orient == o && stride == st.stride &&
@@ -239,29 +212,21 @@ func (h *Hierarchy) trainPrefetcher(a Access) {
 	if !trained {
 		return
 	}
+	end := int64(1) << h.geom.AddrBits()
 	for k := 1; k <= h.cfg.PrefetchDegree; k++ {
 		pa := int64(cur) + int64(k)*stride
-		if pa < 0 || pa > int64(^uint32(0)) {
+		if pa < 0 || pa >= end {
+			// Off either end of memory there is no line to fetch: the
+			// stream stops, it does not wrap around.
 			return
 		}
-		nk := RCKey(h.geom, h.geom.LineOf(h.geom.Decode(uint32(pa), o), o))
-		if _, ok := h.mshr[nk]; ok {
+		nk := AddrKey(uint32(pa), o)
+		if h.mshr.get(nk) != nil || h.l3.probe(nk) != nil {
 			continue
 		}
-		if h.l3.probe(nk) != nil {
-			continue
-		}
-		h.mshr[nk] = &mshrEntry{}
 		h.st.Inc(stats.IdxPrefetches)
-		h.fetch(nk, nk.Line.Base())
+		h.fetch(h.mshr.add(nk), nk.Base(h.geom))
 	}
-}
-
-func keyOrient(k Key) addr.Orientation {
-	if k.Gather {
-		return addr.Row
-	}
-	return k.Line.Orient
 }
 
 // onHit applies write effects (dirty marking, crossing-duplicate update,
@@ -323,10 +288,10 @@ func (h *Hierarchy) invalidateOtherSharers(core int, l3 *line) int64 {
 // crossedWrite handles a write to a word whose crossing bit is set: the
 // duplicate word in the perpendicular line is updated in place (§4.3.2).
 func (h *Hierarchy) crossedWrite(a Access, ln *line) int64 {
-	if !h.dual || a.Key.Gather || ln.crossMask&(1<<uint(a.WordIdx)) == 0 {
+	if !h.dual || a.Key.Gather() || ln.crossMask&(1<<uint(a.WordIdx)) == 0 {
 		return 0
 	}
-	crossings := h.geom.Crossings(a.Key.Line)
+	crossings := h.geom.Crossings(a.Key.Line(h.geom))
 	ck := RCKey(h.geom, crossings[a.WordIdx])
 	if cl := h.l3.probe(ck); cl != nil {
 		cl.dirty = true
@@ -375,14 +340,13 @@ func (h *Hierarchy) evictPrivate(core int, lv *level, v *line) {
 	v.valid = false
 }
 
-// fill completes an LLC miss: install at L3 (with synonym detection), then
+// fill completes e's LLC miss: install at L3 (with synonym detection), then
 // into each waiting core's private caches, then wake the waiters.
-func (h *Hierarchy) fill(key Key, finish int64) {
-	e, ok := h.mshr[key]
-	if !ok {
+func (h *Hierarchy) fill(e *mshrEntry, finish int64) {
+	key := e.key
+	if key == 0 || h.mshr.remove(key) != e {
 		panic("cache: fill without mshr entry")
 	}
-	delete(h.mshr, key)
 
 	pen := int64(0)
 	anyWrite := false
@@ -418,10 +382,25 @@ func (h *Hierarchy) fill(key Key, finish int64) {
 		h.fillPrivate(h.l1[c], a, crossMask, false)
 	}
 
-	at := finish + h.cfg.ResponseLatPs + pen
-	for _, w := range e.waiters {
-		h.eng.AtCall(at, w.fn, w.ctx, w.arg)
+	if len(e.waiters) == 0 {
+		h.mshr.recycle(e)
+		return
 	}
+	// One event wakes every waiter, in arrival order. One event per waiter
+	// would hold consecutive sequence numbers at one time, so nothing could
+	// fire between them: this is that schedule.
+	h.eng.AtCall(finish+h.cfg.ResponseLatPs+pen, wake, e, 0)
+}
+
+// wake is the static completion event of a filled miss; it ends the
+// entry's life.
+func wake(ctx any, _, now int64) {
+	e := ctx.(*mshrEntry)
+	for i := range e.waiters {
+		w := &e.waiters[i]
+		w.fn(w.ctx, w.arg, now)
+	}
+	e.table.recycle(e)
 }
 
 // installL3 places the block in L3, evicting (and possibly writing back) a
@@ -442,12 +421,13 @@ func (h *Hierarchy) installL3(key Key, sharers uint32, dirty, pin bool) (*line, 
 	if pin {
 		h.st.Inc(stats.IdxPinnedLines)
 	}
-	h.l3Lines[keyOrient(key)]++
+	h.l3Lines[key.Orient()]++
 
 	var pen int64
-	if h.dual && !key.Gather && h.l3Lines[key.Line.Orient.Perp()] > 0 {
-		crossings := h.geom.Crossings(key.Line)
-		myIdx := key.Line.CrossWordIndex()
+	if h.dual && !key.Gather() && h.l3Lines[key.Orient().Perp()] > 0 {
+		l := key.Line(h.geom)
+		crossings := h.geom.Crossings(l)
+		myIdx := l.CrossWordIndex()
 		for i, cl := range crossings {
 			other := h.l3.probe(RCKey(h.geom, cl))
 			if other == nil {
@@ -510,9 +490,10 @@ func (h *Hierarchy) evictL3(v *line) {
 		}
 	}
 
-	if h.dual && !v.key.Gather && v.crossMask != 0 {
-		crossings := h.geom.Crossings(v.key.Line)
-		myIdx := v.key.Line.CrossWordIndex()
+	if h.dual && !v.key.Gather() && v.crossMask != 0 {
+		l := v.key.Line(h.geom)
+		crossings := h.geom.Crossings(l)
+		myIdx := l.CrossWordIndex()
 		var pen int64
 		for i, cl := range crossings {
 			if v.crossMask&(1<<uint(i)) == 0 {
@@ -528,11 +509,11 @@ func (h *Hierarchy) evictL3(v *line) {
 		h.st.Add(stats.IdxOverheadPs, pen)
 	}
 
-	h.l3Lines[keyOrient(v.key)]--
+	h.l3Lines[v.key.Orient()]--
 	if dirty {
 		h.st.Inc(stats.IdxDirtyEvictions)
-		if !v.key.Gather {
-			h.writeBack(v.key.Line)
+		if !v.key.Gather() {
+			h.writeBack(v.key)
 		}
 	}
 	v.valid = false
@@ -550,7 +531,7 @@ func (h *Hierarchy) UnpinAll() {
 }
 
 // OutstandingMisses reports in-flight MSHR entries (diagnostics).
-func (h *Hierarchy) OutstandingMisses() int { return len(h.mshr) }
+func (h *Hierarchy) OutstandingMisses() int { return h.mshr.n }
 
 // FlushDirty writes every dirty block back to memory (end of run): private
 // dirtiness is folded into L3 first, then each dirty L3 block issues a
@@ -579,11 +560,11 @@ func (h *Hierarchy) FlushDirty() int {
 			return
 		}
 		ln.dirty = false
-		if ln.key.Gather {
+		if ln.key.Gather() {
 			return
 		}
 		n++
-		h.writeBack(ln.key.Line)
+		h.writeBack(ln.key)
 	})
 	return n
 }

@@ -22,12 +22,20 @@ import "fmt"
 //  6. No line is dirty unless a store was seen since the last flush
 //     (FlushDirty trusts the flag), and every normal line's key carries
 //     the block number of its own address.
+//  7. The MSHR table is sound (mshrTable.check), and no in-flight key is
+//     valid in L3. That overlap cannot happen today either: a miss enters
+//     the table only after its L3 probe failed, the prefetcher skips what
+//     is resident or in flight, and the one installer, fill, has taken its
+//     key out of the table first.
 func (h *Hierarchy) CheckInvariants() error {
-	var err error
+	err := h.mshr.check()
 	check := func(cond bool, format string, args ...any) {
 		if err == nil && !cond {
 			err = fmt.Errorf(format, args...)
 		}
+	}
+	for _, s := range h.mshr.slots {
+		check(s.key == 0 || h.l3.probe(s.key) == nil, "%v is in flight and valid in L3", s.key)
 	}
 	// walk visits every valid line of lv straight from the array, checking
 	// the level's touched-set bookkeeping on the way.
@@ -46,7 +54,7 @@ func (h *Hierarchy) CheckInvariants() error {
 				}
 				check(m, "%s set %d holds %v but is not marked touched", name, s, ln.key)
 				check(h.wrote || !ln.dirty, "%s holds dirty %v with no store seen", name, ln.key)
-				check(ln.key.Gather || ln.key == RCKey(h.geom, ln.key.Line), "%s: %v carries a foreign block number", name, ln.key)
+				check(ln.key.Gather() || ln.key == RCKey(h.geom, ln.key.Line(h.geom)), "%s: %v carries a foreign block number", name, ln.key)
 				fn(ln)
 			}
 		}
@@ -63,17 +71,18 @@ func (h *Hierarchy) CheckInvariants() error {
 
 	var l3Lines [2]int
 	walk("L3", h.l3, func(ln *line) {
-		l3Lines[keyOrient(ln.key)]++
+		l3Lines[ln.key.Orient()]++
 		if ln.crossMask == 0 {
 			return
 		}
 		check(h.dual, "crossing bits on a non-dual hierarchy: %v", ln.key)
-		check(!ln.key.Gather, "crossing bits on a gathered line: %v", ln.key)
-		if !h.dual || ln.key.Gather {
+		check(!ln.key.Gather(), "crossing bits on a gathered line: %v", ln.key)
+		if !h.dual || ln.key.Gather() {
 			return
 		}
-		crossings := h.geom.Crossings(ln.key.Line)
-		myIdx := ln.key.Line.CrossWordIndex()
+		l := ln.key.Line(h.geom)
+		crossings := h.geom.Crossings(l)
+		myIdx := l.CrossWordIndex()
 		for i, cl := range crossings {
 			if ln.crossMask&(1<<uint(i)) == 0 {
 				continue
@@ -106,4 +115,40 @@ func (h *Hierarchy) PinnedCount() int {
 	}
 	h.l3.forEach(count)
 	return n
+}
+
+// check validates the table against a recount: every entry sits under its
+// own key and is found by probing from that key's home slot (so no empty
+// slot lies on the way), n counts them and leaves half the slots empty, an
+// entry has waiters exactly when it has waiting cores, and a free entry
+// holds nothing — no key, core, pin or waiter, not even in the spare
+// capacity of its array, where a context pointer would stay alive.
+func (t *mshrTable) check() error {
+	n := 0
+	for i, s := range t.slots {
+		switch {
+		case s.key == 0 && s.e == nil:
+			continue
+		case s.key == 0 || s.e == nil || s.e.key != s.key:
+			return fmt.Errorf("mshr slot %d: key %v over entry %+v", i, s.key, s.e)
+		case t.get(s.key) != s.e:
+			return fmt.Errorf("mshr: %v in slot %d is not reachable from its home slot %d", s.key, i, t.home(s.key))
+		case (s.e.cores == 0) != (len(s.e.waiters) == 0):
+			return fmt.Errorf("mshr: %v has %d waiters but cores %b", s.key, len(s.e.waiters), s.e.cores)
+		}
+		n++
+	}
+	if n != t.n || 2*n > len(t.slots) {
+		return fmt.Errorf("mshr: %d entries in %d slots, bookkeeping says %d", n, len(t.slots), t.n)
+	}
+	for _, e := range t.free {
+		held := len(e.waiters) > 0 || e.key != 0 || e.cores != 0 || e.pin
+		for _, w := range e.waiters[:cap(e.waiters)] {
+			held = held || w.fn != nil || w.ctx != nil
+		}
+		if held {
+			return fmt.Errorf("mshr: free entry still holds %+v", *e)
+		}
+	}
+	return nil
 }

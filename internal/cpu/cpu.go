@@ -248,15 +248,19 @@ func (r *Runner) issueMem(c *coreState, op *trace.Op) {
 		a.Key = cache.GatherKey(gatherID)
 		a.MemCoord = coord
 	} else {
+		// The line's first word, and the key straight from its address: no
+		// LineID is built on the way.
 		o := op.Kind.Orientation()
-		lineID := r.geom.LineOf(coord, o)
-		a.Key = cache.RCKey(r.geom, lineID)
-		a.MemCoord = lineID.Base()
+		coord.Byte = 0
 		if o == addr.Row {
 			a.WordIdx = int(coord.Column) % addr.LineWords
+			coord.Column &^= addr.LineWords - 1
 		} else {
 			a.WordIdx = int(coord.Row) % addr.LineWords
+			coord.Row &^= addr.LineWords - 1
 		}
+		a.Key = cache.AddrKey(r.geom.Encode(coord, o), o)
+		a.MemCoord = coord
 	}
 	start := r.eng.Now()
 	if op.Pin {

@@ -4,13 +4,16 @@
 // inputs always produce identical schedules.
 //
 // The queue is the simulator's innermost loop, so it is built to stay off
-// the garbage collector's radar: items live inline in a reusable slice
-// (no container/heap `any` boxing), and the one scheduling form, AtCall
-// (AfterCall is the same relative to now), takes a static function plus a
-// context pointer instead of a fresh closure per event. Once the queue
-// slice has grown to the workload's high-water mark, Run executes with
-// zero allocations.
+// the garbage collector's radar and to move little: the heap orders
+// three-word (at, seq, slot) items that hold no pointer, the callback of
+// each lives in a slab slot found through the item and recycled through a
+// free list, and the one scheduling form, AtCall (AfterCall is the same
+// relative to now), takes a static function plus a context pointer instead
+// of a fresh closure per event. Once heap and slab have grown to the
+// workload's high-water mark, Run executes with zero allocations.
 package event
+
+import "math/bits"
 
 // Callback is the allocation-free event form: a static function invoked as
 // fn(ctx, arg, now), where ctx and arg were captured at scheduling time and
@@ -19,10 +22,19 @@ package event
 // a type assertion.
 type Callback func(ctx any, arg int64, now int64)
 
-// item is one scheduled event, stored inline in the heap slice.
+// item is one scheduled event as the heap sees it: when, in which order
+// among equals, and where its callback is. at is never negative (the clock
+// starts at zero and AtCall clamps to it), so it is held unsigned and
+// (at, seq) compares as one 128-bit number.
 type item struct {
-	at  int64
-	seq uint64
+	at   uint64
+	seq  uint64
+	slot int32
+}
+
+// call is one slab slot: the callback of a queued event, or — fn nil — a
+// free slot whose arg is the next free slot's index.
+type call struct {
 	fn  Callback
 	ctx any
 	arg int64
@@ -33,21 +45,22 @@ type item struct {
 // Independent engines (one per simulated system) may run on separate
 // goroutines, which is what the parallel sweep harness does.
 type Engine struct {
-	now int64
-	seq uint64
-	q   []item
+	now  int64
+	seq  uint64
+	q    []item
+	slab []call
+	free int32 // head of the free-slot list threaded through slab, -1 when empty
 }
 
 // New returns an engine with the clock at zero.
-func New() *Engine {
-	return &Engine{}
-}
+func New() *Engine { return &Engine{free: -1} }
 
 // Reset returns the engine to its just-built state — clock and sequence at
-// zero, no event queued — keeping the queue's capacity.
+// zero, no event queued, no callback or context held — keeping the
+// capacity of queue and slab.
 func (e *Engine) Reset() {
-	clear(e.q)
-	*e = Engine{q: e.q[:0]}
+	clear(e.slab)
+	*e = Engine{q: e.q[:0], slab: e.slab[:0], free: -1}
 }
 
 // Now returns the current simulation time in picoseconds.
@@ -55,15 +68,6 @@ func (e *Engine) Now() int64 { return e.now }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.q) }
-
-// Reserve pre-grows the queue to hold n events without reallocating.
-func (e *Engine) Reserve(n int) {
-	if cap(e.q) < n {
-		q := make([]item, len(e.q), n)
-		copy(q, e.q)
-		e.q = q
-	}
-}
 
 // AtCall schedules fn(ctx, arg, firingTime) at absolute time t. fn should
 // be a static (package-level) function and ctx a long-lived pointer or a
@@ -74,8 +78,15 @@ func (e *Engine) AtCall(t int64, fn Callback, ctx any, arg int64) {
 	if t < e.now {
 		t = e.now
 	}
+	slot := e.free
+	if slot < 0 {
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, call{arg: -1})
+	}
+	e.free = int32(e.slab[slot].arg)
+	e.slab[slot] = call{fn, ctx, arg}
 	e.seq++
-	e.push(item{at: t, seq: e.seq, fn: fn, ctx: ctx, arg: arg})
+	e.push(item{at: uint64(t), seq: e.seq, slot: slot})
 }
 
 // AfterCall schedules fn(ctx, arg, firingTime) d picoseconds from now.
@@ -101,76 +112,92 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// fire pops the earliest event and runs it. Its slab slot is emptied and
+// put on the free list before the callback runs — the slab never retains a
+// fired event's fn or ctx for the garbage collector, and whatever the
+// callback schedules can take the slot straight back.
 func (e *Engine) fire() {
 	it := e.pop()
-	e.now = it.at
-	it.fn(it.ctx, it.arg, it.at)
+	c := &e.slab[it.slot]
+	fn, ctx, arg := c.fn, c.ctx, c.arg
+	*c = call{arg: int64(e.free)}
+	e.free = it.slot
+	e.now = int64(it.at)
+	fn(ctx, arg, e.now)
 }
 
 // The queue is a 4-ary min-heap ordered by (at, seq): children of node i
 // live at 4i+1..4i+4. The wider fan-out halves the tree depth of the binary
-// heap, trading a few extra comparisons per sift-down for fewer item moves
-// — a win when items are 6 words and pops dominate. seq makes the order
-// total, so same-time events pop in FIFO order despite the heap itself
-// being unstable.
+// heap, trading a few extra comparisons per sift-down for fewer item moves.
+// seq makes the order total, so same-time events pop in FIFO order despite
+// the heap itself being unstable.
 
-func (a *item) before(b *item) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before reports (a.at, a.seq) < (b.at, b.seq), as the borrow out of one
+// 128-bit subtraction: no branch for the predictor to miss on the at tie
+// that same-time bursts make common.
+func (a *item) before(b *item) bool { return a.lt(b) != 0 }
+
+// lt is before as a number, 1 or 0, for selecting without branching.
+func (a *item) lt(b *item) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
 }
 
 // push appends it and sifts it up with a hole: parents move down until the
 // insertion point is found, then the item is written once.
 func (e *Engine) push(it item) {
 	e.q = append(e.q, it)
-	i := len(e.q) - 1
+	q := e.q
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !it.before(&e.q[p]) {
+		if !it.before(&q[p]) {
 			break
 		}
-		e.q[i] = e.q[p]
+		q[i] = q[p]
 		i = p
 	}
-	e.q[i] = it
+	q[i] = it
 }
 
 // pop removes and returns the minimum item, then re-heapifies by sifting
-// the last item down from the root. The vacated tail slot is zeroed so the
-// queue never retains ctx or fn references for the garbage collector.
+// the last item down from the root.
 func (e *Engine) pop() item {
 	top := e.q[0]
 	n := len(e.q) - 1
 	last := e.q[n]
-	e.q[n] = item{}
-	e.q = e.q[:n]
-	if n == 0 {
-		return top
-	}
+	q := e.q[:n]
+	e.q = q
 	i := 0
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
 		m := c
-		for j := c + 1; j < end; j++ {
-			if e.q[j].before(&e.q[m]) {
-				m = j
+		if c+4 <= n {
+			// A full node: its least child by a two-round tournament of
+			// selects, not branches — which child wins is as good as
+			// random, and a mispredicted branch costs more than the chain.
+			m01 := c + 1 - q[c].lt(&q[c+1])
+			m23 := c + 3 - q[c+2].lt(&q[c+3])
+			m = m23 + (m01-m23)*q[m01].lt(&q[m23])
+		} else {
+			for j := c + 1; j < n; j++ {
+				if q[j].before(&q[m]) {
+					m = j
+				}
 			}
 		}
-		if !e.q[m].before(&last) {
+		if !q[m].before(&last) {
 			break
 		}
-		e.q[i] = e.q[m]
+		q[i] = q[m]
 		i = m
 	}
-	e.q[i] = last
+	if n > 0 {
+		q[i] = last
+	}
 	return top
 }

@@ -209,16 +209,6 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
-func TestReserve(t *testing.T) {
-	e := New()
-	e.Reserve(1024)
-	at(e, 5, func() {})
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("pending = %d, want 1", got)
-	}
-	e.Run()
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int {
 		e := New()
@@ -234,6 +224,137 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic order at %d: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// seededSchedule drives a scheduler with a tree of events that only the
+// seed decides: bursts of roots at one time, and in every callback children
+// at now, in the past (clamped to now), one tick on and further out. at is
+// how the scheduler under test takes an event; the return value is the
+// callback to run when event id fires at time now.
+func seededSchedule(seed int64, at func(t int64, id int64)) (roots func(), fire func(id, now int64)) {
+	const budget = 3000
+	next := int64(0)
+	spawn := func(t int64) {
+		if next < budget {
+			at(t, next)
+			next++
+		}
+	}
+	roots = func() {
+		rng := rand.New(rand.NewSource(seed))
+		for burst := 0; burst < 12; burst++ {
+			t := rng.Int63n(400)
+			for n := rng.Intn(9); n >= 0; n-- {
+				spawn(t)
+			}
+		}
+	}
+	fire = func(id, now int64) {
+		rng := rand.New(rand.NewSource(seed<<20 + id))
+		for n := rng.Intn(4); n > 0; n-- {
+			spawn(now + []int64{0, 0, -50, 1, 1, 7, rng.Int63n(300)}[rng.Intn(7)])
+		}
+	}
+	return roots, fire
+}
+
+type firing struct{ id, now int64 }
+
+// TestOrderAgainstStableSort: whatever is scheduled from wherever, events
+// fire in the order of a stable sort by (time, scheduling order) — checked
+// against a scheduler that is nothing but that definition — and the slab
+// holds no callback or context once an event has fired or Reset has
+// dropped it, while its slots are reused throughout.
+func TestOrderAgainstStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		// The reference: a list scanned for its least (at, seq).
+		type queued struct {
+			at, id int64
+			seq    int
+		}
+		var (
+			list []queued
+			now  int64
+			seq  int
+			want []firing
+		)
+		roots, fire := seededSchedule(seed, func(t, id int64) {
+			seq++
+			list = append(list, queued{max(t, now), id, seq})
+		})
+		roots()
+		for len(list) > 0 {
+			m := 0
+			for i, q := range list {
+				if q.at < list[m].at || q.at == list[m].at && q.seq < list[m].seq {
+					m = i
+				}
+			}
+			q := list[m]
+			list = append(list[:m], list[m+1:]...)
+			now = q.at
+			want = append(want, firing{q.id, now})
+			fire(q.id, now)
+		}
+
+		e := New()
+		var got []firing
+		var cb Callback
+		held := new(int) // every event's ctx: what the slab must let go of
+		roots, fire = seededSchedule(seed, func(t, id int64) { e.AtCall(t, cb, held, id) })
+		cb = func(ctx any, id, now int64) {
+			if ctx != held || now != e.Now() {
+				t.Fatalf("seed %d: event %d fired with ctx %v at %d, clock %d", seed, id, ctx, now, e.Now())
+			}
+			got = append(got, firing{id, now})
+			fire(id, now)
+		}
+		slabEmpty := func(when string) {
+			t.Helper()
+			for i, c := range e.slab[:cap(e.slab)] {
+				if c.fn != nil || c.ctx != nil {
+					t.Fatalf("seed %d, %s: slab slot %d still holds a callback or context", seed, when, i)
+				}
+			}
+		}
+
+		// A first start, abandoned with events queued.
+		roots()
+		for i := 0; i < 40; i++ {
+			e.Step()
+		}
+		if e.Pending() == 0 {
+			t.Fatalf("seed %d: nothing queued at the Reset", seed)
+		}
+		e.Reset()
+		slabEmpty("after Reset")
+		if e.Pending() != 0 || e.Now() != 0 {
+			t.Fatalf("seed %d: Reset left %d events, clock %d", seed, e.Pending(), e.Now())
+		}
+
+		got = got[:0]
+		peak := 0
+		roots, fire = seededSchedule(seed, func(t, id int64) {
+			e.AtCall(t, cb, held, id)
+			peak = max(peak, e.Pending())
+		})
+		roots()
+		e.Run()
+		slabEmpty("after Run")
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d events fired, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d is event %d at %d, want event %d at %d",
+					seed, i, got[i].id, got[i].now, want[i].id, want[i].now)
+			}
+		}
+		if len(e.slab) != peak || peak >= len(want) {
+			t.Fatalf("seed %d: %d events, at most %d queued at once, took %d slab slots: a free slot is not reused",
+				seed, len(want), peak, len(e.slab))
 		}
 	}
 }

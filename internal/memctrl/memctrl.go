@@ -55,10 +55,13 @@ type Controller struct {
 	st     *stats.Block
 	window int
 	policy Policy
-	// geom and burstPs are read off the device once: dev.Config() copies
-	// the whole configuration, too much per queue entry.
-	geom    addr.Geometry
-	burstPs int64
+	// What the request path needs of the device's configuration, read off
+	// it once: dev.Config() copies the whole configuration, too much per
+	// queue entry. retryPs is one ECC re-read, a fresh activation.
+	geom           addr.Geometry
+	burstPs        int64
+	retryPs        int64
+	supportsGather bool
 
 	queue     []*Request
 	busFreeAt int64
@@ -131,7 +134,10 @@ func NewController(eng *event.Engine, dev *device.Device, st *stats.Block, windo
 		window:   window,
 		geom:     cfg.Geom,
 		burstPs:  cfg.Timing.BurstPs(),
+		retryPs:  cfg.Timing.RPPs() + cfg.Timing.RCDPs() + cfg.Timing.CASPs(),
 		bankBusy: make([]bool, cfg.Geom.TotalBanks()),
+
+		supportsGather: cfg.SupportsGather(),
 	}
 }
 
@@ -140,7 +146,7 @@ func (c *Controller) SetPolicy(p Policy) { c.policy = p }
 
 // Submit enqueues a request at the current simulation time.
 func (c *Controller) Submit(r *Request) {
-	if r.Gather && !c.dev.Config().SupportsGather() {
+	if r.Gather && !c.supportsGather {
 		panic(fmt.Sprintf("memctrl: gather request on %s", c.dev.Config().Kind))
 	}
 	r.arrive = c.eng.Now()
@@ -247,8 +253,6 @@ func requestDone(ctx any, _, finish int64) { ctx.(func(int64))(finish) }
 // keep going. Returns the added latency.
 func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
 	id := c.geom.LineOf(r.Coord, r.Orient)
-	t := c.dev.Config().Timing
-	retryPs := t.RPPs() + t.RCDPs() + t.CASPs()
 	now := uint64(c.eng.Now())
 	penalty := int64(0)
 	for attempt := 0; ; attempt++ {
@@ -273,7 +277,7 @@ func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
 		if c.tel != nil {
 			c.tel.Retry(r.bank)
 		}
-		penalty += retryPs
+		penalty += c.retryPs
 	}
 }
 
