@@ -10,7 +10,7 @@ import (
 // (id, grp = id mod 8, val = 3·id).
 const benchRows = 16384
 
-func benchTable(b *testing.B, mode Mode) *Table {
+func benchTable(b *testing.B, mode Mode, rows int) *Table {
 	b.Helper()
 	db, err := Open(mode)
 	if err != nil {
@@ -19,11 +19,11 @@ func benchTable(b *testing.B, mode Mode) *Table {
 	schema := imdb.Schema{Name: "t", Fields: []imdb.Field{
 		{Name: "id", Words: 1}, {Name: "grp", Words: 1}, {Name: "val", Words: 1},
 	}}
-	t, err := db.CreateTable("t", schema, benchRows)
+	t, err := db.CreateTable("t", schema, rows)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for id := uint64(0); id < benchRows; id++ {
+	for id := uint64(0); id < uint64(rows); id++ {
 		if _, err := t.Append(id, id%8, 3*id); err != nil {
 			b.Fatal(err)
 		}
@@ -33,18 +33,24 @@ func benchTable(b *testing.B, mode Mode) *Table {
 
 var benchScans = []struct {
 	name string
+	rows int
 	run  func(t *Table) error
 }{
-	{"where", func(t *Table) error {
+	{"where", benchRows, func(t *Table) error {
 		_, err := t.ScanWhere("grp", func(v []uint64) bool { return v[0] == 5 })
 		return err
 	}},
-	{"sum", func(t *Table) error {
+	{"sum", benchRows, func(t *Table) error {
 		_, err := t.SumField("val", nil)
 		return err
 	}},
-	{"group", func(t *Table) error {
+	{"group", benchRows, func(t *Table) error {
 		_, err := t.GroupSum("grp", "val", nil)
+		return err
+	}},
+	// oltp_point's point read: 64 rows in sixteen 4-row chunks, one match.
+	{"where64", 64, func(t *Table) error {
+		_, err := t.ScanWhere("id", func(v []uint64) bool { return v[0] == 41 })
 		return err
 	}},
 }
@@ -55,13 +61,14 @@ var benchModes = []struct {
 }{{"dual", DualAddress}, {"rowonly", RowOnly}}
 
 // BenchmarkScan is the rung under olap_scan: one full-column operator over
-// the 16 384-row table, per mode. ns/row is the host cost of one tuple
-// (two cells for group). sum/dual is in CI's zero-alloc gate.
+// the 16 384-row table (where64: the 64-row one), per mode. ns/row is the
+// host cost of one tuple (two cells for group). sum/dual is in CI's
+// zero-alloc gate.
 func BenchmarkScan(b *testing.B) {
 	for _, sc := range benchScans {
 		for _, m := range benchModes {
 			b.Run(sc.name+"/"+m.name, func(b *testing.B) {
-				t := benchTable(b, m.mode)
+				t := benchTable(b, m.mode, sc.rows)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -69,7 +76,7 @@ func BenchmarkScan(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sc.rows), "ns/row")
 			})
 		}
 	}
@@ -82,7 +89,7 @@ func BenchmarkScan(b *testing.B) {
 func BenchmarkScanParallel(b *testing.B) {
 	for _, m := range benchModes {
 		b.Run("sum/"+m.name, func(b *testing.B) {
-			t := benchTable(b, m.mode)
+			t := benchTable(b, m.mode, benchRows)
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {

@@ -14,7 +14,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -403,94 +406,204 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 	return nil
 }
 
-// column reads one word of successive tuples — a field scan. It resolves
-// placement, page and orientation once per run of cells (imdb's ScanRun,
-// funcmem's Run) instead of once per cell. Every cell still appends its
-// trace op when recording, then draws its fault check when injection is
-// on, and is counted, the failing one included, in the order single-cell
-// readCell calls would; the count reaches the memory's counters at flush.
-type column struct {
-	t     *Table
-	off   int
-	run   funcmem.Run
-	first int // the tuple run.At(0) belongs to
-	c     addr.Coord
-	o     addr.Orientation
-	step  int
-	cells int // read since the last flush, all in orientation o
+// blockWords is the size of a scan's value buffer: a block is as many
+// tuples as fit, 512 of a one-word scan, 256 of GROUP BY's key and value.
+const blockWords = 512
+
+// scanner is the loop under every scan operator: it reads the wanted words
+// of the wanted tuples a block at a time into a dense buffer, and the
+// operator is a plain loop over that buffer. The wanted tuples are the
+// listed rows in list order — a listed row out of range or deleted is an
+// error once the rows before it were read — or, for a nil list, every live
+// row ascending, tombstoned rows skipped unread.
+//
+// What the memory, a recorded trace and the fault injector see is one
+// readCell per word in (tuple, wanted word) order: every cell read is
+// counted, the one that fails included and none after it; the count reaches
+// the memory's counters once, at close.
+type scanner struct {
+	t    *Table
+	offs []int // the wanted tuple words, in read order
+	list []int
+	pos  int // next index of list, or next row when list is nil
+	err  error
+
+	// The current block is n tuples: rows first, first+1, … when span is
+	// set, rows[:n] otherwise. vals holds word offs[k] of the i-th at
+	// [i*len(offs)+k].
+	n     int
+	span  bool
+	first int
+	rows  [blockWords]int
+	vals  []uint64
+
+	cells   [2]int  // read so far, by orientation
+	at      []runAt // observe's place in each wanted word's column
+	matches []int   // ScanWhere's result before it is cut to size
 }
 
-// at reads the word of tuple row, which must be in [0, t.rows). Rows may
-// come in any order; ascending ones share runs.
-func (r *column) at(row int) (uint64, error) {
-	i := row - r.first
-	if uint(i) >= uint(r.run.Len()) {
-		c, o, step, n := r.t.place.ScanRun(row, r.off)
-		if o != r.o {
-			r.flush()
-		}
-		r.run, r.first, r.c, r.o, r.step = r.t.db.mem.Run(c, o, step, n), row, c, o, step
-		i = 0
-	}
-	r.cells++
-	v := r.run.At(i)
-	db := r.t.db
-	if !db.recording && db.inj == nil {
-		return v, nil
-	}
-	return db.observed(r.c.Along(r.o, i*r.step), r.o, v)
+// runAt is one answer of imdb's ScanRun: word off of tuples first … first+n-1
+// lies at c, c.Along(o, step), c.Along(o, 2·step), …
+type runAt struct {
+	first, n int
+	c        addr.Coord
+	o        addr.Orientation
+	step     int
 }
 
-// flush adds the cells read so far to the memory's access counters.
-func (r *column) flush() {
-	r.t.db.mem.CountReads(r.o, r.cells)
-	r.cells = 0
+// Scanners are recycled: 8 KB of buffers allocated (or cleared on the stack)
+// per scan would cost a 64-row point read more than its cells do.
+var scanners = sync.Pool{New: func() any { return &scanner{vals: make([]uint64, blockWords)} }}
+
+// scan starts a scan of tuple words offs over rows (nil: every live row).
+// The caller loops over next and then closes the scanner.
+func (t *Table) scan(rows []int, offs ...int) *scanner {
+	s := scanners.Get().(*scanner)
+	s.t, s.list = t, rows
+	s.offs, s.at = append(s.offs[:0], offs...), s.at[:0]
+	if len(offs) > len(s.vals) { // a field wider than a block goes a tuple at a time
+		s.vals = make([]uint64, len(offs))
+	}
+	return s
 }
 
-// scan is the loop under every scan operator. It visits the listed rows in
-// list order — a listed row out of range or deleted is an error — or, when
-// rows is nil, every live row ascending, tombstoned rows skipped unread.
-// For each row it reads tuple word offs[k] into vals[k], in the order
-// given and through one column reader each, then calls f.
-func (t *Table) scan(rows []int, vals []uint64, f func(row int), offs ...int) error {
-	var few [2]column // every aggregate's columns stay on the stack
-	cols := few[:0]
-	for _, off := range offs {
-		cols = append(cols, column{t: t, off: off})
+// row is the row id of the block's i-th tuple.
+func (s *scanner) row(i int) int {
+	if s.span {
+		return s.first + i
 	}
-	defer func() {
-		for k := range cols {
-			cols[k].flush()
-		}
-	}()
-	n := len(rows)
-	if rows == nil {
-		n = t.rows
+	return s.rows[i]
+}
+
+// next reads the next block, false when the tuples are exhausted or s.err
+// is set.
+func (s *scanner) next() bool {
+	if s.err != nil {
+		return false
 	}
-	for i := 0; i < n; i++ {
-		row := i
-		if rows != nil {
-			row = rows[i]
-			if err := t.checkLive(row); err != nil {
-				return err
+	t, w := s.t, len(s.offs)
+	most, n := min(len(s.vals)/w, blockWords), 0
+	var bad error
+	s.span = false
+	switch {
+	case s.list != nil:
+		for ; n < most && s.pos < len(s.list); s.pos++ {
+			row := s.list[s.pos]
+			if uint(row) >= uint(t.rows) || t.deleted[row] {
+				bad = t.checkLive(row)
+				break
 			}
-		} else if t.deleted[row] {
-			continue
+			s.rows[n] = row
+			n++
 		}
-		for k := range cols {
-			v, err := cols[k].at(row)
+	case t.live == t.rows: // no tombstone to look for
+		s.span, s.first, n = true, s.pos, min(most, t.rows-s.pos)
+		s.pos += n
+	default:
+		// The live rows among the next most; a span of nothing but
+		// tombstones is stepped over.
+		for n == 0 && s.pos < t.rows {
+			end := min(s.pos+most, t.rows)
+			for i, dead := range t.deleted[s.pos:end] {
+				s.rows[n] = s.pos + i // kept only if the row is live
+				if !dead {
+					n++
+				}
+			}
+			s.pos = end
+		}
+	}
+	s.n = n
+	for k, off := range s.offs {
+		s.fill(off, s.vals[k:])
+	}
+	if db := t.db; db.recording || db.inj != nil {
+		if s.err = s.observe(); s.err != nil {
+			return false
+		}
+	}
+	s.err = bad
+	return n > 0 && bad == nil
+}
+
+// fill stores tuple word off of the block's tuples at dst[0], dst[w],
+// dst[2w], …, run by run: imdb's ScanRun says how far the placement goes
+// evenly from a tuple, funcmem's Run how far the page does. A span is a
+// strided copy of each run, a row list a gather of the rows that fall in it.
+func (s *scanner) fill(off int, dst []uint64) {
+	t, w := s.t, len(s.offs)
+	for i := 0; i < s.n; {
+		c, o, step, n := t.place.ScanRun(s.row(i), off)
+		run := t.db.mem.Run(c, o, step, n)
+		if s.span {
+			n = min(run.Len(), s.n-i)
+			run.Copy(dst[i*w:], w, n)
+		} else {
+			n = run.Gather(dst[i*w:], w, s.rows[i:s.n])
+		}
+		s.cells[o] += n
+		i += n
+	}
+}
+
+// observe passes the block's cells, in (tuple, wanted word) order, through
+// what a single read goes through: the trace op, then the fault check,
+// whose corrected word replaces the stored one. At an uncorrectable word it
+// takes the cells after it back out of the count.
+func (s *scanner) observe() error {
+	t, w := s.t, len(s.offs)
+	for len(s.at) < w {
+		s.at = append(s.at, runAt{})
+	}
+	for i := 0; i < s.n; i++ {
+		row := s.row(i)
+		for k, off := range s.offs {
+			r := &s.at[k]
+			j := row - r.first
+			if uint(j) >= uint(r.n) {
+				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
+				r.first, j = row, 0
+			}
+			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.o, s.vals[i*w+k])
 			if err != nil {
+				s.cells[r.o] -= w - 1 - k
+				for i++; i < s.n; i++ {
+					s.cells[t.place.ScanOrient(s.row(i))] -= w
+				}
 				return err
 			}
-			vals[k] = v
+			s.vals[i*w+k] = v
 		}
-		f(row)
 	}
 	return nil
 }
 
+// close adds the cells read to the memory's access counters and recycles
+// the scanner.
+func (s *scanner) close() {
+	for o, n := range s.cells {
+		if n != 0 {
+			s.t.db.mem.CountReads(addr.Orientation(o), n)
+		}
+	}
+	if cap(s.matches) > maxKeptMatches {
+		s.matches = nil
+	}
+	s.t, s.list, s.pos, s.err, s.n = nil, nil, 0, nil, 0
+	s.cells, s.matches = [2]int{}, s.matches[:0]
+	scanners.Put(s)
+}
+
+// maxKeptMatches bounds the match scratch a recycled scanner holds on to
+// (512 KB).
+const maxKeptMatches = 1 << 16
+
 // ScanWhere evaluates pred over one field of every tuple (column-oriented
-// on RC-NVM) and returns the matching row ids, ascending.
+// on RC-NVM) and returns the matching row ids, ascending. pred is called
+// exactly once for each live row, in ascending row order, with the field's
+// words, which it may read only during the call; callers collect values
+// through it (sql's join-key scan does). When ScanWhere returns an error,
+// pred has seen some prefix of the rows read.
 func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, error) {
 	off, words, err := t.Schema().FieldOffset(field)
 	if err != nil {
@@ -501,17 +614,22 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 	for k := 0; k < words; k++ {
 		offs = append(offs, off+k)
 	}
-	var out []int
-	buf := make([]uint64, words)
-	err = t.scan(nil, buf, func(row int) {
-		if pred(buf) {
-			out = append(out, row)
+	s := t.scan(nil, offs...)
+	defer s.close()
+	// The matches cannot be counted ahead of time — pred runs once — so
+	// they gather in the scanner's recycled scratch and are copied out at
+	// their final size.
+	for s.next() {
+		for i := 0; i < s.n; i++ {
+			if pred(s.vals[i*words : (i+1)*words]) {
+				s.matches = append(s.matches, s.row(i))
+			}
 		}
-	}, offs...)
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	if s.err != nil || len(s.matches) == 0 {
+		return nil, s.err
+	}
+	return append(make([]int, 0, len(s.matches)), s.matches...), nil
 }
 
 // SumField sums a single-word field over the given rows (nil = all rows).
@@ -523,10 +641,16 @@ func (t *Table) SumField(field string, rows []int) (uint64, error) {
 	if words != 1 {
 		return 0, fmt.Errorf("engine: SUM over multi-word field %s", field)
 	}
+	s := t.scan(rows, off)
+	defer s.close()
 	var sum uint64
-	var v [1]uint64
-	if err := t.scan(rows, v[:], func(int) { sum += v[0] }, off); err != nil {
-		return 0, err
+	for s.next() {
+		for _, v := range s.vals[:s.n] {
+			sum += v
+		}
+	}
+	if s.err != nil {
+		return 0, s.err
 	}
 	return sum, nil
 }
@@ -590,19 +714,28 @@ func Join(a *Table, aField string, b *Table, bField string) ([][2]int, error) {
 	}
 	// Build over a (column scan), probe with b.
 	build := make(map[uint64][]int)
-	var k [1]uint64
-	err = a.scan(nil, k[:], func(row int) { build[k[0]] = append(build[k[0]], row) }, offA)
-	if err != nil {
-		return nil, err
+	sa := a.scan(nil, offA)
+	defer sa.close()
+	for sa.next() {
+		for i, k := range sa.vals[:sa.n] {
+			build[k] = append(build[k], sa.row(i))
+		}
+	}
+	if sa.err != nil {
+		return nil, sa.err
 	}
 	var out [][2]int
-	err = b.scan(nil, k[:], func(row int) {
-		for _, ar := range build[k[0]] {
-			out = append(out, [2]int{ar, row})
+	sb := b.scan(nil, offB)
+	defer sb.close()
+	for sb.next() {
+		for i, k := range sb.vals[:sb.n] {
+			for _, ar := range build[k] {
+				out = append(out, [2]int{ar, sb.row(i)})
+			}
 		}
-	}, offB)
-	if err != nil {
-		return nil, err
+	}
+	if sb.err != nil {
+		return nil, sb.err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
@@ -623,21 +756,25 @@ func (t *Table) MinMaxField(field string, rows []int) (min, max uint64, err erro
 	if words != 1 {
 		return 0, 0, fmt.Errorf("engine: MIN/MAX over multi-word field %s", field)
 	}
-	first := true
-	var v [1]uint64
-	err = t.scan(rows, v[:], func(int) {
-		if first || v[0] < min {
-			min = v[0]
+	s := t.scan(rows, off)
+	defer s.close()
+	min, max = ^uint64(0), 0
+	seen := false
+	for s.next() {
+		seen = true
+		for _, v := range s.vals[:s.n] {
+			if v < min {
+				min = v
+			}
+			if v > max {
+				max = v
+			}
 		}
-		if first || v[0] > max {
-			max = v[0]
-		}
-		first = false
-	}, off)
-	if err != nil {
-		return 0, 0, err
 	}
-	if first {
+	if s.err != nil {
+		return 0, 0, s.err
+	}
+	if !seen {
 		return 0, 0, fmt.Errorf("engine: MIN/MAX over zero rows")
 	}
 	return min, max, nil
@@ -665,28 +802,70 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 	if wordsK != 1 || wordsS != 1 {
 		return nil, fmt.Errorf("engine: GROUP BY needs single-word fields")
 	}
-	acc := make(map[uint64]*GroupRow)
 	// Key then value of each row, so the recorded stream interleaves the
 	// two columns the way a tuple-at-a-time GROUP BY touches them.
-	var kv [2]uint64
-	err = t.scan(rows, kv[:], func(int) {
-		g, ok := acc[kv[0]]
-		if !ok {
-			g = &GroupRow{Key: kv[0]}
-			acc[kv[0]] = g
+	s := t.scan(rows, offK, offS)
+	defer s.close()
+	var few [64]GroupRow // a low-cardinality key's groups stay on the stack
+	acc := groupTable{slots: few[:]}
+	for s.next() {
+		kv := s.vals[:2*s.n]
+		for i := 0; i < len(kv); i += 2 {
+			g := acc.find(kv[i])
+			if g.Count == 0 {
+				g = acc.insert(kv[i])
+			}
+			g.Sum += kv[i+1]
+			g.Count++
 		}
-		g.Sum += kv[1]
-		g.Count++
-	}, offK, offS)
-	if err != nil {
-		return nil, err
 	}
-	out := make([]GroupRow, 0, len(acc))
-	for _, g := range acc {
-		out = append(out, *g)
+	if s.err != nil {
+		return nil, s.err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := make([]GroupRow, 0, acc.used)
+	for _, g := range acc.slots {
+		if g.Count != 0 {
+			out = append(out, g)
+		}
+	}
+	slices.SortFunc(out, func(a, b GroupRow) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
+}
+
+// groupTable is GroupSum's accumulator, an open-addressed table of groups:
+// a power of two of slots, at most half of them used, Count == 0 marking a
+// free one; Fibonacci hashing, linear probing. It doubles when half full.
+type groupTable struct {
+	slots []GroupRow
+	used  int
+}
+
+// find returns the slot holding key, or the free one where it belongs.
+func (t *groupTable) find(key uint64) *GroupRow {
+	mask := uint64(len(t.slots) - 1)
+	for i := key * 0x9E3779B97F4A7C15 >> (64 - uint(bits.Len64(mask))); ; i++ {
+		if g := &t.slots[i&mask]; g.Count == 0 || g.Key == key {
+			return g
+		}
+	}
+}
+
+// insert claims the slot of a key the table does not hold yet, after
+// doubling the table if it is half full.
+func (t *groupTable) insert(key uint64) *GroupRow {
+	if 2*t.used >= len(t.slots) {
+		old := t.slots
+		t.slots = make([]GroupRow, 2*len(old))
+		for _, g := range old {
+			if g.Count != 0 {
+				*t.find(g.Key) = g
+			}
+		}
+	}
+	t.used++
+	g := t.find(key)
+	g.Key = key
+	return g
 }
 
 // Vacuum compacts the table in place: live tuples are rewritten densely at

@@ -10,7 +10,8 @@
 // by 8 columns, stored row after row: a row-oriented line is one host
 // cache line, a column-oriented line is eight adjacent ones, and a column
 // of a table chunk — what a field scan walks — lies in one or two pages
-// whatever the tuple width. Run gives scans a strided view of such a span.
+// whatever the tuple width. Run gives scans a strided view of such a span
+// and copies it out densely.
 package funcmem
 
 import (
@@ -111,12 +112,41 @@ type Run struct {
 // Len is the number of words in the run.
 func (r Run) Len() int { return r.n }
 
-// At returns word i of the run, 0 <= i < Len().
-func (r Run) At(i int) uint64 {
-	if r.page == nil {
-		return 0
+// Copy stores the run's first n words, n <= Len(), at dst[0], dst[stride],
+// dst[2·stride], …
+func (r Run) Copy(dst []uint64, stride, n int) {
+	if n <= 0 {
+		return
 	}
-	return r.page[i*r.stride]
+	dst = dst[:(n-1)*stride+1]
+	if r.page == nil {
+		for k := 0; k < len(dst); k += stride {
+			dst[k] = 0
+		}
+		return
+	}
+	src := r.page[:(n-1)*r.stride+1]
+	for k, i := 0, 0; i < len(src); k, i = k+stride, i+r.stride {
+		dst[k] = src[i]
+	}
+}
+
+// Gather stores word idx[k]-idx[0] of the run at dst[k·stride] for k = 0,
+// 1, … until idx ends or names a word outside the run, and returns how many
+// it stored: at least one, word 0.
+func (r Run) Gather(dst []uint64, stride int, idx []int) int {
+	for k, j := range idx {
+		i := j - idx[0]
+		if uint(i) >= uint(r.n) {
+			return k
+		}
+		var v uint64
+		if r.page != nil {
+			v = r.page[i*r.stride]
+		}
+		dst[k*stride] = v
+	}
+	return len(idx)
 }
 
 // Run returns a view of the words at c.Along(o, k·step), k = 0, 1, …: at

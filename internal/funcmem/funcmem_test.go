@@ -78,7 +78,8 @@ func TestCounts(t *testing.T) {
 	m.WriteCoord(c, addr.Row, 42)
 	m.ReadCoord(c, addr.Column)
 	m.ReadCoord(c, addr.Row)
-	m.Run(c, addr.Row, 1, 4).At(0) // uncounted until its reader reports
+	var got4 [4]uint64
+	m.Run(c, addr.Row, 1, 4).Copy(got4[:], 1, 4) // uncounted until its reader reports
 	m.CountReads(addr.Row, 4)
 	got := m.Counts()
 	if got.RowWrites != 1 || got.ColReads != 1 || got.RowReads != 5 || got.ColWrites != 0 {
@@ -96,8 +97,10 @@ func TestCounts(t *testing.T) {
 // TestRunAgreesWithReadCoord is the storage-shape property: words written
 // through either encoding around every page edge — rows 511/512, columns
 // 7/8, the subarray's last row and column — read back the same through
-// ReadCoord in both orientations and through Run along both, a Run stops
-// exactly at its page's edge, and never-written words read zero.
+// ReadCoord in both orientations and through Run along both — copied out
+// whole at any destination stride, gathered by any index list up to its
+// first index outside the run — a Run stops exactly at its page's edge, and
+// never-written words read zero.
 func TestRunAgreesWithReadCoord(t *testing.T) {
 	m := newMem(t)
 	geom := m.Geom()
@@ -141,9 +144,49 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 				if r.Len() < 1 || r.Len() > n {
 					t.Fatalf("Run(%+v, %s, %d, %d).Len() = %d", c, o, step, n, r.Len())
 				}
-				for k := 0; k < r.Len(); k++ {
-					if got, want := r.At(k), model[c.Along(o, k*step)]; got != want {
-						t.Fatalf("Run(%+v, %s, %d, %d).At(%d) = %d, want %d", c, o, step, n, k, got, want)
+				stride := 1 + rng.Intn(3)
+				dst := make([]uint64, stride*n+1)
+				for k := range dst {
+					dst[k] = ^uint64(0)
+				}
+				r.Copy(dst, stride, r.Len())
+				for k, got := range dst {
+					want := ^uint64(0) // untouched between and after the copied words
+					if k%stride == 0 && k/stride < r.Len() {
+						want = model[c.Along(o, k/stride*step)]
+					}
+					if got != want {
+						t.Fatalf("Run(%+v, %s, %d, %d).Copy stride %d: dst[%d] = %d, want %d", c, o, step, n, stride, k, got, want)
+					}
+				}
+				// Indices relative to idx[0]: any order, repeats, and now and
+				// then one before or past the run, where Gather must stop.
+				base := rng.Intn(1000)
+				idx := []int{base}
+				for more := rng.Intn(12); more > 0; more-- {
+					idx = append(idx, base+rng.Intn(r.Len()+1)-rng.Intn(2)*rng.Intn(2))
+				}
+				stop := len(idx)
+				for k, j := range idx {
+					if j < base || j >= base+r.Len() {
+						stop = k
+						break
+					}
+				}
+				dst = make([]uint64, stride*len(idx)+1)
+				for k := range dst {
+					dst[k] = ^uint64(0)
+				}
+				if got := r.Gather(dst, stride, idx); got != stop {
+					t.Fatalf("Run(%+v, %s, %d, %d).Gather(%v) = %d, want %d", c, o, step, n, idx, got, stop)
+				}
+				for k, got := range dst {
+					want := ^uint64(0)
+					if k%stride == 0 && k/stride < stop {
+						want = model[c.Along(o, (idx[k/stride]-base)*step)]
+					}
+					if got != want {
+						t.Fatalf("Run(%+v, %s, %d, %d).Gather(%v) stride %d: dst[%d] = %d, want %d", c, o, step, n, idx, stride, k, got, want)
 					}
 				}
 				if r.Len() < n {

@@ -180,16 +180,21 @@ func runSelect(db *engine.DB, s *Select) (*Result, error) {
 		return nil, err
 	}
 
+	// Without a WHERE rows stays nil, which the engine reads as every live
+	// row; only ORDER BY and a projection need the ids themselves.
 	var rows []int
+	count := t.Live()
 	if len(s.Where) > 0 {
 		if rows, err = evalConds(t, s.Where); err != nil {
 			return nil, err
 		}
-	} else {
-		rows = t.LiveRows()
+		count = len(rows)
 	}
 
 	if s.OrderBy != "" && s.GroupBy == "" {
+		if rows == nil {
+			rows = t.LiveRows()
+		}
 		col, err := resolveColumn(t, s.OrderBy)
 		if err != nil {
 			return nil, err
@@ -225,14 +230,7 @@ func runSelect(db *engine.DB, s *Select) (*Result, error) {
 		return applyOrderLimit(out, s)
 	}
 
-	// Aggregates?
-	hasAgg := false
-	for _, it := range s.Items {
-		if it.Agg != AggNone {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
+	if hasAggregates(s) {
 		res := &Result{Rows: [][]uint64{nil}}
 		res.Floats = make([]float64, 0, len(s.Items))
 		for _, it := range s.Items {
@@ -254,7 +252,7 @@ func runSelect(db *engine.DB, s *Select) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				if len(rows) == 0 {
+				if count == 0 {
 					res.Columns = append(res.Columns, "AVG("+col+")")
 					res.Rows[0] = append(res.Rows[0], 0)
 					res.Floats = append(res.Floats, 0)
@@ -269,7 +267,7 @@ func runSelect(db *engine.DB, s *Select) (*Result, error) {
 				res.Floats = append(res.Floats, v)
 			case AggCount:
 				res.Columns = append(res.Columns, "COUNT(*)")
-				res.Rows[0] = append(res.Rows[0], uint64(len(rows)))
+				res.Rows[0] = append(res.Rows[0], uint64(count))
 				res.Floats = append(res.Floats, 0)
 			case AggMin, AggMax:
 				col, err := resolveColumn(t, it.Column)
@@ -298,6 +296,9 @@ func runSelect(db *engine.DB, s *Select) (*Result, error) {
 	fields, err := selectFields(t, s)
 	if err != nil {
 		return nil, err
+	}
+	if rows == nil {
+		rows = t.LiveRows()
 	}
 	if s.Limit > 0 && s.Limit < len(rows) {
 		rows = rows[:s.Limit]

@@ -52,18 +52,23 @@ func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
 	if err != nil {
 		return selPartial{err: err}
 	}
+	// Without a WHERE rows stays nil, which the engine reads as every live
+	// row; only ORDER BY and a projection need the ids themselves.
 	var rows []int
+	count := t.Live()
 	if len(s.Where) > 0 {
 		if rows, err = evalConds(t, s.Where); err != nil {
 			return selPartial{err: err}
 		}
-	} else {
-		rows = t.LiveRows()
+		count = len(rows)
 	}
 
 	ordered := s.OrderBy != "" && s.GroupBy == ""
 	var keys map[int]uint64
 	if ordered {
+		if rows == nil {
+			rows = t.LiveRows()
+		}
 		col, err := resolveColumn(t, s.OrderBy)
 		if err != nil {
 			return selPartial{err: err}
@@ -110,7 +115,7 @@ func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
 				if err != nil {
 					return selPartial{err: err}
 				}
-				cells = append(cells, aggCell{kind: AggSum, col: col, sum: v, n: len(rows)})
+				cells = append(cells, aggCell{kind: AggSum, col: col, sum: v, n: count})
 			case AggAvg:
 				col, err := resolveColumn(t, it.Column)
 				if err != nil {
@@ -119,14 +124,14 @@ func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
 				// Partial = raw sum + count; the merge divides once, so the
 				// float result is the baseline's single division.
 				var v uint64
-				if len(rows) > 0 {
+				if count > 0 {
 					if v, err = t.SumField(col, rows); err != nil {
 						return selPartial{err: err}
 					}
 				}
-				cells = append(cells, aggCell{kind: AggAvg, col: col, sum: v, n: len(rows)})
+				cells = append(cells, aggCell{kind: AggAvg, col: col, sum: v, n: count})
 			case AggCount:
-				cells = append(cells, aggCell{kind: AggCount, n: len(rows)})
+				cells = append(cells, aggCell{kind: AggCount, n: count})
 			case AggMin, AggMax:
 				col, err := resolveColumn(t, it.Column)
 				if err != nil {
@@ -142,12 +147,12 @@ func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
 					return selPartial{err: fmt.Errorf("engine: MIN/MAX over multi-word field %s", col)}
 				}
 				cell := aggCell{kind: it.Agg, col: col}
-				if len(rows) > 0 {
+				if count > 0 {
 					lo, hi, err := t.MinMaxField(col, rows)
 					if err != nil {
 						return selPartial{err: err}
 					}
-					cell.lo, cell.hi, cell.n = lo, hi, len(rows)
+					cell.lo, cell.hi, cell.n = lo, hi, count
 				}
 				cells = append(cells, cell)
 			default:
@@ -161,6 +166,9 @@ func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
 	// position) but project at merge time, in global-row order.
 	if _, err := selectFields(t, s); err != nil {
 		return selPartial{err: err}
+	}
+	if rows == nil {
+		rows = t.LiveRows()
 	}
 	refs := make([]rowRef, 0, len(rows))
 	for _, row := range rows {

@@ -3,6 +3,7 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -300,5 +301,63 @@ func TestAggregateEmptyWhereRegression(t *testing.T) {
 	// Sanity: matching WHERE still aggregates.
 	if got := mustExec("SELECT SUM(b) FROM t WHERE a > 1"); got.Rows[0][0] != 50 {
 		t.Errorf("SUM over matches = %d, want 50", got.Rows[0][0])
+	}
+}
+
+// TestWhereLessSelectSkipsTombstones: a SELECT without a WHERE hands the
+// engine "every live row" instead of a row list, so COUNT(*) and the AVG
+// divisor come from the table's live count: after a DELETE each WHERE-less
+// statement must answer what the same statement answers with a WHERE every
+// row passes, on one shard and on three, down to the empty table.
+func TestWhereLessSelectSkipsTombstones(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		c, err := shard.Open(engine.DualAddress, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := func(q string) (string, error) {
+			res, err := ExecSharded(c, q)
+			if err != nil {
+				return "", err
+			}
+			return res.Format(), nil
+		}
+		must := func(q string) string {
+			out, err := exec(q)
+			if err != nil {
+				t.Fatalf("%d shards: %s: %v", n, q, err)
+			}
+			return out
+		}
+		must("CREATE TABLE t (a, g, b) CAPACITY 2048")
+		var sb strings.Builder
+		for a := 0; a < 1500; a++ {
+			fmt.Fprintf(&sb, "(%d, %d, %d),", a, a%7, 5*a+1)
+		}
+		must("INSERT INTO t VALUES " + strings.TrimSuffix(sb.String(), ","))
+		for _, del := range []string{"DELETE FROM t WHERE g = 3", "DELETE FROM t WHERE a < 600", "DELETE FROM t"} {
+			must(del)
+			for _, sel := range []string{
+				"SELECT COUNT(*), SUM(b), AVG(b) FROM t",
+				"SELECT MIN(b), MAX(a) FROM t",
+				"SELECT g, COUNT(*) FROM t%s GROUP BY g",
+				"SELECT g, AVG(b) FROM t%s GROUP BY g",
+				"SELECT a FROM t%s ORDER BY b DESC LIMIT 3",
+				"SELECT a, b FROM t%s LIMIT 4",
+			} {
+				if !strings.Contains(sel, "%s") {
+					sel += "%s"
+				}
+				bare, bareErr := exec(fmt.Sprintf(sel, ""))
+				all, allErr := exec(fmt.Sprintf(sel, " WHERE a >= 0"))
+				if bare != all || (bareErr == nil) != (allErr == nil) {
+					t.Errorf("%d shards, after %q: %q\n without WHERE: %s %v\n with one every row passes: %s %v",
+						n, del, fmt.Sprintf(sel, ""), bare, bareErr, all, allErr)
+				}
+			}
+		}
+		if got := must("SELECT COUNT(*), AVG(b) FROM t"); !strings.Contains(got, "0") {
+			t.Errorf("%d shards: empty table COUNT/AVG = %s", n, got)
+		}
 	}
 }

@@ -1,0 +1,48 @@
+package sql
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
+)
+
+// BenchmarkSelect is the rung directly under the benchmark's olap_scan
+// workload: its three statement shapes over its table — 16 384 rows of
+// (id, grp = id mod 8, val = 3·id) — through Execute on a 1-shard cluster,
+// without the server and the wire.
+func BenchmarkSelect(b *testing.B) {
+	const rows = 16384
+	c, err := shard.Open(engine.DualAddress, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	exec := func(src string) {
+		if _, _, err := Execute(c, src, ExecOptions{}); err != nil {
+			b.Fatalf("%.60s: %v", src, err)
+		}
+	}
+	exec(fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows))
+	for id := 0; id < rows; id += 256 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO load VALUES ")
+		for k := id; k < id+256; k++ {
+			fmt.Fprintf(&sb, "(%d, %d, %d),", k, k%8, 3*k)
+		}
+		exec(strings.TrimSuffix(sb.String(), ","))
+	}
+	for _, sc := range []struct{ name, src string }{
+		{"sumcount", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5"},
+		{"avg", "SELECT AVG(val) FROM load WHERE val > 24576"}, // half the table matches
+		{"group", "SELECT grp, SUM(val) FROM load GROUP BY grp"},
+	} {
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				exec(sc.src)
+			}
+		})
+	}
+}
