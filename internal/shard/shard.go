@@ -76,9 +76,10 @@ func Open(mode engine.Mode, n, workers int) (*Cluster, error) {
 }
 
 // Wrap presents an existing single database as a 1-shard cluster. The
-// executor never consults the registry at N==1 (it runs the plain
-// single-database plan on shard 0), so a wrapped database behaves exactly
-// as it did unsharded (tables created directly on db stay fully usable).
+// executor never consults the registry at N==1 (a SELECT is the merge of
+// one partial, whose local row ids are the global ids, and DDL and DML run
+// as on one database), so a wrapped database behaves exactly as it did
+// unsharded (tables created directly on db stay fully usable).
 func Wrap(db *engine.DB) *Cluster {
 	return &Cluster{shards: []*engine.DB{db}, tables: make(map[string]*tableMap)}
 }

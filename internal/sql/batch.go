@@ -171,12 +171,12 @@ func runGroupedSelects(c *shard.Cluster, sts []Statement, members []int, results
 	}
 	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(sh int) error {
 		for m, idx := range members {
-			parts[m][sh] = selectOnShard(c, sh, sts[idx].(*Select))
+			parts[m][sh] = fanOutPartial(c, sh, sts[idx].(*Select))
 		}
 		return nil
 	})
 	for m, idx := range members {
-		results[idx], errs[idx] = mergeSelect(c, sts[idx].(*Select), parts[m])
+		results[idx], errs[idx] = mergeSelect(sts[idx].(*Select), parts[m])
 	}
 }
 

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"testing"
 
 	"rcnvm/internal/engine"
@@ -90,6 +91,39 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 			t.Fatalf("round trip of %q drifted to %q", got, StatementText(back))
 		}
 	}
+
+	// On one shard the inner dispatch writes exactly one record, the inner
+	// text; through the unlogged Run, none.
+	c, err := shard.Open(engine.DualAddress, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecSharded(c, "CREATE TABLE kv (k, a)"); err != nil {
+		t.Fatal(err)
+	}
+	log := &recLog{}
+	c.Shard(0).SetCommitLog(log)
+	if _, err := ExecSharded(c, "EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(c.Shard(0), "EXPLAIN ANALYZE UPDATE kv SET a = 3"); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"INSERT INTO kv VALUES (1, 2)"}; fmt.Sprint(log.srcs) != fmt.Sprint(want) {
+		t.Fatalf("logged %q, want %q", log.srcs, want)
+	}
+}
+
+// recLog is a commit log that remembers the statement texts appended.
+type recLog struct{ srcs []string }
+
+func (l *recLog) LogStatement(src string, _, _ bool) (func() error, error) {
+	l.srcs = append(l.srcs, src)
+	return nil, nil
+}
+
+func (l *recLog) LogInsert(string, [][]uint64, []int) (func() error, error) {
+	return nil, fmt.Errorf("recLog: unexpected insert record")
 }
 
 // panicLog is a commit log that blows up on every append: the worst place

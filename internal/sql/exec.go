@@ -2,11 +2,11 @@ package sql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
+	"rcnvm/internal/shard"
 )
 
 // Result is the outcome of executing one statement.
@@ -35,7 +35,9 @@ func Exec(db *engine.DB, src string) (*Result, error) {
 	return Run(db, st)
 }
 
-// Run executes a parsed statement.
+// Run executes a parsed statement on one database. It neither locks nor
+// logs: its callers run single-threaded or are replaying the log itself. A
+// SELECT is the scatter path's over one shard, the merge of one partial.
 func Run(db *engine.DB, st Statement) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTable:
@@ -43,13 +45,17 @@ func Run(db *engine.DB, st Statement) (*Result, error) {
 	case *Insert:
 		return runInsert(db, s)
 	case *Select:
-		return runSelect(db, s)
+		return scatterSelect(shard.Wrap(db), s, []int{0})
 	case *Update:
 		return runUpdate(db, s)
 	case *Delete:
 		return runDelete(db, s)
 	case *Explain:
-		return runExplain(db, s)
+		res, _, err := explain(shard.Wrap(db), s, func() ([]func() error, error) {
+			_, err := Run(db, s.Stmt)
+			return nil, err
+		})
+		return res, err
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}
@@ -171,145 +177,6 @@ func predicate(c Cond) (func([]uint64) bool, error) {
 	}
 }
 
-func runSelect(db *engine.DB, s *Select) (*Result, error) {
-	if s.JoinTable != "" {
-		return runJoin(db, s)
-	}
-	t, err := lookup(db, s.Table)
-	if err != nil {
-		return nil, err
-	}
-
-	// Without a WHERE rows stays nil, which the engine reads as every live
-	// row; only ORDER BY and a projection need the ids themselves.
-	var rows []int
-	count := t.Live()
-	if len(s.Where) > 0 {
-		if rows, err = evalConds(t, s.Where); err != nil {
-			return nil, err
-		}
-		count = len(rows)
-	}
-
-	if s.OrderBy != "" && s.GroupBy == "" {
-		if rows == nil {
-			rows = t.LiveRows()
-		}
-		col, err := resolveColumn(t, s.OrderBy)
-		if err != nil {
-			return nil, err
-		}
-		_, words, err := t.Schema().FieldOffset(col)
-		if err != nil {
-			return nil, err
-		}
-		if words != 1 {
-			return nil, fmt.Errorf("sql: ORDER BY on wide field %q", col)
-		}
-		keys := make(map[int]uint64, len(rows))
-		for _, row := range rows {
-			vals, err := t.Field(row, col)
-			if err != nil {
-				return nil, err
-			}
-			keys[row] = vals[0]
-		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			if s.Desc {
-				return keys[rows[i]] > keys[rows[j]]
-			}
-			return keys[rows[i]] < keys[rows[j]]
-		})
-	}
-
-	if s.GroupBy != "" {
-		out, err := runGroupBy(t, s, rows)
-		if err != nil {
-			return nil, err
-		}
-		return applyOrderLimit(out, s)
-	}
-
-	if hasAggregates(s) {
-		res := &Result{Rows: [][]uint64{nil}}
-		res.Floats = make([]float64, 0, len(s.Items))
-		for _, it := range s.Items {
-			switch it.Agg {
-			case AggSum:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return nil, err
-				}
-				v, err := t.SumField(col, rows)
-				if err != nil {
-					return nil, err
-				}
-				res.Columns = append(res.Columns, "SUM("+col+")")
-				res.Rows[0] = append(res.Rows[0], v)
-				res.Floats = append(res.Floats, 0)
-			case AggAvg:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return nil, err
-				}
-				if count == 0 {
-					res.Columns = append(res.Columns, "AVG("+col+")")
-					res.Rows[0] = append(res.Rows[0], 0)
-					res.Floats = append(res.Floats, 0)
-					continue
-				}
-				v, err := t.AvgField(col, rows)
-				if err != nil {
-					return nil, err
-				}
-				res.Columns = append(res.Columns, "AVG("+col+")")
-				res.Rows[0] = append(res.Rows[0], uint64(v))
-				res.Floats = append(res.Floats, v)
-			case AggCount:
-				res.Columns = append(res.Columns, "COUNT(*)")
-				res.Rows[0] = append(res.Rows[0], uint64(count))
-				res.Floats = append(res.Floats, 0)
-			case AggMin, AggMax:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return nil, err
-				}
-				lo, hi, err := t.MinMaxField(col, rows)
-				if err != nil {
-					return nil, err
-				}
-				if it.Agg == AggMin {
-					res.Columns = append(res.Columns, "MIN("+col+")")
-					res.Rows[0] = append(res.Rows[0], lo)
-				} else {
-					res.Columns = append(res.Columns, "MAX("+col+")")
-					res.Rows[0] = append(res.Rows[0], hi)
-				}
-				res.Floats = append(res.Floats, 0)
-			default:
-				return nil, fmt.Errorf("sql: cannot mix plain columns with aggregates")
-			}
-		}
-		return res, nil
-	}
-
-	fields, err := selectFields(t, s)
-	if err != nil {
-		return nil, err
-	}
-	if rows == nil {
-		rows = t.LiveRows()
-	}
-	if s.Limit > 0 && s.Limit < len(rows) {
-		rows = rows[:s.Limit]
-	}
-	out, err := t.Project(rows, fields)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: fields, Rows: out}, nil
-}
-
 // applyOrderLimit post-sorts a GROUP BY result (only by its key column)
 // and applies LIMIT.
 func applyOrderLimit(res *Result, s *Select) (*Result, error) {
@@ -348,62 +215,8 @@ func selectFields(t *engine.Table, s *Select) ([]string, error) {
 	return fields, nil
 }
 
-func runJoin(db *engine.DB, s *Select) (*Result, error) {
-	a, err := lookup(db, s.Table)
-	if err != nil {
-		return nil, err
-	}
-	b, err := lookup(db, s.JoinTable)
-	if err != nil {
-		return nil, err
-	}
-	left, err := resolveColumn(a, s.JoinLeft)
-	if err != nil {
-		return nil, err
-	}
-	right, err := resolveColumn(b, s.JoinRight)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := engine.Join(a, left, b, right)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, q := range s.JoinItems {
-		res.Columns = append(res.Columns, q.Table+"."+q.Column)
-	}
-	for _, pr := range pairs {
-		var row []uint64
-		for _, q := range s.JoinItems {
-			var t *engine.Table
-			var id int
-			switch {
-			case strings.EqualFold(q.Table, s.Table):
-				t, id = a, pr[0]
-			case strings.EqualFold(q.Table, s.JoinTable):
-				t, id = b, pr[1]
-			default:
-				return nil, fmt.Errorf("sql: projection table %q not in FROM/JOIN", q.Table)
-			}
-			col, err := resolveColumn(t, q.Column)
-			if err != nil {
-				return nil, err
-			}
-			vals, err := t.Field(id, col)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, vals...)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
 // groupBySpec validates the SELECT key, AGG(x) ... GROUP BY key shape and
-// resolves both columns. Shared by the single-database path and the
-// scatter-gather merge so they reject exactly the same statements.
+// resolves both columns, for the sub-plan and again for the merge.
 func groupBySpec(t *engine.Table, s *Select) (key, aggCol string, agg AggKind, err error) {
 	key, err = resolveColumn(t, s.GroupBy)
 	if err != nil {
@@ -447,20 +260,6 @@ func renderGroups(groups []engine.GroupRow, key, aggCol string, agg AggKind) (*R
 		return nil, fmt.Errorf("sql: GROUP BY supports SUM, AVG and COUNT")
 	}
 	return res, nil
-}
-
-// runGroupBy handles SELECT key, AGG(x) FROM t [WHERE] GROUP BY key with
-// exactly one aggregate (SUM, AVG or COUNT).
-func runGroupBy(t *engine.Table, s *Select, rows []int) (*Result, error) {
-	key, aggCol, agg, err := groupBySpec(t, s)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := t.GroupSum(key, aggCol, rows)
-	if err != nil {
-		return nil, err
-	}
-	return renderGroups(groups, key, aggCol, agg)
 }
 
 func runDelete(db *engine.DB, s *Delete) (*Result, error) {

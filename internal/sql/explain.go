@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
+	"rcnvm/internal/trace"
 )
 
 // Explain describes how a statement will touch memory: which steps run and
@@ -37,34 +39,60 @@ func (p *parser) explain() (Statement, error) {
 	return ex, nil
 }
 
-// runExplain produces the plan text (and, for ANALYZE, executes and
-// times).
-func runExplain(db *engine.DB, ex *Explain) (*Result, error) {
+// explain renders a statement's plan once — every shard holds the same
+// schemas — under a sharding header when there are several shards. ANALYZE
+// also executes the statement through run with every shard recording, then
+// replays each shard's stream on its own simulated channel: the statement
+// finishes when its slowest shard does, so the estimate is the max over
+// shards.
+func explain(c *shard.Cluster, ex *Explain, run func() ([]func() error, error)) (*Result, []func() error, error) {
 	var b strings.Builder
-	describe(db, ex.Stmt, &b)
+	sharded := c.N() > 1
+	if sharded {
+		fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
+	}
+	describe(c.Shard(0), ex.Stmt, &b)
 
 	if !ex.Analyze {
-		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil
+		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
 	}
 
-	db.StartTrace()
-	_, err := Run(db, ex.Stmt)
-	stream := db.StopTrace()
-	if err != nil {
-		return nil, err
+	for i := 0; i < c.N(); i++ {
+		c.Shard(i).StartTrace()
 	}
-	memOps := stream.MemOps()
-	fmt.Fprintf(&b, "actual: %d memory ops", memOps)
-	if memOps > 0 {
-		dual, row, err := sim.Replays.Pair(stream)
-		if err != nil {
-			return nil, err
+	waits, runErr := run()
+	streams := make([]trace.Stream, c.N())
+	total := 0
+	for i := range streams {
+		streams[i] = c.Shard(i).StopTrace()
+		total += streams[i].MemOps()
+	}
+	if runErr != nil {
+		return nil, waits, runErr
+	}
+	fmt.Fprintf(&b, "actual: %d memory ops", total)
+	if sharded {
+		fmt.Fprintf(&b, " across %d shards", c.N())
+	}
+	if total > 0 {
+		var dualMax, rowMax int64
+		for _, st := range streams {
+			if st.MemOps() == 0 {
+				continue
+			}
+			dual, row, err := sim.Replays.Pair(st)
+			if err != nil {
+				return nil, waits, err
+			}
+			dualMax, rowMax = max(dualMax, dual.TimePs), max(rowMax, row.TimePs)
 		}
 		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx)",
-			float64(dual.TimePs)/1e6, float64(row.TimePs)/1e6,
-			float64(row.TimePs)/float64(dual.TimePs))
+			float64(dualMax)/1e6, float64(rowMax)/1e6, float64(rowMax)/float64(dualMax))
+		if sharded {
+			b.WriteString(", slowest shard")
+		}
 	}
-	return &Result{Message: b.String()}, nil
+	return &Result{Message: b.String()}, waits, nil
 }
 
 // describe renders the access plan of a statement.

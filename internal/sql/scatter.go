@@ -5,9 +5,11 @@ package sql
 // sub-plans, fanned out over the cluster's worker budget, and the partial
 // results merged back into a single Result that is byte-identical to what
 // the 1-shard baseline produces. A 1-shard cluster is not a separate
-// pipeline, only two small cases at the bottom of this one: route returns
-// shard 0 without consulting the registry, and dispatchSharded runs the
-// plain single-database plan and logs the statement text.
+// pipeline: a SELECT is the merge of one partial and EXPLAIN is the same
+// code at any shard count (scatter_select.go, explain.go); what is left
+// are two small cases, route returning shard 0 without consulting the
+// registry and dispatchSharded running DDL and DML as a single database
+// that logs the statement text.
 //
 // Routing: a statement whose WHERE pins the partitioning column with an
 // equality runs on exactly one shard (all matching rows live there);
@@ -26,7 +28,8 @@ package sql
 // runs to completion into its own slot and the merge consumes slots in
 // shard order, so results and error values are independent of -workers
 // and goroutine scheduling. When several shards fail (possible only with
-// fault injection), the lowest shard index's error wins.
+// fault injection), the lowest shard index's error wins — among a SELECT's
+// aggregate items, the earliest failing item's (scatter_select.go).
 
 import (
 	"context"
@@ -153,9 +156,22 @@ func lockShards(c *shard.Cluster, targets []int, exclusive bool) (unlock func())
 // The returned waits are per-shard durability waits the caller must run
 // after releasing the locks (nil/empty when nothing was logged).
 func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) (*Result, []func() error, error) {
+	switch s := st.(type) {
+	case *Select:
+		res, err := scatterSelect(c, s, targets)
+		return res, nil, err
+	case *Explain:
+		// The inner dispatch logs any mutation under the inner statement's
+		// own text, printed from the parsed AST (round-trip property):
+		// replay must re-execute the mutation, not re-time it.
+		return explain(c, s, func() ([]func() error, error) {
+			_, waits, err := dispatchSharded(c, s.Stmt, StatementText(s.Stmt), allShards(c))
+			return waits, err
+		})
+	}
 	if c.N() == 1 {
-		// The lone shard runs the unmodified single-database plan (its row
-		// ids are the global ids) and logs the statement's text, so tables
+		// The lone shard runs DDL and DML as a single database (its row ids
+		// are the global ids) and logs the statement's text, so tables
 		// created directly on a shard.Wrap'd database stay fully usable.
 		db := c.Shard(0)
 		res, err := Run(db, st)
@@ -169,28 +185,12 @@ func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) 
 		return scatterCreate(c, s, src)
 	case *Insert:
 		return scatterInsert(c, s)
-	case *Select:
-		if s.JoinTable != "" {
-			res, err := scatterJoin(c, s)
-			return res, nil, err
-		}
-		if len(targets) == 1 {
-			// Point query: every matching row lives on this shard, and its
-			// local row order equals the global order, so the unmodified
-			// single-database plan is already the merged answer.
-			res, err := runSelect(c.Shard(targets[0]), s)
-			return res, nil, err
-		}
-		res, err := scatterSelect(c, s)
-		return res, nil, err
 	case *Update:
 		return scatterAffected(c, targets, src, updateUnstable(c, s),
 			func(db *engine.DB) (*Result, error) { return runUpdate(db, s) })
 	case *Delete:
 		return scatterAffected(c, targets, src, false,
 			func(db *engine.DB) (*Result, error) { return runDelete(db, s) })
-	case *Explain:
-		return scatterExplain(c, s)
 	default:
 		return nil, nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}

@@ -1,10 +1,18 @@
 package sql
 
-// Fan-out SELECT sub-plans and their merges. Each per-shard sub-plan
-// follows runSelect's step order exactly (WHERE, ORDER BY key gathering,
-// GROUP BY, aggregates, projection validation) so that schema errors
-// surface identically on every shard and the merged result — including
-// error values — matches the 1-shard baseline byte for byte.
+// The SELECT executor, for any number of shards. Every shard the statement
+// touches runs the same sub-plan, selectOnShard (WHERE, ORDER BY key
+// gathering and sort, then GROUP BY, the aggregate items in order, or
+// projection validation), and mergeSelect combines the partials. A 1-shard
+// SELECT, a point-routed one and Run's are the merge of one partial: its
+// local row order already is the global order, so only a fan-out over more
+// than one shard maps row ids to globals through the registry.
+//
+// Errors: a partial stops at its first failing step and the merge reports
+// the lowest shard's error — except among aggregate items, where the error
+// of the earliest failing item wins, and a MIN/MAX over zero rows before it
+// is reported first. That is what one database, stopping at its first
+// failure, answers.
 
 import (
 	"context"
@@ -15,249 +23,281 @@ import (
 	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
-	"rcnvm/internal/sim"
-	"rcnvm/internal/trace"
 )
 
-// rowRef locates one matched row: merges order by global id, the row's
-// baseline row id.
+// rowRef locates one row of a fan-out: merges order by global id, the
+// row's 1-shard row id. shard indexes the partials of a select merge.
 type rowRef struct {
 	global int
 	shard  int
 	local  int
-	key    uint64 // ORDER BY sort key (unused otherwise)
+	key    uint64 // ORDER BY or join key
 }
 
 // aggCell is one SELECT item's partial aggregate on one shard.
 type aggCell struct {
 	kind   AggKind
 	col    string // resolved column name (output header)
-	sum    uint64 // SUM/AVG partial (wraps like the baseline's uint64 sum)
+	sum    uint64 // SUM/AVG partial (wraps like a single uint64 sum)
 	lo, hi uint64 // MIN/MAX partial
 	n      int    // contributing rows (COUNT, AVG divisor, MIN/MAX emptiness)
 }
 
-// selPartial is one shard's contribution to a fanned-out SELECT.
+// selPartial is one shard's contribution to a SELECT.
 type selPartial struct {
 	err    error
-	refs   []rowRef
-	aggs   []aggCell
+	t      *engine.Table // the shard's table, which the merge projects from
+	fields []string      // a projection's resolved columns
+	rows   []int         // its local row ids in output order, LIMIT applied
+	keys   []uint64      // their ORDER BY keys
+	global []int         // their global ids, set only in a fan-out over several shards
+	aggs   []aggCell     // the aggregate items before the failing one, if any
 	groups []engine.GroupRow
 }
 
-// selectOnShard runs one shard's sub-plan.
-func selectOnShard(c *shard.Cluster, i int, s *Select) selPartial {
-	db := c.Shard(i)
+// selectOnShard runs a SELECT's sub-plan on one database.
+func selectOnShard(db *engine.DB, s *Select) selPartial {
+	var p selPartial
+	p.err = p.run(db, s)
+	return p
+}
+
+func (p *selPartial) run(db *engine.DB, s *Select) error {
 	t, err := lookup(db, s.Table)
 	if err != nil {
-		return selPartial{err: err}
+		return err
 	}
+	p.t = t
 	// Without a WHERE rows stays nil, which the engine reads as every live
 	// row; only ORDER BY and a projection need the ids themselves.
 	var rows []int
 	count := t.Live()
 	if len(s.Where) > 0 {
 		if rows, err = evalConds(t, s.Where); err != nil {
-			return selPartial{err: err}
+			return err
 		}
 		count = len(rows)
 	}
 
-	ordered := s.OrderBy != "" && s.GroupBy == ""
-	var keys map[int]uint64
-	if ordered {
+	if s.OrderBy != "" && s.GroupBy == "" {
 		if rows == nil {
 			rows = t.LiveRows()
 		}
 		col, err := resolveColumn(t, s.OrderBy)
 		if err != nil {
-			return selPartial{err: err}
+			return err
 		}
 		_, words, err := t.Schema().FieldOffset(col)
 		if err != nil {
-			return selPartial{err: err}
+			return err
 		}
 		if words != 1 {
-			return selPartial{err: fmt.Errorf("sql: ORDER BY on wide field %q", col)}
+			return fmt.Errorf("sql: ORDER BY on wide field %q", col)
 		}
-		keys = make(map[int]uint64, len(rows))
-		for _, row := range rows {
+		p.keys = make([]uint64, len(rows))
+		for j, row := range rows {
 			vals, err := t.Field(row, col)
 			if err != nil {
-				return selPartial{err: err}
+				return err
 			}
-			keys[row] = vals[0]
+			p.keys[j] = vals[0]
 		}
+		sort.Stable(byKey{rows, p.keys, s.Desc})
 	}
 
-	if s.GroupBy != "" {
+	switch {
+	case s.GroupBy != "":
 		key, aggCol, _, err := groupBySpec(t, s)
 		if err != nil {
-			return selPartial{err: err}
+			return err
 		}
-		groups, err := t.GroupSum(key, aggCol, rows)
-		if err != nil {
-			return selPartial{err: err}
-		}
-		return selPartial{groups: groups}
-	}
-
-	if hasAggregates(s) {
-		cells := make([]aggCell, 0, len(s.Items))
+		p.groups, err = t.GroupSum(key, aggCol, rows)
+		return err
+	case hasAggregates(s):
+		p.aggs = make([]aggCell, 0, len(s.Items))
 		for _, it := range s.Items {
-			switch it.Agg {
-			case AggSum:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				v, err := t.SumField(col, rows)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				cells = append(cells, aggCell{kind: AggSum, col: col, sum: v, n: count})
-			case AggAvg:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				// Partial = raw sum + count; the merge divides once, so the
-				// float result is the baseline's single division.
-				var v uint64
-				if count > 0 {
-					if v, err = t.SumField(col, rows); err != nil {
-						return selPartial{err: err}
-					}
-				}
-				cells = append(cells, aggCell{kind: AggAvg, col: col, sum: v, n: count})
-			case AggCount:
-				cells = append(cells, aggCell{kind: AggCount, n: count})
-			case AggMin, AggMax:
-				col, err := resolveColumn(t, it.Column)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				// Validate width even when this shard holds no matches: the
-				// baseline rejects wide fields before noticing emptiness.
-				_, words, err := t.Schema().FieldOffset(col)
-				if err != nil {
-					return selPartial{err: err}
-				}
-				if words != 1 {
-					return selPartial{err: fmt.Errorf("engine: MIN/MAX over multi-word field %s", col)}
-				}
-				cell := aggCell{kind: it.Agg, col: col}
-				if count > 0 {
-					lo, hi, err := t.MinMaxField(col, rows)
-					if err != nil {
-						return selPartial{err: err}
-					}
-					cell.lo, cell.hi, cell.n = lo, hi, count
-				}
-				cells = append(cells, cell)
-			default:
-				return selPartial{err: fmt.Errorf("sql: cannot mix plain columns with aggregates")}
+			cell, err := aggregate(t, it, rows, count)
+			if err != nil {
+				return err
 			}
+			p.aggs = append(p.aggs, cell)
 		}
-		return selPartial{aggs: cells}
+		return nil
 	}
 
-	// Plain projection: validate the field list here (baseline error
-	// position) but project at merge time, in global-row order.
-	if _, err := selectFields(t, s); err != nil {
-		return selPartial{err: err}
+	// Plain projection: resolve the field list here but project at merge
+	// time. LIMIT truncates per shard: local order is global order within
+	// a shard, and the merge keeps the first rows.
+	if p.fields, err = selectFields(t, s); err != nil {
+		return err
 	}
 	if rows == nil {
 		rows = t.LiveRows()
 	}
-	refs := make([]rowRef, 0, len(rows))
-	for _, row := range rows {
+	if s.Limit > 0 && s.Limit < len(rows) {
+		rows = rows[:s.Limit]
+		if p.keys != nil {
+			p.keys = p.keys[:s.Limit]
+		}
+	}
+	p.rows = rows
+	return nil
+}
+
+// byKey sorts rows by their ORDER BY keys; sort.Stable keeps equal keys in
+// row order.
+type byKey struct {
+	rows []int
+	keys []uint64
+	desc bool
+}
+
+func (b byKey) Len() int { return len(b.rows) }
+
+func (b byKey) Less(i, j int) bool {
+	if b.desc {
+		return b.keys[i] > b.keys[j]
+	}
+	return b.keys[i] < b.keys[j]
+}
+
+func (b byKey) Swap(i, j int) {
+	b.rows[i], b.rows[j] = b.rows[j], b.rows[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+}
+
+// aggregate computes one aggregate item's partial over rows, count of them.
+func aggregate(t *engine.Table, it SelectItem, rows []int, count int) (aggCell, error) {
+	switch it.Agg {
+	case AggNone:
+		return aggCell{}, fmt.Errorf("sql: cannot mix plain columns with aggregates")
+	case AggCount:
+		return aggCell{kind: AggCount, n: count}, nil
+	}
+	col, err := resolveColumn(t, it.Column)
+	if err != nil {
+		return aggCell{}, err
+	}
+	cell := aggCell{kind: it.Agg, col: col, n: count}
+	switch {
+	case it.Agg == AggSum:
+		cell.sum, err = t.SumField(col, rows)
+	case it.Agg == AggAvg && count > 0:
+		// Partial = raw sum + count; the merge divides once.
+		cell.sum, err = t.SumField(col, rows)
+	case (it.Agg == AggMin || it.Agg == AggMax) && count > 0:
+		cell.lo, cell.hi, err = t.MinMaxField(col, rows)
+	case it.Agg == AggMin || it.Agg == AggMax:
+		// Nothing to read, but a wide field is rejected before emptiness,
+		// as MinMaxField does; the merge reports the zero rows.
+		if _, words, _ := t.Schema().FieldOffset(col); words != 1 {
+			err = fmt.Errorf("engine: MIN/MAX over multi-word field %s", col)
+		}
+	}
+	return cell, err
+}
+
+// scatterSelect runs a SELECT on its target shards and merges.
+func scatterSelect(c *shard.Cluster, s *Select, targets []int) (*Result, error) {
+	if s.JoinTable != "" {
+		return scatterJoin(c, s)
+	}
+	if len(targets) == 1 {
+		return mergeSelect(s, []selPartial{selectOnShard(c.Shard(targets[0]), s)})
+	}
+	parts := make([]selPartial, len(targets))
+	_ = par.RunCells(context.Background(), c.Workers(), len(targets), func(j int) error {
+		parts[j] = fanOutPartial(c, targets[j], s)
+		return nil
+	})
+	return mergeSelect(s, parts)
+}
+
+// fanOutPartial is shard i's partial in a fan-out over several shards: its
+// rows carry their global ids, the merge order.
+func fanOutPartial(c *shard.Cluster, i int, s *Select) selPartial {
+	p := selectOnShard(c.Shard(i), s)
+	if p.err != nil {
+		return p
+	}
+	p.global = make([]int, len(p.rows))
+	for j, row := range p.rows {
 		g, ok := c.Global(s.Table, i, row)
 		if !ok {
 			return selPartial{err: errUnmanaged(s.Table)}
 		}
-		r := rowRef{global: g, shard: i, local: row}
-		if ordered {
-			r.key = keys[row]
-		}
-		refs = append(refs, r)
+		p.global[j] = g
 	}
-	// Unordered LIMIT can truncate per shard: local order is global order
-	// within a shard, and the merge keeps the lowest globals.
-	if !ordered && s.Limit > 0 && s.Limit < len(refs) {
-		refs = refs[:s.Limit]
-	}
-	return selPartial{refs: refs}
+	return p
 }
 
-// scatterSelect fans a non-join SELECT over every shard and merges.
-func scatterSelect(c *shard.Cluster, s *Select) (*Result, error) {
-	parts := make([]selPartial, c.N())
-	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(i int) error {
-		parts[i] = selectOnShard(c, i, s)
-		return nil
-	})
-	return mergeSelect(c, s, parts)
-}
-
-// mergeSelect combines per-shard partials into the final Result (locks
+// mergeSelect combines a SELECT's partials into the final Result (locks
 // must still be held: merging projects rows out of shard memory). Shared
 // with the batch executor, whose grouped fan-out produces the partials for
-// several SELECTs in one round trip. The lowest shard's error wins.
-func mergeSelect(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
+// several SELECTs in one round trip.
+func mergeSelect(s *Select, parts []selPartial) (*Result, error) {
+	if s.GroupBy == "" && hasAggregates(s) {
+		return mergeAggregates(s, parts)
+	}
 	for i := range parts {
 		if parts[i].err != nil {
 			return nil, parts[i].err
 		}
 	}
 	if s.GroupBy != "" {
-		return mergeGroups(c, s, parts)
+		return mergeGroups(s, parts)
 	}
-	if hasAggregates(s) {
-		return mergeAggregates(parts, s)
-	}
-	return mergeRows(c, s, parts)
+	return mergeRows(s, parts)
 }
 
-// mergeGroups re-merges per-shard GroupSum partials by key.
-func mergeGroups(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
-	t0, err := lookup(c.Shard(0), s.Table)
+// mergeGroups re-merges per-shard GroupSum partials by key; one partial's
+// groups are GroupSum's, already ordered by key.
+func mergeGroups(s *Select, parts []selPartial) (*Result, error) {
+	key, aggCol, agg, err := groupBySpec(parts[0].t, s)
 	if err != nil {
 		return nil, err
 	}
-	key, aggCol, agg, err := groupBySpec(t0, s)
-	if err != nil {
-		return nil, err
-	}
-	acc := make(map[uint64]*engine.GroupRow)
-	for _, p := range parts {
-		for _, g := range p.groups {
-			m, ok := acc[g.Key]
-			if !ok {
-				m = &engine.GroupRow{Key: g.Key}
-				acc[g.Key] = m
+	groups := parts[0].groups
+	if len(parts) > 1 {
+		acc := make(map[uint64]*engine.GroupRow)
+		for _, p := range parts {
+			for _, g := range p.groups {
+				m, ok := acc[g.Key]
+				if !ok {
+					m = &engine.GroupRow{Key: g.Key}
+					acc[g.Key] = m
+				}
+				m.Sum += g.Sum
+				m.Count += g.Count
 			}
-			m.Sum += g.Sum
-			m.Count += g.Count
 		}
+		groups = make([]engine.GroupRow, 0, len(acc))
+		for _, g := range acc {
+			groups = append(groups, *g)
+		}
+		sort.Slice(groups, func(a, b int) bool { return groups[a].Key < groups[b].Key })
 	}
-	merged := make([]engine.GroupRow, 0, len(acc))
-	for _, g := range acc {
-		merged = append(merged, *g)
-	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].Key < merged[b].Key })
-	res, err := renderGroups(merged, key, aggCol, agg)
+	res, err := renderGroups(groups, key, aggCol, agg)
 	if err != nil {
 		return nil, err
 	}
 	return applyOrderLimit(res, s)
 }
 
-// mergeAggregates combines per-shard aggregate cells item by item.
-func mergeAggregates(parts []selPartial, s *Select) (*Result, error) {
+// mergeAggregates combines per-shard aggregate cells item by item, up to
+// the earliest item a partial failed at (the lowest shard's among equals);
+// a partial that failed before its items failed at item 0.
+func mergeAggregates(s *Select, parts []selPartial) (*Result, error) {
+	var err error
+	items := len(s.Items)
+	for _, p := range parts {
+		if p.err != nil && (err == nil || len(p.aggs) < items) {
+			items, err = len(p.aggs), p.err
+		}
+	}
 	res := &Result{Rows: [][]uint64{nil}}
 	res.Floats = make([]float64, 0, len(s.Items))
-	for k := range parts[0].aggs {
+	for k := 0; k < items; k++ {
 		cell := parts[0].aggs[k]
 		for _, p := range parts[1:] {
 			o := p.aggs[k]
@@ -272,12 +312,7 @@ func mergeAggregates(parts []selPartial, s *Select) (*Result, error) {
 					if cell.n == 0 {
 						cell.lo, cell.hi = o.lo, o.hi
 					} else {
-						if o.lo < cell.lo {
-							cell.lo = o.lo
-						}
-						if o.hi > cell.hi {
-							cell.hi = o.hi
-						}
+						cell.lo, cell.hi = min(cell.lo, o.lo), max(cell.hi, o.hi)
 					}
 					cell.n += o.n
 				}
@@ -316,50 +351,52 @@ func mergeAggregates(parts []selPartial, s *Select) (*Result, error) {
 			res.Floats = append(res.Floats, 0)
 		}
 	}
+	if err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// mergeRows orders gathered row references like the baseline (sort key
-// first when ordering, global id as the stable tiebreak and the storage
-// order otherwise), truncates, then projects each row on its owner shard.
-func mergeRows(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error) {
-	var refs []rowRef
-	for _, p := range parts {
-		refs = append(refs, p.refs...)
-	}
-	if s.OrderBy != "" {
-		desc := s.Desc
-		sort.Slice(refs, func(a, b int) bool {
-			ka, kb := refs[a].key, refs[b].key
-			if ka != kb {
-				if desc {
-					return ka > kb
-				}
-				return ka < kb
-			}
-			return refs[a].global < refs[b].global
-		})
-	} else {
-		sort.Slice(refs, func(a, b int) bool { return refs[a].global < refs[b].global })
-	}
-	if s.Limit > 0 && s.Limit < len(refs) {
-		refs = refs[:s.Limit]
-	}
-	t0, err := lookup(c.Shard(0), s.Table)
-	if err != nil {
-		return nil, err
-	}
-	fields, err := selectFields(t0, s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]uint64, 0, len(refs))
-	for _, r := range refs {
-		t, err := lookup(c.Shard(r.shard), s.Table)
+// mergeRows projects the matched rows. One partial's rows are ordered and
+// limited already; several are ordered like one database's (sort key first
+// when ordering, global id as the stable tiebreak and the storage order
+// otherwise), truncated, and each row projected on its owner shard.
+func mergeRows(s *Select, parts []selPartial) (*Result, error) {
+	fields := parts[0].fields
+	if len(parts) == 1 {
+		out, err := parts[0].t.Project(parts[0].rows, fields)
 		if err != nil {
 			return nil, err
 		}
-		vals, err := t.Project([]int{r.local}, fields)
+		return &Result{Columns: fields, Rows: out}, nil
+	}
+	var refs []rowRef
+	for i, p := range parts {
+		for j, row := range p.rows {
+			r := rowRef{global: p.global[j], shard: i, local: row}
+			if p.keys != nil {
+				r.key = p.keys[j]
+			}
+			refs = append(refs, r)
+		}
+	}
+	desc := s.Desc
+	sort.Slice(refs, func(a, b int) bool {
+		ka, kb := refs[a].key, refs[b].key
+		if ka != kb {
+			if desc {
+				return ka > kb
+			}
+			return ka < kb
+		}
+		return refs[a].global < refs[b].global
+	})
+	if s.Limit > 0 && s.Limit < len(refs) {
+		refs = refs[:s.Limit]
+	}
+	out := make([][]uint64, 0, len(refs))
+	for _, r := range refs {
+		vals, err := parts[r.shard].t.Project([]int{r.local}, fields)
 		if err != nil {
 			return nil, err
 		}
@@ -368,17 +405,10 @@ func mergeRows(c *shard.Cluster, s *Select, parts []selPartial) (*Result, error)
 	return &Result{Columns: fields, Rows: out}, nil
 }
 
-// keyedRow is one live row of a join side: its key value plus location.
-type keyedRow struct {
-	global int
-	shard  int
-	local  int
-	key    uint64
-}
-
-// joinKeysOnShard gathers (global id, key) for every live row of table on
-// shard i, reading the key column in scan orientation like engine.Join.
-func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]keyedRow, error) {
+// joinKeysOnShard gathers every live row of table on shard i with its key,
+// reading the key column in scan orientation like engine.Join. Rows carry
+// global ids only on a cluster of several shards.
+func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]rowRef, error) {
 	t, err := lookup(c.Shard(i), table)
 	if err != nil {
 		return nil, err
@@ -393,22 +423,25 @@ func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]keyedRow, er
 	}); err != nil {
 		return nil, err
 	}
-	out := make([]keyedRow, len(live))
+	out := make([]rowRef, len(live))
 	for j, row := range live {
-		g, ok := c.Global(table, i, row)
+		g, ok := row, true
+		if c.N() > 1 {
+			g, ok = c.Global(table, i, row)
+		}
 		if !ok {
 			return nil, errUnmanaged(table)
 		}
-		out[j] = keyedRow{global: g, shard: i, local: row, key: keys[j]}
+		out[j] = rowRef{global: g, shard: i, local: row, key: keys[j]}
 	}
 	return out, nil
 }
 
 // gatherJoinKeys fans joinKeysOnShard over the cluster and returns the
-// rows merged into ascending global order — the baseline's scan order.
-func gatherJoinKeys(c *shard.Cluster, table, col string) ([]keyedRow, error) {
+// rows merged into ascending global order — one database's scan order.
+func gatherJoinKeys(c *shard.Cluster, table, col string) ([]rowRef, error) {
 	type slot struct {
-		rows []keyedRow
+		rows []rowRef
 		err  error
 	}
 	out := make([]slot, c.N())
@@ -416,7 +449,7 @@ func gatherJoinKeys(c *shard.Cluster, table, col string) ([]keyedRow, error) {
 		out[i].rows, out[i].err = joinKeysOnShard(c, i, table, col)
 		return nil
 	})
-	var all []keyedRow
+	var all []rowRef
 	for i := range out {
 		if out[i].err != nil {
 			return nil, out[i].err
@@ -429,7 +462,8 @@ func gatherJoinKeys(c *shard.Cluster, table, col string) ([]keyedRow, error) {
 
 // scatterJoin gathers both sides' keys shard by shard, then builds and
 // probes in global-row order exactly as engine.Join does in storage
-// order, projecting each output row from its owner shard.
+// order — both key columns in full, then the fields of each (a, b) pair —
+// projecting each output row from its owner shard.
 func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 	a0, err := lookup(c.Shard(0), s.Table)
 	if err != nil {
@@ -467,14 +501,14 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[uint64][]keyedRow)
+	build := make(map[uint64][]rowRef)
 	for _, ar := range as {
 		build[ar.key] = append(build[ar.key], ar)
 	}
-	var pairs [][2]keyedRow
+	var pairs [][2]rowRef
 	for _, br := range bs {
 		for _, ar := range build[br.key] {
-			pairs = append(pairs, [2]keyedRow{ar, br})
+			pairs = append(pairs, [2]rowRef{ar, br})
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool {
@@ -491,7 +525,7 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 	for _, pr := range pairs {
 		var row []uint64
 		for _, q := range s.JoinItems {
-			var kr keyedRow
+			var kr rowRef
 			var table string
 			switch {
 			case strings.EqualFold(q.Table, s.Table):
@@ -518,58 +552,4 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
-}
-
-// scatterExplain describes the plan once (schemas are identical on every
-// shard) under a sharding header. ANALYZE executes the inner statement
-// through the sharded path with per-shard tracing, then replays each
-// shard's stream on its own simulated channel: the statement finishes
-// when its slowest shard does, so the estimate is the max over shards.
-func scatterExplain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
-	describe(c.Shard(0), ex.Stmt, &b)
-
-	if !ex.Analyze {
-		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
-	}
-
-	targets := allShards(c)
-	for _, i := range targets {
-		c.Shard(i).StartTrace()
-	}
-	// The inner dispatch logs any mutation under the inner statement's own
-	// text, printed from the parsed AST (round-trip property): replay must
-	// re-execute the mutation, not re-time it.
-	_, waits, runErr := dispatchSharded(c, ex.Stmt, StatementText(ex.Stmt), targets)
-	streams := make([]trace.Stream, c.N())
-	for _, i := range targets {
-		streams[i] = c.Shard(i).StopTrace()
-	}
-	if runErr != nil {
-		return nil, waits, runErr
-	}
-	total := 0
-	memOps := make([]int, len(streams))
-	for i, st := range streams {
-		memOps[i] = st.MemOps()
-		total += memOps[i]
-	}
-	fmt.Fprintf(&b, "actual: %d memory ops across %d shards", total, c.N())
-	if total > 0 {
-		var dualMax, rowMax int64
-		for i, st := range streams {
-			if memOps[i] == 0 {
-				continue
-			}
-			dual, row, err := sim.Replays.Pair(st)
-			if err != nil {
-				return nil, waits, err
-			}
-			dualMax, rowMax = max(dualMax, dual.TimePs), max(rowMax, row.TimePs)
-		}
-		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx), slowest shard",
-			float64(dualMax)/1e6, float64(rowMax)/1e6, float64(rowMax)/float64(dualMax))
-	}
-	return &Result{Message: b.String()}, waits, nil
 }

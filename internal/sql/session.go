@@ -82,18 +82,12 @@ func logShard(db *engine.DB, src string, failed, unstable bool) func() error {
 }
 
 // logCommit records a mutating statement on a single database's commit
-// log (the unsharded / 1-shard path). Call with the exclusive lock held,
-// immediately after Run; execErr marks failed statements so recovery
-// replays their partial effects leniently.
+// log (the 1-shard path). Call with the exclusive lock held, immediately
+// after Run; execErr marks failed statements so recovery replays their
+// partial effects leniently.
 func logCommit(db *engine.DB, st Statement, src string, execErr error) func() error {
 	if db.CommitLog() == nil || !mutates(st) {
 		return nil
-	}
-	if ex, ok := st.(*Explain); ok && ex.Analyze {
-		// The WAL records the inner mutation's own text: replay must
-		// re-execute the mutation, not re-time it. Printed from the parsed
-		// AST (round-trip property) rather than re-derived from the source.
-		src = StatementText(ex.Stmt)
 	}
 	return logShard(db, src, execErr != nil, false)
 }

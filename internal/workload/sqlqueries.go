@@ -149,5 +149,9 @@ func SQLErrorQueries() []SQLQuery {
 		{ID: "E9", SQL: "SELECT f1 FROM table_c ORDER BY f2_wide"},
 		// Join key must be single-word.
 		{ID: "E10", SQL: "SELECT table_c.f1, table_c.f3 FROM table_c JOIN table_c ON table_c.f2_wide = table_c.f2_wide"},
+		// The earliest failing item's error wins: a MIN/MAX over zero rows
+		// before an unknown column reports the empty MIN/MAX.
+		{ID: "E11", SQL: "SELECT MIN(f2), SUM(nope) FROM table_a WHERE f10 = 1000001"},
+		{ID: "E12", SQL: "SELECT MAX(f2), AVG(nope) FROM table_a WHERE f10 = 1000001"},
 	}
 }
