@@ -40,6 +40,11 @@ var benchScans = []struct {
 		_, err := t.ScanWhere("grp", func(v []uint64) bool { return v[0] == 5 })
 		return err
 	}},
+	// The same filter through the comparison kernel.
+	{"compare", benchRows, func(t *Table) error {
+		_, err := t.Where("grp", Eq, 5, nil)
+		return err
+	}},
 	{"sum", benchRows, func(t *Table) error {
 		_, err := t.SumField("val", nil)
 		return err

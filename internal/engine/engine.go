@@ -49,8 +49,8 @@ const (
 // followed by a projection, say) sees one consistent snapshot. The
 // discipline, enforced by sql.Execute (and through it internal/server):
 //
-//   - RLock for read-only work: Tuple, Field, Scan*, aggregates, Project,
-//     Join, Save, ExportCSV. Any number of readers may run in parallel —
+//   - RLock for read-only work: Tuple, Field, Scan*, Where, aggregates,
+//     Project, Join, Save, ExportCSV. Any number of readers may run in parallel —
 //     reads mutate nothing but the memory's atomic access counters.
 //   - Lock for mutations (CreateTable, Append, SetField, Update, Delete,
 //     Vacuum, Load, ImportCSV) and for any traced section
@@ -429,25 +429,31 @@ type scanner struct {
 	err  error
 
 	// The current block is n tuples: rows first, first+1, … when span is
-	// set, rows[:n] otherwise. vals holds word offs[k] of the i-th at
-	// [i*len(offs)+k].
+	// set, rows[:n] otherwise (a listed block that is one ascending run is a
+	// span whose rows are written too). vals holds word offs[k] of the i-th
+	// at [i*len(offs)+k].
 	n     int
 	span  bool
 	first int
 	rows  [blockWords]int
 	vals  []uint64
 
+	// fetch makes the counters, the trace and a fault error see each cell
+	// in its row's fetch orientation, the one Field reads it in, rather
+	// than the orientation the scan reads it along.
+	fetch   bool
 	cells   [2]int  // read so far, by orientation
 	at      []runAt // observe's place in each wanted word's column
-	matches []int   // ScanWhere's result before it is cut to size
+	matches []int   // ScanWhere's and Where's result before it is cut to size
 }
 
 // runAt is one answer of imdb's ScanRun: word off of tuples first … first+n-1
-// lies at c, c.Along(o, step), c.Along(o, 2·step), …
+// lies at c, c.Along(o, step), c.Along(o, 2·step), … and is seen in
+// orientation seen.
 type runAt struct {
 	first, n int
 	c        addr.Coord
-	o        addr.Orientation
+	o, seen  addr.Orientation
 	step     int
 }
 
@@ -475,6 +481,14 @@ func (s *scanner) row(i int) int {
 	return s.rows[i]
 }
 
+// orient is the orientation a cell of row is counted and recorded in.
+func (s *scanner) orient(row int) addr.Orientation {
+	if s.fetch {
+		return s.t.place.FetchOrient(row)
+	}
+	return s.t.place.ScanOrient(row)
+}
+
 // next reads the next block, false when the tuples are exhausted or s.err
 // is set.
 func (s *scanner) next() bool {
@@ -487,15 +501,24 @@ func (s *scanner) next() bool {
 	s.span = false
 	switch {
 	case s.list != nil:
+		// A block of listed rows that ascend one by one is read as a span.
+		first, run := 0, true
+		if s.pos < len(s.list) {
+			first = s.list[s.pos]
+		}
 		for ; n < most && s.pos < len(s.list); s.pos++ {
 			row := s.list[s.pos]
 			if uint(row) >= uint(t.rows) || t.deleted[row] {
 				bad = t.checkLive(row)
 				break
 			}
+			if row != first+n {
+				run = false
+			}
 			s.rows[n] = row
 			n++
 		}
+		s.span, s.first = run && n > 0, first
 	case t.live == t.rows: // no tombstone to look for
 		s.span, s.first, n = true, s.pos, min(most, t.rows-s.pos)
 		s.pos += n
@@ -535,6 +558,9 @@ func (s *scanner) fill(off int, dst []uint64) {
 	for i := 0; i < s.n; {
 		c, o, step, n := t.place.ScanRun(s.row(i), off)
 		run := t.db.mem.Run(c, o, step, n)
+		if s.fetch {
+			o = t.place.FetchOrient(s.row(i))
+		}
 		if s.span {
 			n = min(run.Len(), s.n-i)
 			run.Copy(dst[i*w:], w, n)
@@ -562,13 +588,13 @@ func (s *scanner) observe() error {
 			j := row - r.first
 			if uint(j) >= uint(r.n) {
 				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
-				r.first, j = row, 0
+				r.first, j, r.seen = row, 0, s.orient(row)
 			}
-			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.o, s.vals[i*w+k])
+			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[i*w+k])
 			if err != nil {
-				s.cells[r.o] -= w - 1 - k
+				s.cells[r.seen] -= w - 1 - k
 				for i++; i < s.n; i++ {
-					s.cells[t.place.ScanOrient(s.row(i))] -= w
+					s.cells[s.orient(s.row(i))] -= w
 				}
 				return err
 			}
@@ -589,7 +615,7 @@ func (s *scanner) close() {
 	if cap(s.matches) > maxKeptMatches {
 		s.matches = nil
 	}
-	s.t, s.list, s.pos, s.err, s.n = nil, nil, 0, nil, 0
+	s.t, s.list, s.pos, s.err, s.n, s.fetch = nil, nil, 0, nil, 0, false
 	s.cells, s.matches = [2]int{}, s.matches[:0]
 	scanners.Put(s)
 }
@@ -629,7 +655,94 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 	if s.err != nil || len(s.matches) == 0 {
 		return nil, s.err
 	}
-	return append(make([]int, 0, len(s.matches)), s.matches...), nil
+	return slices.Clone(s.matches), nil
+}
+
+// Op is a WHERE comparison of a field with a constant.
+type Op uint8
+
+const (
+	Eq Op = iota // =
+	Ne           // !=
+	Lt           // <
+	Le           // <=
+	Gt           // >
+	Ge           // >=
+)
+
+// rangeOf compiles op against v into one unsigned range test: x matches
+// when x-lo <= width holds, or for in == 0 when it does not. < and > are
+// the negations of >= and <=, so < 0 and > MaxUint64 negate the full range
+// and match nothing.
+func (op Op) rangeOf(v uint64) (lo, width, in uint64, err error) {
+	switch op {
+	case Eq, Ne:
+		lo, width = v, 0
+	case Le, Gt:
+		lo, width = 0, v
+	case Ge, Lt:
+		lo, width = v, ^uint64(0)-v
+	default:
+		return 0, 0, 0, fmt.Errorf("engine: unknown comparison %d", op)
+	}
+	if op == Eq || op == Le || op == Ge {
+		in = 1
+	}
+	return lo, width, in, nil
+}
+
+// Where returns the rows whose single-word field compares with v by op: of
+// every live row, ascending, when rows is nil, else of the listed rows, in
+// list order — a listed row out of range or deleted is an error once the
+// rows before it were read. Its result is never nil without an error, so
+// it can be the next condition's list, where nil means every live row.
+//
+// A listed row is seen as Field reads it: the counters, the trace and a
+// fault error take its cell in the row's fetch orientation, so filtering a
+// conjunction's earlier matches records what a per-row filter did.
+func (t *Table) Where(field string, op Op, v uint64, rows []int) ([]int, error) {
+	off, words, err := t.Schema().FieldOffset(field)
+	if err != nil {
+		return nil, err
+	}
+	if words != 1 {
+		return nil, fmt.Errorf("engine: WHERE on multi-word field %s", field)
+	}
+	lo, width, in, err := op.rangeOf(v)
+	if err != nil {
+		return nil, err
+	}
+	s := t.scan(rows, off)
+	defer s.close()
+	s.fetch = rows != nil
+	for s.next() {
+		// Every row is written at the end of the matches; a match moves the
+		// end past it.
+		k := len(s.matches)
+		m := slices.Grow(s.matches, s.n)[:k+s.n]
+		vals := s.vals[:s.n]
+		if s.span {
+			for i, x := range vals {
+				m[k] = s.first + i
+				_, out := bits.Sub64(width, x-lo, 0)
+				k += int(out ^ in)
+			}
+		} else {
+			for i, x := range vals {
+				m[k] = s.rows[i]
+				_, out := bits.Sub64(width, x-lo, 0)
+				k += int(out ^ in)
+			}
+		}
+		s.matches = m[:k]
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	if len(s.matches) == 0 {
+		return []int{}, nil
+	}
+	return slices.Clone(s.matches), nil
 }
 
 // SumField sums a single-word field over the given rows (nil = all rows).
@@ -806,14 +919,18 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 	// two columns the way a tuple-at-a-time GROUP BY touches them.
 	s := t.scan(rows, offK, offS)
 	defer s.close()
-	var few [64]GroupRow // a low-cardinality key's groups stay on the stack
+	// A key below 64 is its group's index; the others go to a hash table,
+	// which starts on the stack too.
+	var small, few [64]GroupRow
 	acc := groupTable{slots: few[:]}
 	for s.next() {
 		kv := s.vals[:2*s.n]
 		for i := 0; i < len(kv); i += 2 {
-			g := acc.find(kv[i])
-			if g.Count == 0 {
-				g = acc.insert(kv[i])
+			var g *GroupRow
+			if k := kv[i]; k < uint64(len(small)) {
+				g = &small[k]
+			} else if g = acc.find(k); g.Count == 0 {
+				g = acc.insert(k)
 			}
 			g.Sum += kv[i+1]
 			g.Count++
@@ -822,7 +939,19 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 	if s.err != nil {
 		return nil, s.err
 	}
-	out := make([]GroupRow, 0, acc.used)
+	n := acc.used
+	for _, g := range small {
+		if g.Count != 0 {
+			n++
+		}
+	}
+	out := make([]GroupRow, 0, n)
+	for k, g := range small {
+		if g.Count != 0 {
+			g.Key = uint64(k)
+			out = append(out, g)
+		}
+	}
 	for _, g := range acc.slots {
 		if g.Count != 0 {
 			out = append(out, g)

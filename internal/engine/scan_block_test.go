@@ -52,8 +52,23 @@ func refOffs(t *Table, field string) []int {
 	return offs
 }
 
-func refWhere(t *Table, field string, pred func([]uint64) bool) ([]int, error) {
-	var out []int
+// refWhere is ScanWhere's contract for a nil rows and Where's for a row
+// list, which reads each listed row with Field: the per-row filter Where
+// replaced.
+func refWhere(t *Table, field string, pred func([]uint64) bool, rows []int) ([]int, error) {
+	out := []int{}
+	if rows != nil {
+		for _, row := range rows {
+			vals, err := t.Field(row, field)
+			if err != nil {
+				return nil, err
+			}
+			if pred(vals) {
+				out = append(out, row)
+			}
+		}
+		return out, nil
+	}
 	err := refScan(t, nil, refOffs(t, field), func(row int, vals []uint64) {
 		if pred(vals) {
 			out = append(out, row)
@@ -63,6 +78,26 @@ func refWhere(t *Table, field string, pred func([]uint64) bool) ([]int, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// whereOps is every comparison with the closure it stands for.
+var whereOps = []struct {
+	name string
+	op   Op
+	test func(x, v uint64) bool
+}{
+	{"eq", Eq, func(x, v uint64) bool { return x == v }},
+	{"ne", Ne, func(x, v uint64) bool { return x != v }},
+	{"lt", Lt, func(x, v uint64) bool { return x < v }},
+	{"le", Le, func(x, v uint64) bool { return x <= v }},
+	{"gt", Gt, func(x, v uint64) bool { return x > v }},
+	{"ge", Ge, func(x, v uint64) bool { return x >= v }},
+}
+
+// refCompare is Where through refWhere with the equivalent closure.
+func refCompare(t *Table, field string, op Op, v uint64, rows []int) ([]int, error) {
+	test := whereOps[op].test
+	return refWhere(t, field, func(x []uint64) bool { return test(x[0], v) }, rows)
 }
 
 func refSum(t *Table, field string, rows []int) (uint64, error) {
@@ -229,15 +264,40 @@ func edgeOps(tbl *Table) []edgeOp {
 	}
 	bad := slices.Insert(slices.Clone(asc), len(asc)/2, wrong)
 
+	// The longest stretch of consecutive live rows less its first, so that
+	// it starts inside a chunk; in the larger tables it crosses 512-row
+	// blocks and chunk edges. Listed, it is read as a span — but not with a
+	// row repeated, and only up to a dead row put in its middle.
+	var consec []int
+	for i := 0; i < len(live); {
+		j := i + 1
+		for j < len(live) && live[j] == live[j-1]+1 {
+			j++
+		}
+		if j-i > len(consec) {
+			consec = live[i:j]
+		}
+		i = j
+	}
+	if len(consec) > 1 {
+		consec = consec[1:]
+	}
+	consec = append([]int{}, consec...) // a list even when empty
+	consecDead := slices.Insert(slices.Clone(consec), len(consec)/2, wrong)
+	consecDup := slices.Clone(consec)
+	if len(consec) > 0 {
+		consecDup = slices.Insert(consecDup, len(consec)/2, consec[len(consec)/2])
+	}
+
 	odd := func(v []uint64) bool { return v[0]%3 == 0 }
 	wide := func(v []uint64) bool { return len(v) == 3 && (v[0]^v[2])&1 == 1 }
 	ops := []edgeOp{
 		{"where/k",
 			func(t *Table) (any, error) { return t.ScanWhere("k", odd) },
-			func(t *Table) (any, error) { return refWhere(t, "k", odd) }},
+			func(t *Table) (any, error) { return refWhere(t, "k", odd, nil) }},
 		{"where/w",
 			func(t *Table) (any, error) { return t.ScanWhere("w", wide) },
-			func(t *Table) (any, error) { return refWhere(t, "w", wide) }},
+			func(t *Table) (any, error) { return refWhere(t, "w", wide, nil) }},
 		{"join",
 			func(t *Table) (any, error) { return Join(t, "k", t, "k") },
 			func(t *Table) (any, error) { return refJoin(t, "k", t, "k") }},
@@ -245,8 +305,17 @@ func edgeOps(tbl *Table) []edgeOp {
 	for _, lc := range []struct {
 		name string
 		rows []int
-	}{{"nil", nil}, {"asc", asc}, {"desc", desc}, {"bad", bad}, {"empty", []int{}}} {
+	}{
+		{"nil", nil}, {"asc", asc}, {"desc", desc}, {"bad", bad}, {"empty", []int{}},
+		{"consec", consec}, {"consec+dead", consecDead}, {"consec-dup", consecDup},
+	} {
 		rows := lc.rows
+		for _, w := range whereOps {
+			op := w.op
+			ops = append(ops, edgeOp{"where/" + w.name + "/" + lc.name,
+				func(t *Table) (any, error) { return t.Where("k", op, 100, rows) },
+				func(t *Table) (any, error) { return refCompare(t, "k", op, 100, rows) }})
+		}
 		ops = append(ops,
 			edgeOp{"sum/" + lc.name,
 				func(t *Table) (any, error) { return t.SumField("v", rows) },
@@ -343,7 +412,7 @@ func TestScanWiderThanABlock(t *testing.T) {
 		var left [2]string
 		for side, scan := range []func(*Table) (any, error){
 			func(t *Table) (any, error) { return t.ScanWhere("big", pred) },
-			func(t *Table) (any, error) { return refWhere(t, "big", pred) },
+			func(t *Table) (any, error) { return refWhere(t, "big", pred, nil) },
 		} {
 			db, err := Open(mode)
 			if err != nil {
@@ -408,6 +477,97 @@ func TestScanWherePredContract(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestWhereContract: Where answers a non-nil list whenever it answers no
+// error — nil would read as every live row to the next condition — and
+// refuses what it cannot compare.
+func TestWhereContract(t *testing.T) {
+	_, tbl := edgeTable(t, DualAddress, 64, []int{5})
+	for _, rows := range [][]int{nil, {}, {0, 1, 2}} {
+		got, err := tbl.Where("k", Gt, ^uint64(0), rows)
+		if err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("rows %v: > MaxUint64 matched %v (nil: %v), err %v", rows, got, got == nil, err)
+		}
+		if got, err = tbl.Where("k", Lt, 0, rows); err != nil || got == nil || len(got) != 0 {
+			t.Fatalf("rows %v: < 0 matched %v, err %v", rows, got, err)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		op    Op
+		want  string
+	}{
+		{"w", Eq, "engine: WHERE on multi-word field w"},
+		{"nope", Eq, "no field"},
+		{"k", Ge + 1, "engine: unknown comparison 6"},
+	} {
+		if _, err := tbl.Where(c.field, c.op, 1, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Where(%q, %d): err %v, want %q", c.field, c.op, err, c.want)
+		}
+	}
+}
+
+// TestGroupSumKeys: a key below 64 indexes its group directly and the rest
+// go through the hash table. Both kinds in one GROUP BY — 0 … 63, 64, 2^63
+// and MaxUint64, with tombstones — over every live row and over listed
+// rows give refGroup's groups, ordered by key, with the same counters and
+// trace.
+func TestGroupSumKeys(t *testing.T) {
+	keys := []uint64{64, 1 << 63, ^uint64(0)}
+	for k := uint64(0); k < 64; k++ {
+		keys = append(keys, k)
+	}
+	const rows = 1100
+	build := func(mode Mode) (*DB, *Table) {
+		db, err := Open(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.CreateTable("g", goldenSchema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dead []int
+		for i := 0; i < rows; i++ {
+			if _, err := tbl.Append(keys[i*37%len(keys)], 0, 0, 0, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i%9 == 4 {
+				dead = append(dead, i)
+			}
+		}
+		if err := tbl.Delete(dead); err != nil {
+			t.Fatal(err)
+		}
+		return db, tbl
+	}
+	for _, mode := range []Mode{DualAddress, RowOnly} {
+		db, tbl := build(mode)
+		refDB, refTbl := build(mode)
+		live := tbl.LiveRows()
+		var desc []int
+		for i := len(live) - 1; i >= 0; i -= 2 {
+			desc = append(desc, live[i])
+		}
+		for _, lc := range []struct {
+			name string
+			rows []int
+		}{{"nil", nil}, {"asc", live[100:900]}, {"desc", desc}} {
+			got := edgeRun(db, true, func() (any, error) { return tbl.GroupSum("k", "v", lc.rows) })
+			want := edgeRun(refDB, true, func() (any, error) { return refGroup(refTbl, "k", "v", lc.rows) })
+			if got != want {
+				t.Fatalf("%s/%s:\n direct %.300s\n ref    %.300s", mode, lc.name, got, want)
+			}
+		}
+		g, err := tbl.GroupSum("k", "v", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g) != len(keys) || g[63].Key != 63 || g[64].Key != 64 || g[65].Key != 1<<63 || g[66].Key != ^uint64(0) {
+			t.Fatalf("%s: %d groups, want %d ordered by key: %v", mode, len(g), len(keys), g)
 		}
 	}
 }

@@ -109,11 +109,21 @@ func runInsert(db *engine.DB, s *Insert) (*Result, error) {
 	return &Result{Affected: len(s.Rows)}, nil
 }
 
+// whereOps maps a WHERE comparison's text to the engine's operator.
+var whereOps = map[string]engine.Op{
+	"=": engine.Eq, "!=": engine.Ne, "<": engine.Lt, "<=": engine.Le, ">": engine.Gt, ">=": engine.Ge,
+}
+
 // evalConds runs the WHERE conjunction as successive filters: the first
 // condition is a full column scan, the rest re-scan only prior matches.
 func evalConds(t *engine.Table, conds []Cond) ([]int, error) {
+	// A WHERE that matches nothing must yield an empty (non-nil) row set:
+	// the engine reads a nil list as "all live rows", so a nil here once
+	// made SUM/MIN/MAX/GROUP BY over an empty match aggregate the whole
+	// table. Where never answers nil, so nil is only the first condition's
+	// input.
 	var rows []int
-	for i, c := range conds {
+	for _, c := range conds {
 		col, err := resolveColumn(t, c.Column)
 		if err != nil {
 			return nil, err
@@ -125,56 +135,15 @@ func evalConds(t *engine.Table, conds []Cond) ([]int, error) {
 		if words != 1 {
 			return nil, fmt.Errorf("sql: WHERE on wide field %q", col)
 		}
-		pred, err := predicate(c)
-		if err != nil {
+		op, ok := whereOps[c.Op]
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown operator %q", c.Op)
+		}
+		if rows, err = t.Where(col, op, c.Value, rows); err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			if rows, err = t.ScanWhere(col, pred); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		var kept []int
-		for _, row := range rows {
-			vals, err := t.Field(row, col)
-			if err != nil {
-				return nil, err
-			}
-			if pred(vals) {
-				kept = append(kept, row)
-			}
-		}
-		rows = kept
-	}
-	// A WHERE that matches nothing must yield an empty (non-nil) row set:
-	// the engine's aggregate methods treat a nil slice as "all live rows",
-	// so propagating ScanWhere's nil here made SUM/MIN/MAX/GROUP BY over an
-	// empty match aggregate the whole table.
-	if rows == nil {
-		rows = []int{}
 	}
 	return rows, nil
-}
-
-func predicate(c Cond) (func([]uint64) bool, error) {
-	v := c.Value
-	switch c.Op {
-	case "=":
-		return func(x []uint64) bool { return x[0] == v }, nil
-	case "!=":
-		return func(x []uint64) bool { return x[0] != v }, nil
-	case "<":
-		return func(x []uint64) bool { return x[0] < v }, nil
-	case "<=":
-		return func(x []uint64) bool { return x[0] <= v }, nil
-	case ">":
-		return func(x []uint64) bool { return x[0] > v }, nil
-	case ">=":
-		return func(x []uint64) bool { return x[0] >= v }, nil
-	default:
-		return nil, fmt.Errorf("sql: unknown operator %q", c.Op)
-	}
 }
 
 // applyOrderLimit post-sorts a GROUP BY result (only by its key column)

@@ -12,8 +12,9 @@ import (
 // BenchmarkSelect is the rung directly under the benchmark's olap_scan
 // workload: its three statement shapes over its table — 16 384 rows of
 // (id, grp = id mod 8, val = 3·id) — through Execute on a 1-shard cluster,
-// without the server and the wire. Two projection shapes ride along: the
-// point read of oltp_point and timed_query, and an ordered top-10.
+// without the server and the wire. A two-condition WHERE and two projection
+// shapes ride along: the point read of oltp_point and timed_query, and an
+// ordered top-10.
 func BenchmarkSelect(b *testing.B) {
 	const rows = 16384
 	c, err := shard.Open(engine.DualAddress, 1, 0)
@@ -38,6 +39,8 @@ func BenchmarkSelect(b *testing.B) {
 		{"sumcount", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5"},
 		{"avg", "SELECT AVG(val) FROM load WHERE val > 24576"}, // half the table matches
 		{"group", "SELECT grp, SUM(val) FROM load GROUP BY grp"},
+		// The Q10/Q11 shape: a second condition filters the first's matches.
+		{"where2", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5 AND val > 24576"},
 		{"point", "SELECT val FROM load WHERE id = 4242"},
 		{"order", "SELECT id, val FROM load WHERE grp = 5 ORDER BY val DESC LIMIT 10"},
 	} {
