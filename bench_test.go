@@ -33,7 +33,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 	for _, sessions := range []int{1, 8, 64} {
 		sessions := sessions
 		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
-			db, err := engine.Open(engine.DualAddress)
+			db, err := engine.Open()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func BenchmarkServerBatch(b *testing.B) {
 	for _, size := range []int{1, 8, 32} {
 		size := size
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			db, err := engine.Open(engine.DualAddress)
+			db, err := engine.Open()
 			if err != nil {
 				b.Fatal(err)
 			}

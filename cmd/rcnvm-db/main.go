@@ -30,7 +30,7 @@ import (
 func main() {
 	loadFlag := flag.String("load", "", "snapshot file to load at startup")
 	flag.Parse()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rcnvm-db:", err)
 		os.Exit(1)

@@ -80,7 +80,6 @@ func main() {
 		httpAddr = flag.String("http", ":7071", "HTTP listen address (\"\" disables)")
 		workers  = flag.Int("workers", 0, "concurrent statements (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
-		rowOnly  = flag.Bool("rowonly", false, "serve a conventional row-only engine instead of RC-NVM")
 		shards   = flag.Int("shards", 1, "independent engine+memory channels; queries scatter-gather across them")
 		planSize = flag.Int("plan-cache", 0, "query-plan cache capacity in statement shapes (0 = default 4096, negative disables)")
 
@@ -119,10 +118,6 @@ func main() {
 		return
 	}
 
-	mode := engine.DualAddress
-	if *rowOnly {
-		mode = engine.RowOnly
-	}
 	if *shards < 1 {
 		fatal(fmt.Errorf("-shards must be >= 1, got %d", *shards))
 	}
@@ -140,7 +135,7 @@ func main() {
 			fatal(fmt.Errorf("-replica cannot inject faults: applied records would diverge from the primary"))
 		}
 	}
-	cl, err := shard.Open(mode, *shards, 0)
+	cl, err := shard.Open(engine.DualAddress, *shards, 0)
 	if err != nil {
 		fatal(err)
 	}
@@ -150,7 +145,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if store, err = durable.Open(*dataDir, mode, *shards, durable.Options{
+		if store, err = durable.Open(*dataDir, engine.DualAddress, *shards, durable.Options{
 			Fsync:        pol,
 			SegmentBytes: int64(*walSegMB) << 20,
 		}); err != nil {

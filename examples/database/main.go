@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func waitConverged(t *testing.T, p *testPrimary, r *testReplica) {
 	t.Helper()
 	waitUntil(t, 15*time.Second, "replica catch-up", func() bool {
-		epoch, _, _, pos, _, err := p.store.StreamState()
+		epoch, _, pos, _, err := p.store.StreamState()
 		if err != nil {
 			return false
 		}

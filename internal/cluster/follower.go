@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rcnvm/internal/durable"
+	"rcnvm/internal/engine"
 	"rcnvm/internal/server"
 	"rcnvm/internal/shard"
 )
@@ -230,11 +231,11 @@ func (f *Follower) bootstrap() ([]durable.ShardPosition, error) {
 	if st.Shards != cur.N() {
 		return nil, fmt.Errorf("cluster: primary has %d shards, replica %d", st.Shards, cur.N())
 	}
-	if st.Mode != f.srv.Mode().String() {
-		return nil, fmt.Errorf("cluster: primary mode %s, replica %s", st.Mode, f.srv.Mode())
+	if st.Mode != engine.DualAddress.String() {
+		return nil, fmt.Errorf("cluster: primary mode %s, replica %s", st.Mode, engine.DualAddress)
 	}
 
-	fresh, err := shard.Open(f.srv.Mode(), cur.N(), cur.Workers())
+	fresh, err := shard.Open(engine.DualAddress, cur.N(), cur.Workers())
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func TestCrashTorture(t *testing.T) {
 				// mid-run, so recovery exercises checkpoint + WAL tail.
 				withCkpt := i > len(stmts)/2 && rng.Intn(2) == 0
 				dir := t.TempDir()
-				s, c, _ := openRecovered(t, dir, engine.DualAddress, n)
+				s, c, _ := openRecovered(t, dir, n)
 				if withCkpt {
 					applyAll(c, stmts[:i/2])
 					if err := s.Checkpoint(); err != nil {
@@ -148,7 +148,7 @@ func TestCrashTorture(t *testing.T) {
 					applyAll(c, stmts[:i])
 				}
 				// Crash: walk away. No Close, no sync, no checkpoint.
-				_, c2, rs := openRecovered(t, dir, engine.DualAddress, n)
+				_, c2, rs := openRecovered(t, dir, n)
 				if withCkpt && !rs.Checkpoint {
 					t.Fatalf("kill point %d: checkpoint written but not recovered (%+v)", i, rs)
 				}
@@ -180,7 +180,7 @@ func TestCrashTornTail(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			s, c, _ := openRecovered(t, dir, engine.DualAddress, n)
+			s, c, _ := openRecovered(t, dir, n)
 			applyAll(c, stmts)
 			for i := 0; i < n; i++ {
 				paths, _, err := s.sortedSegments(i)
@@ -196,7 +196,7 @@ func TestCrashTornTail(t *testing.T) {
 				}
 				f.Close()
 			}
-			_, c2, rs := openRecovered(t, dir, engine.DualAddress, n)
+			_, c2, rs := openRecovered(t, dir, n)
 			if rs.TornBytes != int64(n*(len(partial)-4)) {
 				t.Fatalf("recovered %d torn bytes, want %d", rs.TornBytes, n*(len(partial)-4))
 			}
@@ -214,7 +214,7 @@ func TestCrashMidFinalRecord(t *testing.T) {
 	stmts := workload(tortureSeed, 30)
 	base := newBaselineCache(stmts)
 	dir := t.TempDir()
-	s, c, _ := openRecovered(t, dir, engine.DualAddress, 1)
+	s, c, _ := openRecovered(t, dir, 1)
 	applyAll(c, stmts)
 	paths, _, err := s.sortedSegments(0)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestCrashMidFinalRecord(t *testing.T) {
 	if err := os.Truncate(last, int64(lastStart+5)); err != nil {
 		t.Fatal(err)
 	}
-	_, c2, rs := openRecovered(t, dir, engine.DualAddress, 1)
+	_, c2, rs := openRecovered(t, dir, 1)
 	if rs.TornBytes != 5 {
 		t.Fatalf("recovered %d torn bytes, want 5", rs.TornBytes)
 	}

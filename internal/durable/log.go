@@ -73,12 +73,12 @@ type Log struct {
 	segLimit int64
 	counters *Counters
 
-	mu      sync.Mutex
-	f       *os.File   // current segment, append position at its end
-	epoch   uint64     // current checkpoint epoch (segment namespace)
-	segIdx  int        // current segment index within epoch
-	size    int64      // bytes in current segment
-	seq     uint64     // records appended
+	mu     sync.Mutex
+	f      *os.File // current segment, append position at its end
+	epoch  uint64   // current checkpoint epoch (segment namespace)
+	segIdx int      // current segment index within epoch
+	size   int64    // bytes in current segment
+	seq    uint64   // records appended
 	// Cumulative WAL accounting within the current epoch, across all of
 	// its segments: how many records and framed bytes exist between the
 	// epoch's start and the current append position. A follower applying
@@ -88,11 +88,11 @@ type Log struct {
 	// totals survive primary restarts; an epoch rotation resets them.
 	epochRecs  int64
 	epochBytes int64
-	flushed uint64     // records covered by a completed fsync
-	syncErr error      // sticky: a failed fsync poisons the log
-	retired []*os.File // rotated-out segments awaiting sync+close
-	closed  bool
-	cond    *sync.Cond // broadcast when flushed/syncErr advance
+	flushed    uint64     // records covered by a completed fsync
+	syncErr    error      // sticky: a failed fsync poisons the log
+	retired    []*os.File // rotated-out segments awaiting sync+close
+	closed     bool
+	cond       *sync.Cond // broadcast when flushed/syncErr advance
 
 	// syncMu serializes the actual fsync work (flusher passes, forced
 	// syncs, rotation) without holding mu across the syscall.

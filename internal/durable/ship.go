@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/shard"
 )
 
@@ -96,20 +95,20 @@ func (s *Store) shardLog(i int) (*Log, error) {
 }
 
 // StreamState reports the store's current shipping state: the epoch, the
-// engine mode and shard count a follower must match, every shard's append
-// position, and every shard's epoch-cumulative record/byte totals. The
-// positions are a consistent target for catch-up checks: a follower that
-// has applied past them has seen every record acknowledged before the
-// call. The totals are the lag baseline: follower applied-counts
-// subtracted from them give records/bytes behind.
-func (s *Store) StreamState() (epoch uint64, mode engine.Mode, shards int, pos []ShardPosition, totals []ShardTotals, err error) {
+// shard count a follower must match, every shard's append position, and
+// every shard's epoch-cumulative record/byte totals. The positions are a
+// consistent target for catch-up checks: a follower that has applied past
+// them has seen every record acknowledged before the call. The totals are
+// the lag baseline: follower applied-counts subtracted from them give
+// records/bytes behind.
+func (s *Store) StreamState() (epoch uint64, shards int, pos []ShardPosition, totals []ShardTotals, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, 0, 0, nil, nil, errLogClosed
+		return 0, 0, nil, nil, errLogClosed
 	}
 	if s.cluster == nil {
-		return 0, 0, 0, nil, nil, fmt.Errorf("durable: store not attached (call Recover first)")
+		return 0, 0, nil, nil, fmt.Errorf("durable: store not attached (call Recover first)")
 	}
 	pos = make([]ShardPosition, s.n)
 	totals = make([]ShardTotals, s.n)
@@ -119,7 +118,7 @@ func (s *Store) StreamState() (epoch uint64, mode engine.Mode, shards int, pos [
 		recs, bytes := l.Totals()
 		totals[i] = ShardTotals{Recs: recs, Bytes: bytes}
 	}
-	return s.epoch, s.mode, s.n, pos, totals, nil
+	return s.epoch, s.n, pos, totals, nil
 }
 
 // ReadWAL reads up to maxBytes of framed WAL records from shard i's

@@ -66,7 +66,7 @@ func TestShipWALToFollowerConverges(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(map[int]string{1: "one shard", 4: "four shards"}[shards], func(t *testing.T) {
 			dir := t.TempDir()
-			s, c, _ := openRecovered(t, dir, engine.DualAddress, shards)
+			s, c, _ := openRecovered(t, dir, shards)
 			defer s.Close()
 			mustExec(t, c, "CREATE TABLE kv (k, grp, val) CAPACITY 1024")
 			mustExec(t, c, "INSERT INTO kv VALUES (1, 0, 10), (2, 1, 20), (3, 0, 30)")
@@ -77,12 +77,12 @@ func TestShipWALToFollowerConverges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			epoch, mode, n, pos, _, err := s.StreamState()
+			epoch, n, pos, _, err := s.StreamState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mode != engine.DualAddress || n != shards {
-				t.Fatalf("stream state mode=%v shards=%d", mode, n)
+			if n != shards {
+				t.Fatalf("stream state shards=%d", n)
 			}
 			start := make([]ShardPosition, n)
 			for i := range start {
@@ -164,7 +164,7 @@ func TestShipAcrossSegmentRotation(t *testing.T) {
 // registry snapshots are served for the re-sync.
 func TestShipEpochRotationSignalsResync(t *testing.T) {
 	dir := t.TempDir()
-	s, c, _ := openRecovered(t, dir, engine.DualAddress, 2)
+	s, c, _ := openRecovered(t, dir, 2)
 	defer s.Close()
 	mustExec(t, c, "CREATE TABLE kv (k, val) CAPACITY 1024")
 	mustExec(t, c, "INSERT INTO kv VALUES (1, 10), (2, 20)")

@@ -120,18 +120,14 @@ type manifest struct {
 
 const manifestVersion = 1
 
-func modeName(m engine.Mode) string {
-	if m == engine.RowOnly {
-		return "row"
-	}
-	return "dual"
-}
+// manifestMode is the MANIFEST's "mode", the dual-address engine's; Open
+// refuses a data dir that names any other.
+const manifestMode = "dual"
 
 // Store manages one data directory for one cluster.
 type Store struct {
 	dir   string
 	opts  Options
-	mode  engine.Mode
 	n     int
 	epoch uint64
 
@@ -143,12 +139,14 @@ type Store struct {
 	closed  bool
 }
 
-// Open creates or opens a data directory for an N-shard cluster in the
-// given mode. An existing directory must have been written at the same
-// mode and shard count — hash placement is modulo N, so reopening at a
+// Open creates or opens a data directory for an N-shard cluster. An
+// existing directory must have been written by the dual-address engine at
+// the same shard count — hash placement is modulo N, so reopening at a
 // different count would route every row wrong. Call Recover next; the
 // store only starts logging once it is attached to a recovered cluster.
-func Open(dir string, mode engine.Mode, shards int, opts Options) (*Store, error) {
+// The unread engine.Mode stays for bench/, which passes it, until ROADMAP
+// item 1e.
+func Open(dir string, _ engine.Mode, shards int, opts Options) (*Store, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("durable: need at least 1 shard, got %d", shards)
 	}
@@ -156,7 +154,7 @@ func Open(dir string, mode engine.Mode, shards int, opts Options) (*Store, error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, mode: mode, n: shards}
+	s := &Store{dir: dir, opts: opts, n: shards}
 	for i := 0; i < shards; i++ {
 		if err := os.MkdirAll(s.shardDir(i), 0o755); err != nil {
 			return nil, fmt.Errorf("durable: %w", err)
@@ -173,8 +171,8 @@ func Open(dir string, mode engine.Mode, shards int, opts Options) (*Store, error
 		if m.Version != manifestVersion {
 			return nil, fmt.Errorf("durable: MANIFEST version %d, want %d", m.Version, manifestVersion)
 		}
-		if m.Mode != modeName(mode) {
-			return nil, fmt.Errorf("durable: data dir was written in %s mode, cluster is %s", m.Mode, modeName(mode))
+		if m.Mode != manifestMode {
+			return nil, fmt.Errorf("durable: data dir was written in %s mode, cluster is %s", m.Mode, manifestMode)
 		}
 		if m.Shards != shards {
 			return nil, fmt.Errorf("durable: data dir was written at %d shards, cluster has %d", m.Shards, shards)
@@ -219,7 +217,7 @@ func (s *Store) registryPath(epoch uint64) string {
 // the epoch protocol.
 func (s *Store) writeManifest() error {
 	raw, err := json.MarshalIndent(manifest{
-		Version: manifestVersion, Mode: modeName(s.mode), Shards: s.n, Epoch: s.epoch,
+		Version: manifestVersion, Mode: manifestMode, Shards: s.n, Epoch: s.epoch,
 	}, "", "  ")
 	if err != nil {
 		return err

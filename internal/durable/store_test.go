@@ -14,13 +14,13 @@ import (
 // openRecovered opens a store on dir and recovers a fresh cluster into
 // it, returning both. The store is closed by the caller (or abandoned,
 // when the test simulates a crash).
-func openRecovered(t *testing.T, dir string, mode engine.Mode, shards int) (*Store, *shard.Cluster, RecoveryStats) {
+func openRecovered(t *testing.T, dir string, shards int) (*Store, *shard.Cluster, RecoveryStats) {
 	t.Helper()
-	s, err := Open(dir, mode, shards, Options{Fsync: SyncAlways})
+	s, err := Open(dir, engine.DualAddress, shards, Options{Fsync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := shard.Open(mode, shards, 0)
+	c, err := shard.Open(engine.DualAddress, shards, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func mustExec(t *testing.T, c *shard.Cluster, src string) *sql.Result {
 
 func TestOpenFreshAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, _, rs := openRecovered(t, dir, engine.DualAddress, 2)
+	s, _, rs := openRecovered(t, dir, 2)
 	if rs.Checkpoint || rs.Records != 0 || rs.Epoch != 1 {
 		t.Fatalf("fresh dir recovered %+v", rs)
 	}
@@ -50,7 +50,7 @@ func TestOpenFreshAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen with matching geometry: fine.
-	s2, _, _ := openRecovered(t, dir, engine.DualAddress, 2)
+	s2, _, _ := openRecovered(t, dir, 2)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOpenFreshAndReopen(t *testing.T) {
 
 func TestOpenRejectsGeometryMismatch(t *testing.T) {
 	dir := t.TempDir()
-	s, _, _ := openRecovered(t, dir, engine.DualAddress, 2)
+	s, _, _ := openRecovered(t, dir, 2)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,20 @@ func TestOpenRejectsGeometryMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "shard") {
 		t.Fatalf("shard-count mismatch: %v", err)
 	}
-	if _, err := Open(dir, engine.RowOnly, 2, Options{}); err == nil ||
+	// The MANIFEST names the dual-address engine; a data dir of any other
+	// (the retired row-only engine wrote "row") is refused.
+	mpath := filepath.Join(dir, "MANIFEST")
+	raw, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"mode": "dual"`) {
+		t.Fatalf("MANIFEST = %s, want mode dual", raw)
+	}
+	if err := os.WriteFile(mpath, []byte(strings.Replace(string(raw), `"dual"`, `"row"`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, engine.DualAddress, 2, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "mode") {
 		t.Fatalf("mode mismatch: %v", err)
 	}
@@ -92,7 +105,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(map[int]string{1: "one shard", 4: "four shards"}[shards], func(t *testing.T) {
 			dir := t.TempDir()
-			s, c, _ := openRecovered(t, dir, engine.DualAddress, shards)
+			s, c, _ := openRecovered(t, dir, shards)
 			mustExec(t, c, "CREATE TABLE kv (k, grp, val) CAPACITY 1024")
 			mustExec(t, c, "INSERT INTO kv VALUES (1, 0, 10), (2, 1, 20), (3, 0, 30)")
 			mustExec(t, c, "UPDATE kv SET val = 99 WHERE k = 2")
@@ -109,7 +122,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			s2, c2, rs := openRecovered(t, dir, engine.DualAddress, shards)
+			s2, c2, rs := openRecovered(t, dir, shards)
 			defer s2.Close()
 			if !rs.Checkpoint || rs.Epoch != 2 {
 				t.Fatalf("recovered %+v, want checkpoint at epoch 2", rs)
@@ -135,7 +148,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // without bound.
 func TestCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
-	s, c, _ := openRecovered(t, dir, engine.DualAddress, 2)
+	s, c, _ := openRecovered(t, dir, 2)
 	mustExec(t, c, "CREATE TABLE kv (k, val) CAPACITY 1024")
 	for i := 0; i < 20; i++ {
 		mustExec(t, c, "INSERT INTO kv VALUES (1, 2)")
@@ -181,7 +194,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 // at recovery — the manifest is the commit point.
 func TestManifestCommitPoint(t *testing.T) {
 	dir := t.TempDir()
-	s, c, _ := openRecovered(t, dir, engine.DualAddress, 1)
+	s, c, _ := openRecovered(t, dir, 1)
 	mustExec(t, c, "CREATE TABLE kv (k, val) CAPACITY 256")
 	mustExec(t, c, "INSERT INTO kv VALUES (1, 10)")
 	if err := s.Close(); err != nil {
@@ -198,7 +211,7 @@ func TestManifestCommitPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, c2, rs := openRecovered(t, dir, engine.DualAddress, 1)
+	s2, c2, rs := openRecovered(t, dir, 1)
 	defer s2.Close()
 	if rs.Epoch != 1 || rs.Checkpoint {
 		t.Fatalf("recovered %+v, want epoch 1 replay (manifest never committed epoch 2)", rs)
@@ -210,7 +223,7 @@ func TestManifestCommitPoint(t *testing.T) {
 
 func TestRecoverRejectsCorruptMidLog(t *testing.T) {
 	dir := t.TempDir()
-	s, c, _ := openRecovered(t, dir, engine.DualAddress, 1)
+	s, c, _ := openRecovered(t, dir, 1)
 	mustExec(t, c, "CREATE TABLE kv (k, val) CAPACITY 256")
 	mustExec(t, c, "INSERT INTO kv VALUES (1, 10)")
 	mustExec(t, c, "INSERT INTO kv VALUES (2, 20)")

@@ -10,9 +10,9 @@ import (
 // (id, grp = id mod 8, val = 3·id).
 const benchRows = 16384
 
-func benchTable(b *testing.B, mode Mode, rows int) *Table {
+func benchTable(b *testing.B, rows int) *Table {
 	b.Helper()
-	db, err := Open(mode)
+	db, err := Open()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,30 +60,22 @@ var benchScans = []struct {
 	}},
 }
 
-var benchModes = []struct {
-	name string
-	mode Mode
-}{{"dual", DualAddress}, {"rowonly", RowOnly}}
-
 // BenchmarkScan is the rung under olap_scan: one full-column operator over
-// the 16 384-row table (where64: the 64-row one), per mode. ns/row is the
-// host cost of one tuple (two cells for group). sum/dual is in CI's
-// zero-alloc gate.
+// the 16 384-row table (where64: the 64-row one). ns/row is the host cost of
+// one tuple (two cells for group). sum is in CI's zero-alloc gate.
 func BenchmarkScan(b *testing.B) {
 	for _, sc := range benchScans {
-		for _, m := range benchModes {
-			b.Run(sc.name+"/"+m.name, func(b *testing.B) {
-				t := benchTable(b, m.mode, sc.rows)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := sc.run(t); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(sc.name, func(b *testing.B) {
+			t := benchTable(b, sc.rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sc.run(t); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sc.rows), "ns/row")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sc.rows), "ns/row")
+		})
 	}
 }
 
@@ -92,22 +84,18 @@ func BenchmarkScan(b *testing.B) {
 // the first's — readers share no written cache line but the per-scan
 // counter flush.
 func BenchmarkScanParallel(b *testing.B) {
-	for _, m := range benchModes {
-		b.Run("sum/"+m.name, func(b *testing.B) {
-			t := benchTable(b, m.mode, benchRows)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					t.db.RLock()
-					_, err := t.SumField("val", nil)
-					t.db.RUnlock()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
-		})
-	}
+	t := benchTable(b, benchRows)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			t.db.RLock()
+			_, err := t.SumField("val", nil)
+			t.db.RUnlock()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestImportExportCSV(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, err := db.CreateTable("t", imdb.Schema{Name: "t", Fields: []imdb.Field{
 		{Name: "id", Words: 1}, {Name: "w", Words: 2},
 	}}, 16)
@@ -40,7 +40,7 @@ func TestImportExportCSV(t *testing.T) {
 }
 
 func TestImportNoHeader(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), 8)
 	n, err := tbl.ImportCSV(strings.NewReader("5,6\n7,8\n"))
 	if err != nil || n != 2 {
@@ -53,7 +53,7 @@ func TestImportNoHeader(t *testing.T) {
 }
 
 func TestImportErrors(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), 2)
 	// Wrong arity.
 	if _, err := tbl.ImportCSV(strings.NewReader("1,2,3\n")); err == nil {
@@ -64,7 +64,7 @@ func TestImportErrors(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Capacity overflow.
-	db2, _ := Open(DualAddress)
+	db2, _ := Open()
 	tiny, _ := db2.CreateTable("t", imdb.Uniform("t", 2), 1)
 	if _, err := tiny.ImportCSV(strings.NewReader("1,2\n3,4\n")); err == nil {
 		t.Fatal("overflow accepted")
@@ -72,7 +72,7 @@ func TestImportErrors(t *testing.T) {
 }
 
 func TestExportSkipsDeleted(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), 8)
 	tbl.Append(1, 2)
 	tbl.Append(3, 4)

@@ -1,16 +1,15 @@
 // Package engine is a small but functional in-memory database engine on
 // top of the dual-addressable memory model: it stores real tuple values in
 // a funcmem.Memory through the storage layouts of internal/imdb, executes
-// scans, aggregates, projections, updates and hash joins with the access
+// scans, aggregates, projections and updates with the access
 // orientations an RC-NVM-aware engine would choose (column accesses for
 // field scans, row accesses for tuple fetches), and can record its memory
 // accesses as a trace replayable on the timing simulator.
 //
 // It is the "values" counterpart of internal/query (which plans access
-// *streams* for the timing model): the engine proves the dual-addressing
-// semantics end to end — every query result is identical whether the
-// engine runs in dual-address mode or in conventional row-only mode,
-// because both views address the same cells.
+// *streams* for the timing model). It has one layout, the dual-address one;
+// the conventional row-only baseline is a rewrite of its recorded stream
+// (trace.RowOnly), replayed on the timing simulator.
 package engine
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"rcnvm/internal/addr"
@@ -28,17 +26,22 @@ import (
 	"rcnvm/internal/trace"
 )
 
-// Mode selects how the engine addresses memory.
+// Mode names the engine's addressing. DualAddress is its only value; the
+// type stays for bench/, which passes it to shard.Open and durable.Open,
+// until ROADMAP item 1e.
 type Mode uint8
 
-const (
-	// DualAddress uses column-oriented accesses for field scans (the
-	// RC-NVM engine).
-	DualAddress Mode = iota
-	// RowOnly restricts the engine to row-oriented accesses (the
-	// conventional-memory engine, for comparison).
-	RowOnly
-)
+// DualAddress uses column-oriented accesses for field scans (the RC-NVM
+// engine).
+const DualAddress Mode = 0
+
+// String names the addressing mode as /checksum and /wal/state report it.
+func (m Mode) String() string {
+	if m == DualAddress {
+		return "dual-address"
+	}
+	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
 
 // DB is one database instance bound to one memory.
 //
@@ -50,7 +53,7 @@ const (
 // discipline, enforced by sql.Execute (and through it internal/server):
 //
 //   - RLock for read-only work: Tuple, Field, Scan*, Where, aggregates,
-//     Project, Join, Save, ExportCSV. Any number of readers may run in parallel —
+//     Project, Save, ExportCSV. Any number of readers may run in parallel —
 //     reads mutate nothing but the memory's atomic access counters.
 //   - Lock for mutations (CreateTable, Append, SetField, Update, Delete,
 //     Vacuum, Load, ImportCSV) and for any traced section
@@ -63,9 +66,7 @@ type DB struct {
 	sync.RWMutex
 
 	mem    *funcmem.Memory
-	mode   Mode
 	alloc  *imdb.NVMAllocator
-	linear *imdb.LinearAllocator
 	tables map[string]*Table
 
 	// inj, when non-nil, runs every stored-word read through the
@@ -112,25 +113,18 @@ func (db *DB) SetCommitLog(l CommitLog) { db.commitLog = l }
 // CommitLog returns the installed durability hook (nil when volatile).
 func (db *DB) CommitLog() CommitLog { return db.commitLog }
 
-// Open creates a database on a fresh memory. DualAddress mode uses the
-// RC-NVM geometry with the chunked column-oriented layout; RowOnly uses a
-// classical linear row store on the same geometry.
-func Open(mode Mode) (*DB, error) {
+// Open creates a database on a fresh memory: the RC-NVM geometry, each
+// table sliced into at least 16 chunks in the column-oriented layout.
+func Open() (*DB, error) {
 	geom := addr.Geometry{
 		ChannelBits: 1, RankBits: 2, BankBits: 3, SubarrayBits: 3,
-		RowBits: 10, ColumnBits: 10, DualAddress: mode == DualAddress,
+		RowBits: 10, ColumnBits: 10, DualAddress: true,
 	}
 	mem, err := funcmem.New(geom)
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{mem: mem, mode: mode, tables: make(map[string]*Table)}
-	if mode == DualAddress {
-		db.alloc = imdb.NewNVMAllocatorSpread(geom, 16)
-	} else {
-		db.linear = imdb.NewLinearAllocator(geom)
-	}
-	return db, nil
+	return &DB{mem: mem, alloc: imdb.NewNVMAllocatorSpread(geom, 16), tables: make(map[string]*Table)}, nil
 }
 
 // Mem exposes the underlying memory (counters, footprint).
@@ -174,9 +168,6 @@ func (db *DB) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
 	}
 }
 
-// Mode returns the addressing mode.
-func (db *DB) Mode() Mode { return db.mode }
-
 // record appends one access to the trace being recorded, if any; the
 // stream folds it into the run it continues.
 func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
@@ -212,6 +203,7 @@ func (db *DB) StopTrace() trace.Stream {
 }
 
 // RowOnlyStream is trace.RowOnly: the same plan on a conventional memory.
+// It stays for bench/, which calls it, until ROADMAP item 1e.
 func RowOnlyStream(s trace.Stream) trace.Stream { return trace.RowOnly(s) }
 
 // Table is one relation with materialized values. Deletion is by
@@ -219,14 +211,15 @@ func RowOnlyStream(s trace.Stream) trace.Stream { return trace.RowOnly(s) }
 // aggregates.
 type Table struct {
 	db       *DB
-	place    imdb.Placement
+	place    *imdb.NVMPlacement
 	rows     int
 	capacity int
 	deleted  []bool
 	live     int
 }
 
-// CreateTable allocates a table with a fixed capacity.
+// CreateTable allocates a table with a fixed capacity. Every field is at
+// least one word and at most a memory row wide.
 func (db *DB) CreateTable(name string, schema imdb.Schema, capacity int) (*Table, error) {
 	if _, ok := db.tables[name]; ok {
 		return nil, fmt.Errorf("engine: table %q exists", name)
@@ -234,14 +227,18 @@ func (db *DB) CreateTable(name string, schema imdb.Schema, capacity int) (*Table
 	if capacity <= 0 {
 		return nil, fmt.Errorf("engine: capacity must be positive")
 	}
-	meta := imdb.NewTable(schema, capacity)
-	var place imdb.Placement
-	var err error
-	if db.mode == DualAddress {
-		place, err = db.alloc.Place(meta, imdb.ColMajor)
-	} else {
-		place, err = db.linear.Place(meta)
+	if len(schema.Fields) == 0 {
+		return nil, fmt.Errorf("engine: table %q has no fields", name)
 	}
+	// A field wider than a row is refused here, before the widths are summed,
+	// so the sum cannot overflow past Place's tuple-width check.
+	for _, f := range schema.Fields {
+		if f.Words < 1 || f.Words > db.mem.Geom().Columns() {
+			return nil, fmt.Errorf("engine: field %s of %q is %d words wide, want 1 to %d",
+				f.Name, name, f.Words, db.mem.Geom().Columns())
+		}
+	}
+	place, err := db.alloc.Place(imdb.NewTable(schema, capacity), imdb.ColMajor)
 	if err != nil {
 		return nil, err
 	}
@@ -809,54 +806,6 @@ func (t *Table) Update(rows []int, field string, vals ...uint64) error {
 		}
 	}
 	return nil
-}
-
-// Join performs a hash equi-join on two single-word fields, returning the
-// matching (row in a, row in b) pairs ordered by (a, b).
-func Join(a *Table, aField string, b *Table, bField string) ([][2]int, error) {
-	offA, wordsA, err := a.Schema().FieldOffset(aField)
-	if err != nil {
-		return nil, err
-	}
-	offB, wordsB, err := b.Schema().FieldOffset(bField)
-	if err != nil {
-		return nil, err
-	}
-	if wordsA != 1 || wordsB != 1 {
-		return nil, fmt.Errorf("engine: join keys must be single-word fields")
-	}
-	// Build over a (column scan), probe with b.
-	build := make(map[uint64][]int)
-	sa := a.scan(nil, offA)
-	defer sa.close()
-	for sa.next() {
-		for i, k := range sa.vals[:sa.n] {
-			build[k] = append(build[k], sa.row(i))
-		}
-	}
-	if sa.err != nil {
-		return nil, sa.err
-	}
-	var out [][2]int
-	sb := b.scan(nil, offB)
-	defer sb.close()
-	for sb.next() {
-		for i, k := range sb.vals[:sb.n] {
-			for _, ar := range build[k] {
-				out = append(out, [2]int{ar, sb.row(i)})
-			}
-		}
-	}
-	if sb.err != nil {
-		return nil, sb.err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out, nil
 }
 
 // MinMaxField returns the minimum and maximum of a single-word field over

@@ -13,7 +13,7 @@ import (
 
 // buildPeople creates a table with deterministic values and returns the
 // reference matrix.
-func buildPeople(t *testing.T, db *DB, rows int) (*Table, [][]uint64) {
+func buildPeople(t testing.TB, db *DB, rows int) (*Table, [][]uint64) {
 	t.Helper()
 	tbl, err := db.CreateTable("person", imdb.Uniform("person", 8), rows+8)
 	if err != nil {
@@ -39,75 +39,24 @@ func buildPeople(t *testing.T, db *DB, rows int) (*Table, [][]uint64) {
 }
 
 func TestAppendAndTupleRoundTrip(t *testing.T) {
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		db, err := Open(mode)
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, ref := buildPeople(t, db, 500)
+	for i, want := range ref {
+		got, err := tbl.Tuple(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tbl, ref := buildPeople(t, db, 500)
-		for i, want := range ref {
-			got, err := tbl.Tuple(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mode %v row %d = %v, want %v", mode, i, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("row %d = %v, want %v", i, got, want)
 		}
-	}
-}
-
-// TestModesAgree: every operation returns identical results in dual-address
-// and row-only mode — the semantic heart of dual addressing.
-func TestModesAgree(t *testing.T) {
-	dual, err := Open(DualAddress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowOnly, err := Open(RowOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, _ := buildPeople(t, dual, 700)
-	tr, _ := buildPeople(t, rowOnly, 700)
-
-	pred := func(v []uint64) bool { return v[0] > 500 }
-	md, err := td.ScanWhere("f3", pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := tr.ScanWhere("f3", pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(md, mr) {
-		t.Fatalf("scan results differ: %d vs %d matches", len(md), len(mr))
-	}
-
-	sd, _ := td.SumField("f5", md)
-	sr, _ := tr.SumField("f5", mr)
-	if sd != sr {
-		t.Fatalf("sums differ: %d vs %d", sd, sr)
-	}
-
-	pd, _ := td.Project(md[:10], []string{"f1", "f2"})
-	pr, _ := tr.Project(mr[:10], []string{"f1", "f2"})
-	if !reflect.DeepEqual(pd, pr) {
-		t.Fatal("projections differ")
-	}
-
-	// And the dual engine actually used column accesses while the
-	// row-only engine did not.
-	if dual.Mem().Counts().ColReads == 0 {
-		t.Error("dual engine never used a column access")
-	}
-	if c := rowOnly.Mem().Counts(); c.ColReads != 0 || c.ColWrites != 0 {
-		t.Error("row-only engine used column accesses")
 	}
 }
 
 func TestScanAgainstReference(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, ref := buildPeople(t, db, 900)
 	got, err := tbl.ScanWhere("f6", func(v []uint64) bool { return v[0]%7 == 0 })
 	if err != nil {
@@ -125,7 +74,7 @@ func TestScanAgainstReference(t *testing.T) {
 }
 
 func TestSumAvgAgainstReference(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, ref := buildPeople(t, db, 643)
 	var want uint64
 	for _, vals := range ref {
@@ -151,7 +100,7 @@ func TestSumAvgAgainstReference(t *testing.T) {
 }
 
 func TestUpdateVisibleThroughBothViews(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := buildPeople(t, db, 100)
 	if err := tbl.Update([]int{5, 50, 99}, "f4", 7777); err != nil {
 		t.Fatal(err)
@@ -170,44 +119,8 @@ func TestUpdateVisibleThroughBothViews(t *testing.T) {
 	}
 }
 
-func TestJoinAgainstReference(t *testing.T) {
-	db, _ := Open(DualAddress)
-	ta, refA := buildPeople(t, db, 200)
-	tb, err := db.CreateTable("orders", imdb.Uniform("orders", 4), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	refB := make([][]uint64, 300)
-	for i := range refB {
-		vals := []uint64{uint64(rng.Intn(1000)), uint64(i), 0, 0}
-		refB[i] = vals
-		if _, err := tb.Append(vals...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Join(ta, "f1", tb, "f1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want [][2]int
-	for i, a := range refA {
-		for j, b := range refB {
-			if a[0] == b[0] {
-				want = append(want, [2]int{i, j})
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("join pairs = %d, want %d", len(got), len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("join pairs differ from reference")
-	}
-}
-
 func TestWideField(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	schema := imdb.Schema{Name: "c", Fields: []imdb.Field{
 		{Name: "id", Words: 1}, {Name: "email", Words: 4},
 	}}
@@ -238,7 +151,7 @@ func TestWideField(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, err := db.CreateTable("t", imdb.Uniform("t", 4), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +188,7 @@ func TestErrors(t *testing.T) {
 // and the row-only downgrade of the same trace is slower on RC-NVM
 // (strided row accesses instead of column accesses).
 func TestTraceReplay(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := buildPeople(t, db, 4096)
 
 	db.StartTrace()
@@ -311,7 +224,7 @@ func TestTraceReplay(t *testing.T) {
 }
 
 func TestTraceRecordingOffByDefault(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, _ := buildPeople(t, db, 16)
 	tbl.SumField("f1", nil)
 	if s := db.StopTrace(); len(s) != 0 {
@@ -320,7 +233,7 @@ func TestTraceRecordingOffByDefault(t *testing.T) {
 }
 
 func TestVacuum(t *testing.T) {
-	db, _ := Open(DualAddress)
+	db, _ := Open()
 	tbl, ref := buildPeople(t, db, 100)
 	if err := tbl.Delete([]int{0, 10, 50, 99}); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // decode and the query result is byte-identical to the stored data,
 // with the correction visible in the counters.
 func TestSingleStuckBitIsCorrectedTransparently(t *testing.T) {
-	db, err := Open(DualAddress)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestSingleStuckBitIsCorrectedTransparently(t *testing.T) {
 // touching the word into *fault.UncorrectableError, unwrappable to the
 // ecc sentinel, from both the tuple-fetch and the column-scan paths.
 func TestDoubleStuckBitSurfacesTypedError(t *testing.T) {
-	db, err := Open(DualAddress)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,9 @@ func TestDoubleStuckBitSurfacesTypedError(t *testing.T) {
 	checkTyped("Tuple", err)
 	_, err = tbl.SumField("f1", nil)
 	checkTyped("SumField", err)
-	_, err = Join(tbl, "f1", tbl, "f1")
-	checkTyped("Join", err)
+	// The join-key scan: every key handed to a predicate that never matches.
+	_, err = tbl.ScanWhere("f1", func([]uint64) bool { return false })
+	checkTyped("ScanWhere", err)
 
 	// Rows that do not touch the faulty word keep working.
 	if _, err := tbl.Tuple(12); err != nil {
@@ -84,7 +85,7 @@ func TestDoubleStuckBitSurfacesTypedError(t *testing.T) {
 // TestDisabledFaultsAreFree checks EnableFaults with a disabled config
 // leaves no injector behind and reads stay on the unchecked fast path.
 func TestDisabledFaultsAreFree(t *testing.T) {
-	db, err := Open(RowOnly)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestDisabledFaultsAreFree(t *testing.T) {
 // TestWritesFeedWearModel checks Append/SetField route through the wear
 // accounting.
 func TestWritesFeedWearModel(t *testing.T) {
-	db, err := Open(DualAddress)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,39 +51,18 @@ type persistTable struct {
 
 type persistDB struct {
 	Version int
-	Mode    Mode
-	Tables  []persistTable
+	// Mode is 0, which gob leaves out of the payload. A retired row-only
+	// engine wrote 1; Load refuses such a snapshot.
+	Mode   uint8
+	Tables []persistTable
 }
 
 // persistVersion guards the on-disk format (2 = framed with magic + CRC).
 const persistVersion = 2
 
-// String names the addressing mode.
-func (m Mode) String() string {
-	switch m {
-	case DualAddress:
-		return "dual-address"
-	case RowOnly:
-		return "row-only"
-	}
-	return fmt.Sprintf("Mode(%d)", uint8(m))
-}
-
-// ModeMismatchError reports a snapshot whose addressing mode differs from
-// the database it was loaded into. The two modes place tables through
-// different allocators, so silently loading across them would change
-// every access trace and timing result the database produces.
-type ModeMismatchError struct {
-	Snapshot, DB Mode
-}
-
-func (e *ModeMismatchError) Error() string {
-	return fmt.Sprintf("engine: snapshot is %s but the database is %s", e.Snapshot, e.DB)
-}
-
 // Save writes a snapshot of the database (catalog and all tuple values).
 func (db *DB) Save(w io.Writer) error {
-	snap := persistDB{Version: persistVersion, Mode: db.mode}
+	snap := persistDB{Version: persistVersion}
 	names := make([]string, 0, len(db.tables))
 	for name := range db.tables {
 		names = append(names, name)
@@ -132,8 +111,8 @@ func (db *DB) Save(w io.Writer) error {
 
 // Load reads a snapshot into a fresh database (which must have no
 // tables). The snapshot's frame is verified — bad magic, a truncated
-// payload, or a CRC mismatch reject the whole file — and its addressing
-// mode must match the database's (*ModeMismatchError otherwise).
+// payload, or a CRC mismatch reject the whole file — and a snapshot of the
+// retired row-only engine is refused.
 func (db *DB) Load(r io.Reader) error {
 	if len(db.tables) != 0 {
 		return fmt.Errorf("engine: Load requires an empty database")
@@ -167,8 +146,8 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version != persistVersion {
 		return fmt.Errorf("engine: snapshot version %d, want %d", snap.Version, persistVersion)
 	}
-	if snap.Mode != db.mode {
-		return &ModeMismatchError{Snapshot: snap.Mode, DB: db.mode}
+	if snap.Mode != 0 {
+		return fmt.Errorf("engine: load: snapshot of the retired row-only engine (mode %d)", snap.Mode)
 	}
 	for _, pt := range snap.Tables {
 		schema := imdb.Schema{Name: pt.Name}

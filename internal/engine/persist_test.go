@@ -2,15 +2,20 @@ package engine
 
 import (
 	"bytes"
-	"errors"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rcnvm/internal/imdb"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	src, _ := Open(DualAddress)
+	src, _ := Open()
 	tbl, ref := buildPeople(t, src, 300)
 	if err := tbl.Delete([]int{7, 100}); err != nil {
 		t.Fatal(err)
@@ -21,7 +26,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, _ := Open(DualAddress)
+	dst, _ := Open()
 	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -56,35 +61,124 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsModeMismatch(t *testing.T) {
-	// A dual-address snapshot must not load into a row-only engine (or
-	// vice versa): the two modes place tables through different
-	// allocators, so the mismatch is detected and typed instead of
-	// silently producing a database with different access traces.
-	src, _ := Open(DualAddress)
-	buildPeople(t, src, 64)
+// TestSaveBytesPinned pins the snapshot format: the SHA-256 of Save after a
+// fixed history of two tables, a WIDE field and tombstones. A change to the
+// frame, the gob payload or its field set moves every data dir's checkpoint
+// and every /checksum string.
+func TestSaveBytesPinned(t *testing.T) {
 	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
+	if err := pinnedHistory(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst, _ := Open(RowOnly)
-	err := dst.Load(bytes.NewReader(buf.Bytes()))
-	var mm *ModeMismatchError
-	if !errors.As(err, &mm) {
-		t.Fatalf("cross-mode load: got %v, want *ModeMismatchError", err)
+	const want = "a99a17f9a84d117c850cfc7458823d85854937123b656faa9a71bdc021a2fc2b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("snapshot sha256 = %s, want %s", got, want)
 	}
-	if mm.Snapshot != DualAddress || mm.DB != RowOnly {
-		t.Fatalf("mismatch error = %+v", mm)
+}
+
+// pinnedHistory is TestSaveBytesPinned's database.
+func pinnedHistory(t testing.TB) *DB {
+	t.Helper()
+	db, _ := Open()
+	people, _ := buildPeople(t, db, 40)
+	if err := people.Delete([]int{3, 17, 39}); err != nil {
+		t.Fatal(err)
 	}
-	// The matching mode still loads.
-	ok, _ := Open(DualAddress)
-	if err := ok.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	wide, err := db.CreateTable("wide", imdb.Schema{Name: "wide", Fields: []imdb.Field{
+		{Name: "id", Words: 1}, {Name: "WIDE", Words: 5}, {Name: "n", Words: 1},
+	}}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 9; i++ {
+		if _, err := wide.Append(i, 10*i, 10*i+1, 10*i+2, 10*i+3, 10*i+4, i*i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wide.Delete([]int{0, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.SetField(5, "WIDE", 1, 2, 3, 4, 5); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// payloadOf gob-encodes snap as Save does, without the frame.
+func payloadOf(t testing.TB, snap persistDB) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// framed wraps a gob payload in a valid snapshot frame.
+func framed(payload []byte) []byte {
+	out := binary.LittleEndian.AppendUint64(append([]byte(nil), snapMagic[:]...), uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, snapCRC))
+}
+
+// zeroWidthSnaps are valid frames around catalogs no table can be built
+// from: a table without fields, and one whose only field is zero words wide.
+func zeroWidthSnaps() []persistDB {
+	return []persistDB{
+		{Version: persistVersion, Tables: []persistTable{{Name: "z", Capacity: 4}}},
+		{Version: persistVersion, Tables: []persistTable{{Name: "z", Capacity: 4,
+			Fields: []persistField{{Name: "a", Words: 0}}, Tuples: [][]uint64{{}}}}},
+	}
+}
+
+// TestLoadRejectsRowOnlySnapshot: a snapshot whose mode byte names the
+// retired row-only engine is refused before any table is built; the same
+// catalog with the byte at 0 loads.
+func TestLoadRejectsRowOnlySnapshot(t *testing.T) {
+	snap := persistDB{Version: persistVersion, Mode: 1, Tables: []persistTable{{
+		Name: "t", Fields: []persistField{{Name: "a", Words: 1}}, Capacity: 4, Tuples: [][]uint64{{7}},
+	}}}
+	db, _ := Open()
+	err := db.Load(bytes.NewReader(framed(payloadOf(t, snap))))
+	if err == nil || !strings.Contains(err.Error(), "row-only") {
+		t.Fatalf("row-only snapshot: got %v, want an error naming the row-only engine", err)
+	}
+	if len(db.tables) != 0 {
+		t.Fatalf("refused snapshot left %d tables behind", len(db.tables))
+	}
+	snap.Mode = 0
+	if err := db.Load(bytes.NewReader(framed(payloadOf(t, snap)))); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestCreateTableRejectsZeroWidth: a schema without fields or with a field
+// narrower than a word (or wider than a memory row) is an error, called
+// directly or reached through Load from a snapshot with a valid frame.
+func TestCreateTableRejectsZeroWidth(t *testing.T) {
+	for _, fields := range [][]imdb.Field{
+		nil,
+		{{Name: "a", Words: 0}},
+		{{Name: "a", Words: 0}, {Name: "b", Words: 0}},
+		{{Name: "a", Words: 1}, {Name: "b", Words: -1}},
+		{{Name: "a", Words: 1}, {Name: "b", Words: 1025}},
+		{{Name: "a", Words: 1 << 62}, {Name: "b", Words: 1 << 62}},
+	} {
+		db, _ := Open()
+		if _, err := db.CreateTable("z", imdb.Schema{Name: "z", Fields: fields}, 4); err == nil {
+			t.Fatalf("fields %v accepted", fields)
+		}
+	}
+	for _, snap := range zeroWidthSnaps() {
+		db, _ := Open()
+		if err := db.Load(bytes.NewReader(framed(payloadOf(t, snap)))); err == nil {
+			t.Fatalf("snapshot %+v loaded", snap)
+		}
+	}
+}
+
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
-	src, _ := Open(DualAddress)
+	src, _ := Open()
 	buildPeople(t, src, 64)
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
@@ -120,7 +214,7 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dst, _ := Open(DualAddress)
+			dst, _ := Open()
 			if err := dst.Load(bytes.NewReader(tc.mutate(snap))); err == nil {
 				t.Fatal("corrupt snapshot accepted")
 			}
@@ -134,13 +228,13 @@ func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 }
 
 func TestLoadRequiresEmptyDB(t *testing.T) {
-	src, _ := Open(DualAddress)
+	src, _ := Open()
 	buildPeople(t, src, 8)
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst, _ := Open(DualAddress)
+	dst, _ := Open()
 	if _, err := dst.CreateTable("x", imdb.Uniform("x", 2), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +244,14 @@ func TestLoadRequiresEmptyDB(t *testing.T) {
 }
 
 func TestLoadGarbage(t *testing.T) {
-	dst, _ := Open(DualAddress)
+	dst, _ := Open()
 	if err := dst.Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
 func TestSaveMultipleTables(t *testing.T) {
-	src, _ := Open(DualAddress)
+	src, _ := Open()
 	buildPeople(t, src, 32)
 	wide, err := src.CreateTable("c", imdb.Schema{Name: "c", Fields: []imdb.Field{
 		{Name: "id", Words: 1}, {Name: "blob", Words: 3},
@@ -170,7 +264,7 @@ func TestSaveMultipleTables(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst, _ := Open(DualAddress)
+	dst, _ := Open()
 	if err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}

@@ -144,37 +144,13 @@ func refGroup(t *Table, key, sum string, rows []int) ([]GroupRow, error) {
 	return out, nil
 }
 
-func refJoin(a *Table, aField string, b *Table, bField string) ([][2]int, error) {
-	build := make(map[uint64][]int)
-	err := refScan(a, nil, refOffs(a, aField), func(row int, k []uint64) { build[k[0]] = append(build[k[0]], row) })
-	if err != nil {
-		return nil, err
-	}
-	var out [][2]int
-	err = refScan(b, nil, refOffs(b, bField), func(row int, k []uint64) {
-		for _, ar := range build[k[0]] {
-			out = append(out, [2]int{ar, row})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out, nil
-}
-
 // edgeTable builds a goldenSchema table of rows tuples in a table of that
 // capacity (so 64 rows are sixteen 4-row chunks) with the rows of dead
 // tombstoned. Keys repeat (k < 200) so that GROUP BY — whose table of groups
-// outgrows its first 64 slots — and the self-join have something to merge.
-func edgeTable(t *testing.T, mode Mode, rows int, dead []int) (*DB, *Table) {
+// outgrows its first 64 slots — has something to merge.
+func edgeTable(t *testing.T, rows int, dead []int) (*DB, *Table) {
 	t.Helper()
-	db, err := Open(mode)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +274,6 @@ func edgeOps(tbl *Table) []edgeOp {
 		{"where/w",
 			func(t *Table) (any, error) { return t.ScanWhere("w", wide) },
 			func(t *Table) (any, error) { return refWhere(t, "w", wide, nil) }},
-		{"join",
-			func(t *Table) (any, error) { return Join(t, "k", t, "k") },
-			func(t *Table) (any, error) { return refJoin(t, "k", t, "k") }},
 	}
 	for _, lc := range []struct {
 		name string
@@ -373,29 +346,27 @@ func TestScanBlockEdges(t *testing.T) {
 		{"stuck-w", false, &fault.Config{Enabled: true, Seed: 8}, 2},
 		{"stuck-k", true, &fault.Config{Enabled: true, Seed: 9}, 0},
 	}
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		for _, rows := range []int{1, 4, 63, 64, 511, 512, 513, 1025} {
-			for pat, dead := range edgeDead(rows) {
-				for _, set := range settings {
-					name := fmt.Sprintf("%s/%d/%s/%s", mode, rows, pat, set.name)
-					db, tbl := edgeTable(t, mode, rows, dead)
-					refDB, refTbl := edgeTable(t, mode, rows, dead)
-					if set.faults != nil {
-						live := tbl.LiveRows()
-						for _, d := range []*DB{db, refDB} {
-							d.EnableFaults(*set.faults)
-							if set.stuck >= 0 && len(live) > 0 {
-								d.Faults().AddStuck(tbl.CellCoord(live[len(live)/2], set.stuck), 2)
-							}
+	for _, rows := range []int{1, 4, 63, 64, 511, 512, 513, 1025} {
+		for pat, dead := range edgeDead(rows) {
+			for _, set := range settings {
+				name := fmt.Sprintf("%d/%s/%s", rows, pat, set.name)
+				db, tbl := edgeTable(t, rows, dead)
+				refDB, refTbl := edgeTable(t, rows, dead)
+				if set.faults != nil {
+					live := tbl.LiveRows()
+					for _, d := range []*DB{db, refDB} {
+						d.EnableFaults(*set.faults)
+						if set.stuck >= 0 && len(live) > 0 {
+							d.Faults().AddStuck(tbl.CellCoord(live[len(live)/2], set.stuck), 2)
 						}
 					}
-					refOps := edgeOps(refTbl)
-					for i, op := range edgeOps(tbl) {
-						got := edgeRun(db, set.traced, func() (any, error) { return op.run(tbl) })
-						want := edgeRun(refDB, set.traced, func() (any, error) { return refOps[i].ref(refTbl) })
-						if got != want {
-							t.Fatalf("%s %s:\n block loop %.300s\n per cell   %.300s", name, op.name, got, want)
-						}
+				}
+				refOps := edgeOps(refTbl)
+				for i, op := range edgeOps(tbl) {
+					got := edgeRun(db, set.traced, func() (any, error) { return op.run(tbl) })
+					want := edgeRun(refDB, set.traced, func() (any, error) { return refOps[i].ref(refTbl) })
+					if got != want {
+						t.Fatalf("%s %s:\n block loop %.300s\n per cell   %.300s", name, op.name, got, want)
 					}
 				}
 			}
@@ -408,39 +379,37 @@ func TestScanBlockEdges(t *testing.T) {
 func TestScanWiderThanABlock(t *testing.T) {
 	const words = blockWords + 88
 	pred := func(v []uint64) bool { return len(v) == words && v[0] >= 2000 && v[words-1] == v[0]+words-1 }
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		var left [2]string
-		for side, scan := range []func(*Table) (any, error){
-			func(t *Table) (any, error) { return t.ScanWhere("big", pred) },
-			func(t *Table) (any, error) { return refWhere(t, "big", pred, nil) },
-		} {
-			db, err := Open(mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbl, err := db.CreateTable("x", imdb.Schema{Name: "x", Fields: []imdb.Field{
-				{Name: "k", Words: 1}, {Name: "big", Words: words},
-			}}, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				vals := make([]uint64, 1+words)
-				for j := range vals {
-					vals[j] = uint64(i*1000 + j)
-				}
-				if _, err := tbl.Append(vals...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tbl.Delete([]int{3}); err != nil {
-				t.Fatal(err)
-			}
-			left[side] = edgeRun(db, true, func() (any, error) { return scan(tbl) })
+	var left [2]string
+	for side, scan := range []func(*Table) (any, error){
+		func(t *Table) (any, error) { return t.ScanWhere("big", pred) },
+		func(t *Table) (any, error) { return refWhere(t, "big", pred, nil) },
+	} {
+		db, err := Open()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if left[0] != left[1] || !strings.HasPrefix(left[0], "res=[2 4] err=<nil> ") {
-			t.Fatalf("%s:\n block loop %s\n per cell   %s", mode, left[0], left[1])
+		tbl, err := db.CreateTable("x", imdb.Schema{Name: "x", Fields: []imdb.Field{
+			{Name: "k", Words: 1}, {Name: "big", Words: words},
+		}}, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < 5; i++ {
+			vals := make([]uint64, 1+words)
+			for j := range vals {
+				vals[j] = uint64(i*1000 + j)
+			}
+			if _, err := tbl.Append(vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.Delete([]int{3}); err != nil {
+			t.Fatal(err)
+		}
+		left[side] = edgeRun(db, true, func() (any, error) { return scan(tbl) })
+	}
+	if left[0] != left[1] || !strings.HasPrefix(left[0], "res=[2 4] err=<nil> ") {
+		t.Fatalf("block loop %s\n per cell   %s", left[0], left[1])
 	}
 }
 
@@ -448,33 +417,31 @@ func TestScanWiderThanABlock(t *testing.T) {
 // ascending row order, whatever it answers — sql's join-key scan collects
 // its keys from a predicate that never matches.
 func TestScanWherePredContract(t *testing.T) {
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		for _, rows := range []int{64, 1025} {
-			for pat, dead := range edgeDead(rows) {
-				_, tbl := edgeTable(t, mode, rows, dead)
-				var want []uint64
-				for _, row := range tbl.LiveRows() {
-					f, err := tbl.Field(row, "k")
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = append(want, f[0])
+	for _, rows := range []int{64, 1025} {
+		for pat, dead := range edgeDead(rows) {
+			_, tbl := edgeTable(t, rows, dead)
+			var want []uint64
+			for _, row := range tbl.LiveRows() {
+				f, err := tbl.Field(row, "k")
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, answer := range []bool{false, true} {
-					var seen []uint64
-					match, err := tbl.ScanWhere("k", func(v []uint64) bool {
-						seen = append(seen, v[0])
-						return answer
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(seen, want) {
-						t.Fatalf("%s/%d/%s: pred saw %d values, want the %d live rows' in row order", mode, rows, pat, len(seen), len(want))
-					}
-					if answer && !slices.Equal(match, tbl.LiveRows()) || !answer && match != nil {
-						t.Fatalf("%s/%d/%s: pred always %v matched %d rows", mode, rows, pat, answer, len(match))
-					}
+				want = append(want, f[0])
+			}
+			for _, answer := range []bool{false, true} {
+				var seen []uint64
+				match, err := tbl.ScanWhere("k", func(v []uint64) bool {
+					seen = append(seen, v[0])
+					return answer
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(seen, want) {
+					t.Fatalf("%d/%s: pred saw %d values, want the %d live rows' in row order", rows, pat, len(seen), len(want))
+				}
+				if answer && !slices.Equal(match, tbl.LiveRows()) || !answer && match != nil {
+					t.Fatalf("%d/%s: pred always %v matched %d rows", rows, pat, answer, len(match))
 				}
 			}
 		}
@@ -485,7 +452,7 @@ func TestScanWherePredContract(t *testing.T) {
 // error — nil would read as every live row to the next condition — and
 // refuses what it cannot compare.
 func TestWhereContract(t *testing.T) {
-	_, tbl := edgeTable(t, DualAddress, 64, []int{5})
+	_, tbl := edgeTable(t, 64, []int{5})
 	for _, rows := range [][]int{nil, {}, {0, 1, 2}} {
 		got, err := tbl.Where("k", Gt, ^uint64(0), rows)
 		if err != nil || got == nil || len(got) != 0 {
@@ -521,8 +488,8 @@ func TestGroupSumKeys(t *testing.T) {
 		keys = append(keys, k)
 	}
 	const rows = 1100
-	build := func(mode Mode) (*DB, *Table) {
-		db, err := Open(mode)
+	build := func() (*DB, *Table) {
+		db, err := Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,30 +511,28 @@ func TestGroupSumKeys(t *testing.T) {
 		}
 		return db, tbl
 	}
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		db, tbl := build(mode)
-		refDB, refTbl := build(mode)
-		live := tbl.LiveRows()
-		var desc []int
-		for i := len(live) - 1; i >= 0; i -= 2 {
-			desc = append(desc, live[i])
+	db, tbl := build()
+	refDB, refTbl := build()
+	live := tbl.LiveRows()
+	var desc []int
+	for i := len(live) - 1; i >= 0; i -= 2 {
+		desc = append(desc, live[i])
+	}
+	for _, lc := range []struct {
+		name string
+		rows []int
+	}{{"nil", nil}, {"asc", live[100:900]}, {"desc", desc}} {
+		got := edgeRun(db, true, func() (any, error) { return tbl.GroupSum("k", "v", lc.rows) })
+		want := edgeRun(refDB, true, func() (any, error) { return refGroup(refTbl, "k", "v", lc.rows) })
+		if got != want {
+			t.Fatalf("%s:\n direct %.300s\n ref    %.300s", lc.name, got, want)
 		}
-		for _, lc := range []struct {
-			name string
-			rows []int
-		}{{"nil", nil}, {"asc", live[100:900]}, {"desc", desc}} {
-			got := edgeRun(db, true, func() (any, error) { return tbl.GroupSum("k", "v", lc.rows) })
-			want := edgeRun(refDB, true, func() (any, error) { return refGroup(refTbl, "k", "v", lc.rows) })
-			if got != want {
-				t.Fatalf("%s/%s:\n direct %.300s\n ref    %.300s", mode, lc.name, got, want)
-			}
-		}
-		g, err := tbl.GroupSum("k", "v", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(g) != len(keys) || g[63].Key != 63 || g[64].Key != 64 || g[65].Key != 1<<63 || g[66].Key != ^uint64(0) {
-			t.Fatalf("%s: %d groups, want %d ordered by key: %v", mode, len(g), len(keys), g)
-		}
+	}
+	g, err := tbl.GroupSum("k", "v", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g) != len(keys) || g[63].Key != 63 || g[64].Key != 64 || g[65].Key != 1<<63 || g[66].Key != ^uint64(0) {
+		t.Fatalf("%d groups, want %d ordered by key: %v", len(g), len(keys), g)
 	}
 }

@@ -62,9 +62,9 @@ func goldenTable(t *testing.T, db *DB, name string, capacity, rows, blockLo, blo
 // first chunk boundary; "b" has several column groups per chunk (2 500
 // tuples per chunk, 1 024 per group), a partly filled last chunk and a
 // block across a chunk boundary that also follows a group boundary.
-func goldenDB(t *testing.T, mode Mode) (*DB, *Table, *Table) {
+func goldenDB(t *testing.T) (*DB, *Table, *Table) {
 	t.Helper()
-	db, err := Open(mode)
+	db, err := Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +126,7 @@ func goldenOps(s, b *Table) []goldenOp {
 			)
 		}
 	}
-	return append(ops,
-		goldenOp{"join/s.k=b.k", func() (any, error) { return Join(s, "k", b, "k") }},
-		goldenOp{"join/b.v=s.v", func() (any, error) { return Join(b, "v", s, "v") }},
-	)
+	return ops
 }
 
 func shortDigest(v any) string {
@@ -208,28 +205,26 @@ func checkGolden(t *testing.T, want, got map[string]string) {
 }
 
 // TestScanGolden: result, Counts delta (row reads/col reads/row writes/col
-// writes) and recorded stream of every operator, in both modes. Each
-// operator also runs untraced and must report the same result and counts.
+// writes) and recorded stream of every operator. Each operator also runs
+// untraced and must report the same result and counts.
 func TestScanGolden(t *testing.T) {
 	got := make(map[string]string)
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		db, s, b := goldenDB(t, mode)
-		for _, op := range goldenOps(s, b) {
-			name := mode.String() + "/" + op.name
-			c0 := db.Mem().Counts()
-			res, err := op.run()
-			c1 := db.Mem().Counts()
-			plain := outcome(t, name, res, err) + " n=" + countsDelta(c0, c1)
+	db, s, b := goldenDB(t)
+	for _, op := range goldenOps(s, b) {
+		name := DualAddress.String() + "/" + op.name
+		c0 := db.Mem().Counts()
+		res, err := op.run()
+		c1 := db.Mem().Counts()
+		plain := outcome(t, name, res, err) + " n=" + countsDelta(c0, c1)
 
-			db.StartTrace()
-			res, err = op.run()
-			stream := db.StopTrace()
-			traced := outcome(t, name, res, err) + " n=" + countsDelta(c1, db.Mem().Counts())
-			if plain != traced {
-				t.Errorf("%s: untraced %q, traced %q", name, plain, traced)
-			}
-			got[name] = traced + " tr=" + streamDigest(stream)
+		db.StartTrace()
+		res, err = op.run()
+		stream := db.StopTrace()
+		traced := outcome(t, name, res, err) + " n=" + countsDelta(c1, db.Mem().Counts())
+		if plain != traced {
+			t.Errorf("%s: untraced %q, traced %q", name, plain, traced)
 		}
+		got[name] = traced + " tr=" + streamDigest(stream)
 	}
 	checkGolden(t, goldenScan, got)
 }
@@ -242,20 +237,18 @@ func TestScanGolden(t *testing.T) {
 // the injector's counters.
 func TestScanGoldenFaults(t *testing.T) {
 	got := make(map[string]string)
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		db, s, b := goldenDB(t, mode)
-		db.EnableFaults(fault.Config{Enabled: true, Seed: 0x5eed, RBER: 2e-4})
-		for _, op := range goldenOps(s, b) {
-			name := mode.String() + "/" + op.name
-			c0 := db.Mem().Counts()
-			db.StartTrace()
-			res, err := op.run()
-			stream := db.StopTrace()
-			f := db.Faults().Counts()
-			got[name] = fmt.Sprintf("%s n=%s tr=%s f=%d/%d/%d/%d/%d", outcome(t, name, res, err),
-				countsDelta(c0, db.Mem().Counts()), streamDigest(stream),
-				f.TransientBits, f.StuckBits, f.Corrected, f.Uncorrectable, f.Miscorrected)
-		}
+	db, s, b := goldenDB(t)
+	db.EnableFaults(fault.Config{Enabled: true, Seed: 0x5eed, RBER: 2e-4})
+	for _, op := range goldenOps(s, b) {
+		name := DualAddress.String() + "/" + op.name
+		c0 := db.Mem().Counts()
+		db.StartTrace()
+		res, err := op.run()
+		stream := db.StopTrace()
+		f := db.Faults().Counts()
+		got[name] = fmt.Sprintf("%s n=%s tr=%s f=%d/%d/%d/%d/%d", outcome(t, name, res, err),
+			countsDelta(c0, db.Mem().Counts()), streamDigest(stream),
+			f.TransientBits, f.StuckBits, f.Corrected, f.Uncorrectable, f.Miscorrected)
 	}
 	checkGolden(t, goldenScanFaults, got)
 }
@@ -263,43 +256,41 @@ func TestScanGoldenFaults(t *testing.T) {
 // TestConcurrentScansCountExactly: eight readers share one table under
 // RLock; the counters end at exactly eight times one reader's delta.
 func TestConcurrentScansCountExactly(t *testing.T) {
-	for _, mode := range []Mode{DualAddress, RowOnly} {
-		db, s, _ := goldenDB(t, mode)
-		scan := func() error {
-			db.RLock()
-			defer db.RUnlock()
-			rows, err := s.ScanWhere("k", func(v []uint64) bool { return v[0]%2 == 0 })
-			if err != nil {
-				return err
-			}
-			if _, err := s.SumField("v", rows); err != nil {
-				return err
-			}
-			_, err = s.GroupSum("k", "v", nil)
+	db, s, _ := goldenDB(t)
+	scan := func() error {
+		db.RLock()
+		defer db.RUnlock()
+		rows, err := s.ScanWhere("k", func(v []uint64) bool { return v[0]%2 == 0 })
+		if err != nil {
 			return err
 		}
-		c0 := db.Mem().Counts()
-		if err := scan(); err != nil {
-			t.Fatal(err)
+		if _, err := s.SumField("v", rows); err != nil {
+			return err
 		}
-		c1 := db.Mem().Counts()
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := scan(); err != nil {
-					t.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-		c2 := db.Mem().Counts()
-		one := funcmem.Counts{RowReads: c1.RowReads - c0.RowReads, ColReads: c1.ColReads - c0.ColReads}
-		all := funcmem.Counts{RowReads: c2.RowReads - c1.RowReads, ColReads: c2.ColReads - c1.ColReads}
-		if one.RowReads+one.ColReads == 0 || all.RowReads != 8*one.RowReads || all.ColReads != 8*one.ColReads {
-			t.Fatalf("%s: one scan %+v, eight concurrent %+v", mode, one, all)
-		}
+		_, err = s.GroupSum("k", "v", nil)
+		return err
+	}
+	c0 := db.Mem().Counts()
+	if err := scan(); err != nil {
+		t.Fatal(err)
+	}
+	c1 := db.Mem().Counts()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := scan(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	c2 := db.Mem().Counts()
+	one := funcmem.Counts{RowReads: c1.RowReads - c0.RowReads, ColReads: c1.ColReads - c0.ColReads}
+	all := funcmem.Counts{RowReads: c2.RowReads - c1.RowReads, ColReads: c2.ColReads - c1.ColReads}
+	if one.RowReads+one.ColReads == 0 || all.RowReads != 8*one.RowReads || all.ColReads != 8*one.ColReads {
+		t.Fatalf("one scan %+v, eight concurrent %+v", one, all)
 	}
 }
 
@@ -318,8 +309,6 @@ var goldenScan = map[string]string{
 	"dual-address/b/sum/nil":     "res=c4c7b43a4cd500b0 n=0/34234/0/0 tr=34234:1325f90546393faf6108e5b5bf167af2e70490be1c3674351f9b7371f3d488c6",
 	"dual-address/b/where/k":     "res=46ce76806cff6df1 n=0/34234/0/0 tr=34234:3e247e3ad504e37773badc7eb077677e7b4fc40781f69684f9be6d50da9d5e40",
 	"dual-address/b/where/w":     "res=76956df43803370f n=0/102702/0/0 tr=102702:270b9c4fb6cee9cbfc083e0984f4f90e9b03f90850419177f2deedf0bb0455e8",
-	"dual-address/join/b.v=s.v":  "res=09298c0c5bb1d01a n=0/38494/0/0 tr=38494:557e203b8a5a810f1f01ee0fc539e564c5030a80af0515ba6a17696621e23c49",
-	"dual-address/join/s.k=b.k":  "res=386674f40a3d6e39 n=0/38494/0/0 tr=38494:d942af934dae91f5e0e45a20b8e2d5443d0f08fa4ad54dd921d17b092f6eb821",
 	"dual-address/s/avg/asc":     "res=9d61f2f4138c97a7 n=0/853/0/0 tr=853:4cce73dc66cafbb7bab957516d426997aa5a94252ac1cc182b411ffc9933ba17",
 	"dual-address/s/avg/desc":    "res=9b0dc31e16b04deb n=0/390/0/0 tr=390:d0d2db0f0734eb78f78ecc003c7d155987fa06e20ffc1d6fbb5ea0f9484fea7c",
 	"dual-address/s/avg/nil":     "res=836a2dd1193c0075 n=0/4260/0/0 tr=4260:d9be8a49de2fa935d50af9d113402b954fe5e088bdebee150457a165e46b8d77",
@@ -334,36 +323,6 @@ var goldenScan = map[string]string{
 	"dual-address/s/sum/nil":     "res=73df81d2a47e9a45 n=0/4260/0/0 tr=4260:d9be8a49de2fa935d50af9d113402b954fe5e088bdebee150457a165e46b8d77",
 	"dual-address/s/where/k":     "res=ad561da8c11b77b6 n=0/4260/0/0 tr=4260:b0ec0eaa6b2c47990907a163678634e8000ad24a754c6c6c358f0c0c6897566d",
 	"dual-address/s/where/w":     "res=a1d53862cc92fa9a n=0/12780/0/0 tr=12780:ed4b825a0c419160517cfdfa66bc38c6c86eae498142dfaa3cad47aff478e2e0",
-	"row-only/b/avg/asc":         "res=30356733f65e047c n=6848/0/0/0 tr=6848:a12607196b8f6e9169173ab54fe62ba09503fb8abf210a8c96ef469fe02b5d30",
-	"row-only/b/avg/desc":        "res=98c1b853a41bda99 n=3114/0/0/0 tr=3114:1e5f7a93f534de5f1f4ba5bec52ac9d510ee914e7daf16c1bc78a81c05fcf67d",
-	"row-only/b/avg/nil":         "res=ddc66cf45cf0835f n=34234/0/0/0 tr=34234:9588f18fe290cd79ded9db4be9e99a58dacdedc298619ae5a7588b4b759d5515",
-	"row-only/b/group/asc":       "res=c168eeff6dd65e77 n=13696/0/0/0 tr=13696:7e5370f6e04ff2765655d666c3a3351643a34ea1042dea0ecd58ea7cf65e1743",
-	"row-only/b/group/desc":      "res=01103c3dab0885ec n=6228/0/0/0 tr=6228:c3a98551222a441da5ced058ebb32d9eccd6099dc8effa8d0073014aa6b02dc1",
-	"row-only/b/group/nil":       "res=2d0a722f4b536900 n=68468/0/0/0 tr=68468:07d0276db7632e5e5332d2b1b6d4952ab261f3b000556f2f014c5e59d2dc5d73",
-	"row-only/b/minmax/asc":      "res=c237ea7a0f6d9a36 n=6848/0/0/0 tr=6848:3f424ed1bf012bbf67e723ca66afb0b85ace896677320dd66974860355ecd4f4",
-	"row-only/b/minmax/desc":     "res=c237ea7a0f6d9a36 n=3114/0/0/0 tr=3114:c011469f4cc7db9098e31b07aaa7e583295992f2b6b1f0082240b91947c99183",
-	"row-only/b/minmax/nil":      "res=c237ea7a0f6d9a36 n=34234/0/0/0 tr=34234:f68bfeda4ecf7349cf6da79a414be22c456af336e7a24015fb34dbbbcf9f42d7",
-	"row-only/b/sum/asc":         "res=014a767bd09832e7 n=6848/0/0/0 tr=6848:a12607196b8f6e9169173ab54fe62ba09503fb8abf210a8c96ef469fe02b5d30",
-	"row-only/b/sum/desc":        "res=8ac4202bdd7184fb n=3114/0/0/0 tr=3114:1e5f7a93f534de5f1f4ba5bec52ac9d510ee914e7daf16c1bc78a81c05fcf67d",
-	"row-only/b/sum/nil":         "res=c4c7b43a4cd500b0 n=34234/0/0/0 tr=34234:9588f18fe290cd79ded9db4be9e99a58dacdedc298619ae5a7588b4b759d5515",
-	"row-only/b/where/k":         "res=46ce76806cff6df1 n=34234/0/0/0 tr=34234:f68bfeda4ecf7349cf6da79a414be22c456af336e7a24015fb34dbbbcf9f42d7",
-	"row-only/b/where/w":         "res=76956df43803370f n=102702/0/0/0 tr=102702:1f7d36e6174266fe7174ebe84dbb1724b25e513292745585f96d2d308d4b5f82",
-	"row-only/join/b.v=s.v":      "res=09298c0c5bb1d01a n=38494/0/0/0 tr=38494:5fc5cbf573cc1d4f11e24cdab1e92c2f8e149d6e3d3984d892ff3b74d67c257b",
-	"row-only/join/s.k=b.k":      "res=386674f40a3d6e39 n=38494/0/0/0 tr=38494:fd5aee8382e73fc5752a93e077bdfe7161eeb09fe61c0ebad8baa510781d4b56",
-	"row-only/s/avg/asc":         "res=9d61f2f4138c97a7 n=853/0/0/0 tr=853:04f1185ecb0c26df155b52085e21d5a804e374c7b067feb6f32a0c94c322b4e4",
-	"row-only/s/avg/desc":        "res=9b0dc31e16b04deb n=390/0/0/0 tr=390:708543c37554f19592cba18baa961ffda6be4fc0888358bd765c322fcbd8619b",
-	"row-only/s/avg/nil":         "res=836a2dd1193c0075 n=4260/0/0/0 tr=4260:a892ed6138341315e3d7e8846b1ebf90de8e5a92f3aa1de9a5de0f2e27abc531",
-	"row-only/s/group/asc":       "res=d9dc2b418514e286 n=1706/0/0/0 tr=1706:c94715486a8228034af8f53453418fbde6b132f327a0564b1a5317e75ccbb6c9",
-	"row-only/s/group/desc":      "res=70f0fc879f3ed5d8 n=780/0/0/0 tr=780:bdf5425fe79ea06b4d788e207c6b97cfb203211ffef2eb3a595a49118db69d1a",
-	"row-only/s/group/nil":       "res=1ce6bec39e52f4c9 n=8520/0/0/0 tr=8520:9afc4a05bb77f1a18e1080d121d0e9b977cbd18b3b5f290064da4bb0c7cfcdea",
-	"row-only/s/minmax/asc":      "res=b820515e201bc1be n=853/0/0/0 tr=853:6e084c53b6e814e5d43b359e466e68a7227652ee7b66e38960890cae7254fa82",
-	"row-only/s/minmax/desc":     "res=c87ba519e2475e73 n=390/0/0/0 tr=390:c8bb56fa00aa8483a201e4cbeb98406fbe67de5d5f7de4c69cc342d423ee8ab1",
-	"row-only/s/minmax/nil":      "res=90accafdb60295a6 n=4260/0/0/0 tr=4260:411fdf8cbcad3b65a0ecb4d5ad07c3142133b595cd033f3cf598b4ee58990cc0",
-	"row-only/s/sum/asc":         "res=bd8145ccdbbaf31e n=853/0/0/0 tr=853:04f1185ecb0c26df155b52085e21d5a804e374c7b067feb6f32a0c94c322b4e4",
-	"row-only/s/sum/desc":        "res=c2452a74b749d8a4 n=390/0/0/0 tr=390:708543c37554f19592cba18baa961ffda6be4fc0888358bd765c322fcbd8619b",
-	"row-only/s/sum/nil":         "res=73df81d2a47e9a45 n=4260/0/0/0 tr=4260:a892ed6138341315e3d7e8846b1ebf90de8e5a92f3aa1de9a5de0f2e27abc531",
-	"row-only/s/where/k":         "res=ad561da8c11b77b6 n=4260/0/0/0 tr=4260:411fdf8cbcad3b65a0ecb4d5ad07c3142133b595cd033f3cf598b4ee58990cc0",
-	"row-only/s/where/w":         "res=a1d53862cc92fa9a n=12780/0/0/0 tr=12780:362064ae3be6cbfe2ab4bdadbd5b68b842542d9db85ab05e5f785d398856a81d",
 }
 
 var goldenScanFaults = map[string]string{
@@ -381,8 +340,6 @@ var goldenScanFaults = map[string]string{
 	"dual-address/b/sum/nil":     "unc=1.0.2.0.386.14/column n=0/4187/0/0 tr=4187:7e0ab91c681349d1265aeb3da64e8b3a7d10650c3d0f08d552c32eb58bbfa78d f=863/0/845/9/0",
 	"dual-address/b/where/k":     "unc=0.1.2.0.546.5/column n=0/5589/0/0 tr=5589:4bc3b5bb9f565a7fc961a819617ca20bde72d509dfa8e49892b8bdcfa9d32328 f=536/0/522/7/0",
 	"dual-address/b/where/w":     "unc=0.1.2.0.244.11/column n=0/18622/0/0 tr=18622:4803e0210ede1c41bebe87bad2a8d73cb5f08b87ab1a5f05d7e1a4f71fc1ad22 f=812/0/796/8/0",
-	"dual-address/join/b.v=s.v":  "unc=0.1.2.0.439.9/column n=0/5498/0/0 tr=5498:4656b4f483269b29cf80f4651838119edbc55fc0b480b078d1656a025083db71 f=2247/0/2213/17/0",
-	"dual-address/join/s.k=b.k":  "unc=0.0.2.0.1012.5/column n=0/6006/0/0 tr=6006:162916b266c707005768920198d4be5f1f65f2c758d447378cf76c682b6b7ec9 f=2152/0/2120/16/0",
 	"dual-address/s/avg/asc":     "unc=0.1.0.0.180.4/column n=0/134/0/0 tr=134:61f219b81168eb1f0c7aa254ffd438745cfc213b2ecd0b1e2b60492944eada8f f=393/0/381/6/0",
 	"dual-address/s/avg/desc":    "res=9b0dc31e16b04deb n=0/390/0/0 tr=390:d0d2db0f0734eb78f78ecc003c7d155987fa06e20ffc1d6fbb5ea0f9484fea7c f=435/0/423/6/0",
 	"dual-address/s/avg/nil":     "unc=1.3.0.0.182.4/column n=0/2009/0/0 tr=2009:f589f6035936d162a513df6b89a322357cb88ef3c6e9509b3f1d389cc3569a37 f=246/0/240/3/0",
@@ -397,34 +354,4 @@ var goldenScanFaults = map[string]string{
 	"dual-address/s/sum/nil":     "unc=0.1.1.0.201.4/column n=0/2830/0/0 tr=2830:4c0068e6f745e44cd4065a70bcf9c4aee622e92682e1deb9448ef96984ace660 f=208/0/204/2/0",
 	"dual-address/s/where/k":     "res=ad561da8c11b77b6 n=0/4260/0/0 tr=4260:b0ec0eaa6b2c47990907a163678634e8000ad24a754c6c6c358f0c0c6897566d f=53/0/53/0/0",
 	"dual-address/s/where/w":     "unc=1.3.0.0.121.1/column n=0/5869/0/0 tr=5869:c1613c409c98ce9c6af754d283423103fee39d9070edd4708a260579a63f8509 f=154/0/152/1/0",
-	"row-only/b/avg/asc":         "unc=0.0.0.0.81.165/row n=1965/0/0/0 tr=1965:cfca83a7d9affb6d48dd4372da5fcb958aa4688f0d71367999e24391f541e661 f=1405/0/1383/11/0",
-	"row-only/b/avg/desc":        "res=98c1b853a41bda99 n=3114/0/0/0 tr=3114:1e5f7a93f534de5f1f4ba5bec52ac9d510ee914e7daf16c1bc78a81c05fcf67d f=1639/0/1613/13/0",
-	"row-only/b/avg/nil":         "unc=0.0.0.0.153.202/row n=22461/0/0/0 tr=22461:edfb8ff1cb89a3d4c4d85ab61ed85a6cacd33d24afef79f4cecf54924259262f f=1095/0/1079/8/0",
-	"row-only/b/group/asc":       "unc=0.0.0.0.123.157/row n=6878/0/0/0 tr=6878:a9df8815e42b03e2cc0f08125eaff5595905a02e4cca69682186228d3458284a f=1548/0/1522/13/0",
-	"row-only/b/group/desc":      "unc=0.0.0.0.169.619/row n=1619/0/0/0 tr=1619:38ecb62c53f705b1b4cc283fb210652f98144b93cfcdb0f2d83c06469d2a0a76 f=1708/0/1680/14/0",
-	"row-only/b/group/nil":       "unc=0.0.0.0.28.673/row n=1285/0/0/0 tr=1285:3edaacb978bb2e7e81b5244d8cf77ec5c7208acf59c7cfc65dbc8a11617221df f=1262/0/1242/10/0",
-	"row-only/b/minmax/asc":      "unc=0.0.0.0.90.145/row n=2280/0/0/0 tr=2280:5c9624e7f48641db4dec2ac61a38ea7c5d5a6e0ab6154f1ff9e865343810037b f=1439/0/1415/12/0",
-	"row-only/b/minmax/desc":     "res=c237ea7a0f6d9a36 n=3114/0/0/0 tr=3114:c011469f4cc7db9098e31b07aaa7e583295992f2b6b1f0082240b91947c99183 f=1686/0/1660/13/0",
-	"row-only/b/minmax/nil":      "unc=0.0.0.0.87.277/row n=10889/0/0/0 tr=10889:f1e223fa2c03a1adb51eab9bc29204a569c90e2c0190575701d1440107d3d077 f=1247/0/1229/9/0",
-	"row-only/b/sum/asc":         "res=014a767bd09832e7 n=6848/0/0/0 tr=6848:a12607196b8f6e9169173ab54fe62ba09503fb8abf210a8c96ef469fe02b5d30 f=1372/0/1352/10/0",
-	"row-only/b/sum/desc":        "res=8ac4202bdd7184fb n=3114/0/0/0 tr=3114:1e5f7a93f534de5f1f4ba5bec52ac9d510ee914e7daf16c1bc78a81c05fcf67d f=1586/0/1560/13/0",
-	"row-only/b/sum/nil":         "unc=0.0.0.0.42.271/row n=2988/0/0/0 tr=2988:24fbaa300f3dfb33c2ac43ec80875f58a045f388584a2e1c803d790ab2dfca75 f=781/0/767/7/0",
-	"row-only/b/where/k":         "unc=0.0.0.0.99.9/row n=12950/0/0/0 tr=12950:2ce24d1a5189e4aa71222b8fc201bbf3300417ac70affd70f01111c345a932e5 f=453/0/443/5/0",
-	"row-only/b/where/w":         "unc=0.0.0.0.62.1009/row n=19877/0/0/0 tr=19877:d3a340a424dd1b62b1a0853650c2a1aa23159415d5d3795f330b9f49041bbdbe f=742/0/730/6/0",
-	"row-only/join/b.v=s.v":      "unc=0.0.0.0.48.457/row n=4073/0/0/0 tr=4073:1a70871d4bf069f8f3b1233a423ac48270ff0172bc28b62a7fcbc621781da7c8 f=2088/0/2056/16/0",
-	"row-only/join/s.k=b.k":      "unc=0.0.0.0.116.856/row n=20339/0/0/0 tr=20339:11d6c87ae90df60122afbe466edd4583670204dd8d52b9d198046c1e8e1ccbf6 f=2024/0/1994/15/0",
-	"row-only/s/avg/asc":         "res=9d61f2f4138c97a7 n=853/0/0/0 tr=853:04f1185ecb0c26df155b52085e21d5a804e374c7b067feb6f32a0c94c322b4e4 f=241/0/235/3/0",
-	"row-only/s/avg/desc":        "res=9b0dc31e16b04deb n=390/0/0/0 tr=390:708543c37554f19592cba18baa961ffda6be4fc0888358bd765c322fcbd8619b f=278/0/270/4/0",
-	"row-only/s/avg/nil":         "res=836a2dd1193c0075 n=4260/0/0/0 tr=4260:a892ed6138341315e3d7e8846b1ebf90de8e5a92f3aa1de9a5de0f2e27abc531 f=144/0/140/2/0",
-	"row-only/s/group/asc":       "unc=0.0.0.0.10.640/row n=737/0/0/0 tr=737:191c08054fa9cca29ea4cd1eb8e75b8960525e3681dbcaf449047fddd0e4cd97 f=267/0/259/4/0",
-	"row-only/s/group/desc":      "res=70f0fc879f3ed5d8 n=780/0/0/0 tr=780:bdf5425fe79ea06b4d788e207c6b97cfb203211ffef2eb3a595a49118db69d1a f=297/0/289/4/0",
-	"row-only/s/group/nil":       "unc=0.0.0.0.2.817/row n=931/0/0/0 tr=931:fa683820b9f57c6b72d69c94ad0b2d59fbddd5c5c5f8a7df616cd65f9ab4eaf1 f=226/0/220/3/0",
-	"row-only/s/minmax/asc":      "res=b820515e201bc1be n=853/0/0/0 tr=853:6e084c53b6e814e5d43b359e466e68a7227652ee7b66e38960890cae7254fa82 f=254/0/248/3/0",
-	"row-only/s/minmax/desc":     "res=c87ba519e2475e73 n=390/0/0/0 tr=390:c8bb56fa00aa8483a201e4cbeb98406fbe67de5d5f7de4c69cc342d423ee8ab1 f=281/0/273/4/0",
-	"row-only/s/minmax/nil":      "res=90accafdb60295a6 n=4260/0/0/0 tr=4260:411fdf8cbcad3b65a0ecb4d5ad07c3142133b595cd033f3cf598b4ee58990cc0 f=212/0/208/2/0",
-	"row-only/s/sum/asc":         "res=bd8145ccdbbaf31e n=853/0/0/0 tr=853:04f1185ecb0c26df155b52085e21d5a804e374c7b067feb6f32a0c94c322b4e4 f=234/0/228/3/0",
-	"row-only/s/sum/desc":        "res=c2452a74b749d8a4 n=390/0/0/0 tr=390:708543c37554f19592cba18baa961ffda6be4fc0888358bd765c322fcbd8619b f=273/0/265/4/0",
-	"row-only/s/sum/nil":         "res=73df81d2a47e9a45 n=4260/0/0/0 tr=4260:a892ed6138341315e3d7e8846b1ebf90de8e5a92f3aa1de9a5de0f2e27abc531 f=90/0/86/2/0",
-	"row-only/s/where/k":         "unc=0.0.0.0.3.103/row n=519/0/0/0 tr=519:d0c1c41986c498e428e5f19e42b2ea531fa3035cc46b9a85c9d6dc37d49c0488 f=11/0/9/1/0",
-	"row-only/s/where/w":         "unc=0.0.0.0.2.430/row n=1197/0/0/0 tr=1197:3a4eddc8d51ac893a2223f18e5cbb089e8d000e3f0b533e1b0c4f6c5da60b0b9 f=28/0/24/2/0",
 }

@@ -43,7 +43,7 @@ func FuzzWhere(f *testing.F) {
 			}
 		}
 		build := func() (*DB, *Table) {
-			db, err := Open(DualAddress)
+			db, err := Open()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,10 +18,10 @@ import (
 //  5. ScanOrient adjacency (ColMajor chunked placements): consecutive
 //     tuples within one column group are adjacent along the scan
 //     orientation.
-//  6. ScanRun agrees with Cell and ScanOrient: for every (t, w) and every
-//     k < n (n >= 1), Cell(t+k, w) is the run's first cell moved k·step
-//     along the run's orientation, which is ScanOrient(t+k), and the run
-//     stays inside t's chunk.
+//  6. NVMPlacement's ScanRun agrees with Cell and ScanOrient: for every
+//     (t, w) and every k < n (n >= 1), Cell(t+k, w) is the run's first cell
+//     moved k·step along the run's orientation, which is ScanOrient(t+k),
+//     and the run stays inside t's chunk.
 func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetchAdj bool) {
 	t.Helper()
 	tbl := p.Table()
@@ -49,12 +49,13 @@ func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetc
 		step, n int
 	}
 	moved := func(r run, k int) addr.Coord { return r.c.Along(r.o, k*r.step) }
-	for w := 0; w < L; w++ {
+	nvm, _ := p.(*NVMPlacement)
+	for w := 0; nvm != nil && w < L; w++ {
 		var cur run
 		start := 0
 		for tu := 0; tu < tbl.Tuples; tu++ {
 			var got run
-			got.c, got.o, got.step, got.n = p.ScanRun(tu, w)
+			got.c, got.o, got.step, got.n = nvm.ScanRun(tu, w)
 			if tu < start+cur.n {
 				if want := (run{moved(cur, tu-start), cur.o, cur.step, cur.n - (tu - start)}); got != want {
 					t.Fatalf("%s: ScanRun(%d,%d) = %+v inside the run %+v from %d", name, tu, w, got, cur, start)

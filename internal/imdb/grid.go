@@ -77,12 +77,6 @@ func (p *GridPlacement) gridOrdinal(c addr.Coord) int {
 // ScanOrient is always Row on a conventional memory.
 func (p *GridPlacement) ScanOrient(int) addr.Orientation { return addr.Row }
 
-// ScanRun answers one cell at a time: nothing scans values through a
-// flattened grid, whose virtual rows need not end with the target's.
-func (p *GridPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
-	return p.Cell(t, w), addr.Row, 1, 1
-}
-
 // FetchOrient is always Row.
 func (p *GridPlacement) FetchOrient(int) addr.Orientation { return addr.Row }
 

@@ -67,14 +67,6 @@ func (p *LinearPlacement) Cell(t, w int) addr.Coord {
 // ScanOrient is always Row: conventional memories have one orientation.
 func (p *LinearPlacement) ScanOrient(int) addr.Orientation { return addr.Row }
 
-// ScanRun: successive tuples are one tuple width apart along the memory
-// row that holds word w of t, up to that row's end.
-func (p *LinearPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
-	c := p.Cell(t, w)
-	n := (p.geom.Columns()-1-int(c.Column))/p.words + 1
-	return c, addr.Row, p.words, min(n, p.table.Tuples-t)
-}
-
 // FetchOrient is always Row.
 func (p *LinearPlacement) FetchOrient(int) addr.Orientation { return addr.Row }
 

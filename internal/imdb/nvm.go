@@ -234,9 +234,12 @@ func (p *NVMPlacement) ScanOrient(t int) addr.Orientation {
 	return addr.Row
 }
 
-// ScanRun: word w of successive tuples stays on one line of the chunk's
+// ScanRun describes the field scan from tuple t on: for k < n (n >= 1),
+// Cell(t+k, w) is c.Along(o, k·step), o is ScanOrient(t+k), and t+k is in
+// t's chunk. Word w of successive tuples stays on one line of the chunk's
 // region until its column group (ColMajor) or memory row (RowMajor, PAX)
-// ends; only RowMajor interleaves the other words of each tuple.
+// ends; only RowMajor interleaves the other words of each tuple. The engine
+// reads its block scans through it.
 func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
 	ck := p.chunkOf(t)
 	l := t - ck.first

@@ -123,10 +123,6 @@ type Placement interface {
 	// ScanOrient is the orientation in which the same word of successive
 	// tuples near t is contiguous (the field-scan direction).
 	ScanOrient(t int) addr.Orientation
-	// ScanRun describes the field scan from tuple t on: for k < n (n >= 1),
-	// Cell(t+k, w) is c.Along(o, k·step), o is ScanOrient(t+k), and t+k is
-	// in t's chunk.
-	ScanRun(t, w int) (c addr.Coord, o addr.Orientation, step, n int)
 	// FetchOrient is the orientation in which the words of tuple t are
 	// contiguous (the whole-tuple direction).
 	FetchOrient(t int) addr.Orientation

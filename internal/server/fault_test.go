@@ -16,7 +16,7 @@ import (
 // double-bit error on the salary word of person row 1.
 func newFaultyServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestUncorrectableErrorEndToEnd(t *testing.T) {
 // (Do) carries the same typed code and the sentinel survives errors.Is
 // at the sql layer.
 func TestMemoryErrorIsTypedThroughResponseErr(t *testing.T) {
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 
 	// The reference: a twin database, each statement's stream captured
 	// through the same pipeline and replayed on two systems built for it.
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ type ChecksumResponse struct {
 // writes first (the chaos harness does).
 func (s *Server) Checksums() ChecksumResponse {
 	c := s.Cluster()
-	out := ChecksumResponse{Mode: c.Shard(0).Mode().String(), Shards: make([]string, c.N())}
+	out := ChecksumResponse{Mode: engine.DualAddress.String(), Shards: make([]string, c.N())}
 	for i := 0; i < c.N(); i++ {
 		db := c.Shard(i)
 		h := sha256.New()
@@ -136,13 +136,13 @@ type WALStateResponse struct {
 
 // handleWALState serves GET /wal/state.
 func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request, st *durable.Store) {
-	epoch, mode, shards, pos, totals, err := st.StreamState()
+	epoch, shards, pos, totals, err := st.StreamState()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	s.front.WriteJSON(w, http.StatusOK, WALStateResponse{
-		Epoch: epoch, Mode: mode.String(), Shards: shards, Pos: pos, Totals: totals,
+		Epoch: epoch, Mode: engine.DualAddress.String(), Shards: shards, Pos: pos, Totals: totals,
 	})
 }
 
@@ -248,7 +248,3 @@ func (s *Server) ApplyWAL(i int, rec durable.Record) error {
 	defer db.Unlock()
 	return durable.Apply(c, i, rec)
 }
-
-// Mode reports the engine addressing mode the served cluster runs
-// (followers check it against the primary's before applying anything).
-func (s *Server) Mode() engine.Mode { return s.Cluster().Shard(0).Mode() }

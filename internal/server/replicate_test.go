@@ -17,7 +17,7 @@ import (
 // newHTTPTestServer starts a server with an HTTP front end.
 func newHTTPTestServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // newTestServer starts a server with a TCP front end on a loopback port.
 func newTestServer(t *testing.T, opts Options) (*Server, string) {
 	t.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,15 +58,16 @@ type tableMap struct {
 
 type ref struct{ shard, local int }
 
-// Open creates a cluster of n fresh databases in the given mode. workers
-// bounds the scatter fan-out concurrency (0 = one per CPU).
-func Open(mode engine.Mode, n, workers int) (*Cluster, error) {
+// Open creates a cluster of n fresh databases. workers bounds the scatter
+// fan-out concurrency (0 = one per CPU). The unread engine.Mode stays for
+// bench/, which passes it, until ROADMAP item 1e.
+func Open(_ engine.Mode, n, workers int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: cluster needs at least 1 shard, got %d", n)
 	}
 	c := &Cluster{workers: workers, tables: make(map[string]*tableMap)}
 	for i := 0; i < n; i++ {
-		db, err := engine.Open(mode)
+		db, err := engine.Open()
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,7 @@ import (
 // matching eighth of the rows.
 func captureSum(tb testing.TB) trace.Stream {
 	tb.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		tb.Fatal(err)
 	}

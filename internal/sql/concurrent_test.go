@@ -11,21 +11,36 @@ import (
 	"rcnvm/internal/sql"
 )
 
-// TestConcurrentDualVsRowOnly is the -race stress test for the concurrent
-// engine: N goroutines mix SELECT, INSERT, UPDATE and DELETE on one DB
-// through sql.ExecSharded, and the whole run executes once on a
-// DualAddress database and once on a RowOnly database. Every goroutine
-// works a disjoint id range of a shared table (plus reads of a shared
-// immutable table), so its observed results are deterministic despite the
-// races — and must be identical across the two addressing modes, the
-// engine's core semantic contract, now under concurrency.
-func TestConcurrentDualVsRowOnly(t *testing.T) {
+// TestConcurrentMatchesSequential is the -race stress test for the
+// concurrent engine: 16 goroutines mix SELECT, INSERT, UPDATE and DELETE on
+// one DB through sql.ExecSharded, then the same 16 scripts run one at a
+// time on a fresh DB. Every script works a disjoint id range of a shared
+// table (plus reads of a shared immutable table), so its transcript is
+// deterministic despite the races and must equal its sequential one.
+func TestConcurrentMatchesSequential(t *testing.T) {
 	const goroutines = 16
 	const rows = 16
 
-	run := func(mode engine.Mode) [][]string {
+	script := func(g int) []string {
+		lo := g * 1000
+		var qs []string
+		for i := 0; i < rows; i++ {
+			qs = append(qs,
+				fmt.Sprintf("INSERT INTO mixed VALUES (%d, %d, %d)", lo+i, g, i*i),
+				"SELECT SUM(v), COUNT(*) FROM fixed",
+				fmt.Sprintf("SELECT SUM(v) FROM mixed WHERE id >= %d AND id < %d", lo, lo+rows))
+		}
+		return append(qs,
+			fmt.Sprintf("UPDATE mixed SET v = 1 WHERE id >= %d AND id < %d", lo, lo+rows/2),
+			fmt.Sprintf("DELETE FROM mixed WHERE id >= %d AND id < %d", lo+rows/2, lo+rows),
+			fmt.Sprintf("SELECT id, grp, v FROM mixed WHERE id >= %d AND id < %d ORDER BY id", lo, lo+rows),
+			fmt.Sprintf("SELECT MIN(v), MAX(v), AVG(v) FROM mixed WHERE grp = %d", g))
+	}
+	// run plays every script on a fresh DB, all at once or one after
+	// another, and returns each script's transcript.
+	run := func(concurrent bool) [][]string {
 		t.Helper()
-		db, err := engine.Open(mode)
+		db, err := engine.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,47 +59,36 @@ func TestConcurrentDualVsRowOnly(t *testing.T) {
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
-			go func(g int) {
+			play := func() {
 				defer wg.Done()
-				lo := g * 1000
-				record := func(q string) {
+				for _, q := range script(g) {
 					res, err := sql.ExecSharded(c, q)
 					if err != nil {
 						results[g] = append(results[g], "error: "+err.Error())
-						return
+						continue
 					}
 					results[g] = append(results[g], res.Format())
 				}
-				for i := 0; i < rows; i++ {
-					record(fmt.Sprintf("INSERT INTO mixed VALUES (%d, %d, %d)", lo+i, g, i*i))
-					record("SELECT SUM(v), COUNT(*) FROM fixed")
-					record(fmt.Sprintf(
-						"SELECT SUM(v) FROM mixed WHERE id >= %d AND id < %d", lo, lo+rows))
-				}
-				record(fmt.Sprintf(
-					"UPDATE mixed SET v = 1 WHERE id >= %d AND id < %d", lo, lo+rows/2))
-				record(fmt.Sprintf(
-					"DELETE FROM mixed WHERE id >= %d AND id < %d", lo+rows/2, lo+rows))
-				record(fmt.Sprintf(
-					"SELECT id, grp, v FROM mixed WHERE id >= %d AND id < %d ORDER BY id",
-					lo, lo+rows))
-				record(fmt.Sprintf("SELECT MIN(v), MAX(v), AVG(v) FROM mixed WHERE grp = %d", g))
-			}(g)
+			}
+			if concurrent {
+				go play()
+			} else {
+				play()
+			}
 		}
 		wg.Wait()
 		return results
 	}
 
-	dual := run(engine.DualAddress)
-	row := run(engine.RowOnly)
-	for g := range dual {
-		if len(dual[g]) != len(row[g]) {
-			t.Fatalf("goroutine %d: %d results dual vs %d row-only", g, len(dual[g]), len(row[g]))
+	conc, seq := run(true), run(false)
+	for g := range seq {
+		if len(conc[g]) != len(seq[g]) {
+			t.Fatalf("script %d: %d results concurrent vs %d sequential", g, len(conc[g]), len(seq[g]))
 		}
-		for i := range dual[g] {
-			if dual[g][i] != row[g][i] {
-				t.Errorf("goroutine %d, statement %d: modes disagree\ndual:\n%s\nrow-only:\n%s",
-					g, i, dual[g][i], row[g][i])
+		for i := range seq[g] {
+			if conc[g][i] != seq[g][i] {
+				t.Errorf("script %d, statement %d: runs disagree\nconcurrent:\n%s\nsequential:\n%s",
+					g, i, conc[g][i], seq[g][i])
 			}
 		}
 	}
@@ -125,7 +129,7 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 	// The classification is the lock mode Execute takes: with a reader
 	// already inside the database, read-only statements run alongside it
 	// and everything else waits for it to leave.
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 // TestExecTraced checks that a traced statement returns its own accesses
 // only, even with concurrent readers hammering the same database.
 func TestExecTraced(t *testing.T) {
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

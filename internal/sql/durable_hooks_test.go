@@ -13,7 +13,7 @@ import (
 // durability hooks on the write path cost one nil check and zero
 // allocations.
 func TestLogCommitNilPathAllocatesNothing(t *testing.T) {
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

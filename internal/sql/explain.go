@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/trace"
@@ -51,7 +50,7 @@ func explain(c *shard.Cluster, ex *Explain, run func() ([]func() error, error)) 
 	if sharded {
 		fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
 	}
-	describe(c.Shard(0), ex.Stmt, &b)
+	describe(ex.Stmt, &b)
 
 	if !ex.Analyze {
 		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
@@ -95,29 +94,25 @@ func explain(c *shard.Cluster, ex *Explain, run func() ([]func() error, error)) 
 	return &Result{Message: b.String()}, waits, nil
 }
 
+// The engine's accesses as a plan names them.
+const (
+	scanKind  = "column scan (cload)"
+	fetchKind = "row fetch (load)"
+	storeKind = "column store (cstore)"
+)
+
 // describe renders the access plan of a statement.
-func describe(db *engine.DB, st Statement, b *strings.Builder) {
-	scanKind := "column scan (cload)"
-	fetchKind := "row fetch (load)"
-	storeKind := "column store (cstore)"
-	if db.Mode() == engine.RowOnly {
-		scanKind = "strided row scan (load)"
-		storeKind = "row store (store)"
-	}
+func describe(st Statement, b *strings.Builder) {
 	switch s := st.(type) {
 	case *CreateTable:
-		layout := "chunked column-oriented layout on subarrays"
-		if db.Mode() == engine.RowOnly {
-			layout = "linear row store"
-		}
-		fmt.Fprintf(b, "create %s: %s\n", s.Name, layout)
+		fmt.Fprintf(b, "create %s: chunked column-oriented layout on subarrays\n", s.Name)
 	case *Insert:
 		fmt.Fprintf(b, "insert %d tuple(s) into %s: %s per tuple\n", len(s.Rows), s.Table, fetchKind)
 	case *Delete:
-		describeWhere(b, s.Where, scanKind)
+		describeWhere(b, s.Where)
 		fmt.Fprintf(b, "tombstone matching rows of %s (no memory writes)\n", s.Table)
 	case *Update:
-		describeWhere(b, s.Where, scanKind)
+		describeWhere(b, s.Where)
 		for _, set := range s.Sets {
 			fmt.Fprintf(b, "update %s.%s: %s per matching row\n", s.Table, set.Column, storeKind)
 		}
@@ -128,7 +123,7 @@ func describe(db *engine.DB, st Statement, b *strings.Builder) {
 			fmt.Fprintf(b, "project join pairs: %s per output field\n", fetchKind)
 			break
 		}
-		describeWhere(b, s.Where, scanKind)
+		describeWhere(b, s.Where)
 		switch {
 		case s.GroupBy != "":
 			fmt.Fprintf(b, "group by %s: %s over key and aggregate columns\n", s.GroupBy, scanKind)
@@ -149,7 +144,7 @@ func describe(db *engine.DB, st Statement, b *strings.Builder) {
 	}
 }
 
-func describeWhere(b *strings.Builder, conds []Cond, scanKind string) {
+func describeWhere(b *strings.Builder, conds []Cond) {
 	for i, c := range conds {
 		if i == 0 {
 			fmt.Fprintf(b, "filter %s %s %d: %s\n", c.Column, c.Op, c.Value, scanKind)

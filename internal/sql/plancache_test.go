@@ -13,7 +13,7 @@ import (
 // openKV returns a fresh single DB with a populated kv(k, grp, val) table.
 func openKV(t testing.TB) *engine.DB {
 	t.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

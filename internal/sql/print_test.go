@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"rcnvm/internal/engine"
 )
 
 // TestPrintParseRoundTrip: printing a parsed statement and re-parsing it
@@ -82,18 +80,6 @@ func TestExplainAnalyze(t *testing.T) {
 	// ANALYZE really executed the statement.
 	if db.Mem().Counts().ColReads == 0 {
 		t.Error("ANALYZE did not execute")
-	}
-}
-
-func TestExplainRowOnlyEngine(t *testing.T) {
-	db, err := engine.Open(engine.RowOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "CREATE TABLE t (a, b) CAPACITY 8")
-	res := mustExec(t, db, "EXPLAIN SELECT SUM(a) FROM t WHERE b > 1")
-	if !contains(res.Message, "strided row scan") {
-		t.Errorf("row-only plan wrong: %q", res.Message)
 	}
 }
 

@@ -406,8 +406,8 @@ func mergeRows(s *Select, parts []selPartial) (*Result, error) {
 }
 
 // joinKeysOnShard gathers every live row of table on shard i with its key,
-// reading the key column in scan orientation like engine.Join. Rows carry
-// global ids only on a cluster of several shards.
+// reading the key column in scan orientation. Rows carry global ids only on
+// a cluster of several shards.
 func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]rowRef, error) {
 	t, err := lookup(c.Shard(i), table)
 	if err != nil {
@@ -461,9 +461,8 @@ func gatherJoinKeys(c *shard.Cluster, table, col string) ([]rowRef, error) {
 }
 
 // scatterJoin gathers both sides' keys shard by shard, then builds and
-// probes in global-row order exactly as engine.Join does in storage
-// order — both key columns in full, then the fields of each (a, b) pair —
-// projecting each output row from its owner shard.
+// probes in global-row order — both key columns in full, then the fields of
+// each (a, b) pair — projecting each output row from its owner shard.
 func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 	a0, err := lookup(c.Shard(0), s.Table)
 	if err != nil {

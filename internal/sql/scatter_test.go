@@ -275,7 +275,7 @@ func TestScatterConcurrentPointAndFanout(t *testing.T) {
 // matches nothing must aggregate nothing — before the fix, the nil row
 // set from ScanWhere made SUM/MIN/MAX/GROUP BY fall back to "all rows".
 func TestAggregateEmptyWhereRegression(t *testing.T) {
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func newDB(t *testing.T) *engine.DB {
 	t.Helper()
-	db, err := engine.Open(engine.DualAddress)
+	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
