@@ -23,6 +23,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"rcnvm/internal/addr"
@@ -126,6 +127,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports a configuration the hierarchy cannot be built from. A
+// set index is a block number masked to the set count, so every level's
+// set count must be a power of two.
+func (c Config) Validate() error {
+	for _, l := range []struct {
+		name string
+		sets int
+	}{{"L1", c.L1Sets}, {"L2", c.L2Sets}, {"L3", c.L3Sets}} {
+		if l.sets <= 0 || l.sets&(l.sets-1) != 0 {
+			return fmt.Errorf("cache: %s has %d sets, want a power of two", l.name, l.sets)
+		}
+	}
+	return nil
+}
+
 // line is the metadata for one cached block.
 type line struct {
 	key    Key
@@ -145,6 +161,7 @@ type line struct {
 type level struct {
 	lines   []line
 	ways    int
+	mask    uint32 // sets-1: the set count is a power of two
 	lruTick uint64
 	// touched lists the sets handed an install slot since the last reset
 	// (marked[s]: s is listed), so that reset, flush and UnpinAll cost what
@@ -154,7 +171,7 @@ type level struct {
 }
 
 func newLevel(sets, ways int) *level {
-	return &level{lines: make([]line, sets*ways), ways: ways, marked: make([]bool, sets)}
+	return &level{lines: make([]line, sets*ways), ways: ways, mask: uint32(sets - 1), marked: make([]bool, sets)}
 }
 
 // reset returns the level to its just-built state.
@@ -167,7 +184,7 @@ func (l *level) reset() {
 	l.lruTick = 0
 }
 
-func (l *level) setIndex(k Key) int { return int(k.block() % uint32(len(l.marked))) }
+func (l *level) setIndex(k Key) int { return int(k.block() & l.mask) }
 
 func (l *level) set(s int) []line { return l.lines[s*l.ways : (s+1)*l.ways] }
 
@@ -198,20 +215,29 @@ func (l *level) victim(k Key) *line {
 		l.touched = append(l.touched, int32(s))
 	}
 	set := l.set(s)
-	var best *line
 	for i := range set {
-		ln := &set[i]
-		if !ln.valid {
-			return ln
-		}
-		if ln.pinned {
-			continue
-		}
-		if best == nil || ln.lru < best.lru {
-			best = ln
+		if !set[i].valid {
+			return &set[i]
 		}
 	}
-	return best
+	// Every way is valid, so every lru differs: the least is unique. A
+	// pinned way competes as the largest lru there is, which it never
+	// beats. Which way is oldest is data, not a pattern, so the loop
+	// selects and does not branch.
+	best, least := -1, uint64(math.MaxUint64)
+	for i := range set {
+		lru := set[i].lru
+		if set[i].pinned {
+			lru = math.MaxUint64
+		}
+		if lru < least {
+			best, least = i, lru
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	return &set[best]
 }
 
 // forEach calls fn for every valid line, in ascending set order (the

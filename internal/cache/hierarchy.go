@@ -58,8 +58,11 @@ type streamState struct {
 // New builds a hierarchy for a device with the given geometry. mem is
 // invoked (synchronously, inside engine events) to start memory requests;
 // the *MemRequest it receives is scratch space valid only for the duration
-// of the call.
+// of the call. cfg must be valid (Config.Validate); New panics otherwise.
 func New(cfg Config, geom addr.Geometry, dual bool, eng *event.Engine, st *stats.Block, mem func(*MemRequest)) *Hierarchy {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	h := &Hierarchy{
 		cfg:  cfg,
 		geom: geom,

@@ -49,15 +49,18 @@ type Runner struct {
 	running  int
 	FinishAt int64 // time the last core retired its last op
 
-	// Latency collects the issue-to-completion time of every demand
-	// memory operation (software prefetches excluded).
-	Latency *stats.Histogram
+	// latency collects the issue-to-completion time of every demand
+	// memory operation (software prefetches excluded). Only the goroutine
+	// running the engine touches it, so it takes no lock; Latency
+	// publishes it.
+	latency stats.Samples
 }
 
 type coreState struct {
-	r   *Runner // back-pointer, so static event callbacks need only the core
-	id  int
-	ops trace.Stream
+	r    *Runner // back-pointer, so static event callbacks need only the core
+	id   int
+	step event.Timer // the core's issue step, registered once with the engine
+	ops  trace.Stream
 	// The cursor: record pc, access elem within it, and whether that
 	// access has issued and its compute is what comes next.
 	pc            int
@@ -74,20 +77,25 @@ type coreState struct {
 func NewRunner(cfg Config, eng *event.Engine, hier *cache.Hierarchy, geom addr.Geometry, st *stats.Block) *Runner {
 	r := &Runner{cfg: cfg, eng: eng, hier: hier, geom: geom, st: st}
 	for i := 0; i < cfg.Cores; i++ {
-		r.cores = append(r.cores, new(coreState))
+		c := new(coreState)
+		c.step = eng.NewTimer(stepEvent, c)
+		r.cores = append(r.cores, c)
 	}
 	r.Reset()
 	return r
 }
 
-// Reset returns the runner to its just-built state, with a fresh latency
-// histogram (the previous one belongs to the Result that reported it).
+// Reset returns the runner to its just-built state, no latency recorded.
 func (r *Runner) Reset() {
 	for i, c := range r.cores {
-		*c = coreState{r: r, id: i}
+		*c = coreState{r: r, id: i, step: c.step}
 	}
-	r.running, r.FinishAt, r.Latency = 0, 0, stats.NewHistogram()
+	r.running, r.FinishAt, r.latency = 0, 0, stats.Samples{}
 }
+
+// Latency returns the demand memory-op latencies recorded since the last
+// Reset as a new histogram, which later runs leave alone.
+func (r *Runner) Latency() *stats.Histogram { return r.latency.Histogram() }
 
 // SetStream assigns the op stream of one core. Must be called before Start.
 func (r *Runner) SetStream(core int, ops trace.Stream) {
@@ -109,8 +117,8 @@ func (r *Runner) Start() {
 // Done reports whether every core has retired its stream.
 func (r *Runner) Done() bool { return r.running == 0 }
 
-// stepEvent is the static issue event of one core: scheduled via AtCall
-// with the core as ctx, so per-op scheduling allocates no closure.
+// stepEvent is the static issue event of one core: the callback of the
+// core's timer, with the core as ctx.
 func stepEvent(ctx any, _, _ int64) {
 	c := ctx.(*coreState)
 	c.stepScheduled = false
@@ -122,7 +130,7 @@ func (r *Runner) scheduleStep(c *coreState, at int64) {
 		return
 	}
 	c.stepScheduled = true
-	r.eng.AtCall(at, stepEvent, c, 0)
+	r.eng.Arm(c.step, at)
 }
 
 // step issues ops until the core blocks (window full / barrier) or the
@@ -231,7 +239,7 @@ func (r *Runner) unblock(c *coreState) {
 func memDone(ctx any, arg, finish int64) {
 	c := ctx.(*coreState)
 	if arg >= 0 {
-		c.r.Latency.Observe(finish - arg)
+		c.r.latency.Observe(finish - arg)
 	}
 	c.outstanding--
 	c.r.unblock(c)

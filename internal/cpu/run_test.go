@@ -35,7 +35,7 @@ func runStreams(t *testing.T, cfg Config, geom addr.Geometry, streams []trace.St
 	if !rig.runner.Done() {
 		t.Fatal("runner not done")
 	}
-	return rigOutcome{end, rig.runner.FinishAt, rig.memReq, rig.st.Snapshot(), rig.runner.Latency}
+	return rigOutcome{end, rig.runner.FinishAt, rig.memReq, rig.st.Snapshot(), rig.runner.Latency()}
 }
 
 // TestRunFormEqualsPerOp: a stream in run form and its expansion, one

@@ -205,10 +205,12 @@ func (d *Device) bufFor(b *bank, o addr.Orientation) *buffer {
 }
 
 // WouldHit reports whether an access to the coordinate with the given
-// orientation would be served by the currently open buffer of its bank. The
-// memory controller uses this for FR-FCFS scheduling.
-func (d *Device) WouldHit(c addr.Coord, o addr.Orientation) bool {
-	b := &d.banks[d.cfg.Geom.BankID(c)]
+// orientation would be served by the currently open buffer of its bank,
+// which the caller passes as c's dense bank index (Geometry.BankID). The
+// memory controller uses this for FR-FCFS scheduling, with the index it
+// computed when the request arrived.
+func (d *Device) WouldHit(bank int, c addr.Coord, o addr.Orientation) bool {
+	b := &d.banks[bank]
 	buf := d.bufFor(b, o)
 	return buf.open && buf.orient == o && buf.subarray == c.Subarray && buf.index == bufferIndex(c, o)
 }

@@ -200,7 +200,7 @@ func TestBankIsolation(t *testing.T) {
 		t.Fatal("different bank should not hit")
 	}
 	// Bank 0's buffer must still be open.
-	if !d.WouldHit(a, addr.Row) {
+	if !wouldHit(d, a, addr.Row) {
 		t.Fatal("bank 0 buffer lost by bank 1 activity")
 	}
 }
@@ -219,19 +219,19 @@ func TestSubarrayDistinguished(t *testing.T) {
 func TestWouldHit(t *testing.T) {
 	d := newRC(t)
 	c := addr.Coord{Row: 10, Column: 20}
-	if d.WouldHit(c, addr.Row) {
+	if wouldHit(d, c, addr.Row) {
 		t.Fatal("fresh bank should not hit")
 	}
 	d.Access(0, c, addr.Row, false)
-	if !d.WouldHit(c, addr.Row) {
+	if !wouldHit(d, c, addr.Row) {
 		t.Fatal("open row should hit")
 	}
-	if d.WouldHit(c, addr.Column) {
+	if wouldHit(d, c, addr.Column) {
 		t.Fatal("column access on open row must not be a hit")
 	}
 	other := c
 	other.Row = 11
-	if d.WouldHit(other, addr.Row) {
+	if wouldHit(d, other, addr.Row) {
 		t.Fatal("different row should not hit")
 	}
 }
@@ -268,7 +268,7 @@ func TestCloseAll(t *testing.T) {
 	if got := d.CloseAll(); got != 1 {
 		t.Errorf("CloseAll flushed %d buffers, want 1", got)
 	}
-	if d.WouldHit(addr.Coord{Bank: 0, Row: 1}, addr.Row) {
+	if wouldHit(d, addr.Coord{Bank: 0, Row: 1}, addr.Row) {
 		t.Fatal("buffer still open after CloseAll")
 	}
 }
@@ -307,10 +307,10 @@ func TestIdealDualBuffers(t *testing.T) {
 	d.Access(0, c, addr.Row, false)
 	d.Access(0, c, addr.Column, false) // opens the column buffer
 	// Both stay open: either orientation now hits.
-	if !d.WouldHit(c, addr.Row) {
+	if !wouldHit(d, c, addr.Row) {
 		t.Error("row buffer lost by column activation under ideal dual buffers")
 	}
-	if !d.WouldHit(c, addr.Column) {
+	if !wouldHit(d, c, addr.Column) {
 		t.Error("column buffer not open")
 	}
 	res := d.Access(0, c, addr.Row, false)
@@ -329,7 +329,7 @@ func TestRestrictedSingleBuffer(t *testing.T) {
 	c := addr.Coord{Row: 3, Column: 9}
 	d.Access(0, c, addr.Row, false)
 	d.Access(0, c, addr.Column, false)
-	if d.WouldHit(c, addr.Row) {
+	if wouldHit(d, c, addr.Row) {
 		t.Error("restricted device kept both buffers open")
 	}
 }
@@ -423,4 +423,9 @@ func TestNVMNeverRefreshes(t *testing.T) {
 	if d.Stats().Get(stats.Refreshes) != 0 {
 		t.Error("NVM counted refreshes")
 	}
+}
+
+// wouldHit asks WouldHit about c with c's own bank index.
+func wouldHit(d *Device, c addr.Coord, o addr.Orientation) bool {
+	return d.WouldHit(d.cfg.Geom.BankID(c), c, o)
 }

@@ -7,13 +7,25 @@
 // the garbage collector's radar and to move little: the heap orders
 // three-word (at, seq, slot) items that hold no pointer, the callback of
 // each lives in a slab slot found through the item and recycled through a
-// free list, and the one scheduling form, AtCall (AfterCall is the same
-// relative to now), takes a static function plus a context pointer instead
-// of a fresh closure per event. Once heap and slab have grown to the
-// workload's high-water mark, Run executes with zero allocations.
+// free list, and AtCall (AfterCall is the same relative to now) takes a
+// static function plus a context pointer instead of a fresh closure per
+// event. Once heap and slab have grown to the workload's high-water mark,
+// Run executes with zero allocations.
+//
+// The second scheduling form is the timer: a callback registered once
+// (NewTimer) with at most one firing pending at a time (Arm). The simulator
+// has one per core for the core's next issue step — the most common event
+// there is — and armed timers wait beside the heap instead of in it. Arm
+// takes its sequence number from the same counter as AtCall, and every
+// firing is the earliest (at, seq) of the heap top and the armed timers, so
+// the order of events is the same whichever form scheduled them.
 package event
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Callback is the allocation-free event form: a static function invoked as
 // fn(ctx, arg, now), where ctx and arg were captured at scheduling time and
@@ -50,24 +62,78 @@ type Engine struct {
 	q    []item
 	slab []call
 	free int32 // head of the free-slot list threaded through slab, -1 when empty
+
+	timers []timer
+	armed  []int32 // the armed timers, latest (at, seq) first: the next to fire is last
 }
+
+// Timer names a callback registered with NewTimer.
+type Timer int32
+
+// timer is one registered timer: its callback, and in key the (at, seq) of
+// its pending firing — disarmed, the largest key there is.
+type timer struct {
+	key item
+	fn  Callback
+	ctx any
+}
+
+// disarmed is the key of a timer with no firing pending: after every armed
+// one, since an armed timer's at is a non-negative int64.
+var disarmed = item{at: math.MaxUint64, seq: math.MaxUint64}
 
 // New returns an engine with the clock at zero.
 func New() *Engine { return &Engine{free: -1} }
 
 // Reset returns the engine to its just-built state — clock and sequence at
-// zero, no event queued, no callback or context held — keeping the
-// capacity of queue and slab.
+// zero, no event queued and no timer armed, no event's callback or context
+// held — keeping the capacity of queue and slab and the timer
+// registrations.
 func (e *Engine) Reset() {
 	clear(e.slab)
-	*e = Engine{q: e.q[:0], slab: e.slab[:0], free: -1}
+	for i := range e.timers {
+		e.timers[i].key = disarmed
+	}
+	*e = Engine{q: e.q[:0], slab: e.slab[:0], free: -1, timers: e.timers, armed: e.armed[:0]}
 }
 
 // Now returns the current simulation time in picoseconds.
 func (e *Engine) Now() int64 { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.q) }
+// Pending returns the number of queued events, armed timers included.
+func (e *Engine) Pending() int { return len(e.q) + len(e.armed) }
+
+// NewTimer registers fn(ctx, 0, firingTime) as a timer, disarmed. The
+// registration lasts as long as the engine, Resets included.
+func (e *Engine) NewTimer(fn Callback, ctx any) Timer {
+	e.timers = append(e.timers, timer{key: disarmed, fn: fn, ctx: ctx})
+	e.armed = slices.Grow(e.armed, len(e.timers)-len(e.armed)) // room to arm every timer without allocating
+	return Timer(len(e.timers) - 1)
+}
+
+// Arm schedules timer tm's callback at absolute time t, exactly as AtCall
+// would schedule it: the same clamp to now, the next sequence number. A
+// timer has at most one firing pending; arming an armed timer panics.
+func (e *Engine) Arm(tm Timer, t int64) {
+	if t < e.now {
+		t = e.now
+	}
+	k := &e.timers[tm].key
+	if *k != disarmed {
+		panic("event: timer armed while a firing is pending")
+	}
+	e.seq++
+	*k = item{at: uint64(t), seq: e.seq}
+	// The new firing has the largest seq yet, so it comes after every armed
+	// timer due at or before t: those, a suffix of armed, move up one.
+	i := len(e.armed)
+	e.armed = append(e.armed, 0)
+	for i > 0 && e.timers[e.armed[i-1]].key.at <= k.at {
+		e.armed[i] = e.armed[i-1]
+		i--
+	}
+	e.armed[i] = int32(tm)
+}
 
 // AtCall schedules fn(ctx, arg, firingTime) at absolute time t. fn should
 // be a static (package-level) function and ctx a long-lived pointer or a
@@ -94,29 +160,40 @@ func (e *Engine) AfterCall(d int64, fn Callback, ctx any, arg int64) {
 	e.AtCall(e.now+d, fn, ctx, arg)
 }
 
-// Run executes events in time order until the queue drains, and returns the
-// final clock value.
+// Run executes events in time order until the queue drains and no timer is
+// armed, and returns the final clock value.
 func (e *Engine) Run() int64 {
-	for len(e.q) > 0 {
+	for len(e.q) > 0 || len(e.armed) > 0 {
 		e.fire()
 	}
 	return e.now
 }
 
-// Step executes exactly one event, returning false when the queue is empty.
+// Step executes exactly one event, returning false when nothing is queued.
 func (e *Engine) Step() bool {
-	if len(e.q) == 0 {
+	if len(e.q) == 0 && len(e.armed) == 0 {
 		return false
 	}
 	e.fire()
 	return true
 }
 
-// fire pops the earliest event and runs it. Its slab slot is emptied and
-// put on the free list before the callback runs — the slab never retains a
-// fired event's fn or ctx for the garbage collector, and whatever the
-// callback schedules can take the slot straight back.
+// fire runs the earliest event: the earliest armed timer if it comes before
+// the heap top, the heap top otherwise. A heap event's slab slot is emptied
+// and put on the free list before the callback runs — the slab never
+// retains a fired event's fn or ctx for the garbage collector, and whatever
+// the callback schedules can take the slot straight back. A timer is
+// disarmed before its callback runs, so the callback may arm it again.
 func (e *Engine) fire() {
+	if n := len(e.armed) - 1; n >= 0 && (len(e.q) == 0 || e.timers[e.armed[n]].key.before(&e.q[0])) {
+		tm := &e.timers[e.armed[n]]
+		e.armed = e.armed[:n]
+		fn, ctx := tm.fn, tm.ctx
+		e.now = int64(tm.key.at)
+		tm.key = disarmed
+		fn(ctx, 0, e.now)
+		return
+	}
 	it := e.pop()
 	c := &e.slab[it.slot]
 	fn, ctx, arg := c.fn, c.ctx, c.arg

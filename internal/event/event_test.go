@@ -230,31 +230,54 @@ func TestDeterminism(t *testing.T) {
 
 // seededSchedule drives a scheduler with a tree of events that only the
 // seed decides: bursts of roots at one time, and in every callback children
-// at now, in the past (clamped to now), one tick on and further out. at is
-// how the scheduler under test takes an event; the return value is the
-// callback to run when event id fires at time now.
-func seededSchedule(seed int64, at func(t int64, id int64)) (roots func(), fire func(id, now int64)) {
+// at now, in the past (clamped to now), one tick on and further out. at and
+// arm are how the scheduler under test takes an event: through AtCall, or
+// on one of the given number of timers, which the tree arms only while it
+// has no firing pending (arming at now, in the past and in same-time
+// bursts like any other event). The return values are the roots to
+// schedule and the callback to run when event id fires at time now.
+func seededSchedule(seed int64, timers int, at func(t, id int64), arm func(tm int, t, id int64)) (roots func(), fire func(id, now int64)) {
 	const budget = 3000
 	next := int64(0)
-	spawn := func(t int64) {
-		if next < budget {
-			at(t, next)
-			next++
+	armedOn := map[int64]int{} // pending timer firings: event id -> timer
+	busy := make([]bool, timers)
+	spawn := func(rng *rand.Rand, t int64) {
+		if next >= budget {
+			return
 		}
+		tm := -1
+		if timers > 0 && rng.Intn(2) == 0 {
+			for i, start := 0, rng.Intn(timers); i < timers && tm < 0; i++ {
+				if c := (start + i) % timers; !busy[c] {
+					tm = c
+				}
+			}
+		}
+		if tm < 0 {
+			at(t, next)
+		} else {
+			busy[tm], armedOn[next] = true, tm
+			arm(tm, t, next)
+		}
+		next++
 	}
 	roots = func() {
 		rng := rand.New(rand.NewSource(seed))
 		for burst := 0; burst < 12; burst++ {
 			t := rng.Int63n(400)
 			for n := rng.Intn(9); n >= 0; n-- {
-				spawn(t)
+				spawn(rng, t)
 			}
 		}
 	}
 	fire = func(id, now int64) {
+		if tm, ok := armedOn[id]; ok {
+			busy[tm] = false
+			delete(armedOn, id)
+		}
 		rng := rand.New(rand.NewSource(seed<<20 + id))
 		for n := rng.Intn(4); n > 0; n-- {
-			spawn(now + []int64{0, 0, -50, 1, 1, 7, rng.Int63n(300)}[rng.Intn(7)])
+			spawn(rng, now+[]int64{0, 0, -50, 1, 1, 7, rng.Int63n(300)}[rng.Intn(7)])
 		}
 	}
 	return roots, fire
@@ -262,99 +285,145 @@ func seededSchedule(seed int64, at func(t int64, id int64)) (roots func(), fire 
 
 type firing struct{ id, now int64 }
 
-// TestOrderAgainstStableSort: whatever is scheduled from wherever, events
-// fire in the order of a stable sort by (time, scheduling order) — checked
-// against a scheduler that is nothing but that definition — and the slab
-// holds no callback or context once an event has fired or Reset has
-// dropped it, while its slots are reused throughout.
+// TestOrderAgainstStableSort: whatever is scheduled from wherever, through
+// AtCall or on a timer, events fire in the order of a stable sort by (time,
+// scheduling order) — checked against a scheduler that is nothing but that
+// definition — and the slab holds no callback or context once an event has
+// fired or Reset has dropped it, while its slots are reused throughout.
 func TestOrderAgainstStableSort(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		// The reference: a list scanned for its least (at, seq).
-		type queued struct {
-			at, id int64
-			seq    int
-		}
-		var (
-			list []queued
-			now  int64
-			seq  int
-			want []firing
-		)
-		roots, fire := seededSchedule(seed, func(t, id int64) {
-			seq++
-			list = append(list, queued{max(t, now), id, seq})
-		})
-		roots()
-		for len(list) > 0 {
-			m := 0
-			for i, q := range list {
-				if q.at < list[m].at || q.at == list[m].at && q.seq < list[m].seq {
-					m = i
-				}
-			}
-			q := list[m]
-			list = append(list[:m], list[m+1:]...)
-			now = q.at
-			want = append(want, firing{q.id, now})
-			fire(q.id, now)
-		}
-
-		e := New()
-		var got []firing
-		var cb Callback
-		held := new(int) // every event's ctx: what the slab must let go of
-		roots, fire = seededSchedule(seed, func(t, id int64) { e.AtCall(t, cb, held, id) })
-		cb = func(ctx any, id, now int64) {
-			if ctx != held || now != e.Now() {
-				t.Fatalf("seed %d: event %d fired with ctx %v at %d, clock %d", seed, id, ctx, now, e.Now())
-			}
-			got = append(got, firing{id, now})
-			fire(id, now)
-		}
-		slabEmpty := func(when string) {
-			t.Helper()
-			for i, c := range e.slab[:cap(e.slab)] {
-				if c.fn != nil || c.ctx != nil {
-					t.Fatalf("seed %d, %s: slab slot %d still holds a callback or context", seed, when, i)
-				}
-			}
-		}
-
-		// A first start, abandoned with events queued.
-		roots()
-		for i := 0; i < 40; i++ {
-			e.Step()
-		}
-		if e.Pending() == 0 {
-			t.Fatalf("seed %d: nothing queued at the Reset", seed)
-		}
-		e.Reset()
-		slabEmpty("after Reset")
-		if e.Pending() != 0 || e.Now() != 0 {
-			t.Fatalf("seed %d: Reset left %d events, clock %d", seed, e.Pending(), e.Now())
-		}
-
-		got = got[:0]
-		peak := 0
-		roots, fire = seededSchedule(seed, func(t, id int64) {
-			e.AtCall(t, cb, held, id)
-			peak = max(peak, e.Pending())
-		})
-		roots()
-		e.Run()
-		slabEmpty("after Run")
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d events fired, want %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d is event %d at %d, want event %d at %d",
-					seed, i, got[i].id, got[i].now, want[i].id, want[i].now)
-			}
-		}
-		if len(e.slab) != peak || peak >= len(want) {
-			t.Fatalf("seed %d: %d events, at most %d queued at once, took %d slab slots: a free slot is not reused",
-				seed, len(want), peak, len(e.slab))
+		for _, timers := range []int{0, 1, 4} {
+			checkOrder(t, seed, timers)
 		}
 	}
+}
+
+// FuzzEngineOrder is TestOrderAgainstStableSort over any seed and timer
+// count.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(7), uint8(1))
+	f.Add(int64(-3), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, timers uint8) {
+		checkOrder(t, seed, int(timers%6))
+	})
+}
+
+func checkOrder(t *testing.T, seed int64, timers int) {
+	t.Helper()
+	// The reference: a list scanned for its least (at, seq). A timer's
+	// firing is one more entry, sequenced like any other.
+	type queued struct {
+		at, id int64
+		seq    int
+	}
+	var (
+		list []queued
+		now  int64
+		seq  int
+		want []firing
+	)
+	enqueue := func(t, id int64) {
+		seq++
+		list = append(list, queued{max(t, now), id, seq})
+	}
+	roots, fire := seededSchedule(seed, timers, enqueue, func(_ int, t, id int64) { enqueue(t, id) })
+	roots()
+	for len(list) > 0 {
+		m := 0
+		for i, q := range list {
+			if q.at < list[m].at || q.at == list[m].at && q.seq < list[m].seq {
+				m = i
+			}
+		}
+		q := list[m]
+		list = append(list[:m], list[m+1:]...)
+		now = q.at
+		want = append(want, firing{q.id, now})
+		fire(q.id, now)
+	}
+
+	e := New()
+	var got []firing
+	var cb Callback
+	held := new(int)                 // every AtCall event's ctx: what the slab must let go of
+	pending := make([]int64, timers) // the id of each timer's pending firing
+	tms := make([]Timer, timers)
+	for i := range tms {
+		tms[i] = e.NewTimer(func(ctx any, arg, now int64) {
+			if arg != 0 {
+				t.Fatalf("seed %d: timer fired with arg %d", seed, arg)
+			}
+			cb(held, *ctx.(*int64), now)
+		}, &pending[i])
+	}
+	at := func(t, id int64) { e.AtCall(t, cb, held, id) }
+	arm := func(tm int, t, id int64) { pending[tm] = id; e.Arm(tms[tm], t) }
+	cb = func(ctx any, id, now int64) {
+		if ctx != held || now != e.Now() {
+			t.Fatalf("seed %d: event %d fired with ctx %v at %d, clock %d", seed, id, ctx, now, e.Now())
+		}
+		got = append(got, firing{id, now})
+		fire(id, now)
+	}
+	slabEmpty := func(when string) {
+		t.Helper()
+		for i, c := range e.slab[:cap(e.slab)] {
+			if c.fn != nil || c.ctx != nil {
+				t.Fatalf("seed %d, %s: slab slot %d still holds a callback or context", seed, when, i)
+			}
+		}
+	}
+
+	// A first start, abandoned with events queued and timers armed.
+	roots, fire = seededSchedule(seed, timers, at, arm)
+	roots()
+	for i := 0; i < 40 && e.Pending() > 1; i++ {
+		e.Step()
+	}
+	if e.Pending() == 0 {
+		t.Fatalf("seed %d: nothing queued at the Reset", seed)
+	}
+	e.Reset()
+	slabEmpty("after Reset")
+	if e.Pending() != 0 || e.Now() != 0 || e.Step() {
+		t.Fatalf("seed %d: Reset left %d events, clock %d", seed, e.Pending(), e.Now())
+	}
+
+	// The run, on the timers registered before the Reset.
+	got = got[:0]
+	peak := 0
+	roots, fire = seededSchedule(seed, timers, func(t, id int64) {
+		at(t, id)
+		peak = max(peak, len(e.q))
+	}, arm)
+	roots()
+	e.Run()
+	slabEmpty("after Run")
+	if len(got) != len(want) {
+		t.Fatalf("seed %d, %d timers: %d events fired, want %d", seed, timers, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d, %d timers: firing %d is event %d at %d, want event %d at %d",
+				seed, timers, i, got[i].id, got[i].now, want[i].id, want[i].now)
+		}
+	}
+	if len(e.slab) != peak || peak >= len(want) {
+		t.Fatalf("seed %d: %d events, at most %d queued at once, took %d slab slots: a free slot is not reused",
+			seed, len(want), peak, len(e.slab))
+	}
+}
+
+// TestArmTwicePanics: a timer has at most one firing pending.
+func TestArmTwicePanics(t *testing.T) {
+	e := New()
+	tm := e.NewTimer(func(any, int64, int64) {}, nil)
+	e.Arm(tm, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arming an armed timer did not panic")
+		}
+	}()
+	e.Arm(tm, 9)
 }

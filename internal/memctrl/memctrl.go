@@ -179,18 +179,19 @@ func (c *Controller) schedule() {
 // pick returns the index of the best issuable request within the window:
 // demand before write-back, buffer hits before misses, then oldest first.
 // It returns -1 when nothing can be issued (all candidate banks busy).
+//
+// The scan stops at the first issuable demand buffer hit, which no later
+// request outranks. The queue is in arrival order, so a later request is
+// no older; and had a later demand request waited past the starvation
+// limit, this one, older and issuable, would have too, and pick would have
+// returned it already. What the rest of the window holds can change
+// neither the pick nor the sched.fr_hits and sched.starved counts.
 func (c *Controller) pick() int {
-	limit := len(c.queue)
-	if limit > c.window {
-		limit = c.window
-	}
 	best := -1
 	bestHit := false
 	bestDemand := false
-	sawOlderMiss := false
 	now := c.eng.Now()
-	for i := 0; i < limit; i++ {
-		r := c.queue[i]
+	for i, r := range c.queue[:min(len(c.queue), c.window)] {
 		// A DRAM-tier-resident row never needs the NVM bank: it is
 		// issuable even while the bank is busy, and ranks as a buffer hit
 		// under FR-FCFS.
@@ -200,29 +201,20 @@ func (c *Controller) pick() int {
 		}
 		// Anti-starvation: a demand request that has waited past the limit
 		// is served first, oldest first.
-		if !r.Writeback && now-r.arrive > StarvationLimitPs {
+		demand := !r.Writeback
+		if demand && now-r.arrive > StarvationLimitPs {
 			c.st.Inc(stats.IdxSchedStarved)
 			return i
 		}
-		hit := c.policy == FRFCFS && (tierHit || c.dev.WouldHit(r.Coord, r.Orient))
-		demand := !r.Writeback
-		better := false
-		switch {
-		case best == -1:
-			better = true
-		case demand != bestDemand:
-			better = demand
-		case hit != bestHit:
-			better = hit
-		}
-		if better {
-			if best != -1 && hit && !bestHit {
-				sawOlderMiss = true
-			}
+		hit := c.policy == FRFCFS && (tierHit || c.dev.WouldHit(r.bank, r.Coord, r.Orient))
+		if best == -1 || demand && !bestDemand || demand == bestDemand && hit && !bestHit {
 			best, bestHit, bestDemand = i, hit, demand
+			if hit && demand {
+				break
+			}
 		}
 	}
-	if best >= 0 && bestHit && (sawOlderMiss || best > 0) {
+	if bestHit && best > 0 {
 		// The scheduler promoted a buffer hit over at least one older
 		// request: count the FR-FCFS reordering.
 		c.st.Inc(stats.IdxSchedFRHits)

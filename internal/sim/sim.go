@@ -43,6 +43,9 @@ type System struct {
 
 // New builds a system from the configuration.
 func New(cfg config.System) (*System, error) {
+	if err := cfg.Cache.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", cfg.Name, err)
+	}
 	eng := event.New()
 	st := new(stats.Block)
 	dev, err := device.New(cfg.Device, st)
@@ -166,7 +169,7 @@ func (s *System) Run(streams []trace.Stream) (Result, error) {
 		Cores:      s.Cfg.CPU.Cores,
 		CyclePs:    s.Cfg.CPU.CyclePs,
 		Counters:   s.Stats.Snapshot(),
-		MemLatency: s.Runner.Latency,
+		MemLatency: s.Runner.Latency(),
 	}, nil
 }
 

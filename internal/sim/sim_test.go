@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"rcnvm/internal/addr"
@@ -291,5 +292,19 @@ func TestMemLatencyHistogram(t *testing.T) {
 	}
 	if h.Quantile(0.5) > h.Quantile(0.99) {
 		t.Error("quantiles not monotone")
+	}
+}
+
+// TestNewRejectsNonPowerOfTwoSets: a set index is the block number masked
+// to the set count, so a cache with any other set count is refused.
+func TestNewRejectsNonPowerOfTwoSets(t *testing.T) {
+	cfg := config.RCNVM()
+	cfg.Cache.L2Sets = 384
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "L2 has 384 sets") {
+		t.Fatalf("New with 384 L2 sets: err = %v, want a power-of-two error", err)
+	}
+	cfg.Cache.L2Sets = 256
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New with 256 L2 sets: %v", err)
 	}
 }

@@ -14,38 +14,51 @@ import (
 // bucket 0 covers [0, 2) plus any stray negative samples (a sample below
 // the documented range is clamped into the lowest bucket rather than
 // misfiled or dropped). It is cheap enough to record every memory
-// operation's latency.
+// operation's latency, and safe for concurrent use.
 type Histogram struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	s  Samples
+}
+
+// Samples is what a Histogram holds, without the lock: a value that one
+// goroutine records into on its own and then publishes, once, as a
+// Histogram. The zero value is empty.
+type Samples struct {
 	buckets [64]int64
 	count   int64
 	sum     int64
-	min     int64
+	min     int64 // meaningful once count > 0
 	max     int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{min: math.MaxInt64}
 }
 
 // Observe records one sample. Non-positive samples count into bucket 0
 // (the [0,2) bucket); they still contribute to count, sum, min and max.
-func (h *Histogram) Observe(v int64) {
+func (s *Samples) Observe(v int64) {
 	i := 0
 	if v > 0 {
 		i = bits.Len64(uint64(v)) - 1
 	}
+	s.buckets[i]++
+	if s.count == 0 || v < s.min {
+		s.min = v
+	}
+	s.count++
+	s.sum += v
+	if v > s.max {
+		s.max = v
+	}
+}
+
+// Histogram returns a new Histogram holding a copy of the samples.
+func (s *Samples) Histogram() *Histogram { return &Histogram{s: *s} }
+
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return new(Histogram) }
+
+// Observe records one sample, as Samples.Observe does.
+func (h *Histogram) Observe(v int64) {
 	h.mu.Lock()
-	h.buckets[i]++
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
+	h.s.Observe(v)
 	h.mu.Unlock()
 }
 
@@ -53,34 +66,34 @@ func (h *Histogram) Observe(v int64) {
 func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return h.s.count
 }
 
 // Mean returns the average sample, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h.s.count == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.count)
+	return float64(h.s.sum) / float64(h.s.count)
 }
 
 // Min returns the smallest sample (0 when empty).
 func (h *Histogram) Min() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if h.s.count == 0 {
 		return 0
 	}
-	return h.min
+	return h.s.min
 }
 
 // Max returns the largest sample.
 func (h *Histogram) Max() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.max
+	return h.s.max
 }
 
 // Quantile returns an upper bound of the q-quantile (0 < q <= 1) at bucket
@@ -88,35 +101,35 @@ func (h *Histogram) Max() int64 {
 func (h *Histogram) Quantile(q float64) int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 || q <= 0 {
+	if h.s.count == 0 || q <= 0 {
 		return 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	target := int64(math.Ceil(q * float64(h.count)))
+	target := int64(math.Ceil(q * float64(h.s.count)))
 	var seen int64
-	for i, n := range h.buckets {
+	for i, n := range h.s.buckets {
 		seen += n
 		if seen >= target {
 			if i == 63 {
-				return h.max
+				return h.s.max
 			}
 			upper := int64(1) << uint(i+1)
-			if upper > h.max {
-				return h.max
+			if upper > h.s.max {
+				return h.s.max
 			}
 			return upper
 		}
 	}
-	return h.max
+	return h.s.max
 }
 
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sum
+	return h.s.sum
 }
 
 // Cumulative returns the distribution as Prometheus-style cumulative
@@ -127,7 +140,7 @@ func (h *Histogram) Cumulative() (bounds, counts []int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	top := -1
-	for i, n := range h.buckets {
+	for i, n := range h.s.buckets {
 		if n > 0 {
 			top = i
 		}
@@ -139,7 +152,7 @@ func (h *Histogram) Cumulative() (bounds, counts []int64) {
 	counts = make([]int64, top+1)
 	var cum int64
 	for i := 0; i <= top; i++ {
-		cum += h.buckets[i]
+		cum += h.s.buckets[i]
 		if i == 63 {
 			bounds[i] = math.MaxInt64
 		} else {
@@ -156,7 +169,7 @@ func (h *Histogram) Buckets() [][2]int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out [][2]int64
-	for i, n := range h.buckets {
+	for i, n := range h.s.buckets {
 		if n > 0 {
 			out = append(out, [2]int64{1 << uint(i), n})
 		}

@@ -3,7 +3,6 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 )
 
 // JSON wire forms: a Set marshals as its counter snapshot (a flat
@@ -46,11 +45,11 @@ type histogramJSON struct {
 func (h *Histogram) MarshalJSON() ([]byte, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := histogramJSON{Count: h.count, Sum: h.sum, Max: h.max}
-	if h.count > 0 {
-		out.Min = h.min
+	out := histogramJSON{Count: h.s.count, Sum: h.s.sum, Max: h.s.max}
+	if h.s.count > 0 {
+		out.Min = h.s.min
 	}
-	for i, n := range h.buckets {
+	for i, n := range h.s.buckets {
 		if n > 0 {
 			out.Buckets = append(out.Buckets, [2]int64{int64(i), n})
 		}
@@ -77,16 +76,12 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	if total != in.Count {
 		return fmt.Errorf("stats: histogram bucket counts sum to %d, want %d", total, in.Count)
 	}
-	h.mu.Lock()
-	h.buckets = buckets
-	h.count = in.Count
-	h.sum = in.Sum
-	h.max = in.Max
-	if in.Count == 0 {
-		h.min = math.MaxInt64
-	} else {
-		h.min = in.Min
+	out := Samples{buckets: buckets, count: in.Count, sum: in.Sum, max: in.Max}
+	if in.Count > 0 {
+		out.min = in.Min
 	}
+	h.mu.Lock()
+	h.s = out
 	h.mu.Unlock()
 	return nil
 }
