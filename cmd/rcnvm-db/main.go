@@ -1,5 +1,6 @@
 // Command rcnvm-db is an interactive SQL shell over the functional
-// dual-addressable database engine. Statements execute against real data;
+// dual-addressable database engine: a thin front to sql.Execute over the
+// database as a 1-shard cluster. Statements execute against real data;
 // with tracing on, each statement also reports its estimated memory time
 // on the RC-NVM timing simulator, both as issued (column accesses) and
 // downgraded to conventional row-only accesses.
@@ -22,6 +23,7 @@ import (
 	"strings"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
 	"rcnvm/internal/trace"
@@ -49,6 +51,7 @@ func main() {
 		}
 		fmt.Printf("loaded snapshot %s\n", *loadFlag)
 	}
+	c := shard.Wrap(db)
 	tables := []string{}
 	tracing := false
 
@@ -74,37 +77,32 @@ func main() {
 		case line == "":
 			continue
 		case strings.HasPrefix(line, "."):
-			if quit := meta(db, line, &tracing, tables); quit {
+			if quit := meta(c, line, &tracing, tables); quit {
 				return
 			}
 			continue
 		}
 
-		if tracing {
-			db.StartTrace()
-		}
-		res, err := sql.Exec(db, line)
-		var stream trace.Stream
-		if tracing {
-			stream = db.StopTrace()
-		}
+		// EXPLAIN times itself, so it runs untraced.
+		st, _ := sql.Parse(line)
+		_, explain := st.(*sql.Explain)
+		res, streams, err := sql.Execute(c, line, sql.ExecOptions{Trace: tracing && !explain})
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
-		if st, perr := sql.Parse(line); perr == nil {
-			if ct, ok := st.(*sql.CreateTable); ok {
-				tables = append(tables, ct.Name)
-			}
+		if ct, ok := st.(*sql.CreateTable); ok {
+			tables = append(tables, ct.Name)
 		}
 		fmt.Print(res.Format())
-		if tracing && stream.MemOps() > 0 {
-			report(stream)
+		if streams != nil && streams[0].MemOps() > 0 {
+			report(streams[0])
 		}
 	}
 }
 
-func meta(db *engine.DB, line string, tracing *bool, tables []string) bool {
+func meta(c *shard.Cluster, line string, tracing *bool, tables []string) bool {
+	db := c.Shard(0)
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case ".quit", ".exit":
@@ -202,7 +200,7 @@ meta:       .tables  .trace on|off  .counts  .save FILE
 			"SELECT AVG(salary), COUNT(*) FROM person WHERE age > 28",
 		} {
 			fmt.Println("rcnvm-db>", stmt)
-			res, err := sql.Exec(db, stmt)
+			res, err := sql.ExecSharded(c, stmt)
 			if err != nil {
 				fmt.Println("error:", err)
 				return false

@@ -208,7 +208,7 @@ func Apply(c *shard.Cluster, i int, rec Record) error {
 		// effects and (normally) the same error.
 		if ct, ok := st.(*sql.CreateTable); ok && runErr == nil && c.N() > 1 && !c.Registered(ct.Name) {
 			// First shard to replay the broadcast CREATE registers it for
-			// routing, exactly as scatterCreate did.
+			// routing, exactly as sql's scatterWrite did.
 			c.Register(ct.Name, ct.Columns[0].Name, ct.Columns[0].Words != 1)
 		}
 		if rec.Unstable {

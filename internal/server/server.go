@@ -437,15 +437,10 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	if s.opts.panicOn != "" && req.Query == s.opts.panicOn {
 		panic("injected test panic")
 	}
-	if s.opts.ReadOnly {
-		if st, perr := sql.Parse(req.Query); perr == nil && !sql.ReadOnly(st) {
-			// Unparseable statements fall through to the executor for the
-			// ordinary sql_error; only well-formed mutations get the typed
-			// replica rejection.
-			s.met.observe(time.Since(start), 0, true)
-			return errResponse(req.ID, CodeReadOnly,
-				"read replica: mutations must go to the primary")
-		}
+	if s.replicaRejects(req.Query) {
+		s.met.observe(time.Since(start), 0, true)
+		return errResponse(req.ID, CodeReadOnly,
+			"read replica: mutations must go to the primary")
 	}
 	// rec stays nil unless this statement is traced (explicitly or by
 	// TraceEvery sampling): the untraced path records nothing.
@@ -460,16 +455,11 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	if req.TraceID != 0 {
 		tid = req.TraceID
 	}
-	o := sql.ExecOptions{Rec: rec, TID: tid, Trace: req.Timing}
 	if req.Timing {
-		// Timing replays record full access traces and run under the
-		// exclusive lock; the plan cache is a hot-path optimization, so the
-		// traced path stays on the uncached parser by design.
 		s.met.Set.Inc(TimedQueries)
-	} else {
-		o.Plans = s.plans
 	}
-	res, streams, err := sql.Execute(s.Cluster(), req.Query, o)
+	res, streams, err := sql.Execute(s.Cluster(), req.Query,
+		sql.ExecOptions{Plans: s.plans, Rec: rec, TID: tid, Trace: req.Timing})
 	if err != nil {
 		return s.execError(req.ID, start, err)
 	}
@@ -495,14 +485,10 @@ func (s *Server) execute(req *Request) (resp *Response) {
 // except on panic. start is the admission timestamp from execute, so the
 // latency histogram sees the whole batch as one sample.
 func (s *Server) executeBatch(req *Request, start time.Time) *Response {
-	if s.opts.ReadOnly {
-		for _, src := range req.Batch {
-			if st, perr := sql.Parse(src); perr == nil && !sql.ReadOnly(st) {
-				s.met.observeBatch(time.Since(start), len(req.Batch), len(req.Batch), 0)
-				return errResponse(req.ID, CodeReadOnly,
-					"read replica: batch contains a mutation; send it to the primary")
-			}
-		}
+	if s.replicaRejects(req.Batch...) {
+		s.met.observeBatch(time.Since(start), len(req.Batch), len(req.Batch), 0)
+		return errResponse(req.ID, CodeReadOnly,
+			"read replica: batch contains a mutation; send it to the primary")
 	}
 	results, errs := sql.ExecBatchSharded(s.Cluster(), s.plans, req.Batch)
 	out := make([]*Response, len(results))
@@ -518,6 +504,22 @@ func (s *Server) executeBatch(req *Request, start time.Time) *Response {
 	}
 	s.met.observeBatch(time.Since(start), len(req.Batch), failed, rows)
 	return &Response{ID: req.ID, Results: out}
+}
+
+// replicaRejects reports whether this is a read replica and one of srcs
+// is a well-formed mutation, which gets the typed CodeReadOnly rejection.
+// Unparseable statements fall through to the executor for the ordinary
+// sql_error.
+func (s *Server) replicaRejects(srcs ...string) bool {
+	if !s.opts.ReadOnly {
+		return false
+	}
+	for _, src := range srcs {
+		if st, err := sql.Parse(src); err == nil && !sql.ReadOnly(st) {
+			return true
+		}
+	}
+	return false
 }
 
 // resultResponse is the one sql.Result -> wire Response conversion (batch

@@ -10,51 +10,20 @@ import (
 
 // TestLogCommitNilPathAllocatesNothing pins the volatile-server
 // contract: with no commit log installed (-data-dir unset), the
-// durability hooks on the write path cost one nil check and zero
+// durability hook on the write path costs one nil check and zero
 // allocations.
 func TestLogCommitNilPathAllocatesNothing(t *testing.T) {
 	db, err := engine.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Parse("UPDATE kv SET val = 1 WHERE k = 2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if wait := logCommit(db, st, "UPDATE kv SET val = 1 WHERE k = 2", nil); wait != nil {
+		if wait := logShard(db, "UPDATE kv SET val = 1 WHERE k = 2", false, false); wait != nil {
 			t.Fatal("nil commit log produced a wait func")
-		}
-		if err := awaitAll(nil); err != nil {
-			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("volatile logCommit path allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestMutatesRecursesIntoExplainAnalyze(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"SELECT COUNT(*) FROM kv", false},
-		{"EXPLAIN SELECT * FROM kv", false},
-		{"EXPLAIN ANALYZE SELECT * FROM kv", false},
-		{"INSERT INTO kv VALUES (1, 2)", true},
-		{"EXPLAIN INSERT INTO kv VALUES (1, 2)", false}, // plan only, never executed
-		{"EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)", true},
-		{"EXPLAIN ANALYZE DELETE FROM kv WHERE k = 1", true},
-	}
-	for _, tc := range cases {
-		st, err := Parse(tc.src)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.src, err)
-		}
-		if got := mutates(st); got != tc.want {
-			t.Fatalf("mutates(%q) = %v, want %v", tc.src, got, tc.want)
-		}
+		t.Fatalf("volatile logShard path allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -92,8 +61,9 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 		}
 	}
 
-	// On one shard the inner dispatch writes exactly one record, the inner
-	// text; through the unlogged Run, none.
+	// On one shard the inner dispatch of an analyzed mutation writes exactly
+	// one record, the inner text. A plan-only EXPLAIN never executes, an
+	// analyzed SELECT changes nothing, and the unlogged Run writes nothing.
 	c, err := shard.Open(engine.DualAddress, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -103,13 +73,25 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 	}
 	log := &recLog{}
 	c.Shard(0).SetCommitLog(log)
-	if _, err := ExecSharded(c, "EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)"); err != nil {
+	for _, q := range []string{
+		"EXPLAIN INSERT INTO kv VALUES (5, 6)",
+		"EXPLAIN ANALYZE SELECT * FROM kv",
+		"EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 2)",
+		"EXPLAIN DELETE FROM kv",
+		"explain analyze delete from kv where k = 9",
+	} {
+		if _, err := ExecSharded(c, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	st, err := Parse("UPDATE kv SET a = 3")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(c.Shard(0), "EXPLAIN ANALYZE UPDATE kv SET a = 3"); err != nil {
+	if _, err := Run(c.Shard(0), st); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"INSERT INTO kv VALUES (1, 2)"}; fmt.Sprint(log.srcs) != fmt.Sprint(want) {
+	if want := []string{"INSERT INTO kv VALUES (1, 2)", "DELETE FROM kv WHERE k = 9"}; fmt.Sprint(log.srcs) != fmt.Sprint(want) {
 		t.Fatalf("logged %q, want %q", log.srcs, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
-	"rcnvm/internal/shard"
 )
 
 // Result is the outcome of executing one statement.
@@ -26,36 +25,20 @@ type Result struct {
 // DefaultCapacity is used when CREATE TABLE omits CAPACITY.
 const DefaultCapacity = 64 * 1024
 
-// Exec parses and executes one statement against the database.
-func Exec(db *engine.DB, src string) (*Result, error) {
-	st, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Run(db, st)
-}
-
-// Run executes a parsed statement on one database. It neither locks nor
-// logs: its callers run single-threaded or are replaying the log itself. A
-// SELECT is the scatter path's over one shard, the merge of one partial.
+// Run executes a write — CREATE TABLE, INSERT, UPDATE or DELETE — on one
+// database. It neither locks nor logs: it is the per-shard step of the
+// scatter path's writes, which lock and log around it, and of the WAL
+// replay, which re-executes logged statements.
 func Run(db *engine.DB, st Statement) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTable:
 		return runCreate(db, s)
 	case *Insert:
 		return runInsert(db, s)
-	case *Select:
-		return scatterSelect(shard.Wrap(db), s, []int{0})
 	case *Update:
 		return runUpdate(db, s)
 	case *Delete:
 		return runDelete(db, s)
-	case *Explain:
-		res, _, err := explain(shard.Wrap(db), s, func() ([]func() error, error) {
-			_, err := Run(db, s.Stmt)
-			return nil, err
-		})
-		return res, err
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}

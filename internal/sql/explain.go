@@ -40,11 +40,13 @@ func (p *parser) explain() (Statement, error) {
 
 // explain renders a statement's plan once — every shard holds the same
 // schemas — under a sharding header when there are several shards. ANALYZE
-// also executes the statement through run with every shard recording, then
-// replays each shard's stream on its own simulated channel: the statement
-// finishes when its slowest shard does, so the estimate is the max over
-// shards.
-func explain(c *shard.Cluster, ex *Explain, run func() ([]func() error, error)) (*Result, []func() error, error) {
+// also executes the statement on every shard with every shard recording,
+// then replays each shard's stream on its own simulated channel: the
+// statement finishes when its slowest shard does, so the estimate is the
+// max over shards. The execution logs any mutation under the inner
+// statement's own text, printed from the parsed AST (round-trip property):
+// replay must re-execute the mutation, not re-time it.
+func explain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
 	var b strings.Builder
 	sharded := c.N() > 1
 	if sharded {
@@ -59,7 +61,9 @@ func explain(c *shard.Cluster, ex *Explain, run func() ([]func() error, error)) 
 	for i := 0; i < c.N(); i++ {
 		c.Shard(i).StartTrace()
 	}
-	waits, runErr := run()
+	in := []stmt{{src: StatementText(ex.Stmt), st: ex.Stmt, targets: allShards(c)}}
+	dispatch(c, in)
+	waits, runErr := in[0].waits, in[0].err
 	streams := make([]trace.Stream, c.N())
 	total := 0
 	for i := range streams {

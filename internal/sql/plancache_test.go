@@ -17,11 +17,11 @@ func openKV(t testing.TB) *engine.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Exec(db, "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
+	if _, err := ExecSharded(shard.Wrap(db), "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := Exec(db, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10)); err != nil {
+		if _, err := ExecSharded(shard.Wrap(db), fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,7 +141,7 @@ func TestPlanCacheCachedResultsIdentical(t *testing.T) {
 	pc := NewPlanCache(0)
 	for round := 0; round < 2; round++ {
 		for _, src := range workload {
-			wantRes, wantErr := Exec(plain, src)
+			wantRes, wantErr := ExecSharded(shard.Wrap(plain), src)
 			gotRes, gotErr := ExecShardedCached(shard.Wrap(cached), pc, src)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err %v vs cached %v", round, src, wantErr, gotErr)

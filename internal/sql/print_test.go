@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rcnvm/internal/shard"
 )
 
 // TestPrintParseRoundTrip: printing a parsed statement and re-parsing it
@@ -85,10 +87,10 @@ func TestExplainAnalyze(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	db := newDB(t)
-	if _, err := Exec(db, "EXPLAIN EXPLAIN SELECT 1 FROM x"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "EXPLAIN EXPLAIN SELECT 1 FROM x"); err == nil {
 		t.Fatal("nested EXPLAIN accepted")
 	}
-	if _, err := Exec(db, "EXPLAIN"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "EXPLAIN"); err == nil {
 		t.Fatal("bare EXPLAIN accepted")
 	}
 }

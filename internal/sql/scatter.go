@@ -1,15 +1,18 @@
 package sql
 
 // Scatter-gather execution over a shard.Cluster, the routing and dispatch
-// half of Execute (session.go): one statement is split into per-shard
-// sub-plans, fanned out over the cluster's worker budget, and the partial
-// results merged back into a single Result that is byte-identical to what
-// the 1-shard baseline produces. A 1-shard cluster is not a separate
-// pipeline: a SELECT is the merge of one partial and EXPLAIN is the same
-// code at any shard count (scatter_select.go, explain.go); what is left
-// are two small cases, route returning shard 0 without consulting the
-// registry and dispatchSharded running DDL and DML as a single database
-// that logs the statement text.
+// half of the statement pipeline (session.go): a statement is split into
+// per-shard sub-plans, fanned out over the cluster's worker budget, and the
+// partial results merged back into a single Result that is byte-identical
+// to what the 1-shard baseline produces. The fan-outs of SELECT and of
+// UPDATE/DELETE take a run of statements sharing their targets — a lone
+// statement is a run of one, a batch's consecutive broadcasts one longer
+// run (batch.go) — and each shard executes the run in statement order. A
+// 1-shard cluster is not a separate pipeline: a SELECT is the merge of one
+// partial and EXPLAIN is the same code at any shard count
+// (scatter_select.go, explain.go); what is left are two small cases, route
+// returning shard 0 without consulting the registry and DDL and INSERT
+// running as on a single database that logs the statement text.
 //
 // Routing: a statement whose WHERE pins the partitioning column with an
 // equality runs on exactly one shard (all matching rows live there);
@@ -36,7 +39,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
 )
@@ -132,8 +134,8 @@ func pointShard(c *shard.Cluster, table string, where []Cond) (int, bool) {
 }
 
 // lockShards acquires the targets' statement locks in ascending shard
-// order and returns the matching unlocker.
-func lockShards(c *shard.Cluster, targets []int, exclusive bool) (unlock func()) {
+// order; unlockShards releases them in reverse.
+func lockShards(c *shard.Cluster, targets []int, exclusive bool) {
 	for _, i := range targets {
 		if exclusive {
 			c.Shard(i).Lock()
@@ -141,96 +143,47 @@ func lockShards(c *shard.Cluster, targets []int, exclusive bool) (unlock func())
 			c.Shard(i).RLock()
 		}
 	}
-	return func() {
-		for j := len(targets) - 1; j >= 0; j-- {
-			if exclusive {
-				c.Shard(targets[j]).Unlock()
-			} else {
-				c.Shard(targets[j]).RUnlock()
-			}
+}
+
+func unlockShards(c *shard.Cluster, targets []int, exclusive bool) {
+	for j := len(targets) - 1; j >= 0; j-- {
+		if exclusive {
+			c.Shard(targets[j]).Unlock()
+		} else {
+			c.Shard(targets[j]).RUnlock()
 		}
 	}
 }
 
-// dispatchSharded executes a routed statement; locks are already held.
-// The returned waits are per-shard durability waits the caller must run
-// after releasing the locks (nil/empty when nothing was logged).
-func dispatchSharded(c *shard.Cluster, st Statement, src string, targets []int) (*Result, []func() error, error) {
-	switch s := st.(type) {
+// dispatch executes a run of routed statements with their locks held
+// (runEnd picks the run): a run of plain SELECTs or of UPDATE/DELETEs
+// fans out once, and a lone one is a run of one; every other statement
+// is alone. Each statement's result, error and durability waits land in
+// its slot; the waits run after the locks are released.
+func dispatch(c *shard.Cluster, run []stmt) {
+	r := &run[0]
+	switch s := r.st.(type) {
 	case *Select:
-		res, err := scatterSelect(c, s, targets)
-		return res, nil, err
-	case *Explain:
-		// The inner dispatch logs any mutation under the inner statement's
-		// own text, printed from the parsed AST (round-trip property):
-		// replay must re-execute the mutation, not re-time it.
-		return explain(c, s, func() ([]func() error, error) {
-			_, waits, err := dispatchSharded(c, s.Stmt, StatementText(s.Stmt), allShards(c))
-			return waits, err
-		})
-	}
-	if c.N() == 1 {
-		// The lone shard runs DDL and DML as a single database (its row ids
-		// are the global ids) and logs the statement's text, so tables
-		// created directly on a shard.Wrap'd database stay fully usable.
-		db := c.Shard(0)
-		res, err := Run(db, st)
-		if w := logCommit(db, st, src, err); w != nil {
-			return res, []func() error{w}, err
+		if s.JoinTable != "" {
+			r.res, r.err = scatterJoin(c, s)
+			return
 		}
-		return res, nil, err
-	}
-	switch s := st.(type) {
-	case *CreateTable:
-		return scatterCreate(c, s, src)
+		scatterSelect(c, run)
+	case *Explain:
+		r.res, r.waits, r.err = explain(c, s)
 	case *Insert:
-		return scatterInsert(c, s)
-	case *Update:
-		return scatterAffected(c, targets, src, updateUnstable(c, s),
-			func(db *engine.DB) (*Result, error) { return runUpdate(db, s) })
-	case *Delete:
-		return scatterAffected(c, targets, src, false,
-			func(db *engine.DB) (*Result, error) { return runDelete(db, s) })
-	default:
-		return nil, nil, fmt.Errorf("sql: unsupported statement %T", st)
+		if c.N() > 1 {
+			r.res, r.waits, r.err = scatterInsert(c, s)
+			return
+		}
+		scatterWrite(c, run)
+	default: // CREATE TABLE, UPDATE, DELETE
+		scatterWrite(c, run)
 	}
 }
 
 func errUnmanaged(table string) error {
 	return fmt.Errorf("sql: table %q not managed by the shard cluster", table)
-}
-
-// scatterCreate creates the table on every shard and registers it for
-// routing. Shard allocators evolve in lockstep (all DDL broadcasts), so
-// the shards fail or succeed together; the lowest shard's error wins.
-// Every shard logs the statement (with its own failure flag) so replay
-// re-creates the table on each shard independently.
-func scatterCreate(c *shard.Cluster, s *CreateTable, src string) (*Result, []func() error, error) {
-	type slot struct {
-		res *Result
-		err error
-	}
-	out := make([]slot, c.N())
-	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(i int) error {
-		out[i].res, out[i].err = runCreate(c.Shard(i), s)
-		return nil
-	})
-	var waits []func() error
-	if c.Shard(0).CommitLog() != nil {
-		waits = make([]func() error, 0, c.N())
-		for i := range out {
-			if w := logShard(c.Shard(i), src, out[i].err != nil, false); w != nil {
-				waits = append(waits, w)
-			}
-		}
-	}
-	for i := range out {
-		if out[i].err != nil {
-			return nil, waits, out[i].err
-		}
-	}
-	c.Register(s.Name, s.Columns[0].Name, s.Columns[0].Words != 1)
-	return out[0].res, waits, nil
 }
 
 // scatterInsert appends each row on its hash-owner shard, in statement
@@ -296,45 +249,77 @@ func scatterInsert(c *shard.Cluster, s *Insert) (*Result, []func() error, error)
 	return &Result{Affected: len(s.Rows)}, flush(), nil
 }
 
-// scatterAffected broadcasts a mutation and sums the affected counts.
-// Every target runs to completion into its own slot, so the merged error
-// (lowest shard) is independent of worker scheduling. Each target logs
-// the statement with its own failure flag: even a failed target may have
-// partial effects, which deterministic replay reproduces.
-func scatterAffected(c *shard.Cluster, targets []int, src string, unstable bool, run func(db *engine.DB) (*Result, error)) (*Result, []func() error, error) {
-	if len(targets) == 1 {
-		db := c.Shard(targets[0])
-		res, err := run(db)
-		var waits []func() error
-		if w := logShard(db, src, err != nil, unstable); w != nil {
-			waits = []func() error{w}
-		}
-		return res, waits, err
-	}
+// scatterWrite runs a run of writes that share their targets: UPDATE/
+// DELETEs (a lone one is a run of one), or alone a CREATE TABLE or the
+// INSERT of a 1-shard cluster, whose lone shard runs it as a single
+// database (its row ids are the global ids). Each target executes the
+// members in statement order through Run — several targets in one fan-out,
+// every target running to completion into its own slots, so the merged
+// error (lowest shard) is independent of worker scheduling. Then each
+// member logs its text on every target with that shard's own failure flag
+// — even a failed target may have partial effects, which deterministic
+// replay reproduces — in statement order, the sequential schedule's
+// per-shard WAL record order, and sums the affected counts. A table
+// created on several shards is registered for routing (shard allocators
+// evolve in lockstep, so the shards fail or succeed together).
+func scatterWrite(c *shard.Cluster, run []stmt) {
 	type slot struct {
 		res *Result
 		err error
 	}
-	out := make([]slot, len(targets))
-	_ = par.RunCells(context.Background(), c.Workers(), len(targets), func(j int) error {
-		out[j].res, out[j].err = run(c.Shard(targets[j]))
-		return nil
-	})
-	var waits []func() error
-	if c.Shard(targets[0]).CommitLog() != nil {
-		waits = make([]func() error, 0, len(targets))
-		for j := range out {
-			if w := logShard(c.Shard(targets[j]), src, out[j].err != nil, unstable); w != nil {
-				waits = append(waits, w)
+	targets := run[0].targets
+	n := len(targets)
+	out := make([]slot, len(run)*n) // member k on target j is out[k*n+j]
+	if n == 1 {
+		db := c.Shard(targets[0])
+		for k := range run {
+			if run[k].st != nil { // a parse error inside a run executes nothing
+				out[k].res, out[k].err = Run(db, run[k].st)
 			}
 		}
-	}
-	total := 0
-	for j := range out {
-		if out[j].err != nil {
-			return nil, waits, out[j].err
+	} else {
+		sts := make([]Statement, len(run))
+		for k := range run {
+			sts[k] = run[k].st
 		}
-		total += out[j].res.Affected
+		_ = par.RunCells(context.Background(), c.Workers(), n, func(j int) error {
+			db := c.Shard(targets[j])
+			for k, st := range sts {
+				if st != nil {
+					out[k*n+j].res, out[k*n+j].err = Run(db, st)
+				}
+			}
+			return nil
+		})
 	}
-	return &Result{Affected: total}, waits, nil
+	for k := range run {
+		r := &run[k]
+		if r.st == nil {
+			continue
+		}
+		unstable := false
+		if u, ok := r.st.(*Update); ok {
+			unstable = updateUnstable(c, u)
+		}
+		mine := out[k*n : (k+1)*n]
+		for j, sh := range targets {
+			if w := logShard(c.Shard(sh), r.src, mine[j].err != nil, unstable); w != nil {
+				r.waits = append(r.waits, w)
+			}
+		}
+		for j, a := range mine {
+			if a.err != nil {
+				r.res, r.err = nil, a.err // the lowest shard's error wins
+				break
+			}
+			if j == 0 {
+				r.res = a.res // the sum lands in the first target's own Result
+			} else {
+				r.res.Affected += a.res.Affected
+			}
+		}
+		if ct, ok := r.st.(*CreateTable); ok && r.err == nil && n > 1 {
+			c.Register(ct.Name, ct.Columns[0].Name, ct.Columns[0].Words != 1)
+		}
+	}
 }

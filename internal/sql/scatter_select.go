@@ -4,9 +4,9 @@ package sql
 // touches runs the same sub-plan, selectOnShard (WHERE, ORDER BY key
 // gathering and sort, then GROUP BY, the aggregate items in order, or
 // projection validation), and mergeSelect combines the partials. A 1-shard
-// SELECT, a point-routed one and Run's are the merge of one partial: its
-// local row order already is the global order, so only a fan-out over more
-// than one shard maps row ids to globals through the registry.
+// SELECT and a point-routed one are the merge of one partial: its local row
+// order already is the global order, so only a fan-out over more than one
+// shard maps row ids to globals through the registry.
 //
 // Errors: a partial stops at its first failing step and the merge reports
 // the lowest shard's error — except among aggregate items, where the error
@@ -197,20 +197,43 @@ func aggregate(t *engine.Table, it SelectItem, rows []int, count int) (aggCell, 
 	return cell, err
 }
 
-// scatterSelect runs a SELECT on its target shards and merges.
-func scatterSelect(c *shard.Cluster, s *Select, targets []int) (*Result, error) {
-	if s.JoinTable != "" {
-		return scatterJoin(c, s)
-	}
+// scatterSelect runs a run of plain SELECTs that share their targets (a
+// lone one is a run of one) and merges each. On one target every member is
+// the merge of one partial. On several the whole run fans out in one
+// par.RunCells, each shard running the members in statement order, and
+// then every member merges its partials; a shard-local failure of one
+// member stops neither that shard's later members nor the other shards.
+func scatterSelect(c *shard.Cluster, run []stmt) {
+	targets := run[0].targets
 	if len(targets) == 1 {
-		return mergeSelect(s, []selPartial{selectOnShard(c.Shard(targets[0]), s)})
+		db := c.Shard(targets[0])
+		for k := range run {
+			if s, ok := run[k].st.(*Select); ok {
+				run[k].res, run[k].err = mergeSelect(s, []selPartial{selectOnShard(db, s)})
+			}
+		}
+		return
 	}
-	parts := make([]selPartial, len(targets))
+	sels := make([]*Select, len(run))
+	parts := make([][]selPartial, len(run))
+	for k := range run {
+		if s, ok := run[k].st.(*Select); ok { // a parse error inside a run executes nothing
+			sels[k], parts[k] = s, make([]selPartial, len(targets))
+		}
+	}
 	_ = par.RunCells(context.Background(), c.Workers(), len(targets), func(j int) error {
-		parts[j] = fanOutPartial(c, targets[j], s)
+		for k, s := range sels {
+			if s != nil {
+				parts[k][j] = fanOutPartial(c, targets[j], s)
+			}
+		}
 		return nil
 	})
-	return mergeSelect(s, parts)
+	for k, s := range sels {
+		if s != nil {
+			run[k].res, run[k].err = mergeSelect(s, parts[k])
+		}
+	}
 }
 
 // fanOutPartial is shard i's partial in a fan-out over several shards: its
@@ -232,9 +255,8 @@ func fanOutPartial(c *shard.Cluster, i int, s *Select) selPartial {
 }
 
 // mergeSelect combines a SELECT's partials into the final Result (locks
-// must still be held: merging projects rows out of shard memory). Shared
-// with the batch executor, whose grouped fan-out produces the partials for
-// several SELECTs in one round trip.
+// must still be held: merging projects rows out of shard memory). Every
+// member of a run merges here, after the run's one fan-out.
 func mergeSelect(s *Select, parts []selPartial) (*Result, error) {
 	if s.GroupBy == "" && hasAggregates(s) {
 		return mergeAggregates(s, parts)

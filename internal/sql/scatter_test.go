@@ -280,7 +280,7 @@ func TestAggregateEmptyWhereRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec := func(q string) *Result {
-		res, err := Exec(db, q)
+		res, err := ExecSharded(shard.Wrap(db), q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -295,7 +295,7 @@ func TestAggregateEmptyWhereRegression(t *testing.T) {
 	if got := mustExec("SELECT a, SUM(b) FROM t WHERE a = 99 GROUP BY a"); len(got.Rows) != 0 {
 		t.Errorf("no-match GROUP BY returned %d groups, want 0", len(got.Rows))
 	}
-	if _, err := Exec(db, "SELECT MIN(b) FROM t WHERE a = 99"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "SELECT MIN(b) FROM t WHERE a = 99"); err == nil {
 		t.Error("no-match MIN succeeded, want zero-rows error")
 	}
 	// Sanity: matching WHERE still aggregates.

@@ -52,3 +52,62 @@ func BenchmarkSelect(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBatch is the rung under a batch request: 16 statements through
+// ExecBatchSharded on a 4-shard cluster of 4096 rows (id, grp = id mod 8,
+// val = 3·id), plan cache on, as the server runs them. reads is 16
+// broadcast SUM/COUNT reads and writes 16 broadcast UPDATEs, each one
+// grouped fan-out; mixed alternates the two, so no run is longer than one
+// statement and only the lock round and the fsync wait are shared.
+func BenchmarkBatch(b *testing.B) {
+	const rows = 4096
+	c, err := shard.Open(engine.DualAddress, 4, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ExecSharded(c, fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows)); err != nil {
+		b.Fatal(err)
+	}
+	for id := 0; id < rows; id += 256 {
+		var sb strings.Builder
+		sb.WriteString("INSERT INTO load VALUES ")
+		for k := id; k < id+256; k++ {
+			fmt.Fprintf(&sb, "(%d, %d, %d),", k, k%8, 3*k)
+		}
+		if _, err := ExecSharded(c, strings.TrimSuffix(sb.String(), ",")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	read := func(i int) string { return fmt.Sprintf("SELECT SUM(val), COUNT(*) FROM load WHERE grp = %d", i%8) }
+	write := func(i int) string { return fmt.Sprintf("UPDATE load SET val = %d WHERE grp = %d", i, i%8) }
+	for _, sc := range []struct {
+		name string
+		stmt func(i int) string
+	}{
+		{"reads", read},
+		{"writes", write},
+		{"mixed", func(i int) string {
+			if i%2 == 0 {
+				return read(i)
+			}
+			return write(i)
+		}},
+	} {
+		batch := make([]string, 16)
+		for i := range batch {
+			batch[i] = sc.stmt(i)
+		}
+		pc := NewPlanCache(0)
+		b.Run(sc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, errs := ExecBatchSharded(c, pc, batch)
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -47,8 +47,8 @@ func goldenDigest(s trace.Stream) string {
 // TestSelectGolden: on one shard every statement of the SQL suite and of
 // its error suite, in order; on three shards the suite, with a digest per
 // shard; on one shard and on three the EXPLAIN and EXPLAIN ANALYZE text of
-// six shapes. Statements run as Execute{Trace: true} does — its locked
-// section, which keeps a failed statement's streams too.
+// six shapes. Statements run as Execute{Trace: true} does — its pipeline,
+// which keeps a failed statement's streams too.
 func TestSelectGolden(t *testing.T) {
 	got := make(map[string]string)
 	for _, n := range []int{1, 3} {
@@ -58,17 +58,14 @@ func TestSelectGolden(t *testing.T) {
 			qs = append(qs, workload.SQLErrorQueries()...)
 		}
 		for _, q := range qs {
-			st, err := Parse(q.SQL)
-			if err != nil {
+			if _, err := Parse(q.SQL); err != nil {
 				t.Fatalf("%s: %v", q.ID, err)
 			}
-			res, streams, waits, err := runUnderLocks(c, st, q.SQL, ExecOptions{Trace: true})
-			if werr := awaitAll(waits); werr != nil {
-				t.Fatalf("%s: %v", q.ID, werr)
-			}
-			line := "err=" + fmt.Sprint(err)
-			if err == nil {
-				line = fmt.Sprintf("res=%x", sha256.Sum256([]byte(res.Format())))[:20]
+			one := []stmt{{src: q.SQL}}
+			streams := execute(c, one, ExecOptions{Trace: true})
+			line := "err=" + fmt.Sprint(one[0].err)
+			if one[0].err == nil {
+				line = fmt.Sprintf("res=%x", sha256.Sum256([]byte(one[0].res.Format())))[:20]
 			}
 			for _, s := range streams {
 				line += " tr=" + goldenDigest(s)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"rcnvm/internal/engine"
@@ -10,12 +11,13 @@ import (
 	"rcnvm/internal/trace"
 )
 
-// This file is the concurrency boundary of the SQL layer: engine.DB
-// carries an RWMutex but its methods do not lock it themselves (see the
-// engine.DB doc comment), so every statement that should execute
-// atomically against a shared cluster goes through Execute, which holds
-// the statement locks of the shards it touches for the whole statement.
-// Plain Exec/Run stay unlocked for single-threaded callers.
+// This file is the statement pipeline, the one way a statement or a batch
+// reaches a shared cluster: a single statement is a batch of one. It is the
+// concurrency boundary of the SQL layer: engine.DB carries an RWMutex but
+// its methods do not lock it themselves (see the engine.DB doc comment), so
+// the pipeline holds the statement locks of every shard the statements
+// touch — one lock round over the union of their targets — while they run.
+// Run, the per-shard write step, stays unlocked for the WAL replay.
 //
 // It is also the durability boundary: when a commit log is installed on
 // the shards (engine.DB.SetCommitLog, done by internal/durable), every
@@ -52,19 +54,6 @@ func ReadOnlySrc(src string) bool {
 	return err == nil && ReadOnly(st)
 }
 
-// mutates reports whether a statement changes database state that
-// recovery must reproduce. EXPLAIN ANALYZE executes its inner statement,
-// so it mutates exactly when the inner statement does.
-func mutates(st Statement) bool {
-	switch s := st.(type) {
-	case *CreateTable, *Insert, *Update, *Delete:
-		return true
-	case *Explain:
-		return s.Analyze && mutates(s.Stmt)
-	}
-	return false
-}
-
 // logShard appends one statement record on db's commit log. Nil-safe and
 // allocation-free when no log is installed. An append failure surfaces
 // through the returned wait: the statement has already executed, so a
@@ -79,17 +68,6 @@ func logShard(db *engine.DB, src string, failed, unstable bool) func() error {
 		return func() error { return err }
 	}
 	return wait
-}
-
-// logCommit records a mutating statement on a single database's commit
-// log (the 1-shard path). Call with the exclusive lock held, immediately
-// after Run; execErr marks failed statements so recovery replays their
-// partial effects leniently.
-func logCommit(db *engine.DB, st Statement, src string, execErr error) func() error {
-	if db.CommitLog() == nil || !mutates(st) {
-		return nil
-	}
-	return logShard(db, src, execErr != nil, false)
 }
 
 // ExecOptions selects what Execute does around the statement itself. The
@@ -108,64 +86,134 @@ type ExecOptions struct {
 	Trace bool
 }
 
-// Execute is the one statement pipeline: parse, route, lock the target
-// shards in the mode the statement requires (read locks for read-only
-// statements, so concurrent SELECTs proceed in parallel), run, append
-// mutations to the WAL under the lock, unlock, wait for durability. With
-// Trace set, streams[i] is shard i's recorded access stream (nil for
+// stmt is one statement in the pipeline: its text, its parse and routed
+// targets, and what running it produced — the result or error, and the
+// per-shard durability waits to run once the locks are released.
+type stmt struct {
+	src     string
+	st      Statement // nil when the statement failed to parse
+	targets []int
+	res     *Result
+	err     error
+	waits   []func() error
+}
+
+// Execute runs one statement as a batch of one: parse, route, lock the
+// target shards in the mode the statement requires (read locks for
+// read-only statements, so concurrent SELECTs proceed in parallel), run,
+// append mutations to the WAL under the lock, unlock, wait for durability.
+// With Trace set, streams[i] is shard i's recorded access stream (nil for
 // shards the statement never locked); otherwise streams is nil.
 func Execute(c *shard.Cluster, src string, o ExecOptions) (*Result, []trace.Stream, error) {
+	one := [1]stmt{{src: src}}
+	streams := execute(c, one[:], o)
+	if one[0].err != nil {
+		return nil, nil, one[0].err
+	}
+	return one[0].res, streams, nil
+}
+
+// execute is the pipeline. It parses and routes every statement in order
+// (routing's MarkUnstable side effects shape later routing exactly as when
+// the statements arrive one at a time), locks the union of the targets
+// once, runs the statements in order under the locks, unlocks, then runs
+// every durability wait. A statement that fails to parse fills its error
+// and runs nothing.
+func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) (streams []trace.Stream) {
 	endParse := o.span("parse")
-	st, err := o.Plans.Parse(src)
+	for i := range stmts {
+		s := &stmts[i]
+		s.st, s.err = o.Plans.Parse(s.src)
+		if _, ok := s.st.(*Explain); ok && o.Trace {
+			s.st, s.err = nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
+		}
+	}
 	endParse()
-	if err != nil {
-		return nil, nil, err
+	var lock []int
+	exclusive := false
+	for i := range stmts {
+		s := &stmts[i]
+		if s.st == nil {
+			continue
+		}
+		var ex bool
+		s.targets, ex = route(c, s.st, o.Trace)
+		exclusive = exclusive || ex
+		lock = union(lock, s.targets)
 	}
-	if _, ok := st.(*Explain); ok && o.Trace {
-		return nil, nil, fmt.Errorf("sql: EXPLAIN already reports timing; run it untraced")
+	if lock == nil {
+		return nil
 	}
-	res, streams, waits, err := runUnderLocks(c, st, src, o)
+	streams = runLocked(c, stmts, lock, exclusive, o)
 	// The statement locks are released before waiting for the WAL fsyncs:
 	// group commit batches concurrent statements' records behind shared
 	// fsyncs, which only helps if the lock is free while waiting.
-	if len(waits) > 0 {
-		endWal := o.span("wal_wait")
-		werr := awaitAll(waits)
-		endWal()
-		if werr != nil && err == nil {
-			err = werr
+	var endWal func()
+	for i := range stmts {
+		s := &stmts[i]
+		if len(s.waits) > 0 && endWal == nil {
+			endWal = o.span("wal_wait")
+		}
+		for _, w := range s.waits {
+			if err := w(); err != nil && s.err == nil {
+				s.res, s.err = nil, err
+			}
 		}
 	}
-	if err != nil {
-		return nil, nil, err
+	if endWal != nil {
+		endWal()
 	}
-	return res, streams, nil
+	return streams
 }
 
-// runUnderLocks is Execute's locked section: route, lock, (start trace,)
-// execute and log, (stop trace,) unlock. The last two are deferred, so a
-// panic under the lock can neither wedge the shards for later statements
-// nor leave access recording on for later read-locked SELECTs to race on.
-func runUnderLocks(c *shard.Cluster, st Statement, src string, o ExecOptions) (res *Result, streams []trace.Stream, waits []func() error, err error) {
-	targets, exclusive := route(c, st, o.Trace)
+// union returns the ascending union of two ascending shard lists. Neither
+// input is written, and a list that already holds the other comes back as
+// it is.
+func union(a, b []int) []int {
+	if len(a) < len(b) {
+		a, b = b, a
+	}
+	for _, x := range b {
+		if i, found := slices.BinarySearch(a, x); !found {
+			a = slices.Insert(slices.Clip(a), i, x)
+		}
+	}
+	return a
+}
+
+// runLocked is the pipeline's locked section: lock, (start trace,) run
+// the statements in order, (stop trace,) unlock. The last two are
+// deferred, so a panic under the lock can neither wedge the shards for
+// later statements nor leave access recording on for later read-locked
+// SELECTs to race on.
+func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o ExecOptions) (streams []trace.Stream) {
 	endLockWait := o.span("lock_wait")
-	defer lockShards(c, targets, exclusive)()
+	lockShards(c, lock, exclusive)
+	defer unlockShards(c, lock, exclusive)
 	endLockWait()
 	if o.Trace {
 		streams = make([]trace.Stream, c.N())
-		for _, i := range targets {
+		for _, i := range lock {
 			c.Shard(i).StartTrace()
 		}
 		defer func() {
-			for _, i := range targets {
+			for _, i := range lock {
 				streams[i] = c.Shard(i).StopTrace()
 			}
 		}()
 	}
 	endExec := o.span("exec")
-	res, waits, err = dispatchSharded(c, st, src, targets)
+	for i := 0; i < len(stmts); {
+		if stmts[i].st == nil {
+			i++
+			continue
+		}
+		j := runEnd(c, stmts, i)
+		dispatch(c, stmts[i:j])
+		i = j
+	}
 	endExec()
-	return res, streams, waits, err
+	return streams
 }
 
 // span starts a wall-clock phase span on the recorder and returns the func
@@ -176,18 +224,6 @@ func (o ExecOptions) span(name string) (end func()) {
 	}
 	start := time.Now()
 	return func() { o.Rec.WallSince(obs.ProcQuery, name, obs.CatSQL, o.TID, start) }
-}
-
-// awaitAll runs every per-shard durability wait and returns the first
-// failure. Call after releasing the statement locks.
-func awaitAll(waits []func() error) error {
-	var err error
-	for _, w := range waits {
-		if e := w(); e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
 }
 
 // ExecSharded is Execute with no options: plain parse, no spans, no trace.

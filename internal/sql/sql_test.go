@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/shard"
 )
 
 func newDB(t *testing.T) *engine.DB {
@@ -19,7 +20,7 @@ func newDB(t *testing.T) *engine.DB {
 
 func mustExec(t *testing.T, db *engine.DB, src string) *Result {
 	t.Helper()
-	res, err := Exec(db, src)
+	res, err := ExecSharded(shard.Wrap(db), src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -139,10 +140,10 @@ func TestWideColumn(t *testing.T) {
 	if !reflect.DeepEqual(res.Rows[0], []uint64{100, 101, 102, 103}) {
 		t.Fatalf("wide select = %v", res.Rows[0])
 	}
-	if _, err := Exec(db, "SELECT SUM(email) FROM c"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "SELECT SUM(email) FROM c"); err == nil {
 		t.Fatal("SUM over wide field accepted")
 	}
-	if _, err := Exec(db, "SELECT id FROM c WHERE email > 5"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "SELECT id FROM c WHERE email > 5"); err == nil {
 		t.Fatal("WHERE over wide field accepted")
 	}
 }
@@ -163,7 +164,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT person.id FROM person",
 		"SELECT COUNT(id) FROM person",
 	} {
-		if _, err := Exec(db, src); err == nil {
+		if _, err := ExecSharded(shard.Wrap(db), src); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
 	}
@@ -180,7 +181,7 @@ func TestExecErrors(t *testing.T) {
 		"UPDATE person SET nope = 1",
 		"SELECT a.id, b.x FROM person JOIN missing ON person.id = missing.x",
 	} {
-		if _, err := Exec(db, src); err == nil {
+		if _, err := ExecSharded(shard.Wrap(db), src); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
 	}
@@ -292,7 +293,7 @@ func TestGroupBy(t *testing.T) {
 		"SELECT dept, salary FROM person GROUP BY dept",
 		"SELECT dept, MIN(salary) FROM person GROUP BY dept",
 	} {
-		if _, err := Exec(db, bad); err == nil {
+		if _, err := ExecSharded(shard.Wrap(db), bad); err == nil {
 			t.Errorf("%q: expected error", bad)
 		}
 	}
@@ -339,7 +340,7 @@ func TestGroupByOrderLimit(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][0] != 3 || res.Rows[1][0] != 2 {
 		t.Fatalf("group order desc = %v", res.Rows)
 	}
-	if _, err := Exec(db, "SELECT dept, COUNT(*) FROM person GROUP BY dept ORDER BY salary"); err == nil {
+	if _, err := ExecSharded(shard.Wrap(db), "SELECT dept, COUNT(*) FROM person GROUP BY dept ORDER BY salary"); err == nil {
 		t.Fatal("ordering a grouped result by non-key accepted")
 	}
 }
