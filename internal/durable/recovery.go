@@ -225,14 +225,15 @@ func Apply(c *shard.Cluster, i int, rec Record) error {
 		if !ok {
 			return fmt.Errorf("durable: replay diverged: insert into missing table %q", rec.Table)
 		}
-		for j, row := range rec.Rows {
-			local, err := t.Append(row...)
-			if err != nil {
-				return fmt.Errorf("durable: replay diverged: %q insert: %w", rec.Table, err)
-			}
-			if err := c.AssignRecovered(rec.Table, i, local, rec.Globals[j]); err != nil {
+		first := t.Rows()
+		n, appendErr := t.AppendRows(rec.Rows)
+		for j := 0; j < n; j++ {
+			if err := c.AssignRecovered(rec.Table, i, first+j, rec.Globals[j]); err != nil {
 				return err
 			}
+		}
+		if appendErr != nil {
+			return fmt.Errorf("durable: replay diverged: %q insert: %w", rec.Table, appendErr)
 		}
 		return nil
 	default:

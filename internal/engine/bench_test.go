@@ -10,7 +10,8 @@ import (
 // (id, grp = id mod 8, val = 3·id).
 const benchRows = 16384
 
-func benchTable(b *testing.B, rows int) *Table {
+// benchTable is a table of capacity tuples holding the first rows of them.
+func benchTable(b *testing.B, capacity, rows int) *Table {
 	b.Helper()
 	db, err := Open()
 	if err != nil {
@@ -19,7 +20,7 @@ func benchTable(b *testing.B, rows int) *Table {
 	schema := imdb.Schema{Name: "t", Fields: []imdb.Field{
 		{Name: "id", Words: 1}, {Name: "grp", Words: 1}, {Name: "val", Words: 1},
 	}}
-	t, err := db.CreateTable("t", schema, rows)
+	t, err := db.CreateTable("t", schema, capacity)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +67,7 @@ var benchScans = []struct {
 func BenchmarkScan(b *testing.B) {
 	for _, sc := range benchScans {
 		b.Run(sc.name, func(b *testing.B) {
-			t := benchTable(b, sc.rows)
+			t := benchTable(b, sc.rows, sc.rows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -84,7 +85,7 @@ func BenchmarkScan(b *testing.B) {
 // the first's — readers share no written cache line but the per-scan
 // counter flush.
 func BenchmarkScanParallel(b *testing.B) {
-	t := benchTable(b, benchRows)
+	t := benchTable(b, benchRows, benchRows)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {

@@ -7,42 +7,64 @@ import (
 	"strconv"
 )
 
+// csvBlock is how many records ImportCSV parses before it appends them.
+const csvBlock = 512
+
 // ImportCSV appends rows from CSV data. Each record must carry exactly
 // TupleWords() unsigned integer fields (wide fields take several columns).
 // A header row is skipped when its first cell is not numeric. Returns the
-// number of rows appended.
+// number of rows appended: the records before a bad one, or before the
+// first that does not fit, are appended, in blocks of csvBlock.
 func (t *Table) ImportCSV(r io.Reader) (int, error) {
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = t.Schema().TupleWords()
-	n := 0
+	L := t.Schema().TupleWords()
+	cr.FieldsPerRecord = L
+	vals := make([]uint64, csvBlock*L)
+	block := make([][]uint64, 0, csvBlock)
+	n := 0 // rows appended
+	flush := func() error {
+		k, err := t.AppendRows(block)
+		n += k
+		block = block[:0]
+		return err
+	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			return n, nil
+			err := flush()
+			return n, err
 		}
 		if err != nil {
+			if err := flush(); err != nil {
+				return n, err
+			}
 			return n, fmt.Errorf("engine: csv: %w", err)
 		}
-		vals := make([]uint64, len(rec))
+		row := vals[len(block)*L : (len(block)+1)*L]
 		skip := false
 		for i, cell := range rec {
 			v, err := strconv.ParseUint(cell, 10, 64)
 			if err != nil {
-				if n == 0 && i == 0 {
+				if n+len(block) == 0 && i == 0 {
 					skip = true // header row
 					break
 				}
+				if err := flush(); err != nil {
+					return n, err
+				}
 				return n, fmt.Errorf("engine: csv row %d field %d: %w", n+1, i+1, err)
 			}
-			vals[i] = v
+			row[i] = v
 		}
 		if skip {
 			continue
 		}
-		if _, err := t.Append(vals...); err != nil {
-			return n, err
+		block = append(block, row)
+		if len(block) == csvBlock {
+			if err := flush(); err != nil {
+				return n, err
+			}
 		}
-		n++
 	}
 }
 

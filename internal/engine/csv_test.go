@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,6 +69,54 @@ func TestImportErrors(t *testing.T) {
 	tiny, _ := db2.CreateTable("t", imdb.Uniform("t", 2), 1)
 	if _, err := tiny.ImportCSV(strings.NewReader("1,2\n3,4\n")); err == nil {
 		t.Fatal("overflow accepted")
+	}
+}
+
+// TestImportAcrossBlocks: an import longer than a block stops at a bad
+// value, a wrong arity or a full table with the records before it stored,
+// and returns their count and the error the tuple-at-a-time import gave.
+func TestImportAcrossBlocks(t *testing.T) {
+	csvOf := func(n int, bad int, badRec string) string {
+		var b strings.Builder
+		b.WriteString("a,b\n")
+		for i := 0; i < n; i++ {
+			if i == bad {
+				b.WriteString(badRec + "\n")
+				continue
+			}
+			fmt.Fprintf(&b, "%d,%d\n", i, 3*i)
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		name      string
+		capacity  int
+		in        string
+		n         int
+		err       string
+		lastValue uint64
+	}{
+		{"two blocks", 2000, csvOf(1100, -1, ""), 1100, "", 3 * 1099},
+		{"bad value in the second block", 2000, csvOf(1100, 600, "600,x"), 600,
+			`engine: csv row 601 field 2: strconv.ParseUint: parsing "x": invalid syntax`, 3 * 599},
+		{"wrong arity in the second block", 2000, csvOf(1100, 700, "1,2,3"), 700,
+			"engine: csv: record on line 702: wrong number of fields", 3 * 699},
+		{"full in the first block", 300, csvOf(1100, -1, ""), 300, "engine: table full (300 rows)", 3 * 299},
+		{"full in the third block", 1030, csvOf(1100, -1, ""), 1030, "engine: table full (1030 rows)", 3 * 1029},
+	} {
+		db, _ := Open()
+		tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), tc.capacity)
+		n, err := tbl.ImportCSV(strings.NewReader(tc.in))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if n != tc.n || got != tc.err || tbl.Rows() != tc.n {
+			t.Fatalf("%s: imported %d (%d rows), %q; want %d, %q", tc.name, n, tbl.Rows(), got, tc.n, tc.err)
+		}
+		if vals, _ := tbl.Tuple(n - 1); vals[1] != tc.lastValue {
+			t.Fatalf("%s: last row %v, want value %d", tc.name, vals, tc.lastValue)
+		}
 	}
 }
 

@@ -55,8 +55,8 @@ func (m Mode) String() string {
 //   - RLock for read-only work: Tuple, Field, Scan*, Where, aggregates,
 //     Project, Save, ExportCSV. Any number of readers may run in parallel —
 //     reads mutate nothing but the memory's atomic access counters.
-//   - Lock for mutations (CreateTable, Append, SetField, Update, Delete,
-//     Vacuum, Load, ImportCSV) and for any traced section
+//   - Lock for mutations (CreateTable, Append, AppendRows, SetField,
+//     Update, Delete, Vacuum, Load, ImportCSV) and for any traced section
 //     (StartTrace … StopTrace), since the trace buffer is shared state
 //     and a concurrent reader would pollute the recorded stream.
 //
@@ -323,22 +323,65 @@ func (t *Table) Delete(rows []int) error {
 
 // Append stores one tuple and returns its row id.
 func (t *Table) Append(vals ...uint64) (int, error) {
-	L := t.Schema().TupleWords()
-	if len(vals) != L {
-		return 0, fmt.Errorf("engine: tuple needs %d words, got %d", L, len(vals))
-	}
-	if t.rows >= t.capacity {
-		return 0, fmt.Errorf("engine: table full (%d rows)", t.capacity)
-	}
 	row := t.rows
-	t.rows++
-	t.live++
-	t.deleted = append(t.deleted, false)
-	o := t.place.FetchOrient(row)
-	for w, v := range vals {
-		t.db.writeCell(t.place.Cell(row, w), o, v)
+	if _, err := t.AppendRows([][]uint64{vals}); err != nil {
+		return 0, err
 	}
 	return row, nil
+}
+
+// AppendRows stores tuples as rows Rows(), Rows()+1, … and returns how many
+// it stored. At the first tuple of the wrong width, or the first that does
+// not fit, it stops: the tuples before it are stored, and the error is the
+// one Append gives for that tuple.
+//
+// The tuples are written a tuple word at a time, down the spans imdb's
+// ScanRun and funcmem's WriteRun give, and the writes are counted once per
+// span in its rows' fetch orientation. What a recorded trace and the wear
+// model see is one write per cell in (tuple, word) order, in the fetch
+// orientation, as a tuple-at-a-time append makes them.
+func (t *Table) AppendRows(rows [][]uint64) (int, error) {
+	L := t.Schema().TupleWords()
+	n, err := len(rows), error(nil)
+	for i, vals := range rows {
+		if len(vals) != L {
+			n, err = i, fmt.Errorf("engine: tuple needs %d words, got %d", L, len(vals))
+			break
+		}
+		if t.rows+i >= t.capacity {
+			n, err = i, fmt.Errorf("engine: table full (%d rows)", t.capacity)
+			break
+		}
+	}
+	first, mem := t.rows, t.db.mem
+	t.rows += n
+	t.live += n
+	t.deleted = append(t.deleted, make([]bool, n)...)
+	for w := 0; w < L; w++ {
+		for i := 0; i < n; {
+			c, o, step, k := t.place.ScanRun(first+i, w)
+			run := mem.WriteRun(c, o, step, min(k, n-i))
+			k = run.Len()
+			for j, vals := range rows[i : i+k] {
+				run.Set(j, vals[w])
+			}
+			mem.CountWrites(t.place.FetchOrient(first+i), k)
+			i += k
+		}
+	}
+	if db := t.db; db.recording || db.inj != nil {
+		for row := first; row < first+n; row++ {
+			o := t.place.FetchOrient(row)
+			for w := 0; w < L; w++ {
+				c := t.place.Cell(row, w)
+				db.record(c, o, true)
+				if db.inj != nil {
+					db.inj.RecordWrite(c)
+				}
+			}
+		}
+	}
+	return n, err
 }
 
 // Tuple reads a whole tuple (row orientation).

@@ -158,26 +158,35 @@ func (db *DB) Load(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		deleted := make(map[int]bool, len(pt.Deleted))
+		// A tombstone is recreated as a zero tuple that is then deleted, so
+		// row ids stay stable. A listed row outside the tuples is ignored.
+		deleted := make([]bool, len(pt.Tuples))
 		for _, row := range pt.Deleted {
-			deleted[row] = true
+			if uint(row) < uint(len(deleted)) {
+				deleted[row] = true
+			}
 		}
-		for row, vals := range pt.Tuples {
+		placeholder := make([]uint64, schema.TupleWords())
+		for row := range pt.Tuples {
 			if deleted[row] {
-				// Recreate the tombstone with a placeholder tuple so row
-				// ids stay stable.
-				placeholder := make([]uint64, schema.TupleWords())
-				if _, err := t.Append(placeholder...); err != nil {
-					return err
-				}
-				if err := t.Delete([]int{row}); err != nil {
-					return err
-				}
-				continue
+				pt.Tuples[row] = placeholder
 			}
-			if _, err := t.Append(vals...); err != nil {
-				return fmt.Errorf("engine: load %s row %d: %w", pt.Name, row, err)
+		}
+		n, err := t.AppendRows(pt.Tuples)
+		var dead []int
+		for row := range n {
+			if deleted[row] {
+				dead = append(dead, row)
 			}
+		}
+		if err := t.Delete(dead); err != nil {
+			return err
+		}
+		switch {
+		case err != nil && deleted[n]:
+			return err
+		case err != nil:
+			return fmt.Errorf("engine: load %s row %d: %w", pt.Name, n, err)
 		}
 	}
 	return nil

@@ -177,6 +177,50 @@ func TestCreateTableRejectsZeroWidth(t *testing.T) {
 	}
 }
 
+// TestLoadCatalogEdges: catalogs Save never writes, behind a valid frame.
+// A tuple of the wrong width, or one past the capacity, fails the load with
+// the append's error, named by table and row unless the row is a
+// tombstone's placeholder; tombstone entries out of range or repeated are
+// ignored. The expected texts and counts are the tuple-at-a-time loader's.
+func TestLoadCatalogEdges(t *testing.T) {
+	table := func(capacity int, deleted []int, tuples ...[]uint64) persistDB {
+		return persistDB{Version: persistVersion, Tables: []persistTable{{
+			Name: "t", Fields: []persistField{{Name: "a", Words: 1}}, Capacity: capacity,
+			Tuples: tuples, Deleted: deleted,
+		}}}
+	}
+	for _, tc := range []struct {
+		name       string
+		snap       persistDB
+		err        string
+		rows, live int
+	}{
+		{"wide tuple", table(4, []int{1}, []uint64{1}, nil, []uint64{2, 3}, []uint64{4}),
+			"engine: load t row 2: engine: tuple needs 1 words, got 2", 2, 1},
+		{"full at a tuple", table(2, []int{1}, []uint64{1}, nil, []uint64{2}),
+			"engine: load t row 2: engine: table full (2 rows)", 2, 1},
+		{"full at a tombstone", table(2, []int{0, 2}, nil, []uint64{1}, nil),
+			"engine: table full (2 rows)", 2, 1},
+		{"stray tombstones", table(8, []int{-1, 3, 3, 9, 1}, []uint64{1}, nil, []uint64{2}, nil),
+			"", 4, 2},
+	} {
+		db, _ := Open()
+		got := ""
+		if err := db.Load(bytes.NewReader(framed(payloadOf(t, tc.snap)))); err != nil {
+			got = err.Error()
+		}
+		if got != tc.err {
+			t.Fatalf("%s: load error %q, want %q", tc.name, got, tc.err)
+		}
+		// A failed load leaves what it built: the stored rows and their
+		// tombstones.
+		tbl, _ := db.Table("t")
+		if tbl.Rows() != tc.rows || tbl.Live() != tc.live {
+			t.Fatalf("%s: rows/live %d/%d, want %d/%d", tc.name, tbl.Rows(), tbl.Live(), tc.rows, tc.live)
+		}
+	}
+}
+
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	src, _ := Open()
 	buildPeople(t, src, 64)

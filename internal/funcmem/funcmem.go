@@ -72,18 +72,23 @@ func (m *Memory) word(c addr.Coord) uint32 {
 	return a<<stripBits | c.Column&(stripCols-1)
 }
 
+// page returns the page holding storage index w: nil if it was never
+// written, unless alloc asks for it to be made.
+func (m *Memory) page(w uint32, alloc bool) []uint64 {
+	p, ok := m.pages[w/pageWords]
+	if !ok && alloc {
+		p = make([]uint64, pageWords)
+		m.pages[w/pageWords] = p
+	}
+	return p
+}
+
 func (m *Memory) slot(c addr.Coord, alloc bool) *uint64 {
 	w := m.word(c)
-	page := w / pageWords
-	p, ok := m.pages[page]
-	if !ok {
-		if !alloc {
-			return nil
-		}
-		p = make([]uint64, pageWords)
-		m.pages[page] = p
+	if p := m.page(w, alloc); p != nil {
+		return &p[w%pageWords]
 	}
-	return &p[w%pageWords]
+	return nil
 }
 
 // ReadCoord returns the word at a physical coordinate, noting the access
@@ -102,8 +107,9 @@ func (m *Memory) WriteCoord(c addr.Coord, o addr.Orientation, v uint64) {
 	*m.slot(c, true) = v
 }
 
-// Run is a read-only view of words spaced evenly along one orientation
-// inside one page. It stays valid until the memory is next written.
+// Run is a view of words spaced evenly along one orientation inside one
+// page. A Run from Run is read-only and stays valid until the memory is
+// next written; one from WriteRun is written through with Set.
 type Run struct {
 	page      []uint64 // nil: the span was never written and reads zero
 	stride, n int
@@ -155,6 +161,20 @@ func (r Run) Gather(dst []uint64, stride int, idx []int) int {
 // one at the next multiple of 512 rows. Reading through a Run is not
 // counted; the reader reports its cells to CountReads.
 func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
+	return m.run(c, o, step, n, false)
+}
+
+// WriteRun is Run for writing: it allocates the page of a span never
+// written. Writing through it is not counted; the writer reports its cells
+// to CountWrites.
+func (m *Memory) WriteRun(c addr.Coord, o addr.Orientation, step, n int) Run {
+	return m.run(c, o, step, n, true)
+}
+
+// Set stores v as word k < Len() of a Run from WriteRun.
+func (r Run) Set(k int, v uint64) { r.page[k*r.stride] = v }
+
+func (m *Memory) run(c addr.Coord, o addr.Orientation, step, n int, alloc bool) Run {
 	room, stride := stripCols-int(c.Column)%stripCols, step
 	if o == addr.Column {
 		room, stride = pageRows-int(c.Row)%pageRows, step*stripCols
@@ -167,7 +187,7 @@ func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
 	}
 	r := Run{stride: stride, n: n}
 	w := m.word(c)
-	if p, ok := m.pages[w/pageWords]; ok {
+	if p := m.page(w, alloc); p != nil {
 		r.page = p[w%pageWords:]
 	}
 	return r
@@ -175,6 +195,9 @@ func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
 
 // CountReads accounts n word reads of orientation o made through a Run.
 func (m *Memory) CountReads(o addr.Orientation, n int) { m.reads[o].Add(int64(n)) }
+
+// CountWrites accounts n word writes of orientation o made through a Run.
+func (m *Memory) CountWrites(o addr.Orientation, n int) { m.writes[o].Add(int64(n)) }
 
 // ReadWord reads through an encoded address of the given orientation —
 // the software-visible load / cload.

@@ -205,6 +205,60 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 	}
 }
 
+// TestWriteRunAgreesWithReadCoord: a WriteRun around the same page edges
+// is cut where a Run is, allocates the page of a span never written, and
+// the words set through it — and no others — read back through ReadCoord
+// in both orientations. Nothing is counted until the writer reports it.
+func TestWriteRunAgreesWithReadCoord(t *testing.T) {
+	m := newMem(t)
+	rng := rand.New(rand.NewSource(21))
+	edge := func(lim int, edges ...int) uint32 {
+		v := edges[rng.Intn(len(edges))] + rng.Intn(7) - 3
+		return uint32(min(max(v, 0), lim-1))
+	}
+	model := make(map[addr.Coord]uint64)
+	for i := 0; i < 2000; i++ {
+		c := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: uint32(rng.Intn(3))}
+		c.Row, c.Column = edge(1024, 0, 512, 1023), edge(1024, 0, 8, 16, 1023)
+		o := addr.Orientation(rng.Intn(2))
+		step, n := 1+rng.Intn(5), 1+rng.Intn(24)
+		r := m.WriteRun(c, o, step, n)
+		if want := m.Run(c, o, step, n).Len(); r.Len() != want {
+			t.Fatalf("WriteRun(%+v, %s, %d, %d).Len() = %d, Run's %d", c, o, step, n, r.Len(), want)
+		}
+		for k := 0; k < r.Len(); k++ {
+			v := rng.Uint64()
+			r.Set(k, v)
+			model[c.Along(o, k*step)] = v
+		}
+	}
+	if m.Counts() != (Counts{}) {
+		t.Fatalf("writes through a run counted: %+v", m.Counts())
+	}
+	for c, want := range model {
+		if got := m.ReadCoord(c, addr.Column); got != want {
+			t.Fatalf("ReadCoord(%+v, column) = %d, want %d", c, got, want)
+		}
+	}
+	for sub := uint32(0); sub < 4; sub++ {
+		for _, row := range []uint32{0, 1, 2, 3, 509, 510, 511, 512, 513, 514, 515, 1020, 1021, 1022, 1023} {
+			for col := uint32(0); col < 1024; col++ {
+				c := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: sub, Row: row, Column: col}
+				for _, o := range []addr.Orientation{addr.Row, addr.Column} {
+					if got, want := m.ReadCoord(c, o), model[c]; got != want {
+						t.Fatalf("ReadCoord(%+v, %s) = %d, want %d", c, o, got, want)
+					}
+				}
+			}
+		}
+	}
+	m.ResetCounts()
+	m.CountWrites(addr.Column, 3)
+	if got := m.Counts(); got != (Counts{ColWrites: 3}) {
+		t.Fatalf("CountWrites(Column, 3): counts %+v", got)
+	}
+}
+
 func TestSparseAllocation(t *testing.T) {
 	m := newMem(t)
 	m.WriteCoord(addr.Coord{Row: 0, Column: 0}, addr.Row, 1)

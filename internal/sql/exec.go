@@ -84,10 +84,8 @@ func runInsert(db *engine.DB, s *Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, row := range s.Rows {
-		if _, err := t.Append(row...); err != nil {
-			return nil, fmt.Errorf("sql: row %d: %w", i+1, err)
-		}
+	if n, err := t.AppendRows(s.Rows); err != nil {
+		return nil, fmt.Errorf("sql: row %d: %w", n+1, err)
 	}
 	return &Result{Affected: len(s.Rows)}, nil
 }

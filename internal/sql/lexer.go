@@ -8,6 +8,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"unicode"
 )
@@ -19,75 +20,130 @@ const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokNumber
-	tokPunct // ( ) , . * ; =
+	tokPunct // ( ) , . * ;
 	tokOp    // = < > <= >= !=
 )
 
+// token is one lexeme; its text is a substring of the source.
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
 }
 
+// lexer hands out the tokens of src one at a time. It allocates nothing
+// until it meets a character it rejects: from then on err holds that error
+// and every token is tokEOF.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
+	err error
 }
 
-// lex splits src into tokens.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+// Byte classes: what a token starting with the byte is (0: none, a lex
+// error), and whether the byte continues an identifier. A byte is read as
+// the rune of the same value, so bytes 0x80–0xFF are Latin-1 letters or
+// not, whatever the UTF-8 around them.
+const (
+	clsSpace = 1 + iota
+	clsIdent
+	clsDigit
+	clsPunct // ( ) , . * ;
+	clsCmp   // < > !
+	clsEq    // =
+
+	clsKind      = 7
+	clsIdentPart = 8
+)
+
+var byteClass = func() (cls [256]uint8) {
+	for b := range cls {
+		c := byte(b)
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			l.pos++
+			cls[b] = clsSpace
 		case isIdentStart(rune(c)):
-			l.ident()
+			cls[b] = clsIdent
 		case c >= '0' && c <= '9':
-			l.number()
+			cls[b] = clsDigit
+		case strings.IndexByte("(),.*;", c) >= 0:
+			cls[b] = clsPunct
 		case c == '<' || c == '>' || c == '!':
-			start := l.pos
-			l.pos++
-			if l.pos < len(l.src) && l.src[l.pos] == '=' {
-				l.pos++
-			} else if c == '!' {
-				return nil, fmt.Errorf("sql: stray '!' at %d", start)
-			}
-			l.emit(tokOp, l.src[start:l.pos], start)
+			cls[b] = clsCmp
 		case c == '=':
-			l.emit(tokOp, "=", l.pos)
-			l.pos++
-		case strings.ContainsRune("(),.*;", rune(c)):
-			l.emit(tokPunct, string(c), l.pos)
-			l.pos++
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at %d", c, l.pos)
+			cls[b] = clsEq
+		}
+		if isIdentPart(rune(c)) {
+			cls[b] |= clsIdentPart
 		}
 	}
-	l.emit(tokEOF, "", l.pos)
-	return l.toks, nil
-}
+	return cls
+}()
 
-func (l *lexer) emit(k tokenKind, text string, pos int) {
-	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
-}
-
-func (l *lexer) ident() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+// next returns the next token, tokEOF at the end of the source or after an
+// error.
+func (l *lexer) next() token {
+	src := l.src
+	for l.err == nil && l.pos < len(src) {
+		start := l.pos
+		c := src[start]
 		l.pos++
+		switch byteClass[c] & clsKind {
+		case clsSpace:
+			continue
+		case clsIdent:
+			for l.pos < len(src) && byteClass[src[l.pos]]&clsIdentPart != 0 {
+				l.pos++
+			}
+			return token{tokIdent, src[start:l.pos], start}
+		case clsDigit:
+			for l.pos < len(src) && src[l.pos] >= '0' && src[l.pos] <= '9' {
+				l.pos++
+			}
+			return token{tokNumber, src[start:l.pos], start}
+		case clsPunct:
+			return token{tokPunct, src[start:l.pos], start}
+		case clsCmp:
+			if l.pos < len(src) && src[l.pos] == '=' {
+				l.pos++
+			} else if c == '!' {
+				return l.fail(fmt.Errorf("sql: stray '!' at %d", start))
+			}
+			return token{tokOp, src[start:l.pos], start}
+		case clsEq:
+			return token{tokOp, src[start:l.pos], start}
+		default:
+			return l.fail(fmt.Errorf("sql: unexpected character %q at %d", c, start))
+		}
 	}
-	l.emit(tokIdent, l.src[start:l.pos], start)
+	return token{tokEOF, "", len(src)}
 }
 
-func (l *lexer) number() {
-	start := l.pos
-	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-		l.pos++
+// fail keeps err as the lexer's error and answers EOF.
+func (l *lexer) fail(err error) token {
+	l.err = err
+	return token{tokEOF, "", len(l.src)}
+}
+
+// value is a number token's value, false past MaxUint64.
+func (t token) value() (uint64, bool) {
+	var v uint64
+	for i := 0; i < len(t.text); i++ {
+		d := uint64(t.text[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
 	}
-	l.emit(tokNumber, l.src[start:l.pos], start)
+	return v, true
+}
+
+// drain lexes the rest of the source and returns the lexer's error, if any:
+// a lex error anywhere in a statement is what a parse of it reports.
+func (l *lexer) drain() error {
+	for l.err == nil && l.next().kind != tokEOF {
+	}
+	return l.err
 }
 
 func isIdentStart(r rune) bool {
@@ -96,9 +152,4 @@ func isIdentStart(r rune) bool {
 
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-'
-}
-
-// keyword reports whether tok is the given keyword (case-insensitive).
-func (t token) keyword(kw string) bool {
-	return t.kind == tokIdent && strings.EqualFold(t.text, kw)
 }

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -108,34 +107,39 @@ func (*Update) stmt()      {}
 func (*Delete) stmt()      {}
 
 // Parse parses one statement (an optional trailing semicolon is allowed).
+// A lex error anywhere in src is the error, ahead of any parse error.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: lexer{src: src}}
+	p.tok = p.lex.next()
 	st, err := p.statement()
+	if err == nil {
+		p.accept(tokPunct, ";")
+		if !p.at(tokEOF, "") {
+			err = p.errf("trailing input %q", p.peek().text)
+		}
+	}
+	if lexErr := p.lex.drain(); lexErr != nil {
+		return nil, lexErr
+	}
 	if err != nil {
 		return nil, err
-	}
-	p.accept(tokPunct, ";")
-	if !p.at(tokEOF, "") {
-		return nil, p.errf("trailing input %q", p.peek().text)
 	}
 	return st, nil
 }
 
+// parser pulls its tokens from the lexer one at a time; tok is the one it
+// looks at.
 type parser struct {
-	toks []token
-	pos  int
+	lex lexer
+	tok token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.tok = p.lex.next()
 	}
 	return t
 }
@@ -145,7 +149,7 @@ func (p *parser) at(k tokenKind, text string) bool {
 	if t.kind != k {
 		return false
 	}
-	return text == "" || strings.EqualFold(t.text, text)
+	return text == "" || t.text == text || strings.EqualFold(t.text, text)
 }
 
 func (p *parser) accept(k tokenKind, text string) bool {
@@ -184,8 +188,8 @@ func (p *parser) number() (uint64, error) {
 		return 0, p.errf("expected number, found %q", t.text)
 	}
 	p.next()
-	v, err := strconv.ParseUint(t.text, 10, 64)
-	if err != nil {
+	v, ok := t.value()
+	if !ok {
 		return 0, fmt.Errorf("sql: bad number %q", t.text)
 	}
 	return v, nil
@@ -268,18 +272,24 @@ func (p *parser) insert() (Statement, error) {
 	if !p.keyword("VALUES") {
 		return nil, p.errf("expected VALUES")
 	}
-	st := &Insert{Table: name}
+	// The rows are sub-slices of one backing array. Every value but the
+	// statement's last is followed by a comma and every row opens with a
+	// parenthesis, so counting those in the rest of the source sizes both
+	// the array and the row list up front.
+	rest := p.lex.src[p.tok.pos:]
+	vals := make([]uint64, 0, strings.Count(rest, ",")+1)
+	st := &Insert{Table: name, Rows: make([][]uint64, 0, strings.Count(rest, "("))}
 	for {
 		if _, err := p.expect(tokPunct, "("); err != nil {
 			return nil, err
 		}
-		var row []uint64
+		start := len(vals)
 		for {
 			v, err := p.number()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			vals = append(vals, v)
 			if p.accept(tokPunct, ",") {
 				continue
 			}
@@ -288,7 +298,7 @@ func (p *parser) insert() (Statement, error) {
 		if _, err := p.expect(tokPunct, ")"); err != nil {
 			return nil, err
 		}
-		st.Rows = append(st.Rows, row)
+		st.Rows = append(st.Rows, vals[start:len(vals):len(vals)])
 		if p.accept(tokPunct, ",") {
 			continue
 		}

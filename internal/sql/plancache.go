@@ -31,6 +31,7 @@ package sql
 // the LIMIT token).
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -212,61 +213,30 @@ func (sh *planShard) moveFront(e *planEntry) {
 // normalizeShape lexes src into sc.key (the shape: every token verbatim,
 // numbers replaced by '?', single-space separated) and sc.lits (the number
 // values in textual order, which for every cacheable statement type equals
-// the grammar's binding order). It mirrors lex() exactly; anything lex
-// would reject reports !ok so the caller falls back to Parse.
+// the grammar's binding order). It runs the parser's lexer, so it accepts
+// exactly what the lexer accepts, less a source without tokens and a
+// number past MaxUint64: those report !ok and the caller falls back to
+// Parse for its error.
 func normalizeShape(src string, sc *planScratch) bool {
 	sc.key = sc.key[:0]
 	sc.lits = sc.lits[:0]
-	pos := 0
-	sep := func() {
+	l := lexer{src: src}
+	for t := l.next(); t.kind != tokEOF; t = l.next() {
 		if len(sc.key) > 0 {
 			sc.key = append(sc.key, ' ')
 		}
-	}
-	for pos < len(src) {
-		c := src[pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			pos++
-		case isIdentStart(rune(c)):
-			start := pos
-			for pos < len(src) && isIdentPart(rune(src[pos])) {
-				pos++
-			}
-			sep()
-			sc.key = append(sc.key, src[start:pos]...)
-		case c >= '0' && c <= '9':
-			var v uint64
-			for pos < len(src) && src[pos] >= '0' && src[pos] <= '9' {
-				d := uint64(src[pos] - '0')
-				if v > (1<<64-1-d)/10 {
-					return false // overflow: let Parse report "bad number"
-				}
-				v = v*10 + d
-				pos++
-			}
-			sep()
-			sc.key = append(sc.key, '?')
-			sc.lits = append(sc.lits, v)
-		case c == '<' || c == '>' || c == '!':
-			start := pos
-			pos++
-			if pos < len(src) && src[pos] == '=' {
-				pos++
-			} else if c == '!' {
-				return false // stray '!': lex error
-			}
-			sep()
-			sc.key = append(sc.key, src[start:pos]...)
-		case c == '=', c == '(', c == ')', c == ',', c == '.', c == '*', c == ';':
-			sep()
-			sc.key = append(sc.key, c)
-			pos++
-		default:
-			return false // character lex rejects
+		if t.kind != tokNumber {
+			sc.key = append(sc.key, t.text...)
+			continue
 		}
+		v, ok := t.value()
+		if !ok {
+			return false // overflow: let Parse report "bad number"
+		}
+		sc.key = append(sc.key, '?')
+		sc.lits = append(sc.lits, v)
 	}
-	return len(sc.key) > 0
+	return l.err == nil && len(sc.key) > 0
 }
 
 // shapeHash is FNV-1a over the shape key, selecting the LRU segment.
@@ -330,15 +300,14 @@ func literalSlots(st Statement) int {
 func bindTemplate(st Statement, lits []uint64) Statement {
 	switch s := st.(type) {
 	case *Insert:
+		// The template's rows hold every literal in order, so the new rows
+		// are sub-slices of one copy of lits.
+		vals := slices.Clone(lits)
 		rows := make([][]uint64, len(s.Rows))
 		k := 0
 		for i, r := range s.Rows {
-			nr := make([]uint64, len(r))
-			for j := range r {
-				nr[j] = lits[k]
-				k++
-			}
-			rows[i] = nr
+			rows[i] = vals[k : k+len(r) : k+len(r)]
+			k += len(r)
 		}
 		return &Insert{Table: s.Table, Rows: rows}
 	case *Select:

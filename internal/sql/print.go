@@ -7,7 +7,8 @@ import (
 
 // String renders the statement back as SQL. Parse(stmt.String()) yields an
 // equivalent statement (the printer/parser round-trip property the tests
-// enforce).
+// enforce). The parser keeps a CAPACITY or LIMIT past MaxInt as the int of
+// the same bits, a negative one; the printer gives those bits back.
 
 func (s *CreateTable) String() string {
 	var b strings.Builder
@@ -22,8 +23,8 @@ func (s *CreateTable) String() string {
 		}
 	}
 	b.WriteString(")")
-	if s.Capacity > 0 {
-		fmt.Fprintf(&b, " CAPACITY %d", s.Capacity)
+	if s.Capacity != 0 {
+		fmt.Fprintf(&b, " CAPACITY %d", uint64(s.Capacity))
 	}
 	return b.String()
 }
@@ -109,8 +110,8 @@ func (s *Select) String() string {
 			b.WriteString(" DESC")
 		}
 	}
-	if s.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
+	if s.Limit != 0 {
+		fmt.Fprintf(&b, " LIMIT %d", uint64(s.Limit))
 	}
 	return b.String()
 }

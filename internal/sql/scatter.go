@@ -233,8 +233,8 @@ func scatterInsert(c *shard.Cluster, s *Insert) (*Result, []func() error, error)
 		if err != nil {
 			return nil, flush(), err
 		}
-		local, err := t.Append(row...)
-		if err != nil {
+		local := t.Rows()
+		if _, err := t.AppendRows(s.Rows[ri : ri+1]); err != nil {
 			return nil, flush(), fmt.Errorf("sql: row %d: %w", ri+1, err)
 		}
 		g, err := c.Assign(s.Table, sh, local)

@@ -21,6 +21,12 @@ import (
 // goldenDigest is the expanded op count and a SHA-256 prefix over every
 // field of every op the stream stands for (scan_golden_test.go's encoding).
 func goldenDigest(s trace.Stream) string {
+	n, sum := streamSum(s)
+	return fmt.Sprintf("%d:%x", n, sum[:8])
+}
+
+// streamSum is the expanded op count and the SHA-256 goldenDigest cuts.
+func streamSum(s trace.Stream) (int, []byte) {
 	h := sha256.New()
 	n := 0
 	var buf [48]byte
@@ -41,7 +47,7 @@ func goldenDigest(s trace.Stream) string {
 		binary.LittleEndian.PutUint64(buf[36:], uint64(op.Cycles))
 		h.Write(buf[:44])
 	})
-	return fmt.Sprintf("%d:%x", n, h.Sum(nil)[:8])
+	return n, h.Sum(nil)
 }
 
 // TestSelectGolden: on one shard every statement of the SQL suite and of
