@@ -26,7 +26,6 @@ import (
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
-	"rcnvm/internal/trace"
 )
 
 func main() {
@@ -95,8 +94,12 @@ func main() {
 			tables = append(tables, ct.Name)
 		}
 		fmt.Print(res.Format())
-		if streams != nil && streams[0].MemOps() > 0 {
-			report(streams[0])
+		// Untraced, or touching no memory, the statement replays nothing.
+		if t, err := sim.Replays.Time(streams, nil, nil, 0); err != nil {
+			fmt.Println("trace replay failed:", err)
+		} else if t.MemOps > 0 {
+			fmt.Printf("-- timing: %.1f us with column accesses, %.1f us row-only (%.1fx)\n",
+				float64(t.DualPs)/1e6, float64(t.RowPs)/1e6, t.Speedup)
 		}
 	}
 }
@@ -211,16 +214,4 @@ meta:       .tables  .trace on|off  .counts  .save FILE
 		fmt.Println("unknown meta command; try .help")
 	}
 	return false
-}
-
-// report replays the statement's access trace on the timing simulator.
-func report(stream trace.Stream) {
-	dual, row, err := sim.Replays.Pair(stream)
-	if err != nil {
-		fmt.Println("trace replay failed:", err)
-		return
-	}
-	fmt.Printf("-- timing: %.1f us with column accesses, %.1f us row-only (%.1fx)\n",
-		float64(dual.TimePs)/1e6, float64(row.TimePs)/1e6,
-		float64(row.TimePs)/float64(dual.TimePs))
 }

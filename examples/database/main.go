@@ -14,6 +14,7 @@ import (
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/sim"
+	"rcnvm/internal/trace"
 )
 
 func main() {
@@ -69,7 +70,11 @@ func main() {
 	// Replay the recorded plan on the timing simulator: once as recorded
 	// (cloads) and once downgraded to row-only accesses — the same cells,
 	// conventional addressing.
-	dual, row, err := sim.Replays.Pair(stream)
+	dual, err := sim.Replays.Run(stream, nil, nil, "")
+	if err != nil {
+		log.Fatal(err)
+	}
+	row, err := sim.Replays.Run(trace.RowOnly(stream), nil, nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -126,16 +127,16 @@ func TestTelemetryRingSampling(t *testing.T) {
 }
 
 func TestTelemetryRingBounded(t *testing.T) {
-	tel := NewTelemetry(1, 0)
-	for i := 0; i < DefaultRingSize+10; i++ {
-		tel.SampleAt(int64(i))
+	tel := NewTelemetry(1, 1)
+	for i := 1; i <= DefaultRingSize+10; i++ {
+		tel.MaybeSample(int64(i))
 	}
 	snap := tel.Snapshot()
 	if len(snap.Samples) != DefaultRingSize {
 		t.Fatalf("ring len = %d, want %d", len(snap.Samples), DefaultRingSize)
 	}
-	if snap.Samples[0].At != 10 {
-		t.Fatalf("oldest sample at %d, want 10 (oldest dropped)", snap.Samples[0].At)
+	if snap.Samples[0].At != 11 {
+		t.Fatalf("oldest sample at %d, want 11 (oldest dropped)", snap.Samples[0].At)
 	}
 }
 
@@ -157,5 +158,37 @@ func TestTelemetryMerge(t *testing.T) {
 	}
 	if snap.Banks[0].QueuePeak != 1 {
 		t.Fatalf("queue peak = %d, want max-merge 1", snap.Banks[0].QueuePeak)
+	}
+}
+
+// TestTelemetrySum: a sum of telemetries is what one telemetry merged into
+// by every run reports — counters and runs added, queue peaks the maximum,
+// no samples — and leaves its inputs alone.
+func TestTelemetrySum(t *testing.T) {
+	runA, runB := NewTelemetry(2, 0), NewTelemetry(2, 0)
+	runA.Access(0, false, true)
+	runA.Enqueue(1)
+	runA.Enqueue(1)
+	runA.Dequeue(1)
+	runA.Dequeue(1)
+	runB.Access(1, true, false)
+	runB.Enqueue(1)
+	runB.Dequeue(1)
+	a, b, all := NewTelemetry(2, 0), NewTelemetry(2, 0), NewTelemetry(2, 0)
+	a.Merge(runA)
+	a.Merge(runA)
+	b.Merge(runB)
+	for _, run := range []*Telemetry{runA, runA, runB} {
+		all.Merge(run)
+	}
+	got := Sum([]*Telemetry{a, b}).Snapshot()
+	if want := all.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sum = %+v, want %+v", got, want)
+	}
+	if got.Runs != 3 || got.Banks[1].QueuePeak != 2 || len(got.Samples) != 0 {
+		t.Fatalf("Sum = %+v: want 3 runs, queue peak 2, no samples", got)
+	}
+	if a.Snapshot().Runs != 2 || b.Snapshot().Runs != 1 {
+		t.Fatal("Sum changed its inputs")
 	}
 }

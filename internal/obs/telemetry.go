@@ -47,8 +47,7 @@ func (b *BankCounters) add(o BankCounters) {
 }
 
 // BankSample is one ring-buffer entry: the cumulative per-bank counters as
-// of a point in time (simulated picoseconds for in-run sampling, wall
-// nanoseconds for the server's cross-run aggregate — the owner decides).
+// of a point in simulated time, in picoseconds.
 type BankSample struct {
 	At    int64          `json:"at"`
 	Banks []BankCounters `json:"banks"`
@@ -77,8 +76,8 @@ type Telemetry struct {
 }
 
 // NewTelemetry creates telemetry for a device with the given bank count.
-// everyPs spaces the ring samples (<= 0 disables in-run sampling; the
-// owner may still push samples explicitly via SampleAt).
+// everyPs spaces the ring samples (<= 0 disables sampling, for a
+// telemetry that is only merged into).
 func NewTelemetry(banks int, everyPs int64) *Telemetry {
 	return &Telemetry{
 		banks:   make([]BankCounters, banks),
@@ -175,14 +174,6 @@ func (t *Telemetry) MaybeSample(nowPs int64) {
 	t.mu.Unlock()
 }
 
-// SampleAt pushes a ring sample stamped at the given time regardless of
-// the interval (the server stamps cross-run samples with wall time).
-func (t *Telemetry) SampleAt(at int64) {
-	t.mu.Lock()
-	t.sampleLocked(at)
-	t.mu.Unlock()
-}
-
 func (t *Telemetry) sampleLocked(at int64) {
 	banks := make([]BankCounters, len(t.banks))
 	copy(banks, t.banks)
@@ -210,6 +201,22 @@ func (t *Telemetry) Merge(o *Telemetry) {
 	}
 	t.runs++
 	t.mu.Unlock()
+}
+
+// Sum returns a new telemetry holding tels added together: bank counters
+// and merged runs summed, queue peaks the maximum, no samples. tels must be
+// non-empty with one bank count.
+func Sum(tels []*Telemetry) *Telemetry {
+	out := NewTelemetry(len(tels[0].banks), 0)
+	for _, t := range tels {
+		t.mu.Lock()
+		for i := range t.banks {
+			out.banks[i].add(t.banks[i])
+		}
+		out.runs += t.runs
+		t.mu.Unlock()
+	}
+	return out
 }
 
 // BankSnapshot is the derived per-bank view served over /stats/banks.

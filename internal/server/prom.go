@@ -13,7 +13,8 @@ import (
 // handleMetrics renders GET /metrics in the Prometheus text format:
 // every server and fault counter, the statement-latency histogram with
 // headline quantiles, worker-pool occupancy gauges, and the per-bank
-// telemetry series aggregated across timed queries' RC-NVM replays.
+// telemetry series of timed queries' RC-NVM replays, summed over shards
+// and, on several shards, per shard.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 
@@ -36,18 +37,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeReplicationProm(w, st)
 	}
 
-	s.tel.WriteProm(w, "rcnvm_bank")
-	if s.shardTels != nil {
+	s.Telemetry().WriteProm(w, "rcnvm_bank")
+	if len(s.tels) > 1 {
 		// The aggregate rcnvm_bank_* series stay exactly as on a 1-shard
 		// server; the shard-labeled families add per-channel attribution.
-		obs.WritePromSharded(w, "rcnvm_shard_bank", s.shardTels)
+		obs.WritePromSharded(w, "rcnvm_shard_bank", s.tels)
 	}
 }
 
 // handleBanks renders GET /stats/banks: the per-bank telemetry snapshot
 // (cumulative counters, hit rates, and the ring-buffer time series) as
-// JSON. The default payload aggregates across shards; ?shard=i returns one
-// shard's own series.
+// JSON. The default payload sums the shards; ?shard=i returns one shard's
+// own series.
 func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("shard"); q != "" {
 		i, err := strconv.Atoi(q)
@@ -55,8 +56,8 @@ func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("shard must be in [0,%d)", s.Cluster().N()), http.StatusBadRequest)
 			return
 		}
-		s.front.WriteJSON(w, http.StatusOK, s.ShardTelemetry(i).Snapshot())
+		s.front.WriteJSON(w, http.StatusOK, s.tels[i].Snapshot())
 		return
 	}
-	s.front.WriteJSON(w, http.StatusOK, s.tel.Snapshot())
+	s.front.WriteJSON(w, http.StatusOK, s.Telemetry().Snapshot())
 }

@@ -23,6 +23,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"rcnvm/internal/sim"
 )
 
 // Wire error codes carried in Response.Error.Code.
@@ -106,9 +108,11 @@ type Request struct {
 	// exactly as a session issuing the statements one at a time would.
 	// Batch requests do not support Timing or Trace.
 	Batch []string `json:"batch,omitempty"`
-	// Timing asks for simulated memory-timing attribution. Timed
-	// statements execute under the exclusive lock (trace recording is
-	// shared state), so use it for diagnosis, not on the hot path.
+	// Timing asks for simulated memory-timing attribution: the response
+	// carries sim.Timing, the statement's captured streams replayed by
+	// sim.Replayer.Time after its locks are released. Timed statements
+	// capture under the exclusive lock (trace recording is shared state),
+	// so use it for diagnosis, not on the hot path.
 	Timing bool `json:"timing,omitempty"`
 	// TimeoutMs caps this statement's execution in milliseconds; past the
 	// deadline the client receives CodeTimeout. 0 means the server default
@@ -128,33 +132,6 @@ type Request struct {
 	TraceID int64 `json:"trace_id,omitempty"`
 }
 
-// Timing is the simulated memory time of one statement, as issued and
-// downgraded to conventional row-only accesses.
-type Timing struct {
-	MemOps int `json:"mem_ops"`
-	// DualPs and RowPs are simulated picoseconds on the RC-NVM timing
-	// model with column accesses as issued vs. forced row-only. On a
-	// sharded server they are the slowest shard's replay (shards run
-	// their sub-plans concurrently on independent channels).
-	DualPs int64 `json:"dual_ps"`
-	RowPs  int64 `json:"row_ps"`
-	// Speedup is RowPs/DualPs (1.0 when the statement issued no column
-	// accesses, 0 when it touched no memory).
-	Speedup float64 `json:"speedup"`
-	// Shards attributes the statement to the shards it touched. Present
-	// only when the server runs more than one shard, so 1-shard responses
-	// are byte-identical to the unsharded server's.
-	Shards []ShardTiming `json:"shards,omitempty"`
-}
-
-// ShardTiming is one shard's share of a statement's simulated memory time.
-type ShardTiming struct {
-	Shard  int   `json:"shard"`
-	MemOps int   `json:"mem_ops"`
-	DualPs int64 `json:"dual_ps"`
-	RowPs  int64 `json:"row_ps"`
-}
-
 // WireError is the serialized form of a failed request. It implements
 // error so client code can return it directly.
 type WireError struct {
@@ -170,13 +147,13 @@ func (e *WireError) Error() string { return e.Code + ": " + e.Message }
 // Response is the outcome of one request. Exactly one of Error or the
 // result fields is meaningful.
 type Response struct {
-	ID       uint64     `json:"id,omitempty"`
-	Columns  []string   `json:"columns,omitempty"`
-	Rows     [][]uint64 `json:"rows,omitempty"`
-	Floats   []float64  `json:"floats,omitempty"`
-	Affected int        `json:"affected,omitempty"`
-	Message  string     `json:"message,omitempty"`
-	Timing   *Timing    `json:"timing,omitempty"`
+	ID       uint64      `json:"id,omitempty"`
+	Columns  []string    `json:"columns,omitempty"`
+	Rows     [][]uint64  `json:"rows,omitempty"`
+	Floats   []float64   `json:"floats,omitempty"`
+	Affected int         `json:"affected,omitempty"`
+	Message  string      `json:"message,omitempty"`
+	Timing   *sim.Timing `json:"timing,omitempty"`
 	// TraceEvents is the Chrome trace-event JSON document for requests
 	// that set Trace (save it to a file and open in Perfetto).
 	TraceEvents json.RawMessage `json:"trace_events,omitempty"`

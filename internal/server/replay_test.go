@@ -76,7 +76,7 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := make(map[string]Timing) // by statement text; sessions share some
+	want := make(map[string]sim.Timing) // by statement text; sessions share some
 	statements := 0
 	wantTel := obs.NewTelemetry(config.RCNVM().Device.Geom.TotalBanks(), obs.DefaultSampleIntervalPs)
 	for k := 0; k < sessions; k++ {
@@ -97,7 +97,7 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 				t.Fatal(err)
 			}
 			statements++
-			want[q] = Timing{MemOps: streams[0].MemOps(), DualPs: dual.TimePs, RowPs: row.TimePs,
+			want[q] = sim.Timing{MemOps: streams[0].MemOps(), DualPs: dual.TimePs, RowPs: row.TimePs,
 				Speedup: float64(row.TimePs) / float64(dual.TimePs)}
 		}
 	}

@@ -20,7 +20,6 @@ import (
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/sql"
-	"rcnvm/internal/trace"
 )
 
 // MaxBatchStatements caps one batch request. A batch holds every shard's
@@ -110,13 +109,10 @@ type Server struct {
 
 	inflight sync.WaitGroup // admitted, not-yet-answered queries
 
-	// tel aggregates per-bank telemetry across every timed query's RC-NVM
-	// replay; /metrics and /stats/banks render it. On a multi-shard server
-	// shardTels additionally keeps one telemetry per shard so the same
-	// series exist with per-shard attribution (nil at N==1, where the
-	// aggregate IS the only shard).
-	tel       *obs.Telemetry
-	shardTels []*obs.Telemetry
+	// tels holds one per-bank telemetry per shard, merged into by every
+	// timed statement's RC-NVM replay on that shard; /metrics and
+	// /stats/banks render each and their sum.
+	tels []*obs.Telemetry
 	// replays owns the simulated systems timed statements replay on, built
 	// by the first ones (never at start-up: most servers time nothing).
 	replays  *sim.Replayer
@@ -143,8 +139,11 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 		pool:    NewPool(opts.Workers, opts.Queue),
 		met:     NewMetrics(),
 		opts:    opts,
-		tel:     obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs),
+		tels:    make([]*obs.Telemetry, c.N()),
 		replays: sim.NewReplayer(2 * opts.Workers),
+	}
+	for i := range s.tels {
+		s.tels[i] = obs.NewTelemetry(banks, 0)
 	}
 	s.cluster.Store(c)
 	// Every session is answered by the server itself, so there is nothing
@@ -170,27 +169,12 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	if opts.PlanCacheSize >= 0 {
 		s.plans = sql.NewPlanCache(opts.PlanCacheSize)
 	}
-	if c.N() > 1 {
-		s.shardTels = make([]*obs.Telemetry, c.N())
-		for i := range s.shardTels {
-			s.shardTels[i] = obs.NewTelemetry(banks, obs.DefaultSampleIntervalPs)
-		}
-	}
 	return s
 }
 
-// Telemetry returns the per-bank telemetry aggregated across timed
-// queries' RC-NVM replays (summed over shards).
-func (s *Server) Telemetry() *obs.Telemetry { return s.tel }
-
-// ShardTelemetry returns shard i's replay telemetry. On a 1-shard server
-// shard 0's telemetry is the aggregate.
-func (s *Server) ShardTelemetry(i int) *obs.Telemetry {
-	if s.shardTels == nil {
-		return s.tel
-	}
-	return s.shardTels[i]
-}
+// Telemetry returns the per-bank telemetry of timed queries' RC-NVM
+// replays summed over shards, as of the call.
+func (s *Server) Telemetry() *obs.Telemetry { return obs.Sum(s.tels) }
 
 // Metrics exposes the server's counters and latency histogram.
 func (s *Server) Metrics() *Metrics { return s.met }
@@ -467,8 +451,8 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	if req.Timing {
 		// Replay outside any lock: the replay only reads the recorded
 		// streams, never the databases.
-		if resp.Timing, err = s.replayTiming(streams, rec, tid); err != nil {
-			return s.execError(req.ID, start, err)
+		if resp.Timing, err = s.replays.Time(streams, s.tels, rec, tid); err != nil {
+			return s.execError(req.ID, start, fmt.Errorf("server: %w", err))
 		}
 	}
 	if rec != nil {
@@ -584,70 +568,6 @@ func (s *Server) wireError(err error) *WireError {
 		return &WireError{Code: CodeMemory, Message: err.Error()}
 	}
 	return &WireError{Code: CodeSQL, Message: err.Error()}
-}
-
-// replayTiming runs the statement's per-shard access traces on the RC-NVM
-// timing simulator as issued and downgraded to row-only accesses. Each
-// shard replays on its own simulated channel: the statement's time is the
-// slowest shard's (the gather waits for every sub-plan), and MemOps is the
-// total across shards. The dual replays feed the server's per-bank
-// telemetry aggregate plus the shard's own telemetry; when rec is non-nil
-// the replays also record per-memory-request spans (dual and row-only on
-// separate trace processes) plus a wall-clock span per replay phase.
-// streams[i] is shard i's trace (nil for shards the statement never
-// touched); on a 1-shard server it is the whole statement's trace and the
-// resulting Timing is identical to the unsharded server's.
-func (s *Server) replayTiming(streams []trace.Stream, rec *obs.Recorder, tid int64) (*Timing, error) {
-	t := &Timing{}
-	memOps := make([]int, len(streams))
-	for i, stream := range streams {
-		memOps[i] = stream.MemOps()
-		t.MemOps += memOps[i]
-	}
-	if t.MemOps == 0 {
-		return t, nil
-	}
-
-	dualStart := time.Now()
-	for i, stream := range streams {
-		if memOps[i] == 0 {
-			continue
-		}
-		// Sampling off: Merge folds the run's bank counters only, so an
-		// in-run ring would be garbage.
-		run := obs.NewTelemetry(s.tel.Banks(), 0)
-		dual, err := s.replays.Run(stream, run, rec, obs.ProcSimDual)
-		if err != nil {
-			return nil, fmt.Errorf("server: trace replay: %w", err)
-		}
-		s.tel.Merge(run)
-		if s.shardTels != nil {
-			s.shardTels[i].Merge(run)
-		}
-		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: memOps[i], DualPs: dual.TimePs})
-		t.DualPs = max(t.DualPs, dual.TimePs)
-	}
-	rec.WallSince(obs.ProcQuery, "replay_dual", obs.CatServer, tid, dualStart)
-
-	rowStart := time.Now()
-	for j := range t.Shards {
-		sh := &t.Shards[j]
-		row, err := s.replays.Run(trace.RowOnly(streams[sh.Shard]), nil, rec, obs.ProcSimRow)
-		if err != nil {
-			return nil, fmt.Errorf("server: row-only replay: %w", err)
-		}
-		sh.RowPs = row.TimePs
-		t.RowPs = max(t.RowPs, row.TimePs)
-	}
-	rec.WallSince(obs.ProcQuery, "replay_row", obs.CatServer, tid, rowStart)
-
-	if s.Cluster().N() == 1 {
-		t.Shards = nil // the breakdown would repeat the totals
-	}
-	if t.DualPs > 0 {
-		t.Speedup = float64(t.RowPs) / float64(t.DualPs)
-	}
-	return t, nil
 }
 
 // Shutdown drains the server: admission stops immediately (new requests

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"rcnvm/internal/cache"
 	"rcnvm/internal/config"
@@ -199,7 +200,7 @@ type Replayer struct {
 func NewReplayer(max int) *Replayer { return &Replayer{free: make(chan *System, max)} }
 
 // Replays serves the callers that hold no replayer of their own (EXPLAIN
-// ANALYZE, the shells and examples).
+// ANALYZE, the shell and the examples).
 var Replays = NewReplayer(2 * runtime.GOMAXPROCS(0))
 
 // Built returns how many systems the replayer has constructed so far.
@@ -231,14 +232,94 @@ func (r *Replayer) Run(stream trace.Stream, tel *obs.Telemetry, rec *obs.Recorde
 	return s.Run([]trace.Stream{stream})
 }
 
-// Pair replays stream twice: as issued (dual, with its column accesses) and
-// downgraded to row accesses at the same cells (row) — the per-statement
-// form of the paper's dual-vs-row comparison.
-func (r *Replayer) Pair(stream trace.Stream) (dual, row Result, err error) {
-	if dual, err = r.Run(stream, nil, nil, ""); err == nil {
-		row, err = r.Run(trace.RowOnly(stream), nil, nil, "")
+// Timing is the simulated memory time of one statement, as issued and
+// rewritten to conventional row-only accesses — the per-statement form of
+// the paper's dual-vs-row comparison, and the timing object of the query
+// server's timed reply.
+type Timing struct {
+	MemOps int `json:"mem_ops"`
+	// DualPs and RowPs are simulated picoseconds on the RC-NVM timing
+	// model with column accesses as issued vs. forced row-only. Over
+	// several shards they are the slowest shard's replay (shards run
+	// their sub-plans concurrently on independent channels).
+	DualPs int64 `json:"dual_ps"`
+	RowPs  int64 `json:"row_ps"`
+	// Speedup is RowPs/DualPs (1.0 when the statement issued no column
+	// accesses, 0 when it touched no memory).
+	Speedup float64 `json:"speedup"`
+	// Shards attributes the statement to the shards it touched. Present
+	// only when more than one shard's streams were given, so a 1-shard
+	// reply is byte-identical to an unsharded one.
+	Shards []ShardTiming `json:"shards,omitempty"`
+}
+
+// ShardTiming is one shard's share of a statement's simulated memory time.
+type ShardTiming struct {
+	Shard  int   `json:"shard"`
+	MemOps int   `json:"mem_ops"`
+	DualPs int64 `json:"dual_ps"`
+	RowPs  int64 `json:"row_ps"`
+}
+
+// Time is the one timing of a captured statement. streams[i] is shard i's
+// access stream; an empty one (a shard the statement never touched) is
+// skipped. Every other stream replays on its own simulated channel, first
+// as issued, then rewritten by trace.RowOnly: the statement takes as long
+// as its slowest shard, and MemOps is the total. A statement that touched
+// no memory replays nothing. tels, when non-nil, holds one telemetry per
+// shard that the shard's as-issued replay is merged into. rec, when
+// non-nil, receives the replays' memory-request spans (as-issued and
+// row-only under separate processes) and one wall-clock span per phase,
+// replay_dual and replay_row, on lane tid.
+func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.Recorder, tid int64) (*Timing, error) {
+	t := &Timing{}
+	dualStart := time.Now()
+	for i, stream := range streams {
+		n := stream.MemOps()
+		if n == 0 {
+			continue
+		}
+		var run *obs.Telemetry
+		if tels != nil {
+			// Sampling off: Merge folds the run's bank counters only, so
+			// an in-run ring would be garbage.
+			run = obs.NewTelemetry(tels[i].Banks(), 0)
+		}
+		dual, err := r.Run(stream, run, rec, obs.ProcSimDual)
+		if err != nil {
+			return nil, fmt.Errorf("trace replay: %w", err)
+		}
+		if run != nil {
+			tels[i].Merge(run)
+		}
+		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: n, DualPs: dual.TimePs})
+		t.MemOps += n
+		t.DualPs = max(t.DualPs, dual.TimePs)
 	}
-	return dual, row, err
+	if t.MemOps == 0 {
+		return t, nil
+	}
+	rec.WallSince(obs.ProcQuery, "replay_dual", obs.CatServer, tid, dualStart)
+
+	rowStart := time.Now()
+	for j := range t.Shards {
+		sh := &t.Shards[j]
+		row, err := r.Run(trace.RowOnly(streams[sh.Shard]), nil, rec, obs.ProcSimRow)
+		if err != nil {
+			return nil, fmt.Errorf("row-only replay: %w", err)
+		}
+		sh.RowPs = row.TimePs
+		t.RowPs = max(t.RowPs, row.TimePs)
+	}
+	rec.WallSince(obs.ProcQuery, "replay_row", obs.CatServer, tid, rowStart)
+
+	if len(streams) == 1 {
+		t.Shards = nil // the breakdown would repeat the totals
+	}
+	if t.DualPs > 0 {
+		t.Speedup = float64(t.RowPs) / float64(t.DualPs)
+	}
+	return t, nil
 }
 
 // Cycles returns the execution time in CPU cycles.

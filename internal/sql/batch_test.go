@@ -16,7 +16,9 @@ import (
 
 // batchWorkload is the equivalence workload: DDL, multi-row and point
 // inserts, point and broadcast selects, aggregates, joins-free grouping,
-// updates, deletes, and error slots in the middle of the stream.
+// updates, deletes, EXPLAIN ANALYZE of a read and of a write (each must
+// capture only its own accesses), and error slots in the middle of the
+// stream.
 func batchWorkload() []string {
 	w := []string{
 		"CREATE TABLE kv (k, grp, val) CAPACITY 1024",
@@ -30,8 +32,10 @@ func batchWorkload() []string {
 		"SELECT val FROM missing", // another error
 		"SELECT * FROM kv WHERE grp = 2 LIMIT 3",
 		"SELECT SUM(val), COUNT(*) FROM kv WHERE grp = 1",
-		"UPDATE kv SET val = 1 WHERE grp = 3", // broadcast write
-		"UPDATE kv SET val = 5 WHERE k = 4",   // point write
+		"EXPLAIN ANALYZE SELECT SUM(val), COUNT(*) FROM kv WHERE grp = 1", // captures only itself
+		"UPDATE kv SET val = 1 WHERE grp = 3",                             // broadcast write
+		"EXPLAIN ANALYZE UPDATE kv SET val = 2 WHERE k = 5",               // logs the inner UPDATE
+		"UPDATE kv SET val = 5 WHERE k = 4",                               // point write
 		"SELECT SUM(val), COUNT(*) FROM kv WHERE grp = 3",
 		"DELETE FROM kv WHERE k = 7",     // point delete
 		"DELETE FROM kv WHERE val > 150", // broadcast delete

@@ -6,13 +6,13 @@ import (
 
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sim"
-	"rcnvm/internal/trace"
 )
 
 // Explain describes how a statement will touch memory: which steps run and
 // with which access orientation. With Analyze set, the statement is also
-// executed, its access trace captured, and the trace replayed on the
-// RC-NVM timing simulator both as issued and downgraded to row-only
+// executed with its access trace captured under the statement locks, and
+// the trace is replayed after they are released, by sim.Replayer.Time, on
+// the RC-NVM timing simulator both as issued and downgraded to row-only
 // accesses.
 type Explain struct {
 	Analyze bool
@@ -40,16 +40,14 @@ func (p *parser) explain() (Statement, error) {
 
 // explain renders a statement's plan once — every shard holds the same
 // schemas — under a sharding header when there are several shards. ANALYZE
-// also executes the statement on every shard with every shard recording,
-// then replays each shard's stream on its own simulated channel: the
-// statement finishes when its slowest shard does, so the estimate is the
-// max over shards. The execution logs any mutation under the inner
-// statement's own text, printed from the parsed AST (round-trip property):
-// replay must re-execute the mutation, not re-time it.
+// also executes the statement on every shard, which runLocked has
+// recording; analyze times the capture once the locks are released. The
+// execution logs any mutation under the inner statement's own text,
+// printed from the parsed AST (round-trip property): replay must
+// re-execute the mutation, not re-time it.
 func explain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
 	var b strings.Builder
-	sharded := c.N() > 1
-	if sharded {
+	if c.N() > 1 {
 		fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
 	}
 	describe(ex.Stmt, &b)
@@ -57,45 +55,46 @@ func explain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
 	if !ex.Analyze {
 		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
 	}
-
-	for i := 0; i < c.N(); i++ {
-		c.Shard(i).StartTrace()
-	}
 	in := []stmt{{src: StatementText(ex.Stmt), st: ex.Stmt, targets: allShards(c)}}
 	dispatch(c, in)
-	waits, runErr := in[0].waits, in[0].err
-	streams := make([]trace.Stream, c.N())
-	total := 0
-	for i := range streams {
-		streams[i] = c.Shard(i).StopTrace()
-		total += streams[i].MemOps()
+	if in[0].err != nil {
+		return nil, in[0].waits, in[0].err
 	}
-	if runErr != nil {
-		return nil, waits, runErr
+	return &Result{Message: b.String()}, in[0].waits, nil
+}
+
+// analyzes reports whether st is an EXPLAIN ANALYZE.
+func analyzes(st Statement) bool {
+	ex, ok := st.(*Explain)
+	return ok && ex.Analyze
+}
+
+// analyze ends an EXPLAIN ANALYZE's plan with the timing of the streams its
+// execution captured, and takes them off the slot: they are the EXPLAIN's
+// own. Each shard's stream replays on its own simulated channel, as issued
+// and downgraded to row-only accesses; the statement finishes when its
+// slowest shard does, so the estimate is the max over shards.
+func analyze(c *shard.Cluster, s *stmt) {
+	t, err := sim.Replays.Time(s.streams, nil, nil, 0)
+	s.streams = nil
+	if err != nil {
+		s.res, s.err = nil, err
+		return
 	}
-	fmt.Fprintf(&b, "actual: %d memory ops", total)
+	var b strings.Builder
+	sharded := c.N() > 1
+	fmt.Fprintf(&b, "actual: %d memory ops", t.MemOps)
 	if sharded {
 		fmt.Fprintf(&b, " across %d shards", c.N())
 	}
-	if total > 0 {
-		var dualMax, rowMax int64
-		for _, st := range streams {
-			if st.MemOps() == 0 {
-				continue
-			}
-			dual, row, err := sim.Replays.Pair(st)
-			if err != nil {
-				return nil, waits, err
-			}
-			dualMax, rowMax = max(dualMax, dual.TimePs), max(rowMax, row.TimePs)
-		}
+	if t.MemOps > 0 {
 		fmt.Fprintf(&b, "; est. %.1f us with column accesses, %.1f us row-only (%.2fx)",
-			float64(dualMax)/1e6, float64(rowMax)/1e6, float64(rowMax)/float64(dualMax))
+			float64(t.DualPs)/1e6, float64(t.RowPs)/1e6, t.Speedup)
 		if sharded {
 			b.WriteString(", slowest shard")
 		}
 	}
-	return &Result{Message: b.String()}, waits, nil
+	s.res.Message += b.String()
 }
 
 // The engine's accesses as a plan names them.

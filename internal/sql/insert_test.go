@@ -61,7 +61,8 @@ func TestInsertTracePinned(t *testing.T) {
 		}
 		for _, st := range steps {
 			one := []stmt{{src: st.src}}
-			streams := execute(c, one, ExecOptions{Trace: true})
+			execute(c, one, ExecOptions{Trace: true})
+			streams := one[0].streams
 			line := "err=" + fmt.Sprint(one[0].err)
 			if one[0].err == nil {
 				line = fmt.Sprintf("affected=%d", one[0].res.Affected)

@@ -68,7 +68,8 @@ func TestSelectGolden(t *testing.T) {
 				t.Fatalf("%s: %v", q.ID, err)
 			}
 			one := []stmt{{src: q.SQL}}
-			streams := execute(c, one, ExecOptions{Trace: true})
+			execute(c, one, ExecOptions{Trace: true})
+			streams := one[0].streams
 			line := "err=" + fmt.Sprint(one[0].err)
 			if one[0].err == nil {
 				line = fmt.Sprintf("res=%x", sha256.Sum256([]byte(one[0].res.Format())))[:20]

@@ -80,15 +80,16 @@ type ExecOptions struct {
 	// obs.ProcQuery on lane TID.
 	Rec *obs.Recorder
 	TID int64
-	// Trace records each locked shard's memory accesses for the statement.
+	// Trace records each target shard's memory accesses for the statement.
 	// The trace buffer is shared DB state, so tracing takes exclusive locks
 	// even for SELECTs, and EXPLAIN (which times itself) is rejected.
 	Trace bool
 }
 
 // stmt is one statement in the pipeline: its text, its parse and routed
-// targets, and what running it produced — the result or error, and the
-// per-shard durability waits to run once the locks are released.
+// targets, and what running it produced — the result or error, the
+// per-shard durability waits to run once the locks are released, and, for
+// a traced statement, each shard's captured access stream.
 type stmt struct {
 	src     string
 	st      Statement // nil when the statement failed to parse
@@ -96,6 +97,7 @@ type stmt struct {
 	res     *Result
 	err     error
 	waits   []func() error
+	streams []trace.Stream // streams[i] is shard i's; nil when untraced
 }
 
 // Execute runs one statement as a batch of one: parse, route, lock the
@@ -106,11 +108,11 @@ type stmt struct {
 // shards the statement never locked); otherwise streams is nil.
 func Execute(c *shard.Cluster, src string, o ExecOptions) (*Result, []trace.Stream, error) {
 	one := [1]stmt{{src: src}}
-	streams := execute(c, one[:], o)
+	execute(c, one[:], o)
 	if one[0].err != nil {
 		return nil, nil, one[0].err
 	}
-	return one[0].res, streams, nil
+	return one[0].res, one[0].streams, nil
 }
 
 // execute is the pipeline. It parses and routes every statement in order
@@ -118,8 +120,10 @@ func Execute(c *shard.Cluster, src string, o ExecOptions) (*Result, []trace.Stre
 // the statements arrive one at a time), locks the union of the targets
 // once, runs the statements in order under the locks, unlocks, then runs
 // every durability wait. A statement that fails to parse fills its error
-// and runs nothing.
-func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) (streams []trace.Stream) {
+// and runs nothing. An EXPLAIN ANALYZE is timed between the unlock and the
+// waits, so its error comes after the inner statement's and before the
+// WAL's.
+func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) {
 	endParse := o.span("parse")
 	for i := range stmts {
 		s := &stmts[i]
@@ -142,15 +146,18 @@ func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) (streams []trace.Str
 		lock = union(lock, s.targets)
 	}
 	if lock == nil {
-		return nil
+		return
 	}
-	streams = runLocked(c, stmts, lock, exclusive, o)
+	runLocked(c, stmts, lock, exclusive, o)
 	// The statement locks are released before waiting for the WAL fsyncs:
 	// group commit batches concurrent statements' records behind shared
 	// fsyncs, which only helps if the lock is free while waiting.
 	var endWal func()
 	for i := range stmts {
 		s := &stmts[i]
+		if s.err == nil && analyzes(s.st) {
+			analyze(c, s) // reads only the capture, so with the locks released
+		}
 		if len(s.waits) > 0 && endWal == nil {
 			endWal = o.span("wal_wait")
 		}
@@ -163,7 +170,6 @@ func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) (streams []trace.Str
 	if endWal != nil {
 		endWal()
 	}
-	return streams
 }
 
 // union returns the ascending union of two ascending shard lists. Neither
@@ -181,27 +187,15 @@ func union(a, b []int) []int {
 	return a
 }
 
-// runLocked is the pipeline's locked section: lock, (start trace,) run
-// the statements in order, (stop trace,) unlock. The last two are
-// deferred, so a panic under the lock can neither wedge the shards for
-// later statements nor leave access recording on for later read-locked
-// SELECTs to race on.
-func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o ExecOptions) (streams []trace.Stream) {
+// runLocked is the pipeline's locked section: lock, run the statements in
+// order, unlock. A statement under ExecOptions.Trace and an EXPLAIN
+// ANALYZE run traced, each on its own (runTraced). The unlock is deferred,
+// so a panic under the lock cannot wedge the shards for later statements.
+func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o ExecOptions) {
 	endLockWait := o.span("lock_wait")
 	lockShards(c, lock, exclusive)
 	defer unlockShards(c, lock, exclusive)
 	endLockWait()
-	if o.Trace {
-		streams = make([]trace.Stream, c.N())
-		for _, i := range lock {
-			c.Shard(i).StartTrace()
-		}
-		defer func() {
-			for _, i := range lock {
-				streams[i] = c.Shard(i).StopTrace()
-			}
-		}()
-	}
 	endExec := o.span("exec")
 	for i := 0; i < len(stmts); {
 		if stmts[i].st == nil {
@@ -209,11 +203,33 @@ func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o Exe
 			continue
 		}
 		j := runEnd(c, stmts, i)
-		dispatch(c, stmts[i:j])
+		if o.Trace || analyzes(stmts[i].st) {
+			runTraced(c, stmts[i:j])
+		} else {
+			dispatch(c, stmts[i:j])
+		}
 		i = j
 	}
 	endExec()
-	return streams
+}
+
+// runTraced dispatches a run of one statement — a traced one is a batch of
+// one, and an EXPLAIN never joins a run — with its targets recording, and
+// leaves each target's stream in the statement's slot. The stop is
+// deferred, so a panic cannot leave access recording on for later
+// read-locked SELECTs to race on.
+func runTraced(c *shard.Cluster, run []stmt) {
+	s := &run[0]
+	s.streams = make([]trace.Stream, c.N())
+	for _, i := range s.targets {
+		c.Shard(i).StartTrace()
+	}
+	defer func() {
+		for _, i := range s.targets {
+			s.streams[i] = c.Shard(i).StopTrace()
+		}
+	}()
+	dispatch(c, run)
 }
 
 // span starts a wall-clock phase span on the recorder and returns the func
