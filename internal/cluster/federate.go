@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"rcnvm/internal/obs"
 	"rcnvm/internal/server"
 )
 
@@ -67,102 +66,31 @@ func (r *Router) scrapeAll(path string) []scrapeResult {
 	return out
 }
 
-// promFamily is one merged metric family: its TYPE (from the first node
-// that declared it) and the re-labeled sample lines in node order.
-type promFamily struct {
-	typ   string
-	lines []string
-}
-
-// relabelSample injects node="..." as the first label of one exposition
-// sample line ("name{a="b"} 1" or "name 1").
-func relabelSample(line, nodeName string) string {
-	if i := strings.IndexByte(line, '{'); i >= 0 {
-		return line[:i+1] + `node="` + nodeName + `",` + line[i+1:]
-	}
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		return line[:i] + `{node="` + nodeName + `"}` + line[i:]
-	}
-	return line
-}
-
-// mergeExposition folds one backend's Prometheus text exposition into the
-// family map, re-labeling every sample with the node name. Samples are
-// grouped under the most recent TYPE declaration (the repo's writers
-// always emit samples directly after their TYPE line); a sample with no
-// declaration gets an untyped family keyed by its own metric name.
-func mergeExposition(fams map[string]*promFamily, order *[]string, body []byte, nodeName string) {
-	cur := ""
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			f := strings.Fields(line)
-			if len(f) == 4 && f[1] == "TYPE" {
-				cur = f[2]
-				if _, ok := fams[cur]; !ok {
-					fams[cur] = &promFamily{typ: f[3]}
-					*order = append(*order, cur)
-				}
-			}
-			continue
-		}
-		key := cur
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		// Guard against samples that do not belong to the current family
-		// (or precede any declaration): key by their own metric name.
-		if key == "" || !strings.HasPrefix(name, key) {
-			key = name
-			if _, ok := fams[key]; !ok {
-				fams[key] = &promFamily{}
-				*order = append(*order, key)
-			}
-		}
-		fams[key].lines = append(fams[key].lines, relabelSample(line, nodeName))
-	}
-}
-
-// handleClusterMetrics renders GET /cluster/metrics: the union of every
-// backend's /metrics exposition with node labels injected, one TYPE line
-// per family, preceded by the per-node reachability gauge. Families are
-// sorted by name; within a family samples keep node order.
+// handleClusterMetrics renders GET /cluster/metrics: every backend's
+// /metrics exposition parsed and merged with node as the first label of
+// each sample, one TYPE line per family, preceded by the per-node
+// reachability gauge. Families are sorted by name; within a family
+// samples keep node order.
 func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) {
 	results := r.scrapeAll("/metrics")
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.Header().Set("Content-Type", obs.ContentType)
 
-	fmt.Fprintf(w, "# TYPE %s gauge\n", NodeUp)
+	up := obs.Family{Name: NodeUp, Type: "gauge"}
+	var fams []obs.Family
 	for _, res := range results {
-		up := 0
+		node := obs.Label{Name: "node", Value: res.n.name}
+		v := "0"
 		if res.err == nil {
-			up = 1
+			v = "1"
+			fams = obs.Merge(fams, obs.Parse(res.body), node)
 		}
-		fmt.Fprintf(w, "%s{node=%q} %d\n", NodeUp, res.n.name, up)
+		up.Samples = append(up.Samples, obs.Sample{Name: NodeUp, Labels: []obs.Label{node}, Value: v})
 	}
-
-	fams := make(map[string]*promFamily)
-	var order []string
-	for _, res := range results {
-		if res.err != nil {
-			continue
-		}
-		mergeExposition(fams, &order, res.body, res.n.name)
-	}
-	sort.Strings(order)
-	for _, name := range order {
-		f := fams[name]
-		if f.typ != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", name, f.typ)
-		}
-		for _, line := range f.lines {
-			fmt.Fprintln(w, line)
-		}
+	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
+	p := obs.NewWriter(w)
+	p.Family(up)
+	for _, f := range fams {
+		p.Family(f)
 	}
 }
 

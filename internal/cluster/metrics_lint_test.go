@@ -5,6 +5,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"rcnvm/internal/durable"
 	"rcnvm/internal/obs"
@@ -19,18 +20,22 @@ import (
 var scrapeGauges = []string{
 	"rcnvm_server_pool_workers", "rcnvm_server_pool_depth", "rcnvm_server_pool_capacity",
 	"rcnvm_server_shards", "rcnvm_route_replicas", "rcnvm_route_replicas_healthy",
+	"rcnvm_cluster_replica_epoch", "rcnvm_cluster_replica_caught_up",
+	"rcnvm_cluster_replica_state_age_seconds",
 }
 
 // TestMetricsLint is the documentation gate for exported metric series.
 // (a) Every series a stats.Family declares must appear in DESIGN.md's
 // series catalogue: dashboards and alerts get built against the doc, and
 // an undocumented metric is one nobody can safely rely on or rename.
-// (b) Every unlabeled counter or gauge a live server and a live router
+// (b) Every unlabeled counter or gauge a live server, replica and router
 // render on /metrics must be a declared series (or a scrape-time gauge):
 // a name passed to Set.Inc without a declaration has no zero-prefill, so
 // it would pop into existence mid-run. Labeled samples (per-bank
 // telemetry, histogram quantiles, replication lag) come from their own
 // renderers and are not stats.Set series.
+// (c) Each of those expositions, and the router's /cluster/metrics, must
+// pass lintExposition's strict format check.
 func TestMetricsLint(t *testing.T) {
 	design, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
@@ -65,15 +70,30 @@ func TestMetricsLint(t *testing.T) {
 		known[name] = true
 	}
 
-	// A live primary behind a live router, with enough traffic that the
-	// counters the hot paths touch have all fired.
-	p := startPrimary(t, t.TempDir(), 2)
-	rt, addr := startRouter(t, p)
+	// A live 3-shard primary and a paused replica behind a live router,
+	// with enough traffic that the counters the hot paths touch have all
+	// fired, a timed statement has filled the per-shard bank series, and
+	// the replica trails the primary.
+	p := startPrimary(t, t.TempDir(), 3)
+	seed(t, p.tcp, 8)
+	r := startReplica(t, p.http, 3)
+	waitConverged(t, p, r)
+	r.fol.Pause()
+	waitUntil(t, 5*time.Second, "apply loop to park", r.fol.Parked)
+	rt, addr := startRouter(t, p, r)
 	rtHTTP, err := rt.ListenHTTP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed(t, addr, 8)
+	pc, err := server.Dial(p.tcp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	if _, err := pc.Do(server.Request{Query: "SELECT SUM(val) FROM kv", Timing: true}); err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, pc, "INSERT INTO kv VALUES (100, 0, 1000)")
 	c, err := server.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +113,12 @@ func TestMetricsLint(t *testing.T) {
 		}
 	}
 
-	for owner, url := range map[string]string{"server": p.http, "router": rtHTTP.String()} {
+	for owner, url := range map[string]string{"server": p.http, "replica": r.http, "router": rtHTTP.String()} {
 		status, body := httpGet(t, "http://"+url+"/metrics")
 		if status != http.StatusOK {
 			t.Fatalf("%s /metrics: status %d", owner, status)
 		}
+		lintExposition(t, owner+" /metrics", body, false)
 		kind, checked := "", 0
 		for _, line := range strings.Split(body, "\n") {
 			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
@@ -119,5 +140,56 @@ func TestMetricsLint(t *testing.T) {
 		if checked == 0 {
 			t.Errorf("%s /metrics: no counter or gauge sample found — the parse rotted", owner)
 		}
+	}
+	status, body := httpGet(t, "http://"+rtHTTP.String()+"/cluster/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("/cluster/metrics: status %d", status)
+	}
+	lintExposition(t, "/cluster/metrics", body, true)
+}
+
+// lintExposition is the strict exposition check: one TYPE line per
+// family, declared before the family's samples; every sample named as its
+// family (or a histogram's _bucket/_sum/_count); no series twice; and, on
+// a federated exposition, node as every sample's first label.
+func lintExposition(t *testing.T, what, body string, federated bool) {
+	t.Helper()
+	types := make(map[string]string) // family -> TYPE
+	series := make(map[string]bool)
+	family, samples := "", 0
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "#" && f[1] == "TYPE" {
+			if len(f) != 4 {
+				t.Errorf("%s: malformed TYPE line %q", what, line)
+				continue
+			}
+			if _, dup := types[f[2]]; dup {
+				t.Errorf("%s: family %s declared twice", what, f[2])
+			}
+			types[f[2]], family = f[3], f[2]
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp <= 0 || strings.HasPrefix(line, "#") {
+			t.Errorf("%s: unexpected line %q", what, line)
+			continue
+		}
+		samples++
+		key := line[:sp]
+		name, labels, _ := strings.Cut(key, "{")
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
+		if name != family && (base != family || types[family] != "histogram") {
+			t.Errorf("%s: sample %q does not follow its own family's TYPE line (it follows %q's)", what, line, family)
+		}
+		if series[key] {
+			t.Errorf("%s: series %s appears twice", what, key)
+		}
+		series[key] = true
+		if federated && !strings.HasPrefix(labels, `node="`) {
+			t.Errorf("%s: sample %q does not lead with a node label", what, line)
+		}
+	}
+	if samples == 0 {
+		t.Errorf("%s: no samples — the lint parse rotted", what)
 	}
 }

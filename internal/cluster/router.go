@@ -467,15 +467,15 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 // backend node.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
-	st := r.Stats()
-	obs.WriteCounters(w, "rcnvm", st.Counters, &Family)
-	obs.WriteGauge(w, "rcnvm_route_replicas", float64(len(r.replicas)))
-	obs.WriteGauge(w, "rcnvm_route_replicas_healthy", float64(r.Healthy()))
+	p := obs.NewWriter(w)
+	p.Counters("rcnvm", r.Stats().Counters, &Family)
+	p.Gauge("rcnvm_route_replicas", float64(len(r.replicas)))
+	p.Gauge("rcnvm_route_replicas_healthy", float64(r.Healthy()))
 	items := make([]obs.LabeledHistogram, 0, 1+len(r.replicas))
 	for _, n := range r.allNodes() {
 		items = append(items, obs.LabeledHistogram{Label: n.name, H: n.lat})
 	}
-	obs.WriteLabeledHistograms(w, "rcnvm_route_backend_read_latency_seconds", "backend", items, 1e-9)
+	p.Histograms("rcnvm_route_backend_read_latency_seconds", "backend", items, 1e-9)
 }
 
 // allNodes returns every backend node, primary first — the canonical node

@@ -38,21 +38,6 @@ type System struct {
 	// systems built from this config. nil (the default) disables it; the
 	// run's timing and counters are identical either way.
 	Telemetry *obs.Telemetry
-	// Shards is the number of independent engine+memory channels the
-	// database layers on top of this system (hash-partitioned scatter-
-	// gather; see internal/shard). 0 or 1 means a single unsharded
-	// database. The timing model of one channel is unaffected — sharding
-	// multiplies channels, it does not change any device parameter.
-	Shards int
-	// DataDir, when non-empty, is the directory the serving layer persists
-	// to (per-shard write-ahead log + checkpoints; see internal/durable).
-	// Empty (the default) keeps the database volatile. One channel's
-	// simulated timing is unaffected either way — durability is a property
-	// of the serving process, not the modeled device.
-	DataDir string
-	// Fsync is the WAL durability policy used with DataDir: "always"
-	// (group commit), "interval", or "none". Empty means "always".
-	Fsync string
 }
 
 func base(dev device.Config) System {

@@ -51,18 +51,7 @@ func TelemetryReport(scale Scale) (string, error) {
 			bank.Bank, c.Reads, c.Writes, c.Writebacks,
 			bank.RowHitRate*100, bank.ColHitRate*100,
 			c.Retries, c.QueuePeak, busPct)
-		total.Reads += c.Reads
-		total.Writes += c.Writes
-		total.Writebacks += c.Writebacks
-		total.RowHits += c.RowHits
-		total.RowMisses += c.RowMisses
-		total.ColHits += c.ColHits
-		total.ColMisses += c.ColMisses
-		total.Retries += c.Retries
-		total.BusBusyPs += c.BusBusyPs
-		if c.QueuePeak > total.QueuePeak {
-			total.QueuePeak = c.QueuePeak
-		}
+		total.Add(c)
 	}
 	busPct := 0.0
 	if res.TimePs > 0 {

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the RC-NVM stack: typed spans
 // for tracing a query through the server, the SQL layer and the timing
-// simulator; Prometheus text-format rendering of the stats counters; and
-// per-bank telemetry sampled into a ring-buffer time series.
+// simulator; per-bank telemetry sampled into a ring-buffer time series;
+// and the Prometheus text format, which no other package spells — Writer
+// renders every /metrics and /cluster/metrics byte, and Parse and Merge
+// read node expositions back into families for federation.
 //
 // The contract that keeps it out of the hot path: everything is disabled
 // by default, and disabled means *nil* — a nil *Recorder ignores spans, a

@@ -3,7 +3,9 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -81,8 +83,9 @@ func TestWriteCountersFormat(t *testing.T) {
 	}
 	var fam stats.Family
 	fam.Gauge("server.sessions_active")
-	err := WriteCounters(&b, "rcnvm", counters, &fam)
-	if err != nil {
+	p := NewWriter(&b)
+	p.Counters("rcnvm", counters, &fam)
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	samples := parseProm(t, b.String())
@@ -106,7 +109,9 @@ func TestWriteHistogramFormat(t *testing.T) {
 		h.Observe(v)
 	}
 	var b bytes.Buffer
-	if err := WriteHistogram(&b, "rcnvm_query_latency_seconds", h, 1e-9); err != nil {
+	p := NewWriter(&b)
+	p.Histograms("rcnvm_query_latency_seconds", "", []LabeledHistogram{{H: h}}, 1e-9)
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -142,7 +147,9 @@ func TestTelemetryWriteProm(t *testing.T) {
 	tel.Request(1, false, false)
 	tel.Retry(1)
 	var b bytes.Buffer
-	if err := tel.WriteProm(&b, "rcnvm_bank"); err != nil {
+	p := NewWriter(&b)
+	p.Banks("rcnvm_bank", tel)
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	samples := parseProm(t, b.String())
@@ -158,7 +165,49 @@ func TestTelemetryWriteProm(t *testing.T) {
 	// Nil telemetry renders nothing and does not crash.
 	var nilTel *Telemetry
 	var nb bytes.Buffer
-	if err := nilTel.WriteProm(&nb, "x"); err != nil || nb.Len() != 0 {
+	np := NewWriter(&nb)
+	if np.Banks("x", nilTel); np.Err() != nil || nb.Len() != 0 {
 		t.Fatal("nil telemetry must render nothing")
+	}
+}
+
+// failingWriter accepts n writes, then fails every later one.
+type failingWriter struct{ n, writes int }
+
+func (f *failingWriter) Write(b []byte) (int, error) {
+	f.writes++
+	if f.writes > f.n {
+		return 0, errors.New("disk full")
+	}
+	return len(b), nil
+}
+
+func TestWriterKeepsFirstError(t *testing.T) {
+	fw := &failingWriter{n: 3}
+	p := NewWriter(fw)
+	p.Counters("rcnvm", map[string]int64{"a": 1, "b": 2, "c": 3})
+	p.Gauge("rcnvm_g", 1)
+	if err := p.Err(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Err() = %v, want the first write error", err)
+	}
+	if fw.writes != 4 {
+		t.Fatalf("%d writes reached the writer, want 4: nothing after the first error", fw.writes)
+	}
+}
+
+func TestParseFamilies(t *testing.T) {
+	body := "stray 1\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\nother{a=\"x,y\",b=\"q\\\"\"} 4 1700000000\n# TYPE h histogram\nh_count 5\nbad\n"
+	want := []Family{
+		{Name: "stray", Samples: []Sample{{Name: "stray", Value: "1"}}},
+		{Name: "h", Type: "histogram", Samples: []Sample{
+			{Name: "h_bucket", Labels: []Label{{"le", "+Inf"}}, Value: "2"},
+			{Name: "h_sum", Value: "3"},
+			{Name: "h_count", Value: "2"},
+			{Name: "h_count", Value: "5"},
+		}},
+		{Name: "other", Samples: []Sample{{Name: "other", Labels: []Label{{"a", "x,y"}, {"b", `q\"`}}, Value: "4 1700000000"}}},
+	}
+	if got := Parse([]byte(body)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Parse:\n got %+v\nwant %+v", got, want)
 	}
 }

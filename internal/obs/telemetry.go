@@ -31,7 +31,9 @@ type BankCounters struct {
 	QueuePeak int64 `json:"queue_peak"`
 }
 
-func (b *BankCounters) add(o BankCounters) {
+// Add folds o into b: every counter summed, the queue peak the maximum,
+// the instantaneous queue depth left alone.
+func (b *BankCounters) Add(o BankCounters) {
 	b.Reads += o.Reads
 	b.Writes += o.Writes
 	b.Writebacks += o.Writebacks
@@ -196,7 +198,7 @@ func (t *Telemetry) Merge(o *Telemetry) {
 	t.mu.Lock()
 	for i := range banks {
 		if i < len(t.banks) {
-			t.banks[i].add(banks[i])
+			t.banks[i].Add(banks[i])
 		}
 	}
 	t.runs++
@@ -211,7 +213,7 @@ func Sum(tels []*Telemetry) *Telemetry {
 	for _, t := range tels {
 		t.mu.Lock()
 		for i := range t.banks {
-			out.banks[i].add(t.banks[i])
+			out.banks[i].Add(t.banks[i])
 		}
 		out.runs += t.runs
 		t.mu.Unlock()

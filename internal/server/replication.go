@@ -1,10 +1,5 @@
 package server
 
-import (
-	"fmt"
-	"io"
-)
-
 // Replication-lag surface. A read replica's Follower (internal/cluster)
 // knows, per shard, how far the node trails the primary: it polls the
 // primary's /wal/state (which carries epoch-cumulative record/byte totals
@@ -63,30 +58,4 @@ func (s *Server) replicationStatus() (ReplicationStatus, bool) {
 		return ReplicationStatus{}, false
 	}
 	return (*p)(), true
-}
-
-// writeReplicationProm renders the replication-lag gauges in Prometheus
-// text format: per-shard rcnvm_cluster_replica_lag_records /
-// _lag_bytes / _last_apply_age_seconds plus the scalar epoch, caught-up
-// and state-age gauges. One TYPE line per family, shard as a label.
-func writeReplicationProm(w io.Writer, st ReplicationStatus) {
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_epoch gauge\nrcnvm_cluster_replica_epoch %d\n", st.Epoch)
-	caught := 0
-	if st.CaughtUp {
-		caught = 1
-	}
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_caught_up gauge\nrcnvm_cluster_replica_caught_up %d\n", caught)
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_state_age_seconds gauge\nrcnvm_cluster_replica_state_age_seconds %g\n", st.StateAgeSeconds)
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_lag_records gauge\n")
-	for _, sh := range st.Shards {
-		fmt.Fprintf(w, "rcnvm_cluster_replica_lag_records{shard=\"%d\"} %d\n", sh.Shard, sh.RecordsBehind)
-	}
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_lag_bytes gauge\n")
-	for _, sh := range st.Shards {
-		fmt.Fprintf(w, "rcnvm_cluster_replica_lag_bytes{shard=\"%d\"} %d\n", sh.Shard, sh.BytesBehind)
-	}
-	fmt.Fprintf(w, "# TYPE rcnvm_cluster_replica_last_apply_age_seconds gauge\n")
-	for _, sh := range st.Shards {
-		fmt.Fprintf(w, "rcnvm_cluster_replica_last_apply_age_seconds{shard=\"%d\"} %g\n", sh.Shard, sh.LastApplyAgeSeconds)
-	}
 }

@@ -185,7 +185,15 @@ printf '%s' "$FED" | grep -qF 'rcnvm_cluster_replica_lag_records{node="replica-1
     echo "FAIL: federated exposition missing node-labeled lag series" >&2
     exit 1
 }
-echo "   cluster_node_up: replica-0 down, replica-1 + primary up; lag series federated"
+# One TYPE line per family, on the federated body and on the primary's own
+# exposition: a family declared twice is invalid Prometheus text. http_get
+# joins the body's lines, so grep -o puts each declaration on its own line.
+for src in federated primary; do
+    if [ "$src" = federated ]; then BODY=$FED; else BODY=$(http_get "$P_HTTP" /metrics); fi
+    DUP=$(printf '%s\n' "$BODY" | grep -o '# TYPE [^ ]*' | cut -d' ' -f3 | sort | uniq -d)
+    [ -z "$DUP" ] || { echo "FAIL: $src exposition declares families twice: $DUP" >&2; exit 1; }
+done
+echo "   cluster_node_up: replica-0 down, replica-1 + primary up; lag series federated; one TYPE per family"
 
 echo "== restarting replica1: must catch up and byte-converge"
 start_replica "$R1_TCP" "$R1_HTTP" replica1; R1_PID=$REPLICA_PID
