@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"io"
 	"testing"
 
 	"rcnvm/internal/imdb"
@@ -99,4 +100,98 @@ func BenchmarkScanParallel(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchRows, "ns/row")
+}
+
+// The row-wise side of the strips: a tuple's words lie in one strip row,
+// 4 KB apart in host memory, so a tuple read or written whole strides
+// across the page. These are the engine under a checkpoint, an UPDATE, a
+// VACUUM and a single-row INSERT, over the olap_scan table.
+
+// BenchmarkSave is one checkpoint of the 16 384-row table: every tuple read
+// whole, gob-encoded and framed.
+func BenchmarkSave(b *testing.B) {
+	t := benchTable(b, benchRows, benchRows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := t.db.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUpdate is UPDATE t SET val = … WHERE <cond>: the WHERE scan,
+// then one cell written per match — point matches one row, grp 2 048.
+func BenchmarkUpdate(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		field string
+		v     uint64
+	}{{"point", "id", 4242}, {"grp", "grp", 5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			t := benchTable(b, benchRows, benchRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := t.Where(bc.field, Eq, bc.v, nil)
+				if err == nil {
+					err = t.Update(rows, "val", uint64(i))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkVacuum compacts the 16 384-row table with every 8th row deleted:
+// 14 336 tuples move, each read and written whole. The deleted rows are
+// appended and deleted again off the clock.
+func BenchmarkVacuum(b *testing.B) {
+	t := benchTable(b, benchRows, benchRows)
+	dead := make([]int, 0, benchRows/8)
+	for row := 0; row < benchRows; row += 8 {
+		dead = append(dead, row)
+	}
+	refill := make([][]uint64, benchRows/8)
+	for i := range refill {
+		refill[i] = []uint64{uint64(i), 0, 3 * uint64(i)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if i > 0 {
+			if _, err := t.AppendRows(refill); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := t.Delete(dead); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := t.Vacuum(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppend is a single-row INSERT's engine work: one tuple of
+// (id, grp, val) into a 16 384-row table, replaced by an empty one off the
+// clock when full.
+func BenchmarkAppend(b *testing.B) {
+	b.ReportAllocs()
+	var t *Table
+	for i := 0; i < b.N; i++ {
+		if i%benchRows == 0 {
+			b.StopTimer()
+			t = benchTable(b, benchRows, 0)
+			b.StartTimer()
+		}
+		id := uint64(i % benchRows)
+		if _, err := t.Append(id, id%8, 3*id); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

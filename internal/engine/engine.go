@@ -448,6 +448,8 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 
 // blockWords is the size of a scan's value buffer: a block is as many
 // tuples as fit, 512 of a one-word scan, 256 of GROUP BY's key and value.
+// The buffer is field-major: each wanted word has a segment of its own, and
+// a column run of the strips is copied into it whole.
 const blockWords = 512
 
 // scanner is the loop under every scan operator: it reads the wanted words
@@ -471,12 +473,14 @@ type scanner struct {
 	// The current block is n tuples: rows first, first+1, … when span is
 	// set, rows[:n] otherwise (a listed block that is one ascending run is a
 	// span whose rows are written too). vals holds word offs[k] of the i-th
-	// at [i*len(offs)+k].
+	// at [k*seg+i]: seg is the most tuples a block holds.
 	n     int
 	span  bool
 	first int
+	seg   int
 	rows  [blockWords]int
 	vals  []uint64
+	tuple []uint64 // ScanWhere's words of one tuple of a multi-word field
 
 	// fetch makes the counters, the trace and a fault error see each cell
 	// in its row's fetch orientation, the one Field reads it in, rather
@@ -510,6 +514,7 @@ func (t *Table) scan(rows []int, offs ...int) *scanner {
 	if len(offs) > len(s.vals) { // a field wider than a block goes a tuple at a time
 		s.vals = make([]uint64, len(offs))
 	}
+	s.seg = min(len(s.vals)/len(offs), blockWords)
 	return s
 }
 
@@ -535,8 +540,7 @@ func (s *scanner) next() bool {
 	if s.err != nil {
 		return false
 	}
-	t, w := s.t, len(s.offs)
-	most, n := min(len(s.vals)/w, blockWords), 0
+	t, most, n := s.t, s.seg, 0
 	var bad error
 	s.span = false
 	switch {
@@ -578,7 +582,7 @@ func (s *scanner) next() bool {
 	}
 	s.n = n
 	for k, off := range s.offs {
-		s.fill(off, s.vals[k:])
+		s.fill(off, s.vals[k*most:])
 	}
 	if db := t.db; db.recording || db.inj != nil {
 		if s.err = s.observe(); s.err != nil {
@@ -589,12 +593,12 @@ func (s *scanner) next() bool {
 	return n > 0 && bad == nil
 }
 
-// fill stores tuple word off of the block's tuples at dst[0], dst[w],
-// dst[2w], …, run by run: imdb's ScanRun says how far the placement goes
-// evenly from a tuple, funcmem's Run how far the page does. A span is a
-// strided copy of each run, a row list a gather of the rows that fall in it.
+// fill stores tuple word off of the block's tuples at dst[0], dst[1], …,
+// run by run: imdb's ScanRun says how far the placement goes evenly from a
+// tuple, funcmem's Run how far the page does. A span is a copy of each run,
+// a row list a gather of the rows that fall in it.
 func (s *scanner) fill(off int, dst []uint64) {
-	t, w := s.t, len(s.offs)
+	t := s.t
 	for i := 0; i < s.n; {
 		c, o, step, n := t.place.ScanRun(s.row(i), off)
 		run := t.db.mem.Run(c, o, step, n)
@@ -603,9 +607,9 @@ func (s *scanner) fill(off int, dst []uint64) {
 		}
 		if s.span {
 			n = min(run.Len(), s.n-i)
-			run.Copy(dst[i*w:], w, n)
+			run.Copy(dst[i:], n)
 		} else {
-			n = run.Gather(dst[i*w:], w, s.rows[i:s.n])
+			n = run.Gather(dst[i:], s.rows[i:s.n])
 		}
 		s.cells[o] += n
 		i += n
@@ -630,7 +634,7 @@ func (s *scanner) observe() error {
 				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
 				r.first, j, r.seen = row, 0, s.orient(row)
 			}
-			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[i*w+k])
+			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[k*s.seg+i])
 			if err != nil {
 				s.cells[r.seen] -= w - 1 - k
 				for i++; i < s.n; i++ {
@@ -638,7 +642,7 @@ func (s *scanner) observe() error {
 				}
 				return err
 			}
-			s.vals[i*w+k] = v
+			s.vals[k*s.seg+i] = v
 		}
 	}
 	return nil
@@ -684,10 +688,22 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 	defer s.close()
 	// The matches cannot be counted ahead of time — pred runs once — so
 	// they gather in the scanner's recycled scratch and are copied out at
-	// their final size.
+	// their final size. A multi-word field's words are gathered out of their
+	// segments into the scanner's tuple scratch.
+	if cap(s.tuple) < words {
+		s.tuple = make([]uint64, words)
+	}
+	tuple := s.tuple[:words]
 	for s.next() {
 		for i := 0; i < s.n; i++ {
-			if pred(s.vals[i*words : (i+1)*words]) {
+			vals := s.vals[i : i+1]
+			if words > 1 {
+				for k := range tuple {
+					tuple[k] = s.vals[k*s.seg+i]
+				}
+				vals = tuple
+			}
+			if pred(vals) {
 				s.matches = append(s.matches, s.row(i))
 			}
 		}
@@ -916,15 +932,15 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 	var small, few [64]GroupRow
 	acc := groupTable{slots: few[:]}
 	for s.next() {
-		kv := s.vals[:2*s.n]
-		for i := 0; i < len(kv); i += 2 {
+		keys, sums := s.vals[:s.n], s.vals[s.seg:s.seg+s.n]
+		for i, k := range keys {
 			var g *GroupRow
-			if k := kv[i]; k < uint64(len(small)) {
+			if k < uint64(len(small)) {
 				g = &small[k]
 			} else if g = acc.find(k); g.Count == 0 {
 				g = acc.insert(k)
 			}
-			g.Sum += kv[i+1]
+			g.Sum += sums[i]
 			g.Count++
 		}
 	}

@@ -7,11 +7,10 @@
 //
 // Storage is a sparse map of 32 KB pages, so a 4 GB address space costs
 // memory only where data lives. A page is a strip of a subarray, 512 rows
-// by 8 columns, stored row after row: a row-oriented line is one host
-// cache line, a column-oriented line is eight adjacent ones, and a column
-// of a table chunk — what a field scan walks — lies in one or two pages
-// whatever the tuple width. Run gives scans a strided view of such a span
-// and copies it out densely.
+// by 8 columns, stored column after column: a column-oriented run — what a
+// field scan of a table chunk walks — is one contiguous slice of host
+// memory, and a row-oriented line is 8 words 4 KB apart. Run gives scans a
+// view of such a span and copies it out densely.
 package funcmem
 
 import (
@@ -27,8 +26,9 @@ const (
 	stripCols = 1 << stripBits
 	// pageWords is the allocation granularity (32 KB pages).
 	pageWords = 1 << 12
-	// pageRows is how many rows of a strip one page holds.
-	pageRows = pageWords / stripCols
+	// pageRowBits: a page holds 512 rows of a strip.
+	pageRowBits = 9
+	pageRows    = 1 << pageRowBits
 )
 
 // Memory is a functional dual-addressable word store.
@@ -40,6 +40,9 @@ const (
 type Memory struct {
 	geom  addr.Geometry
 	pages map[uint32][]uint64
+	// rowLo is how many low row bits index a word within its strip column:
+	// 9, or every row bit of a subarray of fewer than 512 rows.
+	rowLo uint
 
 	reads, writes [2]atomic.Int64 // indexed by orientation
 }
@@ -52,24 +55,26 @@ func New(geom addr.Geometry) (*Memory, error) {
 	if geom.ColumnBits < stripBits {
 		return nil, fmt.Errorf("funcmem: geometry has %d columns, fewer than one line", geom.Columns())
 	}
-	return &Memory{geom: geom, pages: make(map[uint32][]uint64)}, nil
+	rowLo := min(geom.RowBits, pageRowBits)
+	return &Memory{geom: geom, pages: make(map[uint32][]uint64), rowLo: rowLo}, nil
 }
 
 // Geom returns the memory geometry.
 func (m *Memory) Geom() addr.Geometry { return m.geom }
 
 // word returns the storage index of a coordinate: the subarray's fields,
-// then Column>>3 | Row | Column&7 — strip, row within it, word within the
-// row's line.
+// then Column>>3 | Row>>9 | Column&7 | Row&511 — strip, its 512-row page,
+// column within the strip, row within the page.
 func (m *Memory) word(c addr.Coord) uint32 {
-	g := &m.geom
+	g, lo := &m.geom, m.rowLo
 	a := c.Channel
 	a = a<<g.RankBits | c.Rank
 	a = a<<g.BankBits | c.Bank
 	a = a<<g.SubarrayBits | c.Subarray
 	a = a<<(g.ColumnBits-stripBits) | c.Column>>stripBits
-	a = a<<g.RowBits | c.Row
-	return a<<stripBits | c.Column&(stripCols-1)
+	a = a<<(g.RowBits-lo) | c.Row>>lo
+	a = a<<stripBits | c.Column&(stripCols-1)
+	return a<<lo | c.Row&(1<<lo-1)
 }
 
 // page returns the page holding storage index w: nil if it was never
@@ -118,29 +123,28 @@ type Run struct {
 // Len is the number of words in the run.
 func (r Run) Len() int { return r.n }
 
-// Copy stores the run's first n words, n <= Len(), at dst[0], dst[stride],
-// dst[2·stride], …
-func (r Run) Copy(dst []uint64, stride, n int) {
+// Copy stores the run's first n words, n <= Len(), at dst[:n].
+func (r Run) Copy(dst []uint64, n int) {
 	if n <= 0 {
 		return
 	}
-	dst = dst[:(n-1)*stride+1]
-	if r.page == nil {
-		for k := 0; k < len(dst); k += stride {
-			dst[k] = 0
+	dst = dst[:n]
+	switch {
+	case r.page == nil:
+		clear(dst)
+	case r.stride == 1:
+		copy(dst, r.page)
+	default:
+		for k, i := 0, 0; k < n; k, i = k+1, i+r.stride {
+			dst[k] = r.page[i]
 		}
-		return
-	}
-	src := r.page[:(n-1)*r.stride+1]
-	for k, i := 0, 0; i < len(src); k, i = k+stride, i+r.stride {
-		dst[k] = src[i]
 	}
 }
 
-// Gather stores word idx[k]-idx[0] of the run at dst[k·stride] for k = 0,
-// 1, … until idx ends or names a word outside the run, and returns how many
-// it stored: at least one, word 0.
-func (r Run) Gather(dst []uint64, stride int, idx []int) int {
+// Gather stores word idx[k]-idx[0] of the run at dst[k] for k = 0, 1, …
+// until idx ends or names a word outside the run, and returns how many it
+// stored: at least one, word 0.
+func (r Run) Gather(dst []uint64, idx []int) int {
 	for k, j := range idx {
 		i := j - idx[0]
 		if uint(i) >= uint(r.n) {
@@ -150,7 +154,7 @@ func (r Run) Gather(dst []uint64, stride int, idx []int) int {
 		if r.page != nil {
 			v = r.page[i*r.stride]
 		}
-		dst[k*stride] = v
+		dst[k] = v
 	}
 	return len(idx)
 }
@@ -175,9 +179,9 @@ func (m *Memory) WriteRun(c addr.Coord, o addr.Orientation, step, n int) Run {
 func (r Run) Set(k int, v uint64) { r.page[k*r.stride] = v }
 
 func (m *Memory) run(c addr.Coord, o addr.Orientation, step, n int, alloc bool) Run {
-	room, stride := stripCols-int(c.Column)%stripCols, step
+	room, stride := stripCols-int(c.Column)%stripCols, step<<m.rowLo
 	if o == addr.Column {
-		room, stride = pageRows-int(c.Row)%pageRows, step*stripCols
+		room, stride = pageRows-int(c.Row)%pageRows, step
 		if rows := m.geom.Rows() - int(c.Row); rows < room {
 			room = rows
 		}

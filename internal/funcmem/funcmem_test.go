@@ -79,7 +79,7 @@ func TestCounts(t *testing.T) {
 	m.ReadCoord(c, addr.Column)
 	m.ReadCoord(c, addr.Row)
 	var got4 [4]uint64
-	m.Run(c, addr.Row, 1, 4).Copy(got4[:], 1, 4) // uncounted until its reader reports
+	m.Run(c, addr.Row, 1, 4).Copy(got4[:], 4) // uncounted until its reader reports
 	m.CountReads(addr.Row, 4)
 	got := m.Counts()
 	if got.RowWrites != 1 || got.ColReads != 1 || got.RowReads != 5 || got.ColWrites != 0 {
@@ -94,165 +94,242 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-// TestRunAgreesWithReadCoord is the storage-shape property: words written
-// through either encoding around every page edge — rows 511/512, columns
-// 7/8, the subarray's last row and column — read back the same through
-// ReadCoord in both orientations and through Run along both — copied out
-// whole at any destination stride, gathered by any index list up to its
-// first index outside the run — a Run stops exactly at its page's edge, and
-// never-written words read zero.
-func TestRunAgreesWithReadCoord(t *testing.T) {
-	m := newMem(t)
-	geom := m.Geom()
-	rng := rand.New(rand.NewSource(20))
-	near := func(edges ...int) []uint32 {
-		var out []uint32
-		for _, e := range edges {
-			for d := -3; d <= 3; d++ {
-				if v := e + d; v >= 0 && v < 1024 {
-					out = append(out, uint32(v))
-				}
-			}
+// runGeoms are the geometries the run tests walk: fewer rows than a page
+// holds (256), exactly a page (512), two pages (1024) and 128 pages, each
+// one line, a few strips and 128 strips wide.
+func runGeoms() []addr.Geometry {
+	var out []addr.Geometry
+	for _, rowBits := range []uint{8, 9, 10, 16} {
+		for _, colBits := range []uint{3, 8, 10} {
+			out = append(out, addr.Geometry{ChannelBits: 1, RankBits: 1, SubarrayBits: 1,
+				RowBits: rowBits, ColumnBits: colBits, DualAddress: true})
 		}
-		return out
 	}
-	rows, cols := near(0, 512, 1023), near(0, 8, 16, 1023)
-	sub := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: 7}
-	model := make(map[addr.Coord]uint64)
-	for i := 0; i < 300; i++ {
-		c := sub
-		c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
-		o := addr.Orientation(rng.Intn(2))
-		v := rng.Uint64() | 1
-		m.WriteWord(geom.Encode(c, o), o, v)
-		model[c] = v
-	}
-	pages := m.FootprintBytes()
-	for _, empty := range []bool{false, true} {
-		for i := 0; i < 4000; i++ {
-			c := sub
-			c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
-			if empty {
-				c.Subarray = 2 // nothing was ever written here
-			}
-			for _, o := range []addr.Orientation{addr.Row, addr.Column} {
-				if got, want := m.ReadCoord(c, o), model[c]; got != want {
-					t.Fatalf("ReadCoord(%+v, %s) = %d, want %d", c, o, got, want)
-				}
-				step, n := 1+rng.Intn(5), 1+rng.Intn(24)
-				r := m.Run(c, o, step, n)
-				if r.Len() < 1 || r.Len() > n {
-					t.Fatalf("Run(%+v, %s, %d, %d).Len() = %d", c, o, step, n, r.Len())
-				}
-				stride := 1 + rng.Intn(3)
-				dst := make([]uint64, stride*n+1)
-				for k := range dst {
-					dst[k] = ^uint64(0)
-				}
-				r.Copy(dst, stride, r.Len())
-				for k, got := range dst {
-					want := ^uint64(0) // untouched between and after the copied words
-					if k%stride == 0 && k/stride < r.Len() {
-						want = model[c.Along(o, k/stride*step)]
-					}
-					if got != want {
-						t.Fatalf("Run(%+v, %s, %d, %d).Copy stride %d: dst[%d] = %d, want %d", c, o, step, n, stride, k, got, want)
-					}
-				}
-				// Indices relative to idx[0]: any order, repeats, and now and
-				// then one before or past the run, where Gather must stop.
-				base := rng.Intn(1000)
-				idx := []int{base}
-				for more := rng.Intn(12); more > 0; more-- {
-					idx = append(idx, base+rng.Intn(r.Len()+1)-rng.Intn(2)*rng.Intn(2))
-				}
-				stop := len(idx)
-				for k, j := range idx {
-					if j < base || j >= base+r.Len() {
-						stop = k
-						break
-					}
-				}
-				dst = make([]uint64, stride*len(idx)+1)
-				for k := range dst {
-					dst[k] = ^uint64(0)
-				}
-				if got := r.Gather(dst, stride, idx); got != stop {
-					t.Fatalf("Run(%+v, %s, %d, %d).Gather(%v) = %d, want %d", c, o, step, n, idx, got, stop)
-				}
-				for k, got := range dst {
-					want := ^uint64(0)
-					if k%stride == 0 && k/stride < stop {
-						want = model[c.Along(o, (idx[k/stride]-base)*step)]
-					}
-					if got != want {
-						t.Fatalf("Run(%+v, %s, %d, %d).Gather(%v) stride %d: dst[%d] = %d, want %d", c, o, step, n, idx, stride, k, got, want)
-					}
-				}
-				if r.Len() < n {
-					// Cut short: the next word must be over a page edge.
-					last, next := c.Along(o, (r.Len()-1)*step), c.Along(o, r.Len()*step)
-					samePage := last.Column/8 == next.Column/8 && last.Row/512 == next.Row/512 && next.Row < 1024
-					if samePage {
-						t.Fatalf("Run(%+v, %s, %d, %d) stopped at %d inside its page", c, o, step, n, r.Len())
-					}
-				}
+	return out
+}
+
+// near returns the values within 3 of each edge that lie in [0, lim).
+func near(lim int, edges ...int) []uint32 {
+	var out []uint32
+	for _, e := range edges {
+		for d := -3; d <= 3; d++ {
+			if v := e + d; v >= 0 && v < lim {
+				out = append(out, uint32(v))
 			}
 		}
 	}
-	if m.FootprintBytes() != pages {
-		t.Fatal("reading allocated storage")
+	return out
+}
+
+// pageOf is the page a coordinate's word lives in, worked out from the
+// coordinate alone: its subarray, its 8-column strip and its 512-row
+// stretch of that strip. In a subarray of fewer than 512 rows a page holds
+// that many strips, adjacent in (subarray, strip) order.
+func pageOf(g addr.Geometry, c addr.Coord) uint64 {
+	f := uint64(c.Channel)
+	f = f<<g.RankBits | uint64(c.Rank)
+	f = f<<g.BankBits | uint64(c.Bank)
+	f = f<<g.SubarrayBits | uint64(c.Subarray)
+	strip := f<<(g.ColumnBits-stripBits) | uint64(c.Column>>stripBits)
+	if g.RowBits < pageRowBits {
+		return strip >> (pageRowBits - g.RowBits)
+	}
+	return strip<<(g.RowBits-pageRowBits) | uint64(c.Row>>pageRowBits)
+}
+
+// footprint is what FootprintBytes must be once the given words are
+// written: one 32 KB page for each distinct page among them.
+func footprint[V any](g addr.Geometry, written map[addr.Coord]V) int64 {
+	pages := make(map[uint64]bool)
+	for c := range written {
+		pages[pageOf(g, c)] = true
+	}
+	return int64(len(pages)) * pageWords * addr.WordBytes
+}
+
+// checkCut fails unless a run of r.Len() of the n words asked for from c
+// lies in c's strip, and, when cut short, its next word does not: a
+// row-oriented run ends with its 8-column line, a column-oriented one at a
+// multiple of 512 rows or the subarray's last row.
+func checkCut(t *testing.T, g addr.Geometry, c addr.Coord, o addr.Orientation, step, n int, r Run) {
+	t.Helper()
+	if r.Len() < 1 || r.Len() > n {
+		t.Fatalf("%+v: Run(%+v, %s, %d, %d).Len() = %d", g, c, o, step, n, r.Len())
+	}
+	same := func(a, b addr.Coord) bool {
+		return a.Column/stripCols == b.Column/stripCols && a.Row/pageRows == b.Row/pageRows &&
+			int(b.Column) < g.Columns() && int(b.Row) < g.Rows()
+	}
+	if last := c.Along(o, (r.Len()-1)*step); !same(c, last) {
+		t.Fatalf("%+v: Run(%+v, %s, %d, %d) of %d leaves its strip at %+v", g, c, o, step, n, r.Len(), last)
+	}
+	if next := c.Along(o, r.Len()*step); r.Len() < n && same(c, next) {
+		t.Fatalf("%+v: Run(%+v, %s, %d, %d) stopped at %d inside its strip", g, c, o, step, n, r.Len())
 	}
 }
 
-// TestWriteRunAgreesWithReadCoord: a WriteRun around the same page edges
-// is cut where a Run is, allocates the page of a span never written, and
-// the words set through it — and no others — read back through ReadCoord
-// in both orientations. Nothing is counted until the writer reports it.
-func TestWriteRunAgreesWithReadCoord(t *testing.T) {
-	m := newMem(t)
-	rng := rand.New(rand.NewSource(21))
-	edge := func(lim int, edges ...int) uint32 {
-		v := edges[rng.Intn(len(edges))] + rng.Intn(7) - 3
-		return uint32(min(max(v, 0), lim-1))
-	}
-	model := make(map[addr.Coord]uint64)
-	for i := 0; i < 2000; i++ {
-		c := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: uint32(rng.Intn(3))}
-		c.Row, c.Column = edge(1024, 0, 512, 1023), edge(1024, 0, 8, 16, 1023)
-		o := addr.Orientation(rng.Intn(2))
-		step, n := 1+rng.Intn(5), 1+rng.Intn(24)
-		r := m.WriteRun(c, o, step, n)
-		if want := m.Run(c, o, step, n).Len(); r.Len() != want {
-			t.Fatalf("WriteRun(%+v, %s, %d, %d).Len() = %d, Run's %d", c, o, step, n, r.Len(), want)
+// TestRunAgreesWithReadCoord is the storage-shape property, in every
+// geometry of runGeoms: words written through either encoding around every
+// page edge — rows 255/256, 511/512, the subarray's last row; columns 7/8,
+// 15/16, the last column — read back the same through ReadCoord in both
+// orientations and through Run along both — copied out whole, gathered by
+// any index list up to its first index outside the run — a Run stops
+// exactly at its strip's edge, a column-oriented one is contiguous, the
+// footprint is one page per distinct page written, and never-written spans
+// read zero and allocate nothing.
+func TestRunAgreesWithReadCoord(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, geom := range runGeoms() {
+		m, err := New(geom)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := 0; k < r.Len(); k++ {
-			v := rng.Uint64()
-			r.Set(k, v)
-			model[c.Along(o, k*step)] = v
+		rows := near(geom.Rows(), 0, 256, 512, geom.Rows()-1)
+		cols := near(geom.Columns(), 0, 8, 16, geom.Columns()-1)
+		sub := addr.Coord{Channel: 1, Rank: 1, Subarray: 1}
+		model := make(map[addr.Coord]uint64)
+		for i := 0; i < 300; i++ {
+			c := sub
+			c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
+			o := addr.Orientation(rng.Intn(2))
+			v := rng.Uint64() | 1
+			m.WriteWord(geom.Encode(c, o), o, v)
+			model[c] = v
 		}
-	}
-	if m.Counts() != (Counts{}) {
-		t.Fatalf("writes through a run counted: %+v", m.Counts())
-	}
-	for c, want := range model {
-		if got := m.ReadCoord(c, addr.Column); got != want {
-			t.Fatalf("ReadCoord(%+v, column) = %d, want %d", c, got, want)
+		if got, want := m.FootprintBytes(), footprint(geom, model); got != want {
+			t.Fatalf("%+v: footprint %d bytes, want %d", geom, got, want)
 		}
-	}
-	for sub := uint32(0); sub < 4; sub++ {
-		for _, row := range []uint32{0, 1, 2, 3, 509, 510, 511, 512, 513, 514, 515, 1020, 1021, 1022, 1023} {
-			for col := uint32(0); col < 1024; col++ {
-				c := addr.Coord{Channel: 1, Rank: 2, Bank: 5, Subarray: sub, Row: row, Column: col}
+		for _, empty := range []bool{false, true} {
+			for i := 0; i < 2000; i++ {
+				c := sub
+				c.Row, c.Column = rows[rng.Intn(len(rows))], cols[rng.Intn(len(cols))]
+				if empty {
+					c.Subarray = 0 // nothing was ever written here
+				}
 				for _, o := range []addr.Orientation{addr.Row, addr.Column} {
 					if got, want := m.ReadCoord(c, o), model[c]; got != want {
-						t.Fatalf("ReadCoord(%+v, %s) = %d, want %d", c, o, got, want)
+						t.Fatalf("%+v: ReadCoord(%+v, %s) = %d, want %d", geom, c, o, got, want)
+					}
+					step, n := 1+rng.Intn(5), 1+rng.Intn(24)
+					r := m.Run(c, o, step, n)
+					checkCut(t, geom, c, o, step, n, r)
+					if o == addr.Column && r.page != nil && r.stride != step {
+						t.Fatalf("%+v: column run of step %d has stride %d", geom, step, r.stride)
+					}
+					dst := make([]uint64, n+1)
+					for k := range dst {
+						dst[k] = ^uint64(0)
+					}
+					r.Copy(dst, r.Len())
+					for k, got := range dst {
+						want := ^uint64(0) // untouched after the copied words
+						if k < r.Len() {
+							want = model[c.Along(o, k*step)]
+						}
+						if got != want {
+							t.Fatalf("%+v: Run(%+v, %s, %d, %d).Copy: dst[%d] = %d, want %d", geom, c, o, step, n, k, got, want)
+						}
+					}
+					// Indices relative to idx[0]: any order, repeats, and now
+					// and then one before or past the run, where Gather must
+					// stop.
+					base := rng.Intn(1000)
+					idx := []int{base}
+					for more := rng.Intn(12); more > 0; more-- {
+						idx = append(idx, base+rng.Intn(r.Len()+1)-rng.Intn(2)*rng.Intn(2))
+					}
+					stop := len(idx)
+					for k, j := range idx {
+						if j < base || j >= base+r.Len() {
+							stop = k
+							break
+						}
+					}
+					dst = make([]uint64, len(idx)+1)
+					for k := range dst {
+						dst[k] = ^uint64(0)
+					}
+					if got := r.Gather(dst, idx); got != stop {
+						t.Fatalf("%+v: Run(%+v, %s, %d, %d).Gather(%v) = %d, want %d", geom, c, o, step, n, idx, got, stop)
+					}
+					for k, got := range dst {
+						want := ^uint64(0)
+						if k < stop {
+							want = model[c.Along(o, (idx[k]-base)*step)]
+						}
+						if got != want {
+							t.Fatalf("%+v: Run(%+v, %s, %d, %d).Gather(%v): dst[%d] = %d, want %d", geom, c, o, step, n, idx, k, got, want)
+						}
+					}
+				}
+			}
+		}
+		if got, want := m.FootprintBytes(), footprint(geom, model); got != want {
+			t.Fatalf("%+v: reading moved the footprint from %d to %d bytes", geom, want, got)
+		}
+	}
+}
+
+// TestWriteRunAgreesWithReadCoord, in every geometry of runGeoms: a
+// WriteRun around the same page edges is cut where a Run is, allocates the
+// page of a span never written and no other, and the words set through it
+// — and no others — read back through ReadCoord in both orientations.
+// Nothing is counted until the writer reports it.
+func TestWriteRunAgreesWithReadCoord(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, geom := range runGeoms() {
+		m, err := New(geom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := func(lim int, edges ...int) uint32 {
+			v := edges[rng.Intn(len(edges))] + rng.Intn(7) - 3
+			return uint32(min(max(v, 0), lim-1))
+		}
+		rows := []int{0, 256, 512, geom.Rows() - 1}
+		cols := []int{0, 8, 16, geom.Columns() - 1}
+		model := make(map[addr.Coord]uint64)
+		for i := 0; i < 1000; i++ {
+			c := addr.Coord{Channel: 1, Rank: 1, Subarray: uint32(rng.Intn(2))}
+			c.Row, c.Column = edge(geom.Rows(), rows...), edge(geom.Columns(), cols...)
+			o := addr.Orientation(rng.Intn(2))
+			step, n := 1+rng.Intn(5), 1+rng.Intn(24)
+			r := m.WriteRun(c, o, step, n)
+			checkCut(t, geom, c, o, step, n, r)
+			if want := m.Run(c, o, step, n).Len(); r.Len() != want {
+				t.Fatalf("%+v: WriteRun(%+v, %s, %d, %d).Len() = %d, Run's %d", geom, c, o, step, n, r.Len(), want)
+			}
+			for k := 0; k < r.Len(); k++ {
+				v := rng.Uint64()
+				r.Set(k, v)
+				model[c.Along(o, k*step)] = v
+			}
+			if got, want := m.FootprintBytes(), footprint(geom, model); got != want {
+				t.Fatalf("%+v: after WriteRun(%+v, %s, %d, %d): footprint %d bytes, want %d", geom, c, o, step, n, got, want)
+			}
+		}
+		if m.Counts() != (Counts{}) {
+			t.Fatalf("%+v: writes through a run counted: %+v", geom, m.Counts())
+		}
+		for c, want := range model {
+			if got := m.ReadCoord(c, addr.Column); got != want {
+				t.Fatalf("%+v: ReadCoord(%+v, column) = %d, want %d", geom, c, got, want)
+			}
+		}
+		for sub := uint32(0); sub < 2; sub++ {
+			for _, row := range near(geom.Rows(), rows...) {
+				for col := 0; col < geom.Columns(); col++ {
+					c := addr.Coord{Channel: 1, Rank: 1, Subarray: sub, Row: row, Column: uint32(col)}
+					for _, o := range []addr.Orientation{addr.Row, addr.Column} {
+						if got, want := m.ReadCoord(c, o), model[c]; got != want {
+							t.Fatalf("%+v: ReadCoord(%+v, %s) = %d, want %d", geom, c, o, got, want)
+						}
 					}
 				}
 			}
 		}
 	}
-	m.ResetCounts()
+	m := newMem(t)
 	m.CountWrites(addr.Column, 3)
 	if got := m.Counts(); got != (Counts{ColWrites: 3}) {
 		t.Fatalf("CountWrites(Column, 3): counts %+v", got)
