@@ -47,19 +47,19 @@ func main() {
 	}
 	fmt.Printf("loaded %d orders (%s in memory)\n\n", orders.Rows(), "col-major chunks on RC-NVM subarrays")
 
-	// SELECT SUM(amount) FROM orders WHERE region = 3 — with trace
-	// recording on, so we can time the very accesses that produced the
-	// answer.
-	db.StartTrace()
-	matches, err := orders.ScanWhere("region", func(v []uint64) bool { return v[0] == 3 })
+	// SELECT SUM(amount) FROM orders WHERE region = 3 — through a handle
+	// that records its accesses, so we can time the very accesses that
+	// produced the answer.
+	var stream trace.Stream
+	traced := orders.Traced(&stream)
+	matches, err := traced.ScanWhere("region", func(v []uint64) bool { return v[0] == 3 })
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := orders.SumField("amount", matches)
+	sum, err := traced.SumField("amount", matches)
 	if err != nil {
 		log.Fatal(err)
 	}
-	stream := db.StopTrace()
 
 	avg := float64(sum) / float64(len(matches))
 	fmt.Println("SELECT SUM(amount) FROM orders WHERE region = 3")

@@ -196,7 +196,7 @@ func Apply(c *shard.Cluster, i int, rec Record) error {
 		if err != nil {
 			return fmt.Errorf("%w: logged statement does not parse: %v", ErrCorrupt, err)
 		}
-		_, runErr := sql.Run(db, st)
+		_, runErr := sql.Run(db, st, nil)
 		if runErr != nil && !rec.Failed {
 			// The statement committed cleanly before the crash but fails
 			// now: the replayed prefix has diverged — refusing is safer

@@ -21,11 +21,12 @@ var appendSchemas = []imdb.Schema{
 	{Name: "a", Fields: []imdb.Field{{Name: "wide", Words: 5}}},
 }
 
-// appendWorld is one database of the append model test, traced and with
-// the wear model on.
+// appendWorld is one database of the append model test, with the wear
+// model on and its table reached through a handle that records into stream.
 type appendWorld struct {
-	db *DB
-	t  *Table
+	db     *DB
+	t      *Table
+	stream *trace.Stream
 }
 
 func newAppendWorld(t *testing.T, schema imdb.Schema, capacity int) appendWorld {
@@ -39,8 +40,8 @@ func newAppendWorld(t *testing.T, schema imdb.Schema, capacity int) appendWorld 
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.StartTrace()
-	return appendWorld{db, tbl}
+	stream := new(trace.Stream)
+	return appendWorld{db, tbl.Traced(stream), stream}
 }
 
 // appendCells is the tuple-at-a-time append AppendRows replaced, the
@@ -59,7 +60,7 @@ func appendCells(t *Table, vals []uint64) error {
 	t.deleted = append(t.deleted, false)
 	o := t.place.FetchOrient(row)
 	for w, v := range vals {
-		t.db.writeCell(t.place.Cell(row, w), o, v)
+		t.writeCell(t.place.Cell(row, w), o, v)
 	}
 	return nil
 }
@@ -169,8 +170,7 @@ func compareAppendWorlds(t *testing.T, name string, ref appendWorld, others map[
 		for row := 0; row < w.t.Capacity(); row++ {
 			v.wear = append(v.wear, w.db.Faults().SubarrayWrites(w.t.CellCoord(row, 0)))
 		}
-		v.stream = w.db.StopTrace()
-		w.db.StartTrace()
+		v.stream, *w.stream = *w.stream, nil
 		return v
 	}
 	want := look(ref)

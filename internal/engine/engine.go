@@ -46,19 +46,18 @@ func (m Mode) String() string {
 // DB is one database instance bound to one memory.
 //
 // Concurrency: the embedded RWMutex guards every piece of database state
-// (tables, tuple values, tombstones, allocators, trace recording), but the
-// engine's methods do not acquire it themselves — callers lock at
-// *statement* granularity so that a multi-step operation (a WHERE scan
-// followed by a projection, say) sees one consistent snapshot. The
-// discipline, enforced by sql.Execute (and through it internal/server):
+// (tables, tuple values, tombstones, allocators), but the engine's methods
+// do not acquire it themselves — callers lock at *statement* granularity so
+// that a multi-step operation (a WHERE scan followed by a projection, say)
+// sees one consistent snapshot. The discipline, enforced by sql.Execute
+// (and through it internal/server):
 //
 //   - RLock for read-only work: Tuple, Field, Scan*, Where, aggregates,
 //     Project, Save, ExportCSV. Any number of readers may run in parallel —
-//     reads mutate nothing but the memory's atomic access counters.
+//     reads mutate nothing but the memory's atomic access counters, and a
+//     traced reader's own stream (Table.Traced).
 //   - Lock for mutations (CreateTable, Append, AppendRows, SetField,
-//     Update, Delete, Vacuum, Load, ImportCSV) and for any traced section
-//     (StartTrace … StopTrace), since the trace buffer is shared state
-//     and a concurrent reader would pollute the recorded stream.
+//     Update, Delete, Vacuum, Load, ImportCSV).
 //
 // Single-threaded users (the CLI shells, examples, most tests) may simply
 // ignore the lock.
@@ -81,9 +80,6 @@ type DB struct {
 	// durability after releasing it. Nil (the default) keeps the engine
 	// fully volatile with zero added work on the execution path.
 	commitLog CommitLog
-
-	recording bool
-	traceOps  trace.Stream
 }
 
 // CommitLog is the write-ahead-log hook for one database (one shard).
@@ -144,34 +140,34 @@ func (db *DB) Faults() *fault.Injector { return db.inj }
 // readCell reads one stored word, running it through the ECC + fault
 // pipeline when injection is enabled. The returned word is the corrected
 // value; an uncorrectable error surfaces as *fault.UncorrectableError.
-func (db *DB) readCell(c addr.Coord, o addr.Orientation) (uint64, error) {
-	return db.observed(c, o, db.mem.ReadCoord(c, o))
+func (t *Table) readCell(c addr.Coord, o addr.Orientation) (uint64, error) {
+	return t.observed(c, o, t.db.mem.ReadCoord(c, o))
 }
 
 // observed is what every word read goes through, one at a time or in a
-// scan: its trace op when recording, then its fault check.
-func (db *DB) observed(c addr.Coord, o addr.Orientation, v uint64) (uint64, error) {
-	db.record(c, o, false)
-	if db.inj == nil {
+// scan: its trace op when the handle records, then its fault check.
+func (t *Table) observed(c addr.Coord, o addr.Orientation, v uint64) (uint64, error) {
+	t.record(c, o, false)
+	if t.db.inj == nil {
 		return v, nil
 	}
-	return db.inj.CheckWord(c, o, v)
+	return t.db.inj.CheckWord(c, o, v)
 }
 
 // writeCell stores one word, feeding the wear model when injection is
 // enabled.
-func (db *DB) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
-	db.record(c, o, true)
-	db.mem.WriteCoord(c, o, v)
-	if db.inj != nil {
-		db.inj.RecordWrite(c)
+func (t *Table) writeCell(c addr.Coord, o addr.Orientation, v uint64) {
+	t.record(c, o, true)
+	t.db.mem.WriteCoord(c, o, v)
+	if t.db.inj != nil {
+		t.db.inj.RecordWrite(c)
 	}
 }
 
-// record appends one access to the trace being recorded, if any; the
+// record appends one access to the handle's stream, if it has one; the
 // stream folds it into the run it continues.
-func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
-	if !db.recording {
+func (t *Table) record(c addr.Coord, o addr.Orientation, write bool) {
+	if t.sink == nil {
 		return
 	}
 	var k trace.Kind
@@ -185,37 +181,44 @@ func (db *DB) record(c addr.Coord, o addr.Orientation, write bool) {
 	default:
 		k = trace.Load
 	}
-	db.traceOps.Append(trace.Op{Kind: k, Coord: c})
-}
-
-// StartTrace begins recording every memory access as trace ops.
-func (db *DB) StartTrace() {
-	db.recording = true
-	db.traceOps = nil
-}
-
-// StopTrace ends recording and returns the recorded stream.
-func (db *DB) StopTrace() trace.Stream {
-	db.recording = false
-	s := db.traceOps
-	db.traceOps = nil
-	return s
+	t.sink.Append(trace.Op{Kind: k, Coord: c})
 }
 
 // RowOnlyStream is trace.RowOnly: the same plan on a conventional memory.
 // It stays for bench/, which calls it, until ROADMAP item 1e.
 func RowOnlyStream(s trace.Stream) trace.Stream { return trace.RowOnly(s) }
 
-// Table is one relation with materialized values. Deletion is by
-// tombstone: row ids stay stable, deleted rows vanish from scans and
-// aggregates.
+// Table is a handle on one relation with materialized values. Deletion is
+// by tombstone: row ids stay stable, deleted rows vanish from scans and
+// aggregates. The handle a DB hands out records nothing; Traced gives one
+// that records.
 type Table struct {
 	db       *DB
 	place    *imdb.NVMPlacement
-	rows     int
 	capacity int
-	deleted  []bool
-	live     int
+	*rowSet
+	sink *trace.Stream // receives every access made through this handle; nil records nothing
+}
+
+// rowSet is what a table's handles share and mutate: rows and tombstones.
+type rowSet struct {
+	rows    int
+	deleted []bool
+	live    int
+}
+
+// Traced returns a handle on the same table — its rows, tombstones and
+// placement — that appends every memory access made through it to *s, one
+// trace op per cell, folded into runs. Accesses made through any other
+// handle never enter *s, so concurrent readers may each record their own.
+// With s nil it returns t.
+func (t *Table) Traced(s *trace.Stream) *Table {
+	if s == nil {
+		return t
+	}
+	h := *t
+	h.sink = s
+	return &h
 }
 
 // CreateTable allocates a table with a fixed capacity. Every field is at
@@ -242,7 +245,7 @@ func (db *DB) CreateTable(name string, schema imdb.Schema, capacity int) (*Table
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, place: place, capacity: capacity}
+	t := &Table{db: db, place: place, capacity: capacity, rowSet: &rowSet{}}
 	db.tables[name] = t
 	return t, nil
 }
@@ -369,14 +372,14 @@ func (t *Table) AppendRows(rows [][]uint64) (int, error) {
 			i += k
 		}
 	}
-	if db := t.db; db.recording || db.inj != nil {
+	if inj := t.db.inj; t.sink != nil || inj != nil {
 		for row := first; row < first+n; row++ {
 			o := t.place.FetchOrient(row)
 			for w := 0; w < L; w++ {
 				c := t.place.Cell(row, w)
-				db.record(c, o, true)
-				if db.inj != nil {
-					db.inj.RecordWrite(c)
+				t.record(c, o, true)
+				if inj != nil {
+					inj.RecordWrite(c)
 				}
 			}
 		}
@@ -393,7 +396,7 @@ func (t *Table) Tuple(row int) ([]uint64, error) {
 	out := make([]uint64, L)
 	o := t.place.FetchOrient(row)
 	for w := range out {
-		v, err := t.db.readCell(t.place.Cell(row, w), o)
+		v, err := t.readCell(t.place.Cell(row, w), o)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +417,7 @@ func (t *Table) Field(row int, field string) ([]uint64, error) {
 	out := make([]uint64, words)
 	o := t.place.FetchOrient(row)
 	for k := range out {
-		v, err := t.db.readCell(t.place.Cell(row, off+k), o)
+		v, err := t.readCell(t.place.Cell(row, off+k), o)
 		if err != nil {
 			return nil, err
 		}
@@ -441,7 +444,7 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 		o = t.place.ScanOrient(row)
 	}
 	for k, v := range vals {
-		t.db.writeCell(t.place.Cell(row, off+k), o, v)
+		t.writeCell(t.place.Cell(row, off+k), o, v)
 	}
 	return nil
 }
@@ -584,7 +587,7 @@ func (s *scanner) next() bool {
 	for k, off := range s.offs {
 		s.fill(off, s.vals[k*most:])
 	}
-	if db := t.db; db.recording || db.inj != nil {
+	if t.sink != nil || t.db.inj != nil {
 		if s.err = s.observe(); s.err != nil {
 			return false
 		}
@@ -634,7 +637,7 @@ func (s *scanner) observe() error {
 				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
 				r.first, j, r.seen = row, 0, s.orient(row)
 			}
-			v, err := t.db.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[k*s.seg+i])
+			v, err := t.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[k*s.seg+i])
 			if err != nil {
 				s.cells[r.seen] -= w - 1 - k
 				for i++; i < s.n; i++ {
@@ -1024,11 +1027,11 @@ func (t *Table) Vacuum() (int, error) {
 			o := t.place.FetchOrient(row)
 			no := t.place.FetchOrient(next)
 			for w := 0; w < L; w++ {
-				v, err := t.db.readCell(t.place.Cell(row, w), o)
+				v, err := t.readCell(t.place.Cell(row, w), o)
 				if err != nil {
 					return 0, err
 				}
-				t.db.writeCell(t.place.Cell(next, w), no, v)
+				t.writeCell(t.place.Cell(next, w), no, v)
 			}
 		}
 		next++

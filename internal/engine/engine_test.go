@@ -191,11 +191,10 @@ func TestTraceReplay(t *testing.T) {
 	db, _ := Open()
 	tbl, _ := buildPeople(t, db, 4096)
 
-	db.StartTrace()
-	if _, err := tbl.SumField("f7", nil); err != nil {
+	var stream trace.Stream
+	if _, err := tbl.Traced(&stream).SumField("f7", nil); err != nil {
 		t.Fatal(err)
 	}
-	stream := db.StopTrace()
 	if stream.MemOps() != 4096 {
 		t.Fatalf("trace has %d mem ops, want 4096", stream.MemOps())
 	}
@@ -223,12 +222,64 @@ func TestTraceReplay(t *testing.T) {
 	}
 }
 
-func TestTraceRecordingOffByDefault(t *testing.T) {
+// TestTracedHandleRecordsOnlyItsOwn: a traced handle's stream holds the
+// accesses made through it and nothing else. Reads and writes through the
+// table's plain handle or through another traced handle, interleaved with
+// its own, never enter it, and what it records is what it records alone.
+// Every handle sees the one table: a row appended through one is there for
+// the others.
+func TestTracedHandleRecordsOnlyItsOwn(t *testing.T) {
 	db, _ := Open()
-	tbl, _ := buildPeople(t, db, 16)
-	tbl.SumField("f1", nil)
-	if s := db.StopTrace(); len(s) != 0 {
-		t.Fatal("trace recorded without StartTrace")
+	tbl, _ := buildPeople(t, db, 64)
+	if tbl.Traced(nil) != tbl {
+		t.Fatal("Traced(nil) is not the handle itself")
+	}
+	var a, b trace.Stream
+	ta, tb := tbl.Traced(&a), tbl.Traced(&b)
+	sum := func(h *Table) {
+		t.Helper()
+		if _, err := h.SumField("f1", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum(ta)
+	alone := a
+	a = nil
+
+	if err := tbl.SetField(3, "f2", 7); err != nil {
+		t.Fatal(err)
+	}
+	sum(tb)
+	if err := tb.SetField(4, "f2", 9); err != nil {
+		t.Fatal(err)
+	}
+	sum(ta)
+	sum(tbl)
+	if _, err := tbl.Tuple(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.Tuple(6); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, alone) {
+		t.Fatalf("traced sum recorded %d mem ops beside other handles, %d alone", a.MemOps(), alone.MemOps())
+	}
+	if got, want := b.MemOps(), 64+1+8; got != want {
+		t.Fatalf("second handle recorded %d mem ops, want %d", got, want)
+	}
+
+	row, err := ta.Append(1, 2, 3, 4, 5, 6, 7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Rows() != 65 || tb.Live() != 65 {
+		t.Fatalf("rows %d, live %d after an append through another handle, want 65", tbl.Rows(), tb.Live())
+	}
+	if v, err := tb.Field(row, "f8"); err != nil || v[0] != 8 {
+		t.Fatalf("appended row reads %v, %v through another handle", v, err)
+	}
+	if got, want := a.MemOps(), 64+8; got != want {
+		t.Fatalf("appending handle recorded %d mem ops, want %d", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"rcnvm/internal/addr"
 	"rcnvm/internal/fault"
 	"rcnvm/internal/imdb"
+	"rcnvm/internal/trace"
 )
 
 // pinTable is TestScanObservePinned's table: 2 000 tuples of goldenSchema
@@ -131,9 +132,8 @@ func TestScanObservePinned(t *testing.T) {
 				db.Faults().AddStuck(bad, 2)
 			}
 			c0 := db.Mem().Counts()
-			db.StartTrace()
-			res, err := op.run(tbl)
-			stream := db.StopTrace()
+			var stream trace.Stream
+			res, err := op.run(tbl.Traced(&stream))
 			out := "res=" + shortDigest(res)
 			if err != nil {
 				out = "err=" + err.Error()

@@ -9,6 +9,7 @@ import (
 
 	"rcnvm/internal/fault"
 	"rcnvm/internal/imdb"
+	"rcnvm/internal/trace"
 )
 
 // The block loop against a per-cell reference: the same operators written
@@ -29,7 +30,7 @@ func refScan(t *Table, rows []int, offs []int, f func(row int, vals []uint64)) e
 		}
 		o := t.place.ScanOrient(row)
 		for k, off := range offs {
-			v, err := t.db.readCell(t.place.Cell(row, off), o)
+			v, err := t.readCell(t.place.Cell(row, off), o)
 			if err != nil {
 				return err
 			}
@@ -307,16 +308,18 @@ func edgeOps(tbl *Table) []edgeOp {
 	return ops
 }
 
-// edgeRun is what one operator call leaves behind.
-func edgeRun(db *DB, traced bool, run func() (any, error)) string {
+// edgeRun is what one operator call on tbl, a table of db, leaves behind;
+// a traced call goes through a handle that records.
+func edgeRun(db *DB, tbl *Table, traced bool, run func(*Table) (any, error)) string {
 	c0 := db.Mem().Counts()
+	var stream trace.Stream
 	if traced {
-		db.StartTrace()
+		tbl = tbl.Traced(&stream)
 	}
-	res, err := run()
+	res, err := run(tbl)
 	out := fmt.Sprintf("res=%v err=%v n=%s", res, err, countsDelta(c0, db.Mem().Counts()))
 	if traced {
-		out += " tr=" + streamDigest(db.StopTrace())
+		out += " tr=" + streamDigest(stream)
 	}
 	if db.Faults() != nil {
 		out += fmt.Sprintf(" f=%+v", db.Faults().Counts())
@@ -363,8 +366,8 @@ func TestScanBlockEdges(t *testing.T) {
 				}
 				refOps := edgeOps(refTbl)
 				for i, op := range edgeOps(tbl) {
-					got := edgeRun(db, set.traced, func() (any, error) { return op.run(tbl) })
-					want := edgeRun(refDB, set.traced, func() (any, error) { return refOps[i].ref(refTbl) })
+					got := edgeRun(db, tbl, set.traced, op.run)
+					want := edgeRun(refDB, refTbl, set.traced, refOps[i].ref)
 					if got != want {
 						t.Fatalf("%s %s:\n block loop %.300s\n per cell   %.300s", name, op.name, got, want)
 					}
@@ -406,7 +409,7 @@ func TestScanWiderThanABlock(t *testing.T) {
 		if err := tbl.Delete([]int{3}); err != nil {
 			t.Fatal(err)
 		}
-		left[side] = edgeRun(db, true, func() (any, error) { return scan(tbl) })
+		left[side] = edgeRun(db, tbl, true, scan)
 	}
 	if left[0] != left[1] || !strings.HasPrefix(left[0], "res=[2 4] err=<nil> ") {
 		t.Fatalf("block loop %s\n per cell   %s", left[0], left[1])
@@ -522,8 +525,8 @@ func TestGroupSumKeys(t *testing.T) {
 		name string
 		rows []int
 	}{{"nil", nil}, {"asc", live[100:900]}, {"desc", desc}} {
-		got := edgeRun(db, true, func() (any, error) { return tbl.GroupSum("k", "v", lc.rows) })
-		want := edgeRun(refDB, true, func() (any, error) { return refGroup(refTbl, "k", "v", lc.rows) })
+		got := edgeRun(db, tbl, true, func(t *Table) (any, error) { return t.GroupSum("k", "v", lc.rows) })
+		want := edgeRun(refDB, refTbl, true, func(t *Table) (any, error) { return refGroup(t, "k", "v", lc.rows) })
 		if got != want {
 			t.Fatalf("%s:\n direct %.300s\n ref    %.300s", lc.name, got, want)
 		}

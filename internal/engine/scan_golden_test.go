@@ -78,14 +78,15 @@ type goldenOp struct {
 	run  func() (any, error)
 }
 
-// goldenOps lists every scan operator over every row-list shape.
-func goldenOps(s, b *Table) []goldenOp {
+// goldenOps lists every scan operator over every row-list shape, each
+// reading through a handle that records into sink (nil: records nothing).
+func goldenOps(s, b *Table, sink *trace.Stream) []goldenOp {
 	var ops []goldenOp
 	for _, tc := range []struct {
 		name string
 		t    *Table
 	}{{"s", s}, {"b", b}} {
-		tbl := tc.t
+		tbl := tc.t.Traced(sink)
 		live := tbl.LiveRows()
 		var asc, desc []int
 		for _, row := range live {
@@ -210,16 +211,17 @@ func checkGolden(t *testing.T, want, got map[string]string) {
 func TestScanGolden(t *testing.T) {
 	got := make(map[string]string)
 	db, s, b := goldenDB(t)
-	for _, op := range goldenOps(s, b) {
+	var stream trace.Stream
+	tracedOps := goldenOps(s, b, &stream)
+	for i, op := range goldenOps(s, b, nil) {
 		name := DualAddress.String() + "/" + op.name
 		c0 := db.Mem().Counts()
 		res, err := op.run()
 		c1 := db.Mem().Counts()
 		plain := outcome(t, name, res, err) + " n=" + countsDelta(c0, c1)
 
-		db.StartTrace()
-		res, err = op.run()
-		stream := db.StopTrace()
+		stream = nil
+		res, err = tracedOps[i].run()
 		traced := outcome(t, name, res, err) + " n=" + countsDelta(c1, db.Mem().Counts())
 		if plain != traced {
 			t.Errorf("%s: untraced %q, traced %q", name, plain, traced)
@@ -239,12 +241,12 @@ func TestScanGoldenFaults(t *testing.T) {
 	got := make(map[string]string)
 	db, s, b := goldenDB(t)
 	db.EnableFaults(fault.Config{Enabled: true, Seed: 0x5eed, RBER: 2e-4})
-	for _, op := range goldenOps(s, b) {
+	var stream trace.Stream
+	for _, op := range goldenOps(s, b, &stream) {
 		name := DualAddress.String() + "/" + op.name
 		c0 := db.Mem().Counts()
-		db.StartTrace()
+		stream = nil
 		res, err := op.run()
-		stream := db.StopTrace()
 		f := db.Faults().Counts()
 		got[name] = fmt.Sprintf("%s n=%s tr=%s f=%d/%d/%d/%d/%d", outcome(t, name, res, err),
 			countsDelta(c0, db.Mem().Counts()), streamDigest(stream),

@@ -103,12 +103,12 @@ func FuzzWhere(f *testing.F) {
 		traced := shape/24%2 == 1
 
 		var nilAnswer bool
-		got := edgeRun(db, traced, func() (any, error) {
-			res, err := tbl.Where("k", op, v, rows)
+		got := edgeRun(db, tbl, traced, func(t *Table) (any, error) {
+			res, err := t.Where("k", op, v, rows)
 			nilAnswer = err == nil && res == nil
 			return res, err
 		})
-		want := edgeRun(refDB, traced, func() (any, error) { return refCompare(refTbl, "k", op, v, rows) })
+		want := edgeRun(refDB, refTbl, traced, func(t *Table) (any, error) { return refCompare(t, "k", op, v, rows) })
 		name := fmt.Sprintf("%s %d rows, list %d, v %d, faults %d", whereOps[op].name, len(keys), shape/6%4, v, faults%3)
 		if got != want {
 			t.Fatalf("%s:\n Where    %.400s\n refWhere %.400s", name, got, want)

@@ -5,8 +5,8 @@
 //
 // Concurrency model, in one paragraph: every statement is classified by
 // sql.ReadOnly and runs under the engine's RWMutex at statement
-// granularity — SELECTs share the read lock and proceed in parallel,
-// mutations and traced statements take the write lock. The worker pool
+// granularity — SELECTs, traced or not, share the read lock and proceed in
+// parallel, mutations take the write lock. The worker pool
 // bounds how many statements execute at once; when its queue is full the
 // server rejects immediately with a typed "overloaded" error instead of
 // queueing unboundedly, so latency stays bounded under overload. Shutdown
@@ -110,9 +110,9 @@ type Request struct {
 	Batch []string `json:"batch,omitempty"`
 	// Timing asks for simulated memory-timing attribution: the response
 	// carries sim.Timing, the statement's captured streams replayed by
-	// sim.Replayer.Time after its locks are released. Timed statements
-	// capture under the exclusive lock (trace recording is shared state),
-	// so use it for diagnosis, not on the hot path.
+	// sim.Replayer.Time after its locks are released. A timed statement
+	// captures into streams of its own under the locks it takes untimed;
+	// what it costs beyond that is the replay, which holds no lock.
 	Timing bool `json:"timing,omitempty"`
 	// TimeoutMs caps this statement's execution in milliseconds; past the
 	// deadline the client receives CodeTimeout. 0 means the server default

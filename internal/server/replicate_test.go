@@ -149,6 +149,34 @@ func TestReadOnlyReplicaRejectsMutations(t *testing.T) {
 	}
 }
 
+// TestReadOnlyReplicaServesExplainAnalyzeSelect: an EXPLAIN ANALYZE is the
+// statement it executes, so a replica answers one of a SELECT, capture and
+// timing included, and still rejects one of an UPDATE as a mutation.
+func TestReadOnlyReplicaServesExplainAnalyzeSelect(t *testing.T) {
+	s, addr := newTestServer(t, Options{ReadOnly: true})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, src := range []string{"CREATE TABLE t (a, b) CAPACITY 64", "INSERT INTO t VALUES (1, 2), (3, 4)"} {
+		if _, err := execOnCluster(s, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := mustQuery(t, c, "EXPLAIN ANALYZE SELECT SUM(b) FROM t")
+	if !strings.Contains(r.Message, "actual: 2 memory ops") {
+		t.Fatalf("replica EXPLAIN ANALYZE SELECT answered %q, want its 2 captured memory ops", r.Message)
+	}
+
+	_, err = c.Query("EXPLAIN ANALYZE UPDATE t SET b = 5")
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeReadOnly {
+		t.Fatalf("replica EXPLAIN ANALYZE UPDATE error = %v, want code %q", err, CodeReadOnly)
+	}
+}
+
 // execOnCluster runs one statement directly on a server's cluster, the
 // way the follower's apply path does (bypassing the ReadOnly gate).
 func execOnCluster(s *Server, src string) (*sql.Result, error) {

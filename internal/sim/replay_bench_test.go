@@ -31,7 +31,8 @@ func captureSum(tb testing.TB) trace.Stream {
 			tb.Fatal(err)
 		}
 	}
-	db.StartTrace()
+	var stream trace.Stream
+	tbl = tbl.Traced(&stream)
 	rows, err := tbl.ScanWhere("f2", func(v []uint64) bool { return v[0] == 3 })
 	if err != nil {
 		tb.Fatal(err)
@@ -39,7 +40,7 @@ func captureSum(tb testing.TB) trace.Stream {
 	if _, err := tbl.SumField("f3", rows); err != nil {
 		tb.Fatal(err)
 	}
-	return db.StopTrace()
+	return stream
 }
 
 // BenchmarkTimedReplay is the simulator's share of one timed statement: the

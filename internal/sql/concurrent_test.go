@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"rcnvm/internal/engine"
 	"rcnvm/internal/shard"
 	"rcnvm/internal/sql"
+	"rcnvm/internal/trace"
 )
 
 // TestConcurrentMatchesSequential is the -race stress test for the
@@ -109,7 +111,8 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 		{"SELECT a FROM t", true},
 		{"SELECT SUM(a) FROM t WHERE b > 3", true},
 		{"EXPLAIN SELECT a FROM t", true},
-		{"EXPLAIN ANALYZE SELECT a FROM t", false}, // records a trace: writer
+		{"EXPLAIN ANALYZE SELECT a FROM t", true}, // its capture is its own
+		{"EXPLAIN ANALYZE UPDATE t SET a = 1", false},
 		{"INSERT INTO t VALUES (1)", false},
 		{"UPDATE t SET a = 1", false},
 		{"DELETE FROM t", false},
@@ -172,58 +175,139 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 	}
 }
 
-// TestExecTraced checks that a traced statement returns its own accesses
-// only, even with concurrent readers hammering the same database.
+// TestExecTraced checks that a traced statement's streams hold its own
+// accesses only. On 1 and 3 shards, goroutines hammer the table with
+// untraced reads and traced statements of their own while the test runs
+// traced SUMs, and every traced capture hashes to what the same statement
+// captures alone.
 func TestExecTraced(t *testing.T) {
-	db, err := engine.Open()
-	if err != nil {
-		t.Fatal(err)
+	traced := []string{
+		"SELECT SUM(v) FROM tr",
+		"SELECT id, v FROM tr WHERE v > 15 ORDER BY v DESC",
+		"SELECT id, COUNT(*) FROM tr GROUP BY id",
 	}
-	c := shard.Wrap(db)
-	for _, q := range []string{
-		"CREATE TABLE tr (id, v) CAPACITY 64",
-		"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
-	} {
-		if _, err := sql.ExecSharded(c, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := sql.ExecSharded(c, "SELECT SUM(v) FROM tr"); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-
-	for i := 0; i < 20; i++ {
-		res, streams, err := sql.Execute(c, "SELECT SUM(v) FROM tr", sql.ExecOptions{Trace: true})
+	for _, shards := range []int{1, 3} {
+		c, err := shard.Open(engine.DualAddress, shards, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := streams[0]
-		if res.Rows[0][0] != 100 {
-			t.Fatalf("sum = %d, want 100", res.Rows[0][0])
+		for _, q := range []string{
+			"CREATE TABLE tr (id, v) CAPACITY 64",
+			"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
+		} {
+			if _, err := sql.ExecSharded(c, q); err != nil {
+				t.Fatal(err)
+			}
 		}
-		// 4 single-word column reads, exactly — concurrent statements
-		// must never leak into the exclusive trace.
-		if got := stream.MemOps(); got != 4 {
-			t.Fatalf("traced %d mem ops, want 4", got)
+		capture := func(q string) (*sql.Result, []trace.Stream, [32]byte, error) {
+			res, streams, err := sql.Execute(c, q, sql.ExecOptions{Trace: true})
+			return res, streams, sha256.Sum256([]byte(fmt.Sprint(streams))), err
+		}
+		alone := make(map[string][32]byte)
+		for _, q := range traced {
+			_, _, sum, err := capture(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone[q] = sum
+		}
+
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if _, err := sql.ExecSharded(c, "SELECT SUM(v) FROM tr"); err != nil {
+						t.Error(err)
+						return
+					}
+					q := traced[(g+i)%len(traced)]
+					if _, _, sum, err := capture(q); err != nil || sum != alone[q] {
+						t.Errorf("%d shards, %q beside other sessions: err %v, stream differs from its capture alone: %v", shards, q, err, sum != alone[q])
+						return
+					}
+				}
+			}()
+		}
+
+		for i := 0; i < 20; i++ {
+			res, streams, sum, err := capture(traced[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows[0][0] != 100 {
+				t.Fatalf("sum = %d, want 100", res.Rows[0][0])
+			}
+			// 4 single-word column reads across the shards, exactly —
+			// concurrent statements must never leak into a statement's
+			// streams.
+			ops := 0
+			for _, s := range streams {
+				ops += s.MemOps()
+			}
+			if ops != 4 || sum != alone[traced[0]] {
+				t.Fatalf("%d shards: traced %d mem ops, want 4; same stream as alone: %v", shards, ops, sum == alone[traced[0]])
+			}
+		}
+		wg.Wait()
+	}
+}
+
+// TestTracedReadTakesSharedLocks: a traced statement takes the locks it
+// takes untraced. On 1 and 3 shards, with another goroutine holding the
+// read lock of a shard the statement targets, a traced SELECT and an
+// EXPLAIN ANALYZE SELECT complete beside it, and a traced UPDATE waits for
+// it to leave.
+func TestTracedReadTakesSharedLocks(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		c, err := shard.Open(engine.DualAddress, shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{
+			"CREATE TABLE tr (id, v) CAPACITY 64",
+			"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
+		} {
+			if _, err := sql.ExecSharded(c, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, tc := range []struct {
+			src    string
+			trace  bool
+			shared bool
+		}{
+			{"SELECT SUM(v) FROM tr", true, true},
+			{"EXPLAIN ANALYZE SELECT SUM(v) FROM tr", false, true},
+			{"UPDATE tr SET v = 5 WHERE v = 99", true, false},
+		} {
+			held := c.Shard(shards - 1) // every statement here broadcasts
+			held.RLock()
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := sql.Execute(c, tc.src, sql.ExecOptions{Trace: tc.trace})
+				done <- err
+			}()
+			wait := 10 * time.Second // a shared-lock statement must get through
+			if !tc.shared {
+				wait = 20 * time.Millisecond // a writer must still be parked
+			}
+			select {
+			case err := <-done:
+				if !tc.shared {
+					t.Errorf("%d shards: %q ran beside a reader: it did not take the exclusive lock", shards, tc.src)
+				}
+				done <- err
+			case <-time.After(wait):
+				if tc.shared {
+					t.Fatalf("%d shards: %q blocked behind a reader: it did not take the shared lock", shards, tc.src)
+				}
+			}
+			held.RUnlock()
+			if err := <-done; err != nil {
+				t.Fatalf("%d shards: %q: %v", shards, tc.src, err)
+			}
 		}
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
+	"rcnvm/internal/trace"
 )
 
 // Result is the outcome of executing one statement.
@@ -26,19 +27,20 @@ type Result struct {
 const DefaultCapacity = 64 * 1024
 
 // Run executes a write — CREATE TABLE, INSERT, UPDATE or DELETE — on one
-// database. It neither locks nor logs: it is the per-shard step of the
-// scatter path's writes, which lock and log around it, and of the WAL
-// replay, which re-executes logged statements.
-func Run(db *engine.DB, st Statement) (*Result, error) {
+// database, capturing its accesses into sink when sink is non-nil. It
+// neither locks nor logs: it is the per-shard step of the scatter path's
+// writes, which lock and log around it, and of the WAL replay, which
+// re-executes logged statements.
+func Run(db *engine.DB, st Statement, sink *trace.Stream) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTable:
 		return runCreate(db, s)
 	case *Insert:
-		return runInsert(db, s)
+		return runInsert(db, s, sink)
 	case *Update:
-		return runUpdate(db, s)
+		return runUpdate(db, s, sink)
 	case *Delete:
-		return runDelete(db, s)
+		return runDelete(db, s, sink)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}
@@ -55,12 +57,13 @@ func resolveColumn(t *engine.Table, name string) (string, error) {
 	return "", fmt.Errorf("sql: table %q has no column %q", t.Schema().Name, name)
 }
 
-func lookup(db *engine.DB, name string) (*engine.Table, error) {
+// lookup returns a handle on db's table name that records into sink.
+func lookup(db *engine.DB, name string, sink *trace.Stream) (*engine.Table, error) {
 	t, ok := db.Table(name)
 	if !ok {
 		return nil, fmt.Errorf("sql: no such table %q", name)
 	}
-	return t, nil
+	return t.Traced(sink), nil
 }
 
 func runCreate(db *engine.DB, s *CreateTable) (*Result, error) {
@@ -79,8 +82,8 @@ func runCreate(db *engine.DB, s *CreateTable) (*Result, error) {
 		s.Name, len(s.Columns), capacity)}, nil
 }
 
-func runInsert(db *engine.DB, s *Insert) (*Result, error) {
-	t, err := lookup(db, s.Table)
+func runInsert(db *engine.DB, s *Insert, sink *trace.Stream) (*Result, error) {
+	t, err := lookup(db, s.Table, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -212,18 +215,24 @@ func renderGroups(groups []engine.GroupRow, key, aggCol string, agg AggKind) (*R
 	return res, nil
 }
 
-func runDelete(db *engine.DB, s *Delete) (*Result, error) {
-	t, err := lookup(db, s.Table)
+// matching returns a handle on db's table and the rows an UPDATE or DELETE
+// writes: those its WHERE matches, or every live row without one.
+func matching(db *engine.DB, table string, where []Cond, sink *trace.Stream) (*engine.Table, []int, error) {
+	t, err := lookup(db, table, sink)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case len(where) == 0:
+		return t, t.LiveRows(), nil
+	}
+	rows, err := evalConds(t, where)
+	return t, rows, err
+}
+
+func runDelete(db *engine.DB, s *Delete, sink *trace.Stream) (*Result, error) {
+	t, rows, err := matching(db, s.Table, s.Where, sink)
 	if err != nil {
 		return nil, err
-	}
-	var rows []int
-	if len(s.Where) > 0 {
-		if rows, err = evalConds(t, s.Where); err != nil {
-			return nil, err
-		}
-	} else {
-		rows = t.LiveRows()
 	}
 	if err := t.Delete(rows); err != nil {
 		return nil, err
@@ -231,18 +240,10 @@ func runDelete(db *engine.DB, s *Delete) (*Result, error) {
 	return &Result{Affected: len(rows)}, nil
 }
 
-func runUpdate(db *engine.DB, s *Update) (*Result, error) {
-	t, err := lookup(db, s.Table)
+func runUpdate(db *engine.DB, s *Update, sink *trace.Stream) (*Result, error) {
+	t, rows, err := matching(db, s.Table, s.Where, sink)
 	if err != nil {
 		return nil, err
-	}
-	var rows []int
-	if len(s.Where) > 0 {
-		if rows, err = evalConds(t, s.Where); err != nil {
-			return nil, err
-		}
-	} else {
-		rows = t.LiveRows()
 	}
 	for _, set := range s.Sets {
 		col, err := resolveColumn(t, set.Column)

@@ -40,12 +40,12 @@ func (p *parser) explain() (Statement, error) {
 
 // explain renders a statement's plan once — every shard holds the same
 // schemas — under a sharding header when there are several shards. ANALYZE
-// also executes the statement on every shard, which runLocked has
-// recording; analyze times the capture once the locks are released. The
+// also executes the statement on every shard, capturing into the EXPLAIN's
+// streams; analyze times the capture once the locks are released. The
 // execution logs any mutation under the inner statement's own text,
 // printed from the parsed AST (round-trip property): replay must
 // re-execute the mutation, not re-time it.
-func explain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
+func explain(c *shard.Cluster, ex *Explain, streams shardStreams) (*Result, []func() error, error) {
 	var b strings.Builder
 	if c.N() > 1 {
 		fmt.Fprintf(&b, "scatter over %d shards\n", c.N())
@@ -55,7 +55,7 @@ func explain(c *shard.Cluster, ex *Explain) (*Result, []func() error, error) {
 	if !ex.Analyze {
 		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
 	}
-	in := []stmt{{src: StatementText(ex.Stmt), st: ex.Stmt, targets: allShards(c)}}
+	in := []stmt{{src: StatementText(ex.Stmt), st: ex.Stmt, targets: allShards(c), streams: streams}}
 	dispatch(c, in)
 	if in[0].err != nil {
 		return nil, in[0].waits, in[0].err

@@ -69,51 +69,46 @@ func allShards(c *shard.Cluster) []int {
 
 // route decides which shards a statement must lock and in which mode.
 // Sub-plans of a read-only statement take read locks only when the whole
-// statement is read-only and untraced; any mutation (or tracing, whose
-// buffer is exclusive DB state) escalates every target to the write lock.
-func route(c *shard.Cluster, st Statement, traced bool) (targets []int, exclusive bool) {
-	exclusive = traced || !ReadOnly(st)
+// statement is read-only; any mutation escalates every target to the write
+// lock.
+func route(c *shard.Cluster, st Statement) (targets []int, exclusive bool) {
+	exclusive = !ReadOnly(st)
 	if c.N() == 1 {
 		// The lone shard owns every row: nothing to route, and a
 		// shard.Wrap'd database has no registry to consult.
 		return allShards(c), exclusive
 	}
+	// A statement whose WHERE may pin the partitioning column names its
+	// table; the rest — joins, EXPLAIN ANALYZE, DDL and INSERT, whose rows
+	// route one by one — touch every shard.
+	var table string
+	var where []Cond
 	switch s := st.(type) {
 	case *Select:
-		if s.JoinTable != "" {
-			return allShards(c), exclusive
+		if s.JoinTable == "" {
+			table, where = s.Table, s.Where
 		}
-		if i, ok := pointShard(c, s.Table, s.Where); ok {
-			return []int{i}, exclusive
-		}
-		return allShards(c), exclusive
 	case *Update:
 		// Rewriting the partitioning column breaks "stored key predicts
 		// placement" for every row it touches: disable point routing for
-		// this table up front (permanently) and broadcast the update —
+		// this table up front (permanently), so the update broadcasts —
 		// broadcasts stay correct regardless of placement.
 		if updateUnstable(c, s) {
 			c.MarkUnstable(s.Table)
-			return allShards(c), true
 		}
-		if i, ok := pointShard(c, s.Table, s.Where); ok {
-			return []int{i}, true
-		}
-		return allShards(c), true
+		table, where = s.Table, s.Where
 	case *Delete:
-		if i, ok := pointShard(c, s.Table, s.Where); ok {
-			return []int{i}, true
-		}
-		return allShards(c), true
+		table, where = s.Table, s.Where
 	case *Explain:
 		if !s.Analyze {
 			// Plan description reads one schema; shard 0 stands in for all.
 			return []int{0}, exclusive
 		}
-		return allShards(c), true
-	default: // CreateTable, Insert: DDL and row routing touch every shard.
-		return allShards(c), true
 	}
+	if i, ok := pointShard(c, table, where); ok {
+		return []int{i}, exclusive
+	}
+	return allShards(c), exclusive
 }
 
 // pointShard reports the single shard that can satisfy a statement whose
@@ -159,27 +154,35 @@ func unlockShards(c *shard.Cluster, targets []int, exclusive bool) {
 // (runEnd picks the run): a run of plain SELECTs or of UPDATE/DELETEs
 // fans out once, and a lone one is a run of one; every other statement
 // is alone. Each statement's result, error and durability waits land in
-// its slot; the waits run after the locks are released.
+// its slot, and a traced statement's accesses in its streams; the waits
+// run after the locks are released.
 func dispatch(c *shard.Cluster, run []stmt) {
 	r := &run[0]
 	switch s := r.st.(type) {
 	case *Select:
 		if s.JoinTable != "" {
-			r.res, r.err = scatterJoin(c, s)
+			r.res, r.err = scatterJoin(c, s, r.streams)
 			return
 		}
 		scatterSelect(c, run)
 	case *Explain:
-		r.res, r.waits, r.err = explain(c, s)
+		r.res, r.waits, r.err = explain(c, s, r.streams)
 	case *Insert:
 		if c.N() > 1 {
-			r.res, r.waits, r.err = scatterInsert(c, s)
+			r.res, r.waits, r.err = scatterInsert(c, s, r.streams)
 			return
 		}
 		scatterWrite(c, run)
 	default: // CREATE TABLE, UPDATE, DELETE
 		scatterWrite(c, run)
 	}
+}
+
+// member is what a fan-out's cells read of a run's statement: a copy, so
+// the run (a lone statement's is on Execute's stack) stays off the heap.
+type member struct {
+	st      Statement
+	streams shardStreams
 }
 
 func errUnmanaged(table string) error {
@@ -193,8 +196,8 @@ func errUnmanaged(table string) error {
 // shard's appended rows accumulate into one insert record carrying the
 // assigned global ids — flushed even when the statement fails midway, so
 // replay reproduces exactly the rows that landed.
-func scatterInsert(c *shard.Cluster, s *Insert) (*Result, []func() error, error) {
-	if _, err := lookup(c.Shard(0), s.Table); err != nil {
+func scatterInsert(c *shard.Cluster, s *Insert, streams shardStreams) (*Result, []func() error, error) {
+	if _, err := lookup(c.Shard(0), s.Table, nil); err != nil {
 		return nil, nil, err
 	}
 	if !c.Registered(s.Table) {
@@ -229,7 +232,7 @@ func scatterInsert(c *shard.Cluster, s *Insert) (*Result, []func() error, error)
 	}
 	for ri, row := range s.Rows {
 		sh := c.Partition(row[0])
-		t, err := lookup(c.Shard(sh), s.Table)
+		t, err := lookup(c.Shard(sh), s.Table, streams.sink(sh))
 		if err != nil {
 			return nil, flush(), err
 		}
@@ -274,19 +277,19 @@ func scatterWrite(c *shard.Cluster, run []stmt) {
 		db := c.Shard(targets[0])
 		for k := range run {
 			if run[k].st != nil { // a parse error inside a run executes nothing
-				out[k].res, out[k].err = Run(db, run[k].st)
+				out[k].res, out[k].err = Run(db, run[k].st, run[k].streams.sink(targets[0]))
 			}
 		}
 	} else {
-		sts := make([]Statement, len(run))
+		members := make([]member, len(run))
 		for k := range run {
-			sts[k] = run[k].st
+			members[k] = member{run[k].st, run[k].streams}
 		}
 		_ = par.RunCells(context.Background(), c.Workers(), n, func(j int) error {
 			db := c.Shard(targets[j])
-			for k, st := range sts {
-				if st != nil {
-					out[k*n+j].res, out[k*n+j].err = Run(db, st)
+			for k, m := range members {
+				if m.st != nil {
+					out[k*n+j].res, out[k*n+j].err = Run(db, m.st, m.streams.sink(targets[j]))
 				}
 			}
 			return nil

@@ -23,6 +23,7 @@ import (
 	"rcnvm/internal/engine"
 	"rcnvm/internal/par"
 	"rcnvm/internal/shard"
+	"rcnvm/internal/trace"
 )
 
 // rowRef locates one row of a fan-out: merges order by global id, the
@@ -46,7 +47,7 @@ type aggCell struct {
 // selPartial is one shard's contribution to a SELECT.
 type selPartial struct {
 	err    error
-	t      *engine.Table // the shard's table, which the merge projects from
+	t      *engine.Table // the shard's table handle, which the merge projects through
 	fields []string      // a projection's resolved columns
 	rows   []int         // its local row ids in output order, LIMIT applied
 	keys   []uint64      // their ORDER BY keys
@@ -55,15 +56,16 @@ type selPartial struct {
 	groups []engine.GroupRow
 }
 
-// selectOnShard runs a SELECT's sub-plan on one database.
-func selectOnShard(db *engine.DB, s *Select) selPartial {
+// selectOnShard runs a SELECT's sub-plan on one database. Its accesses, and
+// the merge's projections after them, are captured into sink.
+func selectOnShard(db *engine.DB, s *Select, sink *trace.Stream) selPartial {
 	var p selPartial
-	p.err = p.run(db, s)
+	p.err = p.run(db, s, sink)
 	return p
 }
 
-func (p *selPartial) run(db *engine.DB, s *Select) error {
-	t, err := lookup(db, s.Table)
+func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
+	t, err := lookup(db, s.Table, sink)
 	if err != nil {
 		return err
 	}
@@ -209,28 +211,28 @@ func scatterSelect(c *shard.Cluster, run []stmt) {
 		db := c.Shard(targets[0])
 		for k := range run {
 			if s, ok := run[k].st.(*Select); ok {
-				run[k].res, run[k].err = mergeSelect(s, []selPartial{selectOnShard(db, s)})
+				run[k].res, run[k].err = mergeSelect(s, []selPartial{selectOnShard(db, s, run[k].streams.sink(targets[0]))})
 			}
 		}
 		return
 	}
-	sels := make([]*Select, len(run))
+	members := make([]member, len(run))
 	parts := make([][]selPartial, len(run))
 	for k := range run {
-		if s, ok := run[k].st.(*Select); ok { // a parse error inside a run executes nothing
-			sels[k], parts[k] = s, make([]selPartial, len(targets))
+		if _, ok := run[k].st.(*Select); ok { // a parse error inside a run executes nothing
+			members[k], parts[k] = member{run[k].st, run[k].streams}, make([]selPartial, len(targets))
 		}
 	}
 	_ = par.RunCells(context.Background(), c.Workers(), len(targets), func(j int) error {
-		for k, s := range sels {
-			if s != nil {
-				parts[k][j] = fanOutPartial(c, targets[j], s)
+		for k, m := range members {
+			if s, ok := m.st.(*Select); ok {
+				parts[k][j] = fanOutPartial(c, targets[j], s, m.streams.sink(targets[j]))
 			}
 		}
 		return nil
 	})
-	for k, s := range sels {
-		if s != nil {
+	for k, m := range members {
+		if s, ok := m.st.(*Select); ok {
 			run[k].res, run[k].err = mergeSelect(s, parts[k])
 		}
 	}
@@ -238,8 +240,8 @@ func scatterSelect(c *shard.Cluster, run []stmt) {
 
 // fanOutPartial is shard i's partial in a fan-out over several shards: its
 // rows carry their global ids, the merge order.
-func fanOutPartial(c *shard.Cluster, i int, s *Select) selPartial {
-	p := selectOnShard(c.Shard(i), s)
+func fanOutPartial(c *shard.Cluster, i int, s *Select, sink *trace.Stream) selPartial {
+	p := selectOnShard(c.Shard(i), s, sink)
 	if p.err != nil {
 		return p
 	}
@@ -428,10 +430,10 @@ func mergeRows(s *Select, parts []selPartial) (*Result, error) {
 }
 
 // joinKeysOnShard gathers every live row of table on shard i with its key,
-// reading the key column in scan orientation. Rows carry global ids only on
-// a cluster of several shards.
-func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]rowRef, error) {
-	t, err := lookup(c.Shard(i), table)
+// reading the key column in scan orientation and capturing into sink. Rows
+// carry global ids only on a cluster of several shards.
+func joinKeysOnShard(c *shard.Cluster, i int, table, col string, sink *trace.Stream) ([]rowRef, error) {
+	t, err := lookup(c.Shard(i), table, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -461,14 +463,14 @@ func joinKeysOnShard(c *shard.Cluster, i int, table, col string) ([]rowRef, erro
 
 // gatherJoinKeys fans joinKeysOnShard over the cluster and returns the
 // rows merged into ascending global order — one database's scan order.
-func gatherJoinKeys(c *shard.Cluster, table, col string) ([]rowRef, error) {
+func gatherJoinKeys(c *shard.Cluster, table, col string, streams shardStreams) ([]rowRef, error) {
 	type slot struct {
 		rows []rowRef
 		err  error
 	}
 	out := make([]slot, c.N())
 	_ = par.RunCells(context.Background(), c.Workers(), c.N(), func(i int) error {
-		out[i].rows, out[i].err = joinKeysOnShard(c, i, table, col)
+		out[i].rows, out[i].err = joinKeysOnShard(c, i, table, col, streams.sink(i))
 		return nil
 	})
 	var all []rowRef
@@ -484,13 +486,14 @@ func gatherJoinKeys(c *shard.Cluster, table, col string) ([]rowRef, error) {
 
 // scatterJoin gathers both sides' keys shard by shard, then builds and
 // probes in global-row order — both key columns in full, then the fields of
-// each (a, b) pair — projecting each output row from its owner shard.
-func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
-	a0, err := lookup(c.Shard(0), s.Table)
+// each (a, b) pair — projecting each output row from its owner shard, which
+// records the projection into its stream.
+func scatterJoin(c *shard.Cluster, s *Select, streams shardStreams) (*Result, error) {
+	a0, err := lookup(c.Shard(0), s.Table, nil)
 	if err != nil {
 		return nil, err
 	}
-	b0, err := lookup(c.Shard(0), s.JoinTable)
+	b0, err := lookup(c.Shard(0), s.JoinTable, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -514,11 +517,11 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 		return nil, fmt.Errorf("engine: join keys must be single-word fields")
 	}
 
-	as, err := gatherJoinKeys(c, s.Table, left)
+	as, err := gatherJoinKeys(c, s.Table, left, streams)
 	if err != nil {
 		return nil, err
 	}
-	bs, err := gatherJoinKeys(c, s.JoinTable, right)
+	bs, err := gatherJoinKeys(c, s.JoinTable, right, streams)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +559,7 @@ func scatterJoin(c *shard.Cluster, s *Select) (*Result, error) {
 			default:
 				return nil, fmt.Errorf("sql: projection table %q not in FROM/JOIN", q.Table)
 			}
-			t, err := lookup(c.Shard(kr.shard), table)
+			t, err := lookup(c.Shard(kr.shard), table, streams.sink(kr.shard))
 			if err != nil {
 				return nil, err
 			}

@@ -167,7 +167,7 @@ func TestScatterPointRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets, exclusive := route(c, st, false)
+	targets, exclusive := route(c, st)
 	if len(targets) != 1 || exclusive {
 		t.Fatalf("point SELECT routed to %v (exclusive=%v), want one shard shared", targets, exclusive)
 	}
@@ -178,7 +178,7 @@ func TestScatterPointRouting(t *testing.T) {
 	if _, err := ExecSharded(c, "UPDATE table_a SET f1 = 5 WHERE f2 = 777"); err != nil {
 		t.Fatal(err)
 	}
-	targets, _ = route(c, st, false)
+	targets, _ = route(c, st)
 	if len(targets) != c.N() {
 		t.Fatalf("after partition-column rewrite: routed to %v, want broadcast", targets)
 	}
@@ -186,8 +186,8 @@ func TestScatterPointRouting(t *testing.T) {
 
 // TestScatterSubPlanLockModes: the lock mode a fanned-out sub-plan takes
 // must agree with the statement's read-only classification — a mutating
-// statement may never reach a shard under a read lock, and tracing always
-// escalates to exclusive.
+// statement may never reach a shard under a read lock, and an EXPLAIN
+// ANALYZE takes the mode of the statement it executes.
 func TestScatterSubPlanLockModes(t *testing.T) {
 	c := newSuiteCluster(t, 2, 2)
 	cases := []struct {
@@ -203,22 +203,19 @@ func TestScatterSubPlanLockModes(t *testing.T) {
 		{"UPDATE table_a SET f3 = 1 WHERE f1 = 9", true},
 		{"DELETE FROM table_b WHERE f10 = 1", true},
 		{"CREATE TABLE zz (a, b)", true},
-		{"EXPLAIN ANALYZE SELECT * FROM table_a", true},
+		{"EXPLAIN ANALYZE SELECT * FROM table_a", false},
+		{"EXPLAIN ANALYZE UPDATE table_a SET f3 = 1", true},
 	}
 	for _, tc := range cases {
 		st, err := Parse(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
-		if _, exclusive := route(c, st, false); exclusive != tc.exclusive {
+		if _, exclusive := route(c, st); exclusive != tc.exclusive {
 			t.Errorf("%s: exclusive=%v, want %v", tc.src, exclusive, tc.exclusive)
 		}
 		if ro := ReadOnly(st); ro == tc.exclusive {
 			t.Errorf("%s: ReadOnly=%v contradicts required lock mode", tc.src, ro)
-		}
-		// Tracing must force exclusive locks regardless of classification.
-		if _, exclusive := route(c, st, true); !exclusive {
-			t.Errorf("%s: traced sub-plan got a read lock", tc.src)
 		}
 	}
 }

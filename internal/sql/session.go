@@ -30,14 +30,14 @@ import (
 
 // ReadOnly reports whether a statement only reads database state, and may
 // therefore run under the shared (read) lock concurrently with other
-// readers. EXPLAIN ANALYZE is a writer: it records an access trace, which
-// is exclusive state on the DB.
+// readers. An EXPLAIN ANALYZE is what it executes: the accesses it captures
+// are its own, not state on the DB.
 func ReadOnly(st Statement) bool {
 	switch s := st.(type) {
 	case *Select:
 		return true
 	case *Explain:
-		return !s.Analyze
+		return !s.Analyze || ReadOnly(s.Stmt)
 	default:
 		return false
 	}
@@ -80,9 +80,9 @@ type ExecOptions struct {
 	// obs.ProcQuery on lane TID.
 	Rec *obs.Recorder
 	TID int64
-	// Trace records each target shard's memory accesses for the statement.
-	// The trace buffer is shared DB state, so tracing takes exclusive locks
-	// even for SELECTs, and EXPLAIN (which times itself) is rejected.
+	// Trace records each target shard's memory accesses for the statement
+	// into a stream of the statement's own, so a traced statement takes the
+	// locks it takes untraced. EXPLAIN (which times itself) is rejected.
 	Trace bool
 }
 
@@ -97,7 +97,18 @@ type stmt struct {
 	res     *Result
 	err     error
 	waits   []func() error
-	streams []trace.Stream // streams[i] is shard i's; nil when untraced
+	streams shardStreams // streams[i] is shard i's; nil when untraced
+}
+
+// shardStreams are a traced statement's captured access streams.
+type shardStreams []trace.Stream
+
+// sink is the stream of shard i, nil when the statement is untraced.
+func (ss shardStreams) sink(i int) *trace.Stream {
+	if ss == nil {
+		return nil
+	}
+	return &ss[i]
 }
 
 // Execute runs one statement as a batch of one: parse, route, lock the
@@ -141,8 +152,11 @@ func execute(c *shard.Cluster, stmts []stmt, o ExecOptions) {
 			continue
 		}
 		var ex bool
-		s.targets, ex = route(c, s.st, o.Trace)
+		s.targets, ex = route(c, s.st)
 		exclusive = exclusive || ex
+		if o.Trace || analyzes(s.st) {
+			s.streams = make(shardStreams, c.N())
+		}
 		lock = union(lock, s.targets)
 	}
 	if lock == nil {
@@ -188,9 +202,8 @@ func union(a, b []int) []int {
 }
 
 // runLocked is the pipeline's locked section: lock, run the statements in
-// order, unlock. A statement under ExecOptions.Trace and an EXPLAIN
-// ANALYZE run traced, each on its own (runTraced). The unlock is deferred,
-// so a panic under the lock cannot wedge the shards for later statements.
+// order, unlock. The unlock is deferred, so a panic under the lock cannot
+// wedge the shards for later statements.
 func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o ExecOptions) {
 	endLockWait := o.span("lock_wait")
 	lockShards(c, lock, exclusive)
@@ -203,33 +216,10 @@ func runLocked(c *shard.Cluster, stmts []stmt, lock []int, exclusive bool, o Exe
 			continue
 		}
 		j := runEnd(c, stmts, i)
-		if o.Trace || analyzes(stmts[i].st) {
-			runTraced(c, stmts[i:j])
-		} else {
-			dispatch(c, stmts[i:j])
-		}
+		dispatch(c, stmts[i:j])
 		i = j
 	}
 	endExec()
-}
-
-// runTraced dispatches a run of one statement — a traced one is a batch of
-// one, and an EXPLAIN never joins a run — with its targets recording, and
-// leaves each target's stream in the statement's slot. The stop is
-// deferred, so a panic cannot leave access recording on for later
-// read-locked SELECTs to race on.
-func runTraced(c *shard.Cluster, run []stmt) {
-	s := &run[0]
-	s.streams = make([]trace.Stream, c.N())
-	for _, i := range s.targets {
-		c.Shard(i).StartTrace()
-	}
-	defer func() {
-		for _, i := range s.targets {
-			s.streams[i] = c.Shard(i).StopTrace()
-		}
-	}()
-	dispatch(c, run)
 }
 
 // span starts a wall-clock phase span on the recorder and returns the func
@@ -255,7 +245,7 @@ func ExecShardedCached(c *shard.Cluster, pc *PlanCache, src string) (*Result, er
 	return res, err
 }
 
-// ExecShardedTraced is Execute with per-shard memory-access recording.
+// ExecShardedTraced is Execute with each shard's memory accesses captured.
 func ExecShardedTraced(c *shard.Cluster, src string) (*Result, []trace.Stream, error) {
 	return Execute(c, src, ExecOptions{Trace: true})
 }
