@@ -37,7 +37,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sql.ExecSharded(shard.Wrap(db), "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
+			if _, _, err := sql.Execute(shard.Wrap(db), "CREATE TABLE bench (id, grp, val) CAPACITY 4096", sql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			for lo := 0; lo < 1024; lo += 128 {
@@ -48,7 +48,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 					}
 					ins += fmt.Sprintf("(%d,%d,%d)", i, i%8, i*3)
 				}
-				if _, err := sql.ExecSharded(shard.Wrap(db), ins); err != nil {
+				if _, _, err := sql.Execute(shard.Wrap(db), ins, sql.ExecOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +125,7 @@ func BenchmarkServerBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := sql.ExecSharded(shard.Wrap(db), "CREATE TABLE bench (id, grp, val) CAPACITY 4096"); err != nil {
+			if _, _, err := sql.Execute(shard.Wrap(db), "CREATE TABLE bench (id, grp, val) CAPACITY 4096", sql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			ins := "INSERT INTO bench VALUES "
@@ -135,7 +135,7 @@ func BenchmarkServerBatch(b *testing.B) {
 				}
 				ins += fmt.Sprintf("(%d,%d,%d)", i, i%8, i*3)
 			}
-			if _, err := sql.ExecSharded(shard.Wrap(db), ins); err != nil {
+			if _, _, err := sql.Execute(shard.Wrap(db), ins, sql.ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 			srv := server.NewCluster(shard.Wrap(db), server.Options{})

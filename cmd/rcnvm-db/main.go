@@ -203,7 +203,7 @@ meta:       .tables  .trace on|off  .counts  .save FILE
 			"SELECT AVG(salary), COUNT(*) FROM person WHERE age > 28",
 		} {
 			fmt.Println("rcnvm-db>", stmt)
-			res, err := sql.ExecSharded(c, stmt)
+			res, _, err := sql.Execute(c, stmt, sql.ExecOptions{})
 			if err != nil {
 				fmt.Println("error:", err)
 				return false

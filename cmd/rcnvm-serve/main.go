@@ -299,7 +299,7 @@ func ensureLoadTable(cl *shard.Cluster) {
 	if _, ok := cl.Shard(0).Table("load"); ok {
 		return
 	}
-	if _, err := sql.ExecSharded(cl, "CREATE TABLE load (id, grp, val) CAPACITY 1048576"); err != nil {
+	if _, _, err := sql.Execute(cl, "CREATE TABLE load (id, grp, val) CAPACITY 1048576", sql.ExecOptions{}); err != nil {
 		fatal(err)
 	}
 }

@@ -75,7 +75,7 @@ func transcript(t *testing.T, c *shard.Cluster) string {
 	t.Helper()
 	var b strings.Builder
 	for _, q := range probes {
-		res, err := sql.ExecSharded(c, q)
+		res, _, err := sql.Execute(c, q, sql.ExecOptions{})
 		if err != nil {
 			fmt.Fprintf(&b, "%s -> error: %v\n", q, err)
 			continue
@@ -91,7 +91,7 @@ func transcript(t *testing.T, c *shard.Cluster) string {
 // identically on every cluster that runs the same prefix.
 func applyAll(c *shard.Cluster, stmts []string) {
 	for _, s := range stmts {
-		_, _ = sql.ExecSharded(c, s)
+		_, _, _ = sql.Execute(c, s, sql.ExecOptions{})
 	}
 }
 

@@ -110,7 +110,7 @@ func TestShipWALToFollowerConverges(t *testing.T) {
 			// Scatter-gather results agree too (global row ids shipped in
 			// the insert records reproduce the merge keys).
 			want := mustExec(t, c, "SELECT * FROM kv ORDER BY k").Format()
-			got, err := sql.ExecSharded(follower, "SELECT * FROM kv ORDER BY k")
+			got, _, err := sql.Execute(follower, "SELECT * FROM kv ORDER BY k", sql.ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

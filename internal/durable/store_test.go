@@ -33,7 +33,7 @@ func openRecovered(t *testing.T, dir string, shards int) (*Store, *shard.Cluster
 
 func mustExec(t *testing.T, c *shard.Cluster, src string) *sql.Result {
 	t.Helper()
-	res, err := sql.ExecSharded(c, src)
+	res, _, err := sql.Execute(c, src, sql.ExecOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}

@@ -88,12 +88,12 @@ func runShardCount(n, workers int) (shardRun, error) {
 		return r, err
 	}
 	for _, stmt := range workload.SQLSetup() {
-		if _, err := sql.ExecSharded(c, stmt); err != nil {
+		if _, _, err := sql.Execute(c, stmt, sql.ExecOptions{}); err != nil {
 			return r, fmt.Errorf("shard sweep: setup: %w", err)
 		}
 	}
 	for _, q := range workload.SQLQueries() {
-		res, streams, err := sql.ExecShardedTraced(c, q.SQL)
+		res, streams, err := sql.Execute(c, q.SQL, sql.ExecOptions{Trace: true})
 		if err != nil {
 			return r, fmt.Errorf("shard sweep: %s: %w", q.ID, err)
 		}

@@ -287,7 +287,7 @@ func (r *RetryClient) Batch(stmts []string) ([]*Response, error) {
 }
 
 // batchRetryable decides whether a failed batch may be resent. Overload is
-// a pre-execution rejection (the pool never admitted the batch), so it is
+// a pre-execution rejection (the server never admitted the batch), so it is
 // always safe. Shutdown is also pre-execution but the server is draining —
 // retrying matches the single-statement client's behavior of giving up.
 // Every other retryable class (deadline, broken session, transport) left

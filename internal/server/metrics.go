@@ -106,7 +106,8 @@ type LatencySummary struct {
 	Histogram *stats.Histogram `json:"histogram"`
 }
 
-// PoolStatus reports worker-pool occupancy.
+// PoolStatus reports admission occupancy: Workers run slots, and Depth
+// of the Capacity (Options.Queue) waiting slots taken.
 type PoolStatus struct {
 	Workers  int `json:"workers"`
 	Depth    int `json:"depth"`
@@ -123,7 +124,7 @@ type StatsSnapshot struct {
 }
 
 // snapshot assembles the /stats payload around the merged counter view.
-func (m *Metrics) snapshot(p *Pool, counters map[string]int64) StatsSnapshot {
+func (m *Metrics) snapshot(pool PoolStatus, counters map[string]int64) StatsSnapshot {
 	return StatsSnapshot{
 		Counters: counters,
 		Latency: LatencySummary{
@@ -135,6 +136,6 @@ func (m *Metrics) snapshot(p *Pool, counters map[string]int64) StatsSnapshot {
 			MaxNs:     m.Latency.Max(),
 			Histogram: m.Latency,
 		},
-		Pool: PoolStatus{Workers: p.Workers(), Depth: p.Depth(), Capacity: p.Capacity()},
+		Pool: pool,
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // handleMetrics renders GET /metrics in the Prometheus text format:
 // every server and fault counter, the statement-latency histogram with
-// headline quantiles, worker-pool occupancy gauges, and the per-bank
+// headline quantiles, admission occupancy gauges, and the per-bank
 // telemetry series of timed queries' RC-NVM replays, summed over shards
 // and, on several shards, per shard.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -28,9 +28,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	p.Histograms("rcnvm_server_query_latency_seconds", "", []obs.LabeledHistogram{{H: s.met.Latency}}, 1e-9)
 
-	p.Gauge("rcnvm_server_pool_workers", float64(s.pool.Workers()))
-	p.Gauge("rcnvm_server_pool_depth", float64(s.pool.Depth()))
-	p.Gauge("rcnvm_server_pool_capacity", float64(s.pool.Capacity()))
+	pool := s.pool()
+	p.Gauge("rcnvm_server_pool_workers", float64(pool.Workers))
+	p.Gauge("rcnvm_server_pool_depth", float64(pool.Depth))
+	p.Gauge("rcnvm_server_pool_capacity", float64(pool.Capacity))
 	p.Gauge("rcnvm_server_shards", float64(s.Cluster().N()))
 
 	// Replication-lag gauges, present only on a read replica: the scalar

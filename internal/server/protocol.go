@@ -1,17 +1,17 @@
 // Package server is the concurrent query service over the functional
 // RC-NVM database: a TCP front end speaking newline-delimited JSON and an
 // HTTP front end (POST /query, GET /stats), both executing SQL against one
-// shared engine.DB through a bounded worker pool with admission control.
+// shared engine.DB under admission control.
 //
 // Concurrency model, in one paragraph: every statement is classified by
 // sql.ReadOnly and runs under the engine's RWMutex at statement
 // granularity — SELECTs, traced or not, share the read lock and proceed in
-// parallel, mutations take the write lock. The worker pool
-// bounds how many statements execute at once; when its queue is full the
-// server rejects immediately with a typed "overloaded" error instead of
-// queueing unboundedly, so latency stays bounded under overload. Shutdown
-// stops admission first, then drains every in-flight query before closing
-// connections.
+// parallel, mutations take the write lock. A statement runs on the
+// goroutine that decoded it (its session's) once it holds one of Workers
+// run slots; at most Queue more wait for one, and past that the server
+// rejects immediately with a typed "overloaded" error, so latency stays
+// bounded under overload. Shutdown stops admission first, then drains
+// every in-flight query before closing connections.
 //
 // A request may set "timing": true to have its memory-access trace
 // replayed on the RC-NVM timing simulator, both as issued (column
@@ -29,7 +29,8 @@ import (
 
 // Wire error codes carried in Response.Error.Code.
 const (
-	// CodeOverloaded: the worker pool's queue was full; retry later.
+	// CodeOverloaded: every admission slot was taken (Workers running,
+	// Queue waiting for a run slot); retry later.
 	CodeOverloaded = "overloaded"
 	// CodeShutdown: the server is draining and admits no new queries.
 	CodeShutdown = "shutting_down"
@@ -45,8 +46,8 @@ const (
 	// recovered and the server kept serving.
 	CodeInternal = "internal_error"
 	// CodeTimeout: the statement exceeded its deadline. The statement
-	// keeps running to completion on its worker (the engine cannot abandon
-	// a scan mid-flight), but the response slot is released.
+	// keeps running to completion on a goroutine of its own (the engine
+	// cannot abandon a scan mid-flight), but the response slot is released.
 	CodeTimeout = "deadline_exceeded"
 	// CodeUnavailable: the node is alive but not ready to serve queries
 	// (WAL recovery, replica catch-up, drain). Retryable — the same
@@ -86,7 +87,7 @@ func httpStatus(code string) int {
 	}
 }
 
-// Typed sentinel errors for admission-control outcomes; both the pool and
+// Typed sentinel errors for admission-control outcomes; both the server and
 // the client surface these so callers can errors.Is on them.
 var (
 	ErrOverloaded   = errors.New("server: overloaded, query rejected")
@@ -102,7 +103,7 @@ type Request struct {
 	// Query is the SQL statement text. Mutually exclusive with Batch.
 	Query string `json:"query"`
 	// Batch is an ordered list of statements executed as one unit: one
-	// pool admission, one shard-lock round, one group-commit fsync wait.
+	// admission, one shard-lock round, one group-commit fsync wait.
 	// The response carries one result slot per statement in Results; a
 	// failed statement fills its slot's Error and the batch continues,
 	// exactly as a session issuing the statements one at a time would.

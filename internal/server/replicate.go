@@ -228,9 +228,9 @@ func (s *Server) handleWALRegistry(w http.ResponseWriter, r *http.Request, st *d
 // response, nothing checkpoints. It is the in-process stand-in for
 // kill -9 that the chaos tests use — everything a real SIGKILL would
 // leave behind (an unsynced WAL tail, clients mid-request) is left
-// behind here too. The worker pool is left running so a statement that
-// was mid-execution can finish and release its locks; it simply has no
-// one to answer to.
+// behind here too. A statement that was mid-execution finishes on its
+// session's goroutine and releases its locks; it simply has no one to
+// answer to.
 func (s *Server) Abort() {
 	s.SetNotReady("aborted")
 	s.front.Close(context.Background(), false, nil)

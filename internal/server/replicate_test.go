@@ -180,7 +180,8 @@ func TestReadOnlyReplicaServesExplainAnalyzeSelect(t *testing.T) {
 // execOnCluster runs one statement directly on a server's cluster, the
 // way the follower's apply path does (bypassing the ReadOnly gate).
 func execOnCluster(s *Server, src string) (*sql.Result, error) {
-	return sql.ExecSharded(s.Cluster(), src)
+	res, _, err := sql.Execute(s.Cluster(), src, sql.ExecOptions{})
+	return res, err
 }
 
 func TestChecksumsMatchForIdenticalState(t *testing.T) {

@@ -31,17 +31,17 @@ const MaxBatchStatements = 1024
 // Options configures a Server. The zero value is usable: GOMAXPROCS
 // workers with a 4x queue.
 type Options struct {
-	// Workers is the number of statements executing concurrently
+	// Workers is the number of run slots: statements executing at once
 	// (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// Queue is the admission queue capacity (default 4*Workers). When
-	// the queue is full, requests are rejected with CodeOverloaded.
+	// Queue is how many admitted statements may wait for a run slot
+	// (default 4*Workers); past Workers+Queue, requests get CodeOverloaded.
 	Queue int
 	// QueryTimeout caps every statement's execution time (0 = no limit).
 	// A request's TimeoutMs can only tighten it. Past the deadline the
 	// client gets CodeTimeout while the statement runs to completion on
-	// its worker (the engine cannot abandon a scan mid-flight) — the
-	// shutdown drain still covers it.
+	// its own goroutine (the engine cannot abandon a scan mid-flight) —
+	// the shutdown drain still covers it.
 	QueryTimeout time.Duration
 	// TraceEvery server-side samples every Nth statement for span tracing
 	// in addition to explicit Trace requests (0 = explicit requests only).
@@ -90,10 +90,11 @@ type Server struct {
 	// swaps it in (SwapCluster) while the server is not-ready. Straggling
 	// statements finish against the cluster they loaded; new ones see the
 	// replacement.
-	cluster atomic.Pointer[shard.Cluster]
-	pool    *Pool
-	met     *Metrics
-	opts    Options
+	cluster  atomic.Pointer[shard.Cluster]
+	met      *Metrics
+	opts     Options
+	admitted atomic.Int64  // admitted, unfinished statements: Workers+Queue at most
+	running  chan struct{} // one token per executing statement: the run slots
 	// notReady holds the reason the server is not ready to serve queries
 	// (nil = ready). /readyz mirrors it and doHeld rejects with the
 	// retryable CodeUnavailable while set, so routers and clients never see
@@ -108,6 +109,7 @@ type Server struct {
 	front *FrontEnd
 
 	inflight sync.WaitGroup // admitted, not-yet-answered queries
+	answered func()         // inflight.Done bound once: an admitted request's release
 
 	// tels holds one per-bank telemetry per shard, merged into by every
 	// timed statement's RC-NVM replay on that shard; /metrics and
@@ -136,8 +138,8 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	}
 	banks := config.RCNVM().Device.Geom.TotalBanks()
 	s := &Server{
-		pool:    NewPool(opts.Workers, opts.Queue),
 		met:     NewMetrics(),
+		running: make(chan struct{}, opts.Workers),
 		opts:    opts,
 		tels:    make([]*obs.Telemetry, c.N()),
 		replays: sim.NewReplayer(2 * opts.Workers),
@@ -145,6 +147,7 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	for i := range s.tels {
 		s.tels[i] = obs.NewTelemetry(banks, 0)
 	}
+	s.answered = s.inflight.Done
 	s.cluster.Store(c)
 	// Every session is answered by the server itself, so there is nothing
 	// per-session to open or close.
@@ -220,7 +223,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // endpoint). When the engine runs with fault injection, the injectors'
 // accounting — summed across shards — is merged in under the fault.* names.
 func (s *Server) Stats() StatsSnapshot {
-	snap := s.met.snapshot(s.pool, s.counters())
+	snap := s.met.snapshot(s.pool(), s.counters())
 	if st, ok := s.replicationStatus(); ok {
 		snap.Replication = &st
 	}
@@ -282,9 +285,9 @@ func (s *Server) faultCounts() (sum fault.Counts, ok bool) {
 	return sum, ok
 }
 
-// Do admits one request to the worker pool and waits for its response.
-// It is the transport-independent core: both front ends and in-process
-// callers (benchmarks) go through it.
+// Do admits one request and answers it; with no deadline the statement
+// runs on the caller's goroutine. It is the transport-independent core:
+// both front ends and in-process callers (benchmarks) go through it.
 func (s *Server) Do(req *Request) *Response {
 	resp, release := s.doHeld(req)
 	if release != nil {
@@ -324,62 +327,75 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	s.inflight.Add(1)
 	s.front.mu.Unlock()
 
+	if s.admitted.Add(1) > int64(s.opts.Workers+s.opts.Queue) {
+		s.admitted.Add(-1)
+		s.inflight.Done()
+		s.met.Set.Inc(Rejected)
+		return errResponse(req.ID, CodeOverloaded, ErrOverloaded.Error()), nil
+	}
+
 	timeout := s.opts.QueryTimeout
 	if req.TimeoutMs > 0 {
 		if t := time.Duration(req.TimeoutMs) * time.Millisecond; timeout == 0 || t < timeout {
 			timeout = t
 		}
 	}
+	if timeout <= 0 {
+		return s.run(req), s.answered
+	}
 
+	// With a deadline the statement runs on its own goroutine, so that
+	// this one can answer at the deadline while the engine finishes.
+	// Exactly one side wins abandoned's CompareAndSwap and owns the
+	// response: the statement delivers to done, or the waiter answers
+	// timeout and the statement releases the in-flight count when done.
 	done := make(chan *Response, 1)
-	// abandoned arbitrates the waiter/worker race on timeout: exactly one
-	// side wins the CompareAndSwap, and the loser's side owns nothing. If
-	// the worker wins, it delivers to done and the waiter (even one whose
-	// deadline fired concurrently) receives it; if the waiter wins, the
-	// worker discards its response and releases the in-flight count itself
-	// when the statement eventually completes.
 	var abandoned atomic.Bool
-	err := s.pool.Submit(func() {
-		resp := s.execute(req)
+	go func() {
+		resp := s.run(req)
 		if abandoned.CompareAndSwap(false, true) {
 			done <- resp
 			return
 		}
 		s.inflight.Done() // timed-out request: the drain waited for us
-	})
-	if err != nil {
-		s.inflight.Done()
-		if err == ErrShuttingDown {
-			s.met.Set.Inc(RejectedDrain)
-			return errResponse(req.ID, CodeShutdown, err.Error()), nil
-		}
-		s.met.Set.Inc(Rejected)
-		return errResponse(req.ID, CodeOverloaded, err.Error()), nil
-	}
-	if timeout <= 0 {
-		return <-done, func() { s.inflight.Done() }
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
+	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case resp := <-done:
-		return resp, func() { s.inflight.Done() }
-	case <-ctx.Done():
+		return resp, s.answered
+	case <-timer.C:
 		if abandoned.CompareAndSwap(false, true) {
 			s.met.Set.Inc(Timeouts)
-			// release is nil: the worker releases the in-flight count when
-			// the abandoned statement finishes.
 			return errResponse(req.ID, CodeTimeout,
 				fmt.Sprintf("query exceeded %v deadline", timeout)), nil
 		}
-		// The worker won the race at the deadline: its response is in done.
-		return <-done, func() { s.inflight.Done() }
+		return <-done, s.answered // the statement won the race at the deadline
 	}
 }
 
+// run executes one admitted request once a run slot is free — the wait
+// for one is the queue — and gives back both its run and its admission
+// slot before returning, so delivering the response holds neither.
+func (s *Server) run(req *Request) *Response {
+	s.running <- struct{}{}
+	resp := s.execute(req)
+	<-s.running
+	s.admitted.Add(-1)
+	return resp
+}
+
+// pool reports admission occupancy for /stats and /metrics. Depth, the
+// admitted statements waiting for a run slot, reads two counts one after
+// the other, so it is clamped at 0.
+func (s *Server) pool() PoolStatus {
+	depth := max(0, int(s.admitted.Load())-len(s.running))
+	return PoolStatus{Workers: s.opts.Workers, Depth: depth, Capacity: s.opts.Queue}
+}
+
 // validateRequest returns the bad_request message for a malformed request,
-// or "" when the request is admissible. A batch occupies exactly one pool
-// slot and one in-flight count, like a single statement.
+// or "" when the request is admissible. A batch takes one admission slot,
+// one run slot and one in-flight count, like a single statement.
 func validateRequest(req *Request) string {
 	if len(req.Batch) > 0 {
 		switch {
@@ -399,10 +415,10 @@ func validateRequest(req *Request) string {
 	return ""
 }
 
-// execute runs one admitted statement on a pool worker. A panic anywhere
-// in parse/execute/replay is recovered into a typed internal_error — one
-// poisoned statement must not take down the worker (and with it the
-// pool's capacity) or the server.
+// execute runs one admitted statement holding a run slot. A panic
+// anywhere in parse/execute/replay is recovered into a typed
+// internal_error — one poisoned statement must not take down its session,
+// leak its slots, or take down the server.
 func (s *Server) execute(req *Request) (resp *Response) {
 	start := time.Now()
 	defer func() {
@@ -462,7 +478,7 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	return resp
 }
 
-// executeBatch runs one admitted batch on a pool worker: one call into the
+// executeBatch runs one admitted batch holding a run slot: one call into the
 // batched executor (one shard-lock round, grouped fan-outs, one
 // group-commit wait), then one Response slot per statement. Per-statement
 // failures fill their slot's Error; the top-level response never fails
@@ -577,9 +593,7 @@ func (s *Server) wireError(err error) *WireError {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.SetNotReady("draining") // /readyz flips 503 for the whole drain
 	var err error
-	if s.front.Close(ctx, true, func() { err = s.drain(ctx) }) {
-		s.pool.Close()
-	}
+	s.front.Close(ctx, true, func() { err = s.drain(ctx) })
 	return err
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // newTestServer starts a server with a TCP front end on a loopback port.
-func newTestServer(t *testing.T, opts Options) (*Server, string) {
+func newTestServer(t testing.TB, opts Options) (*Server, string) {
 	t.Helper()
 	db, err := engine.Open()
 	if err != nil {

@@ -70,8 +70,8 @@ func runEnd(c *shard.Cluster, stmts []stmt, i int) int {
 // of the statement pipeline: route every statement in order, lock the
 // union of their targets once, execute in order with grouped fan-outs,
 // unlock, then run every durability wait. results[i]/errs[i] mirror what
-// ExecShardedCached(srcs[i]) would have returned on a single session
-// issuing the statements sequentially.
+// Execute(srcs[i]) with the plan cache would have returned on a single
+// session issuing the statements sequentially.
 func ExecBatchSharded(c *shard.Cluster, pc *PlanCache, srcs []string) (results []*Result, errs []error) {
 	stmts := make([]stmt, len(srcs))
 	for i, src := range srcs {

@@ -54,7 +54,7 @@ func runSequential(c *shard.Cluster, stmts []string) ([]*sql.Result, []error) {
 	results := make([]*sql.Result, len(stmts))
 	errs := make([]error, len(stmts))
 	for i, src := range stmts {
-		results[i], errs[i] = sql.ExecSharded(c, src)
+		results[i], _, errs[i] = sql.Execute(c, src, sql.ExecOptions{})
 	}
 	return results, errs
 }
@@ -174,11 +174,11 @@ func FuzzBatchSplits(f *testing.F) {
 // point statements on one shard complete while a writer holds another.
 func TestBatchReadOnlyUsesSharedLock(t *testing.T) {
 	c := openCluster(t, 4)
-	if _, err := sql.ExecSharded(c, "CREATE TABLE kv (k, grp, val) CAPACITY 256"); err != nil {
+	if _, _, err := sql.Execute(c, "CREATE TABLE kv (k, grp, val) CAPACITY 256", sql.ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		if _, err := sql.ExecSharded(c, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%2, i)); err != nil {
+		if _, _, err := sql.Execute(c, fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%2, i), sql.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func TestBatchWALRecoversLikeSequential(t *testing.T) {
 	transcript := func(c *shard.Cluster) string {
 		var b strings.Builder
 		for _, q := range probes {
-			res, err := sql.ExecSharded(c, q)
+			res, _, err := sql.Execute(c, q, sql.ExecOptions{})
 			if err != nil {
 				fmt.Fprintf(&b, "%s -> error: %v\n", q, err)
 				continue

@@ -15,7 +15,7 @@ import (
 
 // TestConcurrentMatchesSequential is the -race stress test for the
 // concurrent engine: 16 goroutines mix SELECT, INSERT, UPDATE and DELETE on
-// one DB through sql.ExecSharded, then the same 16 scripts run one at a
+// one DB through sql.Execute, then the same 16 scripts run one at a
 // time on a fresh DB. Every script works a disjoint id range of a shared
 // table (plus reads of a shared immutable table), so its transcript is
 // deterministic despite the races and must equal its sequential one.
@@ -52,7 +52,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 			"INSERT INTO fixed VALUES (1,100),(2,200),(3,300)",
 			"CREATE TABLE mixed (id, grp, v) CAPACITY 4096",
 		} {
-			if _, err := sql.ExecSharded(c, q); err != nil {
+			if _, _, err := sql.Execute(c, q, sql.ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -64,7 +64,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 			play := func() {
 				defer wg.Done()
 				for _, q := range script(g) {
-					res, err := sql.ExecSharded(c, q)
+					res, _, err := sql.Execute(c, q, sql.ExecOptions{})
 					if err != nil {
 						results[g] = append(results[g], "error: "+err.Error())
 						continue
@@ -138,7 +138,7 @@ func TestExecLockedReadOnlyClassification(t *testing.T) {
 	}
 	cl := shard.Wrap(db)
 	for _, q := range []string{"CREATE TABLE t (a, b, k) CAPACITY 64", "CREATE TABLE u (k, b) CAPACITY 64"} {
-		if _, err := sql.ExecSharded(cl, q); err != nil {
+		if _, _, err := sql.Execute(cl, q, sql.ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestExecTraced(t *testing.T) {
 			"CREATE TABLE tr (id, v) CAPACITY 64",
 			"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
 		} {
-			if _, err := sql.ExecSharded(c, q); err != nil {
+			if _, _, err := sql.Execute(c, q, sql.ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -218,7 +218,7 @@ func TestExecTraced(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 20; i++ {
-					if _, err := sql.ExecSharded(c, "SELECT SUM(v) FROM tr"); err != nil {
+					if _, _, err := sql.Execute(c, "SELECT SUM(v) FROM tr", sql.ExecOptions{}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -269,7 +269,7 @@ func TestTracedReadTakesSharedLocks(t *testing.T) {
 			"CREATE TABLE tr (id, v) CAPACITY 64",
 			"INSERT INTO tr VALUES (1,10),(2,20),(3,30),(4,40)",
 		} {
-			if _, err := sql.ExecSharded(c, q); err != nil {
+			if _, _, err := sql.Execute(c, q, sql.ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -68,7 +68,7 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecSharded(c, "CREATE TABLE kv (k, a)"); err != nil {
+	if _, _, err := Execute(c, "CREATE TABLE kv (k, a)", ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	log := &recLog{}
@@ -80,7 +80,7 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 		"EXPLAIN DELETE FROM kv",
 		"explain analyze delete from kv where k = 9",
 	} {
-		if _, err := ExecSharded(c, q); err != nil {
+		if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestPanicUnderStatementLockReleasesIt(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []string{"CREATE TABLE kv (k, grp, val) CAPACITY 1024", "INSERT INTO kv VALUES (1, 2, 3), (2, 2, 4)"} {
-			if _, err := ExecSharded(c, q); err != nil {
+			if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,7 +165,7 @@ func TestPanicUnderStatementLockReleasesIt(t *testing.T) {
 				}
 				c.Shard(i).Unlock()
 			}
-			if _, err := ExecSharded(c, "SELECT SUM(val) FROM kv"); err != nil {
+			if _, _, err := Execute(c, "SELECT SUM(val) FROM kv", ExecOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}

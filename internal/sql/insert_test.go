@@ -47,7 +47,7 @@ func TestInsertTracePinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ExecSharded(c, "CREATE TABLE t (id, w WIDE 2, v) CAPACITY 9000"); err != nil {
+		if _, _, err := Execute(c, "CREATE TABLE t (id, w WIDE 2, v) CAPACITY 9000", ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
@@ -161,7 +161,7 @@ func BenchmarkInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := shard.Wrap(db)
-		if _, err := ExecSharded(c, fmt.Sprintf("CREATE TABLE t (id, grp, val) CAPACITY %d", capacity)); err != nil {
+		if _, _, err := Execute(c, fmt.Sprintf("CREATE TABLE t (id, grp, val) CAPACITY %d", capacity), ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		return c
@@ -179,7 +179,7 @@ func BenchmarkInsert(b *testing.B) {
 			if i%stmts == 0 {
 				c = fresh(b, 16384)
 			}
-			if _, err := ExecSharded(c, srcs[i%stmts]); err != nil {
+			if _, _, err := Execute(c, srcs[i%stmts], ExecOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -198,7 +198,7 @@ func BenchmarkInsert(b *testing.B) {
 			if i%capacity == 0 {
 				c = fresh(b, capacity)
 			}
-			if _, err := ExecShardedCached(c, pc, srcs[i%len(srcs)]); err != nil {
+			if _, _, err := Execute(c, srcs[i%len(srcs)], ExecOptions{Plans: pc}); err != nil {
 				b.Fatal(err)
 			}
 		}

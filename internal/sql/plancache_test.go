@@ -17,11 +17,11 @@ func openKV(t testing.TB) *engine.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
+	if _, _, err := Execute(shard.Wrap(db), "CREATE TABLE kv (k, grp, val) CAPACITY 1024", ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if _, err := ExecSharded(shard.Wrap(db), fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10)); err != nil {
+		if _, _, err := Execute(shard.Wrap(db), fmt.Sprintf("INSERT INTO kv VALUES (%d, %d, %d)", i, i%4, i*10), ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,8 +141,8 @@ func TestPlanCacheCachedResultsIdentical(t *testing.T) {
 	pc := NewPlanCache(0)
 	for round := 0; round < 2; round++ {
 		for _, src := range workload {
-			wantRes, wantErr := ExecSharded(shard.Wrap(plain), src)
-			gotRes, gotErr := ExecShardedCached(shard.Wrap(cached), pc, src)
+			wantRes, _, wantErr := Execute(shard.Wrap(plain), src, ExecOptions{})
+			gotRes, _, gotErr := Execute(shard.Wrap(cached), src, ExecOptions{Plans: pc})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err %v vs cached %v", round, src, wantErr, gotErr)
 			}
@@ -165,7 +165,7 @@ func TestPlanCacheShardedScatter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ExecSharded(c, "CREATE TABLE kv (k, grp, val) CAPACITY 1024"); err != nil {
+		if _, _, err := Execute(c, "CREATE TABLE kv (k, grp, val) CAPACITY 1024", ExecOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -188,8 +188,8 @@ func TestPlanCacheShardedScatter(t *testing.T) {
 	)
 	for round := 0; round < 2; round++ {
 		for _, src := range workload {
-			wantRes, wantErr := ExecSharded(plain, src)
-			gotRes, gotErr := ExecShardedCached(cached, pc, src)
+			wantRes, _, wantErr := Execute(plain, src, ExecOptions{})
+			gotRes, _, gotErr := Execute(cached, src, ExecOptions{Plans: pc})
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("round %d %q: err %v vs cached %v", round, src, wantErr, gotErr)
 			}

@@ -87,10 +87,10 @@ func TestExplainAnalyze(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	db := newDB(t)
-	if _, err := ExecSharded(shard.Wrap(db), "EXPLAIN EXPLAIN SELECT 1 FROM x"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "EXPLAIN EXPLAIN SELECT 1 FROM x", ExecOptions{}); err == nil {
 		t.Fatal("nested EXPLAIN accepted")
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "EXPLAIN"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "EXPLAIN", ExecOptions{}); err == nil {
 		t.Fatal("bare EXPLAIN accepted")
 	}
 }

@@ -23,7 +23,7 @@ func newSuiteCluster(t *testing.T, n, workers int) *shard.Cluster {
 		t.Fatal(err)
 	}
 	for _, stmt := range workload.SQLSetup() {
-		if _, err := ExecSharded(c, stmt); err != nil {
+		if _, _, err := Execute(c, stmt, ExecOptions{}); err != nil {
 			t.Fatalf("setup %q: %v", stmt[:40], err)
 		}
 	}
@@ -36,7 +36,7 @@ func suiteTranscript(t *testing.T, c *shard.Cluster) []string {
 	t.Helper()
 	var out []string
 	for _, q := range workload.SQLQueries() {
-		res, err := ExecSharded(c, q.SQL)
+		res, _, err := Execute(c, q.SQL, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s (%d shards): %v", q.ID, c.N(), err)
 		}
@@ -86,8 +86,8 @@ func TestShardEquivalenceErrors(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		c := newSuiteCluster(t, n, 4)
 		for _, q := range workload.SQLErrorQueries() {
-			_, errBase := ExecSharded(base, q.SQL)
-			_, errN := ExecSharded(c, q.SQL)
+			_, _, errBase := Execute(base, q.SQL, ExecOptions{})
+			_, _, errN := Execute(c, q.SQL, ExecOptions{})
 			if errBase == nil || errN == nil {
 				t.Fatalf("%s: expected errors, got base=%v, %d shards=%v", q.ID, errBase, n, errN)
 			}
@@ -109,7 +109,7 @@ func TestShardEquivalenceUnderFault(t *testing.T) {
 	const probe = "SELECT SUM(f9), COUNT(*) FROM table_a"
 	for _, bits := range []int{1, 2} {
 		base := newSuiteCluster(t, 1, 1)
-		clean, err := ExecSharded(base, probe)
+		clean, _, err := Execute(base, probe, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestShardEquivalenceUnderFault(t *testing.T) {
 		}
 
 		addStuck(base)
-		resBase, errBase := ExecSharded(base, probe)
+		resBase, _, errBase := Execute(base, probe, ExecOptions{})
 
 		sharded := newSuiteCluster(t, 3, 4)
 		addStuck(sharded)
-		resN, errN := ExecSharded(sharded, probe)
+		resN, _, errN := Execute(sharded, probe, ExecOptions{})
 
 		switch bits {
 		case 1: // always corrected: same answer as the fault-free run
@@ -175,7 +175,7 @@ func TestScatterPointRouting(t *testing.T) {
 		t.Fatalf("point SELECT routed to shard %d, want %d", targets[0], want)
 	}
 	// Rewriting f1 permanently disables point routing for the table.
-	if _, err := ExecSharded(c, "UPDATE table_a SET f1 = 5 WHERE f2 = 777"); err != nil {
+	if _, _, err := Execute(c, "UPDATE table_a SET f1 = 5 WHERE f2 = 777", ExecOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	targets, _ = route(c, st)
@@ -235,7 +235,7 @@ func TestScatterConcurrentPointAndFanout(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				q := fmt.Sprintf("UPDATE table_a SET f3 = %d WHERE f1 = %d", i, (g*31+i)%1000)
-				if _, err := ExecSharded(c, q); err != nil {
+				if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -244,7 +244,7 @@ func TestScatterConcurrentPointAndFanout(t *testing.T) {
 		go func() { // fanned-out aggregate reads
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				if _, err := ExecSharded(c, "SELECT SUM(f3), COUNT(*) FROM table_a"); err != nil {
+				if _, _, err := Execute(c, "SELECT SUM(f3), COUNT(*) FROM table_a", ExecOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -254,7 +254,7 @@ func TestScatterConcurrentPointAndFanout(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters/4; i++ {
 				q := fmt.Sprintf("UPDATE table_a SET f4 = %d WHERE f2 > 500", g)
-				if _, err := ExecSharded(c, q); err != nil {
+				if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 					errs <- err
 					return
 				}
@@ -277,7 +277,7 @@ func TestAggregateEmptyWhereRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec := func(q string) *Result {
-		res, err := ExecSharded(shard.Wrap(db), q)
+		res, _, err := Execute(shard.Wrap(db), q, ExecOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -292,7 +292,7 @@ func TestAggregateEmptyWhereRegression(t *testing.T) {
 	if got := mustExec("SELECT a, SUM(b) FROM t WHERE a = 99 GROUP BY a"); len(got.Rows) != 0 {
 		t.Errorf("no-match GROUP BY returned %d groups, want 0", len(got.Rows))
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "SELECT MIN(b) FROM t WHERE a = 99"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "SELECT MIN(b) FROM t WHERE a = 99", ExecOptions{}); err == nil {
 		t.Error("no-match MIN succeeded, want zero-rows error")
 	}
 	// Sanity: matching WHERE still aggregates.
@@ -313,7 +313,7 @@ func TestWhereLessSelectSkipsTombstones(t *testing.T) {
 			t.Fatal(err)
 		}
 		exec := func(q string) (string, error) {
-			res, err := ExecSharded(c, q)
+			res, _, err := Execute(c, q, ExecOptions{})
 			if err != nil {
 				return "", err
 			}

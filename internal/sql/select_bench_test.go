@@ -65,7 +65,7 @@ func BenchmarkBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := ExecSharded(c, fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows)); err != nil {
+	if _, _, err := Execute(c, fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows), ExecOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	for id := 0; id < rows; id += 256 {
@@ -74,7 +74,7 @@ func BenchmarkBatch(b *testing.B) {
 		for k := id; k < id+256; k++ {
 			fmt.Fprintf(&sb, "(%d, %d, %d),", k, k%8, 3*k)
 		}
-		if _, err := ExecSharded(c, strings.TrimSuffix(sb.String(), ",")); err != nil {
+		if _, _, err := Execute(c, strings.TrimSuffix(sb.String(), ","), ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,7 @@ func fuzzCluster(f *testing.F, n int) *shard.Cluster {
 		"DELETE FROM t WHERE g = 2",
 		"DELETE FROM t WHERE a > 50",
 	} {
-		if _, err := ExecSharded(c, q); err != nil {
+		if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 			f.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -118,7 +118,7 @@ func FuzzSelectShards(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := decodeSelect(data)
 		render := func(c *shard.Cluster) string {
-			res, err := ExecSharded(c, src)
+			res, _, err := Execute(c, src, ExecOptions{})
 			if err != nil {
 				return "error: " + err.Error() + "\n"
 			}

@@ -93,7 +93,7 @@ func TestSelectGolden(t *testing.T) {
 		}
 		for _, id := range []string{"Q4", "X5", "Q8", "X8", "X10", "Q12"} {
 			for _, ex := range []string{"EXPLAIN", "EXPLAIN ANALYZE"} {
-				res, err := ExecSharded(c, ex+" "+byID[id])
+				res, _, err := Execute(c, ex+" "+byID[id], ExecOptions{})
 				out := "err=" + fmt.Sprint(err)
 				if err == nil {
 					out = res.Format()

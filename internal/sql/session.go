@@ -233,6 +233,8 @@ func (o ExecOptions) span(name string) (end func()) {
 }
 
 // ExecSharded is Execute with no options: plain parse, no spans, no trace.
+// It and the two wrappers below remain only for the benchmark module
+// (bench/), which compiles against them; everything else calls Execute.
 func ExecSharded(c *shard.Cluster, src string) (*Result, error) {
 	res, _, err := Execute(c, src, ExecOptions{})
 	return res, err

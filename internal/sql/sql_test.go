@@ -20,7 +20,7 @@ func newDB(t *testing.T) *engine.DB {
 
 func mustExec(t *testing.T, db *engine.DB, src string) *Result {
 	t.Helper()
-	res, err := ExecSharded(shard.Wrap(db), src)
+	res, _, err := Execute(shard.Wrap(db), src, ExecOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -140,10 +140,10 @@ func TestWideColumn(t *testing.T) {
 	if !reflect.DeepEqual(res.Rows[0], []uint64{100, 101, 102, 103}) {
 		t.Fatalf("wide select = %v", res.Rows[0])
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "SELECT SUM(email) FROM c"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "SELECT SUM(email) FROM c", ExecOptions{}); err == nil {
 		t.Fatal("SUM over wide field accepted")
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "SELECT id FROM c WHERE email > 5"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "SELECT id FROM c WHERE email > 5", ExecOptions{}); err == nil {
 		t.Fatal("WHERE over wide field accepted")
 	}
 }
@@ -164,7 +164,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT person.id FROM person",
 		"SELECT COUNT(id) FROM person",
 	} {
-		if _, err := ExecSharded(shard.Wrap(db), src); err == nil {
+		if _, _, err := Execute(shard.Wrap(db), src, ExecOptions{}); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
 	}
@@ -181,7 +181,7 @@ func TestExecErrors(t *testing.T) {
 		"UPDATE person SET nope = 1",
 		"SELECT a.id, b.x FROM person JOIN missing ON person.id = missing.x",
 	} {
-		if _, err := ExecSharded(shard.Wrap(db), src); err == nil {
+		if _, _, err := Execute(shard.Wrap(db), src, ExecOptions{}); err == nil {
 			t.Errorf("%q: expected error", src)
 		}
 	}
@@ -293,7 +293,7 @@ func TestGroupBy(t *testing.T) {
 		"SELECT dept, salary FROM person GROUP BY dept",
 		"SELECT dept, MIN(salary) FROM person GROUP BY dept",
 	} {
-		if _, err := ExecSharded(shard.Wrap(db), bad); err == nil {
+		if _, _, err := Execute(shard.Wrap(db), bad, ExecOptions{}); err == nil {
 			t.Errorf("%q: expected error", bad)
 		}
 	}
@@ -340,7 +340,7 @@ func TestGroupByOrderLimit(t *testing.T) {
 	if len(res.Rows) != 2 || res.Rows[0][0] != 3 || res.Rows[1][0] != 2 {
 		t.Fatalf("group order desc = %v", res.Rows)
 	}
-	if _, err := ExecSharded(shard.Wrap(db), "SELECT dept, COUNT(*) FROM person GROUP BY dept ORDER BY salary"); err == nil {
+	if _, _, err := Execute(shard.Wrap(db), "SELECT dept, COUNT(*) FROM person GROUP BY dept ORDER BY salary", ExecOptions{}); err == nil {
 		t.Fatal("ordering a grouped result by non-key accepted")
 	}
 }
