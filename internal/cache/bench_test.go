@@ -29,7 +29,7 @@ func newMissRig() *missRig {
 	r := &missRig{eng: event.New(), st: new(stats.Block)}
 	r.h = New(cfg, testGeom, true, r.eng, r.st, func(m *MemRequest) {
 		if m.Done != nil {
-			r.eng.AfterCall(memLatPs, fireDone, m.Done, 0)
+			r.eng.AtCall(r.eng.Now()+memLatPs, fireDone, m.Done, 0)
 		}
 	})
 	return r

@@ -21,7 +21,7 @@ type fakeMem struct {
 func (m *fakeMem) submit(r *MemRequest) {
 	m.requests = append(m.requests, *r)
 	if r.Done != nil {
-		m.eng.AfterCall(memLatPs, fireDone, r.Done, 0)
+		m.eng.AtCall(m.eng.Now()+memLatPs, fireDone, r.Done, 0)
 	}
 }
 

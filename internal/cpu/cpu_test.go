@@ -40,7 +40,7 @@ func newRigGeom(t *testing.T, cfg Config, geom addr.Geometry) *testRig {
 		// The hierarchy reuses *r as scratch: copy Done out before
 		// scheduling the response.
 		if done := r.Done; done != nil {
-			rig.eng.AfterCall(memLatPs, func(ctx any, _, now int64) {
+			rig.eng.AtCall(rig.eng.Now()+memLatPs, func(ctx any, _, now int64) {
 				ctx.(func(int64))(now)
 			}, done, 0)
 		}

@@ -69,8 +69,7 @@ func appendCells(t *Table, vals []uint64) error {
 // the wrong width in the middle and most running past the table's capacity,
 // go into one table through AppendRows, into another through Append, and
 // into a third through appendCells, one tuple at a time until the first
-// error. Between lists the tables lose the same rows to Delete and now and
-// then to Vacuum. Every count and error text, the stored tuples, Rows and
+// error. Between lists the tables lose the same rows to Delete. Every count and error text, the stored tuples, Rows and
 // Live, the Save bytes, the memory counters, the recorded stream and the
 // wear of every subarray the table uses must agree.
 func TestAppendRowsMatchesAppend(t *testing.T) {
@@ -123,15 +122,9 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 					dead = append(dead, row)
 				}
 			}
-			vacuum := rng.Intn(3) == 0
 			for _, w := range []appendWorld{blk, one, ref} {
 				if err := w.t.Delete(dead); err != nil {
 					t.Fatal(err)
-				}
-				if vacuum {
-					if _, err := w.t.Vacuum(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 			compareAppendWorlds(t, name, ref, map[string]appendWorld{"AppendRows": blk, "Append": one})

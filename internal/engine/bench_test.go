@@ -104,11 +104,11 @@ func BenchmarkScanParallel(b *testing.B) {
 
 // The row-wise side of the strips: a tuple's words lie in one strip row,
 // 4 KB apart in host memory, so a tuple read or written whole strides
-// across the page. These are the engine under a checkpoint, an UPDATE, a
-// VACUUM and a single-row INSERT, over the olap_scan table.
+// across the page. These are the engine under a checkpoint, an UPDATE and a
+// single-row INSERT, over the olap_scan table.
 
 // BenchmarkSave is one checkpoint of the 16 384-row table: every tuple read
-// whole, gob-encoded and framed.
+// whole in one fetch, gob-encoded and framed.
 func BenchmarkSave(b *testing.B) {
 	t := benchTable(b, benchRows, benchRows)
 	b.ReportAllocs()
@@ -142,38 +142,6 @@ func BenchmarkUpdate(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkVacuum compacts the 16 384-row table with every 8th row deleted:
-// 14 336 tuples move, each read and written whole. The deleted rows are
-// appended and deleted again off the clock.
-func BenchmarkVacuum(b *testing.B) {
-	t := benchTable(b, benchRows, benchRows)
-	dead := make([]int, 0, benchRows/8)
-	for row := 0; row < benchRows; row += 8 {
-		dead = append(dead, row)
-	}
-	refill := make([][]uint64, benchRows/8)
-	for i := range refill {
-		refill[i] = []uint64{uint64(i), 0, 3 * uint64(i)}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if i > 0 {
-			if _, err := t.AppendRows(refill); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := t.Delete(dead); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := t.Vacuum(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -69,7 +69,8 @@ func (t *Table) ImportCSV(r io.Reader) (int, error) {
 }
 
 // ExportCSV writes a header row (field names, wide fields suffixed with
-// _0.._k) followed by every live tuple.
+// _0.._k) followed by every live tuple, read with one fetch; at a failed
+// read, the tuples before it are written.
 func (t *Table) ExportCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	var header []string
@@ -85,18 +86,19 @@ func (t *Table) ExportCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, row := range t.LiveRows() {
-		vals, err := t.Tuple(row)
-		if err != nil {
-			return err
-		}
-		rec := make([]string, len(vals))
-		for i, v := range vals {
-			rec[i] = strconv.FormatUint(v, 10)
+	L := t.Schema().TupleWords()
+	vals, n, err := t.fetch(nil, appendWords(nil, 0, L))
+	rec := make([]string, L)
+	for i := 0; i < n; i++ {
+		for k, v := range vals[i*L : (i+1)*L] {
+			rec[k] = strconv.FormatUint(v, 10)
 		}
 		if err := cw.Write(rec); err != nil {
 			return err
 		}
+	}
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()

@@ -57,7 +57,7 @@ func (m Mode) String() string {
 //     reads mutate nothing but the memory's atomic access counters, and a
 //     traced reader's own stream (Table.Traced).
 //   - Lock for mutations (CreateTable, Append, AppendRows, SetField,
-//     Update, Delete, Vacuum, Load, ImportCSV).
+//     Update, Delete, Load, ImportCSV).
 //
 // Single-threaded users (the CLI shells, examples, most tests) may simply
 // ignore the lock.
@@ -136,23 +136,6 @@ func (db *DB) EnableFaults(cfg fault.Config) {
 
 // Faults returns the installed fault injector (nil when fault-free).
 func (db *DB) Faults() *fault.Injector { return db.inj }
-
-// readCell reads one stored word, running it through the ECC + fault
-// pipeline when injection is enabled. The returned word is the corrected
-// value; an uncorrectable error surfaces as *fault.UncorrectableError.
-func (t *Table) readCell(c addr.Coord, o addr.Orientation) (uint64, error) {
-	return t.observed(c, o, t.db.mem.ReadCoord(c, o))
-}
-
-// observed is what every word read goes through, one at a time or in a
-// scan: its trace op when the handle records, then its fault check.
-func (t *Table) observed(c addr.Coord, o addr.Orientation, v uint64) (uint64, error) {
-	t.record(c, o, false)
-	if t.db.inj == nil {
-		return v, nil
-	}
-	return t.db.inj.CheckWord(c, o, v)
-}
 
 // writeCell stores one word, feeding the wear model when injection is
 // enabled.
@@ -387,43 +370,22 @@ func (t *Table) AppendRows(rows [][]uint64) (int, error) {
 	return n, err
 }
 
-// Tuple reads a whole tuple (row orientation).
+// Tuple reads a whole tuple, in its row's fetch orientation.
 func (t *Table) Tuple(row int) ([]uint64, error) {
-	if err := t.checkLive(row); err != nil {
-		return nil, err
-	}
-	L := t.Schema().TupleWords()
-	out := make([]uint64, L)
-	o := t.place.FetchOrient(row)
-	for w := range out {
-		v, err := t.readCell(t.place.Cell(row, w), o)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = v
-	}
-	return out, nil
-}
-
-// Field reads one field of one tuple (its words).
-func (t *Table) Field(row int, field string) ([]uint64, error) {
-	if err := t.checkLive(row); err != nil {
-		return nil, err
-	}
-	off, words, err := t.Schema().FieldOffset(field)
+	vals, _, err := t.fetch([]int{row}, appendWords(nil, 0, t.Schema().TupleWords()))
 	if err != nil {
 		return nil, err
 	}
-	out := make([]uint64, words)
-	o := t.place.FetchOrient(row)
-	for k := range out {
-		v, err := t.readCell(t.place.Cell(row, off+k), o)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+	return vals, nil
+}
+
+// Field reads one field of one tuple (its words), as Tuple reads them.
+func (t *Table) Field(row int, field string) ([]uint64, error) {
+	out, err := t.Project([]int{row}, []string{field})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return out[0], nil
 }
 
 // SetField overwrites one field of one tuple. Single-word fields use the
@@ -462,10 +424,11 @@ const blockWords = 512
 // error once the rows before it were read — or, for a nil list, every live
 // row ascending, tombstoned rows skipped unread.
 //
-// What the memory, a recorded trace and the fault injector see is one
-// readCell per word in (tuple, wanted word) order: every cell read is
-// counted, the one that fails included and none after it; the count reaches
-// the memory's counters once, at close.
+// What the memory, a recorded trace and the fault injector see is each
+// word read on its own in (tuple, wanted word) order — its trace op, then
+// its fault check: every cell read is counted, the one that fails included
+// and none after it; the count reaches the memory's counters once, at
+// close. On an error, n counts the block's tuples read whole before it.
 type scanner struct {
 	t    *Table
 	offs []int // the wanted tuple words, in read order
@@ -486,7 +449,7 @@ type scanner struct {
 	tuple []uint64 // ScanWhere's words of one tuple of a multi-word field
 
 	// fetch makes the counters, the trace and a fault error see each cell
-	// in its row's fetch orientation, the one Field reads it in, rather
+	// in its row's fetch orientation, the one a tuple is read in, rather
 	// than the orientation the scan reads it along.
 	fetch   bool
 	cells   [2]int  // read so far, by orientation
@@ -622,9 +585,10 @@ func (s *scanner) fill(off int, dst []uint64) {
 // observe passes the block's cells, in (tuple, wanted word) order, through
 // what a single read goes through: the trace op, then the fault check,
 // whose corrected word replaces the stored one. At an uncorrectable word it
-// takes the cells after it back out of the count.
+// takes the cells after it back out of the count and cuts the block to the
+// tuples before it.
 func (s *scanner) observe() error {
-	t, w := s.t, len(s.offs)
+	t, inj, w := s.t, s.t.db.inj, len(s.offs)
 	for len(s.at) < w {
 		s.at = append(s.at, runAt{})
 	}
@@ -637,12 +601,18 @@ func (s *scanner) observe() error {
 				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
 				r.first, j, r.seen = row, 0, s.orient(row)
 			}
-			v, err := t.observed(r.c.Along(r.o, j*r.step), r.seen, s.vals[k*s.seg+i])
+			c := r.c.Along(r.o, j*r.step)
+			t.record(c, r.seen, false)
+			if inj == nil {
+				continue
+			}
+			v, err := inj.CheckWord(c, r.seen, s.vals[k*s.seg+i])
 			if err != nil {
 				s.cells[r.seen] -= w - 1 - k
-				for i++; i < s.n; i++ {
-					s.cells[s.orient(s.row(i))] -= w
+				for n := i + 1; n < s.n; n++ {
+					s.cells[s.orient(s.row(n))] -= w
 				}
+				s.n = i
 				return err
 			}
 			s.vals[k*s.seg+i] = v
@@ -683,11 +653,7 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 		return nil, err
 	}
 	var one [1]int // a single-word field's offset stays on the stack
-	offs := one[:0]
-	for k := 0; k < words; k++ {
-		offs = append(offs, off+k)
-	}
-	s := t.scan(nil, offs...)
+	s := t.scan(nil, appendWords(one[:0], off, words)...)
 	defer s.close()
 	// The matches cannot be counted ahead of time — pred runs once — so
 	// they gather in the scanner's recycled scratch and are copied out at
@@ -843,21 +809,70 @@ func (t *Table) AvgField(field string, rows []int) (float64, error) {
 	return float64(sum) / float64(n), nil
 }
 
-// Project materializes the given fields of the given rows.
+// Project materializes the given fields of the given rows, in list order,
+// with one fetch: the tuples share one backing array. A listed row out of
+// range or deleted is an error once the rows before it were read; an
+// unknown field is one once the first row is checked. With no fields, each
+// row's tuple is empty and the rows are not checked.
 func (t *Table) Project(rows []int, fields []string) ([][]uint64, error) {
-	out := make([][]uint64, 0, len(rows))
-	for _, row := range rows {
-		var tupleVals []uint64
-		for _, f := range fields {
-			vals, err := t.Field(row, f)
-			if err != nil {
-				return nil, err
-			}
-			tupleVals = append(tupleVals, vals...)
+	out := make([][]uint64, len(rows))
+	if len(rows) == 0 {
+		return out, nil
+	}
+	var buf [8]int
+	offs := buf[:0]
+	for _, f := range fields {
+		off, n, err := t.Schema().FieldOffset(f)
+		if err != nil {
+			return nil, cmp.Or(t.checkLive(rows[0]), err)
 		}
-		out = append(out, tupleVals)
+		offs = appendWords(offs, off, n)
+	}
+	if len(offs) == 0 {
+		return out, nil
+	}
+	vals, _, err := t.fetch(rows, offs)
+	if err != nil {
+		return nil, err
+	}
+	w := len(offs)
+	for i := range out {
+		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return out, nil
+}
+
+// fetch reads tuple words offs of rows (nil: every live row, ascending)
+// into one array, tuple after tuple, each cell seen in its row's fetch
+// orientation: tuple i is vals[i*len(offs) : (i+1)*len(offs)]. n counts the
+// tuples read whole; on an error the failing one is the n-th.
+func (t *Table) fetch(rows, offs []int) (vals []uint64, n int, err error) {
+	size := len(rows)
+	if rows == nil {
+		size = t.live
+	}
+	w := len(offs)
+	vals = make([]uint64, size*w)
+	s := t.scan(rows, offs...)
+	defer s.close()
+	s.fetch = true
+	for more := true; more; n += s.n {
+		more = s.next()
+		for k := range offs {
+			for i, v := range s.vals[k*s.seg : k*s.seg+s.n] {
+				vals[(n+i)*w+k] = v
+			}
+		}
+	}
+	return vals, n, s.err
+}
+
+// appendWords appends the tuple words off, off+1, …, off+n-1 to offs.
+func appendWords(offs []int, off, n int) []int {
+	for k := 0; k < n; k++ {
+		offs = append(offs, off+k)
+	}
+	return offs
 }
 
 // Update overwrites a field of every listed row.
@@ -1006,41 +1021,4 @@ func (t *groupTable) insert(key uint64) *GroupRow {
 	g := t.find(key)
 	g.Key = key
 	return g
-}
-
-// Vacuum compacts the table in place: live tuples are rewritten densely at
-// the front (preserving their relative order) and the tombstones are
-// dropped. Row ids change; the new id of old row i is its rank among live
-// rows. Returns the number of reclaimed slots.
-func (t *Table) Vacuum() (int, error) {
-	reclaimed := t.rows - t.live
-	if reclaimed == 0 {
-		return 0, nil
-	}
-	next := 0
-	L := t.Schema().TupleWords()
-	for row := 0; row < t.rows; row++ {
-		if t.deleted[row] {
-			continue
-		}
-		if next != row {
-			o := t.place.FetchOrient(row)
-			no := t.place.FetchOrient(next)
-			for w := 0; w < L; w++ {
-				v, err := t.readCell(t.place.Cell(row, w), o)
-				if err != nil {
-					return 0, err
-				}
-				t.writeCell(t.place.Cell(next, w), no, v)
-			}
-		}
-		next++
-	}
-	t.rows = next
-	t.live = next
-	t.deleted = t.deleted[:next]
-	for i := range t.deleted {
-		t.deleted[i] = false
-	}
-	return reclaimed, nil
 }

@@ -282,46 +282,3 @@ func TestTracedHandleRecordsOnlyItsOwn(t *testing.T) {
 		t.Fatalf("appending handle recorded %d mem ops, want %d", got, want)
 	}
 }
-
-func TestVacuum(t *testing.T) {
-	db, _ := Open()
-	tbl, ref := buildPeople(t, db, 100)
-	if err := tbl.Delete([]int{0, 10, 50, 99}); err != nil {
-		t.Fatal(err)
-	}
-	reclaimed, err := tbl.Vacuum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed != 4 || tbl.Rows() != 96 || tbl.Live() != 96 {
-		t.Fatalf("reclaimed=%d rows=%d live=%d", reclaimed, tbl.Rows(), tbl.Live())
-	}
-	// Surviving tuples keep their order, compacted.
-	var want [][]uint64
-	for i, vals := range ref {
-		if i == 0 || i == 10 || i == 50 || i == 99 {
-			continue
-		}
-		want = append(want, vals)
-	}
-	for i, w := range want {
-		got, err := tbl.Tuple(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, w) {
-			t.Fatalf("row %d after vacuum = %v, want %v", i, got, w)
-		}
-	}
-	// Appending after vacuum reuses the reclaimed slots.
-	if _, err := tbl.Append(make([]uint64, 8)...); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows() != 97 {
-		t.Fatalf("rows after append = %d", tbl.Rows())
-	}
-	// No-op vacuum.
-	if n, _ := tbl.Vacuum(); n != 0 {
-		t.Fatalf("second vacuum reclaimed %d", n)
-	}
-}

@@ -1,0 +1,26 @@
+// The race detector makes sync.Pool drop items at random, so the engine's
+// recycled scanners allocate there and an allocation count means nothing.
+
+//go:build !race
+
+package engine
+
+import "testing"
+
+// TestProjectAllocs: a projection of listed rows allocates its result and
+// the one array the tuples share, however many rows it reads.
+func TestProjectAllocs(t *testing.T) {
+	_, tbl := edgeTable(t, 1025, []int{5, 600})
+	rows := tbl.LiveRows()[100:900]
+	fields := []string{"v", "w", "k"}
+	if _, err := tbl.Project(rows, fields); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := tbl.Project(rows, fields); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("Project of %d rows allocates %.1f/op, want <= 2", len(rows), allocs)
+	}
+}

@@ -70,21 +70,25 @@ func (db *DB) Save(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		t := db.tables[name]
-		pt := persistTable{Name: name, Capacity: t.capacity}
+		pt := persistTable{Name: name, Capacity: t.capacity, Tuples: make([][]uint64, t.rows)}
 		for _, f := range t.Schema().Fields {
 			pt.Fields = append(pt.Fields, persistField{Name: f.Name, Words: f.Words})
 		}
-		for row := 0; row < t.rows; row++ {
+		// One fetch reads the live tuples; the n read whole come before the
+		// one that failed.
+		L := t.Schema().TupleWords()
+		vals, n, err := t.fetch(nil, appendWords(nil, 0, L))
+		i := 0
+		for row := range pt.Tuples {
 			if t.deleted[row] {
 				pt.Deleted = append(pt.Deleted, row)
-				pt.Tuples = append(pt.Tuples, nil)
 				continue
 			}
-			vals, err := t.Tuple(row)
-			if err != nil {
+			if i == n {
 				return fmt.Errorf("engine: save %s row %d: %w", name, row, err)
 			}
-			pt.Tuples = append(pt.Tuples, vals)
+			pt.Tuples[row] = vals[i*L : (i+1)*L]
+			i++
 		}
 		snap.Tables = append(snap.Tables, pt)
 	}

@@ -7,18 +7,32 @@ import (
 	"strings"
 	"testing"
 
+	"rcnvm/internal/addr"
 	"rcnvm/internal/fault"
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/trace"
 )
 
 // The block loop against a per-cell reference: the same operators written
-// as one readCell per word in (tuple, wanted word) order, run on a twin
+// as one refCell per word in (tuple, wanted word) order, run on a twin
 // database. Result, error, memory counters, expanded trace and the
 // injector's counters must agree at every block edge.
 
-// refScan is Table.scan's contract, cell by cell.
-func refScan(t *Table, rows []int, offs []int, f func(row int, vals []uint64)) error {
+// refCell reads one stored word on its own: the memory's read, the trace
+// op, then the fault check, whose corrected word it returns.
+func refCell(t *Table, row, off int, o addr.Orientation) (uint64, error) {
+	c := t.place.Cell(row, off)
+	v := t.db.mem.ReadCoord(c, o)
+	t.record(c, o, false)
+	if t.db.inj == nil {
+		return v, nil
+	}
+	return t.db.inj.CheckWord(c, o, v)
+}
+
+// refScan is Table.scan's contract, cell by cell: each cell in its row's
+// scan orientation, or with fetch in its fetch orientation.
+func refScan(t *Table, rows []int, offs []int, fetch bool, f func(row int, vals []uint64)) error {
 	list := rows
 	if rows == nil {
 		list = t.LiveRows()
@@ -29,8 +43,11 @@ func refScan(t *Table, rows []int, offs []int, f func(row int, vals []uint64)) e
 			return err
 		}
 		o := t.place.ScanOrient(row)
+		if fetch {
+			o = t.place.FetchOrient(row)
+		}
 		for k, off := range offs {
-			v, err := t.readCell(t.place.Cell(row, off), o)
+			v, err := refCell(t, row, off, o)
 			if err != nil {
 				return err
 			}
@@ -54,23 +71,11 @@ func refOffs(t *Table, field string) []int {
 }
 
 // refWhere is ScanWhere's contract for a nil rows and Where's for a row
-// list, which reads each listed row with Field: the per-row filter Where
-// replaced.
+// list, which reads each listed row as a tuple read does: the per-row
+// filter Where replaced.
 func refWhere(t *Table, field string, pred func([]uint64) bool, rows []int) ([]int, error) {
 	out := []int{}
-	if rows != nil {
-		for _, row := range rows {
-			vals, err := t.Field(row, field)
-			if err != nil {
-				return nil, err
-			}
-			if pred(vals) {
-				out = append(out, row)
-			}
-		}
-		return out, nil
-	}
-	err := refScan(t, nil, refOffs(t, field), func(row int, vals []uint64) {
+	err := refScan(t, rows, refOffs(t, field), rows != nil, func(row int, vals []uint64) {
 		if pred(vals) {
 			out = append(out, row)
 		}
@@ -103,7 +108,7 @@ func refCompare(t *Table, field string, op Op, v uint64, rows []int) ([]int, err
 
 func refSum(t *Table, field string, rows []int) (uint64, error) {
 	var sum uint64
-	err := refScan(t, rows, refOffs(t, field), func(_ int, vals []uint64) { sum += vals[0] })
+	err := refScan(t, rows, refOffs(t, field), false, func(_ int, vals []uint64) { sum += vals[0] })
 	if err != nil {
 		return 0, err
 	}
@@ -112,7 +117,7 @@ func refSum(t *Table, field string, rows []int) (uint64, error) {
 
 func refMinMax(t *Table, field string, rows []int) ([2]uint64, error) {
 	var all []uint64
-	err := refScan(t, rows, refOffs(t, field), func(_ int, vals []uint64) { all = append(all, vals[0]) })
+	err := refScan(t, rows, refOffs(t, field), false, func(_ int, vals []uint64) { all = append(all, vals[0]) })
 	if err != nil {
 		return [2]uint64{}, err
 	}
@@ -125,7 +130,7 @@ func refMinMax(t *Table, field string, rows []int) ([2]uint64, error) {
 func refGroup(t *Table, key, sum string, rows []int) ([]GroupRow, error) {
 	acc := make(map[uint64]*GroupRow)
 	offs := append(refOffs(t, key), refOffs(t, sum)...)
-	err := refScan(t, rows, offs, func(_ int, kv []uint64) {
+	err := refScan(t, rows, offs, false, func(_ int, kv []uint64) {
 		g, ok := acc[kv[0]]
 		if !ok {
 			g = &GroupRow{Key: kv[0]}
@@ -142,6 +147,17 @@ func refGroup(t *Table, key, sum string, rows []int) ([]GroupRow, error) {
 		out = append(out, *g)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out, nil
+}
+
+// refFetch is the tuple read of words offs of rows (nil: every live row),
+// cell by cell in fetch orientation, flattened as fetch returns them.
+func refFetch(t *Table, rows, offs []int) ([]uint64, error) {
+	out := []uint64{}
+	err := refScan(t, rows, offs, true, func(_ int, vals []uint64) { out = append(out, vals...) })
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
@@ -303,6 +319,16 @@ func edgeOps(tbl *Table) []edgeOp {
 			edgeOp{"group/" + lc.name,
 				func(t *Table) (any, error) { return t.GroupSum("k", "v", rows) },
 				func(t *Table) (any, error) { return refGroup(t, "k", "v", rows) }},
+			// Five words a tuple, out of order: 102 tuples a block.
+			edgeOp{"fetch/" + lc.name,
+				func(t *Table) (any, error) {
+					vals, _, err := t.fetch(rows, []int{4, 1, 2, 3, 0})
+					if err != nil {
+						vals = nil
+					}
+					return vals, err
+				},
+				func(t *Table) (any, error) { return refFetch(t, rows, []int{4, 1, 2, 3, 0}) }},
 		)
 	}
 	return ops

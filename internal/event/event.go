@@ -7,9 +7,8 @@
 // the garbage collector's radar and to move little: the heap orders
 // three-word (at, seq, slot) items that hold no pointer, the callback of
 // each lives in a slab slot found through the item and recycled through a
-// free list, and AtCall (AfterCall is the same relative to now) takes a
-// static function plus a context pointer instead of a fresh closure per
-// event. Once heap and slab have grown to the workload's high-water mark,
+// free list, and AtCall takes a static function plus a context pointer
+// instead of a fresh closure per event. Once heap and slab have grown to the workload's high-water mark,
 // Run executes with zero allocations.
 //
 // The second scheduling form is the timer: a callback registered once
@@ -153,11 +152,6 @@ func (e *Engine) AtCall(t int64, fn Callback, ctx any, arg int64) {
 	e.slab[slot] = call{fn, ctx, arg}
 	e.seq++
 	e.push(item{at: uint64(t), seq: e.seq, slot: slot})
-}
-
-// AfterCall schedules fn(ctx, arg, firingTime) d picoseconds from now.
-func (e *Engine) AfterCall(d int64, fn Callback, ctx any, arg int64) {
-	e.AtCall(e.now+d, fn, ctx, arg)
 }
 
 // Run executes events in time order until the queue drains and no timer is

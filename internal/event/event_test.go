@@ -126,7 +126,7 @@ func TestAtCall(t *testing.T) {
 	var c collector
 	e.AtCall(30, collect, &c, 3)
 	e.AtCall(10, collect, &c, 1)
-	e.AfterCall(20, collect, &c, 2)
+	e.AtCall(e.Now()+20, collect, &c, 2)
 	e.Run()
 	want := []int64{1, 10, 2, 20, 3, 30}
 	if len(c.order) != len(want) {

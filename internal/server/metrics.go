@@ -19,7 +19,7 @@ var (
 	Queries          = Family.Counter("server.queries")            // statements executed (ok or sql error)
 	QueryErrors      = Family.Counter("server.query_errors")       // statements that failed (parse/exec)
 	TimedQueries     = Family.Counter("server.timed_queries")      // statements with timing attribution
-	Rejected         = Family.Counter("server.rejected")           // admissions refused: pool queue full
+	Rejected         = Family.Counter("server.rejected")           // admissions refused: workers+queue statements in flight
 	RejectedDrain    = Family.Counter("server.rejected_drain")     // admissions refused: shutting down
 	RejectedNotReady = Family.Counter("server.rejected_not_ready") // admissions refused: recovery/catch-up/drain readiness gate
 	RowsReturned     = Family.Counter("server.rows_returned")      // result rows sent to clients

@@ -204,13 +204,13 @@ func (c *Cluster) AssignRecovered(name string, shard, local, global int) error {
 	if global < 0 {
 		return fmt.Errorf("shard: recover table %q: negative global row id %d", name, global)
 	}
-	tm.toGlobal[shard] = append(tm.toGlobal[shard], global)
 	for len(tm.owner) <= global {
 		tm.owner = append(tm.owner, ref{shard: -1, local: -1})
 	}
 	if r := tm.owner[global]; r.shard != -1 {
 		return fmt.Errorf("shard: recover table %q: global row %d assigned twice", name, global)
 	}
+	tm.toGlobal[shard] = append(tm.toGlobal[shard], global)
 	tm.owner[global] = ref{shard: shard, local: local}
 	if global >= tm.next {
 		tm.next = global + 1

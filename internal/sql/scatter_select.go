@@ -96,13 +96,13 @@ func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
 		if words != 1 {
 			return fmt.Errorf("sql: ORDER BY on wide field %q", col)
 		}
+		keys, err := t.Project(rows, []string{col})
+		if err != nil {
+			return err
+		}
 		p.keys = make([]uint64, len(rows))
-		for j, row := range rows {
-			vals, err := t.Field(row, col)
-			if err != nil {
-				return err
-			}
-			p.keys[j] = vals[0]
+		for j, k := range keys {
+			p.keys[j] = k[0]
 		}
 		sort.Stable(byKey{rows, p.keys, s.Desc})
 	}
