@@ -135,8 +135,28 @@ func TestParseInsertAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkParse: the parser alone on olap_scan's load statement.
+// BenchmarkParse: the parser alone on olap_scan's load statement, and on
+// oltp_point's point read without and through a plan cache, whose every
+// statement is a hit with a new literal (the rebind the server does).
 func BenchmarkParse(b *testing.B) {
+	srcs := [2]string{"SELECT val FROM t WHERE id = 41", "SELECT val FROM t WHERE id = 42"}
+	b.Run("point/nocache", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Parse(srcs[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("point/cache", func(b *testing.B) {
+		pc := NewPlanCache(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := pc.Parse(srcs[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("insert256", func(b *testing.B) {
 		src := loadSrc(0, 256)
 		b.ReportAllocs()
