@@ -240,17 +240,27 @@ func runDelete(db *engine.DB, s *Delete, sink *trace.Stream) (*Result, error) {
 	return &Result{Affected: len(rows)}, nil
 }
 
+// runUpdate resolves every SET before it writes anything, so an UPDATE
+// that names an unknown or wide column fails with nothing stored.
 func runUpdate(db *engine.DB, s *Update, sink *trace.Stream) (*Result, error) {
 	t, rows, err := matching(db, s.Table, s.Where, sink)
 	if err != nil {
 		return nil, err
 	}
+	var buf [4]string
+	cols := buf[:0]
 	for _, set := range s.Sets {
 		col, err := resolveColumn(t, set.Column)
 		if err != nil {
 			return nil, err
 		}
-		if err := t.Update(rows, col, set.Value); err != nil {
+		if _, words, _ := t.Schema().FieldOffset(col); words != 1 {
+			return nil, fmt.Errorf("sql: SET on wide field %q", col)
+		}
+		cols = append(cols, col)
+	}
+	for i, set := range s.Sets {
+		if err := t.Update(rows, cols[i], set.Value); err != nil {
 			return nil, err
 		}
 	}

@@ -1,7 +1,10 @@
 package sql
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,5 +345,57 @@ func TestGroupByOrderLimit(t *testing.T) {
 	}
 	if _, _, err := Execute(shard.Wrap(db), "SELECT dept, COUNT(*) FROM person GROUP BY dept ORDER BY salary", ExecOptions{}); err == nil {
 		t.Fatal("ordering a grouped result by non-key accepted")
+	}
+}
+
+// TestUpdateFailsWhole: an UPDATE whose SET list names an unknown or a wide
+// column fails before it writes, so no SET before the bad one is stored,
+// on one shard and on three. Every shard's state hashes as it did before
+// (its /checksum).
+func TestUpdateFailsWhole(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		c, err := shard.Open(engine.DualAddress, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range []string{
+			"CREATE TABLE t (id, val, w WIDE 2) CAPACITY 64",
+			"INSERT INTO t VALUES (1, 10, 1, 1), (2, 20, 2, 2), (3, 30, 3, 3)",
+		} {
+			if _, _, err := Execute(c, src, ExecOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checksums := func() []string {
+			var out []string
+			for i := 0; i < c.N(); i++ {
+				h := sha256.New()
+				if err := c.Shard(i).Save(h); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprintf("%x", h.Sum(nil)))
+			}
+			return out
+		}
+		before := checksums()
+		for _, c2 := range []struct{ src, want string }{
+			{"UPDATE t SET val = 7, nope = 2 WHERE id = 1", `sql: table "t" has no column "nope"`},
+			{"UPDATE t SET val = 7, w = 2", `sql: SET on wide field "w"`},
+			{"UPDATE t SET val = 7, w = 2 WHERE id = 99", `sql: SET on wide field "w"`},
+		} {
+			if _, _, err := Execute(c, c2.src, ExecOptions{}); err == nil || err.Error() != c2.want {
+				t.Fatalf("%d shards: %s: err %v, want %q", n, c2.src, err, c2.want)
+			}
+		}
+		if after := checksums(); !slices.Equal(after, before) {
+			t.Fatalf("%d shards: a failed UPDATE changed the stored state", n)
+		}
+		res, _, err := Execute(c, "SELECT id, val FROM t", ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows); got != "[[1 10] [2 20] [3 30]]" {
+			t.Fatalf("%d shards: rows %s after failed UPDATEs", n, got)
+		}
 	}
 }
