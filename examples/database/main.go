@@ -52,18 +52,19 @@ func main() {
 	// produced the answer.
 	var stream trace.Stream
 	traced := orders.Traced(&stream)
-	matches, err := traced.ScanWhere("region", func(v []uint64) bool { return v[0] == 3 })
+	matches, err := traced.Where("region", engine.Eq, 3, engine.All)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := traced.SumField("amount", matches)
+	sum, err := traced.Sum("amount", matches)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	avg := float64(sum) / float64(len(matches))
+	rows := traced.Count(matches)
+	avg := float64(sum) / float64(rows)
 	fmt.Println("SELECT SUM(amount) FROM orders WHERE region = 3")
-	fmt.Printf("  -> %d rows, SUM = %d, AVG = %.1f\n", len(matches), sum, avg)
+	fmt.Printf("  -> %d rows, SUM = %d, AVG = %.1f\n", rows, sum, avg)
 	c := db.Mem().Counts()
 	fmt.Printf("  engine accesses: %d column reads, %d row reads\n\n", c.ColReads, c.RowReads)
 

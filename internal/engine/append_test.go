@@ -123,7 +123,7 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 				}
 			}
 			for _, w := range []appendWorld{blk, one, ref} {
-				if err := w.t.Delete(dead); err != nil {
+				if err := w.t.Delete(listed(dead)); err != nil {
 					t.Fatal(err)
 				}
 			}

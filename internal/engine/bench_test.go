@@ -44,7 +44,7 @@ var benchScans = []struct {
 	}},
 	// The same filter through the comparison kernel.
 	{"compare", benchRows, func(t *Table) error {
-		_, err := t.Where("grp", Eq, 5, nil)
+		_, err := t.Where("grp", Eq, 5, All)
 		return err
 	}},
 	{"sum", benchRows, func(t *Table) error {
@@ -133,9 +133,9 @@ func BenchmarkUpdate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := t.Where(bc.field, Eq, bc.v, nil)
+				sel, err := t.Where(bc.field, Eq, bc.v, All)
 				if err == nil {
-					err = t.Update(rows, "val", uint64(i))
+					err = t.Set(sel, "val", uint64(i))
 				}
 				if err != nil {
 					b.Fatal(err)

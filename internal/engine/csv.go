@@ -87,7 +87,7 @@ func (t *Table) ExportCSV(w io.Writer) error {
 		return err
 	}
 	L := t.Schema().TupleWords()
-	vals, n, err := t.fetch(nil, appendWords(nil, 0, L))
+	vals, n, err := t.fetch(All, appendWords(nil, 0, L))
 	rec := make([]string, L)
 	for i := 0; i < n; i++ {
 		for k, v := range vals[i*L : (i+1)*L] {

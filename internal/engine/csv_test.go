@@ -125,7 +125,7 @@ func TestExportSkipsDeleted(t *testing.T) {
 	tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), 8)
 	tbl.Append(1, 2)
 	tbl.Append(3, 4)
-	tbl.Delete([]int{0})
+	tbl.Delete(listed([]int{0}))
 	var out bytes.Buffer
 	if err := tbl.ExportCSV(&out); err != nil {
 		t.Fatal(err)

@@ -52,11 +52,11 @@ func (m Mode) String() string {
 // sees one consistent snapshot. The discipline, enforced by sql.Execute
 // (and through it internal/server):
 //
-//   - RLock for read-only work: Tuple, Field, Scan*, Where, aggregates,
-//     Project, Save, ExportCSV. Any number of readers may run in parallel —
-//     reads mutate nothing but the memory's atomic access counters, and a
-//     traced reader's own stream (Table.Traced).
-//   - Lock for mutations (CreateTable, Append, AppendRows, SetField,
+//   - RLock for read-only work: Tuple, Field, ScanWhere, Where,
+//     aggregates, Project, Save, ExportCSV. Any number of readers may run
+//     in parallel — reads mutate nothing but the memory's atomic access
+//     counters, and a traced reader's own stream (Table.Traced).
+//   - Lock for mutations (CreateTable, Append, AppendRows, Set, SetField,
 //     Update, Delete, Load, ImportCSV).
 //
 // Single-threaded users (the CLI shells, examples, most tests) may simply
@@ -255,14 +255,93 @@ func (t *Table) IsLive(row int) bool {
 }
 
 // LiveRows returns the ids of all non-deleted rows, ascending.
-func (t *Table) LiveRows() []int {
-	out := make([]int, 0, t.live)
-	for row := 0; row < t.rows; row++ {
-		if !t.deleted[row] {
-			out = append(out, row)
+func (t *Table) LiveRows() []int { return t.RowIDs(All, 0) }
+
+// Sel is a selection of a table's rows, what a WHERE yields and the
+// aggregates, GROUP BY, Set and Delete consume: every live row (All), or
+// the rows Where matched as a bitmap, one bit a row in one uint64 per 64
+// rows. The scan under them reads a block of the bitmap that is all ones
+// as one span and gathers only the set rows of any other. A selection
+// holds for the table as it was when made: use it before the next
+// mutation.
+//
+// The zero Sel selects nothing. All is a value of its own, so an empty
+// match can never read as "every row".
+type Sel struct {
+	all  bool
+	bits []uint64 // bit r%64 of bits[r/64] is row r
+	list []int    // listed rows, in list order: the []int adapters' and Project's
+	n    int      // rows selected, unless all
+}
+
+// All selects every live row.
+var All = Sel{all: true}
+
+// listed selects rows in list order, repeats included; a nil list selects
+// nothing. A listed row out of range or deleted is an error when a read or
+// a write reaches it.
+func listed(rows []int) Sel { return Sel{list: rows, n: len(rows)} }
+
+// orAll is listed, except that a nil list is every live row: the selection
+// of the []int adapters, whose nil meant all.
+func orAll(rows []int) Sel {
+	if rows == nil {
+		return All
+	}
+	return listed(rows)
+}
+
+// Count returns how many rows sel selects (a listed row as often as it is
+// listed).
+func (t *Table) Count(sel Sel) int {
+	if sel.all {
+		return t.live
+	}
+	return sel.n
+}
+
+// RowIDs returns the selected rows' ids — ascending, a listed selection's
+// in list order — at most limit of them when limit > 0. It is for the
+// operators that need an order of their own: ORDER BY, a projection and
+// its LIMIT.
+func (t *Table) RowIDs(sel Sel, limit int) []int {
+	n := t.Count(sel)
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := make([]int, 0, n)
+	t.each(sel, func(row int) bool {
+		out = append(out, row)
+		return len(out) < n
+	})
+	return out
+}
+
+// each calls f with every selected row — listed rows in list order, the
+// others ascending — until f answers false.
+func (t *Table) each(sel Sel, f func(row int) bool) {
+	switch {
+	case sel.list != nil:
+		for _, row := range sel.list {
+			if !f(row) {
+				return
+			}
+		}
+	case sel.bits != nil:
+		for i, w := range sel.bits {
+			for ; w != 0; w &= w - 1 {
+				if !f(i<<6 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	case sel.all:
+		for row := 0; row < t.rows; row++ {
+			if !t.deleted[row] && !f(row) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // Capacity returns the allocated tuple capacity.
@@ -291,19 +370,21 @@ func (t *Table) checkLive(row int) error {
 	return nil
 }
 
-// Delete tombstones the listed rows. Deleting a deleted row is an error.
-func (t *Table) Delete(rows []int) error {
-	for _, row := range rows {
+// Delete tombstones the selected rows. A listed row out of range or
+// deleted is an error, and then nothing is deleted.
+func (t *Table) Delete(sel Sel) error {
+	for _, row := range sel.list {
 		if err := t.checkLive(row); err != nil {
 			return err
 		}
 	}
-	for _, row := range rows {
+	t.each(sel, func(row int) bool {
 		if !t.deleted[row] {
 			t.deleted[row] = true
 			t.live--
 		}
-	}
+		return true
+	})
 	return nil
 }
 
@@ -372,7 +453,7 @@ func (t *Table) AppendRows(rows [][]uint64) (int, error) {
 
 // Tuple reads a whole tuple, in its row's fetch orientation.
 func (t *Table) Tuple(row int) ([]uint64, error) {
-	vals, _, err := t.fetch([]int{row}, appendWords(nil, 0, t.Schema().TupleWords()))
+	vals, _, err := t.fetch(listed([]int{row}), appendWords(nil, 0, t.Schema().TupleWords()))
 	if err != nil {
 		return nil, err
 	}
@@ -388,12 +469,17 @@ func (t *Table) Field(row int, field string) ([]uint64, error) {
 	return out[0], nil
 }
 
-// SetField overwrites one field of one tuple. Single-word fields use the
-// field-scan orientation (a cstore on RC-NVM).
+// SetField overwrites one field of one tuple, as Set does.
 func (t *Table) SetField(row int, field string, vals ...uint64) error {
-	if err := t.checkLive(row); err != nil {
-		return err
-	}
+	return t.Set(listed([]int{row}), field, vals...)
+}
+
+// Set overwrites a field of every selected row, a row at a time in
+// selection order. Single-word fields use the field-scan orientation (a
+// cstore on RC-NVM), wider ones the fetch orientation. The field and the
+// number of words are checked before anything is written; a listed row out
+// of range or deleted is an error once the rows before it were written.
+func (t *Table) Set(sel Sel, field string, vals ...uint64) error {
 	off, words, err := t.Schema().FieldOffset(field)
 	if err != nil {
 		return err
@@ -401,14 +487,20 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 	if len(vals) != words {
 		return fmt.Errorf("engine: field %s needs %d words, got %d", field, words, len(vals))
 	}
-	o := t.place.FetchOrient(row)
-	if words == 1 {
-		o = t.place.ScanOrient(row)
-	}
-	for k, v := range vals {
-		t.writeCell(t.place.Cell(row, off+k), o, v)
-	}
-	return nil
+	t.each(sel, func(row int) bool {
+		if err = t.checkLive(row); err != nil {
+			return false
+		}
+		o := t.place.FetchOrient(row)
+		if words == 1 {
+			o = t.place.ScanOrient(row)
+		}
+		for k, v := range vals {
+			t.writeCell(t.place.Cell(row, off+k), o, v)
+		}
+		return true
+	})
+	return err
 }
 
 // blockWords is the size of a scan's value buffer: a block is as many
@@ -418,11 +510,12 @@ func (t *Table) SetField(row int, field string, vals ...uint64) error {
 const blockWords = 512
 
 // scanner is the loop under every scan operator: it reads the wanted words
-// of the wanted tuples a block at a time into a dense buffer, and the
-// operator is a plain loop over that buffer. The wanted tuples are the
-// listed rows in list order — a listed row out of range or deleted is an
-// error once the rows before it were read — or, for a nil list, every live
-// row ascending, tombstoned rows skipped unread.
+// of the selected tuples a block at a time into a dense buffer, and the
+// operator is a plain loop over that buffer. The tuples are every live row
+// ascending, tombstoned rows skipped unread; a bitmap's set rows ascending,
+// a block of all set rows read as a span; or listed rows in list order —
+// a listed row out of range or deleted is an error once the rows before
+// it were read.
 //
 // What the memory, a recorded trace and the fault injector see is each
 // word read on its own in (tuple, wanted word) order — its trace op, then
@@ -432,21 +525,25 @@ const blockWords = 512
 type scanner struct {
 	t    *Table
 	offs []int // the wanted tuple words, in read order
-	list []int
-	pos  int // next index of list, or next row when list is nil
+	sel  Sel
+	pos  int // next index of a listed selection, else next row
 	err  error
 
 	// The current block is n tuples: rows first, first+1, … when span is
 	// set, rows[:n] otherwise (a listed block that is one ascending run is a
-	// span whose rows are written too). vals holds word offs[k] of the i-th
-	// at [k*seg+i]: seg is the most tuples a block holds.
-	n     int
-	span  bool
-	first int
-	seg   int
-	rows  [blockWords]int
-	vals  []uint64
-	tuple []uint64 // ScanWhere's words of one tuple of a multi-word field
+	// span whose rows are written too; a bitmap's span writes none). vals
+	// holds word offs[k] of the i-th at [k*seg+i]: seg is the most tuples a
+	// block holds. vals is buf, or — for a borrowing scan whose block is one
+	// run at stride 1 that nothing observes — the memory's page itself.
+	n      int
+	span   bool
+	first  int
+	seg    int
+	rows   [blockWords]int
+	vals   []uint64
+	buf    []uint64
+	borrow bool     // the operator only reads the one word it scans
+	tuple  []uint64 // ScanWhere's words of one tuple of a multi-word field
 
 	// fetch makes the counters, the trace and a fault error see each cell
 	// in its row's fetch orientation, the one a tuple is read in, rather
@@ -454,7 +551,7 @@ type scanner struct {
 	fetch   bool
 	cells   [2]int  // read so far, by orientation
 	at      []runAt // observe's place in each wanted word's column
-	matches []int   // ScanWhere's and Where's result before it is cut to size
+	matches []int   // ScanWhere's result before it is cut to size
 }
 
 // runAt is one answer of imdb's ScanRun: word off of tuples first … first+n-1
@@ -469,18 +566,18 @@ type runAt struct {
 
 // Scanners are recycled: 8 KB of buffers allocated (or cleared on the stack)
 // per scan would cost a 64-row point read more than its cells do.
-var scanners = sync.Pool{New: func() any { return &scanner{vals: make([]uint64, blockWords)} }}
+var scanners = sync.Pool{New: func() any { return &scanner{buf: make([]uint64, blockWords)} }}
 
-// scan starts a scan of tuple words offs over rows (nil: every live row).
-// The caller loops over next and then closes the scanner.
-func (t *Table) scan(rows []int, offs ...int) *scanner {
+// scan starts a scan of tuple words offs over the selected rows. The
+// caller loops over next and then closes the scanner.
+func (t *Table) scan(sel Sel, offs ...int) *scanner {
 	s := scanners.Get().(*scanner)
-	s.t, s.list = t, rows
+	s.t, s.sel = t, sel
 	s.offs, s.at = append(s.offs[:0], offs...), s.at[:0]
-	if len(offs) > len(s.vals) { // a field wider than a block goes a tuple at a time
-		s.vals = make([]uint64, len(offs))
+	if len(offs) > len(s.buf) { // a field wider than a block goes a tuple at a time
+		s.buf = make([]uint64, len(offs))
 	}
-	s.seg = min(len(s.vals)/len(offs), blockWords)
+	s.seg = min(len(s.buf)/len(offs), blockWords)
 	return s
 }
 
@@ -509,15 +606,15 @@ func (s *scanner) next() bool {
 	t, most, n := s.t, s.seg, 0
 	var bad error
 	s.span = false
-	switch {
-	case s.list != nil:
+	switch list := s.sel.list; {
+	case list != nil:
 		// A block of listed rows that ascend one by one is read as a span.
 		first, run := 0, true
-		if s.pos < len(s.list) {
-			first = s.list[s.pos]
+		if s.pos < len(list) {
+			first = list[s.pos]
 		}
-		for ; n < most && s.pos < len(s.list); s.pos++ {
-			row := s.list[s.pos]
+		for ; n < most && s.pos < len(list); s.pos++ {
+			row := list[s.pos]
 			if uint(row) >= uint(t.rows) || t.deleted[row] {
 				bad = t.checkLive(row)
 				break
@@ -529,6 +626,9 @@ func (s *scanner) next() bool {
 			n++
 		}
 		s.span, s.first = run && n > 0, first
+	case s.sel.bits != nil:
+		n = s.nextBits(most)
+	case !s.sel.all: // the empty selection
 	case t.live == t.rows: // no tombstone to look for
 		s.span, s.first, n = true, s.pos, min(most, t.rows-s.pos)
 		s.pos += n
@@ -546,9 +646,9 @@ func (s *scanner) next() bool {
 			s.pos = end
 		}
 	}
-	s.n = n
+	s.n, s.vals = n, s.buf
 	for k, off := range s.offs {
-		s.fill(off, s.vals[k*most:])
+		s.fill(off, s.buf[k*most:])
 	}
 	if t.sink != nil || t.db.inj != nil {
 		if s.err = s.observe(); s.err != nil {
@@ -559,10 +659,47 @@ func (s *scanner) next() bool {
 	return n > 0 && bad == nil
 }
 
+// nextBits gathers the set rows among the bitmap's next most rows into the
+// block; a stretch of nothing but clear bits is stepped over, and one of
+// nothing but set bits is a span.
+func (s *scanner) nextBits(most int) (n int) {
+	bm := s.sel.bits
+	for n == 0 && s.pos < len(bm)<<6 {
+		first, end := s.pos, min(s.pos+most, len(bm)<<6)
+		s.pos = end
+		full := true
+		for p := first; p < end && full; p += 64 - p&63 {
+			full = bits.OnesCount64(bitsFrom(bm, p, end)) == min(64-p&63, end-p)
+		}
+		if full {
+			s.span, s.first = true, first
+			return end - first
+		}
+		for p := first; p < end; p += 64 - p&63 {
+			for w := bitsFrom(bm, p, end); w != 0; w &= w - 1 {
+				s.rows[n] = p + bits.TrailingZeros64(w)
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// bitsFrom is the word of bm holding row p, shifted so that bit 0 is row p
+// and cut at row end or the word's last row.
+func bitsFrom(bm []uint64, p, end int) uint64 {
+	w := bm[p>>6] >> uint(p&63)
+	if k := end - p; k < 64 {
+		w &= 1<<uint(k) - 1
+	}
+	return w
+}
+
 // fill stores tuple word off of the block's tuples at dst[0], dst[1], …,
 // run by run: imdb's ScanRun says how far the placement goes evenly from a
 // tuple, funcmem's Run how far the page does. A span is a copy of each run,
-// a row list a gather of the rows that fall in it.
+// a row list a gather of the rows that fall in it. A borrowing scan reads a
+// span that is one run in place, when nothing observes its cells.
 func (s *scanner) fill(off int, dst []uint64) {
 	t := s.t
 	for i := 0; i < s.n; {
@@ -573,13 +710,27 @@ func (s *scanner) fill(off int, dst []uint64) {
 		}
 		if s.span {
 			n = min(run.Len(), s.n-i)
-			run.Copy(dst[i:], n)
+			if w := s.inPlace(run, n); w != nil {
+				s.vals = w
+			} else {
+				run.Copy(dst[i:], n)
+			}
 		} else {
 			n = run.Gather(dst[i:], s.rows[i:s.n])
 		}
 		s.cells[o] += n
 		i += n
 	}
+}
+
+// inPlace is the page a borrowing scan reads its block from: the block's
+// n words of run, when they are the whole block, lie one after the other
+// and nothing observes them; nil otherwise.
+func (s *scanner) inPlace(run funcmem.Run, n int) []uint64 {
+	if !s.borrow || n != s.n || s.t.sink != nil || s.t.db.inj != nil {
+		return nil
+	}
+	return run.Words(n)
 }
 
 // observe passes the block's cells, in (tuple, wanted word) order, through
@@ -632,7 +783,7 @@ func (s *scanner) close() {
 	if cap(s.matches) > maxKeptMatches {
 		s.matches = nil
 	}
-	s.t, s.list, s.pos, s.err, s.n, s.fetch = nil, nil, 0, nil, 0, false
+	s.t, s.sel, s.pos, s.err, s.n, s.fetch, s.borrow, s.vals = nil, Sel{}, 0, nil, 0, false, false, nil
 	s.cells, s.matches = [2]int{}, s.matches[:0]
 	scanners.Put(s)
 }
@@ -653,7 +804,7 @@ func (t *Table) ScanWhere(field string, pred func(vals []uint64) bool) ([]int, e
 		return nil, err
 	}
 	var one [1]int // a single-word field's offset stays on the stack
-	s := t.scan(nil, appendWords(one[:0], off, words)...)
+	s := t.scan(All, appendWords(one[:0], off, words)...)
 	defer s.close()
 	// The matches cannot be counted ahead of time — pred runs once — so
 	// they gather in the scanner's recycled scratch and are copied out at
@@ -716,62 +867,94 @@ func (op Op) rangeOf(v uint64) (lo, width, in uint64, err error) {
 	return lo, width, in, nil
 }
 
-// Where returns the rows whose single-word field compares with v by op: of
-// every live row, ascending, when rows is nil, else of the listed rows, in
-// list order — a listed row out of range or deleted is an error once the
-// rows before it were read. Its result is never nil without an error, so
-// it can be the next condition's list, where nil means every live row.
-//
-// A listed row is seen as Field reads it: the counters, the trace and a
-// fault error take its cell in the row's fetch orientation, so filtering a
-// conjunction's earlier matches records what a per-row filter did.
-func (t *Table) Where(field string, op Op, v uint64, rows []int) ([]int, error) {
+// Where selects the rows of sel whose single-word field compares with v by
+// op. Over All it reads the column of every live row; over another
+// selection it reads only the selected rows, each as Field reads it: the
+// counters, the trace and a fault error take its cell in the row's fetch
+// orientation, so filtering a conjunction's earlier matches records what a
+// per-row filter did. The matches are a bitmap, built a word at a time.
+func (t *Table) Where(field string, op Op, v uint64, sel Sel) (Sel, error) {
 	off, words, err := t.Schema().FieldOffset(field)
 	if err != nil {
-		return nil, err
+		return Sel{}, err
 	}
 	if words != 1 {
-		return nil, fmt.Errorf("engine: WHERE on multi-word field %s", field)
+		return Sel{}, fmt.Errorf("engine: WHERE on multi-word field %s", field)
 	}
 	lo, width, in, err := op.rangeOf(v)
 	if err != nil {
-		return nil, err
+		return Sel{}, err
 	}
-	s := t.scan(rows, off)
+	s := t.scan(sel, off)
 	defer s.close()
-	s.fetch = rows != nil
+	s.fetch, s.borrow = !sel.all, true
+	out := make([]uint64, (t.rows+63)>>6)
 	for s.next() {
-		// Every row is written at the end of the matches; a match moves the
-		// end past it.
-		k := len(s.matches)
-		m := slices.Grow(s.matches, s.n)[:k+s.n]
-		vals := s.vals[:s.n]
-		if s.span {
-			for i, x := range vals {
-				m[k] = s.first + i
-				_, out := bits.Sub64(width, x-lo, 0)
-				k += int(out ^ in)
-			}
-		} else {
-			for i, x := range vals {
-				m[k] = s.rows[i]
-				_, out := bits.Sub64(width, x-lo, 0)
-				k += int(out ^ in)
-			}
+		vals, i := s.vals[:s.n], 0
+		if s.span && s.first&63 == 0 {
+			i = len(vals) &^ 63
+			matchWords(out[s.first>>6:], vals[:i], lo, width, in)
 		}
-		s.matches = m[:k]
+		for ; i < len(vals); i++ {
+			row := s.row(i)
+			_, miss := bits.Add64(vals[i]-lo, ^width, 0)
+			out[row>>6] |= (miss ^ in) << uint(row&63)
+		}
 	}
 	if s.err != nil {
-		return nil, s.err
+		return Sel{}, s.err
 	}
-	if len(s.matches) == 0 {
-		return []int{}, nil
+	n := 0
+	for _, w := range out {
+		n += bits.OnesCount64(w)
 	}
-	return slices.Clone(s.matches), nil
+	return Sel{bits: out, n: n}, nil
 }
 
-// SumField sums a single-word field over the given rows (nil = all rows).
-func (t *Table) SumField(field string, rows []int) (uint64, error) {
+// matchWords is Where's range test over whole bitmap words of values, ORed
+// into out a word at a time: bit b of out[k] is set when vals[64k+b]-lo <=
+// width holds, or for in == 0 when it does not. x-lo exceeds width exactly
+// when x-lo + ^width carries, and each carry is added into the word, last
+// value first, so a value costs two adds and an add with carry; a word is
+// two such chains, its low and its high half.
+func matchWords(out, vals []uint64, lo, width, in uint64) {
+	over, flip := ^width, -in
+	for k := 0; len(vals) > 0; k++ {
+		x := (*[64]uint64)(vals)
+		var w, hi uint64
+		for i := 31; i >= 0; i-- {
+			_, miss := bits.Add64(x[i]-lo, over, 0)
+			w, _ = bits.Add64(w, w, miss)
+			_, miss = bits.Add64(x[i+32]-lo, over, 0)
+			hi, _ = bits.Add64(hi, hi, miss)
+		}
+		out[k] |= (w | hi<<32) ^ flip
+		vals = vals[64:]
+	}
+}
+
+// The []int forms of Sum, Avg, Group and Set, with nil for every live row
+// in the first three, stay for bench/, which compiles against them, until
+// ROADMAP item 1e. A list is read in list order, repeats included.
+
+// SumField is Sum over listed rows.
+func (t *Table) SumField(field string, rows []int) (uint64, error) { return t.Sum(field, orAll(rows)) }
+
+// AvgField is Avg over listed rows.
+func (t *Table) AvgField(field string, rows []int) (float64, error) { return t.Avg(field, orAll(rows)) }
+
+// GroupSum is Group over listed rows.
+func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, error) {
+	return t.Group(keyField, sumField, orAll(rows))
+}
+
+// Update is Set over listed rows; a nil list writes nothing.
+func (t *Table) Update(rows []int, field string, vals ...uint64) error {
+	return t.Set(listed(rows), field, vals...)
+}
+
+// Sum sums a single-word field over the selected rows.
+func (t *Table) Sum(field string, sel Sel) (uint64, error) {
 	off, words, err := t.Schema().FieldOffset(field)
 	if err != nil {
 		return 0, err
@@ -779,8 +962,9 @@ func (t *Table) SumField(field string, rows []int) (uint64, error) {
 	if words != 1 {
 		return 0, fmt.Errorf("engine: SUM over multi-word field %s", field)
 	}
-	s := t.scan(rows, off)
+	s := t.scan(sel, off)
 	defer s.close()
+	s.borrow = true
 	var sum uint64
 	for s.next() {
 		for _, v := range s.vals[:s.n] {
@@ -793,16 +977,13 @@ func (t *Table) SumField(field string, rows []int) (uint64, error) {
 	return sum, nil
 }
 
-// AvgField averages a single-word field over rows (nil = all live rows).
-func (t *Table) AvgField(field string, rows []int) (float64, error) {
-	n := len(rows)
-	if rows == nil {
-		n = t.live
-	}
+// Avg averages a single-word field over the selected rows.
+func (t *Table) Avg(field string, sel Sel) (float64, error) {
+	n := t.Count(sel)
 	if n == 0 {
 		return 0, fmt.Errorf("engine: AVG over zero rows")
 	}
-	sum, err := t.SumField(field, rows)
+	sum, err := t.Sum(field, sel)
 	if err != nil {
 		return 0, err
 	}
@@ -831,7 +1012,7 @@ func (t *Table) Project(rows []int, fields []string) ([][]uint64, error) {
 	if len(offs) == 0 {
 		return out, nil
 	}
-	vals, _, err := t.fetch(rows, offs)
+	vals, _, err := t.fetch(listed(rows), offs)
 	if err != nil {
 		return nil, err
 	}
@@ -842,18 +1023,14 @@ func (t *Table) Project(rows []int, fields []string) ([][]uint64, error) {
 	return out, nil
 }
 
-// fetch reads tuple words offs of rows (nil: every live row, ascending)
-// into one array, tuple after tuple, each cell seen in its row's fetch
-// orientation: tuple i is vals[i*len(offs) : (i+1)*len(offs)]. n counts the
-// tuples read whole; on an error the failing one is the n-th.
-func (t *Table) fetch(rows, offs []int) (vals []uint64, n int, err error) {
-	size := len(rows)
-	if rows == nil {
-		size = t.live
-	}
+// fetch reads tuple words offs of the selected rows into one array, tuple
+// after tuple, each cell seen in its row's fetch orientation: tuple i is
+// vals[i*len(offs) : (i+1)*len(offs)]. n counts the tuples read whole; on
+// an error the failing one is the n-th.
+func (t *Table) fetch(sel Sel, offs []int) (vals []uint64, n int, err error) {
 	w := len(offs)
-	vals = make([]uint64, size*w)
-	s := t.scan(rows, offs...)
+	vals = make([]uint64, t.Count(sel)*w)
+	s := t.scan(sel, offs...)
 	defer s.close()
 	s.fetch = true
 	for more := true; more; n += s.n {
@@ -875,19 +1052,9 @@ func appendWords(offs []int, off, n int) []int {
 	return offs
 }
 
-// Update overwrites a field of every listed row.
-func (t *Table) Update(rows []int, field string, vals ...uint64) error {
-	for _, row := range rows {
-		if err := t.SetField(row, field, vals...); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MinMaxField returns the minimum and maximum of a single-word field over
-// rows (nil = all live rows).
-func (t *Table) MinMaxField(field string, rows []int) (min, max uint64, err error) {
+// MinMax returns the minimum and maximum of a single-word field over the
+// selected rows.
+func (t *Table) MinMax(field string, sel Sel) (min, max uint64, err error) {
 	off, words, err := t.Schema().FieldOffset(field)
 	if err != nil {
 		return 0, 0, err
@@ -895,8 +1062,9 @@ func (t *Table) MinMaxField(field string, rows []int) (min, max uint64, err erro
 	if words != 1 {
 		return 0, 0, fmt.Errorf("engine: MIN/MAX over multi-word field %s", field)
 	}
-	s := t.scan(rows, off)
+	s := t.scan(sel, off)
 	defer s.close()
+	s.borrow = true
 	min, max = ^uint64(0), 0
 	seen := false
 	for s.next() {
@@ -926,10 +1094,10 @@ type GroupRow struct {
 	Count int
 }
 
-// GroupSum groups rows (nil = all live) by a single-word key field and
-// sums a single-word aggregate field per group. Results are ordered by
-// ascending key.
-func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, error) {
+// Group groups the selected rows by a single-word key field and sums a
+// single-word aggregate field per group. Results are ordered by ascending
+// key.
+func (t *Table) Group(keyField, sumField string, sel Sel) ([]GroupRow, error) {
 	offK, wordsK, err := t.Schema().FieldOffset(keyField)
 	if err != nil {
 		return nil, err
@@ -943,7 +1111,7 @@ func (t *Table) GroupSum(keyField, sumField string, rows []int) ([]GroupRow, err
 	}
 	// Key then value of each row, so the recorded stream interleaves the
 	// two columns the way a tuple-at-a-time GROUP BY touches them.
-	s := t.scan(rows, offK, offS)
+	s := t.scan(sel, offK, offS)
 	defer s.close()
 	// A key below 64 is its group's index; the others go to a hash table,
 	// which starts on the stack too.

@@ -79,7 +79,7 @@ func TestEngineAgainstModel(t *testing.T) {
 					continue
 				}
 				row := live[rng.Intn(len(live))]
-				if err := tbl.Delete([]int{row}); err != nil {
+				if err := tbl.Delete(listed([]int{row})); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
 				ref.deleted[row] = true

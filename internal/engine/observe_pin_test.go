@@ -42,7 +42,7 @@ func pinTable(t *testing.T, tombstones bool) (*DB, *Table) {
 				dead = append(dead, row)
 			}
 		}
-		if err := tbl.Delete(dead); err != nil {
+		if err := tbl.Delete(listed(dead)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,33 +64,38 @@ var pinOps = []struct {
 	// The second condition reads its listed rows in their fetch orientation.
 	{"where2", false,
 		func(t *testing.T, tbl *Table) addr.Coord {
-			rows, err := tbl.Where("k", Lt, 40, nil)
+			sel, err := tbl.Where("k", Lt, 40, All)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rows := tbl.RowIDs(sel, 0)
 			return tbl.CellCoord(rows[len(rows)/2], 4)
 		},
 		func(tbl *Table) (any, error) {
-			rows, err := tbl.Where("k", Lt, 40, nil)
+			sel, err := tbl.Where("k", Lt, 40, All)
+			if err == nil {
+				sel, err = tbl.Where("v", Ge, 1<<19, sel)
+			}
 			if err != nil {
 				return nil, err
 			}
-			return tbl.Where("v", Ge, 1<<19, rows)
+			return tbl.RowIDs(sel, 0), nil
 		}},
 	{"sumlist", false,
 		func(t *testing.T, tbl *Table) addr.Coord {
-			rows, err := tbl.Where("k", Ge, 70, nil)
+			sel, err := tbl.Where("k", Ge, 70, All)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rows := tbl.RowIDs(sel, 0)
 			return tbl.CellCoord(rows[len(rows)/2], 4)
 		},
 		func(tbl *Table) (any, error) {
-			rows, err := tbl.Where("k", Ge, 70, nil)
+			sel, err := tbl.Where("k", Ge, 70, All)
 			if err != nil {
 				return nil, err
 			}
-			return tbl.SumField("v", rows)
+			return tbl.Sum("v", sel)
 		}},
 	// Three words a tuple, 170 tuples a block: the middle word of block 1's
 	// tuple 80. The predicate folds every word it is shown into the result.

@@ -77,7 +77,7 @@ func (db *DB) Save(w io.Writer) error {
 		// One fetch reads the live tuples; the n read whole come before the
 		// one that failed.
 		L := t.Schema().TupleWords()
-		vals, n, err := t.fetch(nil, appendWords(nil, 0, L))
+		vals, n, err := t.fetch(All, appendWords(nil, 0, L))
 		i := 0
 		for row := range pt.Tuples {
 			if t.deleted[row] {
@@ -183,7 +183,7 @@ func (db *DB) Load(r io.Reader) error {
 				dead = append(dead, row)
 			}
 		}
-		if err := t.Delete(dead); err != nil {
+		if err := t.Delete(listed(dead)); err != nil {
 			return err
 		}
 		switch {

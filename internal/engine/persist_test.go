@@ -17,7 +17,7 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src, _ := Open()
 	tbl, ref := buildPeople(t, src, 300)
-	if err := tbl.Delete([]int{7, 100}); err != nil {
+	if err := tbl.Delete(listed([]int{7, 100})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,7 +81,7 @@ func pinnedHistory(t testing.TB) *DB {
 	t.Helper()
 	db, _ := Open()
 	people, _ := buildPeople(t, db, 40)
-	if err := people.Delete([]int{3, 17, 39}); err != nil {
+	if err := people.Delete(listed([]int{3, 17, 39})); err != nil {
 		t.Fatal(err)
 	}
 	wide, err := db.CreateTable("wide", imdb.Schema{Name: "wide", Fields: []imdb.Field{
@@ -95,7 +95,7 @@ func pinnedHistory(t testing.TB) *DB {
 			t.Fatal(err)
 		}
 	}
-	if err := wide.Delete([]int{0, 4}); err != nil {
+	if err := wide.Delete(listed([]int{0, 4})); err != nil {
 		t.Fatal(err)
 	}
 	if err := wide.SetField(5, "WIDE", 1, 2, 3, 4, 5); err != nil {

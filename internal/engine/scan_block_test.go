@@ -150,6 +150,22 @@ func refGroup(t *Table, key, sum string, rows []int) ([]GroupRow, error) {
 	return out, nil
 }
 
+// bitmapOf is the bitmap selection of rows, which ascend and are live.
+func bitmapOf(t *Table, rows []int) Sel {
+	bm := make([]uint64, (t.Rows()+63)>>6)
+	for _, row := range rows {
+		bm[row>>6] |= 1 << uint(row&63)
+	}
+	return Sel{bits: bm, n: len(rows)}
+}
+
+// sortedSet is rows ascending without repeats: a selection's rows.
+func sortedSet(rows []int) []int {
+	out := slices.Clone(rows)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // refFetch is the tuple read of words offs of rows (nil: every live row),
 // cell by cell in fetch orientation, flattened as fetch returns them.
 func refFetch(t *Table, rows, offs []int) ([]uint64, error) {
@@ -185,7 +201,7 @@ func edgeTable(t *testing.T, rows int, dead []int) (*DB, *Table) {
 			t.Fatal(err)
 		}
 	}
-	if err := tbl.Delete(dead); err != nil {
+	if err := tbl.Delete(listed(dead)); err != nil {
 		t.Fatal(err)
 	}
 	return db, tbl
@@ -229,7 +245,8 @@ type edgeOp struct {
 	run, ref func(t *Table) (any, error)
 }
 
-// edgeOps is every operator over every row-list shape of tbl's live rows.
+// edgeOps is every operator over every selection shape of tbl's live rows:
+// All, row lists and bitmaps.
 func edgeOps(tbl *Table) []edgeOp {
 	live := tbl.LiveRows()
 	var asc, desc []int
@@ -292,37 +309,57 @@ func edgeOps(tbl *Table) []edgeOp {
 			func(t *Table) (any, error) { return t.ScanWhere("w", wide) },
 			func(t *Table) (any, error) { return refWhere(t, "w", wide, nil) }},
 	}
+	// Each selection with the rows the reference reads for it (nil: every
+	// live row). A Where over any of them selects its matches as a bitmap,
+	// ascending and without repeats.
 	for _, lc := range []struct {
 		name string
+		sel  Sel
 		rows []int
 	}{
-		{"nil", nil}, {"asc", asc}, {"desc", desc}, {"bad", bad}, {"empty", []int{}},
-		{"consec", consec}, {"consec+dead", consecDead}, {"consec-dup", consecDup},
+		{"all", All, nil}, {"asc", listed(asc), asc}, {"desc", listed(desc), desc},
+		{"bad", listed(bad), bad}, {"empty", listed([]int{}), []int{}},
+		{"consec", listed(consec), consec}, {"consec+dead", listed(consecDead), consecDead},
+		{"consec-dup", listed(consecDup), consecDup},
+		{"bits/asc", bitmapOf(tbl, asc), asc}, {"bits/consec", bitmapOf(tbl, consec), consec},
+		{"bits/live", bitmapOf(tbl, live), live}, {"bits/none", bitmapOf(tbl, nil), []int{}},
 	} {
-		rows := lc.rows
+		sel, rows := lc.sel, lc.rows
 		for _, w := range whereOps {
 			op := w.op
 			ops = append(ops, edgeOp{"where/" + w.name + "/" + lc.name,
-				func(t *Table) (any, error) { return t.Where("k", op, 100, rows) },
-				func(t *Table) (any, error) { return refCompare(t, "k", op, 100, rows) }})
+				func(t *Table) (any, error) {
+					m, err := t.Where("k", op, 100, sel)
+					if err != nil {
+						return nil, err
+					}
+					return t.RowIDs(m, 0), nil
+				},
+				func(t *Table) (any, error) {
+					m, err := refCompare(t, "k", op, 100, rows)
+					if err != nil {
+						return nil, err
+					}
+					return sortedSet(m), nil
+				}})
 		}
 		ops = append(ops,
 			edgeOp{"sum/" + lc.name,
-				func(t *Table) (any, error) { return t.SumField("v", rows) },
+				func(t *Table) (any, error) { return t.Sum("v", sel) },
 				func(t *Table) (any, error) { return refSum(t, "v", rows) }},
 			edgeOp{"minmax/" + lc.name,
 				func(t *Table) (any, error) {
-					lo, hi, err := t.MinMaxField("k", rows)
+					lo, hi, err := t.MinMax("k", sel)
 					return [2]uint64{lo, hi}, err
 				},
 				func(t *Table) (any, error) { return refMinMax(t, "k", rows) }},
 			edgeOp{"group/" + lc.name,
-				func(t *Table) (any, error) { return t.GroupSum("k", "v", rows) },
+				func(t *Table) (any, error) { return t.Group("k", "v", sel) },
 				func(t *Table) (any, error) { return refGroup(t, "k", "v", rows) }},
 			// Five words a tuple, out of order: 102 tuples a block.
 			edgeOp{"fetch/" + lc.name,
 				func(t *Table) (any, error) {
-					vals, _, err := t.fetch(rows, []int{4, 1, 2, 3, 0})
+					vals, _, err := t.fetch(sel, []int{4, 1, 2, 3, 0})
 					if err != nil {
 						vals = nil
 					}
@@ -432,7 +469,7 @@ func TestScanWiderThanABlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tbl.Delete([]int{3}); err != nil {
+		if err := tbl.Delete(listed([]int{3})); err != nil {
 			t.Fatal(err)
 		}
 		left[side] = edgeRun(db, tbl, true, scan)
@@ -477,18 +514,25 @@ func TestScanWherePredContract(t *testing.T) {
 	}
 }
 
-// TestWhereContract: Where answers a non-nil list whenever it answers no
-// error — nil would read as every live row to the next condition — and
-// refuses what it cannot compare.
+// TestWhereContract: a Where that matches nothing selects nothing, so the
+// next condition and an aggregate over it read no cell — a nil row list
+// once read as every live row — and Where refuses what it cannot compare.
 func TestWhereContract(t *testing.T) {
-	_, tbl := edgeTable(t, 64, []int{5})
-	for _, rows := range [][]int{nil, {}, {0, 1, 2}} {
-		got, err := tbl.Where("k", Gt, ^uint64(0), rows)
-		if err != nil || got == nil || len(got) != 0 {
-			t.Fatalf("rows %v: > MaxUint64 matched %v (nil: %v), err %v", rows, got, got == nil, err)
-		}
-		if got, err = tbl.Where("k", Lt, 0, rows); err != nil || got == nil || len(got) != 0 {
-			t.Fatalf("rows %v: < 0 matched %v, err %v", rows, got, err)
+	db, tbl := edgeTable(t, 64, []int{5})
+	for i, in := range []Sel{All, {}, listed([]int{0, 1, 2}), bitmapOf(tbl, []int{0, 1, 2})} {
+		for _, c := range []struct {
+			op Op
+			v  uint64
+		}{{Gt, ^uint64(0)}, {Lt, 0}} {
+			got, err := tbl.Where("k", c.op, c.v, in)
+			if err != nil || tbl.Count(got) != 0 || len(tbl.RowIDs(got, 0)) != 0 {
+				t.Fatalf("input %d, op %d %d: matched %d rows, err %v", i, c.op, c.v, tbl.Count(got), err)
+			}
+			c0 := db.Mem().Counts()
+			sum, err := tbl.Sum("v", got)
+			if err != nil || sum != 0 || db.Mem().Counts() != c0 {
+				t.Fatalf("input %d: SUM over no match is %d (err %v) and read %s", i, sum, err, countsDelta(c0, db.Mem().Counts()))
+			}
 		}
 	}
 	for _, c := range []struct {
@@ -500,7 +544,7 @@ func TestWhereContract(t *testing.T) {
 		{"nope", Eq, "no field"},
 		{"k", Ge + 1, "engine: unknown comparison 6"},
 	} {
-		if _, err := tbl.Where(c.field, c.op, 1, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := tbl.Where(c.field, c.op, 1, All); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("Where(%q, %d): err %v, want %q", c.field, c.op, err, c.want)
 		}
 	}
@@ -535,7 +579,7 @@ func TestGroupSumKeys(t *testing.T) {
 				dead = append(dead, i)
 			}
 		}
-		if err := tbl.Delete(dead); err != nil {
+		if err := tbl.Delete(listed(dead)); err != nil {
 			t.Fatal(err)
 		}
 		return db, tbl

@@ -51,7 +51,7 @@ func goldenTable(t *testing.T, db *DB, name string, capacity, rows, blockLo, blo
 			dead = append(dead, row)
 		}
 	}
-	if err := tbl.Delete(dead); err != nil {
+	if err := tbl.Delete(listed(dead)); err != nil {
 		t.Fatal(err)
 	}
 	return tbl
@@ -120,7 +120,7 @@ func goldenOps(s, b *Table, sink *trace.Stream) []goldenOp {
 				goldenOp{tc.name + "/sum/" + lc.name, func() (any, error) { return tbl.SumField("v", rows) }},
 				goldenOp{tc.name + "/avg/" + lc.name, func() (any, error) { return tbl.AvgField("v", rows) }},
 				goldenOp{tc.name + "/minmax/" + lc.name, func() (any, error) {
-					lo, hi, err := tbl.MinMaxField("k", rows)
+					lo, hi, err := tbl.MinMax("k", orAll(rows))
 					return [2]uint64{lo, hi}, err
 				}},
 				goldenOp{tc.name + "/group/" + lc.name, func() (any, error) { return tbl.GroupSum("k", "v", rows) }},

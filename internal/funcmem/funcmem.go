@@ -123,6 +123,17 @@ type Run struct {
 // Len is the number of words in the run.
 func (r Run) Len() int { return r.n }
 
+// Words returns the run's first n words, n <= Len(), as the page itself
+// when they lie one after the other, and nil when they do not or were
+// never written. The caller only reads them, and only until the memory is
+// next written.
+func (r Run) Words(n int) []uint64 {
+	if r.stride != 1 || r.page == nil {
+		return nil
+	}
+	return r.page[:n:n]
+}
+
 // Copy stores the run's first n words, n <= Len(), at dst[:n].
 func (r Run) Copy(dst []uint64, n int) {
 	if n <= 0 {

@@ -2,6 +2,7 @@ package funcmem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -221,6 +222,11 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 						dst[k] = ^uint64(0)
 					}
 					r.Copy(dst, r.Len())
+					if w := r.Words(r.Len()); w != nil && !slices.Equal(w, dst[:r.Len()]) {
+						t.Fatalf("%+v: Run(%+v, %s, %d, %d).Words = %v, Copy %v", geom, c, o, step, n, w, dst[:r.Len()])
+					} else if w == nil && r.page != nil && r.stride == 1 {
+						t.Fatalf("%+v: Run(%+v, %s, %d, %d).Words is nil at stride 1", geom, c, o, step, n)
+					}
 					for k, got := range dst {
 						want := ^uint64(0) // untouched after the copied words
 						if k < r.Len() {

@@ -98,36 +98,32 @@ var whereOps = map[string]engine.Op{
 	"=": engine.Eq, "!=": engine.Ne, "<": engine.Lt, "<=": engine.Le, ">": engine.Gt, ">=": engine.Ge,
 }
 
-// evalConds runs the WHERE conjunction as successive filters: the first
-// condition is a full column scan, the rest re-scan only prior matches.
-func evalConds(t *engine.Table, conds []Cond) ([]int, error) {
-	// A WHERE that matches nothing must yield an empty (non-nil) row set:
-	// the engine reads a nil list as "all live rows", so a nil here once
-	// made SUM/MIN/MAX/GROUP BY over an empty match aggregate the whole
-	// table. Where never answers nil, so nil is only the first condition's
-	// input.
-	var rows []int
+// evalConds selects the rows the WHERE conjunction matches, every live row
+// without one: the first condition scans its column, each later one reads
+// only the rows the ones before it matched.
+func evalConds(t *engine.Table, conds []Cond) (engine.Sel, error) {
+	sel := engine.All
 	for _, c := range conds {
 		col, err := resolveColumn(t, c.Column)
 		if err != nil {
-			return nil, err
+			return engine.Sel{}, err
 		}
 		_, words, err := t.Schema().FieldOffset(col)
 		if err != nil {
-			return nil, err
+			return engine.Sel{}, err
 		}
 		if words != 1 {
-			return nil, fmt.Errorf("sql: WHERE on wide field %q", col)
+			return engine.Sel{}, fmt.Errorf("sql: WHERE on wide field %q", col)
 		}
 		op, ok := whereOps[c.Op]
 		if !ok {
-			return nil, fmt.Errorf("sql: unknown operator %q", c.Op)
+			return engine.Sel{}, fmt.Errorf("sql: unknown operator %q", c.Op)
 		}
-		if rows, err = t.Where(col, op, c.Value, rows); err != nil {
-			return nil, err
+		if sel, err = t.Where(col, op, c.Value, sel); err != nil {
+			return engine.Sel{}, err
 		}
 	}
-	return rows, nil
+	return sel, nil
 }
 
 // applyOrderLimit post-sorts a GROUP BY result (only by its key column)
@@ -217,33 +213,31 @@ func renderGroups(groups []engine.GroupRow, key, aggCol string, agg AggKind) (*R
 
 // matching returns a handle on db's table and the rows an UPDATE or DELETE
 // writes: those its WHERE matches, or every live row without one.
-func matching(db *engine.DB, table string, where []Cond, sink *trace.Stream) (*engine.Table, []int, error) {
+func matching(db *engine.DB, table string, where []Cond, sink *trace.Stream) (*engine.Table, engine.Sel, error) {
 	t, err := lookup(db, table, sink)
-	switch {
-	case err != nil:
-		return nil, nil, err
-	case len(where) == 0:
-		return t, t.LiveRows(), nil
+	if err != nil {
+		return nil, engine.Sel{}, err
 	}
-	rows, err := evalConds(t, where)
-	return t, rows, err
+	sel, err := evalConds(t, where)
+	return t, sel, err
 }
 
 func runDelete(db *engine.DB, s *Delete, sink *trace.Stream) (*Result, error) {
-	t, rows, err := matching(db, s.Table, s.Where, sink)
+	t, sel, err := matching(db, s.Table, s.Where, sink)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Delete(rows); err != nil {
+	n := t.Count(sel)
+	if err := t.Delete(sel); err != nil {
 		return nil, err
 	}
-	return &Result{Affected: len(rows)}, nil
+	return &Result{Affected: n}, nil
 }
 
 // runUpdate resolves every SET before it writes anything, so an UPDATE
 // that names an unknown or wide column fails with nothing stored.
 func runUpdate(db *engine.DB, s *Update, sink *trace.Stream) (*Result, error) {
-	t, rows, err := matching(db, s.Table, s.Where, sink)
+	t, sel, err := matching(db, s.Table, s.Where, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -260,11 +254,11 @@ func runUpdate(db *engine.DB, s *Update, sink *trace.Stream) (*Result, error) {
 		cols = append(cols, col)
 	}
 	for i, set := range s.Sets {
-		if err := t.Update(rows, cols[i], set.Value); err != nil {
+		if err := t.Set(sel, cols[i], set.Value); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(rows)}, nil
+	return &Result{Affected: t.Count(sel)}, nil
 }
 
 // Format renders a result as an aligned text table.

@@ -59,7 +59,14 @@ func updateUnstable(c *shard.Cluster, s *Update) bool {
 	return false
 }
 
+// shard0 is every shard of a 1-shard cluster. Target lists are never
+// written, so every statement on one shard shares it.
+var shard0 = []int{0}
+
 func allShards(c *shard.Cluster) []int {
+	if c.N() == 1 {
+		return shard0
+	}
 	out := make([]int, c.N())
 	for i := range out {
 		out[i] = i

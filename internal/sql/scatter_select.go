@@ -70,21 +70,15 @@ func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
 		return err
 	}
 	p.t = t
-	// Without a WHERE rows stays nil, which the engine reads as every live
-	// row; only ORDER BY and a projection need the ids themselves.
-	var rows []int
-	count := t.Live()
-	if len(s.Where) > 0 {
-		if rows, err = evalConds(t, s.Where); err != nil {
-			return err
-		}
-		count = len(rows)
+	sel, err := evalConds(t, s.Where)
+	if err != nil {
+		return err
 	}
-
-	if s.OrderBy != "" && s.GroupBy == "" {
-		if rows == nil {
-			rows = t.LiveRows()
-		}
+	// Only ORDER BY and a projection need the row ids themselves.
+	var rows []int
+	ordered := s.OrderBy != "" && s.GroupBy == ""
+	if ordered {
+		rows = t.RowIDs(sel, 0)
 		col, err := resolveColumn(t, s.OrderBy)
 		if err != nil {
 			return err
@@ -113,12 +107,12 @@ func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
 		if err != nil {
 			return err
 		}
-		p.groups, err = t.GroupSum(key, aggCol, rows)
+		p.groups, err = t.Group(key, aggCol, sel)
 		return err
 	case hasAggregates(s):
 		p.aggs = make([]aggCell, 0, len(s.Items))
 		for _, it := range s.Items {
-			cell, err := aggregate(t, it, rows, count)
+			cell, err := aggregate(t, it, sel)
 			if err != nil {
 				return err
 			}
@@ -133,14 +127,11 @@ func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
 	if p.fields, err = selectFields(t, s); err != nil {
 		return err
 	}
-	if rows == nil {
-		rows = t.LiveRows()
-	}
-	if s.Limit > 0 && s.Limit < len(rows) {
-		rows = rows[:s.Limit]
-		if p.keys != nil {
-			p.keys = p.keys[:s.Limit]
-		}
+	switch {
+	case !ordered:
+		rows = t.RowIDs(sel, s.Limit)
+	case s.Limit > 0 && s.Limit < len(rows):
+		rows, p.keys = rows[:s.Limit], p.keys[:s.Limit]
 	}
 	p.rows = rows
 	return nil
@@ -168,8 +159,9 @@ func (b byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
-// aggregate computes one aggregate item's partial over rows, count of them.
-func aggregate(t *engine.Table, it SelectItem, rows []int, count int) (aggCell, error) {
+// aggregate computes one aggregate item's partial over the selected rows.
+func aggregate(t *engine.Table, it SelectItem, sel engine.Sel) (aggCell, error) {
+	count := t.Count(sel)
 	switch it.Agg {
 	case AggNone:
 		return aggCell{}, fmt.Errorf("sql: cannot mix plain columns with aggregates")
@@ -183,15 +175,15 @@ func aggregate(t *engine.Table, it SelectItem, rows []int, count int) (aggCell, 
 	cell := aggCell{kind: it.Agg, col: col, n: count}
 	switch {
 	case it.Agg == AggSum:
-		cell.sum, err = t.SumField(col, rows)
+		cell.sum, err = t.Sum(col, sel)
 	case it.Agg == AggAvg && count > 0:
 		// Partial = raw sum + count; the merge divides once.
-		cell.sum, err = t.SumField(col, rows)
+		cell.sum, err = t.Sum(col, sel)
 	case (it.Agg == AggMin || it.Agg == AggMax) && count > 0:
-		cell.lo, cell.hi, err = t.MinMaxField(col, rows)
+		cell.lo, cell.hi, err = t.MinMax(col, sel)
 	case it.Agg == AggMin || it.Agg == AggMax:
 		// Nothing to read, but a wide field is rejected before emptiness,
-		// as MinMaxField does; the merge reports the zero rows.
+		// as MinMax does; the merge reports the zero rows.
 		if _, words, _ := t.Schema().FieldOffset(col); words != 1 {
 			err = fmt.Errorf("engine: MIN/MAX over multi-word field %s", col)
 		}
