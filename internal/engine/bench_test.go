@@ -12,7 +12,7 @@ import (
 const benchRows = 16384
 
 // benchTable is a table of capacity tuples holding the first rows of them.
-func benchTable(b *testing.B, capacity, rows int) *Table {
+func benchTable(b testing.TB, capacity, rows int) *Table {
 	b.Helper()
 	db, err := Open()
 	if err != nil {

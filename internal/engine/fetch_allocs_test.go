@@ -24,3 +24,20 @@ func TestProjectAllocs(t *testing.T) {
 		t.Fatalf("Project of %d rows allocates %.1f/op, want <= 2", len(rows), allocs)
 	}
 }
+
+// TestSetAllocs: an UPDATE's write of the 2 048 rows its WHERE matched in
+// the 16 384-row table allocates nothing.
+func TestSetAllocs(t *testing.T) {
+	tbl := benchTable(t, benchRows, benchRows)
+	sel, err := tbl.Where("grp", Eq, 5, All)
+	if err != nil || tbl.Count(sel) != 2048 {
+		t.Fatalf("Where matched %d rows, err %v", tbl.Count(sel), err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tbl.Set(sel, "val", 7); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Set of 2 048 rows allocates %.1f/op, want 0", allocs)
+	}
+}
