@@ -165,26 +165,18 @@ func (db *DB) Load(r io.Reader) error {
 		// A tombstone is recreated as a zero tuple that is then deleted, so
 		// row ids stay stable. A listed row outside the tuples is ignored.
 		deleted := make([]bool, len(pt.Tuples))
+		placeholder := make([]uint64, schema.TupleWords())
 		for _, row := range pt.Deleted {
 			if uint(row) < uint(len(deleted)) {
-				deleted[row] = true
-			}
-		}
-		placeholder := make([]uint64, schema.TupleWords())
-		for row := range pt.Tuples {
-			if deleted[row] {
-				pt.Tuples[row] = placeholder
+				deleted[row], pt.Tuples[row] = true, placeholder
 			}
 		}
 		n, err := t.AppendRows(pt.Tuples)
-		var dead []int
 		for row := range n {
 			if deleted[row] {
-				dead = append(dead, row)
+				t.deleted[row] = true
+				t.live--
 			}
-		}
-		if err := t.Delete(listed(dead)); err != nil {
-			return err
 		}
 		switch {
 		case err != nil && deleted[n]:

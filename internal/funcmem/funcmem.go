@@ -114,7 +114,7 @@ func (m *Memory) WriteCoord(c addr.Coord, o addr.Orientation, v uint64) {
 
 // Run is a view of words spaced evenly along one orientation inside one
 // page. A Run from Run is read-only and stays valid until the memory is
-// next written; one from WriteRun is written through with Set.
+// next written; one from WriteRun is written through with Put and Scatter.
 type Run struct {
 	page      []uint64 // nil: the span was never written and reads zero
 	stride, n int
@@ -170,6 +170,32 @@ func (r Run) Gather(dst []uint64, idx []int) int {
 	return len(idx)
 }
 
+// Put stores src[:n] as the run's first n words, n <= Len(), of a Run from
+// WriteRun: Copy the other way.
+func (r Run) Put(src []uint64, n int) {
+	if r.stride == 1 {
+		copy(r.page[:n], src)
+		return
+	}
+	for k, i := 0, 0; k < n; k, i = k+1, i+r.stride {
+		r.page[i] = src[k]
+	}
+}
+
+// Scatter stores src[k] as word idx[k]-idx[0] of a Run from WriteRun, as
+// far as Gather would read, and returns how many it stored: Gather the
+// other way.
+func (r Run) Scatter(src []uint64, idx []int) int {
+	for k, j := range idx {
+		i := j - idx[0]
+		if uint(i) >= uint(r.n) {
+			return k
+		}
+		r.page[i*r.stride] = src[k]
+	}
+	return len(idx)
+}
+
 // Run returns a view of the words at c.Along(o, k·step), k = 0, 1, …: at
 // most n of them (n >= 1, step >= 1), fewer when the span would leave c's
 // page — a row-oriented run ends with its 8-column line, a column-oriented
@@ -185,9 +211,6 @@ func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
 func (m *Memory) WriteRun(c addr.Coord, o addr.Orientation, step, n int) Run {
 	return m.run(c, o, step, n, true)
 }
-
-// Set stores v as word k < Len() of a Run from WriteRun.
-func (r Run) Set(k int, v uint64) { r.page[k*r.stride] = v }
 
 func (m *Memory) run(c addr.Coord, o addr.Orientation, step, n int, alloc bool) Run {
 	room, stride := stripCols-int(c.Column)%stripCols, step<<m.rowLo

@@ -277,9 +277,10 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 }
 
 // TestWriteRunAgreesWithReadCoord, in every geometry of runGeoms: a
-// WriteRun around the same page edges is cut where a Run is, allocates the
-// page of a span never written and no other, and the words set through it
-// — and no others — read back through ReadCoord in both orientations.
+// WriteRun around the same page edges, put whole or scattered, is cut where
+// a Run is, allocates the page of a span never written and no other, and
+// the words stored through it — and no others — read back through
+// ReadCoord in both orientations.
 // Nothing is counted until the writer reports it.
 func TestWriteRunAgreesWithReadCoord(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -305,10 +306,32 @@ func TestWriteRunAgreesWithReadCoord(t *testing.T) {
 			if want := m.Run(c, o, step, n).Len(); r.Len() != want {
 				t.Fatalf("%+v: WriteRun(%+v, %s, %d, %d).Len() = %d, Run's %d", geom, c, o, step, n, r.Len(), want)
 			}
-			for k := 0; k < r.Len(); k++ {
-				v := rng.Uint64()
-				r.Set(k, v)
-				model[c.Along(o, k*step)] = v
+			// Every other run is written whole, the others scattered: the
+			// words at ascending offsets with gaps, until one past its end.
+			src := make([]uint64, r.Len())
+			for k := range src {
+				src[k] = rng.Uint64()
+			}
+			if i%2 == 0 {
+				r.Put(src, r.Len())
+				for k, v := range src {
+					model[c.Along(o, k*step)] = v
+				}
+			} else {
+				var idx []int
+				for k := 0; k <= r.Len(); k += 1 + rng.Intn(3) {
+					idx = append(idx, 40+k)
+				}
+				want := len(idx)
+				if idx[want-1]-40 >= r.Len() {
+					want--
+				}
+				if got := r.Scatter(src, idx); got != want {
+					t.Fatalf("%+v: Scatter over %v of a %d-word run stored %d, want %d", geom, idx, r.Len(), got, want)
+				}
+				for k := 0; k < want; k++ {
+					model[c.Along(o, (idx[k]-40)*step)] = src[k]
+				}
 			}
 			if got, want := m.FootprintBytes(), footprint(geom, model); got != want {
 				t.Fatalf("%+v: after WriteRun(%+v, %s, %d, %d): footprint %d bytes, want %d", geom, c, o, step, n, got, want)

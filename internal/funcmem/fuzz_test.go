@@ -42,13 +42,15 @@ func FuzzRun(f *testing.F) {
 			step, n := 1+int(in[5]%8), 1+int(in[6]%40)
 			val := func(k int) uint64 { return uint64(i+1)<<32 | uint64(k) }
 			switch in[0] % 4 {
-			case 0: // a run written word by word
+			case 0: // a run written whole
 				r := m.WriteRun(c, o, step, n)
 				checkCut(t, geom, c, o, step, n, r)
+				dst = dst[:0]
 				for k := 0; k < r.Len(); k++ {
-					r.Set(k, val(k))
+					dst = append(dst, val(k))
 					model[c.Along(o, k*step)] = val(k)
 				}
+				r.Put(dst, r.Len())
 			case 1: // one word through an encoded address
 				m.WriteWord(geom.Encode(c, o), o, val(0))
 				model[c] = val(0)
