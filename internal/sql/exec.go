@@ -139,7 +139,7 @@ func applyOrderLimit(res *Result, s *Select) (*Result, error) {
 			}
 		}
 	}
-	if s.Limit > 0 && s.Limit < len(res.Rows) {
+	if s.Limit != noLimit && s.Limit < len(res.Rows) {
 		res.Rows = res.Rows[:s.Limit]
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -68,7 +69,8 @@ type Select struct {
 	// GroupBy is the grouping column (empty for plain selects).
 	GroupBy string
 	// OrderBy is the ordering column (empty = storage order); Desc flips
-	// the direction. Limit > 0 truncates the result.
+	// the direction. Limit >= 0 truncates the result to that many rows;
+	// noLimit (-1) is a SELECT without LIMIT.
 	OrderBy string
 	Desc    bool
 	Limit   int
@@ -308,7 +310,7 @@ func (p *parser) insert() (Statement, error) {
 }
 
 func (p *parser) selectStmt() (Statement, error) {
-	st := &Select{}
+	st := &Select{Limit: noLimit}
 	// Projection list; qualified names are tolerated and resolved after
 	// FROM (needed for JOIN).
 	var quals []QualID
@@ -410,10 +412,17 @@ func (p *parser) selectStmt() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.Limit = int(n)
+		st.Limit = limitOf(n)
 	}
 	return st, nil
 }
+
+// noLimit is Select.Limit without a LIMIT clause.
+const noLimit = -1
+
+// limitOf is the Limit of LIMIT n: n, or the largest int when n is larger,
+// which no table reaches.
+func limitOf(n uint64) int { return int(min(n, math.MaxInt)) }
 
 // selectItem parses one projection entry: col, t.col, SUM(col), AVG(col),
 // COUNT(*).

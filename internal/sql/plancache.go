@@ -25,10 +25,7 @@ package sql
 // and CAPACITY 0 parse identically to their absent forms, so a template
 // cannot tell how many literals to rebind). For the same reason a
 // cacheable statement is only inserted when its parsed form accounts for
-// every lexed literal (e.g. "LIMIT 0" parses identically to no LIMIT and
-// is therefore never cached — but it still *binds* correctly against a
-// template cached from a "LIMIT n>0" source, because the shape key keeps
-// the LIMIT token).
+// every lexed literal.
 
 import (
 	"slices"
@@ -264,8 +261,8 @@ func literalsEqual(a, b []uint64) bool {
 // literalSlots is the number of literal positions a template rebinding
 // consumes, or -1 when the statement type is not cacheable. A parsed
 // statement is only cached when this equals the lexed literal count, so
-// binding can never mis-slot (rules out CREATE's WIDE 1 / CAPACITY 0 and
-// SELECT's LIMIT 0, whose parses are ambiguous under parameterization).
+// binding can never mis-slot (rules out CREATE's WIDE 1 / CAPACITY 0,
+// whose parses are ambiguous under parameterization).
 func literalSlots(st Statement) int {
 	switch s := st.(type) {
 	case *Insert:
@@ -279,7 +276,7 @@ func literalSlots(st Statement) int {
 			return 0 // the join grammar has no literal positions
 		}
 		n := len(s.Where)
-		if s.Limit > 0 {
+		if s.Limit != noLimit {
 			n++
 		}
 		return n
@@ -313,8 +310,8 @@ func bindTemplate(st Statement, lits []uint64) Statement {
 	case *Select:
 		ns := *s
 		ns.Where = bindConds(s.Where, lits)
-		if s.Limit > 0 {
-			ns.Limit = int(lits[len(s.Where)])
+		if s.Limit != noLimit {
+			ns.Limit = limitOf(lits[len(s.Where)])
 		}
 		return &ns
 	case *Update:

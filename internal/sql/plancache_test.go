@@ -78,8 +78,8 @@ func TestPlanCacheShapeKey(t *testing.T) {
 
 // TestPlanCacheParseEquivalence: for a spread of statements, the cached
 // parse (template hit, literal rebind) must produce an AST deeply equal to
-// a fresh parse — including the parameterization edge cases (LIMIT 0 is
-// grammar-absent, repeated literals, operators).
+// a fresh parse — including the parameterization edge cases (LIMIT 0,
+// repeated literals, operators).
 func TestPlanCacheParseEquivalence(t *testing.T) {
 	srcs := []string{
 		"SELECT val FROM kv WHERE k = 1",

@@ -110,8 +110,8 @@ func (s *Select) String() string {
 			b.WriteString(" DESC")
 		}
 	}
-	if s.Limit != 0 {
-		fmt.Fprintf(&b, " LIMIT %d", uint64(s.Limit))
+	if s.Limit != noLimit {
+		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
 	return b.String()
 }

@@ -128,9 +128,11 @@ func (p *selPartial) run(db *engine.DB, s *Select, sink *trace.Stream) error {
 		return err
 	}
 	switch {
+	case s.Limit == 0:
+		rows, p.keys = nil, nil
 	case !ordered:
 		rows = t.RowIDs(sel, s.Limit)
-	case s.Limit > 0 && s.Limit < len(rows):
+	case s.Limit != noLimit && s.Limit < len(rows):
 		rows, p.keys = rows[:s.Limit], p.keys[:s.Limit]
 	}
 	p.rows = rows
@@ -253,7 +255,11 @@ func fanOutPartial(c *shard.Cluster, i int, s *Select, sink *trace.Stream) selPa
 // member of a run merges here, after the run's one fan-out.
 func mergeSelect(s *Select, parts []selPartial) (*Result, error) {
 	if s.GroupBy == "" && hasAggregates(s) {
-		return mergeAggregates(s, parts)
+		res, err := mergeAggregates(s, parts)
+		if err == nil && s.Limit == 0 { // the one row of aggregates, limited away
+			res.Rows = res.Rows[:0]
+		}
+		return res, err
 	}
 	for i := range parts {
 		if parts[i].err != nil {
@@ -407,7 +413,7 @@ func mergeRows(s *Select, parts []selPartial) (*Result, error) {
 		}
 		return refs[a].global < refs[b].global
 	})
-	if s.Limit > 0 && s.Limit < len(refs) {
+	if s.Limit != noLimit && s.Limit < len(refs) {
 		refs = refs[:s.Limit]
 	}
 	out := make([][]uint64, 0, len(refs))

@@ -39,8 +39,8 @@ func fuzzCluster(f *testing.F, n int) *shard.Cluster {
 
 // decodeSelect turns fuzz bytes into a SELECT over t: a GROUP BY shape,
 // SELECT *, or one to three items among a column, SUM, AVG, COUNT, MIN and
-// MAX; zero to two WHERE conditions; ORDER BY with or without DESC; LIMIT.
-// Bytes past the end read as zero.
+// MAX; zero to two WHERE conditions; ORDER BY with or without DESC; LIMIT 0
+// to 12. Bytes past the end read as zero.
 func decodeSelect(data []byte) string {
 	next := func() int {
 		if len(data) == 0 {
@@ -98,7 +98,7 @@ func decodeSelect(data []byte) string {
 		}
 	}
 	if l := next(); l%4 == 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", 1+l/4%12)
+		fmt.Fprintf(&sb, " LIMIT %d", (1+l/4)%13)
 	}
 	return sb.String()
 }
@@ -115,6 +115,14 @@ func FuzzSelectShards(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 4, 40, 2, 8})
 	f.Add([]byte{2, 1, 0, 3, 20, 2, 2, 4})
 	f.Add([]byte{3, 2, 5, 2, 3, 0, 1, 0, 4, 30})
+	// LIMIT 0 over a projection, a GROUP BY and an aggregate.
+	limit0 := []byte{0, 1, 0, 0, 0, 2, 0, 1, 1, 48}
+	if got, want := decodeSelect(limit0), "SELECT a, b FROM t ORDER BY g LIMIT 0"; got != want {
+		f.Fatalf("LIMIT 0 seed decodes to %q, want %q", got, want)
+	}
+	f.Add(limit0)
+	f.Add([]byte{1, 1, 0, 2, 0, 0, 100})
+	f.Add([]byte{3, 0, 3, 1, 0, 2, 30, 0, 152})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := decodeSelect(data)
 		render := func(c *shard.Cluster) string {
