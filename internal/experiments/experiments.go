@@ -615,7 +615,7 @@ func OLXPMix(scale Scale, workers int) (TableData, error) {
 	}
 	systems := config.All()
 	results, err := Sweep(context.Background(), workers, len(systems), func(i int) (sim.Result, error) {
-		return workload.RunMixed(systems[i], p)
+		return workload.RunMixedRounds(systems[i], p, 1)
 	})
 	if err != nil {
 		return TableData{}, err

@@ -21,7 +21,7 @@ func TelemetryReport(scale Scale) (string, error) {
 	cfg := config.RCNVM()
 	tel := obs.NewTelemetry(cfg.Device.Geom.TotalBanks(), obs.DefaultSampleIntervalPs)
 	cfg.Telemetry = tel
-	res, err := workload.RunMixed(cfg, ParamsFor(scale))
+	res, err := workload.RunMixedRounds(cfg, ParamsFor(scale), 1)
 	if err != nil {
 		return "", err
 	}

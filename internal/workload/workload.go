@@ -198,64 +198,15 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// MixedStreams builds the OLXP mix the paper's introduction motivates:
-// half the cores run OLTP against table-a (point fetches of two fields and
-// single-field updates over a hot set) while the other half concurrently
-// runs OLAP (two full-column aggregate scans) on the same single copy of
-// the data.
-func MixedStreams(sys config.System, p Params) ([]trace.Stream, error) {
-	env, err := NewEnv(sys, p)
-	if err != nil {
-		return nil, err
-	}
-	cores := sys.CPU.Cores
-	oltpCores := cores / 2
-	if oltpCores == 0 {
-		oltpCores = 1
-	}
-
-	oltp := query.New(query.ArchOf(sys.Device.Kind), oltpCores)
-	oltp.BeginQuery(env.A.Table())
-	hot := selectTuples(p.TuplesA, 0.02, p.Seed+200)
-	if err := oltp.FetchTuples(env.A, hot, []string{"f3", "f4"}, query.TouchCycles); err != nil {
-		return nil, err
-	}
-	if err := oltp.UpdateTuples(env.A, hot, []string{"f9"}, query.TouchCycles); err != nil {
-		return nil, err
-	}
-
-	olap := query.New(query.ArchOf(sys.Device.Kind), cores-oltpCores)
-	olap.BeginQuery(env.A.Table())
-	if err := olap.ScanField(env.A, "f10", false, query.CmpCycles); err != nil {
-		return nil, err
-	}
-	if err := olap.ScanField(env.A, "f1", false, query.AggCycles); err != nil {
-		return nil, err
-	}
-
-	streams := make([]trace.Stream, 0, cores)
-	streams = append(streams, oltp.Streams()...)
-	streams = append(streams, olap.Streams()...)
-	return streams, nil
-}
-
-// RunMixed executes the OLXP mix on one system.
-func RunMixed(sys config.System, p Params) (sim.Result, error) {
-	streams, err := MixedStreams(sys, p)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.RunOn(sys, streams)
-}
-
-// MixedStreamsRounds is the sustained form of the OLXP mix: the OLTP
-// transaction set (hot-set point fetches + single-field updates) and the
-// OLAP scan set repeat rounds times, modeling a steady-state serving
-// window instead of MixedStreams's single pass. Repetition is what
-// exposes memory-system steady-state behavior — hot rows re-miss the
-// row buffer across passes once the working set exceeds the LLC — and is
-// the workload of the hybrid DRAM-tier sweep. rounds <= 1 degenerates to
-// the single-pass mix.
+// MixedStreamsRounds builds the OLXP mix the paper's introduction
+// motivates: half the cores run OLTP against table-a (point fetches of two
+// fields and single-field updates over a hot set) while the other half
+// concurrently runs OLAP (two full-column aggregate scans) on the same
+// single copy of the data. Both repeat rounds times (at least once): one
+// round is the OLXP extension experiment's mix; more model a steady-state
+// serving window — hot rows re-miss the row buffer across passes once the
+// working set exceeds the LLC — and are the workload of the hybrid
+// DRAM-tier sweep.
 func MixedStreamsRounds(sys config.System, p Params, rounds int) ([]trace.Stream, error) {
 	env, err := NewEnv(sys, p)
 	if err != nil {
@@ -296,7 +247,7 @@ func MixedStreamsRounds(sys config.System, p Params, rounds int) ([]trace.Stream
 	return streams, nil
 }
 
-// RunMixedRounds executes the sustained OLXP mix on one system.
+// RunMixedRounds executes the OLXP mix on one system.
 func RunMixedRounds(sys config.System, p Params, rounds int) (sim.Result, error) {
 	streams, err := MixedStreamsRounds(sys, p, rounds)
 	if err != nil {

@@ -355,15 +355,15 @@ func TestCacheInvariantsAfterQueries(t *testing.T) {
 // favours RC-NVM over both conventional memories.
 func TestMixedWorkloadShape(t *testing.T) {
 	p := SmallParams()
-	rc, err := RunMixed(smallCache(config.RCNVM()), p)
+	rc, err := RunMixedRounds(smallCache(config.RCNVM()), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dram, err := RunMixed(smallCache(config.DRAM()), p)
+	dram, err := RunMixedRounds(smallCache(config.DRAM()), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rram, err := RunMixed(smallCache(config.RRAM()), p)
+	rram, err := RunMixedRounds(smallCache(config.RRAM()), p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
