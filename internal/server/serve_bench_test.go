@@ -50,31 +50,52 @@ func serveFixture(tb testing.TB, rows int) (*Server, string) {
 // struct) and "tcp" is one client session over loopback (plus the NDJSON
 // encode and decode on both ends and the syscalls), so the wire's cost is
 // the difference of the two, measured in one process. olap takes its three
-// statements in turn, so one op is a third of each.
+// statements in turn, so one op is a third of each. Two requests are timed
+// over Do only: timed is the point SELECT with timing, so its replay on the
+// simulated systems, and batch is one request of 16 point SELECTs.
 func BenchmarkServe(b *testing.B) {
+	batch := make([]string, 16)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("SELECT val FROM t WHERE id = %d", 3*i)
+	}
 	for _, bc := range []struct {
 		name    string
 		rows    int
-		queries []string
+		queries []string // timed over Do and TCP
+		req     *Request // without queries, timed over Do alone
 	}{
-		{"point", 64, []string{pointQuery}},
-		{"scan", 4096, []string{scanQuery}},
-		{"olap", 16384, olapQueries},
+		{"point", 64, []string{pointQuery}, nil},
+		{"scan", 4096, []string{scanQuery}, nil},
+		{"olap", 16384, olapQueries, nil},
+		{"timed", 64, nil, &Request{Query: pointQuery, Timing: true}},
+		{"batch", 64, nil, &Request{Batch: batch}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, addr := serveFixture(b, bc.rows)
 			b.Run("do", func(b *testing.B) {
-				reqs := make([]*Request, len(bc.queries))
-				for i, q := range bc.queries {
-					reqs[i] = &Request{Query: q}
+				reqs := []*Request{bc.req}
+				if bc.queries != nil {
+					reqs = make([]*Request, len(bc.queries))
+					for i, q := range bc.queries {
+						reqs[i] = &Request{Query: q}
+					}
 				}
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if resp := s.Do(reqs[i%len(reqs)]); resp.Error != nil {
-						b.Fatal(resp.Error)
+					resp := s.Do(reqs[i%len(reqs)])
+					if err := resp.Err(); err != nil {
+						b.Fatal(err)
+					}
+					for _, r := range resp.Results {
+						if err := r.Err(); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 			})
+			if bc.queries == nil {
+				return
+			}
 			b.Run("tcp", func(b *testing.B) {
 				c, err := Dial(addr)
 				if err != nil {
