@@ -57,8 +57,11 @@ func appendCells(t *Table, vals []uint64) error {
 	}
 	row := t.rows
 	t.rows++
-	t.live++
-	t.deleted = append(t.deleted, false)
+	if len(t.live.bits) < (t.rows+63)>>6 {
+		t.live.bits = append(t.live.bits, 0)
+	}
+	t.live.bits[row>>6] |= 1 << uint(row&63)
+	t.live.n++
 	o := t.place.FetchOrient(row)
 	for w, v := range vals {
 		refWriteCell(t, row, w, o, v)

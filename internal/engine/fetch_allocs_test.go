@@ -41,3 +41,24 @@ func TestSetAllocs(t *testing.T) {
 		t.Fatalf("Set of 2 048 rows allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestDeleteAllocs: a DELETE of the 2 048 rows its WHERE matched in the
+// 16 384-row table clears their bits a word at a time and allocates
+// nothing.
+func TestDeleteAllocs(t *testing.T) {
+	tbl := benchTable(t, benchRows, benchRows)
+	sel, err := tbl.Where("grp", Eq, 5, All)
+	if err != nil || tbl.Count(sel) != 2048 {
+		t.Fatalf("Where matched %d rows, err %v", tbl.Count(sel), err)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tbl.Delete(sel); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Delete of 2 048 rows allocates %.1f/op, want 0", allocs)
+	}
+	if tbl.Live() != benchRows-2048 {
+		t.Fatalf("Live = %d after the delete, want %d", tbl.Live(), benchRows-2048)
+	}
+}

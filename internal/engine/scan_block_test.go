@@ -764,3 +764,50 @@ func TestGroupSumKeys(t *testing.T) {
 		t.Fatalf("%d groups, want %d ordered by key: %v", len(g), len(keys), g)
 	}
 }
+
+// TestBitmapWalkPastEmptyStretch: a block of a field wider than 8 words
+// holds fewer than 64 rows, so a stretch of a bitmap word can have no set
+// bit while a later row of the same word does. The walk steps over it: a
+// Set over the bitmap reaches row 120, and an export of the live rows after
+// a DELETE reaches the rows past the gap.
+func TestBitmapWalkPastEmptyStretch(t *testing.T) {
+	db, err := Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("x", imdb.Schema{Name: "x", Fields: []imdb.Field{
+		{Name: "k", Words: 1}, {Name: "w", Words: 9},
+	}}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := tbl.Append(make([]uint64, 10)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if err := tbl.Set(Sel{bits: []uint64{1, 1 << 56, 0, 0}, n: 2}, "w", want...); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []int{0, 120} {
+		if got, err := tbl.Field(row, "w"); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("row %d: w = %v, %v; want %v", row, got, err, want)
+		}
+	}
+	gap := make([]int, 0, 119)
+	for row := 1; row < 120; row++ {
+		gap = append(gap, row)
+	}
+	if err := tbl.Delete(listed(gap)); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := tbl.ExportCSV(&out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 1+81 || lines[2] != "0,1,2,3,4,5,6,7,8,9" {
+		t.Fatalf("export of the 81 live rows has %d lines, row 120 %q", len(lines), lines[min(2, len(lines)-1)])
+	}
+}
