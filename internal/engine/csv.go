@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -70,7 +71,7 @@ func (t *Table) ImportCSV(r io.Reader) (int, error) {
 
 // ExportCSV writes a header row (field names, wide fields suffixed with
 // _0.._k) followed by every live tuple, read with one fetch; at a failed
-// read, the tuples before it are written.
+// read, the header and the tuples before it are written, each a whole line.
 func (t *Table) ExportCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	var header []string
@@ -97,9 +98,6 @@ func (t *Table) ExportCSV(w io.Writer) error {
 			return err
 		}
 	}
-	if err != nil {
-		return err
-	}
 	cw.Flush()
-	return cw.Error()
+	return cmp.Or(err, cw.Error())
 }

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rcnvm/internal/fault"
 	"rcnvm/internal/imdb"
 )
 
@@ -132,5 +134,28 @@ func TestExportSkipsDeleted(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "1,2") || !strings.Contains(out.String(), "3,4") {
 		t.Fatalf("export = %q", out.String())
+	}
+}
+
+// TestExportWritesRowsBeforeFailedRead: an uncorrectable word at row 100 of
+// 600 fails the export, and the header and the 100 rows before it still
+// reach the writer, each a whole line.
+func TestExportWritesRowsBeforeFailedRead(t *testing.T) {
+	db, _ := Open()
+	tbl, _ := db.CreateTable("t", imdb.Uniform("t", 2), 600)
+	for i := uint64(0); i < 600; i++ {
+		tbl.Append(i, 2*i)
+	}
+	db.EnableFaults(fault.Config{Enabled: true, Seed: 1})
+	db.Faults().AddStuck(tbl.CellCoord(100, 1), 2)
+	var out bytes.Buffer
+	err := tbl.ExportCSV(&out)
+	var ue *fault.UncorrectableError
+	if !errors.As(err, &ue) {
+		t.Fatalf("export over a double stuck bit: err %v, want *fault.UncorrectableError", err)
+	}
+	lines := strings.SplitAfter(out.String(), "\n")
+	if len(lines) != 1+100+1 || lines[0] != "f1,f2\n" || lines[100] != "99,198\n" || lines[101] != "" {
+		t.Fatalf("export wrote %d bytes ending %q; want the header and rows 0-99", out.Len(), out.String()[max(0, out.Len()-20):])
 	}
 }

@@ -167,7 +167,7 @@ func TestFetchObservePinned(t *testing.T) {
 
 var pinnedFetch = map[string]string{
 	"csv":           "res=0a0db99ff1b11fbe n=8395/0/0/0 tr=8395:1dd74898abcf109ce339cf2c08e7956d6bacf97a45595a48b6fea3afa379b177 f=12/0/12/0/0",
-	"csv/unc":       "res=e62eb17ad0d0eedb err=fault: uncorrectable memory error at ch0 rk2 bk1 sa0 row0 col0 (row read) n=6256/0/0/0 tr=6256:5269855bffafce255720cd3421b5717b3d94c1b0b5404c1fbeec7fab5908a53d f=6/2/6/1/0",
+	"csv/unc":       "res=a6e0369acc333956 err=fault: uncorrectable memory error at ch0 rk2 bk1 sa0 row0 col0 (row read) n=6256/0/0/0 tr=6256:5269855bffafce255720cd3421b5717b3d94c1b0b5404c1fbeec7fab5908a53d f=6/2/6/1/0",
 	"field":         "res=[[1063578469 1973753972 2121820334]][[42]][[291600]][err engine: row 3 is deleted][err imdb: schema \"g\" has no field \"nope\"][err engine: row 2000 out of range [0,2000)] n=5/0/0/0 tr=5:1530e071dd8f13636d105b9a1bbbc91ba65def676ec8005a1d189c44507eca72 f=0/0/0/0/0",
 	"field/unc":     "res=[] err=fault: uncorrectable memory error at ch0 rk0 bk1 sa0 row1 col2 (row read) n=2/0/0/0 tr=2:be227d013557e275a81a98ec69dc2f69ae293014b82f17f509290bbfe5f76c8d f=0/2/0/1/0",
 	"project":       "res=01f3f9722a5d46d5 n=1690/0/0/0 tr=1690:c998e35158ffd463b96afcce3d9421f855732b2bd48efa62ea46be183b04a268 f=0/0/0/0/0",
