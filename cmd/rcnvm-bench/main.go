@@ -67,68 +67,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	workers := *workersFlag
-	render := func(t experiments.TableData) {
-		if err := t.RenderAs(os.Stdout, format); err != nil {
-			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
-			os.Exit(1)
-		}
-	}
-	// table adapts the common experiment shape: one sweep, one table.
-	table := func(fn func(experiments.Scale, int) (experiments.TableData, error)) func() error {
-		return func() error {
-			tab, err := fn(scale, workers)
-			if err != nil {
-				return err
-			}
-			render(tab)
-			return nil
-		}
-	}
-
-	// Every experiment, in output order; optIn ones are left out of "all".
-	exps := []struct {
-		id    string
-		optIn bool
-		run   func() error
-	}{
-		{"table1", false, func() error { fmt.Print(experiments.ConfigTable()); return nil }},
-		{"table2", false, func() error { fmt.Print(experiments.QueryTable()); return nil }},
-		{"fig4", false, func() error { render(experiments.AreaOverhead()); return nil }},
-		{"fig5", false, func() error { render(experiments.LatencyOverhead()); return nil }},
-		{"fig17", false, table(experiments.MicroBench)},
-		{"fig18", false, func() error {
-			res, err := experiments.QueryBench(scale, workers)
-			if err != nil {
-				return err
-			}
-			render(res.Exec)
-			render(res.Accesses)
-			render(res.BufMiss)
-			render(res.Coherence)
-			return nil
-		}},
-		{"fig22", false, table(experiments.LatencySensitivity)},
-		{"fig23", false, table(experiments.GroupCaching)},
-		{"tech", false, table(experiments.TechnologyComparison)},
-		{"energy", false, table(experiments.EnergyComparison)},
-		{"olxp", false, table(experiments.OLXPMix)},
-		{"rel", true, table(experiments.ReliabilitySweep)},
-		{"hybrid", true, table(experiments.HybridSweep)},
-		{"shard", true, table(func(_ experiments.Scale, workers int) (experiments.TableData, error) {
-			counts, err := parseShardCounts(*shardsFlag)
-			if err != nil {
-				return experiments.TableData{}, err
-			}
-			return experiments.ShardScaling(counts, workers)
-		})},
-	}
-
+	exps := experiments.Experiments
 	want := map[string]bool{}
 	var valid []string
 	for _, e := range exps {
-		want[e.id] = *runFlag == "all" && !e.optIn
-		valid = append(valid, e.id)
+		want[e.ID] = *runFlag == "all" && !e.OptIn
+		valid = append(valid, e.ID)
 	}
 	if *runFlag != "all" {
 		for _, id := range strings.Split(*runFlag, ",") {
@@ -143,23 +87,30 @@ func main() {
 			want[id] = true
 		}
 	}
+	opts := experiments.Options{Scale: scale, Format: format, Workers: *workersFlag}
+	if want["shard"] {
+		if opts.Shards, err = parseShardCounts(*shardsFlag); err != nil {
+			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
+			os.Exit(1)
+		}
+	}
 
 	total := time.Duration(0)
 	for _, e := range exps {
-		if !want[e.id] {
+		if !want[e.ID] {
 			continue
 		}
 		// Time each experiment so sweep-level perf regressions are visible
 		// without polluting the stdout tables.
 		start := time.Now()
-		if err := e.run(); err != nil {
+		if err := e.Run(os.Stdout, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
 			os.Exit(1)
 		}
 		d := time.Since(start)
 		total += d
 		if *timingFlag {
-			fmt.Fprintf(os.Stderr, "timing  %-7s %8.2fs\n", e.id, d.Seconds())
+			fmt.Fprintf(os.Stderr, "timing  %-7s %8.2fs\n", e.ID, d.Seconds())
 		}
 	}
 	if *telemetryFlag {
@@ -172,6 +123,6 @@ func main() {
 	}
 	if *timingFlag {
 		fmt.Fprintf(os.Stderr, "timing  total   %8.2fs (workers=%d)\n",
-			total.Seconds(), par.Workers(workers))
+			total.Seconds(), par.Workers(*workersFlag))
 	}
 }
