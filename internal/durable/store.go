@@ -30,6 +30,7 @@
 package durable
 
 import (
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -387,11 +388,11 @@ func (s *Store) Close() error {
 // writeFramedGob writes one gob value inside a WAL-style frame, so
 // readers verify a checksum before decoding.
 func writeFramedGob(w io.Writer, v any) error {
-	var buf frameBuffer
+	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return err
 	}
-	_, err := w.Write(appendFrame(nil, buf.b))
+	_, err := w.Write(appendFrame(nil, buf.Bytes()))
 	return err
 }
 
@@ -404,28 +405,7 @@ func readFramedGob(raw []byte, v any) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after framed gob", ErrCorrupt, len(rest))
 	}
-	return gob.NewDecoder(byteReader{payload, new(int)}).Decode(v)
-}
-
-type frameBuffer struct{ b []byte }
-
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	b   []byte
-	off *int
-}
-
-func (r byteReader) Read(p []byte) (int, error) {
-	if *r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[*r.off:])
-	*r.off += n
-	return n, nil
+	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // sortedSegments lists shard i's current-epoch WAL segments in index
