@@ -81,7 +81,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent statements (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "admission queue capacity (0 = 4x workers)")
 		shards   = flag.Int("shards", 1, "independent engine+memory channels; queries scatter-gather across them")
-		planSize = flag.Int("plan-cache", 0, "query-plan cache capacity in statement shapes (0 = default 4096, negative disables)")
 
 		dataDir  = flag.String("data-dir", "", "durability directory: per-shard write-ahead log + checkpoints; kill -9 loses nothing acknowledged (\"\" = volatile)")
 		fsyncPol = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always (group commit), interval, none")
@@ -182,16 +181,15 @@ func main() {
 	}
 
 	srv := server.NewCluster(cl, server.Options{
-		Workers:       *workers,
-		Queue:         *queue,
-		PlanCacheSize: *planSize,
-		QueryTimeout:  *queryTimeout,
-		TraceEvery:    *traceEvery,
-		TraceSink:     traceSink,
-		Logger:        slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		Durable:       store,
-		ReadOnly:      *replicaOf != "",
-		ExecDelay:     *execDelay,
+		Workers:      *workers,
+		Queue:        *queue,
+		QueryTimeout: *queryTimeout,
+		TraceEvery:   *traceEvery,
+		TraceSink:    traceSink,
+		Logger:       slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		Durable:      store,
+		ReadOnly:     *replicaOf != "",
+		ExecDelay:    *execDelay,
 	})
 
 	if *pprofAddr != "" {

@@ -46,7 +46,8 @@ type FollowerOptions struct {
 	Interval time.Duration
 	// FetchTimeout bounds each HTTP call to the primary (default 2s).
 	FetchTimeout time.Duration
-	// MaxBytes caps one /wal/read response (default 1MiB).
+	// MaxBytes caps one /wal/read response (default 1MiB); a record
+	// larger than that is read whole in one bigger response.
 	MaxBytes int
 	// StatePoll is the cadence of the dedicated /wal/state poll that
 	// refreshes the primary's cumulative totals for replication-lag
@@ -325,7 +326,7 @@ func (f *Follower) stream(target []durable.ShardPosition) bool {
 		f.parked.Store(false)
 		advanced := false
 		for i := range target {
-			n, err := f.pullShard(i)
+			n, err := f.pullShard(i, f.opts.MaxBytes)
 			if errors.Is(err, errEpochGone) {
 				f.srv.SetNotReady("replica re-sync (wal epoch rotated)")
 				return true
@@ -382,16 +383,16 @@ func (f *Follower) checkCaughtUp(target []durable.ShardPosition) {
 	}
 }
 
-// pullShard fetches one round of WAL bytes for shard i and applies every
-// complete frame, advancing the follower's position. Returns the number
-// of bytes applied.
-func (f *Follower) pullShard(i int) (int, error) {
+// pullShard fetches one round of up to maxBytes WAL bytes for shard i and
+// applies every complete frame, advancing the follower's position.
+// Returns the number of bytes applied.
+func (f *Follower) pullShard(i, maxBytes int) (int64, error) {
 	f.mu.Lock()
 	epoch, pos := f.epoch, f.pos[i]
 	f.mu.Unlock()
 
 	url := fmt.Sprintf("http://%s/wal/read?shard=%d&epoch=%d&seg=%d&off=%d&max=%d",
-		f.opts.PrimaryHTTP, i, epoch, pos.Seg, pos.Off, f.opts.MaxBytes)
+		f.opts.PrimaryHTTP, i, epoch, pos.Seg, pos.Off, maxBytes)
 	resp, err := f.hc.Get(url)
 	if err != nil {
 		return 0, err
@@ -405,52 +406,37 @@ func (f *Follower) pullShard(i int) (int, error) {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return 0, fmt.Errorf("cluster: /wal/read: %s: %s", resp.Status, body)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, int64(f.opts.MaxBytes)+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, int64(maxBytes)+1))
 	if err != nil {
 		return 0, err
 	}
 	rotated := resp.Header.Get("X-Wal-Rotated") == "1"
 
-	applied := 0
-	recs := 0
-	rest := data
-	for len(rest) > 0 {
-		payload, next, err := durable.DecodeFrame(rest)
-		if err != nil {
-			if errors.Is(err, durable.ErrTorn) {
-				// Mid-append tail: the rest of the frame arrives on the
-				// next poll. Never advance past it.
-				rotated = false
-				break
-			}
-			return 0, fmt.Errorf("cluster: shard %d wal at seg %d off %d: %w", i, pos.Seg, pos.Off+int64(applied), err)
+	applied, recs, err := durable.ApplyFrames(data, func(rec durable.Record) error { return f.srv.ApplyWAL(i, rec) })
+	if errors.Is(err, durable.ErrTorn) {
+		// Mid-append tail: the rest of the frame arrives on the next poll.
+		// Never advance past it.
+		rotated = false
+		if need := durable.FrameLen(data); applied == 0 && need > maxBytes {
+			// A record larger than one read: ask again for the whole frame.
+			return f.pullShard(i, need)
 		}
-		rec, err := durable.DecodePayload(payload)
-		if err != nil {
-			return 0, err
-		}
-		if err := f.srv.ApplyWAL(i, rec); err != nil {
-			return 0, fmt.Errorf("cluster: shard %d apply: %w", i, err)
-		}
-		applied += len(rest) - len(next)
-		recs++
-		rest = next
+	} else if err != nil {
+		return 0, fmt.Errorf("cluster: shard %d wal at seg %d off %d: %w", i, pos.Seg, pos.Off+applied, err)
 	}
-	pos.Off += int64(applied)
+	pos.Off += applied
 	if rotated {
 		pos.Seg, pos.Off = pos.Seg+1, 0
 	}
 	f.mu.Lock()
 	f.pos[i] = pos
-	if i < len(f.applied) {
-		// Frame bytes consumed here count exactly as the primary's Append
-		// counts them, so applied totals subtract cleanly from its
-		// epoch-cumulative totals.
-		f.applied[i].recs += int64(recs)
-		f.applied[i].bytes += int64(applied)
-		if recs > 0 {
-			f.applied[i].last = time.Now()
-		}
+	// Frame bytes consumed here count exactly as the primary's Append
+	// counts them, so applied totals subtract cleanly from its
+	// epoch-cumulative totals.
+	f.applied[i].recs += recs
+	f.applied[i].bytes += applied
+	if recs > 0 {
+		f.applied[i].last = time.Now()
 	}
 	f.mu.Unlock()
 	return applied, nil

@@ -31,6 +31,8 @@ const (
 	// MaxRecordBytes bounds one record's payload so a corrupt length
 	// prefix cannot provoke a giant allocation in the reader.
 	MaxRecordBytes = 1 << 26
+	// MaxFrameBytes is the largest frame DecodeFrame accepts.
+	MaxFrameBytes = frameHeader + MaxRecordBytes
 )
 
 // Record kinds (first payload byte).
@@ -88,6 +90,38 @@ func DecodeFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, fmt.Errorf("%w: checksum %08x, frame says %08x", ErrCorrupt, got, want)
 	}
 	return payload, b[frameHeader+int(n):], nil
+}
+
+// FrameLen is the size of the frame at the front of b as its header
+// declares it, or a header's size when b is shorter than one.
+func FrameLen(b []byte) int {
+	if len(b) < frameHeader {
+		return frameHeader
+	}
+	return frameHeader + int(binary.LittleEndian.Uint32(b[0:4]))
+}
+
+// ApplyFrames decodes the framed records of b in order and hands each to
+// apply: the one frame loop of crash recovery and log-shipping followers.
+// It returns the bytes and records consumed: all of b on a nil error, the
+// whole frames before a cut tail on ErrTorn, else those before the error.
+func ApplyFrames(b []byte, apply func(Record) error) (n, recs int64, err error) {
+	for n < int64(len(b)) {
+		payload, rest, err := DecodeFrame(b[n:])
+		if err != nil {
+			return n, recs, err
+		}
+		rec, err := DecodePayload(payload)
+		if err != nil {
+			return n, recs, err
+		}
+		if err := apply(rec); err != nil {
+			return n, recs, err
+		}
+		n = int64(len(b) - len(rest))
+		recs++
+	}
+	return n, recs, nil
 }
 
 // Record is one decoded WAL record.

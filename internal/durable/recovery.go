@@ -131,8 +131,8 @@ func (s *Store) replayShard(c *shard.Cluster, i int, stats *RecoveryStats) (last
 		return 1, 0, 0, 0, nil
 	}
 	for j, idx := range idxs {
-		// Segments are born 1, 2, 3... within an epoch; a gap means a
-		// segment of acknowledged records is gone.
+		// Segments are born 1, 2, 3... within an epoch, so the final one is
+		// len(paths); a gap means a segment of acknowledged records is gone.
 		if idx != j+1 {
 			return 0, 0, 0, 0, fmt.Errorf("durable: shard %d: wal segment %d missing (found segment %d)", i, j+1, idx)
 		}
@@ -142,43 +142,23 @@ func (s *Store) replayShard(c *shard.Cluster, i int, stats *RecoveryStats) (last
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("durable: %w", err)
 		}
-		final := j == len(paths)-1
-		off := int64(0)
-		rest := raw
-		for len(rest) > 0 {
-			payload, next, err := DecodeFrame(rest)
-			if err != nil {
-				if final && errors.Is(err, ErrTorn) {
-					// The crash point: a record written partially and never
-					// acknowledged. Drop it and continue from here.
-					torn := int64(len(rest))
-					if err := os.Truncate(path, off); err != nil {
-						return 0, 0, 0, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
-					}
-					stats.TornBytes += torn
-					rest = nil
-					break
-				}
-				return 0, 0, 0, 0, fmt.Errorf("durable: shard %d %s at offset %d: %w", i, filepath.Base(path), off, err)
+		off, nrecs, err := ApplyFrames(raw, func(rec Record) error { return Apply(c, i, rec) })
+		if j == len(paths)-1 && errors.Is(err, ErrTorn) {
+			// The crash point: a record written partially and never
+			// acknowledged. Drop it and continue from here.
+			if err := os.Truncate(path, off); err != nil {
+				return 0, 0, 0, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
 			}
-			rec, err := DecodePayload(payload)
-			if err != nil {
-				return 0, 0, 0, 0, fmt.Errorf("durable: shard %d %s at offset %d: %w", i, filepath.Base(path), off, err)
-			}
-			if err := Apply(c, i, rec); err != nil {
-				return 0, 0, 0, 0, fmt.Errorf("durable: shard %d %s at offset %d: %w", i, filepath.Base(path), off, err)
-			}
-			stats.Records++
-			recs++
-			off += int64(len(rest) - len(next))
-			rest = next
+			stats.TornBytes += int64(len(raw)) - off
+		} else if err != nil {
+			return 0, 0, 0, 0, fmt.Errorf("durable: shard %d %s at offset %d: %w", i, filepath.Base(path), off, err)
 		}
+		stats.Records += int(nrecs)
+		recs += nrecs
 		bytes += off
-		if final {
-			lastIdx, lastSize = idxs[j], off
-		}
+		lastSize = off
 	}
-	return lastIdx, lastSize, recs, bytes, nil
+	return len(paths), lastSize, recs, bytes, nil
 }
 
 // Apply re-executes one WAL record against shard i of c — the single

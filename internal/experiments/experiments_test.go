@@ -85,11 +85,43 @@ func TestQueryBenchSmall(t *testing.T) {
 	if len(res.Coherence.Series) != 1 || len(res.Coherence.Series[0].Values) != 13 {
 		t.Fatal("fig21 shape wrong")
 	}
-	// Figure 21: overhead within a sane band (paper 0.2-3.4%; assert <6%).
+	// Figure 21: overhead within the paper's band, at most 3.4% (it holds
+	// at small scale, whose largest value is Q11's 1.079%).
 	for i, v := range res.Coherence.Series[0].Values {
-		if v < 0 || v > 6 {
-			t.Errorf("coherence overhead %s = %v%%, out of band", res.Coherence.XLabels[i], v)
+		if v < 0 || v > 3.4 {
+			t.Errorf("coherence overhead %s = %v%%, out of the paper's 0-3.4%% band", res.Coherence.XLabels[i], v)
 		}
+	}
+	// Figure 18's verdicts, as they hold at small scale. Series are
+	// RC-NVM, RRAM, GS-DRAM, DRAM (config.All order).
+	rc, rram := res.Exec.Series[0].Values, res.Exec.Series[1].Values
+	gs, dram := res.Exec.Series[2].Values, res.Exec.Series[3].Values
+	var reduction float64
+	for i, q := range res.Exec.XLabels {
+		// At small scale RC-NVM beats RRAM on every query.
+		if rc[i] >= rram[i] {
+			t.Errorf("fig18 %s: RC-NVM %.3f not below RRAM %.3f", q, rc[i], rram[i])
+		}
+		// At small scale RC-NVM beats DRAM on every query but Q3, DRAM's
+		// only win (0.259 vs 0.204 M cycles).
+		if dramWins := rc[i] >= dram[i]; dramWins != (q == "Q3") {
+			t.Errorf("fig18 %s: RC-NVM %.3f vs DRAM %.3f, want DRAM to win Q3 alone", q, rc[i], dram[i])
+		}
+		// At small scale GS-DRAM times exactly as DRAM on the queries its
+		// gather cannot serve: non-power-of-2 strides, joins and updates
+		// (EXPERIMENTS.md).
+		switch q {
+		case "Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q12", "Q13":
+			if gs[i] != dram[i] {
+				t.Errorf("fig18 %s: GS-DRAM %v != DRAM %v", q, gs[i], dram[i])
+			}
+		}
+		reduction += 1 - rc[i]/rram[i]
+	}
+	// At small scale the average reduction against RRAM is within 5 pp of
+	// the paper's 71%.
+	if avg := 100 * reduction / float64(len(rc)); avg < 66 || avg > 76 {
+		t.Errorf("fig18 average reduction vs RRAM %.1f%%, want 71%% +- 5 pp", avg)
 	}
 	// Figure 20: miss rates are percentages.
 	for _, s := range res.BufMiss.Series {

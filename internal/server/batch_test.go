@@ -290,23 +290,6 @@ func TestBatchCounters(t *testing.T) {
 	}
 }
 
-// TestPlanCacheDisabled: PlanCacheSize < 0 turns the cache off; queries
-// still work and no plan-cache counters appear.
-func TestPlanCacheDisabled(t *testing.T) {
-	s, addr := newTestServer(t, Options{PlanCacheSize: -1})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	mustQuery(t, c, "CREATE TABLE t (a) CAPACITY 16")
-	mustQuery(t, c, "SELECT COUNT(*) FROM t")
-	mustQuery(t, c, "SELECT COUNT(*) FROM t")
-	if _, ok := s.Stats().Counters[PlanCacheHits]; ok {
-		t.Error("plan-cache counters present with cache disabled")
-	}
-}
-
 // TestBatchRetryable: the retry classification table for failed batches.
 func TestBatchRetryable(t *testing.T) {
 	deadline := &WireError{Code: CodeTimeout, Message: "deadline", Retryable: true}

@@ -147,8 +147,10 @@ func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request, st *dura
 }
 
 // handleWALRead serves GET /wal/read?shard=i&epoch=e&seg=n&off=o[&max=b]:
-// raw framed WAL bytes from one segment. The X-Wal-Rotated: 1 header
-// means the segment is complete and fully served — advance to (n+1, 0).
+// raw framed WAL bytes from one segment, at most max (default 1 MiB, up
+// to durable.MaxFrameBytes so one read holds any record). The
+// X-Wal-Rotated: 1 header means the segment is complete and fully served
+// — advance to (n+1, 0).
 // 410 Gone means the epoch was checkpointed away: re-sync via
 // /wal/checkpoint + /wal/registry, then stream the new epoch.
 func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request, st *durable.Store) {
@@ -162,10 +164,8 @@ func (s *Server) handleWALRead(w http.ResponseWriter, r *http.Request, st *durab
 		return
 	}
 	maxBytes := 1 << 20
-	if m := q.Get("max"); m != "" {
-		if v, err := strconv.Atoi(m); err == nil && v > 0 && v < maxBytes {
-			maxBytes = v
-		}
+	if v, err := strconv.Atoi(q.Get("max")); err == nil && v > 0 && v <= durable.MaxFrameBytes {
+		maxBytes = v
 	}
 	data, rotated, err := st.ReadWAL(shardIdx, epoch, seg, off, maxBytes)
 	switch {

@@ -54,11 +54,6 @@ type Options struct {
 	// Logger, when non-nil, receives structured server logs (one line per
 	// session close with duration, statement and error counts).
 	Logger *slog.Logger
-	// PlanCacheSize caps the query-plan cache (statement shapes with
-	// literals parameterized out, mapped to parsed templates). 0 means
-	// sql.DefaultPlanCacheSize; negative disables the cache so every
-	// statement parses from scratch.
-	PlanCacheSize int
 	// Durable, when non-nil, is the durability subsystem already recovered
 	// onto the served cluster. The server merges its counters into /stats
 	// and /metrics, serves POST /checkpoint, checkpoints once after a
@@ -100,8 +95,7 @@ type Server struct {
 	// retryable CodeUnavailable while set, so routers and clients never see
 	// partial state during WAL recovery, replica catch-up, or drain.
 	notReady atomic.Pointer[string]
-	// plans caches parsed statement templates by shape; nil when
-	// Options.PlanCacheSize is negative.
+	// plans caches parsed statement templates by shape.
 	plans *sql.PlanCache
 
 	// front is the wire front end (listeners, sessions, POST /query,
@@ -143,6 +137,7 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 		opts:    opts,
 		tels:    make([]*obs.Telemetry, c.N()),
 		replays: sim.NewReplayer(2 * opts.Workers),
+		plans:   sql.NewPlanCache(0),
 	}
 	for i := range s.tels {
 		s.tels[i] = obs.NewTelemetry(banks, 0)
@@ -168,9 +163,6 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 		},
 		Count:  s.met.Set.Add,
 		Logger: opts.Logger,
-	}
-	if opts.PlanCacheSize >= 0 {
-		s.plans = sql.NewPlanCache(opts.PlanCacheSize)
 	}
 	return s
 }
@@ -232,8 +224,7 @@ func (s *Server) Stats() StatsSnapshot {
 
 // counters is the one merged counter view behind /stats and /metrics: the
 // server's own stats.Set plus the families owned elsewhere — fault.* when
-// injection is on, wal.* on a durable server, plancache.* when the cache
-// is enabled.
+// injection is on, wal.* on a durable server, and plancache.*.
 func (s *Server) counters() map[string]int64 {
 	counters := s.met.Set.Snapshot()
 	if c, ok := s.faultCounts(); ok {
@@ -249,19 +240,13 @@ func (s *Server) counters() map[string]int64 {
 			counters[name] = v
 		}
 	}
-	if s.plans != nil {
-		h, m, e := s.plans.Counters()
-		counters[PlanCacheHits] = h
-		counters[PlanCacheMisses] = m
-		counters[PlanCacheEvictions] = e
-	}
+	h, m, e := s.plans.Counters()
+	counters[PlanCacheHits] = h
+	counters[PlanCacheMisses] = m
+	counters[PlanCacheEvictions] = e
 	counters[ReplaySimsBuilt] = s.replays.Built()
 	return counters
 }
-
-// PlanCache exposes the server's plan cache (nil when disabled); tests and
-// the benchmark harness read its counters.
-func (s *Server) PlanCache() *sql.PlanCache { return s.plans }
 
 // faultCounts sums the fault injectors' accounting across every shard;
 // ok is false when no shard has fault injection enabled.

@@ -4,9 +4,9 @@ package sql
 //
 // A statement's *shape* is its token stream with every number literal
 // replaced by '?': "SELECT val FROM load WHERE id = 7" and "... id = 93"
-// share one shape. The cache stores one parsed template per shape in a
-// sharded LRU; a lookup re-lexes the incoming source into (shape key,
-// literal vector) with zero allocations, and
+// share one shape. The cache stores one parsed template per shape in one
+// map under a read-write lock; a lookup re-lexes the incoming source into
+// (shape key, literal vector) with zero allocations, and
 //
 //   - an exact literal match returns the shared template itself (the
 //     statement structs are immutable during execution, so concurrent
@@ -18,7 +18,7 @@ package sql
 //
 // Nothing invalidates an entry: a template is the parse of its source and
 // nothing else — name resolution happens at execution time — so no DDL can
-// make one stale. Entries leave only by LRU eviction.
+// make one stale. Entries leave only when a full cache is cleared.
 //
 // Only INSERT/SELECT/UPDATE/DELETE templates are cached. DDL and EXPLAIN
 // are rare, and CREATE TABLE is ambiguous under parameterization (WIDE 1
@@ -33,55 +33,34 @@ import (
 	"sync/atomic"
 )
 
-// planShardCount is the number of independent LRU segments; lookups hash
-// the shape key to a segment so concurrent sessions rarely contend on one
-// mutex.
-const planShardCount = 16
+// defaultPlanCacheSize is the entry capacity NewPlanCache(0) uses.
+const defaultPlanCacheSize = 4096
 
-// DefaultPlanCacheSize is the total entry capacity NewPlanCache(0) uses.
-const DefaultPlanCacheSize = 4096
-
-// PlanCache is a sharded LRU of parsed statement templates keyed on
-// statement shape. The zero value is not usable; a nil *PlanCache is and
-// degrades every operation to the uncached path.
+// PlanCache maps statement shapes to parsed templates. The zero value is
+// not usable; a nil *PlanCache is and degrades every operation to the
+// uncached path.
 type PlanCache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 
-	perShard int
-	shards   [planShardCount]planShard
-}
-
-type planShard struct {
-	mu      sync.Mutex
-	entries map[string]*planEntry
-	// Intrusive LRU list: head is most recently used.
-	head, tail *planEntry
+	capacity int
+	mu       sync.RWMutex
+	entries  map[string]planEntry
 }
 
 type planEntry struct {
-	key        string
-	tmpl       Statement
-	lits       []uint64 // the template's own literal vector, in grammar order
-	prev, next *planEntry
+	tmpl Statement
+	lits []uint64 // the template's own literal vector, in grammar order
 }
 
-// NewPlanCache returns a cache holding up to capacity templates in total
-// (0 = DefaultPlanCacheSize).
+// NewPlanCache returns a cache holding up to capacity templates
+// (0 = 4096).
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
+		capacity = defaultPlanCacheSize
 	}
-	per := (capacity + planShardCount - 1) / planShardCount
-	if per < 1 {
-		per = 1
-	}
-	pc := &PlanCache{perShard: per}
-	for i := range pc.shards {
-		pc.shards[i].entries = make(map[string]*planEntry)
-	}
-	return pc
+	return &PlanCache{capacity: capacity, entries: make(map[string]planEntry)}
 }
 
 // Counters returns the cumulative hit/miss/eviction counts.
@@ -119,22 +98,17 @@ func (pc *PlanCache) Parse(src string) (Statement, error) {
 		pc.misses.Add(1)
 		return Parse(src)
 	}
-	sh := &pc.shards[shapeHash(sc.key)%planShardCount]
 
-	sh.mu.Lock()
-	if e, ok := sh.entries[string(sc.key)]; ok {
-		sh.moveFront(e)
-		if literalsEqual(e.lits, sc.lits) {
-			sh.mu.Unlock()
-			pc.hits.Add(1)
+	pc.mu.RLock()
+	e, ok := pc.entries[string(sc.key)]
+	pc.mu.RUnlock()
+	if ok {
+		pc.hits.Add(1)
+		if slices.Equal(e.lits, sc.lits) {
 			return e.tmpl, nil
 		}
-		tmpl := e.tmpl
-		sh.mu.Unlock()
-		pc.hits.Add(1)
-		return bindTemplate(tmpl, sc.lits), nil
+		return bindTemplate(e.tmpl, sc.lits), nil
 	}
-	sh.mu.Unlock()
 
 	pc.misses.Add(1)
 	st, err := Parse(src)
@@ -144,67 +118,23 @@ func (pc *PlanCache) Parse(src string) (Statement, error) {
 		return nil, err
 	}
 	if n := literalSlots(st); n >= 0 && n == len(sc.lits) {
-		e := &planEntry{
-			key:  string(sc.key),
-			tmpl: st,
-			lits: append([]uint64(nil), sc.lits...),
-		}
-		sh.insert(pc, e)
+		pc.insert(string(sc.key), planEntry{tmpl: st, lits: slices.Clone(sc.lits)})
 	}
 	return st, nil
 }
 
-// insert stores e, replacing any same-key entry (a concurrent miss on the
-// same shape got there first) and evicting the LRU tail past capacity.
-func (sh *planShard) insert(pc *PlanCache, e *planEntry) {
-	sh.mu.Lock()
-	if old, ok := sh.entries[e.key]; ok {
-		sh.unlink(old)
-		delete(sh.entries, old.key)
+// insert stores e under key, replacing any same-key entry (a concurrent
+// miss on the same shape got there first). A full cache is emptied first:
+// the traffic it serves has a handful of shapes, so a cache that fills is
+// seeing ad-hoc ones, and recency ordering would buy nothing.
+func (pc *PlanCache) insert(key string, e planEntry) {
+	pc.mu.Lock()
+	if _, ok := pc.entries[key]; !ok && len(pc.entries) >= pc.capacity {
+		pc.evictions.Add(int64(len(pc.entries)))
+		clear(pc.entries)
 	}
-	sh.entries[e.key] = e
-	sh.pushFront(e)
-	for len(sh.entries) > pc.perShard {
-		t := sh.tail
-		sh.unlink(t)
-		delete(sh.entries, t.key)
-		pc.evictions.Add(1)
-	}
-	sh.mu.Unlock()
-}
-
-func (sh *planShard) pushFront(e *planEntry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-func (sh *planShard) unlink(e *planEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (sh *planShard) moveFront(e *planEntry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
+	pc.entries[key] = e
+	pc.mu.Unlock()
 }
 
 // normalizeShape lexes src into sc.key (the shape: every token verbatim,
@@ -234,28 +164,6 @@ func normalizeShape(src string, sc *planScratch) bool {
 		sc.lits = append(sc.lits, v)
 	}
 	return l.err == nil && len(sc.key) > 0
-}
-
-// shapeHash is FNV-1a over the shape key, selecting the LRU segment.
-func shapeHash(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
-
-func literalsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // literalSlots is the number of literal positions a template rebinding

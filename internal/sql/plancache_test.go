@@ -206,7 +206,7 @@ func TestPlanCacheShardedScatter(t *testing.T) {
 // TestPlanCacheEviction: a tiny cache under a rotating set of shapes
 // evicts but never corrupts results.
 func TestPlanCacheEviction(t *testing.T) {
-	pc := NewPlanCache(16) // 1 entry per segment
+	pc := NewPlanCache(16) // cleared whenever a 17th shape arrives
 	for i := 0; i < 200; i++ {
 		// Vary the shape (column name) so entries compete for slots.
 		src := fmt.Sprintf("SELECT c%d FROM kv WHERE c%d = %d", i%40, i%40, i)
