@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"rcnvm/internal/durable"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/server"
 	"rcnvm/internal/shard"
+	"rcnvm/internal/sql"
 )
 
 // TestReadRoundRobinSurvivesCursorWraparound: the round-robin cursor is a
@@ -180,4 +184,53 @@ func TestReplicaPullsRecordLargerThanOneRead(t *testing.T) {
 		t.Fatalf("the INSERT's record is %d bytes, want more than one %d-byte read", frame, maxBytes)
 	}
 	waitConverged(t, p, r)
+}
+
+// TestFollowerKeepsFramesAppliedBeforeABadOne: a stub primary serves one
+// valid statement record followed by a corrupt frame. The round fails, but
+// the record before the bad frame is applied, so the follower's position
+// must move past it: a retry from the old offset would apply it again (an
+// INSERT lands twice, a CREATE wedges the shard).
+func TestFollowerKeepsFramesAppliedBeforeABadOne(t *testing.T) {
+	src := "INSERT INTO kv VALUES (7)"
+	payload := append([]byte{1, 0, byte(len(src))}, src...) // statement record, no flags
+	wal := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	wal = binary.LittleEndian.AppendUint32(wal, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	wal = append(wal, payload...)
+	first := int64(len(wal))
+	wal = append(wal, 4, 0, 0, 0, 0, 0, 0, 0, 'b', 'a', 'd', '!') // checksum mismatch
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		off, _ := strconv.Atoi(r.URL.Query().Get("off"))
+		w.Write(wal[off:])
+	}))
+	defer stub.Close()
+
+	c, err := shard.Open(engine.DualAddress, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sql.Execute(c, "CREATE TABLE kv (k)", sql.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.NewCluster(c, server.Options{ReadOnly: true})
+	defer srv.Abort()
+	f := NewFollower(srv, FollowerOptions{PrimaryHTTP: stub.Listener.Addr().String()})
+	f.pos = []durable.ShardPosition{{Seg: 1}}
+	f.applied = make([]shardApplied, 1)
+
+	for round := 1; round <= 2; round++ {
+		if _, err := f.pullShard(0, 1<<16); !errors.Is(err, durable.ErrCorrupt) {
+			t.Fatalf("round %d: err %v, want ErrCorrupt", round, err)
+		}
+		if _, pos, _ := f.Status(); pos[0] != (durable.ShardPosition{Seg: 1, Off: first}) {
+			t.Fatalf("round %d: position %+v, want seg 1 off %d", round, pos[0], first)
+		}
+		res, _, err := sql.Execute(c, "SELECT COUNT(*) FROM kv", sql.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0]; n != 1 {
+			t.Fatalf("round %d: %d rows, want the record applied once", round, n)
+		}
+	}
 }

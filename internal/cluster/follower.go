@@ -385,7 +385,8 @@ func (f *Follower) checkCaughtUp(target []durable.ShardPosition) {
 
 // pullShard fetches one round of up to maxBytes WAL bytes for shard i and
 // applies every complete frame, advancing the follower's position.
-// Returns the number of bytes applied.
+// Returns the number of bytes applied; on a decode or apply error, the
+// position still advances past the frames applied before it.
 func (f *Follower) pullShard(i, maxBytes int) (int64, error) {
 	f.mu.Lock()
 	epoch, pos := f.epoch, f.pos[i]
@@ -421,8 +422,12 @@ func (f *Follower) pullShard(i, maxBytes int) (int64, error) {
 			// A record larger than one read: ask again for the whole frame.
 			return f.pullShard(i, need)
 		}
+		err = nil
 	} else if err != nil {
-		return 0, fmt.Errorf("cluster: shard %d wal at seg %d off %d: %w", i, pos.Seg, pos.Off+applied, err)
+		// The frames before the bad one are applied: keep their position,
+		// or the next round applies them again.
+		rotated = false
+		err = fmt.Errorf("cluster: shard %d wal at seg %d off %d: %w", i, pos.Seg, pos.Off+applied, err)
 	}
 	pos.Off += applied
 	if rotated {
@@ -439,7 +444,7 @@ func (f *Follower) pullShard(i, maxBytes int) (int64, error) {
 		f.applied[i].last = time.Now()
 	}
 	f.mu.Unlock()
-	return applied, nil
+	return applied, err
 }
 
 // pollState is the dedicated lag-tracking loop: every StatePoll it

@@ -135,13 +135,27 @@ func TestQueryBenchSmall(t *testing.T) {
 	if len(res.Exec.Notes) == 0 || !strings.Contains(res.Exec.Notes[0], "avg exec-time reduction") {
 		t.Error("fig18 summary note missing")
 	}
-	// Figure 19: RC-NVM (series 0) accesses below DRAM (series 3) on the
-	// aggregate queries Q4..Q7 (indices 3..6).
-	for i := 3; i <= 6; i++ {
-		rc := res.Accesses.Series[0].Values[i]
-		dram := res.Accesses.Series[3].Values[i]
-		if rc*2 > dram {
-			t.Errorf("fig19 %s: RC-NVM %.0fk vs DRAM %.0fk accesses", res.Accesses.XLabels[i], rc, dram)
+	// Figure 19's verdicts, as they hold at small scale, over the same
+	// series. RC-NVM makes under a third of DRAM's accesses wherever a
+	// column access replaces row fetches (ratios 0.15-0.27). Q11 is left
+	// out: at small scale it reads 2.742 vs 8.195 x10^3 = 0.335, and
+	// EXPERIMENTS.md's claim for it is a full-scale one.
+	acc := res.Accesses
+	rc, gs, dram = acc.Series[0].Values, acc.Series[2].Values, acc.Series[3].Values
+	for i, q := range acc.XLabels {
+		switch q {
+		case "Q1", "Q2", "Q4", "Q5", "Q6", "Q7", "Q10", "Q12", "Q13":
+			if rc[i]*3 >= dram[i] {
+				t.Errorf("fig19 %s: RC-NVM %.3fk accesses, not under a third of DRAM's %.3fk", q, rc[i], dram[i])
+			}
+		}
+		// GS-DRAM's gather serves none of these, so it accesses exactly
+		// what DRAM does.
+		switch q {
+		case "Q2", "Q3", "Q5", "Q7", "Q8", "Q9", "Q12", "Q13":
+			if gs[i] != dram[i] {
+				t.Errorf("fig19 %s: GS-DRAM %vk accesses != DRAM %vk", q, gs[i], dram[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"rcnvm/internal/engine"
@@ -29,14 +30,15 @@ func TestLogCommitNilPathAllocatesNothing(t *testing.T) {
 
 // TestExplainAnalyzeLogsInnerStatement: the WAL must log the mutation
 // inside EXPLAIN ANALYZE, not the EXPLAIN itself, so replay re-executes
-// without re-timing. The inner text comes from the already-parsed AST via
-// the String() round-trip property — no re-lexing of the source.
+// without re-timing. The logged text is the inner statement's own source,
+// as the client spelled it, which the parser recorded as Explain.Src.
 func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"EXPLAIN ANALYZE INSERT INTO kv VALUES (1)", "INSERT INTO kv VALUES (1)"},
-		{"explain analyze delete from kv", "DELETE FROM kv"},
+		{"explain analyze delete from kv", "delete from kv"},
 		{"  EXPLAIN   ANALYZE  UPDATE kv SET a = 1", "UPDATE kv SET a = 1"},
-		{"EXPLAIN ANALYZE UPDATE kv SET a=1 WHERE k>=2", "UPDATE kv SET a = 1 WHERE k >= 2"},
+		{"EXPLAIN ANALYZE UPDATE kv SET a=1 WHERE k>=2", "UPDATE kv SET a=1 WHERE k>=2"},
+		{"Explain Analyze Create Table t (a, b WIDE 2) ;\n", "Create Table t (a, b WIDE 2) ;\n"},
 	}
 	for _, tc := range cases {
 		st, err := Parse(tc.in)
@@ -47,17 +49,16 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 		if !ok || !ex.Analyze {
 			t.Fatalf("%s: not EXPLAIN ANALYZE", tc.in)
 		}
-		got := StatementText(ex.Stmt)
-		if got != tc.want {
-			t.Fatalf("StatementText(inner(%q)) = %q, want %q", tc.in, got, tc.want)
+		if ex.Src != tc.want {
+			t.Fatalf("inner source of %q = %q, want %q", tc.in, ex.Src, tc.want)
 		}
 		// The logged text must replay to the identical statement.
-		back, err := Parse(got)
+		back, err := Parse(ex.Src)
 		if err != nil {
-			t.Fatalf("reparse %q: %v", got, err)
+			t.Fatalf("reparse %q: %v", ex.Src, err)
 		}
-		if StatementText(back) != got {
-			t.Fatalf("round trip of %q drifted to %q", got, StatementText(back))
+		if !reflect.DeepEqual(back, ex.Stmt) {
+			t.Fatalf("%q reparses to %#v, not %#v", ex.Src, back, ex.Stmt)
 		}
 	}
 
@@ -73,6 +74,7 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 	}
 	log := &recLog{}
 	c.Shard(0).SetCommitLog(log)
+	var executed []Statement
 	for _, q := range []string{
 		"EXPLAIN INSERT INTO kv VALUES (5, 6)",
 		"EXPLAIN ANALYZE SELECT * FROM kv",
@@ -83,6 +85,9 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 		if _, _, err := Execute(c, q, ExecOptions{}); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
+		if st, _ := Parse(q); analyzes(st) && !ReadOnly(st) {
+			executed = append(executed, st.(*Explain).Stmt)
+		}
 	}
 	st, err := Parse("UPDATE kv SET a = 3")
 	if err != nil {
@@ -91,8 +96,13 @@ func TestExplainAnalyzeLogsInnerStatement(t *testing.T) {
 	if _, err := Run(c.Shard(0), st, nil); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"INSERT INTO kv VALUES (1, 2)", "DELETE FROM kv WHERE k = 9"}; fmt.Sprint(log.srcs) != fmt.Sprint(want) {
+	if want := []string{"INSERT INTO kv VALUES (1, 2)", "delete from kv where k = 9"}; fmt.Sprint(log.srcs) != fmt.Sprint(want) {
 		t.Fatalf("logged %q, want %q", log.srcs, want)
+	}
+	for i, src := range log.srcs {
+		if back, err := Parse(src); err != nil || !reflect.DeepEqual(back, executed[i]) {
+			t.Fatalf("logged %q parses to %#v, %v; executed %#v", src, back, err, executed[i])
+		}
 	}
 }
 

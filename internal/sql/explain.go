@@ -17,16 +17,20 @@ import (
 type Explain struct {
 	Analyze bool
 	Stmt    Statement
+	// Src is the source from Stmt's first token on: Stmt's own text, then
+	// at most a ';' and white space, so Parse(Src) yields Stmt.
+	Src string
 }
 
 func (*Explain) stmt() {}
 
-// parseExplain is called by Parse when the input starts with EXPLAIN.
+// explain is called by Parse when the input starts with EXPLAIN.
 func (p *parser) explain() (Statement, error) {
 	ex := &Explain{}
 	if p.keyword("ANALYZE") {
 		ex.Analyze = true
 	}
+	ex.Src = p.lex.src[p.peek().pos:]
 	inner, err := p.statement()
 	if err != nil {
 		return nil, err
@@ -42,9 +46,8 @@ func (p *parser) explain() (Statement, error) {
 // schemas — under a sharding header when there are several shards. ANALYZE
 // also executes the statement on every shard, capturing into the EXPLAIN's
 // streams; analyze times the capture once the locks are released. The
-// execution logs any mutation under the inner statement's own text,
-// printed from the parsed AST (round-trip property): replay must
-// re-execute the mutation, not re-time it.
+// execution logs any mutation under the inner statement's own source text
+// (ex.Src): replay must re-execute the mutation, not re-time it.
 func explain(c *shard.Cluster, ex *Explain, streams shardStreams) (*Result, []func() error, error) {
 	var b strings.Builder
 	if c.N() > 1 {
@@ -55,7 +58,7 @@ func explain(c *shard.Cluster, ex *Explain, streams shardStreams) (*Result, []fu
 	if !ex.Analyze {
 		return &Result{Message: strings.TrimRight(b.String(), "\n")}, nil, nil
 	}
-	in := []stmt{{src: StatementText(ex.Stmt), st: ex.Stmt, targets: allShards(c), streams: streams}}
+	in := []stmt{{src: ex.Src, st: ex.Stmt, targets: allShards(c), streams: streams}}
 	dispatch(c, in)
 	if in[0].err != nil {
 		return nil, in[0].waits, in[0].err

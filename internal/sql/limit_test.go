@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,9 +13,9 @@ import (
 
 // TestLimitZero: LIMIT 0 answers no rows in every SELECT shape, on one
 // shard and on three, under the header the statement has without it; it
-// prints back through StatementText; and the plan cache binds it like any
-// other literal, both into a template cached from another LIMIT and as a
-// template of its own.
+// parses to Limit 0, apart from no LIMIT (-1) and a LIMIT past MaxInt
+// (MaxInt); and the plan cache binds it like any other literal, both into
+// a template cached from another LIMIT and as a template of its own.
 func TestLimitZero(t *testing.T) {
 	var vals []string
 	for i := 0; i < 40; i++ {
@@ -59,17 +60,17 @@ func TestLimitZero(t *testing.T) {
 		}
 	}
 
-	for src, want := range map[string]string{
-		"SELECT val FROM t LIMIT 0":                    "SELECT val FROM t LIMIT 0",
-		"SELECT val FROM t":                            "SELECT val FROM t",
-		"SELECT val FROM t LIMIT 18446744073709551615": "SELECT val FROM t LIMIT 9223372036854775807",
+	for src, want := range map[string]int{
+		"SELECT val FROM t LIMIT 0":                    0,
+		"SELECT val FROM t":                            noLimit,
+		"SELECT val FROM t LIMIT 18446744073709551615": math.MaxInt,
 	} {
 		st, err := Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := StatementText(st); got != want {
-			t.Errorf("StatementText(Parse(%q)) = %q, want %q", src, got, want)
+		if got := st.(*Select).Limit; got != want {
+			t.Errorf("Parse(%q).Limit = %d, want %d", src, got, want)
 		}
 	}
 

@@ -1,48 +1,11 @@
 package sql
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
 	"rcnvm/internal/shard"
 )
-
-// TestPrintParseRoundTrip: printing a parsed statement and re-parsing it
-// yields an identical AST.
-func TestPrintParseRoundTrip(t *testing.T) {
-	srcs := []string{
-		"CREATE TABLE t (a, b WIDE 4, c) CAPACITY 128",
-		"CREATE TABLE t (a)",
-		"INSERT INTO t VALUES (1, 2, 3), (4, 5, 6)",
-		"SELECT * FROM t",
-		"SELECT a, b FROM t WHERE a > 5 AND b <= 9",
-		"SELECT SUM(a), COUNT(*), MIN(b), MAX(b), AVG(c) FROM t WHERE a != 0",
-		"SELECT a, SUM(b) FROM t GROUP BY a",
-		"SELECT a FROM t ORDER BY b DESC LIMIT 10",
-		"SELECT a FROM t WHERE a = 1 ORDER BY a LIMIT 3",
-		"SELECT x.a, y.b FROM x JOIN y ON x.k = y.k",
-		"UPDATE t SET a = 1, b = 2 WHERE c < 7",
-		"DELETE FROM t WHERE a >= 3",
-		"DELETE FROM t",
-	}
-	for _, src := range srcs {
-		first, err := Parse(src)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		printed := fmt.Sprintf("%v", first)
-		second, err := Parse(printed)
-		if err != nil {
-			t.Fatalf("re-parse of %q (from %q): %v", printed, src, err)
-		}
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("round trip changed AST:\n  src:     %q\n  printed: %q\n  a: %#v\n  b: %#v",
-				src, printed, first, second)
-		}
-	}
-}
 
 func TestSelectItemString(t *testing.T) {
 	if (SelectItem{Agg: AggCount}).String() != "COUNT(*)" {

@@ -93,50 +93,28 @@ func NewEnv(sys config.System, p Params) (*Env, error) {
 	tc := imdb.NewTable(SchemaC(), p.TuplesC)
 	th := imdb.NewTable(schemaHash(), hashSlotsFor(maxInt(p.TuplesA, p.TuplesB)/8))
 
+	// place puts one table on the system's memory; the NVM allocators lay
+	// a table out as asked, the linear one always row after row.
+	var place func(*imdb.Table, imdb.Layout) (imdb.Placement, error)
+	data := imdb.RowMajor
 	switch sys.Device.Kind {
-	case device.RCNVM:
+	case device.RCNVM, device.RRAM:
+		if sys.Device.Kind == device.RCNVM {
+			data = imdb.ColMajor
+		}
 		alloc := imdb.NewNVMAllocatorSpread(sys.Device.Geom, spreadChunks)
-		var err error
-		if env.A, err = alloc.Place(ta, imdb.ColMajor); err != nil {
-			return nil, err
-		}
-		if env.B, err = alloc.Place(tb, imdb.ColMajor); err != nil {
-			return nil, err
-		}
-		if env.C, err = alloc.Place(tc, imdb.ColMajor); err != nil {
-			return nil, err
-		}
-		if env.Hash, err = alloc.Place(th, imdb.RowMajor); err != nil {
-			return nil, err
-		}
-	case device.RRAM:
-		alloc := imdb.NewNVMAllocatorSpread(sys.Device.Geom, spreadChunks)
-		var err error
-		if env.A, err = alloc.Place(ta, imdb.RowMajor); err != nil {
-			return nil, err
-		}
-		if env.B, err = alloc.Place(tb, imdb.RowMajor); err != nil {
-			return nil, err
-		}
-		if env.C, err = alloc.Place(tc, imdb.RowMajor); err != nil {
-			return nil, err
-		}
-		if env.Hash, err = alloc.Place(th, imdb.RowMajor); err != nil {
-			return nil, err
-		}
+		place = func(t *imdb.Table, l imdb.Layout) (imdb.Placement, error) { return alloc.Place(t, l) }
 	default: // DRAM, GS-DRAM
 		alloc := imdb.NewLinearAllocator(sys.Device.Geom)
+		place = func(t *imdb.Table, _ imdb.Layout) (imdb.Placement, error) { return alloc.Place(t) }
+	}
+	for _, tp := range []struct {
+		dst    *imdb.Placement
+		table  *imdb.Table
+		layout imdb.Layout
+	}{{&env.A, ta, data}, {&env.B, tb, data}, {&env.C, tc, data}, {&env.Hash, th, imdb.RowMajor}} {
 		var err error
-		if env.A, err = alloc.Place(ta); err != nil {
-			return nil, err
-		}
-		if env.B, err = alloc.Place(tb); err != nil {
-			return nil, err
-		}
-		if env.C, err = alloc.Place(tc); err != nil {
-			return nil, err
-		}
-		if env.Hash, err = alloc.Place(th); err != nil {
+		if *tp.dst, err = place(tp.table, tp.layout); err != nil {
 			return nil, err
 		}
 	}
