@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"sort"
 	"testing"
 
 	"rcnvm/internal/config"
+	"rcnvm/internal/par"
 	"rcnvm/internal/sim"
 	"rcnvm/internal/workload"
 )
@@ -21,35 +23,48 @@ const sweepDigestSmall = "fb25f670a5ffe894a29a44bedec6bff21e882cbf5216a7b04c6c8b
 // per cell "<name> <TimePs>", then its counters as sorted "name=value"
 // lines — the format of the sim_sweep benchmark's sim_stats_digest.
 func TestSweepDigestPinned(t *testing.T) {
-	h := sha256.New()
-	p := ParamsFor(ScaleSmall)
-	for _, sys := range config.All() {
-		for _, q := range workload.Queries() {
-			env, err := workload.NewEnv(sys, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := q.Build(env); err != nil {
-				t.Fatalf("%s on %s: %v", q.ID, sys.Name, err)
-			}
-			res, err := sim.RunOn(sys, env.Exec.Streams())
-			if err != nil {
-				t.Fatalf("%s on %s: %v", q.ID, sys.Name, err)
-			}
-			fmt.Fprintf(h, "%s %d\n", res.Name, res.TimePs)
-			names := make([]string, 0, len(res.Counters))
-			for name := range res.Counters {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(h, "%s=%d\n", name, res.Counters[name])
-			}
-		}
-	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != sweepDigestSmall {
+	if got := sweepDigest(t, ScaleSmall, 1); got != sweepDigestSmall {
 		t.Fatalf("sweep digest = %s, want %s", got, sweepDigestSmall)
 	}
+}
+
+// sweepDigest runs the Fig 18-21 cell set at scale s on the given number
+// of workers and returns its digest in the sim_stats_digest format.
+func sweepDigest(t *testing.T, s Scale, workers int) string {
+	t.Helper()
+	p := ParamsFor(s)
+	systems, queries := config.All(), workload.Queries()
+	results, err := par.Sweep(context.Background(), workers, len(systems)*len(queries), func(i int) (sim.Result, error) {
+		sys, q := systems[i/len(queries)], queries[i%len(queries)]
+		env, err := workload.NewEnv(sys, p)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		if err := q.Build(env); err != nil {
+			return sim.Result{}, fmt.Errorf("%s on %s: %w", q.ID, sys.Name, err)
+		}
+		res, err := sim.RunOn(sys, env.Exec.Streams())
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("%s on %s: %w", q.ID, sys.Name, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, res := range results {
+		fmt.Fprintf(h, "%s %d\n", res.Name, res.TimePs)
+		names := make([]string, 0, len(res.Counters))
+		for name := range res.Counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(h, "%s=%d\n", name, res.Counters[name])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // experimentDigestsSmall is the SHA-256 of what each rcnvm-bench -run id
