@@ -58,14 +58,37 @@ func (p *GridPlacement) Table() *Table { return p.inner.Table() }
 // Geom returns the target (linear) geometry.
 func (p *GridPlacement) Geom() addr.Geometry { return p.target }
 
-// Cell flattens the virtual grid coordinate into the target address space:
-// grid g, row r, column c live at byte (g*1024*1024 + r*1024 + c) * 8.
-func (p *GridPlacement) Cell(t, w int) addr.Coord {
-	vc := p.inner.Cell(t, w)
+// Cell flattens the virtual grid coordinate into the target address space.
+func (p *GridPlacement) Cell(t, w int) addr.Coord { return p.flat(p.inner.Cell(t, w)) }
+
+// flat maps a virtual grid coordinate to the target address space: grid g,
+// row r, column c live at byte (g*1024*1024 + r*1024 + c) * 8.
+func (p *GridPlacement) flat(vc addr.Coord) addr.Coord {
 	grid := p.gridOrdinal(vc)
 	words := int64(grid)*int64(p.vgeom.Rows())*int64(p.vgeom.Columns()) +
 		int64(vc.Row)*int64(p.vgeom.Columns()) + int64(vc.Column)
 	return p.target.Decode(uint32(words*addr.WordBytes), addr.Row)
+}
+
+// ScanRun is the virtual layout's scan run, flattened.
+func (p *GridPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	return p.flatRun(p.inner.ScanRun(t, w))
+}
+
+// FetchRun is the virtual layout's fetch run, flattened.
+func (p *GridPlacement) FetchRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	return p.flatRun(p.inner.FetchRun(t, w))
+}
+
+// flatRun flattens a virtual run: a step along a virtual row is step words
+// of flat address space, a step down a virtual column step·1024 words. The
+// flattened run goes along the target's device row and ends with it.
+func (p *GridPlacement) flatRun(vc addr.Coord, o addr.Orientation, step, n int) (addr.Coord, addr.Orientation, int, int) {
+	if o == addr.Column {
+		step *= p.vgeom.Columns()
+	}
+	c := p.flat(vc)
+	return c, addr.Row, step, min(n, (p.target.Columns()-int(c.Column)+step-1)/step)
 }
 
 // gridOrdinal inverts the allocator's bin -> subarray interleaving.

@@ -64,6 +64,22 @@ func (p *LinearPlacement) Cell(t, w int) addr.Coord {
 	return p.geom.Decode(a, addr.Row)
 }
 
+// ScanRun: word w of successive tuples lies a tuple width apart in flat
+// address space, so a run goes along the device row of Cell(t, w) until
+// the row or the table ends.
+func (p *LinearPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	c := p.Cell(t, w)
+	n := (p.geom.Columns() - int(c.Column) + p.words - 1) / p.words
+	return c, addr.Row, p.words, min(n, p.table.Tuples-t)
+}
+
+// FetchRun: the words of a tuple are consecutive in flat address space, so
+// a run goes along the device row until the row or the tuple ends.
+func (p *LinearPlacement) FetchRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	c := p.Cell(t, w)
+	return c, addr.Row, 1, min(p.words-w, p.geom.Columns()-int(c.Column))
+}
+
 // ScanOrient is always Row: conventional memories have one orientation.
 func (p *LinearPlacement) ScanOrient(int) addr.Orientation { return addr.Row }
 

@@ -239,7 +239,7 @@ func (p *NVMPlacement) ScanOrient(t int) addr.Orientation {
 // t's chunk. Word w of successive tuples stays on one line of the chunk's
 // region until its column group (ColMajor) or memory row (RowMajor, PAX)
 // ends; only RowMajor interleaves the other words of each tuple. The engine
-// reads its block scans through it.
+// reads its block scans through it, the planner its field scans.
 func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
 	ck := p.chunkOf(t)
 	l := t - ck.first
@@ -248,6 +248,17 @@ func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int
 		step = p.words
 	}
 	return p.Cell(t, w), p.ScanOrient(t), step, min(n, ck.n-l)
+}
+
+// FetchRun describes tuple t's words from w on: they lie along
+// FetchOrient(t), one apart (PAX: a page's tuple count apart), to the end
+// of the tuple.
+func (p *NVMPlacement) FetchRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	step := 1
+	if p.layout == PAX {
+		step = p.chunkOf(t).h
+	}
+	return p.Cell(t, w), p.FetchOrient(t), step, p.words - w
 }
 
 // FetchOrient returns the orientation along which the words of tuple t are

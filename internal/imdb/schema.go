@@ -115,11 +115,21 @@ func (l Layout) String() string {
 
 // Placement maps table coordinates (tuple, word) to physical memory
 // coordinates and tells planners which access orientation is efficient.
+// Cell is for random access; a walk over a field or a tuple reads the
+// placement a run at a time (ScanRun, FetchRun), so it asks once per run
+// rather than once per word.
 type Placement interface {
 	Table() *Table
 	Geom() addr.Geometry
 	// Cell returns the physical word holding word w of tuple t.
 	Cell(t, w int) addr.Coord
+	// ScanRun describes word w of tuples t, t+1, …: for k < n (n >= 1),
+	// Cell(t+k, w) is c.Along(o, k·step) with step >= 1, and t+k is in
+	// t's chunk.
+	ScanRun(t, w int) (c addr.Coord, o addr.Orientation, step, n int)
+	// FetchRun describes words w, w+1, … of tuple t: for k < n (n >= 1),
+	// Cell(t, w+k) is c.Along(o, k·step) with step >= 1.
+	FetchRun(t, w int) (c addr.Coord, o addr.Orientation, step, n int)
 	// ScanOrient is the orientation in which the same word of successive
 	// tuples near t is contiguous (the field-scan direction).
 	ScanOrient(t int) addr.Orientation

@@ -194,26 +194,12 @@ func (e *Executor) emitCompute(core int, cycles int64) {
 	e.streams[core].Append(trace.ComputeOp(cycles))
 }
 
-// touchSpan emits the minimal loads/stores covering words [off, off+words)
-// of tuple t in the given orientation: one access per cache line touched
-// (the line is recomputed per word, so non-contiguous layouts like PAX
-// still touch every line they occupy).
-func (e *Executor) touchSpan(core int, p imdb.Placement, t, off, words int, o addr.Orientation, write bool) {
-	kind := e.loadKind(o)
-	if write {
-		kind = e.storeKind(o)
-	}
-	geom := p.Geom()
-	var last addr.LineID
-	valid := false
-	for w := off; w < off+words; w++ {
-		c := p.Cell(t, w)
-		id := geom.LineOf(c, o)
-		if !valid || id != last {
-			e.emit(core, trace.Op{Kind: kind, Coord: c})
-			last, valid = id, true
-		}
-	}
+// touchSpans emits, for each span of tuple t in turn, the minimal
+// loads/stores covering its words in the given orientation, one access per
+// cache line touched (so non-contiguous layouts like PAX still touch every
+// line they occupy), then perSpan compute cycles.
+func (e *Executor) touchSpans(core int, p imdb.Placement, t int, spans []fieldSpan, o addr.Orientation, write bool, perSpan int64) {
+	lower.touch(e, core, p, t, spans, o, write, perSpan)
 }
 
 // splitRange partitions [0,n) across cores.

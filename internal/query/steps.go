@@ -1,8 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"rcnvm/internal/addr"
 	"rcnvm/internal/imdb"
@@ -37,25 +39,140 @@ func wordSlots(spans []fieldSpan) []int {
 	return out
 }
 
-// slotTracker dedupes per-word-slot line emissions: a load is emitted only
-// when that slot's cursor moves to a new cache line (earlier touches of the
-// same line hit in L1 and need no trace op).
-type slotTracker struct {
-	last  []addr.LineID
-	valid []bool
+// scanCursor follows the word slots of a field scan a cache line at a
+// time, so a walk asks the placement for a run only where a slot's line
+// changes. A load is emitted only when a slot moves to a new line (earlier
+// touches of the same line hit in L1 and need no trace op).
+type scanCursor struct {
+	p     imdb.Placement
+	geom  addr.Geometry
+	o     addr.Orientation // the orientation lines are read in
+	kind  trace.Kind
+	slots []slotLine
 }
 
-func newSlotTracker(n int) *slotTracker {
-	return &slotTracker{last: make([]addr.LineID, n), valid: make([]bool, n)}
+// slotLine is where one word slot of a scan stands.
+type slotLine struct {
+	w        int         // the slot's word of the tuple
+	line     addr.LineID // the line of its last access
+	valid    bool        // line is set
+	from, to int         // the tuples whose slot word lies on line
 }
 
-func (s *slotTracker) fresh(slot int, id addr.LineID) bool {
-	if s.valid[slot] && s.last[slot] == id {
-		return false
+func newScanCursor(p imdb.Placement, words []int, o addr.Orientation, kind trace.Kind) *scanCursor {
+	cur := &scanCursor{p: p, geom: p.Geom(), o: o, kind: kind, slots: make([]slotLine, len(words))}
+	for i, w := range words {
+		cur.slots[i].w = w
 	}
-	s.last[slot] = id
-	s.valid[slot] = true
-	return true
+	return cur
+}
+
+// reset forgets every slot's line and reads lines in orientation o with
+// accesses of the given kind.
+func (c *scanCursor) reset(o addr.Orientation, kind trace.Kind) {
+	c.o, c.kind = o, kind
+	for i := range c.slots {
+		c.slots[i] = slotLine{w: c.slots[i].w}
+	}
+}
+
+// tuple emits tuple t's slot accesses where a slot's line changes and
+// returns how many tuples from t on keep every slot on its line (>= 1).
+func (e *Executor) tuple(core int, cur *scanCursor, t int) int {
+	m := math.MaxInt
+	for si := range cur.slots {
+		m = min(m, lower.slot(e, core, cur, si, t))
+	}
+	return m
+}
+
+// walkTuples visits tuples [first, last) in order, charging perTuple
+// compute cycles after each: one compute for the tuples that touch no new
+// line.
+func (e *Executor) walkTuples(core int, cur *scanCursor, first, last int, perTuple int64) {
+	for t := first; t < last; {
+		m := min(e.tuple(core, cur, t), last-t)
+		e.emitCompute(core, int64(m)*perTuple)
+		t += m
+	}
+}
+
+// lowering is how the planner reads a placement's cells into accesses.
+// The planner walks runs (runs); the package's tests compare it with the
+// per-cell reference it replaced.
+type lowering interface {
+	// slot emits slot si's access of tuple t if it is on a new line and
+	// returns how many tuples from t on have their slot word on that
+	// line (>= 1).
+	slot(e *Executor, core int, cur *scanCursor, si, t int) int
+	// touch emits, for each span of tuple t, one access per line of its
+	// words read in orientation o, then perSpan compute cycles.
+	touch(e *Executor, core int, p imdb.Placement, t int, spans []fieldSpan, o addr.Orientation, write bool, perSpan int64)
+	// order sorts matched tuples by their physicalOrder keys.
+	order(keys []orderKey)
+}
+
+var lower lowering = runs{}
+
+// runs lowers through the placement's ScanRun and FetchRun.
+type runs struct{}
+
+func (runs) slot(e *Executor, core int, cur *scanCursor, si, t int) int {
+	sl := &cur.slots[si]
+	if t < sl.from || t >= sl.to {
+		c, o, step, n := cur.p.ScanRun(t, sl.w)
+		if id := cur.geom.LineOf(c, cur.o); !sl.valid || id != sl.line {
+			e.emit(core, trace.Op{Kind: cur.kind, Coord: c})
+			sl.line, sl.valid = id, true
+		}
+		sl.from, sl.to = t, t+lineRun(c, o, cur.o, step, n)
+	}
+	return sl.to - t
+}
+
+func (runs) touch(e *Executor, core int, p imdb.Placement, t int, spans []fieldSpan, o addr.Orientation, write bool, perSpan int64) {
+	kind := e.accessKind(o, write)
+	geom := p.Geom()
+	var (
+		c, prev     addr.Coord // the run's first word; the last segment's, on the last word's line
+		ro          addr.Orientation
+		w0, step, n int // the run covers words [w0, w0+n)
+	)
+	for _, s := range spans {
+		for w, end := s.off, s.off+s.words; w < end; {
+			if w < w0 || w >= w0+n {
+				c, ro, step, n = p.FetchRun(t, w)
+				w0 = w
+			}
+			// Inside a run a segment starts on a new line; where a run
+			// starts inside the span, the lines decide.
+			cw := c.Along(ro, (w-w0)*step)
+			if w == s.off || w != w0 || geom.LineOf(cw, o) != geom.LineOf(prev, o) {
+				e.emit(core, trace.Op{Kind: kind, Coord: cw})
+			}
+			prev = cw
+			w += lineRun(cw, ro, o, step, min(w0+n, end)-w)
+		}
+		e.emitCompute(core, perSpan)
+	}
+}
+
+func (runs) order(keys []orderKey) {
+	slices.SortFunc(keys, func(a, b orderKey) int { return cmp.Compare(a.key, b.key) })
+}
+
+// lineRun returns how many of the n words a run visits from c on, step
+// words apart along o, lie on c's cache line in orientation lo (>= 1). A
+// run across lines of lo leaves c's line at its first step.
+func lineRun(c addr.Coord, o, lo addr.Orientation, step, n int) int {
+	if o != lo {
+		return 1
+	}
+	pos := int(c.Column)
+	if o == addr.Column {
+		pos = int(c.Row)
+	}
+	return min(n, (addr.LineWords-pos%addr.LineWords+step-1)/step)
 }
 
 // scanAccess describes how the backend reads one field over many tuples.
@@ -109,7 +226,7 @@ func (e *Executor) ScanField(p imdb.Placement, field string, ordered bool, perTu
 // whole-tuple direction — the row-direction micro-benchmark pass of
 // Figure 17.
 func (e *Executor) ScanTuples(p imdb.Placement, write bool, perTuple int64) error {
-	L := p.Table().Schema.TupleWords()
+	whole := []fieldSpan{{off: 0, words: p.Table().Schema.TupleWords()}}
 	for core, regions := range e.partition(p).perCore() {
 		for _, r := range regions {
 			for t := r[0]; t < r[1]; t++ {
@@ -117,8 +234,7 @@ func (e *Executor) ScanTuples(p imdb.Placement, write bool, perTuple int64) erro
 				if e.arch == RCNVM {
 					o = p.FetchOrient(t)
 				}
-				e.touchSpan(core, p, t, 0, L, o, write)
-				e.emitCompute(core, perTuple)
+				e.touchSpans(core, p, t, whole, o, write, perTuple)
 			}
 		}
 	}
@@ -155,18 +271,18 @@ func (e *Executor) scanRange(core int, p imdb.Placement, spans []fieldSpan, firs
 		}
 	}
 
-	slots := wordSlots(spans)
-	geom := p.Geom()
 	acc := e.scanAccessFor(p, first, ordered)
+	cur := newScanCursor(p, wordSlots(spans), acc.orient, e.accessKind(acc.orient, write))
 
 	if acc.permuted {
-		// Column-by-column over each chunk of a row-major layout.
+		// Column-by-column over each chunk of a row-major layout: no run
+		// describes every tpr-th tuple, so this walk goes tuple by tuple.
 		L := p.Table().Schema.TupleWords()
-		tpr := geom.Columns() / L
+		tpr := p.Geom().Columns() / L
 		for t := first; t < last; {
 			cf, cn := p.ChunkRange(t)
-			lo, hi := maxInt(first, cf), minInt(last, cf+cn)
-			tr := newSlotTracker(len(slots))
+			lo, hi := max(first, cf), min(last, cf+cn)
+			cur.reset(acc.orient, cur.kind)
 			for k := 0; k < tpr; k++ {
 				// Tuples with (t-cf) % tpr == k share a physical column;
 				// walk that column top to bottom.
@@ -175,7 +291,8 @@ func (e *Executor) scanRange(core int, p imdb.Placement, spans []fieldSpan, firs
 					start += (lo - start + tpr - 1) / tpr * tpr
 				}
 				for base := start; base < hi; base += tpr {
-					e.scanTuple(core, p, geom, slots, base, acc.orient, write, tr, perTuple)
+					e.tuple(core, cur, base)
+					e.emitCompute(core, perTuple)
 				}
 			}
 			t = cf + cn
@@ -183,22 +300,19 @@ func (e *Executor) scanRange(core int, p imdb.Placement, spans []fieldSpan, firs
 		return
 	}
 
-	tr := newSlotTracker(len(slots))
-	if !ordered && e.arch == RCNVM && len(slots) > 1 && acc.orient == addr.Column {
+	if !ordered && e.arch == RCNVM && len(cur.slots) > 1 && acc.orient == addr.Column {
 		// Word-major reordering: finish one column before the next to
 		// avoid column-buffer thrash on wide fields (§5 rationale).
 		for t := first; t < last; {
 			cf, cn := p.ChunkRange(t)
-			lo, hi := maxInt(first, cf), minInt(last, cf+cn)
-			for si, w := range slots {
-				for tu := lo; tu < hi; tu++ {
-					c := p.Cell(tu, w)
-					if tr.fresh(si, geom.LineOf(c, acc.orient)) {
-						e.emit(core, trace.Op{Kind: e.accessKind(acc.orient, write), Coord: c})
-					}
+			lo, hi := max(first, cf), min(last, cf+cn)
+			for si := range cur.slots {
+				for tu := lo; tu < hi; {
+					m := min(lower.slot(e, core, cur, si, tu), hi-tu)
 					if si == 0 {
-						e.emitCompute(core, perTuple)
+						e.emitCompute(core, int64(m)*perTuple)
 					}
+					tu += m
 				}
 			}
 			t = cf + cn
@@ -206,19 +320,7 @@ func (e *Executor) scanRange(core int, p imdb.Placement, spans []fieldSpan, firs
 		return
 	}
 
-	for t := first; t < last; t++ {
-		e.scanTuple(core, p, geom, slots, t, acc.orient, write, tr, perTuple)
-	}
-}
-
-func (e *Executor) scanTuple(core int, p imdb.Placement, geom addr.Geometry, slots []int, t int, o addr.Orientation, write bool, tr *slotTracker, perTuple int64) {
-	for si, w := range slots {
-		c := p.Cell(t, w)
-		if tr.fresh(si, geom.LineOf(c, o)) {
-			e.emit(core, trace.Op{Kind: e.accessKind(o, write), Coord: c})
-		}
-	}
-	e.emitCompute(core, perTuple)
+	e.walkTuples(core, cur, first, last, perTuple)
 }
 
 // gatherRange lowers a single-word scan to GS-DRAM gathers: each access
@@ -229,7 +331,7 @@ func (e *Executor) gatherRange(core int, lp *imdb.LinearPlacement, off, first, l
 		if t0 < first {
 			t0 = first
 		}
-		hi := minInt(last, (g+1)*addr.LineWords)
+		hi := min(last, (g+1)*addr.LineWords)
 		e.gatherSeq++
 		e.emit(core, trace.GatherOp(lp.Cell(g*addr.LineWords, off), e.gatherSeq))
 		e.emitCompute(core, perTuple*int64(hi-t0))
@@ -254,12 +356,11 @@ func (e *Executor) ScanMatches(p imdb.Placement, field string, matches []int, pe
 				continue
 			}
 		}
-		acc := e.scanAccessFor(p, ms[0], false)
-		slots := wordSlots(spans)
-		tr := newSlotTracker(len(slots))
-		geom := p.Geom()
+		o := e.scanAccessFor(p, ms[0], false).orient
+		cur := newScanCursor(p, wordSlots(spans), o, e.loadKind(o))
 		for _, t := range ms {
-			e.scanTuple(core, p, geom, slots, t, acc.orient, false, tr, perTuple)
+			e.tuple(core, cur, t)
+			e.emitCompute(core, perTuple)
 		}
 	}
 	return nil
@@ -313,10 +414,7 @@ func (e *Executor) FetchTuples(p imdb.Placement, matches []int, fields []string,
 			if e.arch == RCNVM {
 				o = p.FetchOrient(t)
 			}
-			for _, s := range spans {
-				e.touchSpan(core, p, t, s.off, s.words, o, false)
-				e.emitCompute(core, perField)
-			}
+			e.touchSpans(core, p, t, spans, o, false, perField)
 		}
 	}
 	return nil
@@ -359,9 +457,7 @@ func (e *Executor) UpdateTuples(p imdb.Placement, matches []int, fields []string
 					o = p.FetchOrient(t)
 				}
 			}
-			for _, s := range spans {
-				e.touchSpan(core, p, t, s.off, s.words, o, true)
-			}
+			e.touchSpans(core, p, t, spans, o, true, 0)
 			e.emitCompute(core, perTuple)
 		}
 	}
@@ -379,7 +475,6 @@ func (e *Executor) GroupRead(p imdb.Placement, fields []string, groupLines int, 
 		return err
 	}
 	slots := wordSlots(spans)
-	geom := p.Geom()
 	perCore := e.partition(p).perCore()
 
 	// GroupRead consumption is strictly ordered: the consuming operator
@@ -398,15 +493,16 @@ func (e *Executor) GroupRead(p imdb.Placement, fields []string, groupLines int, 
 		return nil
 	}
 
+	cur := newScanCursor(p, slots, addr.Row, trace.Load)
 	for core, regions := range perCore {
 		for _, r := range regions {
 			first, last := r[0], r[1]
 			for t := first; t < last; {
 				cf, cn := p.ChunkRange(t)
-				lo, hi := maxInt(first, cf), minInt(last, cf+cn)
+				lo, hi := max(first, cf), min(last, cf+cn)
 				block := groupLines * addr.LineWords
 				for b := lo; b < hi; b += block {
-					bh := minInt(hi, b+block)
+					bh := min(hi, b+block)
 					o := p.ScanOrient(b)
 					// Prefetch and pin, column-major: one line per 8
 					// tuples per word column. The prefetches are
@@ -421,10 +517,8 @@ func (e *Executor) GroupRead(p imdb.Placement, fields []string, groupLines int, 
 						}
 					}
 					// Consume in strict tuple order from the pinned lines.
-					tr := newSlotTracker(len(slots))
-					for tu := b; tu < bh; tu++ {
-						e.scanTuple(core, p, geom, slots, tu, o, false, tr, perTuple)
-					}
+					cur.reset(o, e.loadKind(o))
+					e.walkTuples(core, cur, b, bh, perTuple)
 					e.emit(core, trace.UnpinAllOp())
 				}
 				t = cf + cn
@@ -437,7 +531,7 @@ func (e *Executor) GroupRead(p imdb.Placement, fields []string, groupLines int, 
 // HashOps models hash-table traffic for joins: each listed slot of the
 // hash-table placement is touched (read or write) with perOp compute.
 func (e *Executor) HashOps(p imdb.Placement, slots []int, write bool, perOp int64) error {
-	L := p.Table().Schema.TupleWords()
+	whole := []fieldSpan{{off: 0, words: p.Table().Schema.TupleWords()}}
 	parts := trace.Split(len(slots), e.cores)
 	for core, r := range parts {
 		for i := r[0]; i < r[1]; i++ {
@@ -445,8 +539,7 @@ func (e *Executor) HashOps(p imdb.Placement, slots []int, write bool, perOp int6
 			if s < 0 || s >= p.Table().Tuples {
 				return fmt.Errorf("query: hash slot %d out of range", s)
 			}
-			e.touchSpan(core, p, s, 0, L, addr.Row, write)
-			e.emitCompute(core, perOp)
+			e.touchSpans(core, p, s, whole, addr.Row, write, perOp)
 		}
 	}
 	return nil
@@ -455,16 +548,12 @@ func (e *Executor) HashOps(p imdb.Placement, slots []int, write bool, perOp int6
 // physicalOrder re-sorts matched tuples by their physical buffer location
 // (chunk, then the buffer index of the tuple's first word in its fetch
 // orientation), so that tuples sharing an open row or column buffer are
-// visited back to back.
+// visited back to back. The keys are unique, so the order is too.
 func physicalOrder(p imdb.Placement, matches []int) []int {
 	if len(matches) < 2 {
 		return matches
 	}
-	type keyed struct {
-		key uint64
-		t   int
-	}
-	ks := make([]keyed, len(matches))
+	ks := make([]orderKey, len(matches))
 	for i, t := range matches {
 		c := p.Cell(t, 0)
 		var major, minor uint32
@@ -475,9 +564,9 @@ func physicalOrder(p imdb.Placement, matches []int) []int {
 		}
 		// Chunk-major so each chunk's bank is drained before the next.
 		first, _ := p.ChunkRange(t)
-		ks[i] = keyed{key: uint64(first)<<40 | uint64(major)<<20 | uint64(minor), t: t}
+		ks[i] = orderKey{key: uint64(first)<<40 | uint64(major)<<20 | uint64(minor), t: t}
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	lower.order(ks)
 	out := make([]int, len(ks))
 	for i, k := range ks {
 		out[i] = k.t
@@ -485,16 +574,8 @@ func physicalOrder(p imdb.Placement, matches []int) []int {
 	return out
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// orderKey is a matched tuple and its physical-order key.
+type orderKey struct {
+	key uint64
+	t   int
 }

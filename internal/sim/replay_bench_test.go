@@ -77,28 +77,47 @@ func BenchmarkTimedReplay(b *testing.B) {
 	})
 }
 
-// buildQ3 lowers the heaviest cell of the Fig 18 sweep, Q3 (SELECT * with
-// most tuples matching) on RRAM at medium scale, to its per-core streams.
-func buildQ3(tb testing.TB) []trace.Stream {
+// build lowers one query at the medium scale to its per-core streams on
+// sys: placing the tables and lowering the query, nothing simulated.
+func build(tb testing.TB, sys config.System, id string) []trace.Stream {
 	tb.Helper()
-	env, err := workload.NewEnv(config.RRAM(), experiments.ParamsFor(experiments.ScaleMedium))
+	env, err := workload.NewEnv(sys, experiments.ParamsFor(experiments.ScaleMedium))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	q, _ := workload.QueryByID("Q3")
+	q, _ := workload.QueryByID(id)
 	if err := q.Build(env); err != nil {
 		tb.Fatal(err)
 	}
 	return env.Exec.Streams()
 }
 
-// BenchmarkBuildCell is the planner's share of one sweep cell: placing the
+// buildQ3 lowers the heaviest cell of the Fig 18 sweep, Q3 (SELECT * with
+// most tuples matching) on RRAM at medium scale.
+func buildQ3(tb testing.TB) []trace.Stream { return build(tb, config.RRAM(), "Q3") }
+
+// BenchmarkBuildCell is the planner's share of a sweep cell: placing the
 // tables and lowering the query, nothing simulated. B/op is the size of
-// the trace.
+// the trace. "setup" is the sim_sweep benchmark's set-up cell (Q1 on
+// RC-NVM), "q3/rcnvm" a dense fetch lowered as a word-major column scan,
+// "q3/rram" the sweep's heaviest cell (row fetches on the NVM layout) and
+// "q3/dram" the same query on the linear placement.
 func BenchmarkBuildCell(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buildQ3(b)
+	for _, c := range []struct {
+		name, query string
+		sys         config.System
+	}{
+		{"setup", "Q1", config.RCNVM()},
+		{"q3/rcnvm", "Q3", config.RCNVM()},
+		{"q3/rram", "Q3", config.RRAM()},
+		{"q3/dram", "Q3", config.DRAM()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build(b, c.sys, c.query)
+			}
+		})
 	}
 }
 
