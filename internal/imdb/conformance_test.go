@@ -12,7 +12,8 @@ import (
 //
 //  1. Cell is injective over (tuple, word).
 //  2. Every cell lies within the geometry bounds.
-//  3. ChunkRange tiles [0, Tuples) without gaps or overlaps.
+//  3. ChunkRange tiles [0, Tuples) without gaps or overlaps, and a
+//     chunk's tuples share their FetchOrient.
 //  4. FetchOrient adjacency: within one tuple, consecutive words are
 //     adjacent along the fetch orientation.
 //  5. ScanOrient adjacency (ColMajor chunked placements): consecutive
@@ -36,6 +37,11 @@ func conformance(t *testing.T, name string, p Placement, checkScanAdj, checkFetc
 		f, n := p.ChunkRange(prev)
 		if f != prev || n <= 0 {
 			t.Fatalf("%s: chunk at %d = [%d,+%d)", name, prev, f, n)
+		}
+		for tu := f + 1; tu < f+n; tu++ {
+			if o := p.FetchOrient(tu); o != p.FetchOrient(f) {
+				t.Fatalf("%s: tuple %d fetches along %v, its chunk's first %d along %v", name, tu, o, f, p.FetchOrient(f))
+			}
 		}
 		prev = f + n
 	}

@@ -134,7 +134,8 @@ type Placement interface {
 	// tuples near t is contiguous (the field-scan direction).
 	ScanOrient(t int) addr.Orientation
 	// FetchOrient is the orientation in which the words of tuple t are
-	// contiguous (the whole-tuple direction).
+	// contiguous (the whole-tuple direction). It is the same for every
+	// tuple of a chunk.
 	FetchOrient(t int) addr.Orientation
 	// ChunkRange returns the [first, first+n) tuple span of the chunk
 	// containing t.

@@ -1,10 +1,8 @@
 package query
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"rcnvm/internal/addr"
 	"rcnvm/internal/imdb"
@@ -157,8 +155,35 @@ func (runs) touch(e *Executor, core int, p imdb.Placement, t int, spans []fieldS
 	}
 }
 
+// order is an LSD radix sort, a byte per pass, that skips the bytes every
+// key shares.
 func (runs) order(keys []orderKey) {
-	slices.SortFunc(keys, func(a, b orderKey) int { return cmp.Compare(a.key, b.key) })
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range keys {
+		and &= k.key
+		or |= k.key
+	}
+	src, dst := keys, make([]orderKey, len(keys))
+	for shift := 0; shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range src {
+			at[byte(k.key>>shift)]++
+		}
+		pos := 0
+		for b, n := range at {
+			at[b], pos = pos, pos+n
+		}
+		for _, k := range src {
+			b := byte(k.key >> shift)
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(keys, src)
 }
 
 // lineRun returns how many of the n words a run visits from c on, step
@@ -548,22 +573,26 @@ func (e *Executor) HashOps(p imdb.Placement, slots []int, write bool, perOp int6
 // physicalOrder re-sorts matched tuples by their physical buffer location
 // (chunk, then the buffer index of the tuple's first word in its fetch
 // orientation), so that tuples sharing an open row or column buffer are
-// visited back to back. The keys are unique, so the order is too.
+// visited back to back. The keys are unique, so the order is too. A
+// chunk's tuples share their fetch orientation, so a key costs the one
+// Cell lookup while consecutive matches stay in one chunk.
 func physicalOrder(p imdb.Placement, matches []int) []int {
 	if len(matches) < 2 {
 		return matches
 	}
 	ks := make([]orderKey, len(matches))
+	first, n, o := 0, 0, addr.Row
 	for i, t := range matches {
+		if t < first || t >= first+n {
+			first, n = p.ChunkRange(t)
+			o = p.FetchOrient(t)
+		}
 		c := p.Cell(t, 0)
-		var major, minor uint32
-		if p.FetchOrient(t) == addr.Row {
-			major, minor = c.Row, c.Column
-		} else {
+		major, minor := c.Row, c.Column
+		if o == addr.Column {
 			major, minor = c.Column, c.Row
 		}
 		// Chunk-major so each chunk's bank is drained before the next.
-		first, _ := p.ChunkRange(t)
 		ks[i] = orderKey{key: uint64(first)<<40 | uint64(major)<<20 | uint64(minor), t: t}
 	}
 	lower.order(ks)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -30,7 +29,7 @@ type Client struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	sc      *bufio.Scanner
-	enc     *json.Encoder
+	buf     []byte // the request being sent
 	id      uint64
 	timeout time.Duration
 	broken  bool
@@ -51,7 +50,7 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	}
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(nil, maxLineBytes)
-	return &Client{conn: conn, sc: sc, enc: json.NewEncoder(conn)}, nil
+	return &Client{conn: conn, sc: sc}, nil
 }
 
 // SetTimeout sets a per-request wall-clock deadline, enforced with
@@ -127,7 +126,8 @@ func (c *Client) do(req Request) (*Response, error) {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.buf = appendRequest(c.buf[:0], &req)
+	if _, err := c.conn.Write(c.buf); err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("server: send: %w", err)
 	}
@@ -139,7 +139,7 @@ func (c *Client) do(req Request) (*Response, error) {
 		return nil, fmt.Errorf("server: connection closed: %w", ErrSessionBroken)
 	}
 	resp := new(Response)
-	if err := json.Unmarshal(c.sc.Bytes(), resp); err != nil {
+	if err := decodeResponse(c.sc.Bytes(), resp); err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("server: bad response: %w", err)
 	}

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -155,28 +157,41 @@ func (f *FrontEnd) serveConn(c net.Conn) {
 	respond, closeSession = f.Open()
 	sc := bufio.NewScanner(c)
 	sc.Buffer(nil, maxLineBytes) // grown on demand: the cap up front zeroed 1 MB per session
-	enc := json.NewEncoder(c)
+	// buf holds one encoded reply, written with one Write; a reply much
+	// larger than usual is not kept for the rest of the session.
+	var buf []byte
+	send := func(resp *Response) error {
+		var err error
+		if buf, err = appendResponse(buf[:0], resp); err != nil {
+			return err
+		}
+		_, err = c.Write(buf)
+		if cap(buf) > 64<<10 {
+			buf = nil
+		}
+		return err
+	}
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		req := new(Request)
+		if err := decodeRequest(line, req); err != nil {
 			f.Count(BadRequests, 1)
 			errCount++
-			if err := enc.Encode(errResponse(0, CodeBadRequest, err.Error())); err != nil {
+			if err := send(errResponse(0, CodeBadRequest, err.Error())); err != nil {
 				f.lost(EncodeErrors, "response encode failed", id, err)
 				return
 			}
 			continue
 		}
-		resp, release := respond(&req)
+		resp, release := respond(req)
 		statements++
 		if resp.Error != nil {
 			errCount++
 		}
-		err := enc.Encode(resp)
+		err := send(resp)
 		if release != nil {
 			release()
 		}
@@ -196,7 +211,7 @@ func (f *FrontEnd) serveConn(c net.Conn) {
 		f.Count(BadRequests, 1)
 		errCount++
 		msg := fmt.Sprintf("request line exceeds %d bytes", maxLineBytes)
-		if err := enc.Encode(errResponse(0, CodeBadRequest, msg)); err != nil {
+		if err := send(errResponse(0, CodeBadRequest, msg)); err != nil {
 			f.lost(EncodeErrors, "response encode failed", id, err)
 		}
 	}
@@ -229,7 +244,7 @@ func (f *FrontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// typed internal_error payload and the metric fires.
 		if rec := recover(); rec != nil {
 			f.lost(Panics, "session panicked", 0, rec)
-			f.WriteJSON(w, http.StatusInternalServerError,
+			f.writeResponse(w, http.StatusInternalServerError,
 				errResponse(req.ID, CodeInternal, fmt.Sprintf("internal error: %v", rec)))
 		}
 	}()
@@ -237,9 +252,9 @@ func (f *FrontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLineBytes)).Decode(&req); err != nil {
+	if err := readRequest(w, r, &req); err != nil {
 		f.Count(BadRequests, 1)
-		f.WriteJSON(w, http.StatusBadRequest, errResponse(0, CodeBadRequest, err.Error()))
+		f.writeResponse(w, http.StatusBadRequest, errResponse(0, CodeBadRequest, err.Error()))
 		return
 	}
 	respond, closeSession := f.Open()
@@ -251,9 +266,41 @@ func (f *FrontEnd) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.Error != nil {
 		status = httpStatus(resp.Error.Code)
 	}
-	f.WriteJSON(w, status, resp)
+	f.writeResponse(w, status, resp)
 	if release != nil {
 		release()
+	}
+}
+
+// readRequest decodes a POST /query body as json.Decoder decodes its first
+// value from a body capped at maxLineBytes: whatever follows that value is
+// never read. A body read whole under the cap takes the codec's fast path;
+// any other goes to json.Decoder over the same bytes, with the rest of the
+// body after them.
+func readRequest(w http.ResponseWriter, r *http.Request, req *Request) error {
+	lr := &io.LimitedReader{R: r.Body, N: maxLineBytes}
+	body, err := io.ReadAll(lr)
+	if err == nil && lr.N > 0 {
+		if _, ok := scanRequest(body, req); ok {
+			return nil
+		}
+	}
+	*req = Request{}
+	rest := io.NopCloser(io.MultiReader(bytes.NewReader(body), r.Body))
+	return json.NewDecoder(http.MaxBytesReader(w, rest, maxLineBytes)).Decode(req)
+}
+
+// writeResponse writes one POST /query reply with one Write, counting and
+// logging a reply that could not be encoded or delivered as WriteJSON does.
+func (f *FrontEnd) writeResponse(w http.ResponseWriter, status int, resp *Response) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	b, err := appendResponse(nil, resp)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
+		f.lost(EncodeErrors, "response encode failed", 0, err)
 	}
 }
 

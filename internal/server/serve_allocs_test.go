@@ -25,3 +25,29 @@ func TestPointDoAllocs(t *testing.T) {
 		t.Fatalf("point Server.Do allocates %.1f/op, want <= %d", allocs, ceiling)
 	}
 }
+
+// TestPointTCPAllocs holds the cost of a point statement over the wire: a
+// warm point SELECT on one loopback session, counting both ends — the
+// client's request and reply, the server's session and Server.Do. The
+// codec encodes into per-connection buffers, so past Do the wire adds the
+// decoded request and the client's decoded reply.
+func TestPointTCPAllocs(t *testing.T) {
+	_, addr := serveFixture(t, 64)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(pointQuery); err != nil { // fill the plan cache
+		t.Fatal(err)
+	}
+	const ceiling = 15
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Query(pointQuery); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("point SELECT over TCP allocates %.1f/op, want <= %d", allocs, ceiling)
+	}
+}

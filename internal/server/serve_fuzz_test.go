@@ -57,6 +57,14 @@ func FuzzServeLine(f *testing.F) {
 	f.Add([]byte(`{"id":1,"query":"INSERT INTO t VALUES (4)"}` + "\n\r\n" + `{"query":"SELECT SUM(a) FROM t","timing":true}`))
 	f.Add([]byte(`{"batch":["SELECT a FROM t","DELETE FROM t"]}` + "\nnot json\n" + `{"query":"SELECT COUNT(*) FROM t","timeout_ms":1}`))
 	f.Add([]byte(`{"query":""}` + "\n" + `{"batch":[],"query":"x"}` + "\nnull"))
+	// Every request line of the reply golden that fits a session's line.
+	for _, rig := range goldenRigs() {
+		for _, c := range rig.cases {
+			if len(c.line) < maxLineBytes {
+				f.Add([]byte(c.line))
+			}
+		}
+	}
 
 	// The sentinel follows the fuzzed lines; its reply must come right
 	// after theirs, so an extra reply shows as a wrong id.
