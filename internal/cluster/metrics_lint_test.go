@@ -14,7 +14,7 @@ import (
 )
 
 // scrapeGauges are the levels read off the pool, the cluster and the
-// rotation while /metrics renders — not stats.Set series, so no family
+// rotation while /metrics renders — not counter-store series, so no family
 // declares them. They are listed here so that a new one is a conscious
 // edit, and they must be catalogued like every declared series.
 var scrapeGauges = []string{
@@ -30,10 +30,11 @@ var scrapeGauges = []string{
 // an undocumented metric is one nobody can safely rely on or rename.
 // (b) Every unlabeled counter or gauge a live server, replica and router
 // render on /metrics must be a declared series (or a scrape-time gauge):
-// a name passed to Set.Inc without a declaration has no zero-prefill, so
-// it would pop into existence mid-run. Labeled samples (per-bank
-// telemetry, histogram quantiles, replication lag) come from their own
-// renderers and are not stats.Set series.
+// a counter store refuses an undeclared name, but a value merged into the
+// snapshot from elsewhere has no such check, and an undeclared series
+// would pop into existence mid-run. Labeled samples (per-bank telemetry,
+// histogram quantiles, replication lag) come from their own renderers and
+// are not counter-store series.
 // (c) Each of those expositions, and the router's /cluster/metrics, must
 // pass lintExposition's strict format check.
 func TestMetricsLint(t *testing.T) {

@@ -253,7 +253,7 @@ func TestClusterMetricsFederation(t *testing.T) {
 }
 
 // TestRouterMetricsExposition checks the router's own /metrics: every
-// route.* counter present from the first scrape (zero-prefilled) and the
+// route.* counter present, at 0, from the first scrape and the
 // per-backend read-latency family with one TYPE line.
 func TestRouterMetricsExposition(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 1)
@@ -297,7 +297,7 @@ func TestRouterMetricsExposition(t *testing.T) {
 // observability touch points of an untraced, unscraped forward — counter
 // increment, nil trace methods, latency observation — allocate nothing.
 func BenchmarkRouterDisabledObs(b *testing.B) {
-	met := stats.NewSet()
+	met := stats.NewCounters(&Family)
 	n := &node{name: "replica-0", lat: stats.NewHistogram()}
 	var ft *fwdTrace
 	start := time.Now()

@@ -16,7 +16,8 @@ import (
 )
 
 // Family declares the router's route.* series (the counters of its /stats
-// payload), zero-prefilled on /stats and /metrics so dashboards never see
+// payload); the router's counter store is built over it, so each exists,
+// at 0, from the first /stats and /metrics and dashboards never see a
 // series appear mid-run.
 var Family stats.Family
 
@@ -96,7 +97,7 @@ type Router struct {
 	replicas []*node
 	rr       atomic.Uint64 // round-robin cursor over replicas
 	check    *checker
-	met      *stats.Set
+	met      *stats.Counters // over Family
 	// traceSeq assigns cluster-unique trace ids to traced requests that
 	// arrive without one.
 	traceSeq atomic.Int64
@@ -117,7 +118,7 @@ func NewRouter(opts RouterOptions) *Router {
 	r := &Router{
 		opts:    opts,
 		primary: &node{be: opts.Primary, name: "primary", lat: stats.NewHistogram()},
-		met:     stats.NewSet(),
+		met:     stats.NewCounters(&Family),
 		scrape:  &http.Client{Timeout: opts.ScrapeTimeout},
 	}
 	// The router is ready as soon as it serves: with every backend down it
@@ -443,7 +444,6 @@ type ReplicaHealth struct {
 // Stats snapshots the router counters and per-replica health.
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{Counters: r.met.Snapshot()}
-	stats.Prefill(st.Counters, &Family)
 	for _, n := range r.replicas {
 		st.Replicas = append(st.Replicas, ReplicaHealth{
 			Backend:     n.be.String(),
@@ -462,7 +462,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleMetrics renders the router's own GET /metrics: every route.*
-// counter (zero-prefilled, like the backends' expositions), the replica
+// counter (0 until it fires, like the backends' expositions), the replica
 // rotation gauges, and one read-latency histogram family labeled by
 // backend node.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {

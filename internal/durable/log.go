@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"rcnvm/internal/stats"
 )
 
 // SyncPolicy selects when appended WAL records reach stable storage.
@@ -71,7 +73,7 @@ type Log struct {
 	dir      string
 	policy   SyncPolicy
 	segLimit int64
-	counters *Counters
+	counters *stats.Counters // over Family, shared by every shard log
 
 	mu     sync.Mutex
 	f      *os.File // current segment, append position at its end
@@ -122,7 +124,7 @@ func parseSegName(name string) (epoch uint64, idx int, ok bool) {
 // appending and starts the flusher. size must be the segment's current
 // byte length — recovery passes the validated offset after truncating any
 // torn tail; a fresh log passes 0.
-func openLog(dir string, epoch uint64, segIdx int, size int64, policy SyncPolicy, segLimit int64, interval time.Duration, counters *Counters) (*Log, error) {
+func openLog(dir string, epoch uint64, segIdx int, size int64, policy SyncPolicy, segLimit int64, interval time.Duration, counters *stats.Counters) (*Log, error) {
 	f, err := os.OpenFile(filepath.Join(dir, segName(epoch, segIdx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open wal segment: %w", err)
@@ -180,8 +182,8 @@ func (l *Log) Append(payload []byte) (wait func() error, err error) {
 	seq := l.seq
 	l.mu.Unlock()
 
-	l.counters.WalAppends.Add(1)
-	l.counters.WalBytes.Add(int64(len(frame)))
+	l.counters.Inc(CtrWalAppends)
+	l.counters.Add(CtrWalBytes, int64(len(frame)))
 	if l.policy != SyncAlways {
 		return nil, nil
 	}
@@ -270,14 +272,14 @@ func (l *Log) syncPass() {
 		if e := r.Sync(); e != nil && err == nil {
 			err = e
 		}
-		l.counters.WalFsyncs.Add(1)
+		l.counters.Inc(CtrWalFsyncs)
 		if e := r.Close(); e != nil && err == nil {
 			err = e
 		}
 	}
 	if err == nil && f != nil {
 		err = f.Sync()
-		l.counters.WalFsyncs.Add(1)
+		l.counters.Inc(CtrWalFsyncs)
 	}
 
 	l.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rcnvm/internal/stats"
 )
 
 // walInsert is the record of a single-row INSERT, as the sql layer logs a
@@ -23,14 +25,14 @@ var walInsert = encodeStatement(nil, "INSERT INTO t VALUES (4242, 2, 12726)", fa
 //   - sync_always: one appender under SyncAlways, waiting out an fsync per
 //     record.
 func BenchmarkWAL(b *testing.B) {
-	open := func(b *testing.B, policy SyncPolicy) (*Log, *Counters) {
-		var ctr Counters
-		l, err := openLog(b.TempDir(), 1, 1, 0, policy, 8<<20, 5*time.Millisecond, &ctr)
+	open := func(b *testing.B, policy SyncPolicy) (*Log, *stats.Counters) {
+		ctr := stats.NewCounters(&Family)
+		l, err := openLog(b.TempDir(), 1, 1, 0, policy, 8<<20, 5*time.Millisecond, ctr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { l.Close() })
-		return l, &ctr
+		return l, ctr
 	}
 	b.Run("append", func(b *testing.B) {
 		l, _ := open(b, SyncInterval)
@@ -73,7 +75,7 @@ func BenchmarkWAL(b *testing.B) {
 		for err := range errs {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(ctr.WalFsyncs.Load())/float64(b.N), "fsyncs/op")
+		b.ReportMetric(float64(ctr.Snapshot()[CtrWalFsyncs])/float64(b.N), "fsyncs/op")
 	})
 	b.Run("sync_always", func(b *testing.B) {
 		l, _ := open(b, SyncAlways)

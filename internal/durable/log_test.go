@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rcnvm/internal/stats"
 )
 
 // readSegment decodes every whole record in one segment file, returning
@@ -35,8 +37,8 @@ func readSegment(t *testing.T, path string) (payloads [][]byte, validEnd int64) 
 
 func TestLogAppendSyncAlways(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +61,8 @@ func TestLogAppendSyncAlways(t *testing.T) {
 	if len(payloads) != 10 {
 		t.Fatalf("segment holds %d records, want 10", len(payloads))
 	}
-	if ctr.WalAppends.Load() != 10 || ctr.WalFsyncs.Load() == 0 || ctr.WalBytes.Load() == 0 {
-		t.Fatalf("counters: appends=%d fsyncs=%d bytes=%d",
-			ctr.WalAppends.Load(), ctr.WalFsyncs.Load(), ctr.WalBytes.Load())
+	if c := ctr.Snapshot(); c[CtrWalAppends] != 10 || c[CtrWalFsyncs] == 0 || c[CtrWalBytes] == 0 {
+		t.Fatalf("counters: appends=%d fsyncs=%d bytes=%d", c[CtrWalAppends], c[CtrWalFsyncs], c[CtrWalBytes])
 	}
 }
 
@@ -71,8 +72,8 @@ func TestLogAppendSyncAlways(t *testing.T) {
 // fsync count must come in well under the append count.
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,8 @@ func TestLogGroupCommit(t *testing.T) {
 	if want := goroutines * each; len(payloads) != want {
 		t.Fatalf("segment holds %d records, want %d", len(payloads), want)
 	}
-	appends, fsyncs := ctr.WalAppends.Load(), ctr.WalFsyncs.Load()
+	c := ctr.Snapshot()
+	appends, fsyncs := c[CtrWalAppends], c[CtrWalFsyncs]
 	if appends != goroutines*each {
 		t.Fatalf("appends = %d, want %d", appends, goroutines*each)
 	}
@@ -125,9 +127,9 @@ func TestLogGroupCommit(t *testing.T) {
 
 func TestLogSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
+	ctr := stats.NewCounters(&Family)
 	// Tiny segment limit so a handful of appends spans several segments.
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 128, 0, &ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 128, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +177,8 @@ func TestLogSegmentRotation(t *testing.T) {
 
 func TestLogReopenContinues(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 3, 1, 0, SyncAlways, 1<<20, 0, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 3, 1, 0, SyncAlways, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestLogReopenContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := openLog(dir, 3, 1, fi.Size(), SyncAlways, 1<<20, 0, &ctr)
+	l2, err := openLog(dir, 3, 1, fi.Size(), SyncAlways, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +228,8 @@ func TestLogReopenContinues(t *testing.T) {
 
 func TestLogRotateToNewEpoch(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +262,8 @@ func TestLogRotateToNewEpoch(t *testing.T) {
 
 func TestLogSyncInterval(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 1, 1, 0, SyncInterval, 1<<20, time.Millisecond, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 1, 1, 0, SyncInterval, 1<<20, time.Millisecond, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestLogSyncInterval(t *testing.T) {
 		t.Fatal("SyncInterval append returned a wait func; only SyncAlways blocks")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for ctr.WalFsyncs.Load() == 0 {
+	for ctr.Snapshot()[CtrWalFsyncs] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("background flusher never synced")
 		}
@@ -286,8 +288,8 @@ func TestLogSyncInterval(t *testing.T) {
 
 func TestLogAppendAfterClose(t *testing.T) {
 	dir := t.TempDir()
-	var ctr Counters
-	l, err := openLog(dir, 1, 1, 0, SyncNone, 1<<20, 0, &ctr)
+	ctr := stats.NewCounters(&Family)
+	l, err := openLog(dir, 1, 1, 0, SyncNone, 1<<20, 0, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

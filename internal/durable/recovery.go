@@ -94,7 +94,7 @@ func (s *Store) Recover(c *shard.Cluster) (RecoveryStats, error) {
 			return stats, err
 		}
 		logs[i], err = openLog(s.shardDir(i), s.epoch, lastIdx, lastSize,
-			s.opts.Fsync, s.opts.SegmentBytes, s.opts.Interval, &s.counters)
+			s.opts.Fsync, s.opts.SegmentBytes, s.opts.Interval, s.counters)
 		if err != nil {
 			for _, l := range logs[:i] {
 				l.Close()
@@ -111,9 +111,9 @@ func (s *Store) Recover(c *shard.Cluster) (RecoveryStats, error) {
 	s.logs = logs
 	s.cluster = c
 	stats.Elapsed = time.Since(start)
-	s.counters.RecoveryReplayed.Add(int64(stats.Records))
-	s.counters.RecoveryTornBytes.Add(stats.TornBytes)
-	s.counters.RecoveryNanos.Add(stats.Elapsed.Nanoseconds())
+	s.counters.Add(CtrRecoveryReplayed, int64(stats.Records))
+	s.counters.Add(CtrRecoveryTornBytes, stats.TornBytes)
+	s.counters.Add(CtrRecoveryNanos, stats.Elapsed.Nanoseconds())
 	return stats, nil
 }
 

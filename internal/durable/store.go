@@ -39,7 +39,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rcnvm/internal/engine"
@@ -49,44 +48,19 @@ import (
 
 // Family declares the wal.* series, as merged into the server's /stats
 // payload and /metrics exposition (rcnvm_wal_appends_total and friends).
+// Every shard log of a Store counts into one store over it.
 var Family stats.Family
 
 var (
-	CtrWalAppends        = Family.Counter("wal.appends")
-	CtrWalFsyncs         = Family.Counter("wal.fsyncs")
-	CtrWalBytes          = Family.Counter("wal.bytes")
-	CtrCheckpoints       = Family.Counter("wal.checkpoints")
-	CtrCheckpointNanos   = Family.Counter("wal.checkpoint_ns")
-	CtrRecoveryReplayed  = Family.Counter("wal.recovery_replayed")
-	CtrRecoveryNanos     = Family.Counter("wal.recovery_ns")
-	CtrRecoveryTornBytes = Family.Counter("wal.recovery_torn_bytes")
+	CtrWalAppends        = Family.Counter("wal.appends")             // records appended
+	CtrWalFsyncs         = Family.Counter("wal.fsyncs")              // fsync syscalls issued
+	CtrWalBytes          = Family.Counter("wal.bytes")               // framed bytes written
+	CtrCheckpoints       = Family.Counter("wal.checkpoints")         // checkpoints completed
+	CtrCheckpointNanos   = Family.Counter("wal.checkpoint_ns")       // wall time spent checkpointing
+	CtrRecoveryReplayed  = Family.Counter("wal.recovery_replayed")   // records replayed at boot
+	CtrRecoveryNanos     = Family.Counter("wal.recovery_ns")         // wall time spent recovering
+	CtrRecoveryTornBytes = Family.Counter("wal.recovery_torn_bytes") // bytes truncated off torn segment tails
 )
-
-// Counters is the subsystem's accounting, shared by every shard log.
-type Counters struct {
-	WalAppends        atomic.Int64 // records appended
-	WalFsyncs         atomic.Int64 // fsync syscalls issued
-	WalBytes          atomic.Int64 // framed bytes written
-	Checkpoints       atomic.Int64 // checkpoints completed
-	CheckpointNanos   atomic.Int64 // wall time spent checkpointing
-	RecoveryReplayed  atomic.Int64 // records replayed at boot
-	RecoveryNanos     atomic.Int64 // wall time spent recovering
-	RecoveryTornBytes atomic.Int64 // bytes truncated off torn segment tails
-}
-
-// Snapshot renders the counters under their /stats names.
-func (c *Counters) Snapshot() map[string]int64 {
-	return map[string]int64{
-		CtrWalAppends:        c.WalAppends.Load(),
-		CtrWalFsyncs:         c.WalFsyncs.Load(),
-		CtrWalBytes:          c.WalBytes.Load(),
-		CtrCheckpoints:       c.Checkpoints.Load(),
-		CtrCheckpointNanos:   c.CheckpointNanos.Load(),
-		CtrRecoveryReplayed:  c.RecoveryReplayed.Load(),
-		CtrRecoveryNanos:     c.RecoveryNanos.Load(),
-		CtrRecoveryTornBytes: c.RecoveryTornBytes.Load(),
-	}
-}
 
 // Options configures a Store. The zero value is usable: group-commit
 // fsyncs, 8 MiB segments.
@@ -132,7 +106,7 @@ type Store struct {
 	n     int
 	epoch uint64
 
-	counters Counters
+	counters *stats.Counters // over Family
 
 	mu      sync.Mutex // serializes Checkpoint and Close
 	logs    []*Log
@@ -155,7 +129,7 @@ func Open(dir string, _ engine.Mode, shards int, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, n: shards}
+	s := &Store{dir: dir, opts: opts, n: shards, counters: stats.NewCounters(&Family)}
 	for i := 0; i < shards; i++ {
 		if err := os.MkdirAll(s.shardDir(i), 0o755); err != nil {
 			return nil, fmt.Errorf("durable: %w", err)
@@ -195,9 +169,6 @@ func (s *Store) Dir() string { return s.dir }
 
 // Epoch returns the current checkpoint epoch.
 func (s *Store) Epoch() uint64 { return s.epoch }
-
-// Counters returns the subsystem's accounting.
-func (s *Store) Counters() *Counters { return &s.counters }
 
 // CounterSnapshot renders the accounting under the /stats counter names.
 func (s *Store) CounterSnapshot() map[string]int64 { return s.counters.Snapshot() }
@@ -321,8 +292,8 @@ func (s *Store) Checkpoint() error {
 		return err
 	}
 	s.sweepStale()
-	s.counters.Checkpoints.Add(1)
-	s.counters.CheckpointNanos.Add(time.Since(start).Nanoseconds())
+	s.counters.Inc(CtrCheckpoints)
+	s.counters.Add(CtrCheckpointNanos, time.Since(start).Nanoseconds())
 	return nil
 }
 

@@ -36,16 +36,14 @@ func checkGolden(t *testing.T, got, want string) {
 }
 
 func renderCounters() string {
-	counters := map[string]int64{
-		server.Queries:        42,
-		server.SessionsActive: 3,
-		server.PlanCacheHits:  7,
-		durable.CtrWalBytes:   1 << 20,
-	}
-	stats.Prefill(counters, &server.Family, &durable.Family)
+	c := stats.NewCounters(&server.Family, &durable.Family)
+	c.Add(server.Queries, 42)
+	c.Add(server.SessionsActive, 3)
+	c.Add(server.PlanCacheHits, 7)
+	c.Add(durable.CtrWalBytes, 1<<20)
 	var b bytes.Buffer
 	p := obs.NewWriter(&b)
-	p.Counters("rcnvm", counters, &server.Family, &durable.Family)
+	p.Counters("rcnvm", c.Snapshot(), &server.Family, &durable.Family)
 	p.Gauge("rcnvm_server_pool_workers", 4)
 	p.Gauge("rcnvm_test_fraction", 0.125)
 	p.Gauge("rcnvm_test_large", 2e6)

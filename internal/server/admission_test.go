@@ -57,7 +57,7 @@ func TestAdmissionSlots(t *testing.T) {
 	if d := time.Since(start); d > 100*time.Millisecond {
 		t.Fatalf("overloaded reply took %v: admission must not wait", d)
 	}
-	if got := s.Metrics().Set.Get(Rejected); got != 1 {
+	if got := s.Metrics().Counters.Snapshot()[Rejected]; got != 1 {
 		t.Fatalf("%s = %d, want 1", Rejected, got)
 	}
 

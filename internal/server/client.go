@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rcnvm/internal/sql"
+	"rcnvm/internal/stats"
 )
 
 // ErrSessionBroken marks a session whose request/response framing can no
@@ -229,12 +230,9 @@ type RetryClient struct {
 	addr string
 	pol  RetryPolicy
 
-	// retries counts resends (attempts beyond each request's first);
-	// gaveup counts requests abandoned with ErrGaveUp. Together they are
-	// the client-side availability signal the chaos harness asserts on:
-	// a masked replica failure shows retries > 0 and gaveup == 0.
-	retries atomic.Int64
-	gaveup  atomic.Int64
+	// ctr counts ClientRetries and ClientGaveUp: the client-side
+	// availability signal the chaos harness asserts on.
+	ctr *stats.Counters
 
 	mu  sync.Mutex
 	c   *Client
@@ -256,6 +254,7 @@ func DialRetry(addr string, pol RetryPolicy) *RetryClient {
 		addr: addr,
 		pol:  pol.withDefaults(),
 		rng:  rand.New(rand.NewSource(seed)),
+		ctr:  stats.NewCounters(&clientFamily),
 	}
 }
 
@@ -315,20 +314,19 @@ func allReadOnly(stmts []string) bool {
 	return true
 }
 
-// Retry counter names, in the same namespace style as the server's.
-const (
-	ClientRetries = "client.retries" // resends beyond each request's first attempt
-	ClientGaveUp  = "client.gaveup"  // requests abandoned with ErrGaveUp
+// clientFamily declares a RetryClient's series, in the same namespace
+// style as the server's. No endpoint publishes them, so the metrics lint
+// does not walk it.
+var clientFamily stats.Family
+
+var (
+	ClientRetries = clientFamily.Counter("client.retries") // resends beyond each request's first attempt
+	ClientGaveUp  = clientFamily.Counter("client.gaveup")  // requests abandoned with ErrGaveUp
 )
 
 // Counters snapshots the client's retry accounting. A replica failure
 // fully masked by failover shows retries > 0 with gaveup still 0.
-func (r *RetryClient) Counters() map[string]int64 {
-	return map[string]int64{
-		ClientRetries: r.retries.Load(),
-		ClientGaveUp:  r.gaveup.Load(),
-	}
-}
+func (r *RetryClient) Counters() map[string]int64 { return r.ctr.Snapshot() }
 
 // budgetLeft reports whether one more attempt fits the retry budget: the
 // attempt count under MaxAttempts and, when MaxElapsed is set, the
@@ -355,7 +353,7 @@ func (r *RetryClient) do(req Request, retryable func(error) bool) (*Response, er
 	for ; r.budgetLeft(attempt, start); attempt++ {
 		if attempt > 0 {
 			time.Sleep(r.backoff(attempt))
-			r.retries.Add(1)
+			r.ctr.Inc(ClientRetries)
 		}
 		c, err := r.sessionLocked()
 		if err != nil {
@@ -375,7 +373,7 @@ func (r *RetryClient) do(req Request, retryable func(error) bool) (*Response, er
 			return resp, err
 		}
 	}
-	r.gaveup.Add(1)
+	r.ctr.Inc(ClientGaveUp)
 	return nil, fmt.Errorf("%w: giving up after %d attempts in %v: %w",
 		ErrGaveUp, attempt, time.Since(start).Round(time.Millisecond), lastErr)
 }

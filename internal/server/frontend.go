@@ -44,8 +44,8 @@ type FrontEnd struct {
 	Routes map[string]http.HandlerFunc
 	// Count receives the protocol-level events, under the server's series
 	// names: SessionsOpened, SessionsActive (±1), BadRequests, Panics,
-	// EncodeErrors. A Server counts them as they are (its Set.Add); another
-	// owner maps the ones it publishes into its own family.
+	// EncodeErrors. A Server counts them as they are (its store's Add);
+	// another owner maps the ones it publishes into its own family.
 	Count func(name string, delta int64)
 	// Logger, when non-nil, receives one line per closed session, per
 	// recovered panic and per undeliverable response.

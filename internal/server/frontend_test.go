@@ -22,7 +22,7 @@ import (
 // HTTP it comes back as a typed internal_error, and in both cases the
 // process and the sessions next to it live on.
 func TestFrontEndPanickingResponder(t *testing.T) {
-	set := stats.NewSet()
+	set := stats.NewCounters(&Family)
 	closed := make(chan struct{}, 8)
 	f := &FrontEnd{
 		Open: func() (Responder, func()) {
@@ -91,7 +91,7 @@ func TestFrontEndPanickingResponder(t *testing.T) {
 	if _, err := bystander.Query("still fine"); err != nil {
 		t.Fatalf("bystander after the panics: %v", err)
 	}
-	if got := set.Get(Panics); got != 2 {
+	if got := set.Snapshot()[Panics]; got != 2 {
 		t.Errorf("panics counted = %d, want 2 (one TCP, one HTTP)", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestOverCapHTTPBody(t *testing.T) {
 		t.Fatalf("over-cap body: status %d, response %+v; want 400 bad_request \"request body too large\"",
 			resp.StatusCode, out)
 	}
-	if got := s.Metrics().Set.Get(BadRequests); got != 1 {
+	if got := s.Metrics().Counters.Snapshot()[BadRequests]; got != 1 {
 		t.Errorf("%s = %d, want 1", BadRequests, got)
 	}
 }
@@ -168,7 +168,7 @@ func TestOverCapTCPLine(t *testing.T) {
 	if _, out := exchange(request(maxLineBytes - 1)); out.Error != nil || out.ID != 3 || len(out.Rows) != 1 {
 		t.Fatalf("line of maxLineBytes-1: %+v, want the COUNT answered", out)
 	}
-	if got := s.Metrics().Set.Get(BadRequests); got != 0 {
+	if got := s.Metrics().Counters.Snapshot()[BadRequests]; got != 0 {
 		t.Fatalf("%s = %d after an in-cap line", BadRequests, got)
 	}
 
@@ -179,7 +179,7 @@ func TestOverCapTCPLine(t *testing.T) {
 	if extra, err := r.ReadBytes('\n'); err == nil {
 		t.Fatalf("session stayed open after the refusal and sent %q", extra)
 	}
-	if got := s.Metrics().Set.Get(BadRequests); got != 1 {
+	if got := s.Metrics().Counters.Snapshot()[BadRequests]; got != 1 {
 		t.Errorf("%s = %d, want 1", BadRequests, got)
 	}
 	mustQuery(t, bystander, "SELECT COUNT(*) FROM t")

@@ -7,11 +7,12 @@ import (
 )
 
 // Family declares every series the server publishes itself: server.*,
-// plancache.* and fault.*, in the same stats.Set namespace style as the
+// plancache.* and fault.*, in the same dotted namespace style as the
 // simulator counters so one snapshot renders uniformly. The declaration is
-// the list — /metrics zero-prefills from it, so each series exists from
-// the first scrape (fault injection off, plan cache disabled and counters
-// that have not fired yet all read 0), and the documentation lint walks it.
+// the list — the server's counter store is built over it, so each series
+// exists from the first /stats and /metrics (fault injection off and
+// counters that have not fired yet read 0), and the documentation lint
+// walks it.
 var Family stats.Family
 
 // Server counters.
@@ -44,7 +45,8 @@ var (
 	PlanCacheEvictions = Family.Counter("plancache.evictions")
 )
 
-// Fault-layer counters merged into /stats when injection is enabled.
+// Fault-layer counters, merged into /stats from the injectors when
+// injection is enabled and 0 otherwise.
 var (
 	FaultTransientBits = Family.Counter("fault.transient_bits")
 	FaultStuckBits     = Family.Counter("fault.stuck_bits")
@@ -55,10 +57,10 @@ var (
 )
 
 // Metrics aggregates the service-level counters and the query-latency
-// distribution. Built on stats.Set and stats.Histogram, both safe for
+// distribution. Built on stats.Counters and stats.Histogram, both safe for
 // concurrent use, so every session and worker records into one instance.
 type Metrics struct {
-	Set *stats.Set
+	Counters *stats.Counters // over Family
 	// Latency holds wall-clock statement latencies in nanoseconds
 	// (admission to response-ready, excluding network time).
 	Latency *stats.Histogram
@@ -66,16 +68,16 @@ type Metrics struct {
 
 // NewMetrics returns an empty metrics instance.
 func NewMetrics() *Metrics {
-	return &Metrics{Set: stats.NewSet(), Latency: stats.NewHistogram()}
+	return &Metrics{Counters: stats.NewCounters(&Family), Latency: stats.NewHistogram()}
 }
 
 // observe records one executed statement.
 func (m *Metrics) observe(d time.Duration, rows int, failed bool) {
-	m.Set.Inc(Queries)
+	m.Counters.Inc(Queries)
 	if failed {
-		m.Set.Inc(QueryErrors)
+		m.Counters.Inc(QueryErrors)
 	}
-	m.Set.Add(RowsReturned, int64(rows))
+	m.Counters.Add(RowsReturned, int64(rows))
 	m.Latency.Observe(d.Nanoseconds())
 }
 
@@ -85,11 +87,11 @@ func (m *Metrics) observe(d time.Duration, rows int, failed bool) {
 // latency inside a batch is not individually measurable — they share one
 // lock round and one fsync wait).
 func (m *Metrics) observeBatch(d time.Duration, stmts, failed, rows int) {
-	m.Set.Inc(Batches)
-	m.Set.Add(BatchStatements, int64(stmts))
-	m.Set.Add(Queries, int64(stmts))
-	m.Set.Add(QueryErrors, int64(failed))
-	m.Set.Add(RowsReturned, int64(rows))
+	m.Counters.Inc(Batches)
+	m.Counters.Add(BatchStatements, int64(stmts))
+	m.Counters.Add(Queries, int64(stmts))
+	m.Counters.Add(QueryErrors, int64(failed))
+	m.Counters.Add(RowsReturned, int64(rows))
 	m.Latency.Observe(d.Nanoseconds())
 }
 

@@ -66,6 +66,50 @@ func checkPromText(t *testing.T, text string) map[string]float64 {
 
 func TestMetricsEndpoint(t *testing.T) {
 	s, addr := newTestServer(t, Options{})
+	haddr, err := s.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(path, contentType string) []byte {
+		t.Helper()
+		hr, err := http.Get("http://" + haddr.String() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		if ct := hr.Header.Get("Content-Type"); ct != contentType {
+			t.Fatalf("%s content type = %q, want %q", path, ct, contentType)
+		}
+		body, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	// A fresh server's /stats lists exactly the declared series, unfired
+	// ones at 0, and /metrics renders every one of them.
+	var fresh StatsSnapshot
+	if err := json.Unmarshal(get("/stats", "application/json"), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	freshSamples := checkPromText(t, string(get("/metrics", obs.ContentType)))
+	for _, name := range Family.Names() {
+		if v, ok := fresh.Counters[name]; !ok || v != 0 {
+			t.Errorf("fresh /stats: %s = %d (listed %v), want 0", name, v, ok)
+		}
+		metric := obs.MetricName("rcnvm", name)
+		if !Family.IsGauge(name) {
+			metric += "_total"
+		}
+		if _, ok := freshSamples[metric]; !ok {
+			t.Errorf("fresh /metrics does not render %s as %s", name, metric)
+		}
+	}
+	if len(fresh.Counters) != len(Family.Names()) {
+		t.Errorf("fresh /stats lists %d counters, Family declares %d: %v", len(fresh.Counters), len(Family.Names()), fresh.Counters)
+	}
+
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -75,24 +119,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := c.QueryTimed("SELECT SUM(v) FROM o"); err != nil {
 		t.Fatal(err)
 	}
-
-	haddr, err := s.ListenHTTP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := http.Get("http://" + haddr.String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	if ct := hr.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Fatalf("content type = %q, want %q", ct, obs.ContentType)
-	}
-	body, err := io.ReadAll(hr.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := checkPromText(t, string(body))
+	samples := checkPromText(t, string(get("/metrics", obs.ContentType)))
 
 	if samples["rcnvm_server_queries_total"] < 3 {
 		t.Fatalf("queries_total = %v", samples["rcnvm_server_queries_total"])

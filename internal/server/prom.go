@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 
@@ -19,11 +20,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	p := obs.NewWriter(w)
 
-	// Every declared series renders from the first scrape: one /stats
-	// omits (counter not fired yet, fault injection off, volatile server,
-	// plan cache disabled) reads 0 here.
+	// Every declared series renders from the first scrape; a volatile
+	// server renders the wal.* series too, at 0.
 	counters := s.counters()
-	stats.Prefill(counters, &Family, &durable.Family)
+	if s.opts.Durable == nil {
+		maps.Copy(counters, stats.NewCounters(&durable.Family).Snapshot())
+	}
 	p.Counters("rcnvm", counters, &Family, &durable.Family)
 
 	p.Histograms("rcnvm_server_query_latency_seconds", "", []obs.LabeledHistogram{{H: s.met.Latency}}, 1e-9)

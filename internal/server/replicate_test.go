@@ -85,7 +85,7 @@ func TestNotReadyRejectsQueriesRetryably(t *testing.T) {
 	if !we.Retryable || !IsRetryable(err) {
 		t.Fatal("not_ready must be retryable — the node becomes ready again")
 	}
-	if s.Metrics().Set.Get(RejectedNotReady) == 0 {
+	if s.Metrics().Counters.Snapshot()[RejectedNotReady] == 0 {
 		t.Fatal("rejected_not_ready counter did not fire")
 	}
 

@@ -118,7 +118,7 @@ func FuzzServeLine(f *testing.F) {
 				t.Fatalf("session stayed open after the over-cap refusal and sent %q", extra)
 			}
 		}
-		if got := s.Metrics().Set.Get(Panics); got != 0 {
+		if got := s.Metrics().Counters.Snapshot()[Panics]; got != 0 {
 			t.Fatalf("%s = %d", Panics, got)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net"
 	"net/http"
 	"runtime"
@@ -161,7 +162,7 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 			"/wal/registry":   s.walRoute(s.handleWALRegistry),
 			"/readyz":         s.whenReady(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok\n") }),
 		},
-		Count:  s.met.Set.Add,
+		Count:  s.met.Counters.Add,
 		Logger: opts.Logger,
 	}
 	return s
@@ -223,10 +224,11 @@ func (s *Server) Stats() StatsSnapshot {
 }
 
 // counters is the one merged counter view behind /stats and /metrics: the
-// server's own stats.Set plus the families owned elsewhere — fault.* when
-// injection is on, wal.* on a durable server, and plancache.*.
+// server's own store, every Family series, with the values other packages
+// keep read through — fault.* when injection is on, wal.* on a durable
+// server, plancache.* and the replay builds.
 func (s *Server) counters() map[string]int64 {
-	counters := s.met.Set.Snapshot()
+	counters := s.met.Counters.Snapshot()
 	if c, ok := s.faultCounts(); ok {
 		counters[FaultTransientBits] = c.TransientBits
 		counters[FaultStuckBits] = c.StuckBits
@@ -236,9 +238,7 @@ func (s *Server) counters() map[string]int64 {
 		counters[FaultWrites] = c.Writes
 	}
 	if s.opts.Durable != nil {
-		for name, v := range s.opts.Durable.CounterSnapshot() {
-			counters[name] = v
-		}
+		maps.Copy(counters, s.opts.Durable.CounterSnapshot())
 	}
 	h, m, e := s.plans.Counters()
 	counters[PlanCacheHits] = h
@@ -264,7 +264,6 @@ func (s *Server) faultCounts() (sum fault.Counts, ok bool) {
 		sum.Corrected += c.Corrected
 		sum.Uncorrectable += c.Uncorrectable
 		sum.Miscorrected += c.Miscorrected
-		sum.Retries += c.Retries
 		sum.Writes += c.Writes
 	}
 	return sum, ok
@@ -287,7 +286,7 @@ func (s *Server) Do(req *Request) *Response {
 // when the request was rejected without admission.
 func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	if msg := validateRequest(req); msg != "" {
-		s.met.Set.Inc(BadRequests)
+		s.met.Counters.Inc(BadRequests)
 		return errResponse(req.ID, CodeBadRequest, msg), nil
 	}
 	// Count the request as in-flight while holding the front end's lock so
@@ -296,7 +295,7 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	s.front.mu.Lock()
 	if s.front.shutting {
 		s.front.mu.Unlock()
-		s.met.Set.Inc(RejectedDrain)
+		s.met.Counters.Inc(RejectedDrain)
 		return errResponse(req.ID, CodeShutdown, ErrShuttingDown.Error()), nil
 	}
 	// Not-ready rejection also happens before admission: a recovering or
@@ -306,7 +305,7 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	// shutting_down is not.
 	if reason := s.notReady.Load(); reason != nil {
 		s.front.mu.Unlock()
-		s.met.Set.Inc(RejectedNotReady)
+		s.met.Counters.Inc(RejectedNotReady)
 		return errResponse(req.ID, CodeUnavailable, "not ready: "+*reason), nil
 	}
 	s.inflight.Add(1)
@@ -315,7 +314,7 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 	if s.admitted.Add(1) > int64(s.opts.Workers+s.opts.Queue) {
 		s.admitted.Add(-1)
 		s.inflight.Done()
-		s.met.Set.Inc(Rejected)
+		s.met.Counters.Inc(Rejected)
 		return errResponse(req.ID, CodeOverloaded, ErrOverloaded.Error()), nil
 	}
 
@@ -351,7 +350,7 @@ func (s *Server) doHeld(req *Request) (resp *Response, release func()) {
 		return resp, s.answered
 	case <-timer.C:
 		if abandoned.CompareAndSwap(false, true) {
-			s.met.Set.Inc(Timeouts)
+			s.met.Counters.Inc(Timeouts)
 			return errResponse(req.ID, CodeTimeout,
 				fmt.Sprintf("query exceeded %v deadline", timeout)), nil
 		}
@@ -408,7 +407,7 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			s.met.Set.Inc(Panics)
+			s.met.Counters.Inc(Panics)
 			s.met.observe(time.Since(start), 0, true)
 			resp = errResponse(req.ID, CodeInternal, fmt.Sprintf("internal error: %v", r))
 		}
@@ -432,7 +431,7 @@ func (s *Server) execute(req *Request) (resp *Response) {
 	var rec *obs.Recorder
 	if s.shouldTrace(req) {
 		rec = obs.NewRecorder()
-		s.met.Set.Inc(TracedQueries)
+		s.met.Counters.Inc(TracedQueries)
 	}
 	// Spans carry the router-assigned distributed trace id when one was
 	// propagated, else the client's request id.
@@ -441,7 +440,7 @@ func (s *Server) execute(req *Request) (resp *Response) {
 		tid = req.TraceID
 	}
 	if req.Timing {
-		s.met.Set.Inc(TimedQueries)
+		s.met.Counters.Inc(TimedQueries)
 	}
 	res, streams, err := sql.Execute(s.Cluster(), req.Query,
 		sql.ExecOptions{Plans: s.plans, Rec: rec, TID: tid, Trace: req.Timing})
@@ -565,7 +564,7 @@ func (s *Server) execError(id uint64, start time.Time, err error) *Response {
 func (s *Server) wireError(err error) *WireError {
 	var ue *fault.UncorrectableError
 	if errors.As(err, &ue) {
-		s.met.Set.Inc(MemoryErrors)
+		s.met.Counters.Inc(MemoryErrors)
 		return &WireError{Code: CodeMemory, Message: err.Error()}
 	}
 	return &WireError{Code: CodeSQL, Message: err.Error()}

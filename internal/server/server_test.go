@@ -216,7 +216,7 @@ func TestOverloadRejection(t *testing.T) {
 	if ok == 0 || overloaded == 0 {
 		t.Fatalf("ok=%d overloaded=%d: want both nonzero", ok, overloaded)
 	}
-	if got := s.Metrics().Set.Get(Rejected); got != overloaded {
+	if got := s.Metrics().Counters.Snapshot()[Rejected]; got != overloaded {
 		t.Fatalf("rejected counter = %d, want %d", got, overloaded)
 	}
 }
@@ -266,7 +266,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if resp.Error == nil || resp.Error.Code != CodeShutdown {
 		t.Fatalf("post-shutdown query: got %+v, want %s", resp.Error, CodeShutdown)
 	}
-	if s.Metrics().Set.Get(RejectedDrain) == 0 {
+	if s.Metrics().Counters.Snapshot()[RejectedDrain] == 0 {
 		t.Fatal("rejected_drain counter not incremented")
 	}
 }
@@ -376,9 +376,9 @@ func TestServerStress64(t *testing.T) {
 	// Session teardown is asynchronous after the client closes; give the
 	// gauge a moment to drain to zero.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Metrics().Set.Get(SessionsActive) != 0 {
+	for s.Metrics().Counters.Snapshot()[SessionsActive] != 0 {
 		if time.Now().After(deadline) {
-			t.Errorf("sessions_active = %d, want 0", s.Metrics().Set.Get(SessionsActive))
+			t.Errorf("sessions_active = %d, want 0", s.Metrics().Counters.Snapshot()[SessionsActive])
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

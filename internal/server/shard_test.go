@@ -156,12 +156,12 @@ func TestEncodeErrorCounter(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if s.Metrics().Set.Snapshot()[EncodeErrors] >= 1 {
+		if s.Metrics().Counters.Snapshot()[EncodeErrors] >= 1 {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("encode_errors still %d after client hangup",
-				s.Metrics().Set.Snapshot()[EncodeErrors])
+				s.Metrics().Counters.Snapshot()[EncodeErrors])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

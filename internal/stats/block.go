@@ -18,9 +18,9 @@ func index(name string) Index {
 
 // Block is the counter store of one simulated system: a fixed array bumped
 // by Index, so a simulated event costs an add, not a mutex and a map
-// lookup. It renders to the name→value map a Set would hold, key set
-// included: a counter exists once Add or Inc touched it (even by zero) or
-// Max raised it. Like the simulation it belongs to, it is single-threaded.
+// lookup. It renders to a name→value map of the counters that exist: a
+// counter exists once Add or Inc touched it (even by zero) or Max raised
+// it. Like the simulation it belongs to, it is single-threaded.
 type Block struct {
 	v       [64]int64 // as many as touched has bits
 	touched uint64    // bit i: counter i exists

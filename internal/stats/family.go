@@ -1,15 +1,17 @@
 package stats
 
-// Family is the single declaration of the series a service publishes from
-// a Set: each series is declared exactly once, by the statement that also
-// names it —
+import "sync/atomic"
+
+// Family is the single declaration of the series a service publishes:
+// each series is declared exactly once, by the statement that also names
+// it —
 //
 //	var Queries = Family.Counter("server.queries")
 //
-// — so the list of names, their counter/gauge kind, the zero-prefill of
-// /stats and /metrics and the documentation lint all read the same place.
-// A name used with Set.Inc but never declared is what the lint catches.
-// Declare at package init only; a Family is read-only afterwards.
+// — so the list of names, their counter/gauge kind, the counter store
+// built over the family (NewCounters) and the documentation lint all read
+// the same place. Declare at package init only; a Family is read-only
+// afterwards.
 type Family struct {
 	names  []string
 	gauges map[string]bool
@@ -37,15 +39,44 @@ func (f *Family) Names() []string { return f.names }
 // IsGauge reports whether name was declared a gauge.
 func (f *Family) IsGauge(name string) bool { return f.gauges[name] }
 
-// Prefill sets every declared series that counters does not carry yet to
-// zero, so each exists from the first scrape and dashboards never see a
-// series pop into existence mid-run.
-func Prefill(counters map[string]int64, fams ...*Family) {
+// Counters is the counter store of a service: one atomic slot per series
+// its families declare. The name→slot map is fixed when the store is
+// built, so Add and Inc take no lock and any number of sessions bump one
+// store, and every declared series exists from the start, at 0 until
+// bumped. Bumping a name no family declared panics: an undeclared series
+// is a programming error, not a new series.
+type Counters struct {
+	slot map[string]*atomic.Int64
+}
+
+// NewCounters returns a store over the series fams declare.
+func NewCounters(fams ...*Family) *Counters {
+	c := &Counters{slot: make(map[string]*atomic.Int64)}
 	for _, f := range fams {
 		for _, name := range f.names {
-			if _, ok := counters[name]; !ok {
-				counters[name] = 0
-			}
+			c.slot[name] = new(atomic.Int64)
 		}
 	}
+	return c
+}
+
+// Add increments series name by delta.
+func (c *Counters) Add(name string, delta int64) {
+	v := c.slot[name]
+	if v == nil {
+		panic("stats: series " + name + " is not declared")
+	}
+	v.Add(delta)
+}
+
+// Inc increments series name by one.
+func (c *Counters) Inc(name string) { c.Add(name, 1) }
+
+// Snapshot returns every declared series and its value, as a copy.
+func (c *Counters) Snapshot() map[string]int64 {
+	out := make(map[string]int64, len(c.slot))
+	for name, v := range c.slot {
+		out[name] = v.Load()
+	}
+	return out
 }

@@ -5,32 +5,9 @@ import (
 	"fmt"
 )
 
-// JSON wire forms: a Set marshals as its counter snapshot (a flat
-// name→value object, so /stats payloads stay greppable), and a Histogram
-// marshals its exact bucket contents so a decode rebuilds an equivalent
-// histogram — quantiles, mean, min and max all survive the round trip.
-
-// MarshalJSON renders the set as a flat {"name": value} object.
-func (s *Set) MarshalJSON() ([]byte, error) {
-	return json.Marshal(s.Snapshot())
-}
-
-// UnmarshalJSON replaces the set's counters with the decoded snapshot.
-func (s *Set) UnmarshalJSON(b []byte) error {
-	var m map[string]int64
-	if err := json.Unmarshal(b, &m); err != nil {
-		return err
-	}
-	if m == nil {
-		m = make(map[string]int64)
-	}
-	s.mu.Lock()
-	s.m = m
-	s.mu.Unlock()
-	return nil
-}
-
-// histogramJSON is the wire form of a Histogram. Buckets holds
+// histogramJSON is the wire form of a Histogram: its exact bucket
+// contents, so a decode rebuilds an equivalent histogram — quantiles,
+// mean, min and max all survive the round trip. Buckets holds
 // (bucketIndex, count) pairs for the non-empty buckets; bucket i covers
 // [2^i, 2^(i+1)).
 type histogramJSON struct {

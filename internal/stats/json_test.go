@@ -6,51 +6,6 @@ import (
 	"testing"
 )
 
-func TestSetJSONRoundTrip(t *testing.T) {
-	s := NewSet()
-	s.Add(MemReads, 120)
-	s.Add(BufferHits, 7)
-	s.Add("server.queries", 42)
-
-	b, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := NewSet()
-	if err := json.Unmarshal(b, got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Snapshot(), s.Snapshot()) {
-		t.Fatalf("round trip changed counters:\n got %v\nwant %v", got.Snapshot(), s.Snapshot())
-	}
-	// Decoding into a zero-value Set must also work.
-	var zero Set
-	if err := json.Unmarshal(b, &zero); err != nil {
-		t.Fatal(err)
-	}
-	if zero.Get("server.queries") != 42 {
-		t.Fatalf("zero-value decode lost counters: %v", zero.Snapshot())
-	}
-}
-
-func TestSetJSONEmpty(t *testing.T) {
-	b, err := json.Marshal(NewSet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(b) != "{}" {
-		t.Fatalf("empty set marshals to %s, want {}", b)
-	}
-	s := NewSet()
-	if err := json.Unmarshal([]byte("null"), s); err != nil {
-		t.Fatal(err)
-	}
-	s.Inc("x") // must not panic on a nil map
-	if s.Get("x") != 1 {
-		t.Fatal("set unusable after decoding null")
-	}
-}
-
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	h := NewHistogram()
 	for _, v := range []int64{1, 3, 3, 900, 1 << 20, 1<<40 + 5, 7} {

@@ -4,81 +4,6 @@
 // general execution accounting.
 package stats
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
-
-// Set is a named collection of integer counters. It is safe for concurrent
-// use so that independent simulator components can share one Set.
-type Set struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{m: make(map[string]int64)}
-}
-
-// Add increments counter name by delta.
-func (s *Set) Add(name string, delta int64) {
-	s.mu.Lock()
-	s.m[name] += delta
-	s.mu.Unlock()
-}
-
-// Inc increments counter name by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
-// Get returns the current value of counter name (zero if never touched).
-func (s *Set) Get(name string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[name]
-}
-
-// Max raises counter name to v if v is larger than its current value.
-func (s *Set) Max(name string, v int64) {
-	s.mu.Lock()
-	if v > s.m[name] {
-		s.m[name] = v
-	}
-	s.mu.Unlock()
-}
-
-// Names returns all counter names in sorted order.
-func (s *Set) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.m))
-	for k := range s.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of all counters.
-func (s *Set) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.m))
-	for k, v := range s.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Reset zeroes all counters.
-func (s *Set) Reset() {
-	s.mu.Lock()
-	s.m = make(map[string]int64)
-	s.mu.Unlock()
-}
-
 // Ratio returns a/(a+b) as a float, or 0 when both are zero. It is the
 // helper used for buffer miss rates and overhead ratios.
 func Ratio(a, b int64) float64 {
@@ -86,21 +11,6 @@ func Ratio(a, b int64) float64 {
 		return 0
 	}
 	return float64(a) / float64(a+b)
-}
-
-// String renders the set as "name=value" lines, sorted by name.
-func (s *Set) String() string {
-	var b strings.Builder
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "%s=%d\n", k, snap[k])
-	}
-	return b.String()
 }
 
 // Canonical counter names used across the simulator. Components add to

@@ -134,6 +134,9 @@ RT_PID=$!
 PIDS+=("$RT_PID")
 
 wait_ready "$P_HTTP" primary
+# The router binds TCP before HTTP, so its /readyz answering means its
+# TCP port is open too.
+wait_ready "$RT_HTTP" router
 query "$RT_TCP" "CREATE TABLE smoke (k, grp, val) CAPACITY 4096" >/dev/null
 for i in 0 1 2 3; do
     query "$RT_TCP" "INSERT INTO smoke VALUES ($((i*4)), $i, 1), ($((i*4+1)), $i, 2), ($((i*4+2)), $i, 3), ($((i*4+3)), $i, 4)" >/dev/null
