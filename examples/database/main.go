@@ -71,11 +71,11 @@ func main() {
 	// Replay the recorded plan on the timing simulator: once as recorded
 	// (cloads) and once downgraded to row-only accesses — the same cells,
 	// conventional addressing.
-	dual, err := sim.Replays.Run(stream, nil, nil, "")
+	dual, err := sim.Replays.Run(stream, nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}
-	row, err := sim.Replays.Run(trace.RowOnly(stream), nil, nil, "")
+	row, err := sim.Replays.Run(trace.RowOnly(stream), nil, "")
 	if err != nil {
 		log.Fatal(err)
 	}

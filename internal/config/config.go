@@ -13,7 +13,6 @@ import (
 	"rcnvm/internal/device"
 	"rcnvm/internal/fault"
 	"rcnvm/internal/memctrl"
-	"rcnvm/internal/obs"
 	"rcnvm/internal/tier"
 )
 
@@ -33,11 +32,6 @@ type System struct {
 	// row-buffer-locality-aware migration (the zero value disables it,
 	// leaving the simulated timing byte-identical to a tier-free build).
 	Tier tier.Config
-	// Telemetry, when non-nil, receives per-bank counters (hits, queue
-	// depth, bus occupancy) from the device and memory controllers of
-	// systems built from this config. nil (the default) disables it; the
-	// run's timing and counters are identical either way.
-	Telemetry *obs.Telemetry
 }
 
 func base(dev device.Config) System {

@@ -18,7 +18,6 @@ import (
 
 	"rcnvm/internal/addr"
 	"rcnvm/internal/fault"
-	"rcnvm/internal/obs"
 	"rcnvm/internal/stats"
 )
 
@@ -137,7 +136,6 @@ type Device struct {
 	banks []bank
 	stats *stats.Block
 	inj   *fault.Injector // nil = fault-free (the default)
-	tel   *obs.Telemetry  // nil = per-bank telemetry off (the default)
 }
 
 // New creates a device with all banks precharged.
@@ -151,6 +149,7 @@ func New(cfg Config, st *stats.Block) (*Device, error) {
 	if st == nil {
 		st = new(stats.Block)
 	}
+	st.Banks = make([]stats.BankCounters, cfg.Geom.TotalBanks())
 	return &Device{
 		cfg:   cfg,
 		banks: make([]bank, cfg.Geom.TotalBanks()),
@@ -174,14 +173,6 @@ func (d *Device) SetFaults(inj *fault.Injector) { d.inj = inj }
 
 // Faults returns the installed fault injector (nil when fault-free).
 func (d *Device) Faults() *fault.Injector { return d.inj }
-
-// SetTelemetry installs per-bank telemetry: every access records its
-// bank, orientation and buffer hit/miss. nil (the default) disables it;
-// the disabled path costs one pointer comparison per access.
-func (d *Device) SetTelemetry(t *obs.Telemetry) { d.tel = t }
-
-// Telemetry returns the installed telemetry (nil when disabled).
-func (d *Device) Telemetry() *obs.Telemetry { return d.tel }
 
 // AccessResult reports the outcome of one device access.
 type AccessResult struct {
@@ -314,9 +305,6 @@ func (d *Device) Access(now int64, c addr.Coord, o addr.Orientation, write bool)
 		if d.inj != nil {
 			d.inj.RecordWrite(c)
 		}
-	}
-	if d.tel != nil {
-		d.tel.Access(d.cfg.Geom.BankID(c), o == addr.Column, res.BufferHit)
 	}
 	b.readyAt = res.ReadyAt
 	return res

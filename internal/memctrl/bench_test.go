@@ -6,7 +6,6 @@ import (
 	"rcnvm/internal/addr"
 	"rcnvm/internal/device"
 	"rcnvm/internal/event"
-	"rcnvm/internal/obs"
 	"rcnvm/internal/stats"
 )
 
@@ -37,9 +36,9 @@ func benchRouter(b *testing.B, attach func(*Router)) {
 }
 
 // BenchmarkMemctrlDisabledObs is the disabled-path contract for the
-// controller: with no recorder and no telemetry attached, the issue path
-// must allocate nothing in steady state (pooled requests, static event
-// callbacks). CI greps this benchmark's allocs/op.
+// controller: with no recorder attached, and per-bank traffic counted as
+// always, the issue path must allocate nothing in steady state (pooled
+// requests, static event callbacks). CI greps this benchmark's allocs/op.
 func BenchmarkMemctrlDisabledObs(b *testing.B) {
 	benchRouter(b, nil)
 }
@@ -51,14 +50,6 @@ func BenchmarkMemctrlDisabledObs(b *testing.B) {
 func BenchmarkMemctrlDisabledTier(b *testing.B) {
 	benchRouter(b, func(r *Router) {
 		r.SetTier(nil)
-	})
-}
-
-// BenchmarkMemctrlTelemetry measures the telemetry-enabled path for
-// comparison: per-bank counter updates under the telemetry mutex.
-func BenchmarkMemctrlTelemetry(b *testing.B) {
-	benchRouter(b, func(r *Router) {
-		r.SetTelemetry(obs.NewTelemetry(r.Device().Config().Geom.TotalBanks(), 0))
 	})
 }
 

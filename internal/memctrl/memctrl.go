@@ -67,21 +67,23 @@ type Controller struct {
 	busFreeAt int64
 	bankBusy  []bool
 	pool      *requestPool // shared free list (nil for standalone controllers)
+	// banks is the run's per-bank traffic, the device's Block.Banks:
+	// always counted, one add per event, indexed by the request's bank.
+	banks []stats.BankCounters
 
 	// rec records per-request phase spans (queue/activate/hit/burst) under
-	// process name proc; tel accumulates per-bank counters. Both are nil by
-	// default: the disabled path is one pointer comparison per request, so
-	// the event-engine hot loop stays allocation-free.
+	// process name proc. It is nil by default: the disabled path is one
+	// pointer comparison per request, so the event-engine hot loop stays
+	// allocation-free.
 	rec  *obs.Recorder
 	proc string
-	tel  *obs.Telemetry
 
 	// faultErr is the first uncorrectable memory error this channel
 	// observed (nil when clean); the Router aggregates across channels.
 	faultErr *fault.UncorrectableError
 
 	// tr is the shared hybrid DRAM tier; nil (the default) keeps the pure
-	// NVM path byte-identical: like rec and tel, the disabled check is one
+	// NVM path byte-identical: like rec, the disabled check is one
 	// pointer comparison. rt routes tier demotion write-backs, which may
 	// target any channel of the device.
 	tr *tier.Cache
@@ -136,6 +138,7 @@ func NewController(eng *event.Engine, dev *device.Device, st *stats.Block, windo
 		burstPs:  cfg.Timing.BurstPs(),
 		retryPs:  cfg.Timing.RPPs() + cfg.Timing.RCDPs() + cfg.Timing.CASPs(),
 		bankBusy: make([]bool, cfg.Geom.TotalBanks()),
+		banks:    dev.Stats().Banks,
 
 		supportsGather: cfg.SupportsGather(),
 	}
@@ -151,9 +154,9 @@ func (c *Controller) Submit(r *Request) {
 	}
 	r.arrive = c.eng.Now()
 	r.bank = c.geom.BankID(r.Coord)
-	if c.tel != nil {
-		c.tel.Enqueue(r.bank)
-	}
+	b := &c.banks[r.bank]
+	b.Queued++
+	b.QueuePeak = max(b.QueuePeak, b.Queued)
 	c.queue = append(c.queue, r)
 	c.st.Max(stats.IdxQueueMaxOccupancy, int64(len(c.queue)))
 	c.schedule()
@@ -266,9 +269,7 @@ func (c *Controller) eccCheck(inj *fault.Injector, r *Request) int64 {
 		}
 		c.st.Inc(stats.IdxECCRetries)
 		inj.RecordRetry()
-		if c.tel != nil {
-			c.tel.Retry(r.bank)
-		}
+		c.banks[r.bank].Retries++
 		penalty += c.retryPs
 	}
 }
@@ -292,12 +293,6 @@ func (c *Controller) issueTier(r *Request, now int64, bank int) bool {
 	finish := transferStart + c.burstPs
 	c.busFreeAt = finish
 
-	if c.tel != nil {
-		c.tel.Dequeue(bank)
-		c.tel.Request(bank, r.Write, r.Writeback)
-		c.tel.Bus(bank, finish-transferStart)
-		c.tel.MaybeSample(now)
-	}
 	if c.rec != nil {
 		tid := int64(bank)
 		if now > r.arrive {
@@ -307,13 +302,19 @@ func (c *Controller) issueTier(r *Request, now int64, bank int) bool {
 		c.rec.Sim(c.proc, "burst", obs.CatMem, tid, transferStart, finish-transferStart)
 	}
 
+	b := &c.banks[bank]
+	b.Queued--
+	b.BusBusyPs += finish - transferStart
 	switch {
 	case r.Writeback:
 		c.st.Inc(stats.IdxMemWritebacks)
+		b.Writebacks++
 	case r.Write:
 		c.st.Inc(stats.IdxMemWrites)
+		b.Writes++
 	default:
 		c.st.Inc(stats.IdxMemReads)
+		b.Reads++
 	}
 	if r.Done != nil {
 		c.eng.AtCall(finish, requestDone, r.Done, 0)
@@ -366,12 +367,6 @@ func (c *Controller) issue(r *Request) {
 	finish := transferStart + c.burstPs
 	c.busFreeAt = finish
 
-	if c.tel != nil {
-		c.tel.Dequeue(bank)
-		c.tel.Request(bank, r.Write, r.Writeback)
-		c.tel.Bus(bank, finish-transferStart)
-		c.tel.MaybeSample(now)
-	}
 	if c.rec != nil {
 		tid := int64(bank)
 		if now > r.arrive {
@@ -390,16 +385,33 @@ func (c *Controller) issue(r *Request) {
 		c.rec.Sim(c.proc, "burst", obs.CatMem, tid, transferStart, finish-transferStart)
 	}
 
+	b := &c.banks[bank]
+	b.Queued--
+	b.BusBusyPs += finish - transferStart
+	switch {
+	case r.Orient == addr.Column && res.BufferHit:
+		b.ColHits++
+	case r.Orient == addr.Column:
+		b.ColMisses++
+	case res.BufferHit:
+		b.RowHits++
+	default:
+		b.RowMisses++
+	}
 	switch {
 	case r.Gather:
 		c.st.Inc(stats.IdxMemGathers)
 		c.st.Inc(stats.IdxMemReads)
+		b.Reads++
 	case r.Writeback:
 		c.st.Inc(stats.IdxMemWritebacks)
+		b.Writebacks++
 	case r.Write:
 		c.st.Inc(stats.IdxMemWrites)
+		b.Writes++
 	default:
 		c.st.Inc(stats.IdxMemReads)
+		b.Reads++
 	}
 
 	c.bankBusy[bank] = true
@@ -504,18 +516,6 @@ func (r *Router) SetRecorder(rec *obs.Recorder, proc string) {
 		c.rec, c.proc = rec, proc
 	}
 }
-
-// SetTelemetry installs per-bank telemetry on the device and on every
-// channel controller. nil disables it (the default).
-func (r *Router) SetTelemetry(t *obs.Telemetry) {
-	r.dev.SetTelemetry(t)
-	for _, c := range r.ctrls {
-		c.tel = t
-	}
-}
-
-// Telemetry returns the installed per-bank telemetry (nil when disabled).
-func (r *Router) Telemetry() *obs.Telemetry { return r.dev.Telemetry() }
 
 // Submit routes the request to its channel's controller.
 func (r *Router) Submit(req *Request) {

@@ -90,27 +90,13 @@ func renderLabeledHistograms() string {
 // bankTelemetries returns three 2-bank telemetries with fractional hit
 // rates, the middle one nil.
 func bankTelemetries() []*obs.Telemetry {
-	a := obs.NewTelemetry(2, 0)
-	for _, hit := range []bool{true, true, false} {
-		a.Access(0, false, hit)
-	}
-	for _, hit := range []bool{true, false, false, false} {
-		a.Access(1, true, hit)
-	}
-	a.Request(0, false, false)
-	a.Request(0, true, false)
-	a.Request(1, false, true)
-	a.Enqueue(1)
-	a.Enqueue(1)
-	a.Dequeue(1)
-	a.Retry(0)
-	a.Bus(1, 12500)
-	c := obs.NewTelemetry(2, 0)
-	for _, hit := range []bool{false, true, true, true, true, true, true} {
-		c.Access(1, false, hit)
-	}
-	c.Access(0, true, true)
-	c.Request(1, false, false)
+	a := obs.NewTelemetry(2)
+	a.Add([]stats.BankCounters{
+		{Reads: 1, Writes: 1, RowHits: 2, RowMisses: 1, Retries: 1},
+		{Writebacks: 1, ColHits: 1, ColMisses: 3, QueuePeak: 2, BusBusyPs: 12500},
+	})
+	c := obs.NewTelemetry(2)
+	c.Add([]stats.BankCounters{{ColHits: 1}, {Reads: 1, RowHits: 6, RowMisses: 1}})
 	return []*obs.Telemetry{a, nil, c}
 }
 
@@ -342,7 +328,7 @@ rcnvm_bank_bus_busy_ps_total{bank="0"} 0
 rcnvm_bank_bus_busy_ps_total{bank="1"} 12500
 # TYPE rcnvm_bank_queue_depth gauge
 rcnvm_bank_queue_depth{bank="0"} 0
-rcnvm_bank_queue_depth{bank="1"} 1
+rcnvm_bank_queue_depth{bank="1"} 0
 # TYPE rcnvm_bank_queue_peak gauge
 rcnvm_bank_queue_peak{bank="0"} 0
 rcnvm_bank_queue_peak{bank="1"} 2
@@ -399,7 +385,7 @@ rcnvm_shard_bank_bus_busy_ps_total{shard="2",bank="0"} 0
 rcnvm_shard_bank_bus_busy_ps_total{shard="2",bank="1"} 0
 # TYPE rcnvm_shard_bank_queue_depth gauge
 rcnvm_shard_bank_queue_depth{shard="0",bank="0"} 0
-rcnvm_shard_bank_queue_depth{shard="0",bank="1"} 1
+rcnvm_shard_bank_queue_depth{shard="0",bank="1"} 0
 rcnvm_shard_bank_queue_depth{shard="2",bank="0"} 0
 rcnvm_shard_bank_queue_depth{shard="2",bank="1"} 0
 # TYPE rcnvm_shard_bank_queue_peak gauge

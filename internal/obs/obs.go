@@ -1,16 +1,16 @@
 // Package obs is the observability layer of the RC-NVM stack: typed spans
 // for tracing a query through the server, the SQL layer and the timing
-// simulator; per-bank telemetry sampled into a ring-buffer time series;
-// and the Prometheus text format, which no other package spells — Writer
-// renders every /metrics and /cluster/metrics byte, and Parse and Merge
-// read node expositions back into families for federation.
+// simulator; per-bank telemetry summed over simulated runs; and the
+// Prometheus text format, which no other package spells — Writer renders
+// every /metrics and /cluster/metrics byte, and Parse and Merge read node
+// expositions back into families for federation.
 //
-// The contract that keeps it out of the hot path: everything is disabled
-// by default, and disabled means *nil* — a nil *Recorder ignores spans, a
-// nil *Telemetry is never consulted (call sites guard with one pointer
-// comparison). The event engine and the default benchmark output are
-// byte-for-byte unaffected; only a sampled query or an explicitly enabled
-// telemetry run pays for allocation and locking.
+// The contract that keeps it out of the hot path: tracing is disabled by
+// default, and disabled means *nil* — a nil *Recorder ignores spans (call
+// sites guard with one pointer comparison). The event engine and the
+// default benchmark output are byte-for-byte unaffected; only a sampled
+// query pays for allocation. Per-bank traffic is no observer: each run
+// counts it into its own stats.Block, and a Telemetry only sums runs.
 package obs
 
 import (

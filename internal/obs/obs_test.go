@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"rcnvm/internal/stats"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -61,134 +63,99 @@ func TestWallSinceUsesEpoch(t *testing.T) {
 	}
 }
 
-func TestTelemetryAccounting(t *testing.T) {
-	tel := NewTelemetry(4, 0)
-	tel.Access(1, false, true)  // row hit
-	tel.Access(1, false, false) // row miss
-	tel.Access(2, true, true)   // col hit
-	tel.Access(2, true, true)
-	tel.Access(2, true, false)
-	tel.Request(1, false, false)
-	tel.Request(1, true, false)
-	tel.Request(3, false, true)
-	tel.Enqueue(1)
-	tel.Enqueue(1)
-	tel.Dequeue(1)
-	tel.Retry(2)
-	tel.Bus(1, 6000)
-
+// TestTelemetryAdd: a run's bank counters add up bank by bank, the queue
+// peak is the maximum over runs, the instantaneous depth is left alone,
+// every Add counts a run, and Snapshot derives the hit rates.
+func TestTelemetryAdd(t *testing.T) {
+	tel := NewTelemetry(3)
+	tel.Add([]stats.BankCounters{
+		1: {Reads: 1, Writes: 1, RowHits: 1, RowMisses: 1, QueuePeak: 2, Queued: 1, BusBusyPs: 6000},
+		2: {ColHits: 2, ColMisses: 1, Retries: 1, Writebacks: 1},
+	})
+	tel.Add([]stats.BankCounters{
+		1: {Reads: 2, RowHits: 2, QueuePeak: 1, BusBusyPs: 4000},
+		2: {ColHits: 1, Retries: 2},
+	})
 	snap := tel.Snapshot()
-	b1, b2, b3 := snap.Banks[1], snap.Banks[2], snap.Banks[3]
-	if b1.RowHits != 1 || b1.RowMisses != 1 || b1.Reads != 1 || b1.Writes != 1 {
-		t.Fatalf("bank1 = %+v", b1)
+	if snap.Runs != 2 || len(snap.Banks) != 3 {
+		t.Fatalf("runs = %d, banks = %d; want 2, 3", snap.Runs, len(snap.Banks))
 	}
-	if b1.RowHitRate != 0.5 {
-		t.Fatalf("bank1 row hit rate = %g, want 0.5", b1.RowHitRate)
+	b0, b1, b2 := snap.Banks[0], snap.Banks[1], snap.Banks[2]
+	if b0.BankCounters != (stats.BankCounters{}) || b0.Bank != 0 {
+		t.Fatalf("bank0 = %+v, want untouched", b0)
 	}
-	if b1.Queued != 1 || b1.QueuePeak != 2 || b1.BusBusyPs != 6000 {
-		t.Fatalf("bank1 queue/bus = %+v", b1)
+	want1 := stats.BankCounters{Reads: 3, Writes: 1, RowHits: 3, RowMisses: 1, QueuePeak: 2, BusBusyPs: 10000}
+	if b1.Bank != 1 || b1.BankCounters != want1 || b1.RowHitRate != 0.75 || b1.ColHitRate != 0 {
+		t.Fatalf("bank1 = %+v, want %+v at row hit rate 0.75", b1, want1)
 	}
-	if b2.ColHits != 2 || b2.ColMisses != 1 || b2.Retries != 1 {
-		t.Fatalf("bank2 = %+v", b2)
-	}
-	if got := b2.ColHitRate; got < 0.66 || got > 0.67 {
-		t.Fatalf("bank2 col hit rate = %g, want 2/3", got)
-	}
-	if b3.Writebacks != 1 {
-		t.Fatalf("bank3 = %+v", b3)
+	want2 := stats.BankCounters{ColHits: 3, ColMisses: 1, Retries: 3, Writebacks: 1}
+	if b2.BankCounters != want2 || b2.ColHitRate != 0.75 {
+		t.Fatalf("bank2 = %+v, want %+v at col hit rate 0.75", b2, want2)
 	}
 }
 
-func TestTelemetryRingSampling(t *testing.T) {
-	tel := NewTelemetry(1, 100)
-	tel.Access(0, false, false)
-	tel.MaybeSample(50) // before first interval boundary
-	if len(tel.Snapshot().Samples) != 0 {
-		t.Fatal("sampled before interval")
-	}
-	tel.MaybeSample(100)
-	tel.Access(0, false, true)
-	tel.MaybeSample(150) // same interval: no new sample
-	tel.MaybeSample(350) // skips ahead: one sample, next at 400
+// TestTelemetryAddBankCounts: a run with more banks than the telemetry
+// loses the extra banks; one with fewer adds to the banks it has.
+func TestTelemetryAddBankCounts(t *testing.T) {
+	tel := NewTelemetry(2)
+	tel.Add([]stats.BankCounters{{Reads: 1}, {Reads: 2}, {Reads: 4}})
+	tel.Add([]stats.BankCounters{{Writes: 1}})
 	snap := tel.Snapshot()
-	if len(snap.Samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(snap.Samples))
+	if snap.Runs != 2 || len(snap.Banks) != 2 || snap.Banks[0].Reads != 1 || snap.Banks[0].Writes != 1 || snap.Banks[1].Reads != 2 {
+		t.Fatalf("snapshot = %+v", snap)
 	}
-	if snap.Samples[0].At != 100 || snap.Samples[1].At != 350 {
-		t.Fatalf("sample times = %d, %d", snap.Samples[0].At, snap.Samples[1].At)
+	if tel.Banks() != 2 {
+		t.Fatalf("Banks() = %d, want 2", tel.Banks())
 	}
-	// The first sample caught only the miss; the second both accesses.
-	if snap.Samples[0].Banks[0].RowMisses != 1 || snap.Samples[0].Banks[0].RowHits != 0 {
-		t.Fatalf("sample0 = %+v", snap.Samples[0].Banks[0])
-	}
-	if snap.Samples[1].Banks[0].RowHits != 1 {
-		t.Fatalf("sample1 = %+v", snap.Samples[1].Banks[0])
+	var none *Telemetry
+	if none.Banks() != 0 || none.Snapshot().Banks != nil {
+		t.Fatal("a nil telemetry must report no banks")
 	}
 }
 
-func TestTelemetryRingBounded(t *testing.T) {
-	tel := NewTelemetry(1, 1)
-	for i := 1; i <= DefaultRingSize+10; i++ {
-		tel.MaybeSample(int64(i))
-	}
-	snap := tel.Snapshot()
-	if len(snap.Samples) != DefaultRingSize {
-		t.Fatalf("ring len = %d, want %d", len(snap.Samples), DefaultRingSize)
-	}
-	if snap.Samples[0].At != 11 {
-		t.Fatalf("oldest sample at %d, want 11 (oldest dropped)", snap.Samples[0].At)
-	}
-}
-
-func TestTelemetryMerge(t *testing.T) {
-	agg := NewTelemetry(2, 0)
-	run := NewTelemetry(2, 0)
-	run.Access(0, false, true)
-	run.Access(1, true, false)
-	run.Enqueue(0)
-	run.Dequeue(0)
-	agg.Merge(run)
-	agg.Merge(run)
-	snap := agg.Snapshot()
-	if snap.Runs != 2 {
-		t.Fatalf("runs = %d, want 2", snap.Runs)
-	}
-	if snap.Banks[0].RowHits != 2 || snap.Banks[1].ColMisses != 2 {
-		t.Fatalf("merged = %+v", snap.Banks)
-	}
-	if snap.Banks[0].QueuePeak != 1 {
-		t.Fatalf("queue peak = %d, want max-merge 1", snap.Banks[0].QueuePeak)
-	}
-}
-
-// TestTelemetrySum: a sum of telemetries is what one telemetry merged into
-// by every run reports — counters and runs added, queue peaks the maximum,
-// no samples — and leaves its inputs alone.
+// TestTelemetrySum: a sum of telemetries is what one telemetry added to by
+// every run reports — counters and runs added, queue peaks the maximum —
+// and leaves its inputs alone.
 func TestTelemetrySum(t *testing.T) {
-	runA, runB := NewTelemetry(2, 0), NewTelemetry(2, 0)
-	runA.Access(0, false, true)
-	runA.Enqueue(1)
-	runA.Enqueue(1)
-	runA.Dequeue(1)
-	runA.Dequeue(1)
-	runB.Access(1, true, false)
-	runB.Enqueue(1)
-	runB.Dequeue(1)
-	a, b, all := NewTelemetry(2, 0), NewTelemetry(2, 0), NewTelemetry(2, 0)
-	a.Merge(runA)
-	a.Merge(runA)
-	b.Merge(runB)
-	for _, run := range []*Telemetry{runA, runA, runB} {
-		all.Merge(run)
+	runA := []stats.BankCounters{{RowHits: 1}, {Reads: 1, QueuePeak: 2}}
+	runB := []stats.BankCounters{{}, {ColMisses: 1, QueuePeak: 1}}
+	a, b, all := NewTelemetry(2), NewTelemetry(2), NewTelemetry(2)
+	a.Add(runA)
+	a.Add(runA)
+	b.Add(runB)
+	for _, run := range [][]stats.BankCounters{runA, runA, runB} {
+		all.Add(run)
 	}
 	got := Sum([]*Telemetry{a, b}).Snapshot()
 	if want := all.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Sum = %+v, want %+v", got, want)
 	}
-	if got.Runs != 3 || got.Banks[1].QueuePeak != 2 || len(got.Samples) != 0 {
-		t.Fatalf("Sum = %+v: want 3 runs, queue peak 2, no samples", got)
+	if got.Runs != 3 || got.Banks[0].RowHits != 2 || got.Banks[1].QueuePeak != 2 {
+		t.Fatalf("Sum = %+v: want 3 runs, 2 row hits, queue peak 2", got)
 	}
 	if a.Snapshot().Runs != 2 || b.Snapshot().Runs != 1 {
 		t.Fatal("Sum changed its inputs")
+	}
+}
+
+// TestTelemetryConcurrentAdd: replays on several goroutines add to one
+// telemetry while it is read.
+func TestTelemetryConcurrentAdd(t *testing.T) {
+	tel := NewTelemetry(1)
+	run := []stats.BankCounters{{Reads: 1}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				tel.Add(run)
+				_ = Sum([]*Telemetry{tel}).Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	if snap := tel.Snapshot(); snap.Runs != 400 || snap.Banks[0].Reads != 400 {
+		t.Fatalf("snapshot = %+v, want 400 runs and reads", snap)
 	}
 }

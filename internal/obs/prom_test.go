@@ -141,11 +141,8 @@ func TestWriteHistogramFormat(t *testing.T) {
 }
 
 func TestTelemetryWriteProm(t *testing.T) {
-	tel := NewTelemetry(2, 0)
-	tel.Access(0, false, true)
-	tel.Access(1, true, false)
-	tel.Request(1, false, false)
-	tel.Retry(1)
+	tel := NewTelemetry(2)
+	tel.Add([]stats.BankCounters{{RowHits: 1}, {Reads: 1, ColMisses: 1, Retries: 1}})
 	var b bytes.Buffer
 	p := NewWriter(&b)
 	p.Banks("rcnvm_bank", tel)

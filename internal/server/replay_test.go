@@ -58,9 +58,8 @@ func replayStatements(k int) []string {
 // sync.Pool does not), build at most 2 systems per worker and count one
 // timed_queries per timing:true request; every Timing is what two fresh
 // sim.RunOn calls give for the statement's captured stream;
-// and the per-bank telemetry equals both what those fresh runs fed a
-// sampling telemetry (the way every statement was replayed before reuse)
-// and what a server that never reuses a system reports.
+// and the per-bank telemetry equals both the sum of those fresh runs'
+// Banks and what a server that never reuses a system reports.
 func TestTimedStatementsReuseSimulators(t *testing.T) {
 	const sessions, workers = 4, 2
 
@@ -78,20 +77,18 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 	}
 	want := make(map[string]sim.Timing) // by statement text; sessions share some
 	statements := 0
-	wantTel := obs.NewTelemetry(config.RCNVM().Device.Geom.TotalBanks(), obs.DefaultSampleIntervalPs)
+	wantTel := obs.NewTelemetry(config.RCNVM().Device.Geom.TotalBanks())
 	for k := 0; k < sessions; k++ {
 		for _, q := range replayStatements(k) {
 			_, streams, err := sql.Execute(twin, q, sql.ExecOptions{Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := config.RCNVM()
-			cfg.Telemetry = obs.NewTelemetry(wantTel.Banks(), obs.DefaultSampleIntervalPs)
-			dual, err := sim.RunOn(cfg, streams)
+			dual, err := sim.RunOn(config.RCNVM(), streams)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTel.Merge(cfg.Telemetry)
+			wantTel.Add(dual.Banks)
 			row, err := sim.RunOn(config.RCNVM(), []trace.Stream{trace.RowOnly(streams[0])})
 			if err != nil {
 				t.Fatal(err)
@@ -157,7 +154,7 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 	}
 	got := reusing.Telemetry().Snapshot()
 	if w := wantTel.Snapshot(); got.Runs != int64(statements) || !reflect.DeepEqual(got, w) {
-		t.Fatalf("/stats/banks differs from fresh sampled runs: runs %d vs %d, banks equal: %v",
+		t.Fatalf("/stats/banks differs from fresh runs: runs %d vs %d, banks equal: %v",
 			got.Runs, w.Runs, reflect.DeepEqual(got.Banks, w.Banks))
 	}
 

@@ -106,7 +106,7 @@ type Server struct {
 	inflight sync.WaitGroup // admitted, not-yet-answered queries
 	answered func()         // inflight.Done bound once: an admitted request's release
 
-	// tels holds one per-bank telemetry per shard, merged into by every
+	// tels holds one per-bank telemetry per shard, added to by every
 	// timed statement's RC-NVM replay on that shard; /metrics and
 	// /stats/banks render each and their sum.
 	tels []*obs.Telemetry
@@ -141,7 +141,7 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 		plans:   sql.NewPlanCache(0),
 	}
 	for i := range s.tels {
-		s.tels[i] = obs.NewTelemetry(banks, 0)
+		s.tels[i] = obs.NewTelemetry(banks)
 	}
 	s.answered = s.inflight.Done
 	s.cluster.Store(c)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"rcnvm/internal/config"
 	"rcnvm/internal/fault"
 	"rcnvm/internal/obs"
+	"rcnvm/internal/stats"
 	"rcnvm/internal/tier"
 	"rcnvm/internal/trace"
 )
@@ -27,11 +29,12 @@ type resetWorkload struct {
 	fails   bool // the run ends in an error (the same one, fresh or reused)
 }
 
-// outcome is everything one Run reports.
+// outcome is everything one Run reports, and the per-bank traffic its
+// system counted (Result.Banks too, but kept when the run fails).
 type outcome struct {
 	res    Result
 	err    string
-	tel    obs.Snapshot
+	banks  []stats.BankCounters
 	faults fault.Counts
 }
 
@@ -58,8 +61,8 @@ func (o outcome) diff(w outcome) string {
 	if !reflect.DeepEqual(o.res.MemLatency, w.res.MemLatency) {
 		b.WriteString(" latency histogram;")
 	}
-	if !reflect.DeepEqual(o.tel, w.tel) {
-		b.WriteString(" telemetry;")
+	if !reflect.DeepEqual(o.res.Banks, w.res.Banks) || !reflect.DeepEqual(o.banks, w.banks) {
+		b.WriteString(" per-bank traffic;")
 	}
 	if o.faults != w.faults {
 		fmt.Fprintf(&b, " fault counts %+v vs %+v;", o.faults, w.faults)
@@ -68,14 +71,12 @@ func (o outcome) diff(w outcome) string {
 }
 
 func runOutcome(s *System, w resetWorkload) outcome {
-	tel := obs.NewTelemetry(s.Cfg.Device.Geom.TotalBanks(), 1_000_000)
-	s.Router.SetTelemetry(tel)
 	var o outcome
 	var err error
 	if o.res, err = s.Run(w.streams); err != nil {
 		o.err = err.Error()
 	}
-	o.tel = tel.Snapshot()
+	o.banks = slices.Clone(s.Stats.Banks)
 	if s.Faults != nil {
 		o.faults = s.Faults.Counts()
 	}
@@ -251,16 +252,13 @@ func TestResetEqualsFresh(t *testing.T) {
 					rec := obs.NewRecorder()
 					if w.spoil != nil {
 						reused.Reset()
-						reused.Observe(rec, obs.ProcSimDual)
+						reused.Router.SetRecorder(rec, obs.ProcSimDual)
 						if !runFails(reused, w.spoil) {
 							t.Fatalf("%s: the spoiling run was meant to fail", w.name)
 						}
 					}
 					spans := rec.Len()
 					reused.Reset()
-					if reused.Router.Telemetry() != nil {
-						t.Fatalf("%s: Reset left the previous run's telemetry attached", w.name)
-					}
 					got := runOutcome(reused, w)
 					if !reflect.DeepEqual(got, fresh[i]) {
 						t.Errorf("pass %d, %s: reused vs fresh system:%s", pass, w.name, got.diff(fresh[i]))

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -82,10 +83,9 @@ func New(cfg config.System) (*System, error) {
 }
 
 // attach puts what hangs off the wired components in its starting state:
-// Cfg's telemetry, no span recorder, and a new fault injector and DRAM tier
-// (nil when disabled) — rebuilt, so no wear or residency carries over.
+// no span recorder, and a new fault injector and DRAM tier (nil when
+// disabled) — rebuilt, so no wear or residency carries over.
 func (s *System) attach() {
-	s.Router.SetTelemetry(s.Cfg.Telemetry)
 	s.Router.SetRecorder(nil, "")
 	s.Faults = fault.New(s.Cfg.Device.Geom, s.Cfg.Fault)
 	s.Dev.SetFaults(s.Faults)
@@ -96,7 +96,7 @@ func (s *System) attach() {
 // Reset returns the system to its just-built state, whatever happened to it
 // since (a completed run, one that failed part-way, observers attached): a
 // Run after Reset returns what the same Run on a New system returns —
-// time, counter names and values, latency buckets, telemetry. It costs
+// time, counter names and values, latency buckets, per-bank traffic. It costs
 // what the run touched, not the modelled cache sizes. Stuck cells added to
 // Faults by hand are gone with the old injector.
 func (s *System) Reset() {
@@ -122,17 +122,10 @@ type Result struct {
 	// MemLatency is the distribution of demand memory-op latencies
 	// (issue to completion, picoseconds).
 	MemLatency *stats.Histogram `json:"mem_latency,omitempty"`
-}
-
-// Observe attaches a span recorder to the system's memory controllers:
-// each memory request records its queue, activate-or-hit, and burst phases
-// as sim-time spans under process name proc. Call before Run; a nil
-// recorder is a no-op.
-func (s *System) Observe(rec *obs.Recorder, proc string) {
-	if rec == nil {
-		return
-	}
-	s.Router.SetRecorder(rec, proc)
+	// Banks is the run's memory traffic per bank (Block.Banks), indexed by
+	// dense bank id. It stays out of the JSON: the /stats/banks and
+	// /metrics views serve it summed over runs.
+	Banks []stats.BankCounters `json:"-"`
 }
 
 // Run executes the per-core streams to completion. A System runs once per
@@ -171,6 +164,7 @@ func (s *System) Run(streams []trace.Stream) (Result, error) {
 		CyclePs:    s.Cfg.CPU.CyclePs,
 		Counters:   s.Stats.Snapshot(),
 		MemLatency: s.Runner.Latency(),
+		Banks:      slices.Clone(s.Stats.Banks),
 	}, nil
 }
 
@@ -206,10 +200,9 @@ var Replays = NewReplayer(2 * runtime.GOMAXPROCS(0))
 // Built returns how many systems the replayer has constructed so far.
 func (r *Replayer) Built() int64 { return r.built.Load() }
 
-// Run replays one stream on a pooled system. tel, when non-nil, receives
-// the run's per-bank counters; rec, when non-nil, its memory-request spans
-// under process name proc.
-func (r *Replayer) Run(stream trace.Stream, tel *obs.Telemetry, rec *obs.Recorder, proc string) (Result, error) {
+// Run replays one stream on a pooled system. rec, when non-nil, receives
+// the run's memory-request spans under process name proc.
+func (r *Replayer) Run(stream trace.Stream, rec *obs.Recorder, proc string) (Result, error) {
 	var s *System
 	select {
 	case s = <-r.free:
@@ -227,8 +220,7 @@ func (r *Replayer) Run(stream trace.Stream, tel *obs.Telemetry, rec *obs.Recorde
 		default:
 		}
 	}()
-	s.Router.SetTelemetry(tel)
-	s.Observe(rec, proc)
+	s.Router.SetRecorder(rec, proc)
 	return s.Run([]trace.Stream{stream})
 }
 
@@ -267,7 +259,7 @@ type ShardTiming struct {
 // as issued, then rewritten by trace.RowOnly: the statement takes as long
 // as its slowest shard, and MemOps is the total. A statement that touched
 // no memory replays nothing. tels, when non-nil, holds one telemetry per
-// shard that the shard's as-issued replay is merged into. rec, when
+// shard that the shard's as-issued replay's Banks are added to. rec, when
 // non-nil, receives the replays' memory-request spans (as-issued and
 // row-only under separate processes) and one wall-clock span per phase,
 // replay_dual and replay_row, on lane tid.
@@ -279,18 +271,12 @@ func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.
 		if n == 0 {
 			continue
 		}
-		var run *obs.Telemetry
-		if tels != nil {
-			// Sampling off: Merge folds the run's bank counters only, so
-			// an in-run ring would be garbage.
-			run = obs.NewTelemetry(tels[i].Banks(), 0)
-		}
-		dual, err := r.Run(stream, run, rec, obs.ProcSimDual)
+		dual, err := r.Run(stream, rec, obs.ProcSimDual)
 		if err != nil {
 			return nil, fmt.Errorf("trace replay: %w", err)
 		}
-		if run != nil {
-			tels[i].Merge(run)
+		if tels != nil {
+			tels[i].Add(dual.Banks)
 		}
 		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: n, DualPs: dual.TimePs})
 		t.MemOps += n
@@ -304,7 +290,7 @@ func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.
 	rowStart := time.Now()
 	for j := range t.Shards {
 		sh := &t.Shards[j]
-		row, err := r.Run(trace.RowOnly(streams[sh.Shard]), nil, rec, obs.ProcSimRow)
+		row, err := r.Run(trace.RowOnly(streams[sh.Shard]), rec, obs.ProcSimRow)
 		if err != nil {
 			return nil, fmt.Errorf("row-only replay: %w", err)
 		}

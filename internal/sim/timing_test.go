@@ -14,7 +14,7 @@ import (
 // the middle one empty, and holds Replayer.Time to what one cold system per
 // replay reports: each shard's as-issued and row-only time, MemOps summed,
 // the statement's times the slowest shard's, the empty shard skipped, each
-// shard's telemetry merged from its own as-issued replay only, the memory
+// shard's telemetry added to by its own as-issued replay only, the memory
 // requests of both replays, and one replay_dual and one replay_row span.
 // A single stream carries no shard breakdown, and all-empty input replays
 // nothing and records nothing.
@@ -27,12 +27,9 @@ func TestReplayerTime(t *testing.T) {
 	var want sim.Timing
 	wantTels := make([]obs.Snapshot, len(streams))
 	for i, s := range streams {
-		run := obs.NewTelemetry(banks, 0)
-		tel := obs.NewTelemetry(banks, 0)
+		tel := obs.NewTelemetry(banks)
 		if len(s) > 0 {
-			cfg := config.RCNVM()
-			cfg.Telemetry = run
-			dual, err := sim.RunOn(cfg, []trace.Stream{s})
+			dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{s})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +37,7 @@ func TestReplayerTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tel.Merge(run)
+			tel.Add(dual.Banks)
 			want.Shards = append(want.Shards, sim.ShardTiming{Shard: i, MemOps: s.MemOps(), DualPs: dual.TimePs, RowPs: row.TimePs})
 			want.MemOps += s.MemOps()
 			want.DualPs = max(want.DualPs, dual.TimePs)
@@ -56,7 +53,7 @@ func TestReplayerTime(t *testing.T) {
 	r := sim.NewReplayer(2)
 	tels := make([]*obs.Telemetry, len(streams))
 	for i := range tels {
-		tels[i] = obs.NewTelemetry(banks, 0)
+		tels[i] = obs.NewTelemetry(banks)
 	}
 	rec := obs.NewRecorderLimit(1 << 20) // room for every memory-request span
 	got, err := r.Time(streams, tels, rec, 7)

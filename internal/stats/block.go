@@ -20,10 +20,48 @@ func index(name string) Index {
 // by Index, so a simulated event costs an add, not a mutex and a map
 // lookup. It renders to a name→value map of the counters that exist: a
 // counter exists once Add or Inc touched it (even by zero) or Max raised
-// it. Like the simulation it belongs to, it is single-threaded.
+// it. Banks breaks the memory traffic down per bank; the device sizes it
+// when it is built and the memory controllers count into it. Like the
+// simulation it belongs to, it is single-threaded.
 type Block struct {
 	v       [64]int64 // as many as touched has bits
 	touched uint64    // bit i: counter i exists
+	Banks   []BankCounters
+}
+
+// BankCounters is the memory traffic of one bank over a run.
+type BankCounters struct {
+	Reads      int64 `json:"reads"`
+	Writes     int64 `json:"writes"`
+	Writebacks int64 `json:"writebacks"`
+	RowHits    int64 `json:"row_hits"`
+	RowMisses  int64 `json:"row_misses"`
+	ColHits    int64 `json:"col_hits"`
+	ColMisses  int64 `json:"col_misses"`
+	Retries    int64 `json:"retries"`
+	// BusBusyPs is simulated bus time spent on this bank's transfers.
+	BusBusyPs int64 `json:"bus_busy_ps"`
+	// Queued is the bank's current queue depth; QueuePeak its high-water
+	// mark.
+	Queued    int64 `json:"queued"`
+	QueuePeak int64 `json:"queue_peak"`
+}
+
+// Add folds o into b: every counter summed, the queue peak the maximum,
+// the instantaneous queue depth left alone.
+func (b *BankCounters) Add(o BankCounters) {
+	b.Reads += o.Reads
+	b.Writes += o.Writes
+	b.Writebacks += o.Writebacks
+	b.RowHits += o.RowHits
+	b.RowMisses += o.RowMisses
+	b.ColHits += o.ColHits
+	b.ColMisses += o.ColMisses
+	b.Retries += o.Retries
+	b.BusBusyPs += o.BusBusyPs
+	if o.QueuePeak > b.QueuePeak {
+		b.QueuePeak = o.QueuePeak
+	}
 }
 
 // Add increments counter i by delta.
@@ -58,8 +96,13 @@ func (b *Block) Snapshot() map[string]int64 {
 	return out
 }
 
-// Reset returns the block to its zero state: no counter exists.
-func (b *Block) Reset() { *b = Block{} }
+// Reset returns the block to its zero state: no counter exists, and every
+// bank's counters are zero in place, so whoever holds Banks keeps counting
+// into it.
+func (b *Block) Reset() {
+	clear(b.Banks)
+	*b = Block{Banks: b.Banks}
+}
 
 // The simulator's counters: one Index per canonical name below.
 var (
