@@ -36,8 +36,8 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":6661000,"row_ps":21001000,"speedup":3.1528299054196065}}`,
 			},
 			metrics:    "f385aebf95f07c66edac00403e880754033189b33172093e588b654beb6af756",
-			banks:      "7f430d89380457c7b7c7b2719f5fd4e883b39482c5461fc7c8b6bdb2f66a8fd3",
-			shardBanks: []string{"7f430d89380457c7b7c7b2719f5fd4e883b39482c5461fc7c8b6bdb2f66a8fd3"},
+			banks:      "688fd830edd55824e0f54afb545b240b13812d8fc09563ca7c7cacac99e7a8a7",
+			shardBanks: []string{"688fd830edd55824e0f54afb545b240b13812d8fc09563ca7c7cacac99e7a8a7"},
 		},
 		3: {
 			replies: []string{
@@ -47,11 +47,11 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":2491500,"row_ps":7486000,"speedup":3.0046156933574153,"shards":[{"shard":0,"mem_ops":362,"dual_ps":2491500,"row_ps":7486000},{"shard":1,"mem_ops":354,"dual_ps":2491500,"row_ps":7316000},{"shard":2,"mem_ops":308,"dual_ps":2185500,"row_ps":6338500}]}}`,
 			},
 			metrics: "deafdcc73e7f47b8a4dd36a083f1027c8d29746d0935056319a60c1b60c7d359",
-			banks:   "8a24c9d83817d4d56753fe53a7e53316175f8f3b99f0c3c8988792d93074d294",
+			banks:   "95b102f5030d395ca0a76a612b2c0220f79cb8fadec21904659446127b240a41",
 			shardBanks: []string{
-				"58bfc0d91fc94121c21cf486e2484c78a79c967568d1ab96f4553e7cc309e976",
-				"e501e1ea9e2362f81f7a04e954f6632378a6893a1943fd946f5a06bef947e8d1",
-				"3ba9158fc9ff639ba50126d22333018c80fdf232f74a1e7f311f414ce8e49b2f",
+				"1727fa9a142fd58e4413b34b5bdf9ebcb99f0a7aa1aeb74f12a7761a8c7e4dad",
+				"ec63cbf85e299b1b22c4fc922e7341fd40081e561c8a3d82b786c61f9856378e",
+				"246817929f234869e421791a3369f3a7afca75525d9e4090d3f8ae36099c9884",
 			},
 		},
 	}
