@@ -14,7 +14,7 @@ import (
 )
 
 // Federated cluster observability: the router scrapes every backend's own
-// /metrics and /stats endpoints concurrently (bounded by ScrapeTimeout)
+// /metrics and /stats endpoints concurrently (bounded by scrapeTimeout)
 // and re-exposes them as one cluster-wide view. Series are re-labeled
 // with node="primary"|"replica-N" and merged so each metric family keeps
 // a single TYPE line; a backend that cannot answer is reported as

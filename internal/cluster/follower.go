@@ -44,8 +44,6 @@ type FollowerOptions struct {
 	// Interval is the idle poll period when the WAL tail has no new bytes
 	// (default 10ms; records apply as fast as they arrive otherwise).
 	Interval time.Duration
-	// FetchTimeout bounds each HTTP call to the primary (default 2s).
-	FetchTimeout time.Duration
 	// MaxBytes caps one /wal/read response (default 1MiB); a record
 	// larger than that is read whole in one bigger response.
 	MaxBytes int
@@ -58,12 +56,12 @@ type FollowerOptions struct {
 	Logger *slog.Logger
 }
 
+// fetchTimeout bounds each HTTP call to the primary.
+const fetchTimeout = 2 * time.Second
+
 func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.Interval <= 0 {
 		o.Interval = 10 * time.Millisecond
-	}
-	if o.FetchTimeout <= 0 {
-		o.FetchTimeout = 2 * time.Second
 	}
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = 1 << 20
@@ -137,7 +135,7 @@ func NewFollower(srv *server.Server, opts FollowerOptions) *Follower {
 	return &Follower{
 		srv:      srv,
 		opts:     opts.withDefaults(),
-		hc:       &http.Client{Timeout: opts.withDefaults().FetchTimeout},
+		hc:       &http.Client{Timeout: fetchTimeout},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		pollDone: make(chan struct{}),

@@ -69,16 +69,19 @@ func (n *node) failureReason() string {
 	return ""
 }
 
+// failThreshold is the consecutive probe-failure count that ejects a
+// replica: one slow probe is not death. A forward failure ejects at once.
+const failThreshold = 2
+
 // checker probes every replica's /readyz on a fixed interval and flips
-// node health. Ejection needs FailThreshold consecutive failures (one
-// slow probe is not death); re-admission needs one success but waits out
+// node health. Ejection needs failThreshold consecutive failures;
+// re-admission needs one success but waits out
 // ReadmitBackoff from ejection, so a node that is cycling through
 // crash-restart-crash does not bounce in and out of rotation.
 type checker struct {
 	nodes    []*node
 	interval time.Duration
 	timeout  time.Duration
-	thresh   int
 	backoff  time.Duration
 	onChange func(n *node, healthy bool)
 
@@ -88,12 +91,11 @@ type checker struct {
 	wg   sync.WaitGroup
 }
 
-func newChecker(nodes []*node, interval, timeout time.Duration, thresh int, backoff time.Duration, onChange func(*node, bool)) *checker {
+func newChecker(nodes []*node, interval, timeout, backoff time.Duration, onChange func(*node, bool)) *checker {
 	return &checker{
 		nodes:    nodes,
 		interval: interval,
 		timeout:  timeout,
-		thresh:   thresh,
 		backoff:  backoff,
 		onChange: onChange,
 		hc:       &http.Client{Timeout: timeout},
@@ -158,7 +160,7 @@ func (c *checker) probe(n *node) {
 		return
 	}
 	n.noteFailure(reason)
-	if n.fails.Add(1) >= int32(c.thresh) {
+	if n.fails.Add(1) >= failThreshold {
 		if n.healthy.CompareAndSwap(true, false) {
 			n.downSince.Store(time.Now().UnixNano())
 			if c.onChange != nil {

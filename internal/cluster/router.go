@@ -43,25 +43,22 @@ type RouterOptions struct {
 	CheckInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 250ms).
 	ProbeTimeout time.Duration
-	// FailThreshold is the consecutive-failure count that ejects a
-	// replica (default 2). A forward failure ejects immediately.
-	FailThreshold int
 	// ReadmitBackoff is how long an ejected replica stays out of rotation
 	// before re-admission probes resume (default 250ms).
 	ReadmitBackoff time.Duration
 	// DialTimeout bounds backend session dials (default 500ms), so a dead
 	// primary fails writes fast instead of hanging on connect.
 	DialTimeout time.Duration
-	// ScrapeTimeout bounds the whole federated scrape behind
-	// /cluster/metrics and /cluster/stats (default 2s). A backend that
-	// cannot answer within it is reported down (cluster_node_up 0), never
-	// waited on.
-	ScrapeTimeout time.Duration
 	// Logger, when non-nil, receives health transitions, forward failures
 	// and the front end's session lines (closed, panicked, response
 	// undeliverable).
 	Logger *slog.Logger
 }
+
+// scrapeTimeout bounds the whole federated scrape behind /cluster/metrics
+// and /cluster/stats. A backend that cannot answer within it is reported
+// down (cluster_node_up 0), never waited on.
+const scrapeTimeout = 2 * time.Second
 
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.CheckInterval <= 0 {
@@ -70,17 +67,11 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 250 * time.Millisecond
 	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
 	if o.ReadmitBackoff <= 0 {
 		o.ReadmitBackoff = 250 * time.Millisecond
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 500 * time.Millisecond
-	}
-	if o.ScrapeTimeout <= 0 {
-		o.ScrapeTimeout = 2 * time.Second
 	}
 	return o
 }
@@ -119,7 +110,7 @@ func NewRouter(opts RouterOptions) *Router {
 		opts:    opts,
 		primary: &node{be: opts.Primary, name: "primary", lat: stats.NewHistogram()},
 		met:     stats.NewCounters(&Family),
-		scrape:  &http.Client{Timeout: opts.ScrapeTimeout},
+		scrape:  &http.Client{Timeout: scrapeTimeout},
 	}
 	// The router is ready as soon as it serves: with every backend down it
 	// still answers every request with a typed retryable error, which is
@@ -155,7 +146,7 @@ func NewRouter(opts RouterOptions) *Router {
 		r.replicas = append(r.replicas, n)
 	}
 	r.check = newChecker(r.replicas, opts.CheckInterval, opts.ProbeTimeout,
-		opts.FailThreshold, opts.ReadmitBackoff, r.onHealthChange)
+		opts.ReadmitBackoff, r.onHealthChange)
 	r.check.start()
 	return r
 }
