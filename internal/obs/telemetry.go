@@ -27,14 +27,6 @@ func NewTelemetry(banks int) *Telemetry {
 	return &Telemetry{banks: make([]stats.BankCounters, banks)}
 }
 
-// Banks returns the number of tracked banks.
-func (t *Telemetry) Banks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.banks)
-}
-
 // Add folds one run's per-bank counters into the telemetry and counts the
 // run. Banks beyond the telemetry's bank count are dropped.
 func (t *Telemetry) Add(banks []stats.BankCounters) {

@@ -80,13 +80,20 @@ func TestSnapshotIsolated(t *testing.T) {
 }
 
 // TestReset: a reset Block holds no counter, not even a zero one.
+// TestReset: no counter survives a reset, and the per-bank counters are
+// zeroed in the slice a memory controller holds.
 func TestReset(t *testing.T) {
-	var b Block
+	b := Block{Banks: make([]BankCounters, 2)}
+	held := b.Banks
 	b.Inc(IdxMemReads)
 	b.Add(IdxMemWrites, 0)
+	held[1].Reads, held[1].QueuePeak = 3, 2
 	b.Reset()
 	if snap := b.Snapshot(); len(snap) != 0 {
 		t.Fatalf("reset left counters: %v", snap)
+	}
+	if len(b.Banks) != 2 || &b.Banks[0] != &held[0] || held[1] != (BankCounters{}) {
+		t.Fatalf("reset left banks %+v (%d, same array: %v)", held, len(b.Banks), &b.Banks[0] == &held[0])
 	}
 }
 
