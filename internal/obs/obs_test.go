@@ -63,10 +63,10 @@ func TestWallSinceUsesEpoch(t *testing.T) {
 	}
 }
 
-// TestTelemetryAdd: a run's bank counters add up bank by bank, the queue
-// peak is the maximum over runs, the instantaneous depth is left alone,
-// every Add counts a run, and Snapshot derives the hit rates.
-func TestTelemetryAdd(t *testing.T) {
+// TestTelemetryAccounting: runs' bank counters add up bank by bank, the
+// queue peak is the maximum over runs, the instantaneous depth is left
+// alone, every Add counts a run, and Snapshot derives the hit rates.
+func TestTelemetryAccounting(t *testing.T) {
 	tel := NewTelemetry(3)
 	tel.Add([]stats.BankCounters{
 		1: {Reads: 1, Writes: 1, RowHits: 1, RowMisses: 1, QueuePeak: 2, Queued: 1, BusBusyPs: 6000},
