@@ -68,8 +68,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBanks renders GET /stats/banks: the per-bank telemetry snapshot
-// (cumulative counters and hit rates) as JSON. The default payload sums the shards; ?shard=i returns one shard's
-// own series.
+// (cumulative counters and hit rates) as JSON. The default payload sums
+// the shards; ?shard=i returns one shard's own series.
 func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("shard"); q != "" {
 		i, err := strconv.Atoi(q)
