@@ -94,6 +94,25 @@ func TestTelemetryAccounting(t *testing.T) {
 	}
 }
 
+// TestTelemetryMerge: one run's bank counters added twice count two runs,
+// double every counter and keep the queue peak at the run's own peak.
+func TestTelemetryMerge(t *testing.T) {
+	agg := NewTelemetry(2)
+	run := []stats.BankCounters{{RowHits: 1, QueuePeak: 1}, {ColMisses: 1}}
+	agg.Add(run)
+	agg.Add(run)
+	snap := agg.Snapshot()
+	if snap.Runs != 2 {
+		t.Fatalf("runs = %d, want 2", snap.Runs)
+	}
+	if snap.Banks[0].RowHits != 2 || snap.Banks[1].ColMisses != 2 {
+		t.Fatalf("merged = %+v", snap.Banks)
+	}
+	if snap.Banks[0].QueuePeak != 1 {
+		t.Fatalf("queue peak = %d, want max-merge 1", snap.Banks[0].QueuePeak)
+	}
+}
+
 // TestTelemetryAddBankCounts: a run with more banks than the telemetry
 // loses the extra banks; one with fewer adds to the banks it has.
 func TestTelemetryAddBankCounts(t *testing.T) {
