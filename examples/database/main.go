@@ -11,6 +11,7 @@ import (
 	"log"
 	"math/rand"
 
+	"rcnvm/internal/config"
 	"rcnvm/internal/engine"
 	"rcnvm/internal/imdb"
 	"rcnvm/internal/sim"
@@ -71,11 +72,11 @@ func main() {
 	// Replay the recorded plan on the timing simulator: once as recorded
 	// (cloads) and once downgraded to row-only accesses — the same cells,
 	// conventional addressing.
-	dual, err := sim.Replays.Run(stream, nil, "")
+	dual, err := sim.RunOn(config.RCNVM(), []trace.Stream{stream})
 	if err != nil {
 		log.Fatal(err)
 	}
-	row, err := sim.Replays.Run(trace.RowOnly(stream), nil, "")
+	row, err := sim.RunOn(config.RCNVM(), []trace.Stream{trace.RowOnly(stream)})
 	if err != nil {
 		log.Fatal(err)
 	}

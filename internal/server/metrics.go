@@ -34,7 +34,7 @@ var (
 	EncodeErrors     = Family.Counter("server.encode_errors")      // responses computed but undeliverable (encode failed)
 	Batches          = Family.Counter("server.batches")            // batch requests executed
 	BatchStatements  = Family.Counter("server.batch_statements")   // statements carried inside batch requests
-	ReplaySimsBuilt  = Family.Counter("server.replay_sims_built")  // simulated systems constructed for timing replays (reuse keeps it at most 2 per worker)
+	ReplaySimsBuilt  = Family.Counter("server.replay_sims_built")  // simulated systems constructed for timing replays (reuse keeps it at most 1 per worker)
 )
 
 // Plan-cache counters, sourced from sql.PlanCache.Counters and merged

@@ -55,7 +55,8 @@ func replayStatements(k int) []string {
 // TestTimedStatementsReuseSimulators: 64 timed statements from 4 concurrent
 // sessions, with garbage collections as part of the load (a server under
 // load collects constantly — the free list must survive that, which a
-// sync.Pool does not), build at most 2 systems per worker and count one
+// sync.Pool does not), build at most one system per worker (a run slot
+// holds its statement through the replays) and count one
 // timed_queries per timing:true request; every Timing is what two fresh
 // sim.RunOn calls give for the statement's captured stream;
 // and the per-bank telemetry equals both the sum of those fresh runs'
@@ -143,11 +144,11 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 		return s
 	}
 
-	reusing := serve(2*workers, true)
+	reusing := serve(workers, true)
 	counters := reusing.Stats().Counters
 	built := counters[ReplaySimsBuilt]
-	if built < 1 || built > 2*workers {
-		t.Fatalf("%s = %d after %d timed statements, want 1..%d", ReplaySimsBuilt, built, statements, 2*workers)
+	if built < 1 || built > workers {
+		t.Fatalf("%s = %d after %d timed statements, want 1..%d", ReplaySimsBuilt, built, statements, workers)
 	}
 	if n := counters[TimedQueries]; n != int64(statements) {
 		t.Fatalf("%s = %d, want one per timing:true request (%d); the seed statements were untimed", TimedQueries, n, statements)

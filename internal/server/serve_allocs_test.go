@@ -26,6 +26,26 @@ func TestPointDoAllocs(t *testing.T) {
 	}
 }
 
+// TestTimedDoAllocs holds the cost of a timed statement: BenchmarkServe's
+// timed request, a warm point SELECT with timing through Server.Do. Its
+// two replays run on a pooled system and render no sim.Result, so past an
+// untimed point statement it allocates the Timing, its row-only stream
+// and the statement's captured trace.
+func TestTimedDoAllocs(t *testing.T) {
+	s, _ := serveFixture(t, 64)
+	req := &Request{Query: pointQuery, Timing: true}
+	s.Do(req) // fill the plan cache, build the replay system
+	const ceiling = 18
+	allocs := testing.AllocsPerRun(200, func() {
+		if resp := s.Do(req); resp.Error != nil {
+			t.Fatal(resp.Error)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("timed point Server.Do allocates %.1f/op, want <= %d", allocs, ceiling)
+	}
+}
+
 // TestPointTCPAllocs holds the cost of a point statement over the wire: a
 // warm point SELECT on one loopback session, counting both ends — the
 // client's request and reply, the server's session and Server.Do. The

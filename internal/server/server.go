@@ -137,7 +137,7 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 		running: make(chan struct{}, opts.Workers),
 		opts:    opts,
 		tels:    make([]*obs.Telemetry, c.N()),
-		replays: sim.NewReplayer(2 * opts.Workers),
+		replays: sim.NewReplayer(opts.Workers),
 		plans:   sql.NewPlanCache(0),
 	}
 	for i := range s.tels {

@@ -13,8 +13,7 @@ import (
 
 // TestResultJSONRoundTrip marshals a real simulation result (so counters
 // and the latency histogram are populated) and checks that every reported
-// metric survives the decode — the contract the server's per-query timing
-// and /stats payloads rely on.
+// metric survives the decode.
 func TestResultJSONRoundTrip(t *testing.T) {
 	spec, ok := workload.QueryByID("Q1")
 	if !ok {

@@ -110,9 +110,10 @@ func (s *System) Reset() {
 	s.ran = false
 }
 
-// Result summarizes one run. It marshals to stable JSON (the /stats and
-// per-query timing payloads of internal/server): the histogram carries
-// exact bucket contents, so quantiles survive a decode.
+// Result summarizes one run for the experiments, the CLIs and the
+// benchmark harness; a timed statement's replay renders none. It marshals
+// to stable JSON: the histogram carries exact bucket contents, so
+// quantiles survive a decode.
 type Result struct {
 	Name     string           `json:"name"`
 	TimePs   int64            `json:"time_ps"`
@@ -128,34 +129,11 @@ type Result struct {
 	Banks []stats.BankCounters `json:"-"`
 }
 
-// Run executes the per-core streams to completion. A System runs once per
-// Reset.
+// Run executes the per-core streams to completion and summarizes the run.
+// A System runs once per Reset.
 func (s *System) Run(streams []trace.Stream) (Result, error) {
-	if s.ran {
-		return Result{}, fmt.Errorf("sim: system %q already ran; Reset it or create a fresh one", s.Cfg.Name)
-	}
-	s.ran = true
-	if len(streams) > s.Cfg.CPU.Cores {
-		return Result{}, fmt.Errorf("sim: %d streams for %d cores", len(streams), s.Cfg.CPU.Cores)
-	}
-	for i, ops := range streams {
-		s.Runner.SetStream(i, ops)
-	}
-	s.Runner.Start()
-	s.Eng.Run()
-	if !s.Runner.Done() {
-		return Result{}, fmt.Errorf("sim: engine drained but cores not done (deadlock?)")
-	}
-	// Post-run flush: persist dirty cached data (accounted in the write
-	// traffic counters, but not in the reported execution time, matching
-	// how the paper measures query latency).
-	s.Hier.FlushDirty()
-	s.Eng.Run()
-	// An injected memory error that survived ECC correction and the
-	// controller's read retries fails the run with the typed error
-	// (unless the fault config opts into counting-only mode).
-	if err := s.Router.FaultErr(); err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", s.Cfg.Name, err)
+	if err := s.run(streams); err != nil {
+		return Result{}, err
 	}
 	return Result{
 		Name:       s.Cfg.Name,
@@ -166,6 +144,38 @@ func (s *System) Run(streams []trace.Stream) (Result, error) {
 		MemLatency: s.Runner.Latency(),
 		Banks:      slices.Clone(s.Stats.Banks),
 	}, nil
+}
+
+// run executes the per-core streams to completion, leaving what they did
+// in the system: the time in Runner.FinishAt, the counters in Stats.
+func (s *System) run(streams []trace.Stream) error {
+	if s.ran {
+		return fmt.Errorf("sim: system %q already ran; Reset it or create a fresh one", s.Cfg.Name)
+	}
+	s.ran = true
+	if len(streams) > s.Cfg.CPU.Cores {
+		return fmt.Errorf("sim: %d streams for %d cores", len(streams), s.Cfg.CPU.Cores)
+	}
+	for i, ops := range streams {
+		s.Runner.SetStream(i, ops)
+	}
+	s.Runner.Start()
+	s.Eng.Run()
+	if !s.Runner.Done() {
+		return fmt.Errorf("sim: engine drained but cores not done (deadlock?)")
+	}
+	// Post-run flush: persist dirty cached data (accounted in the write
+	// traffic counters, but not in the reported execution time, matching
+	// how the paper measures query latency).
+	s.Hier.FlushDirty()
+	s.Eng.Run()
+	// An injected memory error that survived ECC correction and the
+	// controller's read retries fails the run with the typed error
+	// (unless the fault config opts into counting-only mode).
+	if err := s.Router.FaultErr(); err != nil {
+		return fmt.Errorf("sim: %s: %w", s.Cfg.Name, err)
+	}
+	return nil
 }
 
 // RunOn is the one-call helper: build the system, run the streams.
@@ -194,22 +204,24 @@ type Replayer struct {
 func NewReplayer(max int) *Replayer { return &Replayer{free: make(chan *System, max)} }
 
 // Replays serves the callers that hold no replayer of their own (EXPLAIN
-// ANALYZE, the shell and the examples).
-var Replays = NewReplayer(2 * runtime.GOMAXPROCS(0))
+// ANALYZE and the shell).
+var Replays = NewReplayer(runtime.GOMAXPROCS(0))
 
 // Built returns how many systems the replayer has constructed so far.
 func (r *Replayer) Built() int64 { return r.built.Load() }
 
-// Run replays one stream on a pooled system. rec, when non-nil, receives
-// the run's memory-request spans under process name proc.
-func (r *Replayer) Run(stream trace.Stream, rec *obs.Recorder, proc string) (Result, error) {
+// replay runs stream on a pooled system and returns the run's simulated
+// time. tel, when non-nil, has the run's per-bank traffic added to it;
+// rec, when non-nil, receives the run's memory-request spans under process
+// name proc.
+func (r *Replayer) replay(stream trace.Stream, tel *obs.Telemetry, rec *obs.Recorder, proc string) (int64, error) {
 	var s *System
 	select {
 	case s = <-r.free:
 	default:
 		var err error
 		if s, err = New(config.RCNVM()); err != nil {
-			return Result{}, err
+			return 0, err
 		}
 		r.built.Add(1)
 	}
@@ -221,7 +233,13 @@ func (r *Replayer) Run(stream trace.Stream, rec *obs.Recorder, proc string) (Res
 		}
 	}()
 	s.Router.SetRecorder(rec, proc)
-	return s.Run([]trace.Stream{stream})
+	if err := s.run([]trace.Stream{stream}); err != nil {
+		return 0, err
+	}
+	if tel != nil {
+		tel.Add(s.Stats.Banks)
+	}
+	return s.Runner.FinishAt, nil
 }
 
 // Timing is the simulated memory time of one statement, as issued and
@@ -257,12 +275,13 @@ type ShardTiming struct {
 // access stream; an empty one (a shard the statement never touched) is
 // skipped. Every other stream replays on its own simulated channel, first
 // as issued, then rewritten by trace.RowOnly: the statement takes as long
-// as its slowest shard, and MemOps is the total. A statement that touched
-// no memory replays nothing. tels, when non-nil, holds one telemetry per
-// shard that the shard's as-issued replay's Banks are added to. rec, when
-// non-nil, receives the replays' memory-request spans (as-issued and
-// row-only under separate processes) and one wall-clock span per phase,
-// replay_dual and replay_row, on lane tid.
+// as its slowest shard, and MemOps is the total. Each replay takes one
+// pooled system and puts it back before the next begins. A statement that
+// touched no memory replays nothing. tels, when non-nil, holds one
+// telemetry per shard that the shard's as-issued replay's per-bank traffic
+// is added to. rec, when non-nil, receives the replays' memory-request spans
+// (as-issued and row-only under separate processes) and one wall-clock
+// span per phase, replay_dual and replay_row, on lane tid.
 func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.Recorder, tid int64) (*Timing, error) {
 	t := &Timing{}
 	dualStart := time.Now()
@@ -271,16 +290,17 @@ func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.
 		if n == 0 {
 			continue
 		}
-		dual, err := r.Run(stream, rec, obs.ProcSimDual)
+		var tel *obs.Telemetry
+		if tels != nil {
+			tel = tels[i]
+		}
+		dual, err := r.replay(stream, tel, rec, obs.ProcSimDual)
 		if err != nil {
 			return nil, fmt.Errorf("trace replay: %w", err)
 		}
-		if tels != nil {
-			tels[i].Add(dual.Banks)
-		}
-		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: n, DualPs: dual.TimePs})
+		t.Shards = append(t.Shards, ShardTiming{Shard: i, MemOps: n, DualPs: dual})
 		t.MemOps += n
-		t.DualPs = max(t.DualPs, dual.TimePs)
+		t.DualPs = max(t.DualPs, dual)
 	}
 	if t.MemOps == 0 {
 		return t, nil
@@ -290,12 +310,12 @@ func (r *Replayer) Time(streams []trace.Stream, tels []*obs.Telemetry, rec *obs.
 	rowStart := time.Now()
 	for j := range t.Shards {
 		sh := &t.Shards[j]
-		row, err := r.Run(trace.RowOnly(streams[sh.Shard]), rec, obs.ProcSimRow)
+		row, err := r.replay(trace.RowOnly(streams[sh.Shard]), nil, rec, obs.ProcSimRow)
 		if err != nil {
 			return nil, fmt.Errorf("row-only replay: %w", err)
 		}
-		sh.RowPs = row.TimePs
-		t.RowPs = max(t.RowPs, row.TimePs)
+		sh.RowPs = row
+		t.RowPs = max(t.RowPs, row)
 	}
 	rec.WallSince(obs.ProcQuery, "replay_row", obs.CatServer, tid, rowStart)
 
