@@ -64,12 +64,12 @@ func TestWallSinceUsesEpoch(t *testing.T) {
 }
 
 // TestTelemetryAccounting: runs' bank counters add up bank by bank, the
-// queue peak is the maximum over runs, the instantaneous depth is left
-// alone, every Add counts a run, and Snapshot derives the hit rates.
+// queue peak is the maximum over runs, every Add counts a run, and
+// Snapshot derives the hit rates.
 func TestTelemetryAccounting(t *testing.T) {
 	tel := NewTelemetry(3)
 	tel.Add([]stats.BankCounters{
-		1: {Reads: 1, Writes: 1, RowHits: 1, RowMisses: 1, QueuePeak: 2, Queued: 1, BusBusyPs: 6000},
+		1: {Reads: 1, Writes: 1, RowHits: 1, RowMisses: 1, QueuePeak: 2, BusBusyPs: 6000},
 		2: {ColHits: 2, ColMisses: 1, Retries: 1, Writebacks: 1},
 	})
 	tel.Add([]stats.BankCounters{

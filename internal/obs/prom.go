@@ -211,7 +211,6 @@ var bankFamilies = [...]struct {
 	{"col_buffer_misses_total", "counter", func(b BankSnapshot) string { return itoa(b.ColMisses) }},
 	{"ecc_retries_total", "counter", func(b BankSnapshot) string { return itoa(b.Retries) }},
 	{"bus_busy_ps_total", "counter", func(b BankSnapshot) string { return itoa(b.BusBusyPs) }},
-	{"queue_depth", "gauge", func(b BankSnapshot) string { return itoa(b.Queued) }},
 	{"queue_peak", "gauge", func(b BankSnapshot) string { return itoa(b.QueuePeak) }},
 	{"row_buffer_hit_rate", "gauge", func(b BankSnapshot) string { return formatFloat(b.RowHitRate) }},
 	{"col_buffer_hit_rate", "gauge", func(b BankSnapshot) string { return formatFloat(b.ColHitRate) }},

@@ -41,14 +41,11 @@ type BankCounters struct {
 	Retries    int64 `json:"retries"`
 	// BusBusyPs is simulated bus time spent on this bank's transfers.
 	BusBusyPs int64 `json:"bus_busy_ps"`
-	// Queued is the bank's current queue depth; QueuePeak its high-water
-	// mark.
-	Queued    int64 `json:"queued"`
+	// QueuePeak is the most requests the bank's queue held at once.
 	QueuePeak int64 `json:"queue_peak"`
 }
 
-// Add folds o into b: every counter summed, the queue peak the maximum,
-// the instantaneous queue depth left alone.
+// Add folds o into b: every counter summed, the queue peak the maximum.
 func (b *BankCounters) Add(o BankCounters) {
 	b.Reads += o.Reads
 	b.Writes += o.Writes
