@@ -288,7 +288,6 @@ const oneShardFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_bank_col_buffer_misses_total counter
 # TYPE rcnvm_bank_ecc_retries_total counter
 # TYPE rcnvm_bank_bus_busy_ps_total counter
-# TYPE rcnvm_bank_queue_depth gauge
 # TYPE rcnvm_bank_queue_peak gauge
 # TYPE rcnvm_bank_row_buffer_hit_rate gauge
 # TYPE rcnvm_bank_col_buffer_hit_rate gauge
@@ -344,7 +343,6 @@ const threeShardFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_bank_col_buffer_misses_total counter
 # TYPE rcnvm_bank_ecc_retries_total counter
 # TYPE rcnvm_bank_bus_busy_ps_total counter
-# TYPE rcnvm_bank_queue_depth gauge
 # TYPE rcnvm_bank_queue_peak gauge
 # TYPE rcnvm_bank_row_buffer_hit_rate gauge
 # TYPE rcnvm_bank_col_buffer_hit_rate gauge
@@ -357,7 +355,6 @@ const threeShardFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_shard_bank_col_buffer_misses_total counter
 # TYPE rcnvm_shard_bank_ecc_retries_total counter
 # TYPE rcnvm_shard_bank_bus_busy_ps_total counter
-# TYPE rcnvm_shard_bank_queue_depth gauge
 # TYPE rcnvm_shard_bank_queue_peak gauge
 # TYPE rcnvm_shard_bank_row_buffer_hit_rate gauge
 # TYPE rcnvm_shard_bank_col_buffer_hit_rate gauge
@@ -419,7 +416,6 @@ const replicaFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_bank_col_buffer_misses_total counter
 # TYPE rcnvm_bank_ecc_retries_total counter
 # TYPE rcnvm_bank_bus_busy_ps_total counter
-# TYPE rcnvm_bank_queue_depth gauge
 # TYPE rcnvm_bank_queue_peak gauge
 # TYPE rcnvm_bank_row_buffer_hit_rate gauge
 # TYPE rcnvm_bank_col_buffer_hit_rate gauge
@@ -445,7 +441,6 @@ const clusterFamilies = `# TYPE rcnvm_cluster_node_up gauge
 # TYPE rcnvm_bank_col_buffer_hits_total counter
 # TYPE rcnvm_bank_col_buffer_misses_total counter
 # TYPE rcnvm_bank_ecc_retries_total counter
-# TYPE rcnvm_bank_queue_depth gauge
 # TYPE rcnvm_bank_queue_peak gauge
 # TYPE rcnvm_bank_reads_total counter
 # TYPE rcnvm_bank_row_buffer_hit_rate gauge

@@ -326,9 +326,6 @@ rcnvm_bank_ecc_retries_total{bank="1"} 0
 # TYPE rcnvm_bank_bus_busy_ps_total counter
 rcnvm_bank_bus_busy_ps_total{bank="0"} 0
 rcnvm_bank_bus_busy_ps_total{bank="1"} 12500
-# TYPE rcnvm_bank_queue_depth gauge
-rcnvm_bank_queue_depth{bank="0"} 0
-rcnvm_bank_queue_depth{bank="1"} 0
 # TYPE rcnvm_bank_queue_peak gauge
 rcnvm_bank_queue_peak{bank="0"} 0
 rcnvm_bank_queue_peak{bank="1"} 2
@@ -383,11 +380,6 @@ rcnvm_shard_bank_bus_busy_ps_total{shard="0",bank="0"} 0
 rcnvm_shard_bank_bus_busy_ps_total{shard="0",bank="1"} 12500
 rcnvm_shard_bank_bus_busy_ps_total{shard="2",bank="0"} 0
 rcnvm_shard_bank_bus_busy_ps_total{shard="2",bank="1"} 0
-# TYPE rcnvm_shard_bank_queue_depth gauge
-rcnvm_shard_bank_queue_depth{shard="0",bank="0"} 0
-rcnvm_shard_bank_queue_depth{shard="0",bank="1"} 0
-rcnvm_shard_bank_queue_depth{shard="2",bank="0"} 0
-rcnvm_shard_bank_queue_depth{shard="2",bank="1"} 0
 # TYPE rcnvm_shard_bank_queue_peak gauge
 rcnvm_shard_bank_queue_peak{shard="0",bank="0"} 0
 rcnvm_shard_bank_queue_peak{shard="0",bank="1"} 2

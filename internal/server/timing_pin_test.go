@@ -35,9 +35,9 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"affected":64,"timing":{"mem_ops":576,"dual_ps":2001500,"row_ps":19822000,"speedup":9.90357232075943}}`,
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":6661000,"row_ps":21001000,"speedup":3.1528299054196065}}`,
 			},
-			metrics:    "f385aebf95f07c66edac00403e880754033189b33172093e588b654beb6af756",
-			banks:      "688fd830edd55824e0f54afb545b240b13812d8fc09563ca7c7cacac99e7a8a7",
-			shardBanks: []string{"688fd830edd55824e0f54afb545b240b13812d8fc09563ca7c7cacac99e7a8a7"},
+			metrics:    "2cbe33cc1deb53e8eed6fc3826beec7ea4d1a07d9412e9c6806f137bf2ba93e4",
+			banks:      "bbcf0e4a96a468b3224dd4d67619e2fc6da5e7e09171777f133d7ff290395087",
+			shardBanks: []string{"bbcf0e4a96a468b3224dd4d67619e2fc6da5e7e09171777f133d7ff290395087"},
 		},
 		3: {
 			replies: []string{
@@ -46,12 +46,12 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"affected":64,"timing":{"mem_ops":576,"dual_ps":708000,"row_ps":7146000,"speedup":10.09322033898305,"shards":[{"shard":0,"mem_ops":206,"dual_ps":708000,"row_ps":7146000},{"shard":1,"mem_ops":199,"dual_ps":696500,"row_ps":6976000},{"shard":2,"mem_ops":171,"dual_ps":667000,"row_ps":5998500}]}}`,
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":2491500,"row_ps":7486000,"speedup":3.0046156933574153,"shards":[{"shard":0,"mem_ops":362,"dual_ps":2491500,"row_ps":7486000},{"shard":1,"mem_ops":354,"dual_ps":2491500,"row_ps":7316000},{"shard":2,"mem_ops":308,"dual_ps":2185500,"row_ps":6338500}]}}`,
 			},
-			metrics: "deafdcc73e7f47b8a4dd36a083f1027c8d29746d0935056319a60c1b60c7d359",
-			banks:   "95b102f5030d395ca0a76a612b2c0220f79cb8fadec21904659446127b240a41",
+			metrics: "8aac9b1f5aaf83eaec5bf45c40e5a7a3e29652656ab470d4a421583ce86ce662",
+			banks:   "3e5d21b6fcef5bd20a5140f252dc307a203fd6b747f3d9c9a1fc73a770fa6167",
 			shardBanks: []string{
-				"1727fa9a142fd58e4413b34b5bdf9ebcb99f0a7aa1aeb74f12a7761a8c7e4dad",
-				"ec63cbf85e299b1b22c4fc922e7341fd40081e561c8a3d82b786c61f9856378e",
-				"246817929f234869e421791a3369f3a7afca75525d9e4090d3f8ae36099c9884",
+				"f73c493dee0a5bf9d0e90358ef57058cbb9541bdbb581cab0b8bd8149c8fe331",
+				"2fa08522be13b145130925b214dc7bcefc2b1830218de0080e827f82f3c0bb16",
+				"5ad7c8d9e94f24c0339fcd6b39813a94c298668a528fbb3089fc537b2ac3de0d",
 			},
 		},
 	}
