@@ -21,14 +21,17 @@ const (
 	// statements committing together cost one fsync, not k.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval acknowledges as soon as the record is written to the
-	// OS and fsyncs in the background on a fixed cadence: a crash can
-	// lose up to one interval of acknowledged statements.
+	// OS and fsyncs in the background every syncCadence: a crash can
+	// lose up to one cadence of acknowledged statements.
 	SyncInterval
 	// SyncNone never fsyncs during serving (checkpoints still sync): the
 	// OS page cache decides when bytes reach disk. Survives process
 	// crashes (kill -9) but not host power loss.
 	SyncNone
 )
+
+// syncCadence is how often the SyncInterval flusher fsyncs.
+const syncCadence = 5 * time.Millisecond
 
 // String names the policy as the -fsync flag spells it.
 func (p SyncPolicy) String() string {
@@ -124,7 +127,7 @@ func parseSegName(name string) (epoch uint64, idx int, ok bool) {
 // appending and starts the flusher. size must be the segment's current
 // byte length — recovery passes the validated offset after truncating any
 // torn tail; a fresh log passes 0.
-func openLog(dir string, epoch uint64, segIdx int, size int64, policy SyncPolicy, segLimit int64, interval time.Duration, counters *stats.Counters) (*Log, error) {
+func openLog(dir string, epoch uint64, segIdx int, size int64, policy SyncPolicy, segLimit int64, counters *stats.Counters) (*Log, error) {
 	f, err := os.OpenFile(filepath.Join(dir, segName(epoch, segIdx)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open wal segment: %w", err)
@@ -143,7 +146,7 @@ func openLog(dir string, epoch uint64, segIdx int, size int64, policy SyncPolicy
 		done:     make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
-	go l.flusher(interval)
+	go l.flusher()
 	return l, nil
 }
 
@@ -231,11 +234,11 @@ func (l *Log) waitSynced(seq uint64) error {
 
 // flusher is the group-commit goroutine: each pass syncs every record
 // appended before it woke, so concurrent statements share fsyncs.
-func (l *Log) flusher(interval time.Duration) {
+func (l *Log) flusher() {
 	defer close(l.done)
 	var tick <-chan time.Time
 	if l.policy == SyncInterval {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(syncCadence)
 		defer t.Stop()
 		tick = t.C
 	}

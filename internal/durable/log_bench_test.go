@@ -3,7 +3,6 @@ package durable
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"rcnvm/internal/stats"
 )
@@ -27,7 +26,7 @@ var walInsert = encodeStatement(nil, "INSERT INTO t VALUES (4242, 2, 12726)", fa
 func BenchmarkWAL(b *testing.B) {
 	open := func(b *testing.B, policy SyncPolicy) (*Log, *stats.Counters) {
 		ctr := stats.NewCounters(&Family)
-		l, err := openLog(b.TempDir(), 1, 1, 0, policy, 8<<20, 5*time.Millisecond, ctr)
+		l, err := openLog(b.TempDir(), 1, 1, 0, policy, 8<<20, ctr)
 		if err != nil {
 			b.Fatal(err)
 		}

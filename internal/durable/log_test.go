@@ -38,7 +38,7 @@ func readSegment(t *testing.T, path string) (payloads [][]byte, validEnd int64) 
 func TestLogAppendSyncAlways(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestLogAppendSyncAlways(t *testing.T) {
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestLogSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
 	// Tiny segment limit so a handful of appends spans several segments.
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 128, 0, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 128, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLogSegmentRotation(t *testing.T) {
 func TestLogReopenContinues(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 3, 1, 0, SyncAlways, 1<<20, 0, ctr)
+	l, err := openLog(dir, 3, 1, 0, SyncAlways, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestLogReopenContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := openLog(dir, 3, 1, fi.Size(), SyncAlways, 1<<20, 0, ctr)
+	l2, err := openLog(dir, 3, 1, fi.Size(), SyncAlways, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestLogReopenContinues(t *testing.T) {
 func TestLogRotateToNewEpoch(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, 0, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncAlways, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestLogRotateToNewEpoch(t *testing.T) {
 func TestLogSyncInterval(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 1, 1, 0, SyncInterval, 1<<20, time.Millisecond, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncInterval, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLogSyncInterval(t *testing.T) {
 func TestLogAppendAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	ctr := stats.NewCounters(&Family)
-	l, err := openLog(dir, 1, 1, 0, SyncNone, 1<<20, 0, ctr)
+	l, err := openLog(dir, 1, 1, 0, SyncNone, 1<<20, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func (s *Store) Recover(c *shard.Cluster) (RecoveryStats, error) {
 			return stats, err
 		}
 		logs[i], err = openLog(s.shardDir(i), s.epoch, lastIdx, lastSize,
-			s.opts.Fsync, s.opts.SegmentBytes, s.opts.Interval, s.counters)
+			s.opts.Fsync, s.opts.SegmentBytes, s.counters)
 		if err != nil {
 			for _, l := range logs[:i] {
 				l.Close()

@@ -69,17 +69,11 @@ type Options struct {
 	Fsync SyncPolicy
 	// SegmentBytes rotates WAL segments past this size (default 8 MiB).
 	SegmentBytes int64
-	// Interval is the background fsync cadence under SyncInterval
-	// (default 5ms).
-	Interval time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.Interval <= 0 {
-		o.Interval = 5 * time.Millisecond
 	}
 	return o
 }
