@@ -66,7 +66,7 @@ func TestTierDisabledLeavesNoTrace(t *testing.T) {
 			t.Fatalf("tier counter %q present with tier disabled", name)
 		}
 	}
-	if s, _ := New(smallCacheRCNVM()); s.Tier != nil || s.Router.Tier() != nil {
+	if s, _ := New(smallCacheRCNVM()); s.Tier != nil {
 		t.Fatalf("tier built despite zero config")
 	}
 }
