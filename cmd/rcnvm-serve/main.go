@@ -90,7 +90,6 @@ func main() {
 		routeMode    = flag.Bool("route", false, "run as a routing front end over -primary/-replicas instead of serving an engine")
 		primarySpec  = flag.String("primary", "", "router mode: the primary backend as tcpAddr@httpAddr")
 		replicaSpecs = flag.String("replicas", "", "router mode: comma-separated replica backends, each tcpAddr@httpAddr")
-		execDelay    = flag.Duration("exec-delay", 0, "stretch every statement by a fixed sleep (deterministic drain/failover windows for the chaos harness)")
 
 		queryTimeout = flag.Duration("query-timeout", 0, "per-statement deadline (0 = none; requests can only tighten it)")
 		traceEvery   = flag.Int("trace-every", 0, "server-side sample every n-th statement for span tracing (0 = explicit trace requests only)")
@@ -189,7 +188,6 @@ func main() {
 		Logger:       slog.New(slog.NewTextHandler(os.Stderr, nil)),
 		Durable:      store,
 		ReadOnly:     *replicaOf != "",
-		ExecDelay:    *execDelay,
 	})
 
 	if *pprofAddr != "" {

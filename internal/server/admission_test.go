@@ -1,7 +1,7 @@
 package server
 
 import (
-	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -18,6 +18,46 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// holdShards takes the statement lock of every shard of s's cluster: a
+// statement that needs a shard and is sent after it stays in flight,
+// holding its admission and run slots, until release. release may be
+// called more than once.
+func holdShards(s *Server) (release func()) {
+	c := s.Cluster()
+	for i := 0; i < c.N(); i++ {
+		c.Shard(i).Lock()
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for i := c.N() - 1; i >= 0; i-- {
+				c.Shard(i).Unlock()
+			}
+		})
+	}
+}
+
+// shutdownReleasing shuts s down while its shards are held: it calls
+// release once the drain has begun, checks the drain has not finished
+// before that, and returns Shutdown's error.
+func shutdownReleasing(t *testing.T, s *Server, release func()) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(testCtx(t)) }()
+	waitFor(t, "the drain to begin", func() bool {
+		s.front.mu.Lock()
+		defer s.front.mu.Unlock()
+		return s.front.shutting
+	})
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned (%v) with statements held in flight", err)
+	default:
+	}
+	release()
+	return <-done
+}
+
 // mustDo runs one statement through Server.Do and fails on a wire error.
 func mustDo(t testing.TB, s *Server, q string) *Response {
 	t.Helper()
@@ -28,15 +68,17 @@ func mustDo(t testing.TB, s *Server, q string) *Response {
 	return resp
 }
 
-// TestAdmissionSlots fills a Workers=2/Queue=3 server with slow
-// statements: exactly Workers+Queue are admitted, Workers running and
-// Queue waiting for a run slot, which /stats shows as the pool depth; the
-// next request is rejected overloaded without waiting; and every admitted
-// statement is answered.
+// TestAdmissionSlots fills a Workers=2/Queue=3 server with statements
+// held at their shard lock: exactly Workers+Queue are admitted, Workers
+// running and Queue waiting for a run slot, which /stats shows as the
+// pool depth; the next request is rejected overloaded without waiting;
+// and every admitted statement is answered.
 func TestAdmissionSlots(t *testing.T) {
 	const workers, queue = 2, 3
-	s, _ := newTestServer(t, Options{Workers: workers, Queue: queue, ExecDelay: 200 * time.Millisecond})
+	s, _ := newTestServer(t, Options{Workers: workers, Queue: queue})
 	mustDo(t, s, "CREATE TABLE a (x)")
+	release := holdShards(s)
+	defer release()
 
 	answers := make(chan *Response, workers+queue)
 	for i := 0; i < workers+queue; i++ {
@@ -61,6 +103,7 @@ func TestAdmissionSlots(t *testing.T) {
 		t.Fatalf("%s = %d, want 1", Rejected, got)
 	}
 
+	release()
 	for i := 0; i < workers+queue; i++ {
 		if r := <-answers; r.Error != nil || len(r.Rows) != 1 {
 			t.Fatalf("admitted statement %d: %+v", i, r)
@@ -76,8 +119,10 @@ func TestAdmissionSlots(t *testing.T) {
 // and that later requests get the shutdown code.
 func TestShutdownDrainsAdmitted(t *testing.T) {
 	const n = 10
-	s, _ := newTestServer(t, Options{Workers: 2, Queue: 16, ExecDelay: 30 * time.Millisecond})
+	s, _ := newTestServer(t, Options{Workers: 2, Queue: 16})
 	mustDo(t, s, "CREATE TABLE d (x)")
+	release := holdShards(s)
+	defer release()
 
 	answers := make(chan *Response, n)
 	for i := 0; i < n; i++ {
@@ -85,9 +130,7 @@ func TestShutdownDrainsAdmitted(t *testing.T) {
 	}
 	waitFor(t, "every statement admitted", func() bool { return s.admitted.Load() == n })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := shutdownReleasing(t, s, release); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if got := s.Stats().Counters[Queries]; got != n+1 {
@@ -101,7 +144,7 @@ func TestShutdownDrainsAdmitted(t *testing.T) {
 	if r := s.Do(&Request{Query: "SELECT COUNT(*) FROM d"}); r.Error == nil || r.Error.Code != CodeShutdown {
 		t.Fatalf("after shutdown: %+v, want %s", r.Error, CodeShutdown)
 	}
-	if err := s.Shutdown(ctx); err != nil {
+	if err := s.Shutdown(testCtx(t)); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
 }
@@ -110,8 +153,10 @@ func TestShutdownDrainsAdmitted(t *testing.T) {
 // while it waits for the only run slot is answered timeout on time, still
 // runs once the slot frees, and the shutdown drain waits for it.
 func TestDeadlineWhileWaitingForRunSlot(t *testing.T) {
-	s, _ := newTestServer(t, Options{Workers: 1, Queue: 1, ExecDelay: 300 * time.Millisecond})
+	s, _ := newTestServer(t, Options{Workers: 1, Queue: 1})
 	mustDo(t, s, "CREATE TABLE w (x)")
+	release := holdShards(s)
+	defer release()
 
 	first := make(chan *Response, 1)
 	go func() { first <- s.Do(&Request{Query: "SELECT COUNT(*) FROM w"}) }()
@@ -129,9 +174,7 @@ func TestDeadlineWhileWaitingForRunSlot(t *testing.T) {
 		t.Fatalf("pool depth = %d at the deadline, want 1 (the INSERT still waiting)", d)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := shutdownReleasing(t, s, release); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if r := <-first; r.Error != nil {

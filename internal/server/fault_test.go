@@ -129,18 +129,42 @@ func testCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// panicLog is a commit log that panics on every append, under the
+// statement lock with the mutation already applied.
+type panicLog struct{}
+
+func (panicLog) LogStatement(string, bool, bool) (func() error, error) {
+	panic("injected LogStatement panic")
+}
+
+func (panicLog) LogInsert(string, [][]uint64, []int) (func() error, error) {
+	panic("injected LogInsert panic")
+}
+
+// setCommitLog installs l on shard 0 of s's cluster under its statement
+// lock, so the statements that follow see it.
+func setCommitLog(s *Server, l engine.CommitLog) {
+	db := s.Cluster().Shard(0)
+	db.Lock()
+	db.SetCommitLog(l)
+	db.Unlock()
+}
+
 // TestPanicRecoveredAsInternalError checks a crashing statement comes
 // back as a typed internal_error, fires the panics metric, and leaves
 // the worker pool and the session intact.
 func TestPanicRecoveredAsInternalError(t *testing.T) {
-	s, addr := newTestServer(t, Options{panicOn: "BOOM"})
+	s, addr := newTestServer(t, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	mustQuery(t, c, "CREATE TABLE boom (a) CAPACITY 16")
 
-	_, err = c.Query("BOOM")
+	setCommitLog(s, panicLog{})
+	_, err = c.Query("INSERT INTO boom VALUES (1)")
+	setCommitLog(s, nil)
 	var we *WireError
 	if !errors.As(err, &we) || we.Code != CodeInternal {
 		t.Fatalf("got %v, want WireError code %q", err, CodeInternal)
@@ -161,12 +185,14 @@ func TestPanicRecoveredAsInternalError(t *testing.T) {
 // in the background, and the server (including shutdown drain) stays
 // correct.
 func TestQueryDeadline(t *testing.T) {
-	s, addr := newTestServer(t, Options{ExecDelay: 300 * time.Millisecond})
+	s, addr := newTestServer(t, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	release := holdShards(s)
+	defer release()
 
 	start := time.Now()
 	_, err = c.do(Request{Query: "SELECT COUNT(*) FROM missing", TimeoutMs: 40})
@@ -183,6 +209,7 @@ func TestQueryDeadline(t *testing.T) {
 	if s.Stats().Counters[Timeouts] != 1 {
 		t.Fatalf("timeouts = %d, want 1", s.Stats().Counters[Timeouts])
 	}
+	release()
 	// The session keeps working after a timeout (responses stay in order
 	// because the abandoned statement's response is discarded server-side).
 	if _, err := c.Query("CREATE TABLE t (a) CAPACITY 16"); err != nil {
@@ -193,8 +220,9 @@ func TestQueryDeadline(t *testing.T) {
 // TestServerDefaultTimeout checks Options.QueryTimeout applies without a
 // per-request override.
 func TestServerDefaultTimeout(t *testing.T) {
-	s, _ := newTestServer(t, Options{ExecDelay: 300 * time.Millisecond, QueryTimeout: 40 * time.Millisecond})
-	r := s.Do(&Request{Query: "SELECT 1"})
+	s, _ := newTestServer(t, Options{QueryTimeout: 40 * time.Millisecond})
+	defer holdShards(s)()
+	r := s.Do(&Request{Query: "SELECT COUNT(*) FROM missing"})
 	if r.Error == nil || r.Error.Code != CodeTimeout {
 		t.Fatalf("got %+v, want code %q", r.Error, CodeTimeout)
 	}
@@ -204,12 +232,13 @@ func TestServerDefaultTimeout(t *testing.T) {
 // deadline: when it fires the session is unusable by construction, and
 // the client says so.
 func TestClientDeadlineBreaksSession(t *testing.T) {
-	_, addr := newTestServer(t, Options{ExecDelay: 300 * time.Millisecond})
+	s, addr := newTestServer(t, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	defer holdShards(s)()
 	c.SetTimeout(40 * time.Millisecond)
 
 	_, err = c.Query("SELECT COUNT(*) FROM missing")

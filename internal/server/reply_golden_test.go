@@ -26,7 +26,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // goldenCase is one request line sent as a TCP line to one server and as
 // a POST /query body to its twin. around, when set, is called with the
 // server about to answer and returns the undo: it puts the server into the
-// state the case needs (overloaded, draining, not ready).
+// state the case needs (overloaded, draining, not ready, a statement held
+// at its shard lock).
 type goldenCase struct {
 	name   string
 	line   string
@@ -131,8 +132,8 @@ func goldenRigs() []goldenRig {
 			// Last: over TCP it ends the session.
 			{name: "over-long line", line: `{"id":39,"query":"SELECT COUNT(*) FROM t` + strings.Repeat(" ", maxLineBytes) + `"}`},
 		}},
-		{name: "deadline", opts: Options{ExecDelay: 100 * time.Millisecond}, cases: []goldenCase{
-			{name: "deadline_exceeded", line: `{"id":1,"query":"SELECT COUNT(*) FROM t","timeout_ms":5}`},
+		{name: "deadline", cases: []goldenCase{
+			{name: "deadline_exceeded", line: `{"id":1,"query":"SELECT COUNT(*) FROM t","timeout_ms":5}`, around: holdShards},
 		}},
 		{name: "replica", opts: Options{ReadOnly: true}, setup: goldenSeed, cases: []goldenCase{
 			{name: "read", line: q(1, "SELECT val FROM t WHERE id = 7")},

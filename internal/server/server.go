@@ -67,14 +67,6 @@ type Options struct {
 	// The replica's state advances only through shipped WAL records, never
 	// through client writes, so it cannot diverge from the primary.
 	ReadOnly bool
-
-	// ExecDelay stretches every statement by a fixed sleep. Tests and the
-	// smoke scripts (via rcnvm-serve -exec-delay) use it to make drain,
-	// overload, and force-quit windows deterministic.
-	ExecDelay time.Duration
-	// panicOn makes the executor panic on this exact query text; tests
-	// use it to exercise the recover path.
-	panicOn string
 }
 
 // Server serves SQL over a shard.Cluster — one engine.DB per shard, each
@@ -412,14 +404,8 @@ func (s *Server) execute(req *Request) (resp *Response) {
 			resp = errResponse(req.ID, CodeInternal, fmt.Sprintf("internal error: %v", r))
 		}
 	}()
-	if s.opts.ExecDelay > 0 {
-		time.Sleep(s.opts.ExecDelay)
-	}
 	if len(req.Batch) > 0 {
 		return s.executeBatch(req, start)
-	}
-	if s.opts.panicOn != "" && req.Query == s.opts.panicOn {
-		panic("injected test panic")
 	}
 	if s.replicaRejects(req.Query) {
 		s.met.observe(time.Since(start), 0, true)

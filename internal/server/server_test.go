@@ -183,13 +183,15 @@ func TestHTTPQueryAndStats(t *testing.T) {
 // TestOverloadRejection saturates a 1-worker/1-slot pool and checks that
 // excess requests get the typed overloaded error instead of queueing.
 func TestOverloadRejection(t *testing.T) {
-	s, addr := newTestServer(t, Options{Workers: 1, Queue: 1, ExecDelay: 50 * time.Millisecond})
+	s, addr := newTestServer(t, Options{Workers: 1, Queue: 1})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	mustQuery(t, c, "CREATE TABLE o (x)")
+	release := holdShards(s)
+	defer release()
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -212,6 +214,12 @@ func TestOverloadRejection(t *testing.T) {
 			}
 		}()
 	}
+	// One statement runs and one waits at the held lock; the rest are
+	// turned away without waiting.
+	waitFor(t, "the requests past Workers+Queue rejected", func() bool {
+		return s.Metrics().Counters.Snapshot()[Rejected] == n-2
+	})
+	release()
 	wg.Wait()
 	if ok == 0 || overloaded == 0 {
 		t.Fatalf("ok=%d overloaded=%d: want both nonzero", ok, overloaded)
@@ -225,7 +233,7 @@ func TestOverloadRejection(t *testing.T) {
 // flight when Shutdown begins still gets its full response, while new
 // queries are refused with the shutdown code.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, addr := newTestServer(t, Options{ExecDelay: 200 * time.Millisecond})
+	s, addr := newTestServer(t, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +243,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := c.Query("INSERT INTO d VALUES (7)"); err != nil {
 		t.Fatal(err)
 	}
+	release := holdShards(s)
+	defer release()
 
 	type outcome struct {
 		resp *Response
@@ -245,11 +255,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		r, err := c.Query("SELECT x FROM d")
 		inflight <- outcome{r, err}
 	}()
-	time.Sleep(60 * time.Millisecond) // let the query get admitted
+	waitFor(t, "the query admitted", func() bool { return s.admitted.Load() == 1 })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := s.Shutdown(ctx); err != nil {
+	if err := shutdownReleasing(t, s, release); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 

@@ -141,7 +141,9 @@ func TestShardedServerEndToEnd(t *testing.T) {
 // TestEncodeErrorCounter: a client that hangs up before its response is
 // written must show up in server.encode_errors (and not as a silent drop).
 func TestEncodeErrorCounter(t *testing.T) {
-	s, addr := newTestServer(t, Options{ExecDelay: 150 * time.Millisecond})
+	s, addr := newTestServer(t, Options{})
+	release := holdShards(s)
+	defer release()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +153,10 @@ func TestEncodeErrorCounter(t *testing.T) {
 	}
 	// RST the connection while the statement is still executing, so the
 	// server's response encode hits a dead socket.
+	waitFor(t, "the statement admitted", func() bool { return s.admitted.Load() == 1 })
 	conn.(*net.TCPConn).SetLinger(0)
 	conn.Close()
+	release()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {

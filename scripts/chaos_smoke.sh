@@ -218,21 +218,22 @@ echo "$COUNT" | grep -q '\[\[18\]\]' || { echo "FAIL: COUNT after primary recove
 echo "   primary recovered; replica set converged on 18 rows"
 
 echo "== SIGINT twice must force-quit non-zero"
-SLOW_TCP=$((BASE + 8))
-"$DIR/rcnvm-serve" -tcp ":$SLOW_TCP" -http "" -exec-delay 5s >"$DIR/slow.log" 2>&1 &
+SLOW_TCP=$((BASE + 8)); SLOW_HTTP=$((BASE + 9))
+"$DIR/rcnvm-serve" -tcp ":$SLOW_TCP" -http ":$SLOW_HTTP" >"$DIR/slow.log" 2>&1 &
 SLOW_PID=$!
 PIDS+=("$SLOW_PID")
-for _ in $(seq 1 50); do
-    if (exec 3<>"/dev/tcp/127.0.0.1/$SLOW_TCP") 2>/dev/null; then break; fi
-    sleep 0.1
-done
-query "$SLOW_TCP" "SELECT COUNT(*) FROM load" >/dev/null &   # in-flight: drain would wait 5s
+wait_ready "$SLOW_HTTP" slow
+# A POST /query whose body stops short of its Content-Length keeps its
+# connection active, and the drain's graceful HTTP shutdown waits for it.
+exec 5<>"/dev/tcp/127.0.0.1/$SLOW_HTTP"
+printf 'POST /query HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{"query":' >&5
 sleep 0.3
 kill -INT "$SLOW_PID"
 sleep 0.3
 kill -INT "$SLOW_PID"
 RC=0
 wait "$SLOW_PID" || RC=$?
+exec 5<&- 5>&-
 [ "$RC" -ne 0 ] || { echo "FAIL: second SIGINT exited 0 (drain was not aborted)" >&2; exit 1; }
 grep -q "force quit" "$DIR/slow.log" || { echo "FAIL: no force-quit banner:" >&2; cat "$DIR/slow.log" >&2; exit 1; }
 echo "   force quit with exit code $RC"
