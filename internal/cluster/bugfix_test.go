@@ -152,36 +152,29 @@ func TestFollowerRejectsOversizedCheckpoint(t *testing.T) {
 // TestReplicaPullsRecordLargerThanOneRead: a WAL record longer than the
 // follower's read size arrives torn in every read of that size. The
 // follower must ask again for the whole frame instead of re-reading the
-// same torn prefix forever.
+// same torn prefix forever. A request line is capped below the read size,
+// so the record is committed on the primary's cluster in process.
 func TestReplicaPullsRecordLargerThanOneRead(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 1)
-	c, err := shard.Open(engine.DualAddress, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.NewCluster(c, server.Options{ReadOnly: true})
-	const maxBytes = 256
-	fol := NewFollower(srv, FollowerOptions{PrimaryHTTP: p.http, MaxBytes: maxBytes,
-		Interval: 2 * time.Millisecond, StatePoll: 5 * time.Millisecond})
-	fol.Start()
-	r := &testReplica{srv: srv, fol: fol}
-	t.Cleanup(r.kill)
+	r := startReplica(t, p.http, 1)
 
 	cl, err := server.Dial(p.tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	mustQuery(t, cl, "CREATE TABLE kv (k, grp, val) CAPACITY 4096")
+	mustQuery(t, cl, "CREATE TABLE kv (k, grp, val) CAPACITY 40000")
 	_, _, before, _, _ := p.store.StreamState()
-	vals := make([]string, 61)
+	vals := make([]string, 36000)
 	for i := range vals {
-		vals[i] = fmt.Sprintf("(%d, %d, %d)", i, i%4, i*10)
+		vals[i] = fmt.Sprintf("(%d, %d, %d)", i, i%4, 1e18+i*10)
 	}
-	mustQuery(t, cl, "INSERT INTO kv VALUES "+strings.Join(vals, ", "))
+	if _, _, err := sql.Execute(p.srv.Cluster(), "INSERT INTO kv VALUES "+strings.Join(vals, ", "), sql.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	_, _, after, _, _ := p.store.StreamState()
-	if frame := after[0].Off - before[0].Off; frame <= maxBytes {
-		t.Fatalf("the INSERT's record is %d bytes, want more than one %d-byte read", frame, maxBytes)
+	if frame := after[0].Off - before[0].Off; frame <= readBytes {
+		t.Fatalf("the INSERT's record is %d bytes, want more than one %d-byte read", frame, readBytes)
 	}
 	waitConverged(t, p, r)
 }

@@ -105,7 +105,7 @@ func TestChaosReplicaKillMidLoadIsMasked(t *testing.T) {
 
 	// Recovery phase: restart the replica on its old addresses; it must
 	// catch up from the WAL, converge byte-identically, and rejoin.
-	r1b := startReplicaAt(t, p.http, 2, r1.tcp, r1.http, 0)
+	r1b := startReplicaAt(t, p.http, 2, r1.tcp, r1.http)
 	waitConverged(t, p, r1b)
 	waitConverged(t, p, r2)
 	waitUntil(t, 10*time.Second, "restarted replica re-admitted", func() bool { return rt.Healthy() == 2 })
@@ -156,7 +156,7 @@ func TestChaosPrimaryKillRecoverConverges(t *testing.T) {
 
 	// Restart the primary from its WAL on the same addresses. The
 	// follower, still polling them, resumes the stream by itself.
-	p2 := startPrimaryAt(t, dir, 2, p.tcp, p.http, 0)
+	p2 := startPrimaryAt(t, dir, 2, p.tcp, p.http)
 	c2, err := server.Dial(p2.tcp)
 	if err != nil {
 		t.Fatal(err)

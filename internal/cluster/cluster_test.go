@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,13 +35,12 @@ type testReplica struct {
 
 func startPrimary(t *testing.T, dir string, shards int) *testPrimary {
 	t.Helper()
-	return startPrimaryAt(t, dir, shards, "127.0.0.1:0", "127.0.0.1:0", 0)
+	return startPrimaryAt(t, dir, shards, "127.0.0.1:0", "127.0.0.1:0")
 }
 
 // startPrimaryAt starts (or restarts, after a kill) a primary on fixed
-// addresses. "127.0.0.1:0" picks fresh ports; delay slows every
-// statement, widening the window for mid-exchange kills.
-func startPrimaryAt(t *testing.T, dir string, shards int, tcpAddr, httpAddr string, delay time.Duration) *testPrimary {
+// addresses. "127.0.0.1:0" picks fresh ports.
+func startPrimaryAt(t *testing.T, dir string, shards int, tcpAddr, httpAddr string) *testPrimary {
 	t.Helper()
 	store, err := durable.Open(dir, engine.DualAddress, shards, durable.Options{Fsync: durable.SyncAlways})
 	if err != nil {
@@ -53,7 +53,7 @@ func startPrimaryAt(t *testing.T, dir string, shards int, tcpAddr, httpAddr stri
 	if _, err := store.Recover(c); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewCluster(c, server.Options{Durable: store, ExecDelay: delay})
+	srv := server.NewCluster(c, server.Options{Durable: store})
 	tcp := listenTCPRetry(t, srv, tcpAddr)
 	http := listenHTTPRetry(t, srv, httpAddr)
 	p := &testPrimary{srv: srv, store: store, dir: dir, tcp: tcp, http: http}
@@ -66,19 +66,19 @@ func startPrimaryAt(t *testing.T, dir string, shards int, tcpAddr, httpAddr stri
 
 func startReplica(t *testing.T, primaryHTTP string, shards int) *testReplica {
 	t.Helper()
-	return startReplicaAt(t, primaryHTTP, shards, "127.0.0.1:0", "127.0.0.1:0", 0)
+	return startReplicaAt(t, primaryHTTP, shards, "127.0.0.1:0", "127.0.0.1:0")
 }
 
-func startReplicaAt(t *testing.T, primaryHTTP string, shards int, tcpAddr, httpAddr string, delay time.Duration) *testReplica {
+func startReplicaAt(t *testing.T, primaryHTTP string, shards int, tcpAddr, httpAddr string) *testReplica {
 	t.Helper()
 	c, err := shard.Open(engine.DualAddress, shards, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.NewCluster(c, server.Options{ReadOnly: true, ExecDelay: delay})
+	srv := server.NewCluster(c, server.Options{ReadOnly: true})
 	tcp := listenTCPRetry(t, srv, tcpAddr)
 	http := listenHTTPRetry(t, srv, httpAddr)
-	fol := NewFollower(srv, FollowerOptions{PrimaryHTTP: primaryHTTP, Interval: 2 * time.Millisecond, StatePoll: 5 * time.Millisecond})
+	fol := NewFollower(srv, FollowerOptions{PrimaryHTTP: primaryHTTP, Interval: 2 * time.Millisecond})
 	fol.Start()
 	r := &testReplica{srv: srv, fol: fol, tcp: tcp, http: http}
 	t.Cleanup(func() { r.kill() })
@@ -91,6 +91,59 @@ func startReplicaAt(t *testing.T, primaryHTTP string, shards int, tcpAddr, httpA
 func (r *testReplica) kill() {
 	r.fol.Stop()
 	r.srv.Abort()
+}
+
+// holdShards takes the statement lock of every shard of srv's cluster
+// until the returned release, which cleanup also runs. Held exclusive,
+// every statement that needs a shard stays in flight; held shared, reads
+// still run while every mutating statement, and the follower's ApplyWAL,
+// stays in flight.
+func holdShards(t *testing.T, srv *server.Server, exclusive bool) (release func()) {
+	c := srv.Cluster()
+	for i := 0; i < c.N(); i++ {
+		if exclusive {
+			c.Shard(i).Lock()
+		} else {
+			c.Shard(i).RLock()
+		}
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for i := c.N() - 1; i >= 0; i-- {
+				if exclusive {
+					c.Shard(i).Unlock()
+				} else {
+					c.Shard(i).RUnlock()
+				}
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// writeWaiting reports whether a mutating statement waits for shard 0 of
+// srv's cluster, held shared by holdShards: a waiting writer makes
+// TryRLock fail.
+func writeWaiting(srv *server.Server) bool {
+	db := srv.Cluster().Shard(0)
+	if !db.TryRLock() {
+		return true
+	}
+	db.RUnlock()
+	return false
+}
+
+// runWhen runs do in the background as soon as cond holds, or after 10 s
+// without it (the assertions that follow then report what went wrong).
+func runWhen(cond func() bool, do func()) {
+	go func() {
+		for deadline := time.Now().Add(10 * time.Second); !cond() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		do()
+	}()
 }
 
 // listenTCPRetry binds a front end, retrying briefly when restarting on a
@@ -129,13 +182,7 @@ func listenHTTPRetry(t *testing.T, s *server.Server, addr string) string {
 
 func startRouter(t *testing.T, p *testPrimary, reps ...*testReplica) (*Router, string) {
 	t.Helper()
-	opts := RouterOptions{
-		Primary:        Backend{TCP: p.tcp, HTTP: p.http},
-		CheckInterval:  5 * time.Millisecond,
-		ProbeTimeout:   100 * time.Millisecond,
-		ReadmitBackoff: 20 * time.Millisecond,
-		DialTimeout:    200 * time.Millisecond,
-	}
+	opts := RouterOptions{Primary: Backend{TCP: p.tcp, HTTP: p.http}}
 	for _, r := range reps {
 		opts.Replicas = append(opts.Replicas, Backend{TCP: r.tcp, HTTP: r.http})
 	}

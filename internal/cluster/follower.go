@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rcnvm/internal/durable"
@@ -44,30 +43,26 @@ type FollowerOptions struct {
 	// Interval is the idle poll period when the WAL tail has no new bytes
 	// (default 10ms; records apply as fast as they arrive otherwise).
 	Interval time.Duration
-	// MaxBytes caps one /wal/read response (default 1MiB); a record
-	// larger than that is read whole in one bigger response.
-	MaxBytes int
-	// StatePoll is the cadence of the dedicated /wal/state poll that
-	// refreshes the primary's cumulative totals for replication-lag
-	// gauges (default 250ms). It runs independently of the apply loop, so
-	// lag keeps rising while the apply loop is paused or stuck.
-	StatePoll time.Duration
 	// Logger, when non-nil, receives sync/catch-up transitions.
 	Logger *slog.Logger
 }
 
-// fetchTimeout bounds each HTTP call to the primary.
-const fetchTimeout = 2 * time.Second
+const (
+	// fetchTimeout bounds each HTTP call to the primary.
+	fetchTimeout = 2 * time.Second
+	// readBytes caps one /wal/read response; a record larger than that is
+	// read whole in one bigger response.
+	readBytes = 1 << 20
+	// statePoll is the cadence of the dedicated /wal/state poll that
+	// refreshes the primary's cumulative totals for the replication-lag
+	// gauges. It runs independently of the apply loop, so lag keeps
+	// rising while the apply loop is stuck.
+	statePoll = 250 * time.Millisecond
+)
 
 func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.Interval <= 0 {
 		o.Interval = 10 * time.Millisecond
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 1 << 20
-	}
-	if o.StatePoll <= 0 {
-		o.StatePoll = 250 * time.Millisecond
 	}
 	return o
 }
@@ -113,14 +108,6 @@ type Follower struct {
 	primTotals []durable.ShardTotals
 	primAt     time.Time
 
-	// paused suspends the apply loop (Pause/Resume) while the state poll
-	// keeps running, so lag gauges keep rising against a frozen replica.
-	paused atomic.Bool
-	// parked reports that the apply loop has actually reached the pause
-	// gate — Pause returns immediately, but one in-flight round may still
-	// apply records until the loop wraps around and parks.
-	parked atomic.Bool
-
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
@@ -159,22 +146,6 @@ func (f *Follower) Stop() {
 	<-f.done
 	<-f.pollDone
 }
-
-// Pause suspends the apply loop after its current round: no further WAL
-// records are pulled or applied until Resume. The replica stays ready and
-// keeps serving (increasingly stale) reads, and the state poll keeps
-// refreshing the primary's totals, so lag gauges rise — the operator
-// story for maintenance windows, and what the chaos harness uses to prove
-// the gauges move. Pause returns without waiting; Parked reports when the
-// loop has actually stopped applying.
-func (f *Follower) Pause() { f.paused.Store(true) }
-
-// Resume lets a paused apply loop continue tailing the WAL.
-func (f *Follower) Resume() { f.paused.Store(false) }
-
-// Parked reports whether the apply loop is sitting at the pause gate (no
-// record will be applied until Resume).
-func (f *Follower) Parked() bool { return f.parked.Load() }
 
 // Status reports the follower's applied positions (epoch and per-shard
 // WAL offsets) and whether it has reached its bootstrap catch-up target.
@@ -314,17 +285,9 @@ func (f *Follower) loadCheckpoint(c *shard.Cluster, epoch uint64) error {
 // Readiness flips on the first time every shard reaches target.
 func (f *Follower) stream(target []durable.ShardPosition) bool {
 	for {
-		for f.paused.Load() {
-			f.parked.Store(true)
-			if !f.sleep(f.opts.Interval) {
-				f.parked.Store(false)
-				return false
-			}
-		}
-		f.parked.Store(false)
 		advanced := false
 		for i := range target {
-			n, err := f.pullShard(i, f.opts.MaxBytes)
+			n, err := f.pullShard(i, readBytes)
 			if errors.Is(err, errEpochGone) {
 				f.srv.SetNotReady("replica re-sync (wal epoch rotated)")
 				return true
@@ -445,16 +408,16 @@ func (f *Follower) pullShard(i, maxBytes int) (int64, error) {
 	return applied, err
 }
 
-// pollState is the dedicated lag-tracking loop: every StatePoll it
+// pollState is the dedicated lag-tracking loop: every statePoll it
 // refreshes the primary's epoch-cumulative totals from /wal/state. It is
-// deliberately independent of the apply loop — a paused or wedged apply
+// deliberately independent of the apply loop — a stuck or wedged apply
 // path is exactly when an operator needs the lag gauges to keep moving.
 // Poll failures leave the last totals in place; StateAgeSeconds on the
 // reported status says how stale they are.
 func (f *Follower) pollState() {
 	defer close(f.pollDone)
 	for {
-		if !f.sleep(f.opts.StatePoll) {
+		if !f.sleep(statePoll) {
 			return
 		}
 		st, err := f.fetchState()
@@ -503,7 +466,7 @@ func (f *Follower) Lag() server.ReplicationStatus {
 		st.Shards = append(st.Shards, lag)
 	}
 	// A replica past its bootstrap target but with known records pending is
-	// not caught up — a paused apply loop must read as lagging, not done.
+	// not caught up — a stuck apply loop must read as lagging, not done.
 	for _, sh := range st.Shards {
 		if sh.RecordsBehind > 0 {
 			st.CaughtUp = false

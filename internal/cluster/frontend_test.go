@@ -41,7 +41,8 @@ func (s *syncBuffer) String() string {
 // router's response is written must leave a line in RouterOptions.Logger,
 // not vanish silently.
 func TestRouterLogsUndeliverableResponse(t *testing.T) {
-	p := startPrimaryAt(t, t.TempDir(), 1, "127.0.0.1:0", "127.0.0.1:0", 150*time.Millisecond)
+	p := startPrimary(t, t.TempDir(), 1)
+	release := holdShards(t, p.srv, false)
 	var logs syncBuffer
 	rt := NewRouter(RouterOptions{
 		Primary: Backend{TCP: p.tcp, HTTP: p.http},
@@ -62,8 +63,10 @@ func TestRouterLogsUndeliverableResponse(t *testing.T) {
 	}
 	// RST the connection while the primary is still executing, so the
 	// router's response encode hits a dead socket.
+	waitUntil(t, 5*time.Second, "the CREATE waiting at the primary", func() bool { return writeWaiting(p.srv) })
 	conn.(*net.TCPConn).SetLinger(0)
 	conn.Close()
+	release()
 
 	waitUntil(t, 5*time.Second, "the undeliverable response to be logged", func() bool {
 		return strings.Contains(logs.String(), "response encode failed")

@@ -13,7 +13,7 @@ import (
 )
 
 // node is one backend plus its health state. Health transitions come from
-// two sources: the checker's periodic /readyz probes, and MarkDown calls
+// two sources: the checker's periodic /readyz probes, and eject calls
 // from the router when a forwarded request already proved the node dead —
 // waiting for the next probe round would send more requests into the
 // hole.
@@ -30,7 +30,7 @@ type node struct {
 	// node stays down, so a flapping replica cannot oscillate per-probe.
 	downSince atomic.Int64
 	// fails counts consecutive probe failures; owned by the checker
-	// goroutine except for MarkDown's saturation store.
+	// goroutine.
 	fails atomic.Int32
 	// rttNanos is the round-trip time of the most recent completed health
 	// probe (0 until the first probe answers), successful or not.
@@ -48,10 +48,16 @@ type node struct {
 	lat *stats.Histogram
 }
 
-func (n *node) markDown() {
-	if n.healthy.CompareAndSwap(true, false) {
-		n.downSince.Store(time.Now().UnixNano())
+// eject takes the node out of rotation, stamps the ejection time and
+// reports the transition to onChange. It returns false, changing nothing,
+// when the node was already down.
+func (n *node) eject(onChange func(*node, bool)) bool {
+	if !n.healthy.CompareAndSwap(true, false) {
+		return false
 	}
+	n.downSince.Store(time.Now().UnixNano())
+	onChange(n, false)
+	return true
 }
 
 // noteFailure records why the node last failed (probe verdicts and
@@ -69,36 +75,39 @@ func (n *node) failureReason() string {
 	return ""
 }
 
-// failThreshold is the consecutive probe-failure count that ejects a
-// replica: one slow probe is not death. A forward failure ejects at once.
-const failThreshold = 2
+const (
+	// failThreshold is the consecutive probe-failure count that ejects a
+	// replica: one slow probe is not death. A forward failure ejects at
+	// once.
+	failThreshold = 2
+	// checkInterval is the /readyz probe period.
+	checkInterval = 50 * time.Millisecond
+	// probeTimeout bounds one health probe.
+	probeTimeout = 250 * time.Millisecond
+	// readmitBackoff is how long an ejected replica stays out of rotation
+	// before re-admission probes resume.
+	readmitBackoff = 250 * time.Millisecond
+)
 
-// checker probes every replica's /readyz on a fixed interval and flips
+// checker probes every replica's /readyz every checkInterval and flips
 // node health. Ejection needs failThreshold consecutive failures;
-// re-admission needs one success but waits out
-// ReadmitBackoff from ejection, so a node that is cycling through
-// crash-restart-crash does not bounce in and out of rotation.
+// re-admission needs one success but waits out readmitBackoff from
+// ejection, so a node that is cycling through crash-restart-crash does
+// not bounce in and out of rotation.
 type checker struct {
 	nodes    []*node
-	interval time.Duration
-	timeout  time.Duration
-	backoff  time.Duration
 	onChange func(n *node, healthy bool)
 
 	hc   *http.Client
 	stop chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup
 }
 
-func newChecker(nodes []*node, interval, timeout, backoff time.Duration, onChange func(*node, bool)) *checker {
+func newChecker(nodes []*node, onChange func(*node, bool)) *checker {
 	return &checker{
 		nodes:    nodes,
-		interval: interval,
-		timeout:  timeout,
-		backoff:  backoff,
 		onChange: onChange,
-		hc:       &http.Client{Timeout: timeout},
+		hc:       &http.Client{Timeout: probeTimeout},
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -107,7 +116,7 @@ func newChecker(nodes []*node, interval, timeout, backoff time.Duration, onChang
 func (c *checker) start() {
 	go func() {
 		defer close(c.done)
-		t := time.NewTicker(c.interval)
+		t := time.NewTicker(checkInterval)
 		defer t.Stop()
 		for {
 			c.sweep()
@@ -142,7 +151,7 @@ func (c *checker) sweep() {
 func (c *checker) probe(n *node) {
 	if !n.healthy.Load() {
 		// Down node: throttle re-admission attempts to the backoff.
-		if since := n.downSince.Load(); since != 0 && time.Since(time.Unix(0, since)) < c.backoff {
+		if since := n.downSince.Load(); since != 0 && time.Since(time.Unix(0, since)) < readmitBackoff {
 			return
 		}
 	}
@@ -153,25 +162,16 @@ func (c *checker) probe(n *node) {
 		n.fails.Store(0)
 		if n.healthy.CompareAndSwap(false, true) {
 			n.downSince.Store(0)
-			if c.onChange != nil {
-				c.onChange(n, true)
-			}
+			c.onChange(n, true)
 		}
 		return
 	}
 	n.noteFailure(reason)
-	if n.fails.Add(1) >= failThreshold {
-		if n.healthy.CompareAndSwap(true, false) {
-			n.downSince.Store(time.Now().UnixNano())
-			if c.onChange != nil {
-				c.onChange(n, false)
-			}
-		} else {
-			// Already down (or marked down by a forward failure): keep the
-			// ejection clock current so the backoff window tracks the most
-			// recent evidence.
-			n.downSince.Store(time.Now().UnixNano())
-		}
+	if n.fails.Add(1) >= failThreshold && !n.eject(c.onChange) {
+		// Already down (or ejected by a forward failure): keep the
+		// ejection clock current so the backoff window tracks the most
+		// recent evidence.
+		n.downSince.Store(time.Now().UnixNano())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"rcnvm/internal/durable"
 	"rcnvm/internal/obs"
@@ -71,16 +70,17 @@ func TestMetricsLint(t *testing.T) {
 		known[name] = true
 	}
 
-	// A live 3-shard primary and a paused replica behind a live router,
-	// with enough traffic that the counters the hot paths touch have all
-	// fired, a timed statement has filled the per-shard bank series, and
-	// the replica trails the primary.
+	// A live 3-shard primary and a replica with its shards held shared
+	// behind a live router, with enough traffic that the counters the hot
+	// paths touch have all fired, a timed statement has filled the
+	// per-shard bank series, and the replica trails the primary: the
+	// held locks let the reads through but wedge the apply loop, so the
+	// INSERT comes after the reads routed to the replica.
 	p := startPrimary(t, t.TempDir(), 3)
 	seed(t, p.tcp, 8)
 	r := startReplica(t, p.http, 3)
 	waitConverged(t, p, r)
-	r.fol.Pause()
-	waitUntil(t, 5*time.Second, "apply loop to park", r.fol.Parked)
+	holdShards(t, r.srv, false)
 	rt, addr := startRouter(t, p, r)
 	rtHTTP, err := rt.ListenHTTP("127.0.0.1:0")
 	if err != nil {
@@ -94,7 +94,6 @@ func TestMetricsLint(t *testing.T) {
 	if _, err := pc.Do(server.Request{Query: "SELECT SUM(val) FROM kv", Timing: true}); err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, pc, "INSERT INTO kv VALUES (100, 0, 1000)")
 	c, err := server.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +107,7 @@ func TestMetricsLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Query("SELECT * FROM missing") // a sql_error; the session survives it
+	mustQuery(t, pc, "INSERT INTO kv VALUES (100, 0, 1000)")
 	for _, url := range []string{"http://" + p.http, "http://" + rtHTTP.String()} {
 		if resp, err := http.Post(url+"/query", "application/json", strings.NewReader("{bad")); err == nil {
 			resp.Body.Close()

@@ -40,9 +40,10 @@ func lagRecords(st server.ReplicationStatus) int64 {
 }
 
 // TestReplicationLagPausedReplica is the chaos-harness lag assertion: the
-// lag gauges rise while the primary takes writes against a paused
-// replica, the replica's own /metrics exposes them, and everything
-// returns to zero (and byte-identical state) after the replica resumes.
+// lag gauges rise while the primary takes writes against a replica whose
+// apply loop is wedged (its shards held, ApplyWAL waits for the write
+// lock), the replica's own /metrics exposes them, and everything returns
+// to zero (and byte-identical state) once the locks are released.
 func TestReplicationLagPausedReplica(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 2)
 	seed(t, p.tcp, 64)
@@ -54,12 +55,10 @@ func TestReplicationLagPausedReplica(t *testing.T) {
 		return st.CaughtUp && lagRecords(st) == 0
 	})
 
-	// Freeze the apply loop and write through the primary: the replica
+	// Wedge the apply loop and write through the primary: the replica
 	// falls behind by exactly the burst, and only the state poll (which
-	// keeps running) can know it. Wait for the loop to actually park —
-	// Pause lets one in-flight round finish, which must not eat the burst.
-	r.fol.Pause()
-	waitUntil(t, 5*time.Second, "apply loop to park", r.fol.Parked)
+	// keeps running) can know it.
+	release := holdShards(t, r.srv, false)
 	c, err := server.Dial(p.tcp)
 	if err != nil {
 		t.Fatal(err)
@@ -90,11 +89,11 @@ func TestReplicationLagPausedReplica(t *testing.T) {
 		t.Fatalf("replica /metrics missing per-shard lag series:\n%s", body)
 	}
 	if !strings.Contains(body, "rcnvm_cluster_replica_caught_up 0") {
-		t.Fatalf("replica /metrics should report caught_up 0 while paused:\n%s", body)
+		t.Fatalf("replica /metrics should report caught_up 0 while wedged:\n%s", body)
 	}
 
-	r.fol.Resume()
-	waitUntil(t, 10*time.Second, "lag to drain after resume", func() bool {
+	release()
+	waitUntil(t, 10*time.Second, "lag to drain after release", func() bool {
 		st := r.fol.Lag()
 		return st.CaughtUp && lagRecords(st) == 0
 	})

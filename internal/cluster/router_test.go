@@ -145,7 +145,7 @@ func TestRouterNeverSelectsNotReadyReplica(t *testing.T) {
 // the primary and the client must see a normal success.
 func TestReadFailsOverWhenReplicaDiesMidQuery(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 2)
-	rep := startReplicaAt(t, p.http, 2, "127.0.0.1:0", "127.0.0.1:0", 400*time.Millisecond)
+	rep := startReplica(t, p.http, 2)
 	rt, addr := startRouter(t, p, rep)
 
 	seed(t, addr, 16)
@@ -158,11 +158,12 @@ func TestReadFailsOverWhenReplicaDiesMidQuery(t *testing.T) {
 	}
 	defer c.Close()
 
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		rep.kill()
-	}()
-	resp := mustQuery(t, c, "SELECT COUNT(*) FROM kv") // lands on the slow replica, finishes on the primary
+	// The read waits at the replica's held lock; the replica dies once the
+	// router's session to it is open.
+	holdShards(t, rep.srv, true)
+	opened := counterOf(rep.srv, server.SessionsOpened)
+	runWhen(func() bool { return counterOf(rep.srv, server.SessionsOpened) > opened }, rep.kill)
+	resp := mustQuery(t, c, "SELECT COUNT(*) FROM kv") // lands on the held replica, finishes on the primary
 	if len(resp.Rows) != 1 || resp.Rows[0][0] != 16 {
 		t.Fatalf("failover read returned %+v", resp.Rows)
 	}
@@ -220,7 +221,7 @@ func TestWriteFailsFastWhenPrimaryUnreachable(t *testing.T) {
 // executing a forwarded write: the router must NOT resend (the write may
 // have committed) and must return the non-retryable unknown_state code.
 func TestWriteBrokenMidExchangeIsUnknownState(t *testing.T) {
-	p := startPrimaryAt(t, t.TempDir(), 2, "127.0.0.1:0", "127.0.0.1:0", 400*time.Millisecond)
+	p := startPrimary(t, t.TempDir(), 2)
 	rt, addr := startRouter(t, p)
 
 	c, err := server.Dial(addr)
@@ -230,10 +231,9 @@ func TestWriteBrokenMidExchangeIsUnknownState(t *testing.T) {
 	defer c.Close()
 	mustQuery(t, c, "CREATE TABLE t (a) CAPACITY 8")
 
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		p.srv.Abort()
-	}()
+	// The INSERT waits at the primary's held lock until the primary dies.
+	holdShards(t, p.srv, false)
+	runWhen(func() bool { return writeWaiting(p.srv) }, p.srv.Abort)
 	_, qerr := c.Query("INSERT INTO t VALUES (1)")
 	var we *server.WireError
 	if !errors.As(qerr, &we) || we.Code != server.CodeUnknownState {
@@ -254,14 +254,14 @@ func TestWriteBrokenMidExchangeIsUnknownState(t *testing.T) {
 func TestRetryClientBatchFailover(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 2)
 	fast := startReplica(t, p.http, 2)
-	slow := startReplicaAt(t, p.http, 2, "127.0.0.1:0", "127.0.0.1:0", 400*time.Millisecond)
+	held := startReplica(t, p.http, 2)
 	// Replica order matters: the router's round-robin cursor starts so
-	// that the first read goes to replicas[1] — the slow one we kill.
-	rt, addr := startRouter(t, p, fast, slow)
+	// that the first read goes to replicas[1] — the held one we kill.
+	rt, addr := startRouter(t, p, fast, held)
 
 	seed(t, addr, 32)
 	waitConverged(t, p, fast)
-	waitConverged(t, p, slow)
+	waitConverged(t, p, held)
 	waitUntil(t, 10*time.Second, "both replicas in rotation", func() bool { return rt.Healthy() == 2 })
 
 	stmts := []string{
@@ -285,11 +285,10 @@ func TestRetryClientBatchFailover(t *testing.T) {
 	rc := server.DialRetry(addr, server.RetryPolicy{MaxAttempts: 4})
 	defer rc.Close()
 
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		slow.kill()
-	}()
-	got, err := rc.Batch(stmts) // first read request -> slow replica -> dies -> failover
+	holdShards(t, held.srv, true)
+	opened := counterOf(held.srv, server.SessionsOpened)
+	runWhen(func() bool { return counterOf(held.srv, server.SessionsOpened) > opened }, held.kill)
+	got, err := rc.Batch(stmts) // first read request -> held replica -> dies -> failover
 	if err != nil {
 		t.Fatalf("read-only batch must be masked, got %v", err)
 	}
@@ -305,15 +304,11 @@ func TestRetryClientBatchFailover(t *testing.T) {
 	}
 
 	// Mixed batch: kill the primary mid-exchange. Not resent; typed error.
+	// A batch is one request, and it waits at the primary's held lock
+	// until the primary dies.
 	retriesBefore := rc.Counters()[server.ClientRetries]
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		p.srv.Abort()
-	}()
-	// The primary has no ExecDelay, but Abort lands inside the dial+exec
-	// window often enough only with a delay — so stretch the batch with
-	// statement count instead: a batch is one request, and the router
-	// holds the backend session for its entire execution.
+	holdShards(t, p.srv, false)
+	runWhen(func() bool { return writeWaiting(p.srv) }, p.srv.Abort)
 	mixed := []string{"SELECT COUNT(*) FROM kv", "INSERT INTO kv VALUES (500, 0, 5000)"}
 	waitUntil(t, 10*time.Second, "mixed batch failing with unknown_state or primary_down", func() bool {
 		_, berr := rc.Batch(mixed)
@@ -337,7 +332,7 @@ func TestRetryClientBatchFailover(t *testing.T) {
 // with no router in between, a mixed batch whose session breaks
 // mid-exchange must return ErrUnknownState rather than resend.
 func TestRetryClientBatchDirectUnknownState(t *testing.T) {
-	p := startPrimaryAt(t, t.TempDir(), 1, "127.0.0.1:0", "127.0.0.1:0", 400*time.Millisecond)
+	p := startPrimary(t, t.TempDir(), 1)
 	c, err := server.Dial(p.tcp)
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +342,8 @@ func TestRetryClientBatchDirectUnknownState(t *testing.T) {
 
 	rc := server.DialRetry(p.tcp, server.RetryPolicy{MaxAttempts: 4})
 	defer rc.Close()
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		p.srv.Abort()
-	}()
+	holdShards(t, p.srv, false)
+	runWhen(func() bool { return writeWaiting(p.srv) }, p.srv.Abort)
 	_, berr := rc.Batch([]string{"SELECT * FROM t", "INSERT INTO t VALUES (1)"})
 	if !errors.Is(berr, server.ErrUnknownState) {
 		t.Fatalf("mixed batch on broken session: %v, want ErrUnknownState", berr)
