@@ -1,78 +1,61 @@
 // Command rcnvm-clusterstat renders a one-screen topology view of a
-// replicated RC-NVM cluster from the router's federated GET /cluster/stats
-// endpoint: per node the role, reachability, readiness, replication lag,
-// query throughput, tail latency and ejection count.
+// replicated RC-NVM cluster from its router's two expositions, read with
+// obs.Parse: GET /metrics (the route counters and each replica's ejection
+// count and router-side read latency) and the federated GET
+// /cluster/metrics (per node the reachability, readiness, replication
+// lag, query counter and tail latency).
 //
 //	$ rcnvm-clusterstat -router localhost:7277
 //	$ rcnvm-clusterstat -router localhost:7277 -watch -interval 1s
-//	$ rcnvm-clusterstat -router localhost:7277 -json
 //
 // QPS is computed client-side from consecutive samples of each node's
 // cumulative query counter (the first render shows "-" since one sample
-// has no rate). -watch redraws in place; -json dumps the raw federated
-// payload for scripting.
+// has no rate). -watch redraws in place. Why a replica was ejected is in
+// the router's log ("replica health changed" carries the reason), and
+// `curl <router>/cluster/metrics` gives the raw federated exposition.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"rcnvm/internal/cluster"
+	"rcnvm/internal/obs"
 )
 
 func main() {
 	router := flag.String("router", "localhost:7277", "router HTTP address (host:port)")
 	watch := flag.Bool("watch", false, "redraw continuously instead of printing once")
 	interval := flag.Duration("interval", 2*time.Second, "refresh period with -watch")
-	jsonOut := flag.Bool("json", false, "dump the raw /cluster/stats JSON and exit")
 	timeout := flag.Duration("timeout", 5*time.Second, "HTTP fetch timeout")
 	flag.Parse()
 
 	hc := &http.Client{Timeout: *timeout}
-	url := "http://" + *router + "/cluster/stats"
-
-	if *jsonOut {
-		body, err := fetch(hc, url)
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(body)
-		if len(body) == 0 || body[len(body)-1] != '\n' {
-			fmt.Println()
-		}
-		return
-	}
-
 	var prev *sample
 	for {
-		body, err := fetch(hc, url)
+		cur, err := fetch(hc, *router)
 		if err != nil {
 			if !*watch {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "fetch %s: %v\n", url, err)
+			fmt.Fprintln(os.Stderr, err)
 			time.Sleep(*interval)
 			continue
 		}
-		var cs cluster.ClusterStats
-		if err := json.Unmarshal(body, &cs); err != nil {
-			fatal(fmt.Errorf("decode %s: %w", url, err))
-		}
-		cur := newSample(cs)
 		if *watch {
 			// Clear the screen and home the cursor so the view redraws in
 			// place like top(1).
 			fmt.Print("\x1b[2J\x1b[H")
 		}
-		render(os.Stdout, *router, cs, prev, cur)
+		render(os.Stdout, *router, prev, cur)
 		if !*watch {
 			return
 		}
@@ -81,7 +64,30 @@ func main() {
 	}
 }
 
-func fetch(hc *http.Client, url string) ([]byte, error) {
+// sample is one read of the router's expositions: its own /metrics and
+// the federated /cluster/metrics, parsed.
+type sample struct {
+	at              time.Time
+	router, cluster []obs.Family
+}
+
+// fetch reads both of the router's expositions.
+func fetch(hc *http.Client, router string) (*sample, error) {
+	s := &sample{at: time.Now()}
+	for _, e := range []struct {
+		path string
+		fams *[]obs.Family
+	}{{"/metrics", &s.router}, {"/cluster/metrics", &s.cluster}} {
+		body, err := get(hc, "http://"+router+e.path)
+		if err != nil {
+			return nil, err
+		}
+		*e.fams = obs.Parse(body)
+	}
+	return s, nil
+}
+
+func get(hc *http.Client, url string) ([]byte, error) {
 	resp, err := hc.Get(url)
 	if err != nil {
 		return nil, err
@@ -97,91 +103,103 @@ func fetch(hc *http.Client, url string) ([]byte, error) {
 	return body, nil
 }
 
-// sample remembers each node's cumulative query count at one instant so
-// the next render can show a rate.
-type sample struct {
-	at      time.Time
-	queries map[string]int64
-}
-
-func newSample(cs cluster.ClusterStats) *sample {
-	s := &sample{at: time.Now(), queries: make(map[string]int64, len(cs.Nodes))}
-	for _, n := range cs.Nodes {
-		if n.Up {
-			s.queries[n.Node] = n.Queries
+// values returns the value of every sample called name that carries each
+// of the labels want, in exposition order.
+func values(fams []obs.Family, name string, want ...obs.Label) []float64 {
+	var out []float64
+	for _, f := range fams {
+		if !strings.HasPrefix(name, f.Name) {
+			continue
+		}
+		for _, s := range f.Samples {
+			if s.Name != name || !hasLabels(s.Labels, want) {
+				continue
+			}
+			if v, err := strconv.ParseFloat(s.Value, 64); err == nil {
+				out = append(out, v)
+			}
 		}
 	}
-	return s
+	return out
 }
 
-// qps formats the query rate between two samples ("-" without a prior
-// sample of this node).
-func (s *sample) qps(prev *sample, nodeName string, queries int64, up bool) string {
-	if !up || prev == nil {
+// value is the first of values (0 without one).
+func value(fams []obs.Family, name string, want ...obs.Label) float64 {
+	if vs := values(fams, name, want...); len(vs) > 0 {
+		return vs[0]
+	}
+	return 0
+}
+
+func hasLabels(have, want []obs.Label) bool {
+	for _, w := range want {
+		if !slices.Contains(have, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// qps formats a node's query rate between two samples ("-" without a
+// prior sample of the node).
+func (s *sample) qps(prev *sample, node obs.Label) string {
+	if prev == nil {
 		return "-"
 	}
-	p, ok := prev.queries[nodeName]
-	if !ok {
-		return "-"
-	}
+	q := values(s.cluster, "rcnvm_server_queries_total", node)
+	p := values(prev.cluster, "rcnvm_server_queries_total", node)
 	dt := s.at.Sub(prev.at).Seconds()
-	if dt <= 0 {
+	if len(q) == 0 || len(p) == 0 || dt <= 0 {
 		return "-"
 	}
-	d := queries - p
-	if d < 0 {
-		d = 0 // counter reset (node restarted)
-	}
-	return fmt.Sprintf("%.1f", float64(d)/dt)
+	return fmt.Sprintf("%.1f", max(q[0]-p[0], 0)/dt) // a drop is a node restart
 }
 
-// lagSummary renders a node's replication lag: the worst shard's records
-// behind ("0" when caught up, "-" for the primary / unknown).
-func lagSummary(n cluster.ClusterNodeStats) string {
-	if n.Replication == nil {
+// lag renders a node's replication lag: the worst shard's records behind
+// ("0" when caught up, "-" for the primary or a node that did not answer).
+func (s *sample) lag(node obs.Label) string {
+	lags := values(s.cluster, "rcnvm_cluster_replica_lag_records", node)
+	if len(lags) == 0 {
 		return "-"
 	}
-	var worst int64
-	for _, sh := range n.Replication.Shards {
-		if sh.RecordsBehind > worst {
-			worst = sh.RecordsBehind
-		}
+	var worst float64
+	for _, l := range lags {
+		worst = max(worst, l)
 	}
-	if worst == 0 && !n.Replication.CaughtUp {
+	if worst == 0 && value(s.cluster, "rcnvm_cluster_replica_caught_up", node) == 0 {
 		return "catching-up"
 	}
-	return fmt.Sprintf("%d", worst)
+	return strconv.FormatFloat(worst, 'f', -1, 64)
 }
 
-func render(w io.Writer, router string, cs cluster.ClusterStats, prev, cur *sample) {
-	fmt.Fprintf(w, "cluster via %s at %s\n", router, time.Now().Format("15:04:05"))
+func render(w io.Writer, router string, prev, cur *sample) {
+	route := func(name string) int64 { return int64(value(cur.router, obs.MetricName("rcnvm", name)+"_total")) }
+	fmt.Fprintf(w, "cluster via %s at %s\n", router, cur.at.Format("15:04:05"))
 	fmt.Fprintf(w, "router: reads=%d writes=%d failovers=%d ejections=%d readmissions=%d\n\n",
-		cs.Router.Counters[cluster.RouteReads],
-		cs.Router.Counters[cluster.RouteWrites],
-		cs.Router.Counters[cluster.RouteReadFailovers],
-		cs.Router.Counters[cluster.RouteEjections],
-		cs.Router.Counters[cluster.RouteReadmissions])
+		route(cluster.RouteReads), route(cluster.RouteWrites), route(cluster.RouteReadFailovers),
+		route(cluster.RouteEjections), route(cluster.RouteReadmissions))
 
+	p99 := obs.Label{Name: "quantile", Value: "0.99"}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NODE\tROLE\tUP\tREADY\tLAG(recs)\tQPS\tP99(ms)\tRT-P99(ms)\tEJECT\tNOTE")
-	nodes := append([]cluster.ClusterNodeStats(nil), cs.Nodes...)
-	sort.SliceStable(nodes, func(i, j int) bool { return nodes[i].Role == "primary" && nodes[j].Role != "primary" })
-	for _, n := range nodes {
-		note := n.ReadyReason
-		if !n.Up && n.Error != "" {
-			note = n.Error
+	fmt.Fprintln(tw, "NODE\tROLE\tUP\tREADY\tLAG(recs)\tQPS\tP99(ms)\tRT-P99(ms)\tEJECT")
+	for _, f := range cur.cluster {
+		if f.Name != cluster.NodeUp {
+			continue
 		}
-		if note == "" && !n.Healthy {
-			note = n.LastFailure
+		for _, up := range f.Samples {
+			node := up.Labels[0]
+			backend := obs.Label{Name: "backend", Value: node.Value}
+			role := "replica"
+			if node.Value == "primary" {
+				role = "primary"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%.2f\t%.2f\t%d\n",
+				node.Value, role, mark(up.Value == "1"), mark(value(cur.cluster, cluster.NodeReady, node) == 1),
+				cur.lag(node), cur.qps(prev, node),
+				value(cur.cluster, "rcnvm_server_query_latency_seconds_quantile", node, p99)*1e3,
+				value(cur.router, "rcnvm_route_backend_read_latency_seconds_quantile", backend, p99)*1e3,
+				int64(value(cur.router, "rcnvm_route_backend_ejections_total", backend)))
 		}
-		if len(note) > 48 {
-			note = note[:45] + "..."
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%.2f\t%.2f\t%d\t%s\n",
-			n.Node, n.Role, mark(n.Up), mark(n.Ready),
-			lagSummary(n),
-			cur.qps(prev, n.Node, n.Queries, n.Up),
-			n.P99Ms, n.RouterReadP99Ms, n.Ejections, note)
 	}
 	tw.Flush()
 }

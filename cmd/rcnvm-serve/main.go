@@ -7,7 +7,7 @@
 //	$ rcnvm-serve -tcp :7070 -http :7071
 //	$ printf '{"query":"SELECT COUNT(*) FROM load"}\n' | nc localhost 7070
 //	$ curl -d '{"query":"SELECT SUM(val) FROM load WHERE grp = 3","timing":true}' localhost:7071/query
-//	$ curl localhost:7071/stats
+//	$ curl localhost:7071/metrics
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight
 // queries before closing connections.
@@ -15,14 +15,14 @@
 // Resilience knobs: -query-timeout bounds every statement (clients get a
 // retryable deadline_exceeded error), and the -fault-* flags enable the
 // deterministic fault-injection layer so uncorrectable memory errors
-// surface end to end as typed memory_error responses while /stats
+// surface end to end as typed memory_error responses while /metrics
 // reports the ECC accounting:
 //
 //	$ rcnvm-serve -query-timeout 2s -fault-rber 1e-4 -fault-seed 7
 //
 // Observability: GET /metrics serves the Prometheus text format (server
-// counters, latency histogram with quantiles, per-bank telemetry) and
-// GET /stats/banks the per-bank JSON snapshot. A request with
+// counters, latency histogram with quantiles, per-bank telemetry), the
+// one view of every number the server reports. A request with
 // "trace": true gets a Chrome trace-event document back on the response
 // (save it and open in Perfetto); -trace-every samples statements
 // server-side into -trace-ndjson; -pprof-addr serves net/http/pprof and
@@ -162,7 +162,7 @@ func main() {
 			*faultSeed, *faultRBER, *wearThresh, *wearRate)
 	}
 	if *shards > 1 {
-		fmt.Printf("rcnvm-serve: %d shards (scatter-gather; /stats/banks?shard=i and rcnvm_shard_bank_* give per-shard series)\n", *shards)
+		fmt.Printf("rcnvm-serve: %d shards (scatter-gather; rcnvm_shard_bank_* on /metrics give per-shard series)\n", *shards)
 	}
 
 	var traceSink io.Writer
@@ -221,7 +221,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("rcnvm-serve: HTTP on %s (POST /query, GET /stats, GET /stats/banks, GET /metrics, GET /readyz)\n", haddr)
+		fmt.Printf("rcnvm-serve: HTTP on %s (POST /query, GET /metrics, GET /readyz)\n", haddr)
 	}
 
 	if fol != nil {
@@ -280,7 +280,7 @@ func runRouter(primarySpec, replicaSpecs, tcpAddr, httpAddr string) {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("rcnvm-serve: routing HTTP on %s (POST /query, GET /stats)\n", haddr)
+		fmt.Printf("rcnvm-serve: routing HTTP on %s (POST /query, GET /metrics, GET /cluster/metrics)\n", haddr)
 	}
 	drainOnSignal(rt.Shutdown)
 	fmt.Println("rcnvm-serve: drained, bye")

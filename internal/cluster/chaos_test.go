@@ -101,7 +101,7 @@ func TestChaosReplicaKillMidLoadIsMasked(t *testing.T) {
 		rc.Close()
 	}
 	t.Logf("masked kill: %d reads, 0 errors, failovers=%d",
-		total, rt.Stats().Counters[RouteReadFailovers])
+		total, rt.met.Snapshot()[RouteReadFailovers])
 
 	// Recovery phase: restart the replica on its old addresses; it must
 	// catch up from the WAL, converge byte-identically, and rejoin.

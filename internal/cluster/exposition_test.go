@@ -185,6 +185,10 @@ const federatedGolden = `# TYPE rcnvm_cluster_node_up gauge
 rcnvm_cluster_node_up{node="primary"} 1
 rcnvm_cluster_node_up{node="replica-0"} 1
 rcnvm_cluster_node_up{node="replica-1"} 0
+# TYPE rcnvm_cluster_node_ready gauge
+rcnvm_cluster_node_ready{node="primary"} 1
+rcnvm_cluster_node_ready{node="replica-0"} 1
+rcnvm_cluster_node_ready{node="replica-1"} 0
 # TYPE rcnvm_bank_reads_total counter
 rcnvm_bank_reads_total{node="primary",bank="0"} 3
 rcnvm_bank_reads_total{node="primary",bank="1"} 0
@@ -431,11 +435,15 @@ const routerFamilies = `# TYPE rcnvm_route_bad_requests_total counter
 # TYPE rcnvm_route_writes_total counter
 # TYPE rcnvm_route_replicas gauge
 # TYPE rcnvm_route_replicas_healthy gauge
+# TYPE rcnvm_route_backend_healthy gauge
+# TYPE rcnvm_route_backend_probe_rtt_seconds gauge
+# TYPE rcnvm_route_backend_ejections_total counter
 # TYPE rcnvm_route_backend_read_latency_seconds histogram
 # TYPE rcnvm_route_backend_read_latency_seconds_quantile gauge
 `
 
 const clusterFamilies = `# TYPE rcnvm_cluster_node_up gauge
+# TYPE rcnvm_cluster_node_ready gauge
 # TYPE rcnvm_bank_bus_busy_ps_total counter
 # TYPE rcnvm_bank_col_buffer_hit_rate gauge
 # TYPE rcnvm_bank_col_buffer_hits_total counter

@@ -131,7 +131,7 @@ func NewFollower(srv *server.Server, opts FollowerOptions) *Follower {
 
 // Start launches the shipping loop and the lag-tracking state poll, and
 // registers the follower as the server's replication-status provider so
-// the replica's /stats and /metrics report lag. Stop tears it down.
+// the replica's /metrics reports lag. Stop tears it down.
 func (f *Follower) Start() {
 	f.srv.SetNotReady("replica catch-up")
 	f.srv.SetReplicationStatus(f.Lag)
@@ -439,7 +439,7 @@ func (f *Follower) pollState() {
 // Lag reports the replica's replication status: per-shard records/bytes
 // behind the primary (exact as of the last /wal/state poll) and the wall
 // time since each shard last applied a record. Registered with the server
-// at Start, so the replica's /stats and /metrics expose it.
+// at Start, so the replica's /metrics exposes it.
 func (f *Follower) Lag() server.ReplicationStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()

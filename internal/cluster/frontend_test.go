@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -99,7 +100,29 @@ func TestRouterOverCapHTTPBody(t *testing.T) {
 		t.Fatalf("over-cap body: status %d, response %+v; want 400 bad_request \"request body too large\"",
 			resp.StatusCode, out)
 	}
-	if got := rt.Stats().Counters[RouteBadRequests]; got != 1 {
+	if got := rt.met.Snapshot()[RouteBadRequests]; got != 1 {
 		t.Errorf("%s = %d, want 1", RouteBadRequests, got)
 	}
+}
+
+// TestRouterLogsEjectionReason: a failure reason is a log field, not a
+// series. A replica whose /readyz answers 503 is ejected by the probes,
+// and the "replica health changed" line names the status and the body
+// the replica sent.
+func TestRouterLogsEjectionReason(t *testing.T) {
+	notReady := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "replica catch-up", http.StatusServiceUnavailable)
+	}))
+	defer notReady.Close()
+	var logs syncBuffer
+	rt := NewRouter(RouterOptions{
+		Primary:  Backend{TCP: "127.0.0.1:1", HTTP: "127.0.0.1:1"},
+		Replicas: []Backend{{TCP: "127.0.0.1:1", HTTP: strings.TrimPrefix(notReady.URL, "http://")}},
+		Logger:   slog.New(slog.NewTextHandler(&logs, nil)),
+	})
+	defer rt.Shutdown(context.Background())
+	want := `msg="replica health changed" backend=` + rt.replicas[0].be.String() + ` healthy=false reason="status 503: replica catch-up"`
+	waitUntil(t, 5*time.Second, "the probe-driven ejection to be logged", func() bool {
+		return strings.Contains(logs.String(), want)
+	})
 }

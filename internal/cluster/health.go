@@ -20,8 +20,8 @@ import (
 type node struct {
 	be Backend
 	// name is the node's stable cluster label ("primary", "replica-0", ...)
-	// used on federated metric series, per-backend latency histograms and
-	// /cluster/stats rows.
+	// used on federated metric series and the router's per-backend
+	// series.
 	name string
 
 	healthy atomic.Bool
@@ -35,11 +35,6 @@ type node struct {
 	// rttNanos is the round-trip time of the most recent completed health
 	// probe (0 until the first probe answers), successful or not.
 	rttNanos atomic.Int64
-	// lastFailure is the human-readable reason of the most recent probe or
-	// forward failure (nil until the node first fails). It is evidence, not
-	// state: it persists across re-admission so an operator can see why a
-	// now-healthy node was last ejected.
-	lastFailure atomic.Pointer[string]
 	// ejections counts healthy->unhealthy transitions of this node.
 	ejections atomic.Int64
 	// lat is the router-side latency distribution of reads served by this
@@ -49,30 +44,16 @@ type node struct {
 }
 
 // eject takes the node out of rotation, stamps the ejection time and
-// reports the transition to onChange. It returns false, changing nothing,
-// when the node was already down.
-func (n *node) eject(onChange func(*node, bool)) bool {
+// reports the transition, with the reason of the failure that caused it,
+// to onChange. It returns false, changing nothing, when the node was
+// already down.
+func (n *node) eject(reason string, onChange func(*node, bool, string)) bool {
 	if !n.healthy.CompareAndSwap(true, false) {
 		return false
 	}
 	n.downSince.Store(time.Now().UnixNano())
-	onChange(n, false)
+	onChange(n, false, reason)
 	return true
-}
-
-// noteFailure records why the node last failed (probe verdicts and
-// forward errors both land here).
-func (n *node) noteFailure(reason string) {
-	n.lastFailure.Store(&reason)
-}
-
-// failureReason returns the most recent failure reason ("" if the node
-// has never failed).
-func (n *node) failureReason() string {
-	if p := n.lastFailure.Load(); p != nil {
-		return *p
-	}
-	return ""
 }
 
 const (
@@ -96,14 +77,14 @@ const (
 // not bounce in and out of rotation.
 type checker struct {
 	nodes    []*node
-	onChange func(n *node, healthy bool)
+	onChange func(n *node, healthy bool, reason string)
 
 	hc   *http.Client
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newChecker(nodes []*node, onChange func(*node, bool)) *checker {
+func newChecker(nodes []*node, onChange func(*node, bool, string)) *checker {
 	return &checker{
 		nodes:    nodes,
 		onChange: onChange,
@@ -162,12 +143,11 @@ func (c *checker) probe(n *node) {
 		n.fails.Store(0)
 		if n.healthy.CompareAndSwap(false, true) {
 			n.downSince.Store(0)
-			c.onChange(n, true)
+			c.onChange(n, true, "")
 		}
 		return
 	}
-	n.noteFailure(reason)
-	if n.fails.Add(1) >= failThreshold && !n.eject(c.onChange) {
+	if n.fails.Add(1) >= failThreshold && !n.eject(reason, c.onChange) {
 		// Already down (or ejected by a forward failure): keep the
 		// ejection clock current so the backoff window tracks the most
 		// recent evidence.

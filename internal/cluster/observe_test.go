@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -185,7 +184,8 @@ func TestStitchedTraceTwoNodes(t *testing.T) {
 // TestClusterMetricsFederation checks the federated exposition: every
 // node's series re-labeled and merged under a single TYPE line per
 // family, per-shard lag series visible under the replica's node label,
-// and cluster_node_up flipping when a replica dies.
+// per-node readiness, the router's per-replica series, and cluster_node_up
+// and the replica's rotation flipping when it dies.
 func TestClusterMetricsFederation(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 2)
 	seed(t, p.tcp, 32)
@@ -220,24 +220,35 @@ func TestClusterMetricsFederation(t *testing.T) {
 		t.Fatalf("family rcnvm_cluster_replica_lag_records declared %d times, want exactly 1", n)
 	}
 
-	// /cluster/stats: one row per node with roles and replication status.
-	_, raw := httpGet(t, "http://"+httpAddr.String()+"/cluster/stats")
-	var cs ClusterStats
-	if err := json.Unmarshal([]byte(raw), &cs); err != nil {
-		t.Fatalf("decode /cluster/stats: %v\n%s", err, raw)
-	}
-	if len(cs.Nodes) != 3 {
-		t.Fatalf("want 3 nodes, got %d", len(cs.Nodes))
-	}
-	if cs.Nodes[0].Role != "primary" || !cs.Nodes[0].Up || !cs.Nodes[0].Ready {
-		t.Fatalf("primary row wrong: %+v", cs.Nodes[0])
-	}
-	for _, row := range cs.Nodes[1:] {
-		if row.Role != "replica" || !row.Up {
-			t.Fatalf("replica row wrong: %+v", row)
+	// One reachability and one readiness sample per node, the primary
+	// ready, and each replica's replication status federated under its
+	// node label.
+	for _, fam := range []string{NodeUp, NodeReady} {
+		if n := strings.Count(body, fam+"{"); n != 3 {
+			t.Fatalf("%s has %d samples, want one per node (3):\n%s", fam, n, body)
 		}
-		if row.Replication == nil {
-			t.Fatalf("replica row missing replication status: %+v", row)
+	}
+	for _, want := range []string{
+		`rcnvm_cluster_node_ready{node="primary"} 1`,
+		`rcnvm_cluster_replica_caught_up{node="replica-0"}`,
+		`rcnvm_cluster_replica_caught_up{node="replica-1"}`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("federated exposition missing %q:\n%s", want, body)
+		}
+	}
+	// The router's own /metrics: each replica's health-checker state.
+	_, own := httpGet(t, "http://"+httpAddr.String()+"/metrics")
+	for _, want := range []string{
+		`rcnvm_route_backend_healthy{backend="replica-0"} 1`,
+		`rcnvm_route_backend_healthy{backend="replica-1"} 1`,
+		`rcnvm_route_backend_probe_rtt_seconds{backend="replica-0"} `,
+		`rcnvm_route_backend_probe_rtt_seconds{backend="replica-1"} `,
+		`rcnvm_route_backend_ejections_total{backend="replica-0"} 0`,
+		`rcnvm_route_backend_ejections_total{backend="replica-1"} 0`,
+	} {
+		if !strings.Contains(own, want) {
+			t.Fatalf("router /metrics missing %q:\n%s", want, own)
 		}
 	}
 
@@ -247,13 +258,21 @@ func TestClusterMetricsFederation(t *testing.T) {
 		status, body := httpGet(t, "http://"+httpAddr.String()+"/cluster/metrics")
 		return status == http.StatusOK &&
 			strings.Contains(body, `rcnvm_cluster_node_up{node="replica-1"} 0`) &&
+			strings.Contains(body, `rcnvm_cluster_node_ready{node="replica-1"} 0`) &&
 			strings.Contains(body, `rcnvm_cluster_node_up{node="replica-0"} 1`)
+	})
+	// The health checker ejects it too.
+	waitUntil(t, 5*time.Second, "router to eject dead replica", func() bool {
+		_, own := httpGet(t, "http://"+httpAddr.String()+"/metrics")
+		return strings.Contains(own, `rcnvm_route_backend_healthy{backend="replica-1"} 0`) &&
+			strings.Contains(own, `rcnvm_route_backend_ejections_total{backend="replica-1"} 1`)
 	})
 }
 
 // TestRouterMetricsExposition checks the router's own /metrics: every
 // route.* counter present, at 0, from the first scrape and the
-// per-backend read-latency family with one TYPE line.
+// per-backend read-latency family with one TYPE line; and that the router
+// serves no JSON stats view.
 func TestRouterMetricsExposition(t *testing.T) {
 	p := startPrimary(t, t.TempDir(), 1)
 	seed(t, p.tcp, 8)
@@ -288,6 +307,13 @@ func TestRouterMetricsExposition(t *testing.T) {
 	}
 	if n := strings.Count(body, "# TYPE rcnvm_route_backend_read_latency_seconds "); n != 1 {
 		t.Fatalf("latency family declared %d times, want exactly 1", n)
+	}
+	// /metrics and /cluster/metrics are the router's only views: the
+	// former JSON twins are gone.
+	for _, path := range []string{"/stats", "/cluster/stats"} {
+		if status, _ := httpGet(t, "http://"+httpAddr.String()+path); status != http.StatusNotFound {
+			t.Errorf("router GET %s: status %d, want 404", path, status)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +16,9 @@ import (
 	"rcnvm/internal/stats"
 )
 
-// Family declares the router's route.* series (the counters of its /stats
-// payload); the router's counter store is built over it, so each exists,
-// at 0, from the first /stats and /metrics and dashboards never see a
-// series appear mid-run.
+// Family declares the router's route.* series; the router's counter store
+// is built over it, so each exists, at 0, from the first /metrics scrape
+// and dashboards never see a series appear mid-run.
 var Family stats.Family
 
 var (
@@ -47,13 +47,31 @@ type RouterOptions struct {
 
 const (
 	// scrapeTimeout bounds the whole federated scrape behind
-	// /cluster/metrics and /cluster/stats. A backend that cannot answer
-	// within it is reported down (cluster_node_up 0), never waited on.
+	// /cluster/metrics. A backend that cannot answer within it is
+	// reported down (cluster_node_up 0), never waited on.
 	scrapeTimeout = 2 * time.Second
 	// dialTimeout bounds backend session dials, so a dead primary fails
 	// writes fast instead of hanging on connect.
 	dialTimeout = 500 * time.Millisecond
+	// exchangeTimeout bounds one backend exchange of a request that has no
+	// timeout_ms, so a backend that accepts and never answers cannot hold
+	// the request for good.
+	exchangeTimeout = 30 * time.Second
+	// exchangeGrace is added to a request's own timeout_ms to bound its
+	// backend exchange: the backend answers a statement past its deadline
+	// itself, and the grace leaves room for that answer to arrive.
+	exchangeGrace = 500 * time.Millisecond
 )
+
+// exchangeDeadline is the bound on one backend exchange of req. Past it
+// the backend session is broken: a read fails over, a write answers
+// unknown_state.
+func exchangeDeadline(req *server.Request) time.Duration {
+	if req.TimeoutMs > 0 {
+		return time.Duration(req.TimeoutMs)*time.Millisecond + exchangeGrace
+	}
+	return exchangeTimeout
+}
 
 // Router is the replicated cluster's front door: it serves through the
 // same server.FrontEnd as a single server (NDJSON TCP and HTTP /query),
@@ -71,8 +89,8 @@ type Router struct {
 	// traceSeq assigns cluster-unique trace ids to traced requests that
 	// arrive without one.
 	traceSeq atomic.Int64
-	// scrape is the HTTP client of the federated /cluster/metrics and
-	// /cluster/stats scrapes.
+	// scrape is the HTTP client of the federated /cluster/metrics
+	// scrape.
 	scrape *http.Client
 
 	// front is the wire front end; each of its sessions is answered by a
@@ -102,10 +120,8 @@ func NewRouter(opts RouterOptions) *Router {
 			return respond, ss.close
 		},
 		Routes: map[string]http.HandlerFunc{
-			"/stats":           r.handleStats,
 			"/metrics":         r.handleMetrics,
 			"/cluster/metrics": r.handleClusterMetrics,
-			"/cluster/stats":   r.handleClusterStats,
 			"/readyz":          ready,
 		},
 		// Of the protocol events the router publishes the bad requests;
@@ -128,7 +144,9 @@ func NewRouter(opts RouterOptions) *Router {
 	return r
 }
 
-func (r *Router) onHealthChange(n *node, healthy bool) {
+// onHealthChange counts and logs one rotation change of a replica; reason
+// says why an ejected replica failed ("" on re-admission).
+func (r *Router) onHealthChange(n *node, healthy bool, reason string) {
 	if healthy {
 		r.met.Inc(RouteReadmissions)
 	} else {
@@ -136,12 +154,12 @@ func (r *Router) onHealthChange(n *node, healthy bool) {
 		n.ejections.Add(1)
 	}
 	if r.opts.Logger != nil {
-		r.opts.Logger.Info("replica health changed", "backend", n.be.String(), "healthy", healthy)
+		r.opts.Logger.Info("replica health changed", "backend", n.be.String(), "healthy", healthy, "reason", reason)
 	}
 }
 
-// Healthy reports how many replicas are currently in rotation (tests and
-// the smoke script poll it via /stats).
+// Healthy reports how many replicas are currently in rotation (its
+// /metrics gauge is rcnvm_route_replicas_healthy).
 func (r *Router) Healthy() int {
 	n := 0
 	for _, rep := range r.replicas {
@@ -288,10 +306,11 @@ func (ss *session) forwardRead(req *server.Request, ft *fwdTrace) *server.Respon
 }
 
 // tryBackend forwards req to one backend. fatal=true means this backend
-// cannot serve it (dial failed, session broke, or the node answered
-// not-ready/draining) and the caller should fail over; fatal=false means
-// the response — success or a semantic error like sql_error — is the
-// request's real outcome and must go back to the client.
+// cannot serve it (dial failed, session broke or passed its
+// exchangeDeadline, or the node answered not-ready/draining) and the
+// caller should fail over; fatal=false means the response — success or a
+// semantic error like sql_error — is the request's real outcome and must
+// go back to the client.
 func (ss *session) tryBackend(n *node, req *server.Request, ft *fwdTrace) (resp *server.Response, err error, fatal bool) {
 	c, err := ss.conn(n, ft)
 	if err != nil {
@@ -299,6 +318,7 @@ func (ss *session) tryBackend(n *node, req *server.Request, ft *fwdTrace) (resp 
 		return nil, err, true
 	}
 	start := time.Now()
+	c.SetTimeout(exchangeDeadline(req))
 	resp, err = c.Do(*req)
 	n.lat.Observe(time.Since(start).Nanoseconds())
 	ft.spanNode("backend_wait", n.name, start)
@@ -330,9 +350,8 @@ func (ss *session) tryBackend(n *node, req *server.Request, ft *fwdTrace) (resp 
 // immediately, the primary has no rotation to leave (writes fail typed
 // instead).
 func (ss *session) fail(n *node, err error) {
-	n.noteFailure(err.Error())
 	if n != ss.r.primary {
-		n.eject(ss.r.onHealthChange)
+		n.eject(err.Error(), ss.r.onHealthChange)
 	}
 	if ss.r.opts.Logger != nil {
 		ss.r.opts.Logger.Warn("backend failed", "backend", n.be.String(), "error", err)
@@ -341,15 +360,15 @@ func (ss *session) fail(n *node, err error) {
 
 // forwardWrite serves a write-bearing request on the primary, with
 // typed, honest failure semantics: a dial failure means the write never
-// ran anywhere (primary_unavailable, retryable), a session that broke
-// mid-exchange means it may have (unknown_state, not retryable). There
-// is no silent retry of writes — exactly-once is the client's contract
-// to manage, and lying about it would corrupt downstream state.
+// ran anywhere (primary_unavailable, retryable), a session that broke or
+// passed its exchangeDeadline mid-exchange means it may have
+// (unknown_state, not retryable). There is no silent retry of writes —
+// exactly-once is the client's contract to manage, and lying about it
+// would corrupt downstream state.
 func (ss *session) forwardWrite(req *server.Request, ft *fwdTrace) *server.Response {
 	c, err := ss.conn(ss.r.primary, ft)
 	if err != nil {
 		ss.r.met.Inc(RoutePrimaryDown)
-		ss.r.primary.noteFailure(err.Error())
 		if ss.r.opts.Logger != nil {
 			ss.r.opts.Logger.Warn("primary unreachable", "error", err)
 		}
@@ -360,12 +379,12 @@ func (ss *session) forwardWrite(req *server.Request, ft *fwdTrace) *server.Respo
 		}}
 	}
 	start := time.Now()
+	c.SetTimeout(exchangeDeadline(req))
 	resp, err := c.Do(*req)
 	ft.spanNode("backend_wait", ss.r.primary.name, start)
 	if err != nil && c.Broken() {
 		ss.drop(ss.r.primary)
 		ss.r.met.Inc(RouteUnknownState)
-		ss.r.primary.noteFailure(err.Error())
 		return &server.Response{Error: &server.WireError{
 			Code:    server.CodeUnknownState,
 			Message: fmt.Sprintf("session to primary broke mid-write; execution state unknown: %v", err),
@@ -381,60 +400,31 @@ func (ss *session) forwardWrite(req *server.Request, ft *fwdTrace) *server.Respo
 func (r *Router) ListenTCP(addr string) (net.Addr, error) { return r.front.ListenTCP(addr) }
 
 // ListenHTTP starts the router's HTTP front end: POST /query (forwarded
-// like the TCP protocol), GET /stats (router counters + per-replica
-// health), GET /metrics, GET /cluster/metrics and /cluster/stats (the
-// federated views), GET /healthz, GET /readyz.
+// like the TCP protocol), GET /metrics, GET /cluster/metrics (the
+// federated view), GET /healthz, GET /readyz.
 func (r *Router) ListenHTTP(addr string) (net.Addr, error) { return r.front.ListenHTTP(addr) }
-
-// RouterStats is the router's GET /stats payload.
-type RouterStats struct {
-	Counters map[string]int64 `json:"counters"`
-	Replicas []ReplicaHealth  `json:"replicas"`
-}
-
-// ReplicaHealth is one replica's rotation state plus the health checker's
-// probe observability: the last probe's round-trip time, why the node
-// last failed (persists across re-admission as evidence), and how often
-// it has been ejected.
-type ReplicaHealth struct {
-	Backend     string  `json:"backend"`
-	Node        string  `json:"node"`
-	Healthy     bool    `json:"healthy"`
-	ProbeRTTMs  float64 `json:"probe_rtt_ms"`
-	LastFailure string  `json:"last_failure,omitempty"`
-	Ejections   int64   `json:"ejections"`
-}
-
-// Stats snapshots the router counters and per-replica health.
-func (r *Router) Stats() RouterStats {
-	st := RouterStats{Counters: r.met.Snapshot()}
-	for _, n := range r.replicas {
-		st.Replicas = append(st.Replicas, ReplicaHealth{
-			Backend:     n.be.String(),
-			Node:        n.name,
-			Healthy:     n.healthy.Load(),
-			ProbeRTTMs:  float64(n.rttNanos.Load()) / 1e6,
-			LastFailure: n.failureReason(),
-			Ejections:   n.ejections.Load(),
-		})
-	}
-	return st
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	r.front.WriteJSON(w, http.StatusOK, r.Stats())
-}
 
 // handleMetrics renders the router's own GET /metrics: every route.*
 // counter (0 until it fires, like the backends' expositions), the replica
-// rotation gauges, and one read-latency histogram family labeled by
-// backend node.
+// rotation gauges, each replica's health-checker state labeled by backend
+// node, and one read-latency histogram family labeled by backend node.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	p := obs.NewWriter(w)
-	p.Counters("rcnvm", r.Stats().Counters, &Family)
+	p.Counters("rcnvm", r.met.Snapshot(), &Family)
 	p.Gauge("rcnvm_route_replicas", float64(len(r.replicas)))
 	p.Gauge("rcnvm_route_replicas_healthy", float64(r.Healthy()))
+	replicas := func(name, typ string, value func(*node) string) {
+		p.Type(name, typ)
+		for _, n := range r.replicas {
+			p.Sample(name, value(n), obs.Label{Name: "backend", Value: n.name})
+		}
+	}
+	replicas("rcnvm_route_backend_healthy", "gauge", func(n *node) string { return flag(n.healthy.Load()) })
+	replicas("rcnvm_route_backend_probe_rtt_seconds", "gauge", func(n *node) string {
+		return fmt.Sprintf("%g", float64(n.rttNanos.Load())/1e9)
+	})
+	replicas("rcnvm_route_backend_ejections_total", "counter", func(n *node) string { return strconv.FormatInt(n.ejections.Load(), 10) })
 	items := make([]obs.LabeledHistogram, 0, 1+len(r.replicas))
 	for _, n := range r.allNodes() {
 		items = append(items, obs.LabeledHistogram{Label: n.name, H: n.lat})
@@ -443,7 +433,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 }
 
 // allNodes returns every backend node, primary first — the canonical node
-// order of federated expositions and /cluster/stats.
+// order of federated expositions.
 func (r *Router) allNodes() []*node {
 	out := make([]*node, 0, 1+len(r.replicas))
 	out = append(out, r.primary)

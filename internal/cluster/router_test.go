@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,11 +86,11 @@ func TestReadsLoadBalanceWritesHitPrimary(t *testing.T) {
 	if g1 == 0 || g2 == 0 {
 		t.Errorf("round robin did not spread: %d vs %d", g1, g2)
 	}
-	st := rt.Stats()
-	if st.Counters[RouteReads] != reads {
-		t.Errorf("route.reads = %d, want %d", st.Counters[RouteReads], reads)
+	st := rt.met.Snapshot()
+	if st[RouteReads] != reads {
+		t.Errorf("route.reads = %d, want %d", st[RouteReads], reads)
 	}
-	if st.Counters[RouteWrites] == 0 {
+	if st[RouteWrites] == 0 {
 		t.Error("route.writes = 0 after seeding through the router")
 	}
 }
@@ -134,9 +140,9 @@ func TestRouterNeverSelectsNotReadyReplica(t *testing.T) {
 		mustQuery(t, c, "SELECT COUNT(*) FROM kv")
 		return counterOf(r1.srv, server.Queries) > queriesBefore
 	})
-	st := rt.Stats()
-	if st.Counters[RouteEjections] == 0 || st.Counters[RouteReadmissions] == 0 {
-		t.Errorf("ejection/readmission counters not incremented: %+v", st.Counters)
+	st := rt.met.Snapshot()
+	if st[RouteEjections] == 0 || st[RouteReadmissions] == 0 {
+		t.Errorf("ejection/readmission counters not incremented: %+v", st)
 	}
 }
 
@@ -167,7 +173,7 @@ func TestReadFailsOverWhenReplicaDiesMidQuery(t *testing.T) {
 	if len(resp.Rows) != 1 || resp.Rows[0][0] != 16 {
 		t.Fatalf("failover read returned %+v", resp.Rows)
 	}
-	if got := rt.Stats().Counters[RouteReadFailovers]; got == 0 {
+	if got := rt.met.Snapshot()[RouteReadFailovers]; got == 0 {
 		t.Error("route.read_failovers = 0; the read was not failed over")
 	}
 }
@@ -212,7 +218,7 @@ func TestWriteFailsFastWhenPrimaryUnreachable(t *testing.T) {
 	if len(resp.Rows) != 1 || resp.Rows[0][0] != 16 {
 		t.Fatalf("read with dead primary returned %+v", resp.Rows)
 	}
-	if got := rt.Stats().Counters[RoutePrimaryDown]; got == 0 {
+	if got := rt.met.Snapshot()[RoutePrimaryDown]; got == 0 {
 		t.Error("route.primary_down = 0")
 	}
 }
@@ -242,7 +248,7 @@ func TestWriteBrokenMidExchangeIsUnknownState(t *testing.T) {
 	if we.Retryable {
 		t.Error("unknown_state must not be retryable")
 	}
-	if got := rt.Stats().Counters[RouteUnknownState]; got == 0 {
+	if got := rt.met.Snapshot()[RouteUnknownState]; got == 0 {
 		t.Error("route.unknown_state = 0")
 	}
 }
@@ -299,7 +305,7 @@ func TestRetryClientBatchFailover(t *testing.T) {
 	if n := rc.Counters()[server.ClientGaveUp]; n != 0 {
 		t.Errorf("client.gaveup = %d", n)
 	}
-	if got := rt.Stats().Counters[RouteReadFailovers]; got == 0 {
+	if got := rt.met.Snapshot()[RouteReadFailovers]; got == 0 {
 		t.Error("route.read_failovers = 0; batch was not failed over")
 	}
 
@@ -392,5 +398,92 @@ func TestFollowerResyncsAcrossCheckpointEpoch(t *testing.T) {
 	got := mustQuery(t, rc, "SELECT COUNT(*) FROM kv").Rows[0][0]
 	if got != want {
 		t.Errorf("replica count %d, primary %d", got, want)
+	}
+}
+
+// silentBackend listens on TCP, accepts every connection and never
+// answers on it: a backend that hangs mid-exchange. Its HTTP side
+// answers /readyz 200, so the health checker keeps it in rotation.
+func silentBackend(t *testing.T) Backend {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	ready := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		ready.Close()
+	})
+	return Backend{TCP: ln.Addr().String(), HTTP: strings.TrimPrefix(ready.URL, "http://")}
+}
+
+// TestSilentBackendTimesOut checks the bound on a backend exchange: a
+// write with timeout_ms to a primary that accepts and never answers gets
+// unknown_state within about a second, and a read with timeout_ms to such
+// a replica fails over to the primary.
+func TestSilentBackendTimesOut(t *testing.T) {
+	rt := NewRouter(RouterOptions{Primary: silentBackend(t)})
+	addr, err := rt.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Shutdown(context.Background()) })
+	c, err := server.Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	_, qerr := c.Do(server.Request{Query: "INSERT INTO kv VALUES (1, 0, 10)", TimeoutMs: 100})
+	elapsed := time.Since(start)
+	var we *server.WireError
+	if !errors.As(qerr, &we) || we.Code != server.CodeUnknownState {
+		t.Fatalf("write to a silent primary: err %v, want code %s", qerr, server.CodeUnknownState)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Errorf("write to a silent primary answered after %v, want about a second at most", elapsed)
+	}
+	if got := rt.met.Snapshot()[RouteUnknownState]; got != 1 {
+		t.Errorf("route.unknown_state = %d, want 1", got)
+	}
+
+	p := startPrimary(t, t.TempDir(), 1)
+	seed(t, p.tcp, 4)
+	rt2 := NewRouter(RouterOptions{Primary: Backend{TCP: p.tcp, HTTP: p.http}, Replicas: []Backend{silentBackend(t)}})
+	addr2, err := rt2.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt2.Shutdown(context.Background()) })
+	c2, err := server.Dial(addr2.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	resp, err := c2.Do(server.Request{Query: "SELECT COUNT(*) FROM kv", TimeoutMs: 100})
+	if err != nil || len(resp.Rows) != 1 || resp.Rows[0][0] != 4 {
+		t.Fatalf("read past a silent replica: %+v, %v; want the primary's 4 rows", resp, err)
+	}
+	if st := rt2.met.Snapshot(); st[RouteReadFailovers] != 1 || st[RouteEjections] != 1 {
+		t.Errorf("read past a silent replica: failovers %d, ejections %d; want 1 and 1", st[RouteReadFailovers], st[RouteEjections])
 	}
 }

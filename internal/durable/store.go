@@ -46,8 +46,8 @@ import (
 	"rcnvm/internal/stats"
 )
 
-// Family declares the wal.* series, as merged into the server's /stats
-// payload and /metrics exposition (rcnvm_wal_appends_total and friends).
+// Family declares the wal.* series, as merged into the server's counters
+// and /metrics exposition (rcnvm_wal_appends_total and friends).
 // Every shard log of a Store counts into one store over it.
 var Family stats.Family
 
@@ -164,7 +164,8 @@ func (s *Store) Dir() string { return s.dir }
 // Epoch returns the current checkpoint epoch.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// CounterSnapshot renders the accounting under the /stats counter names.
+// CounterSnapshot returns the accounting under the wal.* series names, as
+// the server merges it into its counters.
 func (s *Store) CounterSnapshot() map[string]int64 { return s.counters.Snapshot() }
 
 func (s *Store) shardDir(i int) string {

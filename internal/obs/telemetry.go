@@ -11,7 +11,7 @@ import (
 // access, whether the open buffer hit, how deep each bank's queue ran, how
 // long the data bus stayed busy on its behalf, and how many ECC retries it
 // forced. A Telemetry sums those runs for a long-lived reader, such as a
-// query server shard's /stats/banks ("which bank was the bottleneck").
+// query server shard's /metrics ("which bank was the bottleneck").
 
 // Telemetry accumulates the per-bank counters of many runs. It is safe for
 // concurrent use: several replays add to one shard's telemetry while a
@@ -54,21 +54,21 @@ func Sum(tels []*Telemetry) *Telemetry {
 	return out
 }
 
-// BankSnapshot is the derived per-bank view served over /stats/banks.
+// BankSnapshot is the derived per-bank view /metrics renders.
 type BankSnapshot struct {
-	Bank int `json:"bank"`
+	Bank int
 	stats.BankCounters
 	// RowHitRate and ColHitRate are buffer hit fractions per orientation
 	// (0 when the orientation saw no traffic).
-	RowHitRate float64 `json:"row_hit_rate"`
-	ColHitRate float64 `json:"col_hit_rate"`
+	RowHitRate float64
+	ColHitRate float64
 }
 
-// Snapshot is the full telemetry payload: the runs added and the derived
+// Snapshot is the whole telemetry: the runs added and the derived
 // per-bank rates.
 type Snapshot struct {
-	Runs  int64          `json:"runs"`
-	Banks []BankSnapshot `json:"banks"`
+	Runs  int64
+	Banks []BankSnapshot
 }
 
 // Snapshot returns a consistent copy of the telemetry (one lock).

@@ -70,7 +70,7 @@ func mustDo(t testing.TB, s *Server, q string) *Response {
 
 // TestAdmissionSlots fills a Workers=2/Queue=3 server with statements
 // held at their shard lock: exactly Workers+Queue are admitted, Workers
-// running and Queue waiting for a run slot, which /stats shows as the
+// running and Queue waiting for a run slot, which Stats shows as the
 // pool depth; the next request is rejected overloaded without waiting;
 // and every admitted statement is answered.
 func TestAdmissionSlots(t *testing.T) {

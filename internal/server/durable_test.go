@@ -97,7 +97,7 @@ func TestServerDurableRestart(t *testing.T) {
 }
 
 // TestCheckpointEndpoint exercises POST /checkpoint and the wal.*
-// series on /stats and /metrics.
+// series in Stats and on /metrics.
 func TestCheckpointEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, store, addr := newDurableServer(t, dir, 1)

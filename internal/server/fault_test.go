@@ -48,7 +48,7 @@ func newFaultyServer(t *testing.T) (*Server, string) {
 
 // TestUncorrectableErrorEndToEnd is the acceptance-criteria scenario: a
 // fixed-seed hard fault propagates engine -> sql -> server -> TCP client
-// as a typed, structured error; the server keeps serving; /stats reports
+// as a typed, structured error; the server keeps serving; its counters report
 // the fault accounting.
 func TestUncorrectableErrorEndToEnd(t *testing.T) {
 	s, addr := newFaultyServer(t)
@@ -87,7 +87,7 @@ func TestUncorrectableErrorEndToEnd(t *testing.T) {
 		t.Fatalf("memory_errors = %d, want 1", snap.Counters[MemoryErrors])
 	}
 	if snap.Counters[FaultUncorrectable] == 0 || snap.Counters[FaultStuckBits] == 0 {
-		t.Fatalf("fault counters must be merged into /stats: %v", snap.Counters)
+		t.Fatalf("fault counters must be merged into the server counters: %v", snap.Counters)
 	}
 }
 

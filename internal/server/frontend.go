@@ -16,9 +16,15 @@ import (
 	"time"
 )
 
-// maxLineBytes bounds one TCP protocol line and one POST /query body (and
-// so one statement), on every front end.
-const maxLineBytes = 1 << 20
+const (
+	// maxLineBytes bounds one TCP protocol line and one POST /query body
+	// (and so one statement), on every front end.
+	maxLineBytes = 1 << 20
+	// readHeaderTimeout bounds how long an HTTP connection may take to
+	// send a request's headers, so a client that never finishes them
+	// cannot hold a connection open for good.
+	readHeaderTimeout = 2 * time.Second
+)
 
 // A Responder answers one decoded request of one session. A non-nil
 // release is called once the response has been written to the client —
@@ -232,7 +238,7 @@ func (f *FrontEnd) ListenHTTP(addr string) (net.Addr, error) {
 	for pattern, h := range f.Routes {
 		mux.HandleFunc(pattern, h)
 	}
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return f.listen(addr, hs, func(ln net.Listener) { hs.Serve(ln) })
 }
 
@@ -291,7 +297,7 @@ func readRequest(w http.ResponseWriter, r *http.Request, req *Request) error {
 }
 
 // writeResponse writes one POST /query reply with one Write, counting and
-// logging a reply that could not be encoded or delivered as WriteJSON does.
+// logging a reply that could not be encoded or delivered as writeJSON does.
 func (f *FrontEnd) writeResponse(w http.ResponseWriter, status int, resp *Response) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -304,11 +310,11 @@ func (f *FrontEnd) writeResponse(w http.ResponseWriter, status int, resp *Respon
 	}
 }
 
-// WriteJSON writes one JSON response body. Encode failures (the client
+// writeJSON writes one JSON response body. Encode failures (the client
 // closed the connection mid-response, typically) are counted and logged —
 // nothing more can be sent to the peer at that point, but the drop must
 // not be silent.
-func (f *FrontEnd) WriteJSON(w http.ResponseWriter, status int, v any) {
+func (f *FrontEnd) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {

@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -121,6 +122,34 @@ func TestOverCapHTTPBody(t *testing.T) {
 	}
 	if got := s.Metrics().Counters.Snapshot()[BadRequests]; got != 1 {
 		t.Errorf("%s = %d, want 1", BadRequests, got)
+	}
+}
+
+// TestHTTPHeaderTimeout: a connection that starts a request and never
+// finishes its headers is closed once readHeaderTimeout passes, instead
+// of being held open for good.
+func TestHTTPHeaderTimeout(t *testing.T) {
+	t.Parallel()
+	s, _ := newTestServer(t, Options{})
+	addr, err := s.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := time.Now()
+	if _, err := io.WriteString(c, "POST /query HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(start.Add(readHeaderTimeout + 2*time.Second))
+	if _, err := io.ReadAll(c); err != nil {
+		t.Fatalf("connection with unfinished headers still open after %v: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d > readHeaderTimeout+time.Second {
+		t.Errorf("connection with unfinished headers closed after %v, want about %v", d, readHeaderTimeout)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // plancache.* and fault.*, in the same dotted namespace style as the
 // simulator counters so one snapshot renders uniformly. The declaration is
 // the list — the server's counter store is built over it, so each series
-// exists from the first /stats and /metrics (fault injection off and
+// exists from the first /metrics scrape (fault injection off and
 // counters that have not fired yet read 0), and the documentation lint
 // walks it.
 var Family stats.Family
@@ -38,14 +38,14 @@ var (
 )
 
 // Plan-cache counters, sourced from sql.PlanCache.Counters and merged
-// into /stats and /metrics alongside the server counters.
+// into /metrics alongside the server counters.
 var (
 	PlanCacheHits      = Family.Counter("plancache.hits")
 	PlanCacheMisses    = Family.Counter("plancache.misses")
 	PlanCacheEvictions = Family.Counter("plancache.evictions")
 )
 
-// Fault-layer counters, merged into /stats from the injectors when
+// Fault-layer counters, merged into /metrics from the injectors when
 // injection is enabled and 0 otherwise.
 var (
 	FaultTransientBits = Family.Counter("fault.transient_bits")
@@ -95,49 +95,17 @@ func (m *Metrics) observeBatch(d time.Duration, stmts, failed, rows int) {
 	m.Latency.Observe(d.Nanoseconds())
 }
 
-// LatencySummary is the JSON form of the latency distribution: headline
-// quantiles plus the exact histogram for clients that want to merge or
-// re-quantile.
-type LatencySummary struct {
-	Count     int64            `json:"count"`
-	MeanNs    float64          `json:"mean_ns"`
-	P50Ns     int64            `json:"p50_ns"`
-	P95Ns     int64            `json:"p95_ns"`
-	P99Ns     int64            `json:"p99_ns"`
-	MaxNs     int64            `json:"max_ns"`
-	Histogram *stats.Histogram `json:"histogram"`
-}
-
 // PoolStatus reports admission occupancy: Workers run slots, and Depth
 // of the Capacity (Options.Queue) waiting slots taken.
 type PoolStatus struct {
-	Workers  int `json:"workers"`
-	Depth    int `json:"depth"`
-	Capacity int `json:"capacity"`
+	Workers  int
+	Depth    int
+	Capacity int
 }
 
-// StatsSnapshot is the GET /stats payload. Replication is present only on
-// a read replica (a Follower registered a status provider).
+// StatsSnapshot is the in-process view of the server's accounting: the
+// merged counters /metrics renders and the admission occupancy.
 type StatsSnapshot struct {
-	Counters    map[string]int64   `json:"counters"`
-	Latency     LatencySummary     `json:"latency"`
-	Pool        PoolStatus         `json:"pool"`
-	Replication *ReplicationStatus `json:"replication,omitempty"`
-}
-
-// snapshot assembles the /stats payload around the merged counter view.
-func (m *Metrics) snapshot(pool PoolStatus, counters map[string]int64) StatsSnapshot {
-	return StatsSnapshot{
-		Counters: counters,
-		Latency: LatencySummary{
-			Count:     m.Latency.Count(),
-			MeanNs:    m.Latency.Mean(),
-			P50Ns:     m.Latency.Quantile(0.5),
-			P95Ns:     m.Latency.Quantile(0.95),
-			P99Ns:     m.Latency.Quantile(0.99),
-			MaxNs:     m.Latency.Max(),
-			Histogram: m.Latency,
-		},
-		Pool: pool,
-	}
+	Counters map[string]int64
+	Pool     PoolStatus
 }

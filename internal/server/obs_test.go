@@ -87,16 +87,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		return body
 	}
 
-	// A fresh server's /stats lists exactly the declared series, unfired
+	// A fresh server's counters are exactly the declared series, unfired
 	// ones at 0, and /metrics renders every one of them.
-	var fresh StatsSnapshot
-	if err := json.Unmarshal(get("/stats", "application/json"), &fresh); err != nil {
-		t.Fatal(err)
-	}
+	fresh := s.Stats()
 	freshSamples := checkPromText(t, string(get("/metrics", obs.ContentType)))
 	for _, name := range Family.Names() {
 		if v, ok := fresh.Counters[name]; !ok || v != 0 {
-			t.Errorf("fresh /stats: %s = %d (listed %v), want 0", name, v, ok)
+			t.Errorf("fresh counters: %s = %d (listed %v), want 0", name, v, ok)
 		}
 		metric := obs.MetricName("rcnvm", name)
 		if !Family.IsGauge(name) {
@@ -107,7 +104,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	if len(fresh.Counters) != len(Family.Names()) {
-		t.Errorf("fresh /stats lists %d counters, Family declares %d: %v", len(fresh.Counters), len(Family.Names()), fresh.Counters)
+		t.Errorf("fresh counters list %d series, Family declares %d: %v", len(fresh.Counters), len(Family.Names()), fresh.Counters)
 	}
 
 	c, err := Dial(addr)
@@ -150,6 +147,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsBanksEndpoint checks that the JSON views are gone — GET /stats
+// and GET /stats/banks answer 404 — and that what /stats/banks served is
+// still there: the runs in process, the per-bank reads on /metrics.
 func TestStatsBanksEndpoint(t *testing.T) {
 	s, addr := newTestServer(t, Options{})
 	c, err := Dial(addr)
@@ -166,15 +166,12 @@ func TestStatsBanksEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := http.Get("http://" + haddr.String() + "/stats/banks")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/stats", "/stats/banks"} {
+		if code := getStatus(t, "http://"+haddr.String()+path); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
+		}
 	}
-	defer hr.Body.Close()
-	var snap obs.Snapshot
-	if err := json.NewDecoder(hr.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Telemetry().Snapshot()
 	if snap.Runs < 1 {
 		t.Fatalf("runs = %d, want >= 1", snap.Runs)
 	}
@@ -187,6 +184,15 @@ func TestStatsBanksEndpoint(t *testing.T) {
 	}
 	if reads == 0 {
 		t.Fatal("timed query recorded no per-bank reads")
+	}
+	var rendered float64
+	for key, v := range parseMetrics(t, getBody(t, "http://"+haddr.String()+"/metrics")) {
+		if strings.HasPrefix(key, "rcnvm_bank_reads_total{") {
+			rendered += v
+		}
+	}
+	if rendered != float64(reads) {
+		t.Fatalf("/metrics renders %v bank reads, the telemetry holds %d", rendered, reads)
 	}
 }
 

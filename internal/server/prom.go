@@ -66,19 +66,3 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p.Banks("rcnvm_shard_bank", s.tels...)
 	}
 }
-
-// handleBanks renders GET /stats/banks: the per-bank telemetry snapshot
-// (cumulative counters and hit rates) as JSON. The default payload sums
-// the shards; ?shard=i returns one shard's own series.
-func (s *Server) handleBanks(w http.ResponseWriter, r *http.Request) {
-	if q := r.URL.Query().Get("shard"); q != "" {
-		i, err := strconv.Atoi(q)
-		if err != nil || i < 0 || i >= s.Cluster().N() {
-			http.Error(w, fmt.Sprintf("shard must be in [0,%d)", s.Cluster().N()), http.StatusBadRequest)
-			return
-		}
-		s.front.WriteJSON(w, http.StatusOK, s.tels[i].Snapshot())
-		return
-	}
-	s.front.WriteJSON(w, http.StatusOK, s.Telemetry().Snapshot())
-}

@@ -1,6 +1,6 @@
 // Package server is the concurrent query service over the functional
 // RC-NVM database: a TCP front end speaking newline-delimited JSON and an
-// HTTP front end (POST /query, GET /stats), both executing SQL against one
+// HTTP front end (POST /query, GET /metrics), both executing SQL against one
 // shared engine.DB under admission control.
 //
 // Concurrency model, in one paragraph: every statement is classified by

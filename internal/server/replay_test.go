@@ -155,7 +155,7 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 	}
 	got := reusing.Telemetry().Snapshot()
 	if w := wantTel.Snapshot(); got.Runs != int64(statements) || !reflect.DeepEqual(got, w) {
-		t.Fatalf("/stats/banks differs from fresh runs: runs %d vs %d, banks equal: %v",
+		t.Fatalf("bank telemetry differs from fresh runs: runs %d vs %d, banks equal: %v",
 			got.Runs, w.Runs, reflect.DeepEqual(got.Banks, w.Banks))
 	}
 
@@ -164,6 +164,6 @@ func TestTimedStatementsReuseSimulators(t *testing.T) {
 		t.Fatalf("the never-reusing server built %d systems, want one per replay (%d)", b, 2*statements)
 	}
 	if !reflect.DeepEqual(got, never.Telemetry().Snapshot()) {
-		t.Fatal("/stats/banks differs between the reusing and the never-reusing server")
+		t.Fatal("bank telemetry differs between the reusing and the never-reusing server")
 	}
 }

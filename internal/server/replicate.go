@@ -117,7 +117,7 @@ func (s *Server) Checksums() ChecksumResponse {
 }
 
 func (s *Server) handleChecksum(w http.ResponseWriter, r *http.Request) {
-	s.front.WriteJSON(w, http.StatusOK, s.Checksums())
+	s.front.writeJSON(w, http.StatusOK, s.Checksums())
 }
 
 // WALStateResponse is the GET /wal/state payload a follower polls: the
@@ -141,7 +141,7 @@ func (s *Server) handleWALState(w http.ResponseWriter, r *http.Request, st *dura
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.front.WriteJSON(w, http.StatusOK, WALStateResponse{
+	s.front.writeJSON(w, http.StatusOK, WALStateResponse{
 		Epoch: epoch, Mode: engine.DualAddress.String(), Shards: shards, Pos: pos, Totals: totals,
 	})
 }

@@ -56,8 +56,8 @@ type Options struct {
 	// session close with duration, statement and error counts).
 	Logger *slog.Logger
 	// Durable, when non-nil, is the durability subsystem already recovered
-	// onto the served cluster. The server merges its counters into /stats
-	// and /metrics, serves POST /checkpoint, checkpoints once after a
+	// onto the served cluster. The server merges its counters into
+	// /metrics, serves POST /checkpoint, checkpoints once after a
 	// successful shutdown drain so a clean restart replays no WAL, and
 	// serves the /wal/* log-shipping endpoints replicas stream from. Nil
 	// (the default) serves fully volatile, exactly as before.
@@ -99,8 +99,8 @@ type Server struct {
 	answered func()         // inflight.Done bound once: an admitted request's release
 
 	// tels holds one per-bank telemetry per shard, added to by every
-	// timed statement's RC-NVM replay on that shard; /metrics and
-	// /stats/banks render each and their sum.
+	// timed statement's RC-NVM replay on that shard; /metrics renders
+	// each and their sum.
 	tels []*obs.Telemetry
 	// replays owns the simulated systems timed statements replay on, built
 	// by the first ones (never at start-up: most servers time nothing).
@@ -109,7 +109,7 @@ type Server struct {
 	traceMu  sync.Mutex    // serializes TraceSink writes
 
 	// repl holds the replication-lag provider a Follower registers on a
-	// read replica (nil elsewhere); /stats and /metrics consult it.
+	// read replica (nil elsewhere); /metrics consults it.
 	repl atomic.Pointer[func() ReplicationStatus]
 }
 
@@ -143,8 +143,6 @@ func NewCluster(c *shard.Cluster, opts Options) *Server {
 	s.front = &FrontEnd{
 		Open: func() (Responder, func()) { return respond, nil },
 		Routes: map[string]http.HandlerFunc{
-			"/stats":          s.handleStats,
-			"/stats/banks":    s.handleBanks,
 			"/metrics":        s.handleMetrics,
 			"/checkpoint":     s.handleCheckpoint,
 			"/checksum":       s.whenReady(s.handleChecksum),
@@ -173,14 +171,9 @@ func (s *Server) ListenTCP(addr string) (net.Addr, error) { return s.front.Liste
 
 // ListenHTTP starts the HTTP front end on addr and returns the bound
 // address. Routes: POST /query (Request JSON in, Response JSON out),
-// GET /stats (StatsSnapshot), GET /stats/banks (per-bank telemetry),
 // GET /metrics (Prometheus text format), GET /healthz, GET /readyz,
 // POST /checkpoint, GET /checksum and the /wal/* log-shipping endpoints.
 func (s *Server) ListenHTTP(addr string) (net.Addr, error) { return s.front.ListenHTTP(addr) }
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.front.WriteJSON(w, http.StatusOK, s.Stats())
-}
 
 // handleCheckpoint serves POST /checkpoint: snapshot every shard and
 // truncate the WAL. Quiesces the cluster for the duration (statements
@@ -198,24 +191,19 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.front.WriteJSON(w, http.StatusOK, map[string]any{
+	s.front.writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"epoch":  s.opts.Durable.Epoch(),
 	})
 }
 
-// Stats returns the current /stats payload (the in-process view of the
-// endpoint). When the engine runs with fault injection, the injectors'
-// accounting — summed across shards — is merged in under the fault.* names.
+// Stats returns the merged counters /metrics renders and the admission
+// occupancy, as of the call. The latency distribution is Metrics().Latency.
 func (s *Server) Stats() StatsSnapshot {
-	snap := s.met.snapshot(s.pool(), s.counters())
-	if st, ok := s.replicationStatus(); ok {
-		snap.Replication = &st
-	}
-	return snap
+	return StatsSnapshot{Counters: s.counters(), Pool: s.pool()}
 }
 
-// counters is the one merged counter view behind /stats and /metrics: the
+// counters is the one merged counter view behind Stats and /metrics: the
 // server's own store, every Family series, with the values other packages
 // keep read through — fault.* when injection is on, wal.* on a durable
 // server, plancache.* and the replay builds.
@@ -361,7 +349,7 @@ func (s *Server) run(req *Request) *Response {
 	return resp
 }
 
-// pool reports admission occupancy for /stats and /metrics. Depth, the
+// pool reports admission occupancy for Stats and /metrics. Depth, the
 // admitted statements waiting for a run slot, reads two counts one after
 // the other, so it is clamped at 0.
 func (s *Server) pool() PoolStatus {

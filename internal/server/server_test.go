@@ -154,29 +154,21 @@ func TestHTTPQueryAndStats(t *testing.T) {
 		t.Fatalf("unsupported statement: got %+v, want %s", r.Error, CodeSQL)
 	}
 
-	hr, err := http.Get(base + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := parseMetrics(t, getBody(t, base+"/metrics"))
+	if m["rcnvm_server_queries_total"] < 4 {
+		t.Fatalf("queries_total = %v, want >= 4", m["rcnvm_server_queries_total"])
 	}
-	defer hr.Body.Close()
-	var snap StatsSnapshot
-	if err := json.NewDecoder(hr.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	if m["rcnvm_server_query_errors_total"] < 1 {
+		t.Fatalf("query_errors_total = %v, want >= 1", m["rcnvm_server_query_errors_total"])
 	}
-	if snap.Counters[Queries] < 4 {
-		t.Fatalf("stats queries = %d, want >= 4", snap.Counters[Queries])
+	if n, p99 := m["rcnvm_server_query_latency_seconds_count"], m[`rcnvm_server_query_latency_seconds_quantile{quantile="0.99"}`]; n < 4 || p99 <= 0 {
+		t.Fatalf("latency implausible: count %v, p99 %v s", n, p99)
 	}
-	if snap.Counters[QueryErrors] < 1 {
-		t.Fatalf("stats query_errors = %d, want >= 1", snap.Counters[QueryErrors])
+	if m["rcnvm_server_pool_workers"] < 1 {
+		t.Fatalf("pool_workers = %v", m["rcnvm_server_pool_workers"])
 	}
-	if snap.Latency.Count < 4 || snap.Latency.P99Ns <= 0 {
-		t.Fatalf("stats latency implausible: %+v", snap.Latency)
-	}
-	if snap.Pool.Workers < 1 {
-		t.Fatalf("stats pool: %+v", snap.Pool)
-	}
-	if snap.Counters[RowsReturned] < 2 {
-		t.Fatalf("stats rows_returned = %d, want >= 2", snap.Counters[RowsReturned])
+	if m["rcnvm_server_rows_returned_total"] < 2 {
+		t.Fatalf("rows_returned_total = %v, want >= 2", m["rcnvm_server_rows_returned_total"])
 	}
 }
 

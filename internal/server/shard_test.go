@@ -3,16 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"rcnvm/internal/engine"
+	"rcnvm/internal/obs"
 	"rcnvm/internal/shard"
 )
 
@@ -101,26 +102,33 @@ func TestShardedServerEndToEnd(t *testing.T) {
 			tm.DualPs, tm.RowPs, maxDual, maxRow)
 	}
 
-	// /stats/banks: aggregate by default, one shard's series with ?shard=i,
-	// reject out-of-range indices.
-	var agg struct {
-		Banks []json.RawMessage `json:"banks"`
-	}
-	getJSON(t, "http://"+httpAddr+"/stats/banks", &agg)
-	if len(agg.Banks) == 0 {
-		t.Fatal("/stats/banks aggregate has no banks")
-	}
-	for i := 0; i < s.Cluster().N(); i++ {
-		var per struct {
-			Banks []json.RawMessage `json:"banks"`
+	// Each shard's bank series carry its reads: the shard-labeled
+	// rcnvm_shard_bank_* families beside the aggregate rcnvm_bank_*.
+	m := parseMetrics(t, getBody(t, "http://"+httpAddr+"/metrics"))
+	perShard := make([]float64, s.Cluster().N())
+	var agg float64
+	for key, v := range m {
+		if strings.HasPrefix(key, "rcnvm_bank_reads_total{") {
+			agg += v
 		}
-		getJSON(t, fmt.Sprintf("http://%s/stats/banks?shard=%d", httpAddr, i), &per)
-		if len(per.Banks) == 0 {
-			t.Fatalf("/stats/banks?shard=%d has no banks", i)
+		for i := range perShard {
+			if strings.HasPrefix(key, fmt.Sprintf(`rcnvm_shard_bank_reads_total{shard="%d",`, i)) {
+				perShard[i] += v
+			}
 		}
 	}
-	if code := getStatus(t, "http://"+httpAddr+"/stats/banks?shard=9"); code != http.StatusBadRequest {
-		t.Fatalf("?shard=9 returned %d, want 400", code)
+	if agg == 0 {
+		t.Fatal("aggregate bank series carry no reads")
+	}
+	var sum float64
+	for i, v := range perShard {
+		if v == 0 {
+			t.Fatalf("shard %d's bank series carry no reads", i)
+		}
+		sum += v
+	}
+	if sum != agg {
+		t.Errorf("shard bank reads sum to %v, the aggregate says %v", sum, agg)
 	}
 
 	// /metrics carries the shard count and the shard-labeled bank series
@@ -171,21 +179,6 @@ func TestEncodeErrorCounter(t *testing.T) {
 	}
 }
 
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatalf("GET %s: decode: %v", url, err)
-	}
-}
-
 func getStatus(t *testing.T, url string) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -194,6 +187,31 @@ func getStatus(t *testing.T, url string) int {
 	}
 	resp.Body.Close()
 	return resp.StatusCode
+}
+
+// parseMetrics reads an exposition with obs.Parse into its sample values,
+// keyed by name{labels} as they render.
+func parseMetrics(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := make(map[string]float64)
+	for _, f := range obs.Parse([]byte(body)) {
+		for _, s := range f.Samples {
+			key := s.Name
+			if len(s.Labels) > 0 {
+				pairs := make([]string, len(s.Labels))
+				for i, l := range s.Labels {
+					pairs[i] = l.Name + `="` + l.Value + `"`
+				}
+				key += "{" + strings.Join(pairs, ",") + "}"
+			}
+			v, err := strconv.ParseFloat(s.Value, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", key, err)
+			}
+			out[key] = v
+		}
+	}
+	return out
 }
 
 func getBody(t *testing.T, url string) string {

@@ -12,10 +12,10 @@ import (
 
 // TestTimedRepliesPinned runs the same timed statements on a 1-shard and a
 // 3-shard server and pins what a user sees of them: each reply's bytes on
-// POST /query, the bank series of /metrics, and /stats/banks with and
-// without ?shard. The simulator is deterministic, so a refactor of the
-// replay path leaves every byte alone; only the per-bank payloads are
-// pinned by digest (they run to tens of kilobytes).
+// POST /query and the bank series of /metrics (rcnvm_bank_*, and per
+// shard rcnvm_shard_bank_* on 3 shards). The simulator is deterministic,
+// so a refactor of the replay path leaves every byte alone; only the bank
+// series are pinned by digest (they run to tens of kilobytes).
 func TestTimedRepliesPinned(t *testing.T) {
 	timed := []string{
 		"SELECT SUM(val), COUNT(*) FROM t WHERE grp = 3",
@@ -24,9 +24,8 @@ func TestTimedRepliesPinned(t *testing.T) {
 		"SELECT grp, SUM(val) FROM t GROUP BY grp",
 	}
 	want := map[int]struct {
-		replies        []string
-		metrics, banks string
-		shardBanks     []string
+		replies []string
+		metrics string
 	}{
 		1: {
 			replies: []string{
@@ -35,9 +34,7 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"affected":64,"timing":{"mem_ops":576,"dual_ps":2001500,"row_ps":19822000,"speedup":9.90357232075943}}`,
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":6661000,"row_ps":21001000,"speedup":3.1528299054196065}}`,
 			},
-			metrics:    "2cbe33cc1deb53e8eed6fc3826beec7ea4d1a07d9412e9c6806f137bf2ba93e4",
-			banks:      "bbcf0e4a96a468b3224dd4d67619e2fc6da5e7e09171777f133d7ff290395087",
-			shardBanks: []string{"bbcf0e4a96a468b3224dd4d67619e2fc6da5e7e09171777f133d7ff290395087"},
+			metrics: "2cbe33cc1deb53e8eed6fc3826beec7ea4d1a07d9412e9c6806f137bf2ba93e4",
 		},
 		3: {
 			replies: []string{
@@ -47,12 +44,6 @@ func TestTimedRepliesPinned(t *testing.T) {
 				`{"columns":["grp","SUM(val)"],"rows":[[0,48384],[1,48576],[2,320],[3,48960],[4,49152],[5,49344],[6,49536],[7,49728]],"timing":{"mem_ops":1024,"dual_ps":2491500,"row_ps":7486000,"speedup":3.0046156933574153,"shards":[{"shard":0,"mem_ops":362,"dual_ps":2491500,"row_ps":7486000},{"shard":1,"mem_ops":354,"dual_ps":2491500,"row_ps":7316000},{"shard":2,"mem_ops":308,"dual_ps":2185500,"row_ps":6338500}]}}`,
 			},
 			metrics: "8aac9b1f5aaf83eaec5bf45c40e5a7a3e29652656ab470d4a421583ce86ce662",
-			banks:   "3e5d21b6fcef5bd20a5140f252dc307a203fd6b747f3d9c9a1fc73a770fa6167",
-			shardBanks: []string{
-				"f73c493dee0a5bf9d0e90358ef57058cbb9541bdbb581cab0b8bd8149c8fe331",
-				"2fa08522be13b145130925b214dc7bcefc2b1830218de0080e827f82f3c0bb16",
-				"5ad7c8d9e94f24c0339fcd6b39813a94c298668a528fbb3089fc537b2ac3de0d",
-			},
 		},
 	}
 	for _, n := range []int{1, 3} {
@@ -77,15 +68,6 @@ func TestTimedRepliesPinned(t *testing.T) {
 			metrics = metrics[strings.Index(metrics, "# TYPE rcnvm_bank_"):]
 			if got := digest(metrics); got != w.metrics {
 				t.Errorf("/metrics bank series digest %s", got)
-			}
-			if got := digest(getBody(t, "http://"+httpAddr+"/stats/banks")); got != w.banks {
-				t.Errorf("/stats/banks digest %s", got)
-			}
-			for i := 0; i < n; i++ {
-				got := digest(getBody(t, fmt.Sprintf("http://%s/stats/banks?shard=%d", httpAddr, i)))
-				if i >= len(w.shardBanks) || got != w.shardBanks[i] {
-					t.Errorf("/stats/banks?shard=%d digest %s", i, got)
-				}
 			}
 		})
 	}

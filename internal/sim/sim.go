@@ -124,8 +124,8 @@ type Result struct {
 	// (issue to completion, picoseconds).
 	MemLatency *stats.Histogram `json:"mem_latency,omitempty"`
 	// Banks is the run's memory traffic per bank (Block.Banks), indexed by
-	// dense bank id. It stays out of the JSON: the /stats/banks and
-	// /metrics views serve it summed over runs.
+	// dense bank id. It stays out of the JSON: /metrics serves it summed
+	// over runs.
 	Banks []stats.BankCounters `json:"-"`
 }
 

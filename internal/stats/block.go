@@ -31,18 +31,18 @@ type Block struct {
 
 // BankCounters is the memory traffic of one bank over a run.
 type BankCounters struct {
-	Reads      int64 `json:"reads"`
-	Writes     int64 `json:"writes"`
-	Writebacks int64 `json:"writebacks"`
-	RowHits    int64 `json:"row_hits"`
-	RowMisses  int64 `json:"row_misses"`
-	ColHits    int64 `json:"col_hits"`
-	ColMisses  int64 `json:"col_misses"`
-	Retries    int64 `json:"retries"`
+	Reads      int64
+	Writes     int64
+	Writebacks int64
+	RowHits    int64
+	RowMisses  int64
+	ColHits    int64
+	ColMisses  int64
+	Retries    int64
 	// BusBusyPs is simulated bus time spent on this bank's transfers.
-	BusBusyPs int64 `json:"bus_busy_ps"`
+	BusBusyPs int64
 	// QueuePeak is the most requests the bank's queue held at once.
-	QueuePeak int64 `json:"queue_peak"`
+	QueuePeak int64
 }
 
 // Add folds o into b: every counter summed, the queue peak the maximum.

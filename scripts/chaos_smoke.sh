@@ -3,9 +3,10 @@
 # 1 primary (durable) + 2 read replicas + 1 router as separate processes.
 # First a router given an engine flag must refuse to start. Then
 # a replica is kill -9'd under client load — the router must mask it
-# (zero client-visible errors); the replica restarts, catches up, and all
-# three nodes must byte-converge on /checksum. Then the primary itself is
-# kill -9'd and recovered from its WAL, and the set must converge again.
+# (zero client-visible errors); the replica restarts, catches up, all
+# three nodes must byte-converge on /checksum, and rcnvm-clusterstat must
+# show every node up. Then the primary itself is kill -9'd and recovered
+# from its WAL, and the set must converge again.
 # Finally: a second SIGINT during a drain must force-quit non-zero.
 set -euo pipefail
 
@@ -103,8 +104,9 @@ start_replica() {
     PIDS+=("$REPLICA_PID")
 }
 
-echo "== building rcnvm-serve"
+echo "== building rcnvm-serve and rcnvm-clusterstat"
 go build -o "$DIR/rcnvm-serve" ./cmd/rcnvm-serve
+go build -o "$DIR/rcnvm-clusterstat" ./cmd/rcnvm-clusterstat
 
 echo "== router mode must reject engine flags (exit 1, flag named)"
 for bad in "-data-dir $DATA" "-shards 4" "-replica 127.0.0.1:$P_HTTP" "-fault-rber 1e-4"; do
@@ -203,6 +205,18 @@ start_replica "$R1_TCP" "$R1_HTTP" replica1; R1_PID=$REPLICA_PID
 wait_ready "$R1_HTTP" replica1-restarted
 wait_converged
 echo "   replica1 caught up; checksums equal"
+
+echo "== rcnvm-clusterstat must show one UP row per node"
+STAT=$("$DIR/rcnvm-clusterstat" -router "127.0.0.1:$RT_HTTP")
+for node in primary replica-0 replica-1; do
+    ROW=$(printf '%s\n' "$STAT" | awk -v n="$node" '$1 == n')
+    [ "$(printf '%s\n' "$ROW" | grep -c .)" = 1 ] && [ "$(printf '%s' "$ROW" | awk '{print $3}')" = yes ] || {
+        echo "FAIL: rcnvm-clusterstat has no single UP row for $node:" >&2
+        printf '%s\n' "$STAT" >&2
+        exit 1
+    }
+done
+echo "   primary, replica-0 and replica-1 each one row, UP yes"
 
 echo "== killing the primary, recovering from its WAL"
 query "$RT_TCP" "INSERT INTO smoke VALUES (100, 9, 90)" >/dev/null
