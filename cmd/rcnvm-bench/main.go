@@ -4,17 +4,13 @@
 // Usage:
 //
 //	rcnvm-bench [-scale small|medium|full] [-run fig4,fig17,...]
-//	            [-workers N] [-timing] [-telemetry]
+//	            [-workers N] [-timing]
 //
-// Experiments: table1, table2, fig4, fig5, fig17, fig18 (includes fig19,
-// fig20, fig21), fig22, fig23, tech (PCM/3D XPoint extension), energy
-// (energy-model extension). Default: all of them. The reliability sweep
-// (rel: ECC corrections/uncorrectables and retry-latency overhead across
-// injected raw bit error rates) and the hybrid-memory sweep (hybrid:
-// DRAM tier with row-buffer-locality-aware migration in front of RRAM
-// and RC-NVM on the sustained OLXP mix) are opt-in via -run, keeping the
-// default output identical to earlier builds. An id that names no
-// experiment is an error (exit 2, with the valid ids).
+// -run takes the experiment ids -h lists (experiments.Experiments; fig19,
+// fig20 and fig21 come out of fig18's sweep). Default: all but the opt-in
+// ones, which run only when named, so the default output stays identical
+// to earlier builds. An id that names no experiment is an error (exit 2,
+// with the valid ids).
 //
 // Independent simulation cells of one experiment fan out over -workers
 // goroutines (default: one per CPU); results are identical to a
@@ -26,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,13 +45,20 @@ func parseShardCounts(s string) ([]int, error) {
 }
 
 func main() {
+	var ids, optIn []string
+	for _, e := range experiments.Experiments {
+		ids = append(ids, e.ID)
+		if e.OptIn {
+			optIn = append(optIn, e.ID)
+		}
+	}
 	scaleFlag := flag.String("scale", "full", "workload scale: small|medium|full")
 	formatFlag := flag.String("format", "text", "output format: text|csv|md")
-	runFlag := flag.String("run", "all", "comma-separated experiments (table1,table2,fig4,fig5,fig17,fig18,fig22,fig23,tech,energy,olxp,rel,shard,hybrid) or 'all' (rel, shard and hybrid stay opt-in)")
+	runFlag := flag.String("run", "all", fmt.Sprintf("comma-separated experiments (%s) or 'all' (%s stay opt-in)",
+		strings.Join(ids, ","), strings.Join(optIn, ", ")))
 	workersFlag := flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU)")
 	shardsFlag := flag.String("shards", "1,2,4", "cluster sizes for the shard-scaling sweep (-run shard); first is the determinism baseline")
 	timingFlag := flag.Bool("timing", true, "print per-experiment wall-clock timing to stderr")
-	telemetryFlag := flag.Bool("telemetry", false, "append a per-bank telemetry report for the mixed workload on RC-NVM")
 	flag.Parse()
 
 	scale, err := experiments.ParseScale(*scaleFlag)
@@ -67,21 +71,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	exps := experiments.Experiments
-	want := map[string]bool{}
-	var valid []string
-	for _, e := range exps {
-		want[e.ID] = *runFlag == "all" && !e.OptIn
-		valid = append(valid, e.ID)
-	}
+	want := map[string]bool{} // the ids -run names
 	if *runFlag != "all" {
 		for _, id := range strings.Split(*runFlag, ",") {
 			id = strings.TrimSpace(id)
 			if id == "fig19" || id == "fig20" || id == "fig21" {
 				id = "fig18" // one sweep renders all four figures
 			}
-			if _, ok := want[id]; !ok {
-				fmt.Fprintf(os.Stderr, "rcnvm-bench: -run: unknown experiment %q (valid: %s, or all; fig19-fig21 run fig18)\n", id, strings.Join(valid, ", "))
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(os.Stderr, "rcnvm-bench: -run: unknown experiment %q (valid: %s, or all; fig19-fig21 run fig18)\n", id, strings.Join(ids, ", "))
 				os.Exit(2)
 			}
 			want[id] = true
@@ -96,8 +94,8 @@ func main() {
 	}
 
 	total := time.Duration(0)
-	for _, e := range exps {
-		if !want[e.ID] {
+	for _, e := range experiments.Experiments {
+		if !want[e.ID] && (*runFlag != "all" || e.OptIn) {
 			continue
 		}
 		// Time each experiment so sweep-level perf regressions are visible
@@ -112,14 +110,6 @@ func main() {
 		if *timingFlag {
 			fmt.Fprintf(os.Stderr, "timing  %-7s %8.2fs\n", e.ID, d.Seconds())
 		}
-	}
-	if *telemetryFlag {
-		rep, err := experiments.TelemetryReport(scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rcnvm-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
 	}
 	if *timingFlag {
 		fmt.Fprintf(os.Stderr, "timing  total   %8.2fs (workers=%d)\n",

@@ -13,7 +13,10 @@
 //   - cmd/rcnvm-area  — the circuit-level area/latency models
 //   - examples/...    — quickstart, OLXP, group caching, storage layout
 //
-// The benchmarks in bench_test.go run each experiment at a reduced scale:
+// rcnvm-bench runs each experiment at a reduced scale, the opt-in
+// ablations and per-bank telemetry included:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/rcnvm-bench -scale small
+//	go run ./cmd/rcnvm-bench -scale small -run ablation
+//	go run ./cmd/rcnvm-bench -scale small -run telemetry
 package rcnvm

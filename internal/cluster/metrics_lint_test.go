@@ -24,9 +24,12 @@ var scrapeGauges = []string{
 }
 
 // TestMetricsLint is the documentation gate for exported metric series.
-// (a) Every series a stats.Family declares must appear in DESIGN.md's
-// series catalogue: dashboards and alerts get built against the doc, and
-// an undocumented metric is one nobody can safely rely on or rename.
+// (a) Every series a stats.Family declares, and every family a live
+// server, replica and router render on /metrics and the router on
+// /cluster/metrics (per-bank, per-shard, per-backend, replication lag and
+// histograms included), must appear in DESIGN.md's series catalogue:
+// dashboards and alerts get built against the doc, and an undocumented
+// metric is one nobody can safely rely on or rename.
 // (b) Every unlabeled counter or gauge a live server, replica and router
 // render on /metrics must be a declared series (or a scrape-time gauge):
 // a counter store refuses an undeclared name, but a value merged into the
@@ -68,6 +71,22 @@ func TestMetricsLint(t *testing.T) {
 			t.Errorf("gauge %q is not in DESIGN.md's series catalogue", name)
 		}
 		known[name] = true
+	}
+	// catalogued checks every family of a live exposition: a declared
+	// series is catalogued under its dotted name, checked above; every
+	// other family, labeled ones included, under its exposition name.
+	seen := make(map[string]bool)
+	catalogued := func(what, body string) {
+		for _, line := range strings.Split(body, "\n") {
+			f := strings.Fields(line)
+			if len(f) != 4 || f[0] != "#" || f[1] != "TYPE" || seen[f[2]] {
+				continue
+			}
+			seen[f[2]] = true
+			if !known[f[2]] && !strings.Contains(catalogue, "`"+f[2]+"`") {
+				t.Errorf("%s renders family %q, which is not in DESIGN.md's series catalogue", what, f[2])
+			}
+		}
 	}
 
 	// A live 3-shard primary and a replica with its shards held shared
@@ -120,6 +139,7 @@ func TestMetricsLint(t *testing.T) {
 			t.Fatalf("%s /metrics: status %d", owner, status)
 		}
 		lintExposition(t, owner+" /metrics", body, false)
+		catalogued(owner+" /metrics", body)
 		kind, checked := "", 0
 		for _, line := range strings.Split(body, "\n") {
 			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
@@ -147,6 +167,7 @@ func TestMetricsLint(t *testing.T) {
 		t.Fatalf("/cluster/metrics: status %d", status)
 	}
 	lintExposition(t, "/cluster/metrics", body, true)
+	catalogued("/cluster/metrics", body)
 }
 
 // lintExposition is the strict exposition check: one TYPE line per

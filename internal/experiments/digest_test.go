@@ -86,6 +86,10 @@ var experimentDigestsSmall = map[string]string{
 	"rel":    "d26f7368e0bd55e9d69c3143c4500f11afd7dc0d61a114f26a693b30f20c71ff",
 	"hybrid": "ec59e514d7db8aca7ee81bcd65d8fada68a89dc990b7fe8b39e3783e6742aa45",
 	"shard":  "5581759773e5e67d959a64bb941788c84df350b7a756e4e14a1c5f9dd00627fb",
+	// ablation is results/ablation_small.txt; telemetry is the whole
+	// per-bank report, its sim time header included.
+	"ablation":  "418ae219973b183ea01f9c49177b6e5089d897a295a3f40df8935bf7b53ed6e0",
+	"telemetry": "cef001d3658b239c28d8062bf09d6674adf33a0178dbdd31749748607bc5e8bd",
 }
 
 // TestExperimentDigestsPinned runs every experiment of the list rcnvm-bench

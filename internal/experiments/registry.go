@@ -52,6 +52,8 @@ var Experiments = []Experiment{
 		}
 		return t.RenderAs(w, o.Format)
 	}},
+	{"ablation", true, sweep(Ablation)},
+	{"telemetry", true, TelemetryReport},
 }
 
 // sweep adapts the common experiment shape: one sweep, one table.

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
+	"io"
 
 	"rcnvm/internal/config"
 	"rcnvm/internal/stats"
@@ -14,18 +14,17 @@ import (
 // text table: traffic, buffer hit rates, ECC retries, queue peaks and
 // data-bus occupancy per bank, plus a totals row. Banks the workload never
 // touched are elided (their count is noted). This is the rcnvm-bench
-// -telemetry output.
-func TelemetryReport(scale Scale) (string, error) {
+// -run telemetry output, the same text in every format.
+func TelemetryReport(w io.Writer, o Options) error {
 	cfg := config.RCNVM()
-	res, err := workload.RunMixedRounds(cfg, ParamsFor(scale), 1)
+	res, err := workload.RunMixedRounds(cfg, ParamsFor(o.Scale), 1)
 	if err != nil {
-		return "", err
+		return err
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "== Per-bank telemetry: mixed OLTP+OLAP on %s ==\n", cfg.Name)
-	fmt.Fprintf(&b, "sim time: %.3f ms\n", float64(res.TimePs)/1e9)
-	fmt.Fprintf(&b, "%5s %9s %8s %8s %8s %8s %8s %6s %7s\n",
+	fmt.Fprintf(w, "== Per-bank telemetry: mixed OLTP+OLAP on %s ==\n", cfg.Name)
+	fmt.Fprintf(w, "sim time: %.3f ms\n", float64(res.TimePs)/1e9)
+	fmt.Fprintf(w, "%5s %9s %8s %8s %8s %8s %8s %6s %7s\n",
 		"bank", "reads", "writes", "wbacks", "rowhit%", "colhit%", "retries", "qpeak", "bus%")
 
 	var total stats.BankCounters
@@ -39,7 +38,7 @@ func TelemetryReport(scale Scale) (string, error) {
 		if res.TimePs > 0 {
 			busPct = float64(c.BusBusyPs) / float64(res.TimePs) * 100
 		}
-		fmt.Fprintf(&b, "%5d %9d %8d %8d %8.1f %8.1f %8d %6d %7.2f\n",
+		fmt.Fprintf(w, "%5d %9d %8d %8d %8.1f %8.1f %8d %6d %7.2f\n",
 			bank, c.Reads, c.Writes, c.Writebacks,
 			stats.Ratio(c.RowHits, c.RowMisses)*100,
 			stats.Ratio(c.ColHits, c.ColMisses)*100,
@@ -52,13 +51,13 @@ func TelemetryReport(scale Scale) (string, error) {
 		// of one channel's time; report it against all channels.
 		busPct = float64(total.BusBusyPs) / float64(res.TimePs*int64(cfg.Device.Geom.Channels())) * 100
 	}
-	fmt.Fprintf(&b, "%5s %9d %8d %8d %8.1f %8.1f %8d %6d %7.2f\n",
+	fmt.Fprintf(w, "%5s %9d %8d %8d %8.1f %8.1f %8d %6d %7.2f\n",
 		"all", total.Reads, total.Writes, total.Writebacks,
 		stats.Ratio(total.RowHits, total.RowMisses)*100,
 		stats.Ratio(total.ColHits, total.ColMisses)*100,
 		total.Retries, total.QueuePeak, busPct)
 	if idle > 0 {
-		fmt.Fprintf(&b, "(%d idle banks elided)\n", idle)
+		fmt.Fprintf(w, "(%d idle banks elided)\n", idle)
 	}
-	return b.String(), nil
+	return nil
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -24,11 +26,12 @@ var olapQueries = []string{
 	"SELECT grp, SUM(val) FROM t GROUP BY grp",
 }
 
-// serveFixture starts a default-options server with a TCP front end on a
-// loopback port and a table t (id, grp, val) of the given number of rows.
-func serveFixture(tb testing.TB, rows int) (*Server, string) {
+// serveFixture starts a server with the given options and a TCP front end
+// on a loopback port, and a table t (id, grp, val) of the given number of
+// rows.
+func serveFixture(tb testing.TB, rows int, opts Options) (*Server, string) {
 	tb.Helper()
-	s, addr := newTestServer(tb, Options{})
+	s, addr := newTestServer(tb, opts)
 	var ins strings.Builder
 	ins.WriteString("INSERT INTO t VALUES ")
 	for i := 0; i < rows; i++ {
@@ -52,7 +55,9 @@ func serveFixture(tb testing.TB, rows int) (*Server, string) {
 // the difference of the two, measured in one process. olap takes its three
 // statements in turn, so one op is a third of each. Two requests are timed
 // over Do only: timed is the point SELECT with timing, so its replay on the
-// simulated systems, and batch is one request of 16 point SELECTs.
+// simulated systems, and batch is one request of 16 point SELECTs. Two
+// more run over TCP alone: mix, many sessions at once, and tcpbatch, one
+// session at several batch sizes.
 func BenchmarkServe(b *testing.B) {
 	batch := make([]string, 16)
 	for i := range batch {
@@ -71,7 +76,7 @@ func BenchmarkServe(b *testing.B) {
 		{"batch", 64, nil, &Request{Batch: batch}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, addr := serveFixture(b, bc.rows)
+			s, addr := serveFixture(b, bc.rows, Options{})
 			b.Run("do", func(b *testing.B) {
 				reqs := []*Request{bc.req}
 				if bc.queries != nil {
@@ -111,4 +116,105 @@ func BenchmarkServe(b *testing.B) {
 			})
 		})
 	}
+	b.Run("mix", func(b *testing.B) {
+		for _, sessions := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) { benchMix(b, sessions) })
+		}
+	})
+	b.Run("tcpbatch", func(b *testing.B) {
+		for _, size := range []int{1, 8, 32} {
+			b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) { benchBatch(b, size) })
+		}
+	})
+}
+
+// benchMix is the served OLTP+OLAP mix at a number of concurrent loopback
+// sessions: they share b.N statements, a point SELECT alternating with a
+// filtered SUM over a 1024-row table. The queue holds two statements per
+// session, so none is turned away as overloaded.
+func benchMix(b *testing.B, sessions int) {
+	const rows = 1024
+	_, addr := serveFixture(b, rows, Options{Queue: 2 * sessions})
+	clients := make([]*Client, sessions)
+	for i := range clients {
+		c, err := Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errc := make(chan error, sessions)
+	b.ResetTimer()
+	for _, c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+				q := fmt.Sprintf("SELECT val FROM t WHERE id = %d", i%rows)
+				if i%2 == 1 {
+					q = fmt.Sprintf("SELECT SUM(val), COUNT(*) FROM t WHERE grp = %d", i%8)
+				}
+				if _, err := c.Query(q); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	select {
+	case err := <-errc:
+		b.Fatal(err)
+	default:
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// benchBatch sends b.N point statements, a SELECT alternating with an
+// UPDATE, through one loopback session in batches of size (size 1 sends
+// plain queries). The table is 32 rows so that engine time stays minor:
+// what a batch amortizes is the round trip, the admission and the lock
+// round per statement. bench/ measures the same path with a checked
+// answer (server.batch16_us_per_stmt).
+func benchBatch(b *testing.B, size int) {
+	const rows = 32
+	_, addr := serveFixture(b, rows, Options{})
+	c, err := Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	batch := make([]string, 0, size)
+	b.ResetTimer()
+	for issued := 0; issued < b.N; issued += len(batch) {
+		batch = batch[:0]
+		for i := issued; i < b.N && len(batch) < size; i++ {
+			if i%2 == 0 {
+				batch = append(batch, fmt.Sprintf("SELECT val FROM t WHERE id = %d", i%rows))
+			} else {
+				batch = append(batch, fmt.Sprintf("UPDATE t SET val = %d WHERE id = %d", i%rows*7, i%rows))
+			}
+		}
+		if size == 1 {
+			if _, err := c.Query(batch[0]); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		rs, err := c.Batch(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.Error != nil {
+				b.Fatal(r.Error)
+			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "stmts/s")
 }

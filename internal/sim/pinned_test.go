@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -9,6 +8,13 @@ import (
 	"rcnvm/internal/sim"
 	"rcnvm/internal/trace"
 )
+
+// latency is a histogram's exact contents: count, sum, min, max and its
+// non-empty buckets as (lower bound, count) pairs.
+type latency struct {
+	count, sum, min, max int64
+	buckets              [][2]int64
+}
 
 // TestTimedPairPinned replays the timed_query aggregate's stream as issued
 // and rewritten to row accesses, and pins everything each replay reports:
@@ -20,7 +26,7 @@ func TestTimedPairPinned(t *testing.T) {
 		timePs   int64
 		counters map[string]int64
 		p50      int64
-		latency  string // Result.MemLatency's JSON
+		latency  latency // Result.MemLatency's exact contents
 	}{
 		{
 			timePs: 14_542_000,
@@ -38,8 +44,9 @@ func TestTimedPairPinned(t *testing.T) {
 				"mem.queue_max_occupancy": 10,
 				"mem.reads":               1120,
 			},
-			p50:     32768,
-			latency: `{"count":4608,"sum":108874000,"min":6500,"max":126000,"buckets":[[12,1088],[13,1088],[14,1792],[15,234],[16,406]]}`,
+			p50: 32768,
+			latency: latency{4608, 108874000, 6500, 126000,
+				[][2]int64{{1 << 12, 1088}, {1 << 13, 1088}, {1 << 14, 1792}, {1 << 15, 234}, {1 << 16, 406}}},
 		},
 		{
 			timePs: 187_159_000,
@@ -56,8 +63,9 @@ func TestTimedPairPinned(t *testing.T) {
 				"mem.reads":               4656,
 				"mem.row_activations":     4656,
 			},
-			p50:     351000,
-			latency: `{"count":4608,"sum":1496068000,"min":57000,"max":351000,"buckets":[[15,63],[16,94],[17,189],[18,4262]]}`,
+			p50: 351000,
+			latency: latency{4608, 1496068000, 57000, 351000,
+				[][2]int64{{1 << 15, 63}, {1 << 16, 94}, {1 << 17, 189}, {1 << 18, 4262}}},
 		},
 	}
 	stream := captureSum(t)
@@ -76,8 +84,9 @@ func TestTimedPairPinned(t *testing.T) {
 		if p50 := res.MemLatency.Quantile(0.5); p50 != w.p50 {
 			t.Errorf("replay %d: latency p50 = %d, want %d", i, p50, w.p50)
 		}
-		if b, err := json.Marshal(res.MemLatency); err != nil || string(b) != w.latency {
-			t.Errorf("replay %d: latency JSON = %s (%v), want %s", i, b, err, w.latency)
+		h := res.MemLatency
+		if got := (latency{h.Count(), h.Sum(), h.Min(), h.Max(), h.Buckets()}); !reflect.DeepEqual(got, w.latency) {
+			t.Errorf("replay %d: latency = %v, want %v", i, got, w.latency)
 		}
 	}
 }

@@ -111,22 +111,19 @@ func (s *System) Reset() {
 }
 
 // Result summarizes one run for the experiments, the CLIs and the
-// benchmark harness; a timed statement's replay renders none. It marshals
-// to stable JSON: the histogram carries exact bucket contents, so
-// quantiles survive a decode.
+// benchmark harness; a timed statement's replay renders none.
 type Result struct {
-	Name     string           `json:"name"`
-	TimePs   int64            `json:"time_ps"`
-	Cores    int              `json:"cores"`
-	CyclePs  int64            `json:"cycle_ps"`
-	Counters map[string]int64 `json:"counters"`
+	Name     string
+	TimePs   int64
+	Cores    int
+	CyclePs  int64
+	Counters map[string]int64
 	// MemLatency is the distribution of demand memory-op latencies
 	// (issue to completion, picoseconds).
-	MemLatency *stats.Histogram `json:"mem_latency,omitempty"`
+	MemLatency *stats.Histogram
 	// Banks is the run's memory traffic per bank (Block.Banks), indexed by
-	// dense bank id. It stays out of the JSON: /metrics serves it summed
-	// over runs.
-	Banks []stats.BankCounters `json:"-"`
+	// dense bank id.
+	Banks []stats.BankCounters
 }
 
 // Run executes the per-core streams to completion and summarizes the run.
