@@ -60,11 +60,17 @@ var benchScans = []struct {
 		_, err := t.ScanWhere("id", func(v []uint64) bool { return v[0] == 41 })
 		return err
 	}},
+	// A borrowing scan across the sixteen chunks.
+	{"sum64", 64, func(t *Table) error {
+		_, err := t.Sum("val", All)
+		return err
+	}},
 }
 
 // BenchmarkScan is the rung under olap_scan: one full-column operator over
-// the 16 384-row table (where64: the 64-row one). ns/row is the host cost of
-// one tuple (two cells for group). sum is in CI's zero-alloc gate.
+// the 16 384-row table (where64 and sum64: the 64-row one, at CAPACITY 64).
+// ns/row is the host cost of one tuple (two cells for group). sum and sum64
+// are in CI's zero-alloc gate.
 func BenchmarkScan(b *testing.B) {
 	for _, sc := range benchScans {
 		b.Run(sc.name, func(b *testing.B) {

@@ -169,6 +169,7 @@ type Table struct {
 	db       *DB
 	place    *imdb.NVMPlacement
 	capacity int
+	runs     *runIndex
 	*rowSet
 	sink *trace.Stream // receives every access made through this handle; nil records nothing
 }
@@ -182,11 +183,11 @@ type rowSet struct {
 	live Sel // a bitmap; live.n counts the live rows
 }
 
-// Traced returns a handle on the same table — its rows, tombstones and
-// placement — that appends every memory access made through it to *s, one
-// trace op per cell, folded into runs. Accesses made through any other
-// handle never enter *s, so concurrent readers may each record their own.
-// With s nil it returns t.
+// Traced returns a handle on the same table — its rows, tombstones,
+// placement and run index — that appends every memory access made through
+// it to *s, one trace op per cell, folded into runs. Accesses made through
+// any other handle never enter *s, so concurrent readers may each record
+// their own. With s nil it returns t.
 func (t *Table) Traced(s *trace.Stream) *Table {
 	if s == nil {
 		return t
@@ -220,7 +221,7 @@ func (db *DB) CreateTable(name string, schema imdb.Schema, capacity int) (*Table
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{db: db, place: place, capacity: capacity, rowSet: &rowSet{}}
+	t := &Table{db: db, place: place, capacity: capacity, runs: newRunIndex(db.mem, place), rowSet: &rowSet{}}
 	db.tables[name] = t
 	return t, nil
 }
@@ -663,20 +664,22 @@ func bitsFrom(bm []uint64, p, end int) uint64 {
 }
 
 // fill stores tuple word off of the block's tuples at dst[0], dst[1], …,
-// or with write stores dst[0], dst[1], … as that word, run by run: imdb's
-// ScanRun says how far the placement goes evenly from a tuple, funcmem's
-// Run how far the page does. A span is a copy of each run, a row list a
-// gather of the rows that fall in it, or for a write a put and a scatter,
-// counted at once. A borrowing scan reads a span that is one run in place,
-// when nothing observes its cells.
+// or with write stores dst[0], dst[1], … as that word, run by run, each run
+// as the table's run index holds it. A span is a copy of each run, a row
+// list a gather of the rows that fall in it, or for a write a put and a
+// scatter, counted at once. A borrowing scan reads a span that is one run
+// in place, when nothing observes its cells.
 func (s *scanner) fill(off int, dst []uint64, write bool) {
 	t, mem := s.t, s.t.db.mem
 	for i, n := 0, 0; i < s.n; i += n {
 		row := s.row(i)
-		c, o, step, most := t.place.ScanRun(row, off)
-		seen := s.orient(row)
+		r := t.runs.find(row, off)
+		seen := r.scan
+		if s.fetch {
+			seen = r.fetch
+		}
+		run := r.view(mem, row, write)
 		if write {
-			run := mem.WriteRun(c, o, step, most)
 			if s.span {
 				n = min(run.Len(), s.n-i)
 				run.Put(dst[i:], n)
@@ -686,7 +689,6 @@ func (s *scanner) fill(off int, dst []uint64, write bool) {
 			mem.CountWrites(seen, n)
 			continue
 		}
-		run := mem.Run(c, o, step, most)
 		if s.span {
 			n = min(run.Len(), s.n-i)
 			if w := s.inPlace(run, n); w != nil {

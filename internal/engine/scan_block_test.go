@@ -80,7 +80,8 @@ func stored(t *Table) string {
 	for w := 0; w < t.Schema().TupleWords(); w++ {
 		for row := 0; row < t.Rows(); {
 			c, o, step, n := t.place.ScanRun(row, w)
-			run := t.db.mem.Run(c, o, step, min(n, t.Rows()-row))
+			sp := t.db.mem.Span(c, o, step, min(n, t.Rows()-row))
+			run := sp.Run(t.db.mem.Page(sp.Key, false))
 			vals := make([]uint64, run.Len())
 			run.Copy(vals, run.Len())
 			for _, v := range vals {

@@ -9,8 +9,9 @@
 // memory only where data lives. A page is a strip of a subarray, 512 rows
 // by 8 columns, stored column after column: a column-oriented run — what a
 // field scan of a table chunk walks — is one contiguous slice of host
-// memory, and a row-oriented line is 8 words 4 KB apart. Run gives scans a
-// view of such a span and copies it out densely.
+// memory, and a row-oriented line is 8 words 4 KB apart. Span locates such
+// a run of words in its page, and a Run is the view of it that scans copy
+// out densely.
 package funcmem
 
 import (
@@ -39,7 +40,7 @@ const (
 // a read-only access mutates nothing except those counters.
 type Memory struct {
 	geom  addr.Geometry
-	pages map[uint32][]uint64
+	pages map[uint32]*Page
 	// rowLo is how many low row bits index a word within its strip column:
 	// 9, or every row bit of a subarray of fewer than 512 rows.
 	rowLo uint
@@ -56,7 +57,7 @@ func New(geom addr.Geometry) (*Memory, error) {
 		return nil, fmt.Errorf("funcmem: geometry has %d columns, fewer than one line", geom.Columns())
 	}
 	rowLo := min(geom.RowBits, pageRowBits)
-	return &Memory{geom: geom, pages: make(map[uint32][]uint64), rowLo: rowLo}, nil
+	return &Memory{geom: geom, pages: make(map[uint32]*Page), rowLo: rowLo}, nil
 }
 
 // Geom returns the memory geometry.
@@ -77,20 +78,25 @@ func (m *Memory) word(c addr.Coord) uint32 {
 	return a<<lo | c.Row&(1<<lo-1)
 }
 
-// page returns the page holding storage index w: nil if it was never
-// written, unless alloc asks for it to be made.
-func (m *Memory) page(w uint32, alloc bool) []uint64 {
-	p, ok := m.pages[w/pageWords]
-	if !ok && alloc {
-		p = make([]uint64, pageWords)
-		m.pages[w/pageWords] = p
+// Page is one page of storage, 32 KB. A page once made stays where it is
+// for the memory's lifetime, so a reader may hold on to a pointer to it.
+type Page [pageWords]uint64
+
+// Page returns the page of key k (a Span's Key): nil if it was never
+// written, unless alloc asks for it to be made. Making a page is a write:
+// it needs the writers' mutual exclusion; a lookup is a read.
+func (m *Memory) Page(k uint32, alloc bool) *Page {
+	p := m.pages[k]
+	if p == nil && alloc {
+		p = new(Page)
+		m.pages[k] = p
 	}
 	return p
 }
 
 func (m *Memory) slot(c addr.Coord, alloc bool) *uint64 {
 	w := m.word(c)
-	if p := m.page(w, alloc); p != nil {
+	if p := m.Page(w/pageWords, alloc); p != nil {
 		return &p[w%pageWords]
 	}
 	return nil
@@ -113,15 +119,19 @@ func (m *Memory) WriteCoord(c addr.Coord, o addr.Orientation, v uint64) {
 }
 
 // Run is a view of words spaced evenly along one orientation inside one
-// page. A Run from Run is read-only and stays valid until the memory is
-// next written; one from WriteRun is written through with Put and Scatter.
+// page: a Span on its page. A read-only one (its page looked up without
+// alloc) shows the words as they are until the memory is next written;
+// one on a page made for writing is written through with Put and Scatter.
+// It is four words, so that it can live in registers: its length is at
+// most a page's 4096 words, and a stride too long for 32 bits leaves the
+// page after the run's first word, so only word 0 is ever indexed.
 type Run struct {
 	page      []uint64 // nil: the span was never written and reads zero
-	stride, n int
+	stride, n int32
 }
 
 // Len is the number of words in the run.
-func (r Run) Len() int { return r.n }
+func (r Run) Len() int { return int(r.n) }
 
 // Words returns the run's first n words, n <= Len(), as the page itself
 // when they lie one after the other, and nil when they do not or were
@@ -140,13 +150,13 @@ func (r Run) Copy(dst []uint64, n int) {
 		return
 	}
 	dst = dst[:n]
-	switch {
+	switch stride := int(r.stride); {
 	case r.page == nil:
 		clear(dst)
-	case r.stride == 1:
+	case stride == 1:
 		copy(dst, r.page)
 	default:
-		for k, i := 0, 0; k < n; k, i = k+1, i+r.stride {
+		for k, i := 0, 0; k < n; k, i = k+1, i+stride {
 			dst[k] = r.page[i]
 		}
 	}
@@ -156,6 +166,7 @@ func (r Run) Copy(dst []uint64, n int) {
 // until idx ends or names a word outside the run, and returns how many it
 // stored: at least one, word 0.
 func (r Run) Gather(dst []uint64, idx []int) int {
+	stride := int(r.stride)
 	for k, j := range idx {
 		i := j - idx[0]
 		if uint(i) >= uint(r.n) {
@@ -163,56 +174,55 @@ func (r Run) Gather(dst []uint64, idx []int) int {
 		}
 		var v uint64
 		if r.page != nil {
-			v = r.page[i*r.stride]
+			v = r.page[i*stride]
 		}
 		dst[k] = v
 	}
 	return len(idx)
 }
 
-// Put stores src[:n] as the run's first n words, n <= Len(), of a Run from
-// WriteRun: Copy the other way.
+// Put stores src[:n] as the run's first n words, n <= Len(), of a Run on a
+// page made for writing: Copy the other way.
 func (r Run) Put(src []uint64, n int) {
-	if r.stride == 1 {
+	stride := int(r.stride)
+	if stride == 1 {
 		copy(r.page[:n], src)
 		return
 	}
-	for k, i := 0, 0; k < n; k, i = k+1, i+r.stride {
+	for k, i := 0, 0; k < n; k, i = k+1, i+stride {
 		r.page[i] = src[k]
 	}
 }
 
-// Scatter stores src[k] as word idx[k]-idx[0] of a Run from WriteRun, as
-// far as Gather would read, and returns how many it stored: Gather the
-// other way.
+// Scatter stores src[k] as word idx[k]-idx[0] of a Run on a page made for
+// writing, as far as Gather would read, and returns how many it stored:
+// Gather the other way.
 func (r Run) Scatter(src []uint64, idx []int) int {
+	stride := int(r.stride)
 	for k, j := range idx {
 		i := j - idx[0]
 		if uint(i) >= uint(r.n) {
 			return k
 		}
-		r.page[i*r.stride] = src[k]
+		r.page[i*stride] = src[k]
 	}
 	return len(idx)
 }
 
-// Run returns a view of the words at c.Along(o, k·step), k = 0, 1, …: at
-// most n of them (n >= 1, step >= 1), fewer when the span would leave c's
-// page — a row-oriented run ends with its 8-column line, a column-oriented
-// one at the next multiple of 512 rows. Reading through a Run is not
-// counted; the reader reports its cells to CountReads.
-func (m *Memory) Run(c addr.Coord, o addr.Orientation, step, n int) Run {
-	return m.run(c, o, step, n, false)
+// Span is where a run of words lies in storage: N words, Stride apart,
+// from word Off of the page keyed Key.
+type Span struct {
+	Key            uint32
+	Off, Stride, N int
 }
 
-// WriteRun is Run for writing: it allocates the page of a span never
-// written. Writing through it is not counted; the writer reports its cells
-// to CountWrites.
-func (m *Memory) WriteRun(c addr.Coord, o addr.Orientation, step, n int) Run {
-	return m.run(c, o, step, n, true)
-}
-
-func (m *Memory) run(c addr.Coord, o addr.Orientation, step, n int, alloc bool) Run {
+// Span locates the words at c.Along(o, k·step), k = 0, 1, …: at most n of
+// them (n >= 1, step >= 1), fewer when the span would leave c's page — a
+// row-oriented run ends with its 8-column line, a column-oriented one at
+// the next multiple of 512 rows. Reading or writing through its Run is
+// not counted; the reader reports its cells to CountReads, the writer to
+// CountWrites.
+func (m *Memory) Span(c addr.Coord, o addr.Orientation, step, n int) Span {
 	room, stride := stripCols-int(c.Column)%stripCols, step<<m.rowLo
 	if o == addr.Column {
 		room, stride = pageRows-int(c.Row)%pageRows, step
@@ -223,10 +233,23 @@ func (m *Memory) run(c addr.Coord, o addr.Orientation, step, n int, alloc bool) 
 	if most := (room-1)/step + 1; n > most {
 		n = most
 	}
-	r := Run{stride: stride, n: n}
 	w := m.word(c)
-	if p := m.page(w, alloc); p != nil {
-		r.page = p[w%pageWords:]
+	return Span{Key: w / pageWords, Off: int(w % pageWords), Stride: stride, N: n}
+}
+
+// Drop is the span less its first j words, j < N.
+func (s Span) Drop(j int) Span {
+	s.Off += j * s.Stride
+	s.N -= j
+	return s
+}
+
+// Run is the view of the span on p, its page: nil if it was never written,
+// and then the run reads zero.
+func (s Span) Run(p *Page) Run {
+	r := Run{stride: int32(s.Stride), n: int32(s.N)}
+	if p != nil {
+		r.page = p[s.Off:]
 	}
 	return r
 }

@@ -80,7 +80,7 @@ func TestCounts(t *testing.T) {
 	m.ReadCoord(c, addr.Column)
 	m.ReadCoord(c, addr.Row)
 	var got4 [4]uint64
-	m.Run(c, addr.Row, 1, 4).Copy(got4[:], 4) // uncounted until its reader reports
+	run(m, c, addr.Row, 1, 4, false).Copy(got4[:], 4) // uncounted until its reader reports
 	m.CountReads(addr.Row, 4)
 	got := m.Counts()
 	if got.RowWrites != 1 || got.ColReads != 1 || got.RowReads != 5 || got.ColWrites != 0 {
@@ -93,6 +93,13 @@ func TestCounts(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("empty string")
 	}
+}
+
+// run is the view of the words at c.Along(o, k·step), k < n, as a reader
+// (or, with write, a writer) resolves it: its Span, on the span's page.
+func run(m *Memory, c addr.Coord, o addr.Orientation, step, n int, write bool) Run {
+	s := m.Span(c, o, step, n)
+	return s.Run(m.Page(s.Key, write))
 }
 
 // runGeoms are the geometries the run tests walk: fewer rows than a page
@@ -212,9 +219,17 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 						t.Fatalf("%+v: ReadCoord(%+v, %s) = %d, want %d", geom, c, o, got, want)
 					}
 					step, n := 1+rng.Intn(5), 1+rng.Intn(24)
-					r := m.Run(c, o, step, n)
+					r := run(m, c, o, step, n, false)
 					checkCut(t, geom, c, o, step, n, r)
-					if o == addr.Column && r.page != nil && r.stride != step {
+					// The span less its first j words is the span from the
+					// j-th word on.
+					sp := m.Span(c, o, step, n)
+					for j := 0; j < sp.N; j++ {
+						if got, want := sp.Drop(j), m.Span(c.Along(o, j*step), o, step, n-j); got != want {
+							t.Fatalf("%+v: Span(%+v, %s, %d, %d).Drop(%d) = %+v, want %+v", geom, c, o, step, n, j, got, want)
+						}
+					}
+					if o == addr.Column && r.page != nil && int(r.stride) != step {
 						t.Fatalf("%+v: column run of step %d has stride %d", geom, step, r.stride)
 					}
 					dst := make([]uint64, n+1)
@@ -276,8 +291,8 @@ func TestRunAgreesWithReadCoord(t *testing.T) {
 	}
 }
 
-// TestWriteRunAgreesWithReadCoord, in every geometry of runGeoms: a
-// WriteRun around the same page edges, put whole or scattered, is cut where
+// TestWriteRunAgreesWithReadCoord, in every geometry of runGeoms: a run
+// on a page made for writing, around the same page edges, put whole or scattered, is cut where
 // a Run is, allocates the page of a span never written and no other, and
 // the words stored through it — and no others — read back through
 // ReadCoord in both orientations.
@@ -301,9 +316,9 @@ func TestWriteRunAgreesWithReadCoord(t *testing.T) {
 			c.Row, c.Column = edge(geom.Rows(), rows...), edge(geom.Columns(), cols...)
 			o := addr.Orientation(rng.Intn(2))
 			step, n := 1+rng.Intn(5), 1+rng.Intn(24)
-			r := m.WriteRun(c, o, step, n)
+			r := run(m, c, o, step, n, true)
 			checkCut(t, geom, c, o, step, n, r)
-			if want := m.Run(c, o, step, n).Len(); r.Len() != want {
+			if want := run(m, c, o, step, n, false).Len(); r.Len() != want {
 				t.Fatalf("%+v: WriteRun(%+v, %s, %d, %d).Len() = %d, Run's %d", geom, c, o, step, n, r.Len(), want)
 			}
 			// Every other run is written whole, the others scattered: the

@@ -18,10 +18,10 @@ import (
 // step, n.
 func FuzzRun(f *testing.F) {
 	f.Add(uint8(2), uint8(7), []byte{
-		0x00, 0xfe, 0x01, 0x06, 0x00, 0x00, 0x17, // column WriteRun across rows 510-512
+		0x00, 0xfe, 0x01, 0x06, 0x00, 0x00, 0x17, // column run written across rows 510-512
 		0x42, 0xfc, 0x01, 0x06, 0x00, 0x01, 0x09, // row Run from column 6
 		0x83, 0xf0, 0x01, 0x07, 0x00, 0x02, 0x05, // column Gather
-		0x41, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // row WriteRun at the line's last word
+		0x41, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, // row run written at the line's last word
 	})
 	f.Add(uint8(0), uint8(0), []byte{0x40, 0xff, 0x00, 0x05, 0x00, 0x00, 0x27, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x27})
 	f.Fuzz(func(t *testing.T, rowSel, colSel uint8, prog []byte) {
@@ -43,7 +43,7 @@ func FuzzRun(f *testing.F) {
 			val := func(k int) uint64 { return uint64(i+1)<<32 | uint64(k) }
 			switch in[0] % 4 {
 			case 0: // a run written whole
-				r := m.WriteRun(c, o, step, n)
+				r := run(m, c, o, step, n, true)
 				checkCut(t, geom, c, o, step, n, r)
 				dst = dst[:0]
 				for k := 0; k < r.Len(); k++ {
@@ -55,7 +55,7 @@ func FuzzRun(f *testing.F) {
 				m.WriteWord(geom.Encode(c, o), o, val(0))
 				model[c] = val(0)
 			case 2: // a run copied out whole
-				r := m.Run(c, o, step, n)
+				r := run(m, c, o, step, n, false)
 				checkCut(t, geom, c, o, step, n, r)
 				dst = append(dst[:0], make([]uint64, r.Len())...)
 				r.Copy(dst, r.Len())
@@ -65,7 +65,7 @@ func FuzzRun(f *testing.F) {
 					}
 				}
 			case 3: // a run gathered, up to an index past its end
-				r := m.Run(c, o, step, n)
+				r := run(m, c, o, step, n, false)
 				checkCut(t, geom, c, o, step, n, r)
 				idx := []int{int(in[6])}
 				for k := 1; k < n; k++ {

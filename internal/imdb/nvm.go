@@ -183,13 +183,21 @@ func (p *NVMPlacement) ChunkRange(t int) (int, int) {
 
 // Cell maps (tuple, word) to its physical coordinate.
 func (p *NVMPlacement) Cell(t, w int) addr.Coord {
-	L := p.words
-	if t < 0 || t >= p.table.Tuples || w < 0 || w >= L {
+	p.check(t, w)
+	ck := p.chunkOf(t)
+	return p.cell(ck, t-ck.first, w)
+}
+
+// check panics unless (t, w) is a cell of the table.
+func (p *NVMPlacement) check(t, w int) {
+	if t < 0 || t >= p.table.Tuples || w < 0 || w >= p.words {
 		panic(fmt.Sprintf("imdb: cell (%d,%d) out of table %q bounds", t, w, p.table.Schema.Name))
 	}
-	ck := p.chunkOf(t)
-	l := t - ck.first
+}
 
+// cell is Cell of word w of local tuple l of chunk ck.
+func (p *NVMPlacement) cell(ck *placedChunk, l, w int) addr.Coord {
+	L := p.words
 	var lr, lc int // local row/column before rotation
 	switch p.layout {
 	case ColMajor:
@@ -219,7 +227,10 @@ func (p *NVMPlacement) Cell(t, w int) addr.Coord {
 // ScanOrient returns the orientation along which the same field of
 // consecutive tuples is contiguous near t.
 func (p *NVMPlacement) ScanOrient(t int) addr.Orientation {
-	ck := p.chunkOf(t)
+	return p.scanOrient(p.chunkOf(t))
+}
+
+func (p *NVMPlacement) scanOrient(ck *placedChunk) addr.Orientation {
 	if p.layout == ColMajor {
 		// Tuples advance down local rows.
 		if ck.rotated {
@@ -238,33 +249,42 @@ func (p *NVMPlacement) ScanOrient(t int) addr.Orientation {
 // Cell(t+k, w) is c.Along(o, k·step), o is ScanOrient(t+k), and t+k is in
 // t's chunk. Word w of successive tuples stays on one line of the chunk's
 // region until its column group (ColMajor) or memory row (RowMajor, PAX)
-// ends; only RowMajor interleaves the other words of each tuple. The engine
-// reads its block scans through it, the planner its field scans.
+// ends; only RowMajor interleaves the other words of each tuple. The
+// planner reads its field scans through it, and the engine the coordinates
+// of the cells a trace or a fault injector observes. It looks t's chunk up
+// once.
 func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	p.check(t, w)
 	ck := p.chunkOf(t)
 	l := t - ck.first
 	step, n := 1, ck.h-l%ck.h
 	if p.layout == RowMajor {
 		step = p.words
 	}
-	return p.Cell(t, w), p.ScanOrient(t), step, min(n, ck.n-l)
+	return p.cell(ck, l, w), p.scanOrient(ck), step, min(n, ck.n-l)
 }
 
 // FetchRun describes tuple t's words from w on: they lie along
 // FetchOrient(t), one apart (PAX: a page's tuple count apart), to the end
 // of the tuple.
 func (p *NVMPlacement) FetchRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
+	p.check(t, w)
+	ck := p.chunkOf(t)
 	step := 1
 	if p.layout == PAX {
-		step = p.chunkOf(t).h
+		step = ck.h
 	}
-	return p.Cell(t, w), p.FetchOrient(t), step, p.words - w
+	return p.cell(ck, t-ck.first, w), fetchOrient(ck), step, p.words - w
 }
 
 // FetchOrient returns the orientation along which the words of tuple t are
 // contiguous.
 func (p *NVMPlacement) FetchOrient(t int) addr.Orientation {
-	if p.chunkOf(t).rotated {
+	return fetchOrient(p.chunkOf(t))
+}
+
+func fetchOrient(ck *placedChunk) addr.Orientation {
+	if ck.rotated {
 		return addr.Column
 	}
 	return addr.Row

@@ -12,7 +12,7 @@ import "testing"
 // channel, closure or goroutine for its execution, so its allocations are
 // the plan-cache hit, the engine's result and the reply.
 func TestPointDoAllocs(t *testing.T) {
-	s, _ := serveFixture(t, 64, Options{})
+	s, _ := serveFixture(t, 64, 64, Options{})
 	req := &Request{Query: pointQuery}
 	s.Do(req) // fill the plan cache
 	const ceiling = 8
@@ -32,7 +32,7 @@ func TestPointDoAllocs(t *testing.T) {
 // untimed point statement it allocates the Timing, its row-only stream
 // and the statement's captured trace.
 func TestTimedDoAllocs(t *testing.T) {
-	s, _ := serveFixture(t, 64, Options{})
+	s, _ := serveFixture(t, 64, 64, Options{})
 	req := &Request{Query: pointQuery, Timing: true}
 	s.Do(req) // fill the plan cache, build the replay system
 	const ceiling = 18
@@ -52,7 +52,7 @@ func TestTimedDoAllocs(t *testing.T) {
 // codec encodes into per-connection buffers, so past Do the wire adds the
 // decoded request and the client's decoded reply.
 func TestPointTCPAllocs(t *testing.T) {
-	_, addr := serveFixture(t, 64, Options{})
+	_, addr := serveFixture(t, 64, 64, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

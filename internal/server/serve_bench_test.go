@@ -11,7 +11,9 @@ import (
 // pointQuery and scanQuery are two of the statements BenchmarkServe times:
 // a point SELECT on a 64-row table, where admission, the plan cache and the
 // reply are the statement, and a column SUM on a 4096-row table, where the
-// engine's scan is.
+// engine's scan is. The engine slices a table into at least 16 chunks, so
+// the point table at CAPACITY 64 — oltp_point's — is sixteen 4-row chunks,
+// and at CAPACITY 4096 (point4096) its 64 rows lie in one 256-row chunk.
 const (
 	pointQuery = "SELECT val FROM t WHERE id = 7"
 	scanQuery  = "SELECT SUM(val) FROM t"
@@ -27,9 +29,9 @@ var olapQueries = []string{
 }
 
 // serveFixture starts a server with the given options and a TCP front end
-// on a loopback port, and a table t (id, grp, val) of the given number of
-// rows.
-func serveFixture(tb testing.TB, rows int, opts Options) (*Server, string) {
+// on a loopback port, and a table t (id, grp, val) of the given capacity
+// holding the given number of rows.
+func serveFixture(tb testing.TB, rows, capacity int, opts Options) (*Server, string) {
 	tb.Helper()
 	s, addr := newTestServer(tb, opts)
 	var ins strings.Builder
@@ -40,7 +42,7 @@ func serveFixture(tb testing.TB, rows int, opts Options) (*Server, string) {
 		}
 		fmt.Fprintf(&ins, "(%d,%d,%d)", i, i%8, i*3)
 	}
-	for _, q := range []string{fmt.Sprintf("CREATE TABLE t (id, grp, val) CAPACITY %d", rows), ins.String()} {
+	for _, q := range []string{fmt.Sprintf("CREATE TABLE t (id, grp, val) CAPACITY %d", capacity), ins.String()} {
 		if resp := s.Do(&Request{Query: q}); resp.Error != nil {
 			tb.Fatalf("%.40s: %v", q, resp.Error)
 		}
@@ -52,7 +54,8 @@ func serveFixture(tb testing.TB, rows int, opts Options) (*Server, string) {
 // the direct Server.Do call (validation, admission, execution, the reply
 // struct) and "tcp" is one client session over loopback (plus the NDJSON
 // encode and decode on both ends and the syscalls), so the wire's cost is
-// the difference of the two, measured in one process. olap takes its three
+// the difference of the two, measured in one process. point4096 is point
+// on the same 64 rows in a table of capacity 4096. olap takes its three
 // statements in turn, so one op is a third of each. Two requests are timed
 // over Do only: timed is the point SELECT with timing, so its replay on the
 // simulated systems, and batch is one request of 16 point SELECTs. Two
@@ -64,19 +67,20 @@ func BenchmarkServe(b *testing.B) {
 		batch[i] = fmt.Sprintf("SELECT val FROM t WHERE id = %d", 3*i)
 	}
 	for _, bc := range []struct {
-		name    string
-		rows    int
-		queries []string // timed over Do and TCP
-		req     *Request // without queries, timed over Do alone
+		name           string
+		rows, capacity int
+		queries        []string // timed over Do and TCP
+		req            *Request // without queries, timed over Do alone
 	}{
-		{"point", 64, []string{pointQuery}, nil},
-		{"scan", 4096, []string{scanQuery}, nil},
-		{"olap", 16384, olapQueries, nil},
-		{"timed", 64, nil, &Request{Query: pointQuery, Timing: true}},
-		{"batch", 64, nil, &Request{Batch: batch}},
+		{"point", 64, 64, []string{pointQuery}, nil},
+		{"point4096", 64, 4096, []string{pointQuery}, nil},
+		{"scan", 4096, 4096, []string{scanQuery}, nil},
+		{"olap", 16384, 16384, olapQueries, nil},
+		{"timed", 64, 64, nil, &Request{Query: pointQuery, Timing: true}},
+		{"batch", 64, 64, nil, &Request{Batch: batch}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, addr := serveFixture(b, bc.rows, Options{})
+			s, addr := serveFixture(b, bc.rows, bc.capacity, Options{})
 			b.Run("do", func(b *testing.B) {
 				reqs := []*Request{bc.req}
 				if bc.queries != nil {
@@ -134,7 +138,7 @@ func BenchmarkServe(b *testing.B) {
 // session, so none is turned away as overloaded.
 func benchMix(b *testing.B, sessions int) {
 	const rows = 1024
-	_, addr := serveFixture(b, rows, Options{Queue: 2 * sessions})
+	_, addr := serveFixture(b, rows, rows, Options{Queue: 2 * sessions})
 	clients := make([]*Client, sessions)
 	for i := range clients {
 		c, err := Dial(addr)
@@ -182,7 +186,7 @@ func benchMix(b *testing.B, sessions int) {
 // answer (server.batch16_us_per_stmt).
 func benchBatch(b *testing.B, size int) {
 	const rows = 32
-	_, addr := serveFixture(b, rows, Options{})
+	_, addr := serveFixture(b, rows, rows, Options{})
 	c, err := Dial(addr)
 	if err != nil {
 		b.Fatal(err)
