@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -9,15 +10,19 @@ import (
 	"testing"
 
 	"rcnvm/internal/addr"
+	"rcnvm/internal/fault"
 	"rcnvm/internal/funcmem"
 	"rcnvm/internal/imdb"
+	"rcnvm/internal/trace"
 )
 
 // The run index against the cells. Every operator reads and writes through
 // the index; here each result is held to a reference that reads each cell
 // on its own, through the placement's Cell and the memory's ReadCoord, and
 // each operator must move the memory's counters by exactly the cells it
-// read or wrote, in the orientation ScanOrient or FetchOrient names. The
+// read or wrote, in the orientation ScanOrient or FetchOrient names. Each
+// operator also runs through a Traced handle, whose stream must be the
+// reference's cells one op each, in (tuple, wanted word) order. The
 // capacities cover one-tuple chunks (1, 4, 15, 16), chunks of a few tuples
 // (64, 100), chunks at and across a page's 512 rows (8192: 512-tuple
 // chunks; 16 385: 1 025-tuple chunks of two column groups) and tables of
@@ -69,6 +74,70 @@ func cellsOf(t *Table, rows []int, words int, fetch, write bool) funcmem.Counts 
 	}
 	return c
 }
+
+// cellOps is the reference trace of reading, or with write writing, tuple
+// words offs of rows: one op per cell in (tuple, wanted word) order, at the
+// placement's Cell, in the row's scan orientation or with fetch its fetch
+// one.
+func cellOps(t *Table, rows, offs []int, fetch, write bool) []trace.Op {
+	var ops []trace.Op
+	for _, row := range rows {
+		o := t.place.ScanOrient(row)
+		if fetch {
+			o = t.place.FetchOrient(row)
+		}
+		k := trace.Load
+		switch {
+		case o == addr.Column && write:
+			k = trace.CStore
+		case o == addr.Column:
+			k = trace.CLoad
+		case write:
+			k = trace.Store
+		}
+		for _, w := range offs {
+			ops = append(ops, trace.Op{Kind: k, Coord: t.place.Cell(row, w)})
+		}
+	}
+	return ops
+}
+
+// tracedOps runs op on a Traced handle of tbl and returns the stream it
+// recorded, expanded one op per cell, and op's error.
+func tracedOps(tbl *Table, op func(h *Table) error) ([]trace.Op, error) {
+	var s trace.Stream
+	err := op(tbl.Traced(&s))
+	var ops []trace.Op
+	s.Expand(func(o trace.Op) { ops = append(ops, o) })
+	return ops, err
+}
+
+// checkOps fails unless got is want, op by op.
+func checkOps(t *testing.T, how string, got, want []trace.Op) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s: traced op %d = %+v, want %+v", how, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: traced %d ops, want %d", how, len(got), len(want))
+	}
+}
+
+// checkTraced runs op again on a Traced handle of tbl and holds its stream
+// to want.
+func checkTraced(t *testing.T, tbl *Table, how string, want []trace.Op, op func(h *Table) error) {
+	t.Helper()
+	got, err := tracedOps(tbl, op)
+	if err != nil {
+		t.Fatalf("%s traced: %v", how, err)
+	}
+	checkOps(t, how+" traced", got, want)
+}
+
+// words is the tuple words off, off+1, …, off+n-1.
+func words(off, n int) []int { return appendWords(nil, off, n) }
 
 // checkCells fails unless every word of every row of tbl holds what model
 // says, read cell by cell.
@@ -154,8 +223,8 @@ func checkRunIndex(t *testing.T, schema imdb.Schema, capacity int) {
 		}
 	}
 
-	// AppendRows in batches of 1, 7, 300 and the rest: writes in the fetch
-	// orientation, L cells a tuple.
+	// AppendRows in batches of 1, 7, 300 and the rest, through a Traced
+	// handle: writes in the fetch orientation, L cells a tuple.
 	first := 0
 	for _, size := range []int{1, 7, 300, capacity} {
 		batch := model[first:min(first+size, capacity)]
@@ -164,13 +233,17 @@ func checkRunIndex(t *testing.T, schema imdb.Schema, capacity int) {
 			rows[i] = first + i
 		}
 		var n int
-		got := moved(db, func() { n, err = tbl.AppendRows(batch) })
+		var ops []trace.Op
+		got := moved(db, func() {
+			ops, err = tracedOps(tbl, func(h *Table) (err error) { n, err = h.AppendRows(batch); return err })
+		})
 		if err != nil || n != len(batch) {
 			t.Fatalf("AppendRows of %d at %d: %d, %v", len(batch), first, n, err)
 		}
 		if want := cellsOf(tbl, rows, L, true, true); got != want {
 			t.Fatalf("AppendRows of %d at %d moved the counters %+v, want %+v", len(batch), first, got, want)
 		}
+		checkOps(t, fmt.Sprintf("AppendRows of %d at %d", len(batch), first), ops, cellOps(tbl, rows, words(0, L), true, true))
 		first += len(batch)
 	}
 	checkCells(t, tbl, model, "AppendRows")
@@ -200,8 +273,8 @@ func checkRunIndex(t *testing.T, schema imdb.Schema, capacity int) {
 	// fetch orientation.
 	for _, rs := range runSels(tbl, rng) {
 		for _, field := range []string{sumField, wideField} {
-			off, words, _ := schema.FieldOffset(field)
-			vals := make([]uint64, words)
+			off, n, _ := schema.FieldOffset(field)
+			vals := make([]uint64, n)
 			for k := range vals {
 				vals[k] = rng.Uint64()
 			}
@@ -209,9 +282,11 @@ func checkRunIndex(t *testing.T, schema imdb.Schema, capacity int) {
 			if err != nil {
 				t.Fatalf("Set %s over %s: %v", field, rs.name, err)
 			}
-			if want := cellsOf(tbl, rs.rows, words, words > 1, true); got != want {
+			if want := cellsOf(tbl, rs.rows, n, n > 1, true); got != want {
 				t.Fatalf("Set %s over %s moved the counters %+v, want %+v", field, rs.name, got, want)
 			}
+			checkTraced(t, tbl, "Set "+field+" over "+rs.name, cellOps(tbl, rs.rows, words(off, n), n > 1, true),
+				func(h *Table) error { return h.Set(rs.sel, field, vals...) })
 			for _, row := range rs.rows {
 				copy(model[row][off:], vals)
 			}
@@ -241,6 +316,74 @@ func checkRunIndex(t *testing.T, schema imdb.Schema, capacity int) {
 		}
 	}
 	checkRunReads(t, t2, model, runSel{"loaded", All, t2.LiveRows()}, sumField, wideField, "loaded")
+
+	if _, per := tbl.place.ChunkRange(0); per > 512 {
+		checkStuckCell(t, tbl, sumField)
+	}
+}
+
+// checkStuckCell makes word 0 of a tuple in a chunk's second or later run
+// uncorrectable, and runs Group and Project over every live row through a
+// Traced handle. Each must fail with an error naming that cell in the
+// orientation it was read in, having recorded and counted exactly the cells
+// up to and including it; the scanner's block is cut before its tuple.
+func checkStuckCell(t *testing.T, tbl *Table, sumField string) {
+	t.Helper()
+	db, L := tbl.db, tbl.Schema().TupleWords()
+	_, per := tbl.place.ChunkRange(0)
+	bad := per + 700 // chunk 1's tuple 700
+	if r := tbl.runs.find(bad, 0); r.first == per {
+		t.Fatalf("row %d lies in its chunk's first run", bad)
+	}
+	db.EnableFaults(fault.Config{Enabled: true, Seed: 1})
+	db.Faults().AddStuck(tbl.place.Cell(bad, 0), 2)
+	live := tbl.LiveRows()
+	pos := slices.Index(live, bad)
+	sumOff, _, _ := tbl.Schema().FieldOffset(sumField)
+	var fields []string
+	for _, f := range tbl.Schema().Fields {
+		fields = append(fields, f.Name)
+	}
+	for _, sc := range []struct {
+		name  string
+		sel   Sel
+		offs  []int
+		fetch bool
+		op    func(h *Table) error
+	}{
+		{"Group", All, []int{0, sumOff}, false, func(h *Table) error { _, err := h.Group("a", sumField, All); return err }},
+		{"Project", listed(live), words(0, L), true, func(h *Table) error { _, err := h.Project(live, fields); return err }},
+	} {
+		var ops []trace.Op
+		var err error
+		got := moved(db, func() { ops, err = tracedOps(tbl, sc.op) })
+		want := cellOps(tbl, live[:pos+1], sc.offs, sc.fetch, false)
+		want = want[:len(want)-len(sc.offs)+1] // word 0 is the tuple's first wanted word
+		o := want[len(want)-1].Kind.Orientation()
+		var ue *fault.UncorrectableError
+		if !errors.As(err, &ue) || ue.Coord != tbl.place.Cell(bad, 0) || ue.Orient != o {
+			t.Fatalf("%s: error %v, want an uncorrectable cell (%d, 0) read in orientation %v", sc.name, err, bad, o)
+		}
+		cells := cellsOf(tbl, live[:pos], len(sc.offs), sc.fetch, false)
+		last := cellsOf(tbl, []int{bad}, 1, sc.fetch, false)
+		cells.RowReads, cells.ColReads = cells.RowReads+last.RowReads, cells.ColReads+last.ColReads
+		if got != cells {
+			t.Fatalf("%s: moved the counters %+v, want %+v", sc.name, got, cells)
+		}
+		checkOps(t, sc.name+" over a stuck cell", ops, want)
+
+		s := tbl.scan(sc.sel, sc.offs...)
+		s.fetch = sc.fetch
+		n := 0
+		for s.next() {
+			n += s.n
+		}
+		n += s.n
+		s.close()
+		if n != pos {
+			t.Fatalf("%s: the scanner read %d tuples whole, want the %d before row %d", sc.name, n, pos, bad)
+		}
+	}
 }
 
 // checkRunReads holds the read operators over one selection to the cells:
@@ -270,6 +413,8 @@ func checkRunReads(t *testing.T, tbl *Table, model [][]uint64, rs runSel, sumFie
 	if want := cellsOf(tbl, rs.rows, 1, fetch, false); got != want {
 		t.Fatalf("%s: Where moved the counters %+v, want %+v", how, got, want)
 	}
+	checkTraced(t, tbl, how+": Where", cellOps(tbl, rs.rows, words(0, 1), fetch, false),
+		func(h *Table) error { _, err := h.Where("a", Eq, key, rs.sel); return err })
 	var match []int
 	for _, row := range sortedSet(rs.rows) {
 		if ref(row, 0) == key {
@@ -288,11 +433,15 @@ func checkRunReads(t *testing.T, tbl *Table, model [][]uint64, rs runSel, sumFie
 	if want := cellsOf(tbl, rs.rows, 1, false, false); err != nil || got != want {
 		t.Fatalf("%s: Sum: %v, moved the counters %+v, want %+v", how, err, got, want)
 	}
+	checkTraced(t, tbl, how+": Sum", cellOps(tbl, rs.rows, words(sumOff, 1), false, false),
+		func(h *Table) error { _, err := h.Sum(sumField, rs.sel); return err })
 	var groups []GroupRow
 	got = moved(db, func() { groups, err = tbl.Group("a", sumField, rs.sel) })
 	if want := cellsOf(tbl, rs.rows, 2, false, false); err != nil || got != want {
 		t.Fatalf("%s: Group: %v, moved the counters %+v, want %+v", how, err, got, want)
 	}
+	checkTraced(t, tbl, how+": Group", cellOps(tbl, rs.rows, []int{0, sumOff}, false, false),
+		func(h *Table) error { _, err := h.Group("a", sumField, rs.sel); return err })
 	var wantSum uint64
 	byKey := map[uint64]GroupRow{}
 	for _, row := range rs.rows {
@@ -325,6 +474,8 @@ func checkRunReads(t *testing.T, tbl *Table, model [][]uint64, rs runSel, sumFie
 	if want := cellsOf(tbl, rs.rows, L, true, false); err != nil || got != want {
 		t.Fatalf("%s: Project: %v, moved the counters %+v, want %+v", how, err, got, want)
 	}
+	checkTraced(t, tbl, how+": Project", cellOps(tbl, rs.rows, words(0, L), true, false),
+		func(h *Table) error { _, err := h.Project(rs.rows, fields); return err })
 	for i, row := range rs.rows {
 		for w, v := range tuples[i] {
 			if want := ref(row, w); v != want {
@@ -337,7 +488,7 @@ func checkRunReads(t *testing.T, tbl *Table, model [][]uint64, rs runSel, sumFie
 	if !rs.sel.all {
 		return
 	}
-	wideOff, words, _ := schema.FieldOffset(wideField)
+	wideOff, n, _ := schema.FieldOffset(wideField)
 	var seen [][]uint64
 	var rows []int
 	got = moved(db, func() {
@@ -346,9 +497,14 @@ func checkRunReads(t *testing.T, tbl *Table, model [][]uint64, rs runSel, sumFie
 			return vals[0]&1 == 0
 		})
 	})
-	if want := cellsOf(tbl, rs.rows, words, false, false); err != nil || got != want {
+	if want := cellsOf(tbl, rs.rows, n, false, false); err != nil || got != want {
 		t.Fatalf("%s: ScanWhere: %v, moved the counters %+v, want %+v", how, err, got, want)
 	}
+	checkTraced(t, tbl, how+": ScanWhere", cellOps(tbl, rs.rows, words(wideOff, n), false, false),
+		func(h *Table) error {
+			_, err := h.ScanWhere(wideField, func([]uint64) bool { return false })
+			return err
+		})
 	var wantRows []int
 	for i, row := range rs.rows {
 		for k, v := range seen[i] {
