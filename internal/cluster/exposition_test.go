@@ -268,6 +268,7 @@ const oneShardFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_server_sessions_opened_total counter
 # TYPE rcnvm_server_timed_queries_total counter
 # TYPE rcnvm_server_timeouts_total counter
+# TYPE rcnvm_server_trace_spans_dropped_total counter
 # TYPE rcnvm_server_traced_queries_total counter
 # TYPE rcnvm_wal_appends_total counter
 # TYPE rcnvm_wal_bytes_total counter
@@ -323,6 +324,7 @@ const threeShardFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_server_sessions_opened_total counter
 # TYPE rcnvm_server_timed_queries_total counter
 # TYPE rcnvm_server_timeouts_total counter
+# TYPE rcnvm_server_trace_spans_dropped_total counter
 # TYPE rcnvm_server_traced_queries_total counter
 # TYPE rcnvm_wal_appends_total counter
 # TYPE rcnvm_wal_bytes_total counter
@@ -390,6 +392,7 @@ const replicaFamilies = `# TYPE rcnvm_fault_ecc_corrected_total counter
 # TYPE rcnvm_server_sessions_opened_total counter
 # TYPE rcnvm_server_timed_queries_total counter
 # TYPE rcnvm_server_timeouts_total counter
+# TYPE rcnvm_server_trace_spans_dropped_total counter
 # TYPE rcnvm_server_traced_queries_total counter
 # TYPE rcnvm_wal_appends_total counter
 # TYPE rcnvm_wal_bytes_total counter
@@ -494,6 +497,7 @@ const clusterFamilies = `# TYPE rcnvm_cluster_node_up gauge
 # TYPE rcnvm_server_shards gauge
 # TYPE rcnvm_server_timed_queries_total counter
 # TYPE rcnvm_server_timeouts_total counter
+# TYPE rcnvm_server_trace_spans_dropped_total counter
 # TYPE rcnvm_server_traced_queries_total counter
 # TYPE rcnvm_wal_appends_total counter
 # TYPE rcnvm_wal_bytes_total counter

@@ -134,5 +134,5 @@ func stitchTrace(routerSpans []obs.Span, backendName string, backendDoc []byte) 
 		}
 		return events[i].TS < events[j].TS
 	})
-	return obs.ChromeTraceJSONFromEvents(events)
+	return obs.ChromeTraceJSON(events)
 }

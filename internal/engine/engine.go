@@ -512,19 +512,8 @@ type scanner struct {
 	// in its row's fetch orientation, the one a tuple is read in, rather
 	// than the orientation the scan reads it along.
 	fetch   bool
-	cells   [2]int  // read so far, by orientation
-	at      []runAt // observe's place in each wanted word's column
-	matches []int   // ScanWhere's result before it is cut to size
-}
-
-// runAt is one answer of imdb's ScanRun: word off of tuples first … first+n-1
-// lies at c, c.Along(o, step), c.Along(o, 2·step), … and is seen in
-// orientation seen.
-type runAt struct {
-	first, n int
-	c        addr.Coord
-	o, seen  addr.Orientation
-	step     int
+	cells   [2]int // read so far, by orientation
+	matches []int  // ScanWhere's result before it is cut to size
 }
 
 // Scanners are recycled: 8 KB of buffers allocated (or cleared on the stack)
@@ -539,7 +528,7 @@ func (t *Table) scan(sel Sel, offs ...int) *scanner {
 	}
 	s := scanners.Get().(*scanner)
 	s.t, s.sel = t, sel
-	s.offs, s.at = append(s.offs[:0], offs...), s.at[:0]
+	s.offs = append(s.offs[:0], offs...)
 	if len(offs) > len(s.buf) { // a field wider than a block goes a tuple at a time
 		s.buf = make([]uint64, len(offs))
 	}
@@ -553,14 +542,6 @@ func (s *scanner) row(i int) int {
 		return s.first + i
 	}
 	return s.rows[i]
-}
-
-// orient is the orientation a cell of row is counted and recorded in.
-func (s *scanner) orient(row int) addr.Orientation {
-	if s.fetch {
-		return s.t.place.FetchOrient(row)
-	}
-	return s.t.place.ScanOrient(row)
 }
 
 // next reads the next block, false when the tuples are exhausted or s.err
@@ -674,10 +655,7 @@ func (s *scanner) fill(off int, dst []uint64, write bool) {
 	for i, n := 0, 0; i < s.n; i += n {
 		row := s.row(i)
 		r := t.runs.find(row, off)
-		seen := r.scan
-		if s.fetch {
-			seen = r.fetch
-		}
+		seen := r.seen(s.fetch)
 		run := r.view(mem, row, write)
 		if write {
 			if s.span {
@@ -716,25 +694,18 @@ func (s *scanner) inPlace(run funcmem.Run, n int) []uint64 {
 // observe passes the block's cells, in (tuple, wanted word) order, through
 // what a single access goes through, and is the only place the engine does:
 // the trace op, then for a write the wear count, for a read the fault
-// check, whose corrected word replaces the stored one. At an uncorrectable
-// word it takes the cells after it back out of the count and cuts the block
-// to the tuples before it.
+// check, whose corrected word replaces the stored one. Each cell is found
+// in the table's run index, as fill found it. At an uncorrectable word it
+// takes the cells after it back out of the count and cuts the block to the
+// tuples before it.
 func (s *scanner) observe(write bool) error {
 	t, inj, w := s.t, s.t.db.inj, len(s.offs)
-	for len(s.at) < w {
-		s.at = append(s.at, runAt{})
-	}
 	for i := 0; i < s.n; i++ {
 		row := s.row(i)
 		for k, off := range s.offs {
-			r := &s.at[k]
-			j := row - r.first
-			if uint(j) >= uint(r.n) {
-				r.c, r.o, r.step, r.n = t.place.ScanRun(row, off)
-				r.first, j, r.seen = row, 0, s.orient(row)
-			}
-			c := r.c.Along(r.o, j*r.step)
-			t.record(c, r.seen, write)
+			r := t.runs.find(row, off)
+			c, seen := r.c.Along(r.scan, (row-r.first)*r.step), r.seen(s.fetch)
+			t.record(c, seen, write)
 			if inj == nil {
 				continue
 			}
@@ -742,11 +713,10 @@ func (s *scanner) observe(write bool) error {
 				inj.RecordWrite(c)
 				continue
 			}
-			v, err := inj.CheckWord(c, r.seen, s.vals[k*s.seg+i])
+			v, err := inj.CheckWord(c, seen, s.vals[k*s.seg+i])
 			if err != nil {
-				s.cells[r.seen] -= w - 1 - k
-				for n := i + 1; n < s.n; n++ {
-					s.cells[s.orient(s.row(n))] -= w
+				for j := i*w + k + 1; j < s.n*w; j++ {
+					s.cells[t.runs.find(s.row(j/w), s.offs[j%w]).seen(s.fetch)]--
 				}
 				s.n = i
 				return err

@@ -8,10 +8,12 @@ import (
 	"rcnvm/internal/imdb"
 )
 
-// runIndex is where a table's tuple words lie in host memory, run by run:
-// word w of a chunk's tuples, cut where the placement stops going evenly
-// (imdb's ScanRun) and where the memory's page ends (funcmem's Span). The
-// scanner reads and writes every cell through it, so a scan finds a run in
+// runIndex is where a table's tuple words lie, run by run: word w of a
+// chunk's tuples, cut where the placement stops going evenly (imdb's
+// ScanRun) and where the memory's page ends (funcmem's Span). It is the
+// engine's one locator: the scanner reads and writes every cell through
+// it, and its observer takes each traced or fault-checked cell's
+// coordinate and orientation from the same run, so a scan finds a run in
 // a division and a compare (or a search of its chunk's later runs), not in
 // a walk of the placement and a page lookup.
 //
@@ -31,14 +33,17 @@ type runIndex struct {
 	chunks   []chunkWord // chunk c's word w at c*words+w
 }
 
-// hostRun is word w of tuples first … first+n-1: where it lies, and the
-// orientations its cells are counted and recorded in — along the scan, or
-// as a tuple fetch sees them.
+// hostRun is word w of tuples first … first+n-1: where it lies in host
+// memory, the orientations its cells are counted and recorded in, and
+// their coordinates — tuple first+k's at c.Along(scan, k·step). c and step,
+// which only the observer reads, follow the 64 bytes the fill reads.
 type hostRun struct {
 	first, n    int
 	span        funcmem.Span
 	scan, fetch addr.Orientation
 	page        atomic.Pointer[funcmem.Page] // nil until learned
+	c           addr.Coord
+	step        int
 }
 
 // chunkWord is one word of a chunk's tuples: its first run, and the runs
@@ -106,6 +111,16 @@ func (x *runIndex) locate(r *hostRun, t, w int) {
 	c, o, step, n := x.place.ScanRun(t, w)
 	r.span = x.mem.Span(c, o, step, n)
 	r.first, r.n, r.scan, r.fetch = t, r.span.N, o, x.place.FetchOrient(t)
+	r.c, r.step = c, step
+}
+
+// seen is the orientation the run's cells are counted and recorded in:
+// along the scan, or with fetch as a tuple fetch sees them.
+func (r *hostRun) seen(fetch bool) addr.Orientation {
+	if fetch {
+		return r.fetch
+	}
+	return r.scan
 }
 
 // view is the run from tuple row on, its page made first for a write.

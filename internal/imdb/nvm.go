@@ -250,9 +250,9 @@ func (p *NVMPlacement) scanOrient(ck *placedChunk) addr.Orientation {
 // t's chunk. Word w of successive tuples stays on one line of the chunk's
 // region until its column group (ColMajor) or memory row (RowMajor, PAX)
 // ends; only RowMajor interleaves the other words of each tuple. The
-// planner reads its field scans through it, and the engine the coordinates
-// of the cells a trace or a fault injector observes. It looks t's chunk up
-// once.
+// planner reads its field scans through it, and the engine builds its run
+// index from it, which locates every cell the engine reads, writes, traces
+// or checks for faults. It looks t's chunk up once.
 func (p *NVMPlacement) ScanRun(t, w int) (addr.Coord, addr.Orientation, int, int) {
 	p.check(t, w)
 	ck := p.chunkOf(t)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -84,35 +83,12 @@ func Events(spans []Span) []Event {
 	return append(out, evs...)
 }
 
-// WriteChromeTrace writes the spans as one Chrome trace-event JSON
-// document.
-func WriteChromeTrace(w io.Writer, spans []Span) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(tracePayload{TraceEvents: Events(spans), DisplayTimeUnit: "ns"})
-}
-
-// ChromeTraceJSON returns the Chrome trace-event document as raw JSON
-// bytes (no trailing newline), ready to embed in a response field.
-func ChromeTraceJSON(spans []Span) ([]byte, error) {
-	var b bytes.Buffer
-	if err := WriteChromeTrace(&b, spans); err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(b.Bytes(), "\n"), nil
-}
-
-// ChromeTraceJSONFromEvents renders pre-built events as one Chrome
-// trace-event document (no trailing newline). Callers that merge events
-// from several nodes — the cluster router stitching its own spans with a
-// backend's trace document — assemble the event slice themselves and use
-// this instead of ChromeTraceJSON.
-func ChromeTraceJSONFromEvents(events []Event) ([]byte, error) {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	if err := enc.Encode(tracePayload{TraceEvents: events, DisplayTimeUnit: "ns"}); err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(b.Bytes(), "\n"), nil
+// ChromeTraceJSON renders events as one Chrome trace-event document, raw
+// JSON with no trailing newline, ready to embed in a response field: a
+// node's spans as Events makes them, or the router's own and a backend's
+// merged into one slice.
+func ChromeTraceJSON(events []Event) ([]byte, error) {
+	return json.Marshal(tracePayload{TraceEvents: events, DisplayTimeUnit: "ns"})
 }
 
 // ParseChromeTrace decodes a Chrome trace-event document (the

@@ -31,16 +31,17 @@ func fixtureSpans() []Span {
 // TestChromeTraceGolden locks the export format byte for byte: a format
 // drift (field rename, ordering change) breaks saved traces and tooling.
 func TestChromeTraceGolden(t *testing.T) {
-	var b bytes.Buffer
-	if err := WriteChromeTrace(&b, fixtureSpans()); err != nil {
+	raw, err := ChromeTraceJSON(Events(fixtureSpans()))
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := append(raw, '\n') // the golden file is the document and a newline
 	golden := filepath.Join("testdata", "chrome_trace.golden.json")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, b.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,15 +49,15 @@ func TestChromeTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Errorf("chrome trace drifted from golden\ngot:\n%s\nwant:\n%s", b.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("chrome trace drifted from golden\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 // TestChromeTraceRoundTrip decodes the export back and checks the spans
 // survive: names, categories, lanes and the us conversions.
 func TestChromeTraceRoundTrip(t *testing.T) {
-	raw, err := ChromeTraceJSON(fixtureSpans())
+	raw, err := ChromeTraceJSON(Events(fixtureSpans()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 // duration, processes are named via "M" metadata, and ts is monotonic
 // non-decreasing across the complete events.
 func TestChromeTracePerfettoShape(t *testing.T) {
-	raw, err := ChromeTraceJSON(fixtureSpans())
+	raw, err := ChromeTraceJSON(Events(fixtureSpans()))
 	if err != nil {
 		t.Fatal(err)
 	}

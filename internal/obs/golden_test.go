@@ -171,6 +171,8 @@ rcnvm_server_sessions_opened_total 0
 rcnvm_server_timed_queries_total 0
 # TYPE rcnvm_server_timeouts_total counter
 rcnvm_server_timeouts_total 0
+# TYPE rcnvm_server_trace_spans_dropped_total counter
+rcnvm_server_trace_spans_dropped_total 0
 # TYPE rcnvm_server_traced_queries_total counter
 rcnvm_server_traced_queries_total 0
 # TYPE rcnvm_wal_appends_total counter

@@ -17,24 +17,25 @@ var Family stats.Family
 
 // Server counters.
 var (
-	Queries          = Family.Counter("server.queries")            // statements executed (ok or sql error)
-	QueryErrors      = Family.Counter("server.query_errors")       // statements that failed (parse/exec)
-	TimedQueries     = Family.Counter("server.timed_queries")      // statements with timing attribution
-	Rejected         = Family.Counter("server.rejected")           // admissions refused: workers+queue statements in flight
-	RejectedDrain    = Family.Counter("server.rejected_drain")     // admissions refused: shutting down
-	RejectedNotReady = Family.Counter("server.rejected_not_ready") // admissions refused: recovery/catch-up/drain readiness gate
-	RowsReturned     = Family.Counter("server.rows_returned")      // result rows sent to clients
-	SessionsOpened   = Family.Counter("server.sessions_opened")    // TCP connections accepted
-	SessionsActive   = Family.Gauge("server.sessions_active")      // TCP connections currently open
-	BadRequests      = Family.Counter("server.bad_requests")       // undecodable protocol messages
-	MemoryErrors     = Family.Counter("server.memory_errors")      // statements failed by uncorrectable memory errors
-	Panics           = Family.Counter("server.panics")             // executor panics recovered into internal_error
-	Timeouts         = Family.Counter("server.timeouts")           // statements past their deadline
-	TracedQueries    = Family.Counter("server.traced_queries")     // statements sampled for span tracing
-	EncodeErrors     = Family.Counter("server.encode_errors")      // responses computed but undeliverable (encode failed)
-	Batches          = Family.Counter("server.batches")            // batch requests executed
-	BatchStatements  = Family.Counter("server.batch_statements")   // statements carried inside batch requests
-	ReplaySimsBuilt  = Family.Counter("server.replay_sims_built")  // simulated systems constructed for timing replays (reuse keeps it at most 1 per worker)
+	Queries           = Family.Counter("server.queries")             // statements executed (ok or sql error)
+	QueryErrors       = Family.Counter("server.query_errors")        // statements that failed (parse/exec)
+	TimedQueries      = Family.Counter("server.timed_queries")       // statements with timing attribution
+	Rejected          = Family.Counter("server.rejected")            // admissions refused: workers+queue statements in flight
+	RejectedDrain     = Family.Counter("server.rejected_drain")      // admissions refused: shutting down
+	RejectedNotReady  = Family.Counter("server.rejected_not_ready")  // admissions refused: recovery/catch-up/drain readiness gate
+	RowsReturned      = Family.Counter("server.rows_returned")       // result rows sent to clients
+	SessionsOpened    = Family.Counter("server.sessions_opened")     // TCP connections accepted
+	SessionsActive    = Family.Gauge("server.sessions_active")       // TCP connections currently open
+	BadRequests       = Family.Counter("server.bad_requests")        // undecodable protocol messages
+	MemoryErrors      = Family.Counter("server.memory_errors")       // statements failed by uncorrectable memory errors
+	Panics            = Family.Counter("server.panics")              // executor panics recovered into internal_error
+	Timeouts          = Family.Counter("server.timeouts")            // statements past their deadline
+	TracedQueries     = Family.Counter("server.traced_queries")      // statements sampled for span tracing
+	TraceSpansDropped = Family.Counter("server.trace_spans_dropped") // spans a traced statement recorded past its recorder's limit
+	EncodeErrors      = Family.Counter("server.encode_errors")       // responses computed but undeliverable (encode failed)
+	Batches           = Family.Counter("server.batches")             // batch requests executed
+	BatchStatements   = Family.Counter("server.batch_statements")    // statements carried inside batch requests
+	ReplaySimsBuilt   = Family.Counter("server.replay_sims_built")   // simulated systems constructed for timing replays (reuse keeps it at most 1 per worker)
 )
 
 // Plan-cache counters, sourced from sql.PlanCache.Counters and merged

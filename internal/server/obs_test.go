@@ -270,6 +270,62 @@ func TestTraceEverySamplingToSink(t *testing.T) {
 	}
 }
 
+// TestTraceSpansDroppedCounted holds server.trace_spans_dropped to the
+// recorder's limit: 0 on a fresh server, and above 0 once a timed, traced
+// SUM over 65 536 rows has recorded more spans than obs.DefaultSpanLimit.
+func TestTraceSpansDroppedCounted(t *testing.T) {
+	s, addr := newTestServer(t, Options{})
+	haddr, err := s.ListenHTTP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := func() float64 {
+		m := parseMetrics(t, getBody(t, "http://"+haddr.String()+"/metrics"))
+		v, ok := m["rcnvm_server_trace_spans_dropped_total"]
+		if !ok {
+			t.Fatal("/metrics has no rcnvm_server_trace_spans_dropped_total")
+		}
+		return v
+	}
+	if n := dropped(); n != 0 {
+		t.Fatalf("a fresh server counts %v dropped spans, want 0", n)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const rows = 1 << 16
+	mustQuery(t, c, fmt.Sprintf("CREATE TABLE big (id, v) CAPACITY %d", rows))
+	for first := 0; first < rows; first += 8192 {
+		var ins bytes.Buffer
+		ins.WriteString("INSERT INTO big VALUES ")
+		for i := first; i < first+8192; i++ {
+			if i > first {
+				ins.WriteByte(',')
+			}
+			fmt.Fprintf(&ins, "(%d,%d)", i, i%7)
+		}
+		mustQuery(t, c, ins.String())
+	}
+	// Over POST /query: a reply carrying 16 384 spans is longer than a TCP
+	// session's line.
+	resp, err := http.Post("http://"+haddr.String()+"/query", "application/json",
+		strings.NewReader(`{"query":"SELECT SUM(v) FROM big","timing":true,"trace":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Response
+	err = json.NewDecoder(resp.Body).Decode(&r)
+	resp.Body.Close()
+	if err != nil || r.Error != nil || len(r.TraceEvents) == 0 {
+		t.Fatalf("traced SUM: %v, error %+v, %d bytes of trace", err, r.Error, len(r.TraceEvents))
+	}
+	if n := dropped(); n <= 0 {
+		t.Fatalf("a traced SUM over %d rows counts %v dropped spans, want > 0", rows, n)
+	}
+}
+
 // lockedBuffer is an io.Writer safe for concurrent use with String.
 type lockedBuffer struct {
 	mu sync.Mutex

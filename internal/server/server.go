@@ -507,14 +507,16 @@ func (s *Server) shouldTrace(req *Request) bool {
 
 // emitTrace delivers a recorded trace: onto the response as a Chrome
 // trace-event document when the client asked, and to the server's NDJSON
-// sink when one is configured.
+// sink when one is configured. The spans past the recorder's limit are
+// counted in server.trace_spans_dropped.
 func (s *Server) emitTrace(req *Request, resp *Response, rec *obs.Recorder) {
+	s.met.Counters.Add(TraceSpansDropped, rec.Dropped())
 	spans := rec.Spans()
 	if len(spans) == 0 {
 		return
 	}
 	if req.Trace {
-		if raw, err := obs.ChromeTraceJSON(spans); err == nil {
+		if raw, err := obs.ChromeTraceJSON(obs.Events(spans)); err == nil {
 			resp.TraceEvents = raw
 		}
 	}

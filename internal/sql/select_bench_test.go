@@ -14,40 +14,53 @@ import (
 // (id, grp = id mod 8, val = 3·id) — through Execute on a 1-shard cluster,
 // without the server and the wire. A two-condition WHERE and two projection
 // shapes ride along: the point read of oltp_point and timed_query, and an
-// ordered top-10.
+// ordered top-10. traced/ runs three of the shapes with ExecOptions.Trace,
+// as a timed statement runs them: each cell also passes through the
+// engine's observer into the statement's access stream.
 func BenchmarkSelect(b *testing.B) {
 	const rows = 16384
 	c, err := shard.Open(engine.DualAddress, 1, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	exec := func(src string) {
-		if _, _, err := Execute(c, src, ExecOptions{}); err != nil {
+	exec := func(src string, opts ExecOptions) {
+		if _, _, err := Execute(c, src, opts); err != nil {
 			b.Fatalf("%.60s: %v", src, err)
 		}
 	}
-	exec(fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows))
+	exec(fmt.Sprintf("CREATE TABLE load (id, grp, val) CAPACITY %d", rows), ExecOptions{})
 	for id := 0; id < rows; id += 256 {
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO load VALUES ")
 		for k := id; k < id+256; k++ {
 			fmt.Fprintf(&sb, "(%d, %d, %d),", k, k%8, 3*k)
 		}
-		exec(strings.TrimSuffix(sb.String(), ","))
+		exec(strings.TrimSuffix(sb.String(), ","), ExecOptions{})
 	}
-	for _, sc := range []struct{ name, src string }{
-		{"sumcount", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5"},
-		{"avg", "SELECT AVG(val) FROM load WHERE val > 24576"}, // half the table matches
-		{"group", "SELECT grp, SUM(val) FROM load GROUP BY grp"},
+	const (
+		sumcount = "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5"
+		group    = "SELECT grp, SUM(val) FROM load GROUP BY grp"
+		point    = "SELECT val FROM load WHERE id = 4242"
+	)
+	for _, sc := range []struct {
+		name, src string
+		trace     bool
+	}{
+		{"sumcount", sumcount, false},
+		{"avg", "SELECT AVG(val) FROM load WHERE val > 24576", false}, // half the table matches
+		{"group", group, false},
 		// The Q10/Q11 shape: a second condition filters the first's matches.
-		{"where2", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5 AND val > 24576"},
-		{"point", "SELECT val FROM load WHERE id = 4242"},
-		{"order", "SELECT id, val FROM load WHERE grp = 5 ORDER BY val DESC LIMIT 10"},
+		{"where2", "SELECT SUM(val), COUNT(*) FROM load WHERE grp = 5 AND val > 24576", false},
+		{"point", point, false},
+		{"order", "SELECT id, val FROM load WHERE grp = 5 ORDER BY val DESC LIMIT 10", false},
+		{"traced/sumcount", sumcount, true},
+		{"traced/group", group, true},
+		{"traced/point", point, true},
 	} {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				exec(sc.src)
+				exec(sc.src, ExecOptions{Trace: sc.trace})
 			}
 		})
 	}
